@@ -15,14 +15,31 @@ and the inner prefix limit is expanded by Euler-Maclaurin in powers of 1/n
 (with 4-periodic coefficients and, for divergent inner prefixes, log n and
 gamma terms), converting the whole tail into a linear combination of
 per-class power/log tails of shifted exponent.
+
+That combination and the direct head n <= N are summed in exact fixed-point
+integers at scale 2^W, W = _fixed_bits(D), about 60 bits below the working
+precision.  For each outer class the inner classes are folded first: their
+expansion coefficients are added, with their character signs, into one vector
+of A_e = floor(c_e N^-e 2^W), and the log coefficients cancel exactly for a
+mean-zero inner character.  The tail is then one integer dot product with the
+class's row G_u = floor(T(r,u) N^u 2^W), and the head a sum of
+floor(2^W/m^t) floor(2^W/n^s) products.  Every unit dropped by a floor goes
+into the reported bound: with B_u >= |T(r,u) N^u 2^W - G_u| (the kernel bound
+plus one floor unit) and k folded classes, a term contributes at most
+|F_e| B_u + k (B_u + |G_u|) units of 2^-2W N^-s.  As everywhere in this module,
+mpf rounding at the working precision is left to the guard digits.
+
+Numerics is single-threaded: mpmath's working precision (mp.workdps) is
+process-global, so concurrent callers would change each other's precision.
+Parallel callers should use processes.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from itertools import accumulate, cycle
+from operator import mul
 
-import numpy as np
 from mpmath import mp, mpf
 
 from .errors import DomainError, PrecisionError
@@ -94,9 +111,7 @@ def _check(bound, ctx: EvalContext, what: str):
 # the audited kernel: per-class power/log tails
 # --------------------------------------------------------------------------
 
-_kernel_lock = threading.Lock()
 _kernel_cache: dict = {}
-_value_lock = threading.Lock()
 _value_cache: dict = {}
 
 # EM safety factor: the remainder after the B_{2j} correction is bounded by the
@@ -129,15 +144,9 @@ def class_tail(r: int, u: int, N: int, D: int, logw: bool = False):
         raise DomainError("class_tail needs u >= 2, or u == 1 without log weight")
     key = (r, u, N, D, logw)
     hit = _kernel_cache.get(key)
-    if hit is not None:
-        return hit
-    with _kernel_lock:
-        hit = _kernel_cache.get(key)
-        if hit is not None:
-            return hit
-        res = _class_tail_compute(r, u, N, D, logw, _kernel_start(u, D))
-        _kernel_cache[key] = res
-    return res
+    if hit is None:
+        hit = _kernel_cache[key] = _class_tail_compute(r, u, N, D, logw, _kernel_start(u, D))
+    return hit
 
 
 def _class_tail_compute(r, u, N, D, logw, start_min, attempt=0):
@@ -257,8 +266,7 @@ def _L_internal(p: str, s: int, D: int):
                     tail += c * v
                     bound += b
         res = (direct + tail, bound)
-    with _value_lock:
-        _value_cache[key] = res
+    _value_cache[key] = res
     return res
 
 
@@ -318,8 +326,55 @@ def periodic_tail_num(p: str, s: int, N: int, ctx: EvalContext):
 # inner prefix expansions for double sums
 # --------------------------------------------------------------------------
 
-_array_lock = threading.Lock()
 _array_cache: dict = {}
+# fixed-point rows: ("pow", u, D) -> [floor(2^W / n^u) for n = 0..N] (0 at n = 0),
+# ("tail", r, D) -> (G, B) indexed by exponent, ("fold", q, t, r, D) -> folded vector
+_fixed_cache: dict = {}
+
+
+def _fixed_bits(D: int) -> int:
+    """W: the fixed-point scale 2^W of the double-sum combine, ~60 bits below 10^-(D+10)."""
+    return int(3.33 * (D + 10)) + 60
+
+
+def _fixed_floor(x, num: int, den: int, W: int) -> int:
+    """floor(x * num / den * 2^W), exactly, for an mpf x, an int num and an int den > 0."""
+    sign, man, exp, _ = x._mpf_
+    if sign:
+        man = -man
+    shift = exp + W
+    if shift >= 0:
+        return (man * num << shift) // den
+    return man * num // (den << -shift)
+
+
+def _pow_row(u: int, D: int):
+    """[floor(2^W / n^u) for n = 0..N(D)], with 0 at n = 0."""
+    key = ("pow", u, D)
+    row = _fixed_cache.get(key)
+    if row is None:
+        one = 1 << _fixed_bits(D)
+        row = _fixed_cache[key] = [0] + [one // n**u for n in range(1, _outer_cutoff(D) + 1)]
+    return row
+
+
+def _tail_row(r: int, lo: int, hi: int, D: int):
+    """Lists (G, B) indexed by exponent u, filled at least for lo <= u < hi:
+    G[u] = floor(T N^u 2^W) for the class tail T = class_tail(r, u, N, D), and
+    B[u] = ceil(b N^u 2^W) + 1 >= |T_exact N^u 2^W - G[u]| from its bound b."""
+    G, B = row = _fixed_cache.setdefault(("tail", r, D), ([], []))
+    if len(G) < hi:
+        G.extend([None] * (hi - len(G)))
+        B.extend([None] * (hi - len(B)))
+    if None in G[lo:hi]:
+        N, W = _outer_cutoff(D), _fixed_bits(D)
+        for u in range(lo, hi):
+            if G[u] is None:
+                v, b = class_tail(r, u, N, D)
+                scale = N**u
+                G[u] = _fixed_floor(v, scale, 1, W)
+                B[u] = 1 - _fixed_floor(b, -scale, 1, W)
+    return row
 
 
 def _inner_ct(t: int, N: int, D: int):
@@ -359,55 +414,56 @@ def _inner_ct(t: int, N: int, D: int):
 
 
 def _binom_reexpand(u: int, delta: int, N: int, D: int):
-    """(n+delta)^-u = sum_i c_i n^-(u+i) for n > N; returns (terms, (crem, erem)).
+    """(n+delta)^-u = sum_i c_i n^-(u+i) for n > N with integer c_i =
+    (-delta)^i binom(u+i-1, i); returns (terms, (crem, erem)).
 
     The binomial series alternates; once the term ratio at n = N drops below 1
     the remainder is geometrically dominated, giving the stated bound.
     """
     if delta == 0:
-        return [(u, mpf(1))], (mpf(0), u + 1)
-    with mp.workdps(D + 10):
-        out = []
-        c = mpf(1)
-        i = 0
-        target = mpf(10) ** (-(D + 6))
-        while True:
-            out.append((u + i, c))
-            c = c * -(u + i) * delta / (i + 1)
-            i += 1
-            ratio = mpf((u + i) * delta) / ((i + 1) * N)
-            if ratio < 1:
-                mag = abs(c) * mpf(N) ** (-i)  # relative to n^-u scale
-                if mag / (1 - ratio) < target:
-                    return out, (abs(c) / (1 - ratio), u + i)
-            if i > 400:
-                raise PrecisionError("binomial re-expansion did not converge")
+        return [(u, 1)], (mpf(0), u + 1)
+    out = []
+    c = 1
+    i = 0
+    Ni = 1  # N^i
+    target = 10 ** (D + 6)
+    while True:
+        out.append((u + i, c))
+        c = c * -(u + i) * delta // (i + 1)  # exact: binom(u+i, i+1) is an integer
+        i += 1
+        Ni *= N
+        # term ratio at n = N is num/den; stop once |c| N^-i / (1 - num/den) < 10^-(D+6)
+        num, den = (u + i) * delta, (i + 1) * N
+        if num < den and abs(c) * den * target < Ni * (den - num):
+            with mp.workdps(D + 10):
+                return out, (mpf(abs(c) * den) / (den - num), u + i)
+        if i > 400:
+            raise PrecisionError("binomial re-expansion did not converge")
 
 
 def _inner_array(t: int, delta: int, D: int):
-    """Compressed coefficients of the class inner tail at shift delta.
+    """Fixed-point coefficients of the class inner tail at shift delta.
 
-    Returns (power_terms, logcoef, (crem, erem)) where power_terms is a sorted
-    list of (exponent e, coefficient) with the tail of sum_{m >= n+delta, step 4}
-    m^-t equal to  logcoef*log n + sum c_e n^-e + R,  |R| <= crem * n^-erem for
-    n > N(D).
+    The tail of sum_{m >= n+delta, step 4} m^-t equals
+    logcoef*log n + sum_e c_e n^-e + R,  |R| <= crem * n^-erem  for n > N(D).
+    Returns (emin, A, logcoef, (crem, erem)) with A[e - emin] =
+    floor(c_e N^-e 2^W) at W = _fixed_bits(D), 0 for an absent exponent.
     """
     key = (t, delta, D)
     hit = _array_cache.get(key)
     if hit is not None:
         return hit
-    N = _outer_cutoff(D)
+    N, W = _outer_cutoff(D), _fixed_bits(D)
     with mp.workdps(D + 10):
         ct, logc, (crem0, erem0) = _inner_ct(t, N, D)
-        comp: dict = {}
+        parts = []  # (mpf coefficient c, [(exponent e, integer multiplier m)]): c m n^-e
         rems = [(crem0, erem0)]
         if logc and delta > 0:
             # log(n+delta) = log n + sum_i (-1)^(i-1) delta^i/(i n^i); alternating
             i = 1
             target = mpf(10) ** (-(D + 6))
             while True:
-                c = logc * (-1) ** (i - 1) * mpf(delta) ** i / i
-                comp[i] = comp.get(i, mp.zero) + c
+                parts.append((logc * (-1) ** (i - 1) * mpf(delta) ** i / i, [(i, 1)]))
                 nxt = abs(logc) * mpf(delta) ** (i + 1) / (i + 1)
                 if nxt * mpf(N) ** (-(i + 1)) < target:
                     rems.append((nxt, i + 1))
@@ -415,15 +471,51 @@ def _inner_array(t: int, delta: int, D: int):
                 i += 1
         for e, c in ct:
             terms, (cr, er) = _binom_reexpand(e, delta, N, D)
-            for e2, c2 in terms:
-                comp[e2] = comp.get(e2, mp.zero) + c * c2
+            parts.append((c, terms))
             if cr:
                 rems.append((abs(c) * cr, er))
-        emin = min(e for _, e in rems)
-        ctot = sum(c * mpf(N) ** (emin - e) for c, e in rems)
-        res = (sorted(comp.items()), logc, (ctot, emin))
-    with _array_lock:
-        _array_cache[key] = res
+        erem = min(e for _, e in rems)
+        crem = sum(c * mpf(N) ** (erem - e) for c, e in rems)
+    # each mpf is man * 2^exp, so the coefficient sums are exact integers at scale 2^-shift
+    shift = max(0, -min(c._mpf_[2] for c, _ in parts))
+    comp: dict = {}
+    for c, terms in parts:
+        sign, man, exp, _ = c._mpf_
+        m = (-man if sign else man) << (exp + shift)
+        for e, c2 in terms:
+            comp[e] = comp.get(e, 0) + m * c2
+    emin = min(comp)
+    A = [0] * (max(comp) - emin + 1)
+    for e, v in comp.items():
+        A[e - emin] = (v << W) // (N**e << shift)
+    res = (emin, A, logc, (crem, erem))
+    _array_cache[key] = res
+    return res
+
+
+def _folded_inner(q: str, t: int, r: int, D: int):
+    """The inner arrays of q's classes seen from outer class r, summed with
+    their character signs.
+
+    Returns (emin, F, Fabs, k, logsum, rems, rem_bounds): F[e - emin] is the
+    folded fixed-point coefficient, within k units (k = number of classes
+    folded) of the exact fold; Fabs its absolute values; logsum the folded log
+    coefficient (0 for a mean-zero q); rems the per-class remainder (crem, erem)
+    pairs, and rem_bounds a cache s -> their summed bound over the outer tail.
+    """
+    key = ("fold", q, t, r, D)
+    hit = _fixed_cache.get(key)
+    if hit is not None:
+        return hit
+    parts = [(c, _inner_array(t, (rp - r) % 4, D)) for rp, c in zip((1, 2, 3, 4), CHI[q]) if c]
+    emin = min(arr[0] for _, arr in parts)
+    F = [0] * (max(arr[0] + len(arr[1]) for _, arr in parts) - emin)
+    for c, (e0, A, _, _) in parts:
+        for i, a in enumerate(A, e0 - emin):
+            F[i] += c * a
+    logsum = sum(c * arr[2] for c, arr in parts)
+    res = (emin, F, [abs(f) for f in F], len(parts), logsum, [arr[3] for _, arr in parts], {})
+    _fixed_cache[key] = res
     return res
 
 
@@ -451,20 +543,22 @@ def _char_em(p: str, q: str, s: int, t: int, D: int):
         return hit
     if not _char_convergent(p, q, s, t):
         raise DomainError(f"[{p},{q}]({s},{t}) is outside the convergence region")
-    N = _outer_cutoff(D)
     divergent_inner = t == 1 and not is_mean_zero(q)
+    if divergent_inner and s == 1:
+        # needs a regularized combination of the log-weighted u = 1 class tails
+        raise DomainError(f"[{p},{q}](1,1): the divergent-inner s = 1 case is not supported yet")
+    N, W = _outer_cutoff(D), _fixed_bits(D)
     with mp.workdps(D + 10):
-        bound = mp.zero
-        direct = mp.zero
-        prefix = mp.zero
-        for n in range(2, N + 1):
-            m = n - 1
-            cq = chi(q, m)
-            if cq:
-                prefix += cq * mpf(m) ** (-t)
-            cp = chi(p, n)
-            if cp:
-                direct += cp * prefix * mpf(n) ** (-s)
+        # head n <= N: sum chi_p(n) floor(2^W/n^s) * sum_{m<n} chi_q(m) floor(2^W/m^t),
+        # exact at scale 2^-2W; the floors drop < 2^W (2 + log N) units per n
+        prefix = list(accumulate(map(mul, cycle(CHI[q][3:] + CHI[q][:3]), _pow_row(t, D))))
+        outer = _pow_row(s, D)
+        direct = sum(
+            c * sum(map(mul, outer[r::4], prefix[r - 1 : N : 4]))
+            for r, c in zip((1, 2, 3, 4), CHI[p])
+            if c
+        )
+        bound = N * (3 + mp.log(N)) * mp.ldexp(1, -W)
         if divergent_inner:
             Cq = mp.zero
             bq = mp.zero
@@ -476,7 +570,9 @@ def _char_em(p: str, q: str, s: int, t: int, D: int):
                     bq += b
         else:
             Cq, bq = _L_internal(q, t, D)
-        total = direct
+        total = mp.zero
+        acc = direct * N**s  # fixed-point part at scale 2^-2W N^-s
+        units = 0  # its rounding units at the same scale
         reg_requests = []
         for r in (1, 2, 3, 4):
             cp = CHI[p][r - 1]
@@ -489,28 +585,31 @@ def _char_em(p: str, q: str, s: int, t: int, D: int):
             else:
                 reg_requests.append((cp * Cq, r))
                 bound += 2 * bq
-            for rp in (1, 2, 3, 4):
-                cq = CHI[q][rp - 1]
-                if not cq:
-                    continue
-                delta = (rp - r) % 4
-                comp, logc, (crem, erem) = _inner_array(t, delta, D)
-                for e, c in comp:
-                    v, b = class_tail(r, s + e, N, D)
-                    total -= cp * cq * c * v
-                    bound += abs(c) * b
-                if logc:
-                    v, b = class_tail(r, s, N, D, logw=True)
-                    total -= cp * cq * logc * v
-                    bound += abs(logc) * b
-                bound += crem * mpf(N) ** (1 - s - erem) / (s + erem - 1)
+            emin, F, Fabs, k, logsum, rems, rem_bounds = _folded_inner(q, t, r, D)
+            lo = s + emin
+            hi = lo + len(F)
+            G, B = _tail_row(r, lo, hi, D)
+            Gs, Bs = G[lo:hi], B[lo:hi]
+            acc -= cp * sum(map(mul, F, Gs))
+            units += sum(map(mul, Fabs, Bs)) + k * (sum(Bs) + sum(map(abs, Gs)))
+            if logsum:
+                v, b = class_tail(r, s, N, D, logw=True)
+                total -= cp * logsum * v
+                bound += abs(logsum) * b
+            rb = rem_bounds.get(s)
+            if rb is None:
+                # sum_{n > N} crem n^(-s-erem) <= crem N^(1-s-erem) / (s+erem-1)
+                rb = sum(crem * mpf(N) ** (1 - s - erem) / (s + erem - 1) for crem, erem in rems)
+                rem_bounds[s] = rb
+            bound += rb
         if reg_requests:
             v, b = _regularized_combo(reg_requests, N, D)
             total += v
             bound += b
+        total += mp.ldexp(mpf(acc) / N**s, -2 * W)
+        bound += mp.ldexp(mpf(units) / N**s, -2 * W)
         res = (total, bound)
-    with _value_lock:
-        _value_cache[key] = res
+    _value_cache[key] = res
     return res
 
 
@@ -518,7 +617,8 @@ def char_dzeta_num(p: str, q: str, s: int, t: int, ctx: EvalContext):
     """[p,q](s,t) = sum_{n>m>=1} chi_p(n) chi_q(m) / (n^s m^t), within 10^-prec.
 
     [1,1] is the plain double zeta value; a 2b slot is the alternating bar.
-    s = 1 is accepted for mean-zero outer characters (2b, m4).
+    s = 1 is accepted for mean-zero outer characters (2b, m4); s = t = 1 also
+    needs a mean-zero inner character (the divergent-inner corner raises).
     """
     if not _char_convergent(p, q, s, t):
         raise DomainError(f"[{p},{q}]({s},{t}) is outside the convergence region")
@@ -571,8 +671,7 @@ def _witten_internal(r: int, s: int, t: int, D: int):
             total += c * v
             bound += abs(c) * bb
         res = (total, bound)
-    with _value_lock:
-        _value_cache[key] = res
+    _value_cache[key] = res
     return res
 
 
@@ -748,6 +847,8 @@ def brute_force_oracle(series: str, params, N: int, ctx: EvalContext | None = No
 
 
 def _oracle_char(p, q, s, t, N):
+    import numpy as np
+
     if s < 2:
         raise DomainError("oracle needs outer exponent >= 2")
     n = np.arange(1, N + 1, dtype=np.float64)
@@ -784,6 +885,8 @@ def _oracle_char(p, q, s, t, N):
 
 
 def _oracle_witten(r, s, t, N):
+    import numpy as np
+
     if not witten_convergent(r, s, t):
         raise DomainError("divergent Witten triple")
     n = np.arange(0, N + 1, dtype=np.float64)
@@ -817,6 +920,8 @@ def _oracle_witten(r, s, t, N):
 
 
 def _oracle_harmonic(kind, s, N):
+    import numpy as np
+
     n = np.arange(1, N + 1, dtype=np.float64)
     if kind == "odd_denom":
         H = np.cumsum(1.0 / n)
@@ -837,9 +942,5 @@ def _oracle_harmonic(kind, s, N):
 
 def clear_caches():
     """Drop all numeric caches (mainly for tests)."""
-    with _kernel_lock:
-        _kernel_cache.clear()
-    with _array_lock:
-        _array_cache.clear()
-    with _value_lock:
-        _value_cache.clear()
+    for cache in (_kernel_cache, _array_cache, _fixed_cache, _value_cache):
+        cache.clear()

@@ -1,12 +1,17 @@
 """Multiprecision evaluator: single series, double sums, Witten sums,
 harmonic sums, oracles and the error-bound contract."""
+import math
+import re
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
 from mzv.errors import DomainError
+from mzv import numerics
 from mzv.numerics import (
     CHAR_IDS,
+    CHI,
     EvalContext,
     L_num,
     brute_force_oracle,
@@ -145,6 +150,52 @@ def test_reflection_formula_sweep(ctx40):
                         assert abs(lhs - rhs) < 4 * tol(ctx40), (p, q, s, t)
 
 
+@pytest.mark.parametrize("prec", [40, 100])
+def test_char_dzeta_mean_zero_s1_t1_corners(prec):
+    # s = t = 1 with a mean-zero inner character: the log coefficients of the
+    # inner classes cancel once folded
+    ctx = EvalContext(prec)
+    with mp.workdps(prec + 20):
+        ln2, pi = mp.log(2), +mp.pi
+        assert abs(char_dzeta_num("2b", "2b", 1, 1, ctx) - (ln2**2 / 2 - pi**2 / 12)) < tol(ctx)
+        assert abs(char_dzeta_num("m4", "m4", 1, 1, ctx) + pi**2 / 32) < tol(ctx)
+        pair = char_dzeta_num("m4", "2b", 1, 1, ctx) + char_dzeta_num("2b", "m4", 1, 1, ctx)
+        assert abs(pair - (pi / 4 * ln2 - mp.catalan)) < tol(ctx)
+
+
+@pytest.mark.parametrize("p,q", [("2b", "1"), ("2b", "2a"), ("m4", "1")])
+def test_char_dzeta_divergent_inner_s1_corner_names_the_sum(ctx40, p, q):
+    msg = re.escape(f"[{p},{q}](1,1)") + r".*divergent-inner s = 1 case is not supported yet"
+    with pytest.raises(DomainError, match=msg):
+        char_dzeta_num(p, q, 1, 1, ctx40)
+
+
+def test_reflection_s_t_le_2_within_reported_bounds(ctx40):
+    # [p,q](s,t) + [q,p](t,s) = L_p(s) L_q(t) - L_pq(s+t), checked against L from
+    # mpmath's Hurwitz zeta (log 2 and pi/4 at s = 1) within the two reported bounds
+    D = ctx40.work_digits
+
+    def L(p, s):
+        if s == 1:
+            return {"2b": mp.log(2), "m4": mp.pi / 4}[p]
+        return sum(c * mp.zeta(s, mpf(r) / 4) for r, c in zip((1, 2, 3, 4), CHI[p]) if c) / mpf(4) ** s
+
+    checked = 0
+    for p in CHAR_IDS:
+        for q in CHAR_IDS:
+            for s in (1, 2):
+                for t in (1, 2):
+                    if not (numerics._char_convergent(p, q, s, t) and numerics._char_convergent(q, p, t, s)):
+                        continue
+                    v1, b1 = numerics._char_em(p, q, s, t, D)
+                    v2, b2 = numerics._char_em(q, p, t, s, D)
+                    with mp.workdps(D + 30):
+                        ref = L(p, s) * L(q, t) - L(char_product(p, q), s + t)
+                        assert abs(v1 + v2 - ref) <= b1 + b2, (p, q, s, t)
+                    checked += 1
+    assert checked == 36
+
+
 def test_char_oracle_agreement(ctx40):
     value, bound = brute_force_oracle("char_dzeta", ("2b", "2b", 2, 2), 10**4)
     with mp.workdps(60):
@@ -243,6 +294,36 @@ def test_determinism(ctx40):
     numerics.clear_caches()
     c = char_dzeta_num("2b", "2a", 3, 2, ctx40)
     assert a == c  # bit-identical after recomputation
+
+
+def test_fixed_point_tail_rows_bracket_the_kernel():
+    # G[u] = floor(T N^u 2^W) exactly, and B[u] covers the kernel bound plus the floor
+    from fractions import Fraction
+
+    def exact(x):
+        sign, man, exp, _ = x._mpf_
+        return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+    D, r = 20, 3
+    N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
+    G, B = numerics._tail_row(r, 2, 6, D)
+    for u in range(2, 6):
+        v, b = numerics.class_tail(r, u, N, D)
+        scale = N**u * 2**W
+        assert G[u] == math.floor(exact(v) * scale)
+        assert numerics._fixed_floor(v, -(N**u), 1, W) == math.floor(-exact(v) * scale)
+        assert exact(b) * scale + 1 <= B[u] < exact(b) * scale + 2
+
+
+def test_clear_caches_empties_every_cache(ctx40):
+    D = ctx40.work_digits
+    first = numerics._char_em("2b", "m4", 1, 2, D)
+    caches = [v for k, v in vars(numerics).items() if k.endswith("_cache") and isinstance(v, dict)]
+    assert len(caches) >= 4 and all(caches)
+    assert any(key[0] == "tail" for key in numerics._fixed_cache)
+    numerics.clear_caches()
+    assert not any(caches)
+    assert numerics._char_em("2b", "m4", 1, 2, D) == first  # identical (value, bound)
 
 
 def test_telescoping_lemma():
