@@ -17,7 +17,7 @@ from . import exact
 from .corpus import parse_expr
 from .errors import DomainError, NotReducible, ParseError, PrecisionError
 from .numerics import EvalContext
-from .search import SearchConfig, candidate_dsl, search_general, search_poly_weights
+from .search import SearchConfig, candidate_dsl, search_general
 from .verify import (
     SuiteConfig,
     eval_ast_detailed,
@@ -161,10 +161,7 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     families = tuple(args.family) if args.family else ("power", "affine", "symmetric-even")
     config = SearchConfig(families=families, H=args.height, prec=args.prec, deg=args.deg)
-    if families == ("poly",):
-        candidates = search_poly_weights(config)
-    else:
-        candidates = search_general(config)
+    candidates = search_general(config)
     for i, cand in enumerate(candidates, start=1):
         print(f"# {cand.describe()}")
         print(candidate_dsl(cand, ident=f"S{i:02d}"))

@@ -633,7 +633,11 @@ def _dzeta_internal(a: int, b: int, D: int):
         # _char_em("1","1",a,1) and is used to cross-verify reductions.
         from .reductions import zeta_s1_reduce
 
-        return _expr_internal(zeta_s1_reduce(a + 1), D)
+        key = ("dz1", a, D)
+        hit = _value_cache.get(key)
+        if hit is None:
+            hit = _value_cache[key] = _expr_internal(zeta_s1_reduce(a + 1), D)
+        return hit
     return _char_em("1", "1", a, b, D)
 
 

@@ -10,7 +10,6 @@ consistency; any rank deficiency is a hard error, never silently patched.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -143,11 +142,14 @@ class WittenReduction:
 class ReductionTable:
     """Memoized reductions; double-zeta and alternating entries are verified
     numerically at insertion (P = 40, residual <= 10^-35) against the
-    independent Euler-Maclaurin evaluator."""
+    independent Euler-Maclaurin evaluator.
+
+    Single-threaded, like the numerics it verifies against: mpmath's working
+    precision is process-global, so no lock here could make that check safe
+    across threads."""
 
     def __init__(self, verify: bool = True):
         self.verify = verify
-        self._lock = threading.Lock()
         self._dz_tables: dict = {}
         self._alt: dict = {}
         self._witten: dict = {}
@@ -156,16 +158,13 @@ class ReductionTable:
     def dz_table(self, w: int) -> dict:
         if w in self._dz_tables:
             return self._dz_tables[w]
-        with self._lock:
-            if w in self._dz_tables:
-                return self._dz_tables[w]
-            rows, js = _weight_rows(w)
-            sol = _solve_exact(rows, len(js))
-            table = {j: sol[i] for i, j in enumerate(js)}
-            if self.verify:
-                for j, expr in table.items():
-                    _verify_against_em(expr, ("1", "1", j, w - j))
-            self._dz_tables[w] = table
+        rows, js = _weight_rows(w)
+        sol = _solve_exact(rows, len(js))
+        table = {j: sol[i] for i, j in enumerate(js)}
+        if self.verify:
+            for j, expr in table.items():
+                _verify_against_em(expr, ("1", "1", j, w - j))
+        self._dz_tables[w] = table
         return table
 
     # -- alternating small values -------------------------------------------
@@ -178,8 +177,7 @@ class ReductionTable:
         expr = expr()
         if self.verify:
             _verify_against_em(expr, key)
-        with self._lock:
-            self._alt[key] = expr
+        self._alt[key] = expr
         return expr
 
     # -- witten --------------------------------------------------------------
@@ -188,8 +186,7 @@ class ReductionTable:
         if key in self._witten:
             return self._witten[key]
         red = _witten_expand(r, s, t, self)
-        with self._lock:
-            self._witten[key] = red
+        self._witten[key] = red
         return red
 
 

@@ -14,13 +14,25 @@ an even-zeta convolution; that is what singles the symmetric shape out.
 Deduplication is by exact per-weight span membership: a candidate is emitted
 only if, at some weight, its relation vector over (zeta(j, w-j) | zeta(w)) lies
 outside the rational span of the already-emitted relations at that weight.
+Relations are memoized per candidate.
+
+The exact algebra is precomputed where it does not depend on the candidate.
+Fit plans: the f(s) fit over F_SPAN eliminates each basis-subset matrix once
+per tuple of anchor s-values, keeping the solution rows and the integer
+left-null rows, so fitting a candidate is integer dot products.  Keyed affine
+pairing: b^j + c^s d^j can only pass the vanishing conditions when, at every
+anchor weight, the condition vectors of b and d are both zero or both nonzero
+and parallel; keying each pool value by the primitive integer directions of
+its vectors, d runs only over b's key group instead of the whole pool.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import mul
 
 from mpmath import mp, mpf
 
@@ -114,6 +126,7 @@ def weighted_sum_f(weight_fn, w: int, j_parity: str = "any"):
     return _target_fit(reduce_weighted_sum(weight_fn, w, j_parity), w)
 
 
+@functools.cache
 def _zeta_even_coef(k: int) -> Fraction:
     return zeta_sym(2 * k).terms[(("pi", 2 * k),)]
 
@@ -151,24 +164,50 @@ def fit_span_minimal(points):
 
     Tries subsets in order of (size, basis position); a fit must reproduce
     every point exactly and determine every coefficient.  None if nothing fits.
+    The subset matrices depend only on the s-values, so they are eliminated
+    once per s-tuple (`_fit_plan`) and each fit is integer dot products.
     """
     points = list(points)
     if not points:
         return None
-    for size in range(0, min(len(F_SPAN), len(points)) + 1):
-        for subset in itertools.combinations(range(len(F_SPAN)), size):
-            rows = [[_span_value(F_SPAN[i], s) for i in subset] for s, _ in points]
-            vals = [f for _, f in points]
-            sol = _solve_consistent(rows, vals, size)
-            if sol is not None:
-                return {F_SPAN[i]: c for i, c in zip(subset, sol) if c}
+    ints, den = _integer_scale([f for _, f in points])
+    for subset, solve, checks in _fit_plan(tuple(s for s, _ in points)):
+        if any(sum(map(mul, row, ints)) for row in checks):
+            continue
+        sol = (Fraction(sum(map(mul, row, ints)), rden * den) for row, rden in solve)
+        return {F_SPAN[i]: c for i, c in zip(subset, sol) if c}
     return None
 
 
-def _solve_consistent(rows, vals, ncols):
-    """Exact solve of a (possibly overdetermined) system; None unless it is
-    consistent and determines every column."""
-    aug = [row[:] + [v] for row, v in zip(rows, vals)]
+@functools.lru_cache(maxsize=64)
+def _fit_plan(svals: tuple):
+    """Per F_SPAN subset, in fit order, the elimination of [A | I] with A the
+    subset's span values at svals: E A = [I; 0] for an invertible E.  The
+    system A x = v is then consistent iff the lower rows of E annihilate v,
+    and x is the upper rows of E times v.  Subsets that are not determined at
+    svals are dropped.  Entries are (subset, solve, checks): solve rows as
+    (integer row, denominator), checks as primitive integer rows."""
+    n = len(svals)
+    plan = []
+    for size in range(0, min(len(F_SPAN), n) + 1):
+        for subset in itertools.combinations(range(len(F_SPAN)), size):
+            aug = [
+                [_span_value(F_SPAN[i], s) for i in subset]
+                + [Fraction(int(k == r)) for k in range(n)]
+                for r, s in enumerate(svals)
+            ]
+            if len(_rref(aug, size)) != size:
+                continue
+            solve = tuple(_integer_scale(row[size:]) for row in aug[:size])
+            checks = tuple(_primitive(row[size:]) for row in aug[size:])
+            plan.append((subset, solve, checks))
+    return tuple(plan)
+
+
+def _rref(aug, ncols):
+    """Gauss-Jordan elimination in place over the first ncols columns (the
+    rest ride along); returns the pivot columns, whose rows come first with a
+    leading 1."""
     pivots = []
     r = 0
     for c in range(ncols):
@@ -184,38 +223,28 @@ def _solve_consistent(rows, vals, ncols):
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
         pivots.append(c)
         r += 1
-    if len(pivots) != ncols:
+    return pivots
+
+
+def _solve_consistent(rows, vals, ncols):
+    """Exact solve of a (possibly overdetermined) system; None unless it is
+    consistent and determines every column.  The one-system reference for
+    the precomputed fit plans."""
+    aug = [row[:] + [v] for row, v in zip(rows, vals)]
+    pivots = _rref(aug, ncols)
+    if len(pivots) != ncols or any(row[ncols] for row in aug[ncols:]):
         return None
-    for i in range(r, len(aug)):
-        if aug[i][ncols]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][ncols]
-    return sol
+    return [row[ncols] for row in aug[:ncols]]
 
 
 def _nullspace(rows, ncols):
     """Nullspace basis of an exact homogeneous system."""
     aug = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    pivots = _rref(aug, ncols)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
@@ -246,21 +275,27 @@ def _in_span(vec, basis) -> bool:
     return not any(target)
 
 
-def _canonical_scale(vec):
-    """Scale a rational vector to integer-primitive with positive lead."""
-    den = 1
-    for x in vec:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
+def _integer_scale(vec):
+    """(ints, den) with vec == ints / den and den the lcm of the denominators."""
+    den = math.lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec], den
+
+
+def _primitive(vec):
+    """The integer-primitive multiple of a rational vector with a positive
+    lead; a zero vector stays zero."""
+    ints, _ = _integer_scale(vec)
+    g = math.gcd(*ints)
     if g:
         ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 1)
-    if lead < 0:
+    if next((x for x in ints if x), 0) < 0:
         ints = [-x for x in ints]
-    return [Fraction(x) for x in ints]
+    return ints
+
+
+def _canonical_scale(vec):
+    """Scale a rational vector to integer-primitive with positive lead."""
+    return [Fraction(x) for x in _primitive(vec)]
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +331,7 @@ class CandidateIdentity:
     jrange: tuple = (2, 1)  # j runs lo .. s - hi_off
     f_coeffs: dict = field(default_factory=dict)
     status: str = "exact<=7"
+    _relations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def weight(self, s: int, j: int) -> Fraction:
         fam = self.family
@@ -320,7 +356,14 @@ class CandidateIdentity:
         return w >= lo + off + 1 and _parity_ok(w, self.s_parity)
 
     def relation(self, w: int):
-        """Vector over (zeta(j, w-j) for j = 2..w-1 | rhs zeta(w))."""
+        """Vector over (zeta(j, w-j) for j = 2..w-1 | rhs zeta(w)), memoized
+        per weight: a candidate is complete (weights and f) once it is yielded."""
+        rel = self._relations.get(w)
+        if rel is None:
+            rel = self._relations[w] = self._relation(w)
+        return rel
+
+    def _relation(self, w: int):
         vec = [Fraction(0)] * (w - 2)
         lo, off = self.jrange
         if self.arg_style == "even":
@@ -543,37 +586,28 @@ def _affine_candidates(config: SearchConfig):
                         )
             if len(polysets) < 2:
                 continue
+            # b^j + gamma_w d^j passes the vanishing conditions at w iff
+            # vals[b][w] = -gamma_w vals[d][w]; with gamma_w != 0 that means
+            # both vectors are zero or both have the same primitive direction.
+            # A pair needs two nonzero gammas, so only d sharing b's key tuple
+            # (with at least two directions) can pass.
+            keys = {x: tuple(_direction(vals[x][w]) for w, _ in polysets) for x in pool}
+            groups: dict = {}
+            for x in pool:
+                if sum(k is not None for k in keys[x]) >= 2:
+                    groups.setdefault(keys[x], []).append(x)
             for b in pool:
                 vb = vals[b]
-                for d in pool:
+                for d in groups.get(keys[b], ()):
                     if d == b:
                         continue
                     vd = vals[d]
                     gammas = {}
-                    dead = False
-                    for w, _ps in polysets:
-                        g = None
-                        for pb, pd in zip(vb[w], vd[w]):
-                            if pd == 0:
-                                if pb != 0:
-                                    dead = True
-                                    break
-                                continue
-                            # gamma = -pb/pd; compare by cross-multiplication
-                            if g is None:
-                                g = (-pb, pd)
-                            elif g[0] * pd != -pb * g[1]:
-                                dead = True
-                                break
-                        if dead:
-                            break
-                        if g is not None:
-                            gammas[w] = g[0] / g[1]
-                    if dead or len(gammas) < 2:
-                        continue
+                    for (w, _ps), key in zip(polysets, keys[b]):
+                        if key is not None:
+                            i = next(i for i, pd in enumerate(vd[w]) if pd)
+                            gammas[w] = -vb[w][i] / vd[w][i]
                     ws = sorted(gammas)
-                    if any(gammas[w] == 0 for w in ws):
-                        continue  # pure power, handled above
                     w1, w2 = ws[0], ws[1]
                     ratio = gammas[w2] / gammas[w1]
                     if w2 - w1 == 1:
@@ -601,6 +635,12 @@ def _affine_candidates(config: SearchConfig):
                             {"a": Fraction(1), "b": b, "c": c, "d": d},
                             j_par, s_par, "plain", (2, 1), coeffs,
                         )
+
+
+def _direction(vec):
+    """Pairing key of a vanishing-condition vector: its primitive integer
+    direction, or None when it is zero."""
+    return tuple(_primitive(vec)) if any(vec) else None
 
 
 def _symmetric_even_candidates(config: SearchConfig):
@@ -700,16 +740,7 @@ def search_general(config: SearchConfig | None = None):
 def search_poly_weights(config: SearchConfig | None = None):
     """Polynomial-weight search (degree <= config.deg), plain and even-argument
     shapes; the ansatz is linear in the coefficients and solved exactly."""
-    config = config or SearchConfig(families=("poly",))
-    emitted: list[CandidateIdentity] = []
-    for cand in itertools.chain(_poly_plain_candidates(config), _poly_even_candidates(config)):
-        if not _is_new(cand, emitted):
-            continue
-        if numeric_screen(cand, config.prec, config.screen_tol_exp):
-            emitted.append(cand)
-        else:
-            cand.status = "rejected"
-    return emitted
+    return search_general(replace(config or SearchConfig(), families=("poly",)))
 
 
 # ---------------------------------------------------------------------------

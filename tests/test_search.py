@@ -1,13 +1,25 @@
 """Ansatz search: exact anchors, base solving, family reproduction, soundness."""
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mzv.corpus import parse_corpus
 from mzv.errors import DomainError
 from mzv.search import (
+    F_SPAN,
     CandidateIdentity,
     SearchConfig,
+    _affine_candidates,
+    _anchor_weights,
+    _fit_candidate_f,
+    _fraction_sqrt,
+    _is_new,
+    _poly_at,
+    _solve_consistent,
+    _span_value,
+    _vanishing_polys,
     candidate_dsl,
     even_arg_sum_f,
     fit_span_minimal,
@@ -146,3 +158,123 @@ def test_screen_rejects_wrong_f():
 
 def test_search_empty_config():
     assert search_general(SearchConfig(families=())) == []
+
+
+# ---------------------------------------------------------------------------
+# precomputed exact algebra against plain reference scans
+# ---------------------------------------------------------------------------
+
+
+def _fit_reference(points):
+    """The fit by definition: one exact solve per F_SPAN subset, in order."""
+    for size in range(0, min(len(F_SPAN), len(points)) + 1):
+        for subset in itertools.combinations(range(len(F_SPAN)), size):
+            rows = [[_span_value(F_SPAN[i], s) for i in subset] for s, _ in points]
+            sol = _solve_consistent(rows, [f for _, f in points], size)
+            if sol is not None:
+                return {F_SPAN[i]: c for i, c in zip(subset, sol) if c}
+    return None
+
+
+_small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def _span_points(draw):
+    """0-7 points of a random F_SPAN combination; about one in five perturbed."""
+    coeffs = draw(st.dictionaries(st.sampled_from(F_SPAN), _small_fractions, max_size=4))
+    points = []
+    for s in draw(st.lists(st.integers(2, 14), max_size=7)):
+        f = f_eval(coeffs, s)
+        if draw(st.integers(0, 4)) == 0:
+            f += draw(_small_fractions.filter(bool))
+        points.append((s, f))
+    return points
+
+
+@given(_span_points())
+@settings(max_examples=100, deadline=None)
+def test_fit_span_minimal_matches_subset_scan(points):
+    want = _fit_reference(points) if points else None
+    assert fit_span_minimal(points) == want
+
+
+def _affine_reference(config):
+    """All ordered (b, d) pairs of the pool, each weight's gamma solved from
+    vals[b][w] + gamma vals[d][w] = 0 directly."""
+    pool = height_rationals(config.H)
+    for s_par in config.parities:
+        anchors = _anchor_weights(s_par)
+        for j_par in config.parities:
+            polysets = [(w, list(_vanishing_polys(w, j_par)[0].values())) for w in anchors]
+            polysets = [(w, ps) for w, ps in polysets if ps]
+            if not polysets:
+                continue
+            vals = {x: {w: [_poly_at(p, x) for p in ps] for w, ps in polysets} for x in pool}
+            for b in pool:
+                if not any(v for w, _ in polysets for v in vals[b][w]):
+                    coeffs = _fit_candidate_f(lambda _w, j, b=b: b**j, anchors, j_par)
+                    if coeffs is not None:
+                        params = {"a": Fraction(1), "b": b, "c": Fraction(0), "d": Fraction(0)}
+                        yield CandidateIdentity("affine", params, j_par, s_par, f_coeffs=coeffs)
+            if len(polysets) < 2:
+                continue
+            for b, d in itertools.product(pool, pool):
+                if b == d:
+                    continue
+                gammas = {}
+                for w, _ in polysets:
+                    vb, vd = vals[b][w], vals[d][w]
+                    if not any(vd):
+                        gammas[w] = None if any(vb) else "free"
+                        continue
+                    i = next(i for i, x in enumerate(vd) if x)
+                    g = -vb[i] / vd[i]
+                    gammas[w] = g if all(x + g * y == 0 for x, y in zip(vb, vd)) else None
+                if None in gammas.values():
+                    continue
+                gammas = {w: g for w, g in gammas.items() if g != "free"}
+                if len(gammas) < 2 or 0 in gammas.values():
+                    continue
+                (w1, g1), (w2, g2) = sorted(gammas.items())[:2]
+                if w2 - w1 == 1:
+                    croots = {g2 / g1}
+                elif w2 - w1 == 2 and _fraction_sqrt(g2 / g1) is not None:
+                    c = _fraction_sqrt(g2 / g1)
+                    croots = {c, -c}
+                else:
+                    continue
+                for c in croots:
+                    if c == 0 or any(c**w != g for w, g in gammas.items()):
+                        continue
+                    coeffs = _fit_candidate_f(
+                        lambda _w, j, b=b, c=c, d=d: b**j + c**_w * d**j, anchors, j_par
+                    )
+                    if coeffs is not None:
+                        params = {"a": Fraction(1), "b": b, "c": c, "d": d}
+                        yield CandidateIdentity("affine", params, j_par, s_par, f_coeffs=coeffs)
+
+
+@pytest.mark.parametrize("H", [1, 3, 5])
+def test_affine_keyed_pairing_matches_all_pairs(H):
+    config = SearchConfig(H=H)
+    got = list(_affine_candidates(config))
+    assert [c.describe() for c in got] == [c.describe() for c in _affine_reference(config)]
+    assert any(c.params["c"] for c in got)  # the pair stage is exercised
+
+
+def test_is_new_rejects_repeats_and_rational_multiples():
+    ones = CandidateIdentity("poly", {"1": Fraction(1)}, f_coeffs={"1": Fraction(1)})
+    assert _is_new(ones, [])
+    again = CandidateIdentity("poly", {"1": Fraction(1)}, f_coeffs={"1": Fraction(1)})
+    assert not _is_new(again, [ones])
+    lam = Fraction(-5, 3)
+    scaled = CandidateIdentity("poly", {"1": lam}, f_coeffs={"1": lam})
+    assert not _is_new(scaled, [ones])
+    twos = CandidateIdentity(
+        "power", {"a": Fraction(2)}, f_coeffs=fit_span_minimal(
+            [(w, weighted_sum_f(lambda _w, j: Fraction(2) ** j, w)) for w in (4, 5, 6, 7)]
+        ),
+    )
+    assert _is_new(twos, [ones])
+    assert not _is_new(twos, [ones, twos])
