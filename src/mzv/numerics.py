@@ -29,6 +29,16 @@ plus one floor unit) and k folded classes, a term contributes at most
 |F_e| B_u + k (B_u + |G_u|) units of 2^-2W N^-s.  As everywhere in this module,
 mpf rounding at the working precision is left to the guard digits.
 
+The kernel's correction loop shares two memos and recomputes neither per
+step.  The coefficients K_j = -B_2j / (2j)! * 4^(2j-1) are kept per (j,
+precision), built left to right in that order, so each correction
+K_j * f^(2j-1)(y) rounds exactly as the whole product written out in one
+expression would; the inner expansions use -K_j, which is exact.  The powers
+y^-k of the start point y are kept for one (start, precision) at a time:
+_tail_row asks for many exponents u of one class from the same start, and each
+power is still a direct mpf(y) ** -k.  Class tail values and bounds are
+therefore bit-identical to computing every step from scratch.
+
 Numerics is single-threaded: mpmath's working precision (mp.workdps) is
 process-global, so concurrent callers would change each other's precision.
 Parallel callers should use processes.
@@ -118,6 +128,12 @@ _value_cache: dict = {}
 # first omitted term for completely monotone integrands; 4 is a safe margin.
 _EM_SAFETY = 4
 
+# (j, prec) -> K_j = -B_2j / (2j)! * 4^(2j-1), the j-th EM coefficient at step 4
+_em_coef_cache: dict = {}
+# k -> mpf(m0) ** -k for the latest kernel start only: _ladder_key = (m0, prec)
+_ladder_cache: dict = {}
+_ladder_key = None
+
 
 def _outer_cutoff(D: int) -> int:
     return 4 * (int((2.2 * 2.303 * D + 64) / 4) + 1)
@@ -149,9 +165,41 @@ def class_tail(r: int, u: int, N: int, D: int, logw: bool = False):
     return hit
 
 
+def _em_coef(j: int, prec: int):
+    """K_j = -B_2j / (2j)! * 4^(2j-1) at prec bits, evaluated left to right.
+
+    Memoized per (j, prec).  K_j * deriv then has the bits of the one-line
+    product -B_2j / (2j)! * 4^(2j-1) * deriv, which Python evaluates in the
+    same order.
+    """
+    key = (j, prec)
+    K = _em_coef_cache.get(key)
+    if K is None:
+        B = bernoulli(2 * j)
+        with mp.workprec(prec):
+            K = -mpf(B.numerator) / B.denominator / mp.factorial(2 * j) * mpf(4) ** (2 * j - 1)
+        _em_coef_cache[key] = K
+    return K
+
+
+def _inv_pow(m0: int, k: int):
+    """mpf(m0) ** -k at the current precision, memoized for one start m0 at a time."""
+    global _ladder_key
+    key = (m0, mp.prec)
+    if key != _ladder_key:
+        _ladder_cache.clear()
+        _ladder_key = key
+    p = _ladder_cache.get(k)
+    if p is None:
+        p = _ladder_cache[k] = mpf(m0) ** (-k)
+    return p
+
+
 def _class_tail_compute(r, u, N, D, logw, start_min, attempt=0):
     if attempt > 4:
-        raise PrecisionError(f"EM tail did not converge for class {r}, exponent {u}")
+        raise PrecisionError(
+            f"EM tail did not converge for class {r}, exponent {u}, log weight {logw}, N={N}, D={D}"
+        )
     with mp.workdps(D + 10):
         m0 = max(N, start_min) + 1
         while (m0 - 1) % 4 != (r - 1) % 4:
@@ -171,10 +219,10 @@ def _class_tail_compute(r, u, N, D, logw, start_min, attempt=0):
         if u == 1 and not logw:
             integ = -L / 4
         elif logw:
-            integ = y ** (1 - u) * (L / (u - 1) + mpf(1) / (u - 1) ** 2) / 4
+            integ = _inv_pow(m0, u - 1) * (L / (u - 1) + mpf(1) / (u - 1) ** 2) / 4
         else:
-            integ = y ** (1 - u) / (4 * (u - 1))
-        f0 = y ** (-u) * (L if logw else 1)
+            integ = _inv_pow(m0, u - 1) / (4 * (u - 1))
+        f0 = _inv_pow(m0, u) * (L if logw else 1)
         total = direct + integ + f0 / 2
         scale = abs(integ) + abs(f0) + mpf(10) ** (-(D + 30))
         target = mpf(10) ** (-(D + 6)) * scale
@@ -182,13 +230,16 @@ def _class_tail_compute(r, u, N, D, logw, start_min, attempt=0):
         a, b = mpf(1), mpf(0)
         m = 0
         prev = None
+        prec = mp.prec
         for j in range(1, 500):
             while m < 2 * j - 1:
-                a, b = -(u + m) * a, -(u + m) * b + a
+                if logw:
+                    a, b = -(u + m) * a, -(u + m) * b + a
+                else:
+                    a = -(u + m) * a
                 m += 1
-            deriv = ((a * L + b) if logw else a) * y ** (-u - m)
-            B = bernoulli(2 * j)
-            c = -mpf(B.numerator) / B.denominator / mp.factorial(2 * j) * mpf(4) ** (2 * j - 1) * deriv
+            deriv = ((a * L + b) if logw else a) * _inv_pow(m0, u + m)
+            c = _em_coef(j, prec) * deriv
             mag = abs(c)
             if prev is not None and mag > prev:
                 # asymptotic series turned before reaching target: restart farther out
@@ -197,7 +248,9 @@ def _class_tail_compute(r, u, N, D, logw, start_min, attempt=0):
             prev = mag
             if mag * _EM_SAFETY < target:
                 return total, mag * _EM_SAFETY
-        raise PrecisionError("EM correction loop exhausted")
+        raise PrecisionError(
+            f"EM correction loop exhausted for class {r}, exponent {u}, log weight {logw}, N={N}, D={D}"
+        )
 
 
 def _regularized_combo(requests, N, D):
@@ -396,12 +449,12 @@ def _inner_ct(t: int, N: int, D: int):
         prev = None
         rise = mpf(1)  # rising factorial (t)_{2j-1}, extended incrementally
         m = 0
+        prec = mp.prec
         for j in range(1, 500):
             while m < 2 * j - 1:
                 rise = rise * (t + m) if m else mpf(t)
                 m += 1
-            B = bernoulli(2 * j)
-            c = mpf(B.numerator) / B.denominator / mp.factorial(2 * j) * mpf(4) ** (2 * j - 1) * rise
+            c = -_em_coef(j, prec) * rise  # negation is exact and rounding symmetric
             e = t + 2 * j - 1
             mag = abs(c) * mpf(N) ** (-e)
             if prev is not None and mag > prev:
@@ -410,7 +463,7 @@ def _inner_ct(t: int, N: int, D: int):
             if mag * _EM_SAFETY < target:
                 return terms, logc, (_EM_SAFETY * abs(c), e)
             terms.append((e, c))
-        raise PrecisionError("inner EM loop exhausted")
+        raise PrecisionError(f"inner EM loop exhausted (t={t}, N={N})")
 
 
 def _binom_reexpand(u: int, delta: int, N: int, D: int):
@@ -438,7 +491,7 @@ def _binom_reexpand(u: int, delta: int, N: int, D: int):
             with mp.workdps(D + 10):
                 return out, (mpf(abs(c) * den) / (den - num), u + i)
         if i > 400:
-            raise PrecisionError("binomial re-expansion did not converge")
+            raise PrecisionError(f"binomial re-expansion did not converge (u={u}, delta={delta}, N={N})")
 
 
 def _inner_array(t: int, delta: int, D: int):
@@ -946,5 +999,5 @@ def _oracle_harmonic(kind, s, N):
 
 def clear_caches():
     """Drop all numeric caches (mainly for tests)."""
-    for cache in (_kernel_cache, _array_cache, _fixed_cache, _value_cache):
+    for cache in (_kernel_cache, _em_coef_cache, _ladder_cache, _array_cache, _fixed_cache, _value_cache):
         cache.clear()

@@ -595,9 +595,12 @@ def summarize(reports):
 
 
 def reports_json(reports, summary, timestamp: bool = True) -> str:
+    summary = dict(summary)
+    if not timestamp:
+        summary.pop("elapsed_seconds", None)
     payload = {
         "schema": 1,
-        "summary": dict(summary),
+        "summary": summary,
         "reports": [
             {
                 "id": r.ident,

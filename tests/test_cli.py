@@ -75,6 +75,21 @@ def test_verify_ids_and_json(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "verify_report.tsv").exists()
 
 
+def test_verify_no_timestamp_is_byte_stable(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ("--prec", "30", "verify", "--ids", "C18,C25", "--max-param", "4",
+            "--format", "json", "--no-timestamp")
+    code, first, _ = run(capsys, *argv)
+    written = (tmp_path / "verify_report.json").read_bytes()
+    code2, second, _ = run(capsys, *argv)
+    assert code == code2 == 0
+    assert first == second
+    assert (tmp_path / "verify_report.json").read_bytes() == written
+    payload = json.loads(first)
+    assert "elapsed_seconds" not in payload["summary"]
+    assert payload["summary"]["instances"] > 0
+
+
 def test_verify_failure_exit_code(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     corrupted = tmp_path / "bad.txt"

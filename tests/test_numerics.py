@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from mzv.errors import DomainError
+from mzv.errors import DomainError, PrecisionError
+from mzv.exact import bernoulli
 from mzv import numerics
 from mzv.numerics import (
     CHAR_IDS,
@@ -313,6 +314,163 @@ def test_fixed_point_tail_rows_bracket_the_kernel():
         assert G[u] == math.floor(exact(v) * scale)
         assert numerics._fixed_floor(v, -(N**u), 1, W) == math.floor(-exact(v) * scale)
         assert exact(b) * scale + 1 <= B[u] < exact(b) * scale + 2
+
+
+# ---------------------------------------------------------------------------
+# the EM kernel: bit identity with the direct loop, full-precision reference
+# ---------------------------------------------------------------------------
+
+
+def _direct_class_tail(r, u, N, D, logw, start_min, attempt=0):
+    """The kernel loop without shared coefficients or powers: every j step
+    converts B_2j and recomputes (2j)!, 4^(2j-1) and y^(-u-m)."""
+    if attempt > 4:
+        raise PrecisionError("EM tail did not converge")
+    with mp.workdps(D + 10):
+        m0 = max(N, start_min) + 1
+        while (m0 - 1) % 4 != (r - 1) % 4:
+            m0 += 1
+        direct = mp.zero
+        n = N + 1
+        while (n - 1) % 4 != (r - 1) % 4:
+            n += 1
+        while n < m0:
+            t = mpf(n) ** (-u)
+            if logw:
+                t *= mp.log(n)
+            direct += t
+            n += 4
+        y = mpf(m0)
+        L = mp.log(y)
+        if u == 1 and not logw:
+            integ = -L / 4
+        elif logw:
+            integ = y ** (1 - u) * (L / (u - 1) + mpf(1) / (u - 1) ** 2) / 4
+        else:
+            integ = y ** (1 - u) / (4 * (u - 1))
+        f0 = y ** (-u) * (L if logw else 1)
+        total = direct + integ + f0 / 2
+        scale = abs(integ) + abs(f0) + mpf(10) ** (-(D + 30))
+        target = mpf(10) ** (-(D + 6)) * scale
+        a, b = mpf(1), mpf(0)
+        m = 0
+        prev = None
+        for j in range(1, 500):
+            while m < 2 * j - 1:
+                a, b = -(u + m) * a, -(u + m) * b + a
+                m += 1
+            deriv = ((a * L + b) if logw else a) * y ** (-u - m)
+            B = bernoulli(2 * j)
+            c = -mpf(B.numerator) / B.denominator / mp.factorial(2 * j) * mpf(4) ** (2 * j - 1) * deriv
+            mag = abs(c)
+            if prev is not None and mag > prev:
+                return _direct_class_tail(r, u, N, D, logw, int(start_min * 1.6) + 8, attempt + 1)
+            total += c
+            prev = mag
+            if mag * numerics._EM_SAFETY < target:
+                return total, mag * numerics._EM_SAFETY
+        raise PrecisionError("EM correction loop exhausted")
+
+
+def _tail_or_error(fn, *args):
+    try:
+        v, b = fn(*args)
+    except PrecisionError:
+        return "PrecisionError"
+    return v._mpf_, b._mpf_
+
+
+def test_class_tail_kernel_bit_identical_to_direct_loop():
+    # same (value, bound) bits as the direct loop: at the outer cutoff, and from
+    # a start a third of the usual one (N = 10), which forces restarts
+    grid = [(1, False), (2, False), (3, True), (40, True)]
+    numerics.clear_caches()
+
+    def check(args):
+        want = _tail_or_error(_direct_class_tail, *args)
+        assert _tail_or_error(numerics._class_tail_compute, *args) == want, args
+
+    for D in (50, 110, 310):
+        N = numerics._outer_cutoff(D)
+        for r in (1, 2, 3, 4):
+            for u, logw in grid:
+                start = numerics._kernel_start(u, D)
+                check((r, u, N, D, logw, start))
+                check((r, u, 10, D, logw, start // 3))
+            # the shared powers are the directly computed ones
+            m0, prec = numerics._ladder_key
+            with mp.workprec(prec):
+                for k, p in numerics._ladder_cache.items():
+                    assert p._mpf_ == (mpf(m0) ** -k)._mpf_, (m0, k)
+    # from N = 1000 every D starts at the same m0, each at its own precision
+    for D in (50, 110, 310):
+        check((1, 3, 1000, D, True, numerics._kernel_start(3, D)))
+
+
+def test_class_tail_kernel_restarts_bit_identical(monkeypatch):
+    # (r, u) = (4, 30) from start_min = _kernel_start // 3 at N = 10 turns and
+    # restarts three times, each restart from a new start point
+    D = 310
+    args = (4, 30, 10, D, False, numerics._kernel_start(30, D) // 3)
+    calls = []
+    real = numerics._class_tail_compute
+
+    def spy(*a, **kw):
+        calls.append(a)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(numerics, "_class_tail_compute", spy)
+    got = _tail_or_error(numerics._class_tail_compute, *args)
+    assert len(calls) == 4
+    assert got == _tail_or_error(_direct_class_tail, *args)
+
+
+def test_inner_ct_bit_identical_to_direct_coefficients():
+    # the inner expansion shares the kernel's coefficient table: K_j negated
+    for D in (50, 310):
+        N = numerics._outer_cutoff(D)
+        for t in (1, 2, 5):
+            terms, _, _ = numerics._inner_ct(t, N, D)
+            assert len(terms) > 10
+            with mp.workdps(D + 10):
+                rise = mpf(1)
+                m = 0
+                for j, (e, c) in enumerate(terms[2 if t > 1 else 1 :], start=1):
+                    while m < 2 * j - 1:
+                        rise = rise * (t + m) if m else mpf(t)
+                        m += 1
+                    B = bernoulli(2 * j)
+                    want = mpf(B.numerator) / B.denominator / mp.factorial(2 * j) * mpf(4) ** (2 * j - 1) * rise
+                    assert (e, c._mpf_) == (t + 2 * j - 1, want._mpf_), (D, t, j)
+
+
+@pytest.mark.parametrize("prec", [40, 100, 300])
+def test_class_tails_within_bound_of_hurwitz_reference(prec):
+    # with n0 the first n > N in class r and a = n0/4: sum n^-u = 4^-u zeta(u, a),
+    # sum n^-u log n = 4^-u (log 4 zeta(u, a) - zeta'(u, a)), and the regularized
+    # u = 1 tail is -digamma(a)/4 - log(4)/4; each reference is computed with
+    # enough digits that its absolute error is far below the tail's scale
+    D = EvalContext(prec).work_digits
+    Nc = numerics._outer_cutoff(D)
+    sample = [(1, False, 0), (2, True, 0), (1, False, Nc), (2, False, Nc), (40, True, Nc), (120, False, Nc)]
+    for r in (1, 2, 3, 4):
+        for u, logw, N in sample:
+            v, b = numerics.class_tail(r, u, N, D, logw)
+            n0 = N + 1 + (r - 1 - N) % 4
+            with mp.workdps(D + 30 + math.ceil((u - 1) * math.log10(n0))):
+                a = mpf(n0) / 4
+                if u == 1:
+                    ref = -mp.digamma(a) / 4 - mp.log(4) / 4
+                elif logw:
+                    ref = mpf(4) ** -u * (mp.log(4) * mp.zeta(u, a) - mp.zeta(u, a, 1))
+                else:
+                    ref = mpf(4) ** -u * mp.zeta(u, a)
+                assert abs(v - ref) <= b, (r, u, logw, N, prec)
+
+
+def test_precision_errors_name_their_term():
+    with pytest.raises(PrecisionError, match=r"u=2, delta=1000000, N=1"):
+        numerics._binom_reexpand(2, 10**6, 1, 10)
 
 
 def test_clear_caches_empties_every_cache(ctx40):
