@@ -127,3 +127,27 @@ def hyp2f1_special(n: int) -> Fraction:
     rhs = Fraction(1, 2 ** (n + 1)) - alternating_binom_sum(n)
     sign = 1 if (n + 1) % 2 == 0 else -1
     return sign * rhs / math.comb(2 * n + 1, n)
+
+
+def _rref(aug, ncols):
+    """Gauss-Jordan elimination in place over the first ncols columns (the
+    rest ride along and may hold any values closed under - and * by a
+    Fraction, e.g. ConstExpr right-hand sides); returns the pivot columns,
+    whose rows come first with a leading 1.  The one exact solver: the search
+    fits, null spaces and the reduction tables all eliminate through it."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    return pivots

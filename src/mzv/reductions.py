@@ -10,16 +10,19 @@ consistency; any rank deficiency is a hard error, never silently patched.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, NotReducible, ReductionError
+from .exact import _rref
 from .symexpr import ConstExpr, zeta_sym
 
 _VERIFY_PREC = 40
 _VERIFY_TOL_EXP = 35  # residual <= 10^-(P-5) at P = 40
 
 
+@functools.cache
 def zeta_s1_reduce(s: int) -> ConstExpr:
     """Closed form of zeta(s-1, 1) for s >= 3, valid at every weight:
 
@@ -34,55 +37,17 @@ def zeta_s1_reduce(s: int) -> ConstExpr:
 
 
 def _solve_exact(rows, nunknowns: int):
-    """Exact Gaussian elimination over Q with ConstExpr right-hand sides.
-
-    Columns are eliminated in ascending order; the system must determine every
-    unknown, and every leftover row must reduce to 0 == 0 exactly.
-    """
-    rows = [([Fraction(c) for c in coeffs], rhs) for coeffs, rhs in rows]
-    solution: list = [None] * nunknowns
-    for col in range(nunknowns):
-        pivot = None
-        for i, (coeffs, _) in enumerate(rows):
-            if coeffs[col]:
-                pivot = i
-                break
-        if pivot is None:
-            raise ReductionError(f"rank-deficient system: no pivot for column {col}")
-        pcoeffs, prhs = rows.pop(pivot)
-        inv = 1 / pcoeffs[col]
-        pcoeffs = [c * inv for c in pcoeffs]
-        prhs = prhs * inv
-        newrows = []
-        for coeffs, rhs in rows:
-            f = coeffs[col]
-            if f:
-                coeffs = [c - f * pc for c, pc in zip(coeffs, pcoeffs)]
-                rhs = rhs - prhs * f
-            newrows.append((coeffs, rhs))
-        rows = newrows
-        rows.append((pcoeffs, prhs))
-    # back-substitute: rows now contain a unit upper system plus leftovers
-    pivots = {}
-    leftovers = []
-    for coeffs, rhs in rows:
-        lead = next((i for i, c in enumerate(coeffs) if c), None)
-        if lead is None:
-            leftovers.append(rhs)
-        else:
-            pivots[lead] = (coeffs, rhs)
-    for col in range(nunknowns - 1, -1, -1):
-        coeffs, rhs = pivots[col]
-        val = rhs
-        for j in range(col + 1, nunknowns):
-            if coeffs[j]:
-                val = val - solution[j] * coeffs[j]
-        solution[col] = val
-    for rhs in leftovers:
-        # leftover rhs already had its coefficient part eliminated
-        if rhs:
-            raise ReductionError("overdetermined system is inconsistent")
-    return solution
+    """Exact solve over Q with ConstExpr right-hand sides, through the shared
+    Gauss-Jordan routine.  The system must determine every unknown, and every
+    leftover row must reduce to 0 == 0 exactly."""
+    aug = [[Fraction(c) for c in coeffs] + [rhs] for coeffs, rhs in rows]
+    pivots = _rref(aug, nunknowns)
+    if len(pivots) != nunknowns:
+        col = next(c for c in range(nunknowns) if c not in pivots)
+        raise ReductionError(f"rank-deficient system: no pivot for column {col}")
+    if any(row[nunknowns] for row in aug[nunknowns:]):
+        raise ReductionError("overdetermined system is inconsistent")
+    return [row[nunknowns] for row in aug[:nunknowns]]
 
 
 def _weight_rows(w: int):

@@ -14,7 +14,11 @@ an even-zeta convolution; that is what singles the symmetric shape out.
 Deduplication is by exact per-weight span membership: a candidate is emitted
 only if, at some weight, its relation vector over (zeta(j, w-j) | zeta(w)) lies
 outside the rational span of the already-emitted relations at that weight.
-Relations are memoized per candidate.
+Relations are primitive integer rows, memoized per candidate.  The span test
+is a set of integer check rows spanning the null space of the emitted rows at
+one weight, memoized on that tuple of rows (`_span_checks`), so it is rebuilt
+only when a candidate is emitted; a relation is in the span iff every check
+row is orthogonal to it.
 
 The exact algebra is precomputed where it does not depend on the candidate.
 Fit plans: the f(s) fit over F_SPAN eliminates each basis-subset matrix once
@@ -24,6 +28,8 @@ pairing: b^j + c^s d^j can only pass the vanishing conditions when, at every
 anchor weight, the condition vectors of b and d are both zero or both nonzero
 and parallel; keying each pool value by the primitive integer directions of
 its vectors, d runs only over b's key group instead of the whole pool.
+Symmetric-even f(s): for the weight d^j + d^(s-j), f(s) = P_s(d) with P_s a
+polynomial whose coefficients are fixed once per s (`_symmetric_even_poly`).
 """
 from __future__ import annotations
 
@@ -37,6 +43,7 @@ from operator import mul
 from mpmath import mp, mpf
 
 from .errors import DomainError
+from .exact import _rref
 from .reductions import dzeta_reduce
 from .symexpr import ConstExpr, zeta_sym
 
@@ -143,7 +150,10 @@ def even_arg_sum_f(weight_fn, s: int, lo: int, hi_off: int) -> Fraction:
     ((lo, hi_off) is (1,1) or (2,2)); symmetry folds the double zetas into half
     an even-zeta convolution, exact at every weight.
     """
-    assert (lo, hi_off) in ((1, 1), (2, 2))
+    if (lo, hi_off) not in ((1, 1), (2, 2)):
+        raise DomainError(
+            f"even-argument sums need (lo, hi_off) = (1, 1) or (2, 2), got {(lo, hi_off)}"
+        )
     total = Fraction(0)
     for j in range(lo, s - hi_off + 1):
         c = Fraction(weight_fn(s, j))
@@ -152,6 +162,26 @@ def even_arg_sum_f(weight_fn, s: int, lo: int, hi_off: int) -> Fraction:
         if c:
             total += c * (_zeta_even_ratio(j, s) - 1)
     return total / 2
+
+
+@functools.cache
+def _symmetric_even_poly(s: int):
+    """P_s(x) = 1/2 sum_{j=1}^{s-1} (zeta(2j) zeta(2s-2j)/zeta(2s) - 1)(x^j + x^(s-j)),
+    so that P_s(d) is even_arg_sum_f of the weight d^j + d^(s-j) on (1, 1).
+    Returns (ints, den): the coefficient of x^k, k = 1..s-1, is ints[k-1] / den."""
+    half = [(_zeta_even_ratio(j, s) - 1) / 2 for j in range(1, s)]
+    return _integer_scale([half[k - 1] + half[s - k - 1] for k in range(1, s)])
+
+
+def _symmetric_even_f(s: int, d: Fraction) -> Fraction:
+    """P_s(d) for d = p/q, as sum_k ints[k-1] p^k q^(s-1-k) / (den q^(s-1))."""
+    ints, den = _symmetric_even_poly(s)
+    p, q = d.numerator, d.denominator
+    acc, pk = 0, 1
+    for a in ints:
+        pk *= p
+        acc = acc * q + a * pk
+    return Fraction(acc, den * q ** (s - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -204,28 +234,6 @@ def _fit_plan(svals: tuple):
     return tuple(plan)
 
 
-def _rref(aug, ncols):
-    """Gauss-Jordan elimination in place over the first ncols columns (the
-    rest ride along); returns the pivot columns, whose rows come first with a
-    leading 1."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
 def _solve_consistent(rows, vals, ncols):
     """Exact solve of a (possibly overdetermined) system; None unless it is
     consistent and determines every column.  The one-system reference for
@@ -253,28 +261,6 @@ def _nullspace(rows, ncols):
     return basis
 
 
-def _in_span(vec, basis) -> bool:
-    """Exact membership of vec in the rational span of the basis vectors."""
-    target = list(vec)
-    n = len(target)
-    echelon = []
-    for b in basis:
-        row = list(b)
-        for lead, erow in echelon:
-            if row[lead]:
-                f = row[lead]
-                row = [x - f * y for x, y in zip(row, erow)]
-        lead = next((i for i in range(n) if row[i]), None)
-        if lead is not None:
-            inv = 1 / row[lead]
-            echelon.append((lead, [x * inv for x in row]))
-    for lead, erow in echelon:
-        if target[lead]:
-            f = target[lead]
-            target = [x - f * y for x, y in zip(target, erow)]
-    return not any(target)
-
-
 def _integer_scale(vec):
     """(ints, den) with vec == ints / den and den the lcm of the denominators."""
     den = math.lcm(*(x.denominator for x in vec))
@@ -284,13 +270,24 @@ def _integer_scale(vec):
 def _primitive(vec):
     """The integer-primitive multiple of a rational vector with a positive
     lead; a zero vector stays zero."""
-    ints, _ = _integer_scale(vec)
+    return _primitive_ints(_integer_scale(vec)[0])
+
+
+def _primitive_ints(ints):
+    """The primitive multiple of an integer vector with a positive lead."""
     g = math.gcd(*ints)
-    if g:
-        ints = [x // g for x in ints]
     if next((x for x in ints if x), 0) < 0:
-        ints = [-x for x in ints]
-    return ints
+        g = -g
+    return [x // g for x in ints] if g else ints
+
+
+def _int_powers(x, n: int):
+    """([p^0 .. p^n], [q^0 .. q^n]) for a rational x = p/q, by running products."""
+    num, den = [1], [1]
+    for _ in range(n):
+        num.append(num[-1] * x.numerator)
+        den.append(den[-1] * x.denominator)
+    return num, den
 
 
 def _canonical_scale(vec):
@@ -356,27 +353,54 @@ class CandidateIdentity:
         return w >= lo + off + 1 and _parity_ok(w, self.s_parity)
 
     def relation(self, w: int):
-        """Vector over (zeta(j, w-j) for j = 2..w-1 | rhs zeta(w)), memoized
-        per weight: a candidate is complete (weights and f) once it is yielded."""
+        """The primitive integer row of (weights over zeta(j, w-j) for
+        j = 2..w-1 | -f(w)), memoized per weight: a candidate is complete
+        (weights and f) once it is yielded.  Span membership does not depend
+        on how each row is scaled."""
         rel = self._relations.get(w)
         if rel is None:
             rel = self._relations[w] = self._relation(w)
         return rel
 
     def _relation(self, w: int):
-        vec = [Fraction(0)] * (w - 2)
         lo, off = self.jrange
         if self.arg_style == "even":
             s = w // 2
-            for j in range(lo, s - off + 1):
-                vec[2 * j - 2] = self.weight(s, j)
-            f = f_eval(self.f_coeffs, s)
+            js = range(lo, s - off + 1)
+            cols = [2 * j - 2 for j in js]
         else:
-            for j in range(lo, w - off + 1):
-                if _parity_ok(j, self.j_parity):
-                    vec[j - 2] = self.weight(w, j)
-            f = f_eval(self.f_coeffs, w)
-        return tuple(vec) + (-f,)
+            s = w
+            js = [j for j in range(lo, w - off + 1) if _parity_ok(j, self.j_parity)]
+            cols = [j - 2 for j in js]
+        ints, den = self._scaled_weights(s, js)
+        f = f_eval(self.f_coeffs, s)
+        row = [0] * (w - 1)
+        for col, x in zip(cols, ints):
+            row[col] = x * f.denominator
+        row[-1] = -f.numerator * den
+        return tuple(_primitive_ints(row))
+
+    def _scaled_weights(self, s: int, js):
+        """(ints, den) with weight(s, j) == ints[i] / den for the increasing
+        js; the power-type families use running integer powers of the bases."""
+        fam = self.family
+        p = self.params
+        if not js:
+            return [], 1
+        top = js[-1]
+        if fam == "symmetric-even":
+            num, den = _int_powers(p["d"], s)
+            return [num[j] * den[s - j] + num[s - j] * den[j] for j in js], den[s]
+        if fam in ("power", "affine"):
+            # a b^j + c^s d^j over the common denominator a.den c.den^s bq^top dq^top
+            a, b, c, d = (1, p["a"], 0, 0) if fam == "power" else (p["a"], p["b"], p["c"], p["d"])
+            bn, bq = _int_powers(b, top)
+            dn, dq = _int_powers(d, top)
+            left = a.numerator * c.denominator**s * dq[top]
+            right = c.numerator**s * a.denominator * bq[top]
+            ints = [left * bn[j] * bq[top - j] + right * dn[j] * dq[top - j] for j in js]
+            return ints, a.denominator * c.denominator**s * bq[top] * dq[top]
+        return _integer_scale([self.weight(s, j) for j in js])
 
     def describe(self) -> str:
         ps = {k: str(v) for k, v in self.params.items()}
@@ -387,13 +411,27 @@ class CandidateIdentity:
 
 
 def _is_new(cand: CandidateIdentity, emitted, weights=range(4, 13)) -> bool:
+    """True iff, at the first weight where it can, the candidate's relation
+    leaves the rational span of the emitted relations at that weight."""
     for w in weights:
         if not cand.applicable(w):
             continue
-        basis = [e.relation(w) for e in emitted if e.applicable(w)]
-        if not _in_span(cand.relation(w), basis):
+        rel = cand.relation(w)
+        checks = _span_checks(tuple(e.relation(w) for e in emitted if e.applicable(w)), len(rel))
+        if any(sum(map(mul, row, rel)) for row in checks):
             return True
     return False
+
+
+@functools.lru_cache(maxsize=256)
+def _span_checks(rows: tuple, n: int):
+    """Primitive integer rows spanning the null space of the integer rows
+    (each of length n); identity rows when there are none.  A vector lies in
+    the rational span of the rows iff every check row is orthogonal to it.
+    Keyed by the emitted relations at one weight, so the checks are rebuilt
+    only when that set changes."""
+    basis = _nullspace([[Fraction(x) for x in row] for row in rows], n)
+    return tuple(tuple(_primitive(vec)) for vec in basis)
 
 
 # ---------------------------------------------------------------------------
@@ -646,13 +684,11 @@ def _direction(vec):
 def _symmetric_even_candidates(config: SearchConfig):
     anchor_s = (2, 3, 4, 5, 6, 7)
     for d in height_rationals(config.H):
-        wf = lambda s, j, d=d: Fraction(d) ** j + Fraction(d) ** (s - j)
-        points = [(s, even_arg_sum_f(wf, s, 1, 1)) for s in anchor_s]
-        coeffs = fit_span_minimal(points)
+        coeffs = fit_span_minimal([(s, _symmetric_even_f(s, d)) for s in anchor_s])
         if coeffs is None:
             continue
         # the fit must extend exactly beyond the fitting anchors
-        if even_arg_sum_f(wf, 8, 1, 1) != f_eval(coeffs, 8):
+        if _symmetric_even_f(8, d) != f_eval(coeffs, 8):
             continue
         yield CandidateIdentity("symmetric-even", {"d": d}, "any", "any", "even", (1, 1), coeffs)
 
@@ -713,6 +749,11 @@ def search_general(config: SearchConfig | None = None):
     exact per-weight span membership, numerically screen, and return the
     surviving candidates."""
     config = config or SearchConfig()
+    unknown = [f for f in config.families if f not in _FAMILY_ORDER]
+    if unknown:
+        raise DomainError(
+            f"unknown search family {unknown[0]!r}; choose from {', '.join(_FAMILY_ORDER)}"
+        )
     emitted: list[CandidateIdentity] = []
     for family in sorted(config.families, key=_FAMILY_ORDER.index):
         if family == "power":
@@ -723,10 +764,8 @@ def search_general(config: SearchConfig | None = None):
             gen = _affine_candidates(config)
         elif family == "symmetric-even":
             gen = _symmetric_even_candidates(config)
-        elif family == "poly":
+        else:  # poly
             gen = itertools.chain(_poly_plain_candidates(config), _poly_even_candidates(config))
-        else:
-            raise DomainError(f"unknown family {family!r}")
         for cand in gen:
             if not _is_new(cand, emitted):
                 continue

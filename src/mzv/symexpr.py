@@ -8,6 +8,7 @@ never appear as generators.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Union
 
@@ -45,7 +46,11 @@ def _mono_key(mono):
 
 
 class ConstExpr:
-    """Finite map monomial -> rational, in normal form (zero coefficients removed)."""
+    """Finite map monomial -> rational, in normal form (zero coefficients removed).
+
+    Immutable by convention: every operation returns a new expression and no
+    code changes ``terms`` after construction, so one instance may be shared
+    (``ConstExpr.zero``, the memoized ``zeta_sym`` and ``zeta_s1_reduce``)."""
 
     __slots__ = ("terms",)
 
@@ -235,6 +240,7 @@ def pi_power(k: int, coef=1) -> ConstExpr:
     return ConstExpr({((PI, k),): Fraction(coef)}) if k else ConstExpr.rational(coef)
 
 
+@functools.cache
 def zeta_sym(s: int) -> ConstExpr:
     """zeta(s) as a ConstExpr: rational*pi^s for even s, the z_s generator for odd s.
 

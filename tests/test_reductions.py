@@ -7,9 +7,11 @@ import pytest
 from mpmath import mp, mpf
 
 import mzv.numerics as numerics
-from mzv.errors import DomainError, NotReducible
+from mzv.errors import DomainError, NotReducible, ReductionError
 from mzv.reductions import (
     WittenReduction,
+    _solve_exact,
+    _weight_rows,
     alt_value_lookup,
     dzeta_reduce,
     witten_reduce,
@@ -116,3 +118,65 @@ def test_weight7_column():
         got, _ = numerics._char_em("1", "1", 5, 2, D)
         want, _ = numerics._expr_internal(expr, D)
         assert abs(got - want) < mpf(10) ** -35
+
+
+def _solve_exact_reference(rows, nunknowns: int):
+    """The forward-elimination-then-back-substitution solver the tables were
+    first built with, kept to check the shared Gauss-Jordan routine."""
+    rows = [([Fraction(c) for c in coeffs], rhs) for coeffs, rhs in rows]
+    solution: list = [None] * nunknowns
+    for col in range(nunknowns):
+        pivot = None
+        for i, (coeffs, _) in enumerate(rows):
+            if coeffs[col]:
+                pivot = i
+                break
+        if pivot is None:
+            raise ReductionError(f"rank-deficient system: no pivot for column {col}")
+        pcoeffs, prhs = rows.pop(pivot)
+        inv = 1 / pcoeffs[col]
+        pcoeffs = [c * inv for c in pcoeffs]
+        prhs = prhs * inv
+        newrows = []
+        for coeffs, rhs in rows:
+            f = coeffs[col]
+            if f:
+                coeffs = [c - f * pc for c, pc in zip(coeffs, pcoeffs)]
+                rhs = rhs - prhs * f
+            newrows.append((coeffs, rhs))
+        rows = newrows
+        rows.append((pcoeffs, prhs))
+    pivots = {}
+    leftovers = []
+    for coeffs, rhs in rows:
+        lead = next((i for i, c in enumerate(coeffs) if c), None)
+        if lead is None:
+            leftovers.append(rhs)
+        else:
+            pivots[lead] = (coeffs, rhs)
+    for col in range(nunknowns - 1, -1, -1):
+        coeffs, rhs = pivots[col]
+        val = rhs
+        for j in range(col + 1, nunknowns):
+            if coeffs[j]:
+                val = val - solution[j] * coeffs[j]
+        solution[col] = val
+    for rhs in leftovers:
+        if rhs:
+            raise ReductionError("overdetermined system is inconsistent")
+    return solution
+
+
+@pytest.mark.parametrize("w", [3, 4, 5, 6, 7])
+def test_solve_exact_matches_reference(w):
+    rows, js = _weight_rows(w)
+    assert _solve_exact(rows, len(js)) == _solve_exact_reference(rows, len(js))
+
+
+@pytest.mark.parametrize("solver", [_solve_exact, _solve_exact_reference])
+def test_solve_exact_error_paths(solver):
+    z3 = zeta_sym(3)
+    with pytest.raises(ReductionError, match="rank-deficient"):
+        solver([([1, 0], z3), ([2, 0], z3 * 2)], 2)
+    with pytest.raises(ReductionError, match="inconsistent"):
+        solver([([1, 0], z3), ([0, 1], z3), ([1, 1], z3 * 3)], 2)

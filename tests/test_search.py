@@ -16,9 +16,12 @@ from mzv.search import (
     _fit_candidate_f,
     _fraction_sqrt,
     _is_new,
+    _parity_ok,
     _poly_at,
+    _primitive,
     _solve_consistent,
     _span_value,
+    _symmetric_even_f,
     _vanishing_polys,
     candidate_dsl,
     even_arg_sum_f,
@@ -278,3 +281,206 @@ def test_is_new_rejects_repeats_and_rational_multiples():
     )
     assert _is_new(twos, [ones])
     assert not _is_new(twos, [ones, twos])
+
+
+# ---------------------------------------------------------------------------
+# deduplication on integer relation rows and cached null-space checks
+# ---------------------------------------------------------------------------
+
+
+def _relation_reference(cand, w):
+    """The relation vector over Q, entry by entry from weight() and f."""
+    vec = [Fraction(0)] * (w - 2)
+    lo, off = cand.jrange
+    if cand.arg_style == "even":
+        s = w // 2
+        for j in range(lo, s - off + 1):
+            vec[2 * j - 2] = cand.weight(s, j)
+        f = f_eval(cand.f_coeffs, s)
+    else:
+        for j in range(lo, w - off + 1):
+            if _parity_ok(j, cand.j_parity):
+                vec[j - 2] = cand.weight(w, j)
+        f = f_eval(cand.f_coeffs, w)
+    return vec + [-f]
+
+
+def _in_span_reference(vec, basis) -> bool:
+    """Exact membership of vec in the rational span of the basis vectors, by
+    eliminating the basis in Fraction arithmetic."""
+    target = [Fraction(x) for x in vec]
+    n = len(target)
+    echelon = []
+    for b in basis:
+        row = [Fraction(x) for x in b]
+        for lead, erow in echelon:
+            if row[lead]:
+                f = row[lead]
+                row = [x - f * y for x, y in zip(row, erow)]
+        lead = next((i for i in range(n) if row[i]), None)
+        if lead is not None:
+            inv = 1 / row[lead]
+            echelon.append((lead, [x * inv for x in row]))
+    for lead, erow in echelon:
+        if target[lead]:
+            f = target[lead]
+            target = [x - f * y for x, y in zip(target, erow)]
+    return not any(target)
+
+
+def _is_new_reference(cand, emitted, weights=range(4, 13)) -> bool:
+    for w in weights:
+        if not cand.applicable(w):
+            continue
+        basis = [_relation_reference(e, w) for e in emitted if e.applicable(w)]
+        if not _in_span_reference(_relation_reference(cand, w), basis):
+            return True
+    return False
+
+
+_tiny = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_PARITY_PAIRS = list(itertools.product(("any", "even", "odd"), repeat=2))
+
+
+@st.composite
+def _random_candidate(draw):
+    """A candidate of any family with small rational parameters and f."""
+    fam = draw(st.sampled_from(["power", "affine", "symmetric-even", "poly", "poly-even"]))
+    f_coeffs = draw(st.dictionaries(st.sampled_from(F_SPAN), _tiny, max_size=2))
+    if fam in ("symmetric-even", "poly-even"):
+        jrange = (1, 1) if fam == "symmetric-even" else (2, 2)
+        if fam == "symmetric-even":
+            params = {"d": draw(_tiny)}
+        else:
+            params = draw(st.dictionaries(st.sampled_from(["1", "s", "s^2", "j*(s-j)"]), _tiny))
+        return CandidateIdentity(fam, params, "any", "any", "even", jrange, f_coeffs)
+    if fam == "power":
+        params = {"a": draw(_tiny)}
+    elif fam == "affine":
+        params = {k: draw(_tiny) for k in "abcd"}
+    else:
+        params = draw(st.dictionaries(st.sampled_from(["1", "j", "s", "j^2", "j*s", "s^2"]), _tiny))
+    j_par, s_par = draw(st.sampled_from(_PARITY_PAIRS))
+    return CandidateIdentity(fam, params, j_par, s_par, "plain", (2, 1), f_coeffs)
+
+
+def _scaled(cand, lam):
+    """A candidate whose relations are lam times those of a power or poly
+    candidate."""
+    if cand.family == "power":
+        params = {"a": lam, "b": cand.params["a"], "c": Fraction(0), "d": Fraction(0)}
+        fam = "affine"
+    else:
+        params = {m: lam * c for m, c in cand.params.items()}
+        fam = cand.family
+    f = {k: lam * c for k, c in cand.f_coeffs.items()}
+    return CandidateIdentity(
+        fam, params, cand.j_parity, cand.s_parity, cand.arg_style, cand.jrange, f
+    )
+
+
+def _combined(c1, c2, l1, l2):
+    """l1 c1 + l2 c2 for two poly candidates of the same shape."""
+    params = {m: l1 * c1.params.get(m, 0) + l2 * c2.params.get(m, 0)
+              for m in {**c1.params, **c2.params}}
+    f = {k: l1 * c1.f_coeffs.get(k, 0) + l2 * c2.f_coeffs.get(k, 0)
+         for k in {**c1.f_coeffs, **c2.f_coeffs}}
+    return CandidateIdentity(c1.family, params, c1.j_parity, c1.s_parity,
+                             c1.arg_style, c1.jrange, f)
+
+
+@st.composite
+def _dedup_case(draw):
+    """(candidate, emitted): emitted may be empty or hold zero rows; the
+    candidate is fresh, a rational multiple of an emitted one, or (poly) a
+    rational combination of two emitted ones."""
+    emitted = draw(st.lists(_random_candidate(), max_size=4))
+    kind = draw(st.sampled_from(["fresh", "multiple", "combination"]))
+    lam = draw(_tiny.filter(bool))
+    scalable = [e for e in emitted if e.family in ("power", "poly", "poly-even")]
+    if kind == "multiple" and scalable:
+        return _scaled(draw(st.sampled_from(scalable)), lam), emitted
+    polys = [(a, b) for a in emitted for b in emitted
+             if a.family == b.family and a.family in ("poly", "poly-even")
+             and (a.j_parity, a.s_parity) == (b.j_parity, b.s_parity)]
+    if kind == "combination" and polys:
+        a, b = draw(st.sampled_from(polys))
+        return _combined(a, b, lam, draw(_tiny)), emitted
+    return draw(_random_candidate()), emitted
+
+
+@given(_dedup_case())
+@settings(max_examples=100, deadline=None)
+def test_is_new_matches_fraction_elimination(case):
+    cand, emitted = case
+    assert _is_new(cand, emitted) == _is_new_reference(cand, emitted)
+    for c in (cand, *emitted):
+        for w in range(4, 13):
+            if c.applicable(w):
+                assert list(c.relation(w)) == _primitive(_relation_reference(c, w))
+
+
+@pytest.mark.parametrize("family, params, j_par, s_par", [
+    ("power", {"a": Fraction(-2, 3)}, "odd", "any"),
+    ("affine", {"a": Fraction(3, 2), "b": Fraction(1, 3), "c": Fraction(-5, 2),
+                "d": Fraction(4, 3)}, "any", "even"),
+    ("affine", {"a": Fraction(1), "b": Fraction(-3, 2), "c": Fraction(0),
+                "d": Fraction(0)}, "even", "odd"),
+    ("symmetric-even", {"d": Fraction(-3, 2)}, "any", "any"),
+    ("poly", {"j": Fraction(1, 2), "s^2": Fraction(-2, 3)}, "any", "any"),
+])
+def test_relation_rows_are_primitive_multiples(family, params, j_par, s_par):
+    style, jrange = ("even", (1, 1)) if family == "symmetric-even" else ("plain", (2, 1))
+    f = {"1": Fraction(2, 7), "4^s": Fraction(-1, 5)}
+    cand = CandidateIdentity(family, params, j_par, s_par, style, jrange, f)
+    for w in range(4, 13):
+        if cand.applicable(w):
+            assert list(cand.relation(w)) == _primitive(_relation_reference(cand, w)), w
+
+
+def test_is_new_zero_rows():
+    zero = CandidateIdentity("poly", {}, f_coeffs={})
+    assert not _is_new(zero, [])
+    ones = CandidateIdentity("poly", {"1": Fraction(1)}, f_coeffs={"1": Fraction(1)})
+    assert _is_new(ones, [zero])
+    assert not _is_new(zero, [ones])
+
+
+def test_symmetric_even_polynomial_matches_even_arg_sum():
+    for d in height_rationals(16):
+        wf = lambda s, j, d=d: d**j + d ** (s - j)
+        for s in range(2, 9):
+            assert _symmetric_even_f(s, d) == even_arg_sum_f(wf, s, 1, 1), (s, d)
+
+
+def test_search_stream_matches_fraction_elimination(monkeypatch):
+    """The H = 5 candidate stream and survivors, with the checks and with the
+    Fraction-elimination reference patched in for _is_new."""
+    import mzv.search as search
+
+    def run(is_new):
+        seen = []
+
+        def recording(cand, emitted):
+            new = is_new(cand, emitted)
+            seen.append((cand.describe(), new))
+            return new
+
+        monkeypatch.setattr(search, "_is_new", recording)
+        out = search_general(SearchConfig(H=5))
+        return seen, [c.describe() for c in out]
+
+    got = run(search._is_new)
+    want = run(_is_new_reference)
+    assert got == want
+    assert sum(new for _, new in got[0]) > len(got[1]) > 0
+
+
+def test_unknown_family_is_a_domain_error():
+    with pytest.raises(DomainError, match="bogus"):
+        search_general(SearchConfig(families=("power", "bogus")))
+
+
+def test_even_arg_sum_rejects_unsupported_range():
+    with pytest.raises(DomainError, match=r"\(3, 3\)"):
+        even_arg_sum_f(lambda s, j: Fraction(1), 6, 3, 3)

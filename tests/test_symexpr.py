@@ -121,3 +121,23 @@ def test_numeric_screen_of_normal_form(ctx40):
     assert e1 != e3
     with mp.workdps(60):
         assert abs(expr_num(e1, ctx40) - expr_num(e3, ctx40)) > mp.mpf(10) ** -7
+
+
+def test_memoized_constants_are_not_mutated():
+    """zeta_sym and zeta_s1_reduce hand out shared instances; arithmetic on
+    them must build new expressions."""
+    from mzv.reductions import zeta_s1_reduce
+
+    z3, z4 = zeta_sym(3), zeta_sym(4)
+    z3_terms, z4_terms = dict(z3.terms), dict(z4.terms)
+    assert zeta_sym(3) is z3
+    doubled = zeta_sym(3) + zeta_sym(3)
+    scaled = zeta_sym(4) * 2
+    assert doubled == ConstExpr.generator(("z", 3)) * 2
+    assert scaled == pi_power(4, Fraction(1, 45))
+    assert zeta_sym(3).terms == z3_terms and zeta_sym(4).terms == z4_terms
+    assert zeta_sym(4) == pi_power(4, Fraction(1, 90))
+    s5 = zeta_s1_reduce(5)
+    s5_terms = dict(s5.terms)
+    _ = s5 - zeta_sym(5) * 2
+    assert zeta_s1_reduce(5) is s5 and s5.terms == s5_terms
