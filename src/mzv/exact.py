@@ -11,6 +11,8 @@ import math
 import threading
 from fractions import Fraction
 
+from .errors import DomainError
+
 Rational = Fraction
 
 _bern_lock = threading.Lock()
@@ -34,7 +36,7 @@ def bernoulli(n: int) -> Fraction:
     B_n caches every lower index, so the table grows monotonically.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise DomainError(f"Bernoulli number B_{n}: the index must be >= 0")
     if n < len(_bern_cache):
         return _bern_cache[n]
     with _bern_lock:
@@ -58,7 +60,7 @@ def euler_number(n: int) -> int:
     Even indices satisfy sum_{k=0}^{m} C(2m, 2k) E_2k = 0 for m >= 1.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise DomainError(f"Euler number E_{n}: the index must be >= 0")
     if n % 2 == 1:
         return 0
     m = n // 2
@@ -77,7 +79,7 @@ def euler_number(n: int) -> int:
 def harmonic(n: int) -> Fraction:
     """H_n = sum_{k<=n} 1/k as an exact rational (H_0 = 0)."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise DomainError(f"harmonic number H_{n}: the index must be >= 0")
     acc = Fraction(0)
     for k in range(1, n + 1):
         acc += Fraction(1, k)

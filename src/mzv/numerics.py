@@ -22,22 +22,33 @@ precision.  For each outer class the inner classes are folded first: their
 expansion coefficients are added, with their character signs, into one vector
 of A_e = floor(c_e N^-e 2^W), and the log coefficients cancel exactly for a
 mean-zero inner character.  The tail is then one integer dot product with the
-class's row G_u = floor(T(r,u) N^u 2^W), and the head a sum of
+class's row G_u ~ T(r,u) N^u 2^W, and the head a sum of
 floor(2^W/m^t) floor(2^W/n^s) products.  Every unit dropped by a floor goes
-into the reported bound: with B_u >= |T(r,u) N^u 2^W - G_u| (the kernel bound
-plus one floor unit) and k folded classes, a term contributes at most
-|F_e| B_u + k (B_u + |G_u|) units of 2^-2W N^-s.  As everywhere in this module,
-mpf rounding at the working precision is left to the guard digits.
+into the reported bound: with B_u >= |T(r,u) N^u 2^W - G_u| and k folded
+classes, a term contributes at most |F_e| B_u + k (B_u + |G_u|) units of
+2^-2W N^-s.
 
-The kernel's correction loop shares two memos and recomputes neither per
-step.  The coefficients K_j = -B_2j / (2j)! * 4^(2j-1) are kept per (j,
-precision), built left to right in that order, so each correction
-K_j * f^(2j-1)(y) rounds exactly as the whole product written out in one
-expression would; the inner expansions use -K_j, which is exact.  The powers
-y^-k of the start point y are kept for one (start, precision) at a time:
-_tail_row asks for many exponents u of one class from the same start, and each
-power is still a direct mpf(y) ** -k.  Class tail values and bounds are
-therefore bit-identical to computing every step from scratch.
+The rows come from the kernel's Euler-Maclaurin series run in exact integers
+(_tail_fixed), not from mpf class tails: from the kernel's own start m0 the tail
+is m0^-u (m0/(4(u-1)) + 1/2 + sum_j t_j), t_j = beta_j (u)_(2j-1) / m0^(2j-1)
+with beta_j = B_2j 4^(2j-1) / (2j)!, summed at scale 2^V, V = W + 64.  Each t_j
+is one floor division of t_(j-1) by the exact step ratio (beta_j / beta_(j-1),
+memoized per j, times (u+2j-3)(u+2j-2)/m0^2), whose magnitude is at most 1, so
+t_j is within j units after j steps.  B_u counts _EM_SAFETY times the last term
+plus those units, every other floor and the final shift from 2^V to 2^W; the
+stopping target and the restart rule are the kernel's.  Elsewhere in this
+module mpf rounding at the working precision is left to the guard digits.
+
+The mpf kernel (class_tail) serves the single series, the log-weighted and
+regularized u = 1 tails and periodic_tail_num.  Its correction loop shares two
+memos and recomputes neither per step.  The coefficients
+K_j = -B_2j / (2j)! * 4^(2j-1) are kept per (j, precision), built left to right
+in that order, so each correction K_j * f^(2j-1)(y) rounds exactly as the whole
+product written out in one expression would; the inner expansions use -K_j,
+which is exact.  The powers y^-k of the start point y are kept for one (start,
+precision) at a time, and each is still a direct mpf(y) ** -k.  Class tail
+values and bounds are therefore bit-identical to computing every step from
+scratch.
 
 Numerics is single-threaded: mpmath's working precision (mp.workdps) is
 process-global, so concurrent callers would change each other's precision.
@@ -130,6 +141,8 @@ _EM_SAFETY = 4
 
 # (j, prec) -> K_j = -B_2j / (2j)! * 4^(2j-1), the j-th EM coefficient at step 4
 _em_coef_cache: dict = {}
+# j -> beta_j / beta_(j-1) as (num, den), the step ratio of the integer tail rows
+_em_ratio_cache: dict = {}
 # k -> mpf(m0) ** -k for the latest kernel start only: _ladder_key = (m0, prec)
 _ladder_cache: dict = {}
 _ladder_key = None
@@ -411,22 +424,94 @@ def _pow_row(u: int, D: int):
     return row
 
 
+def _em_ratio(j: int):
+    """(num, den), den > 0: beta_j / beta_(j-1) = 16 B_2j / (B_(2j-2) (2j) (2j-1)) in
+    lowest terms, for the EM coefficients beta_j = B_2j 4^(2j-1) / (2j)! and j >= 2."""
+    hit = _em_ratio_cache.get(j)
+    if hit is None:
+        q = 16 * bernoulli(2 * j) / (bernoulli(2 * j - 2) * (2 * j) * (2 * j - 1))
+        hit = _em_ratio_cache[j] = (q.numerator, q.denominator)
+    return hit
+
+
+def _em_bracket(u: int, m0: int, V: int, lim: int):
+    """The EM bracket m0/(4(u-1)) + 1/2 + sum_{i <= j} t_i at scale 2^V, with
+    t_i = beta_i (u)_(2i-1) / m0^(2i-1), summed until |t_j| < lim.
+
+    Returns (x, units, t_j, j), x within `units` of the exact partial sum times
+    2^V, or None if the terms turn upward first.  t_1 = u 2^V / (3 m0) is one
+    floor; each later t_i is one floor division of t_(i-1) by the exact step
+    ratio, of magnitude at most 1, so t_i is within i units.
+    """
+    x = (m0 << V) // (4 * (u - 1)) + (1 << (V - 1))
+    t = (u << V) // (3 * m0)  # beta_1 = 1/3
+    for j in range(1, 500):
+        if j > 1:
+            num, den = _em_ratio(j)
+            a = num * (u + 2 * j - 3) * (u + 2 * j - 2)
+            b = den * m0 * m0
+            if abs(a) > b:
+                return None
+            t = t * a // b
+        x += t
+        if abs(t) < lim:
+            return x, 1 + j * (j + 1) // 2, t, j
+    raise PrecisionError(f"EM correction loop exhausted for exponent {u} from start {m0}")
+
+
+def _tail_fixed(r: int, u: int, N: int, D: int, Nu: int, powers: dict):
+    """(G, B) with |T N^u 2^W - G| <= B for the class tail
+    T = sum_{n > N, n == r (mod 4)} n^-u, u >= 2, W = _fixed_bits(D).
+
+    The class_tail kernel in exact integers at scale 2^V, V = W + 64: from the
+    kernel's start m0, the direct terms N < n < m0 are floors and the rest is
+    m0^-u times _em_bracket.  The stopping target, the restart rule and
+    _EM_SAFETY are the kernel's; B counts every floor unit, _EM_SAFETY times the
+    last term and the shift from 2^V to 2^W.  Nu = N^u; powers maps each start
+    m0 to (k, m0^k) and is updated in place, so calls that share it must not
+    decrease u.
+    """
+    V = _fixed_bits(D) + 64
+    c = 4 * (u - 1)
+    start_min = _kernel_start(u, D)
+    for _ in range(5):
+        m0 = max(N, start_min) + 1
+        m0 += (r - m0) % 4
+        k, p = powers.get(m0, (0, 1))
+        m0u = p * m0 ** (u - k)
+        powers[m0] = (u, m0u)
+        # the kernel stops once _EM_SAFETY |t| < 10^-(D+6) (m0/c + 1 + 10^-(D+30) m0^u)
+        lim = (((m0 + c) * 10 ** (D + 30) + c * m0u) << V) // (c * _EM_SAFETY * 10 ** (2 * D + 36))
+        em = _em_bracket(u, m0, V, lim)
+        if em is None:
+            start_min = int(start_min * 1.6) + 8  # the series turned: restart farther out
+            continue
+        x, floors, t, j = em
+        head = range(N + 1 + (r - N - 1) % 4, m0, 4)
+        s = sum((Nu << V) // n**u for n in head) + x * Nu // m0u
+        # |t_j - exact| <= j, so the remainder is at most _EM_SAFETY (|t_j| + j)
+        ex = floors + _EM_SAFETY * (abs(t) + j)
+        err = len(head) + 1 - (-ex * Nu // m0u)  # units of 2^-V, then of 2^-W after the shift
+        return s >> 64, ((err - 1) >> 64) + 2
+    raise PrecisionError(f"EM tail did not converge for class {r}, exponent {u}, N={N}, D={D}")
+
+
 def _tail_row(r: int, lo: int, hi: int, D: int):
     """Lists (G, B) indexed by exponent u, filled at least for lo <= u < hi:
-    G[u] = floor(T N^u 2^W) for the class tail T = class_tail(r, u, N, D), and
-    B[u] = ceil(b N^u 2^W) + 1 >= |T_exact N^u 2^W - G[u]| from its bound b."""
+    G[u] = floor(T N^u 2^W) up to B[u] >= |T N^u 2^W - G[u]| units for the class
+    tail T of class_tail(r, u, N, D), from the integer kernel _tail_fixed."""
     G, B = row = _fixed_cache.setdefault(("tail", r, D), ([], []))
     if len(G) < hi:
         G.extend([None] * (hi - len(G)))
         B.extend([None] * (hi - len(B)))
     if None in G[lo:hi]:
-        N, W = _outer_cutoff(D), _fixed_bits(D)
+        N = _outer_cutoff(D)
+        Nu = N**lo
+        powers: dict = {}
         for u in range(lo, hi):
             if G[u] is None:
-                v, b = class_tail(r, u, N, D)
-                scale = N**u
-                G[u] = _fixed_floor(v, scale, 1, W)
-                B[u] = 1 - _fixed_floor(b, -scale, 1, W)
+                G[u], B[u] = _tail_fixed(r, u, N, D, Nu, powers)
+            Nu *= N
     return row
 
 
@@ -747,7 +832,7 @@ def _harmonic_internal(kind: str, s: int, D: int):
         if kind == "half_index":
             # 2 * sum H_{2n}/n^{2s} = 5/2 zeta(2s+1) + 2 zeta(2s,1) + sum_{j=2}^{2s} (-1)^j zeta(j, 2s+1-j)
             if s < 1:
-                raise DomainError("half_index needs s >= 1")
+                raise DomainError(f"hsum_half({s}) needs s >= 1")
             v, b = _zeta_internal(2 * s + 1, D)
             total = mpf(5) / 2 * v
             bound = mpf(5) / 2 * b
@@ -766,7 +851,7 @@ def _harmonic_internal(kind: str, s: int, D: int):
             #   - (2^(1-s)-1)(zeta(s-1,1) - 2 log2 zeta(s-1)) - (2^(2-s)-1) zeta(s)
             sigma = s
             if sigma < 2:
-                raise DomainError("odd_denom needs exponent >= 2")
+                raise DomainError(f"hsum_odd({s}) needs s >= 2")
             sl = sigma + 1
             total = mp.zero
             bound = mp.zero
@@ -792,7 +877,8 @@ def _harmonic_internal(kind: str, s: int, D: int):
 def harmonic_sum_num(kind: str, s: int, ctx: EvalContext):
     """Harmonic-number sums: 'odd_denom' is sum_{n>=0} H_n/(2n+1)^s (s >= 2),
     'half_index' is sum_{n>=1} H_{2n}/n^{2s} (s >= 1), both computed from
-    already-validated zeta / double-zeta evaluations."""
+    already-validated zeta / double-zeta evaluations.  Domain errors name the
+    corpus DSL calls hsum_odd(s) and hsum_half(s)."""
     v, b = _harmonic_internal(kind, s, ctx.work_digits)
     _check(b, ctx, f"harmonic_sum({kind},{s})")
     return v
@@ -956,8 +1042,10 @@ def _oracle_witten(r, s, t, N):
     kw = np.arange(0, N + 1, dtype=np.float64)
     kw[0] = 1.0
     kpow = kw ** (-float(t))
+    # c_k = sum_{n=1}^{k-1} u[n] v[k-n]: vr[N-k+1:N] is v[k-1], ..., v[1], contiguous
+    vr = v[::-1].copy()
     for k in range(2, N + 1):
-        ck = float(np.dot(u[1:k], v[k - 1 : 0 : -1]))
+        ck = float(np.dot(u[1:k], vr[N - k + 1 : N]))
         value += kpow[k] * ck
     # tail over the diagonal n+m = k > N:
     # c_k <= (k/2)^-s S_r(k) + (k/2)^-r S_s(k)
@@ -999,5 +1087,7 @@ def _oracle_harmonic(kind, s, N):
 
 def clear_caches():
     """Drop all numeric caches (mainly for tests)."""
-    for cache in (_kernel_cache, _em_coef_cache, _ladder_cache, _array_cache, _fixed_cache, _value_cache):
+    for cache in (
+        _kernel_cache, _em_coef_cache, _em_ratio_cache, _ladder_cache, _array_cache, _fixed_cache, _value_cache
+    ):
         cache.clear()

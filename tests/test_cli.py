@@ -53,6 +53,21 @@ def test_bernoulli_euler(capsys):
     assert code == 0 and out.strip() == "5"
 
 
+def test_bernoulli_euler_negative_index_is_usage_error(capsys):
+    # a negative index is bad input (exit 2), not a verification failure (exit 1)
+    code, out, err = run(capsys, "bernoulli", "--", "-2")
+    assert code == 2 and out == "" and err.startswith("error:") and "B_-2" in err
+    code, out, err = run(capsys, "euler", "--", "-2")
+    assert code == 2 and out == "" and err.startswith("error:") and "E_-2" in err
+
+
+def test_eval_harmonic_sum_domain_names_the_call(capsys):
+    code, _, err = run(capsys, "eval", "hsum_odd(1)")
+    assert code == 2 and err.startswith("error: hsum_odd(1)")
+    code, _, err = run(capsys, "eval", "hsum_half(0)")
+    assert code == 2 and err.startswith("error: hsum_half(0)")
+
+
 def test_corpus_list(capsys):
     code, out, _ = run(capsys, "corpus", "list")
     assert code == 0

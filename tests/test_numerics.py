@@ -66,6 +66,25 @@ def test_L_values(ctx40):
         L_num("2a", 1, ctx40)
 
 
+@pytest.mark.parametrize("prec", [40, 100, 300])
+def test_L_and_li4h_against_mpmath_reference(prec):
+    # L_p(s) = 4^-s sum_r chi_p(r) zeta(s, r/4), with log 2 and pi/4 at s = 1, and
+    # Li_4(1/2) from mpmath's polylog; each reference carries 30 more digits
+    ctx = EvalContext(prec)
+    cases = [(p, s) for p in CHAR_IDS for s in (2, 3, 7)] + [("2b", 1), ("m4", 1)]
+    for p, s in cases:
+        value = L_num(p, s, ctx)
+        with mp.workdps(prec + 30):
+            if s == 1:
+                ref = {"2b": mp.log(2), "m4": mp.pi / 4}[p]
+            else:
+                ref = sum(c * mp.zeta(s, mpf(r) / 4) for r, c in zip((1, 2, 3, 4), CHI[p]) if c) / mpf(4) ** s
+            assert abs(value - ref) <= tol(ctx), (p, s, prec)
+    value = generator_num("li4h", ctx)
+    with mp.workdps(prec + 30):
+        assert abs(value - mp.polylog(4, mpf(1) / 2)) <= tol(ctx)
+
+
 def test_periodic_tail_partitions_zeta(ctx40):
     with mp.workdps(60):
         for s, N in ((2, 10), (5, 37)):
@@ -238,6 +257,25 @@ def test_witten_oracle(ctx40):
         assert abs(witten_num(1, 1, 2, ctx40) - value) < bound
 
 
+def test_witten_oracle_matches_strided_loop():
+    # the oracle dots contiguous slices of a reversed copy; the strided per-k
+    # loop it replaced must agree within the oracle's round-off term
+    N = 2000
+    n = np.arange(0, N + 1, dtype=np.float64)
+    for r, s, t in ((1, 2, 1), (0, 2, 2), (3, 3, 2)):
+        with np.errstate(divide="ignore"):
+            u, v = n ** (-float(r)), n ** (-float(s))
+        u[0] = v[0] = 0.0
+        kw = n.copy()
+        kw[0] = 1.0
+        kpow = kw ** (-float(t))
+        old = 0.0
+        for k in range(2, N + 1):
+            old += kpow[k] * float(np.dot(u[1:k], v[k - 1 : 0 : -1]))
+        value, _ = numerics._oracle_witten(r, s, t, N)
+        assert abs(value - old) <= 4.0 * N * numerics._EPS64 * (abs(old) + 1.0), (r, s, t)
+
+
 def test_witten_domain(ctx40):
     with pytest.raises(DomainError):
         witten_num(1, 2, 0, ctx40)
@@ -298,22 +336,79 @@ def test_determinism(ctx40):
 
 
 def test_fixed_point_tail_rows_bracket_the_kernel():
-    # G[u] = floor(T N^u 2^W) exactly, and B[u] covers the kernel bound plus the floor
+    # the integer rows against a Hurwitz-zeta reference with no allowance, and
+    # against class_tail's (value, bound) within both bounds; B stays as tight.
+    # Exponents are sampled across each row's range: _char_em asks for u up to
+    # about 72 at D = 20, 111 at D = 50 and 368 at D = 310.  At D = 20 the start
+    # passes N from u = 132 on, so u = 150 and 250 also take direct terms.
     from fractions import Fraction
 
     def exact(x):
         sign, man, exp, _ = x._mpf_
         return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
 
-    D, r = 20, 3
-    N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
-    G, B = numerics._tail_row(r, 2, 6, D)
-    for u in range(2, 6):
-        v, b = numerics.class_tail(r, u, N, D)
-        scale = N**u * 2**W
-        assert G[u] == math.floor(exact(v) * scale)
-        assert numerics._fixed_floor(v, -(N**u), 1, W) == math.floor(-exact(v) * scale)
-        assert exact(b) * scale + 1 <= B[u] < exact(b) * scale + 2
+    sample = {  # D -> (exponents within the rows' range, exponents with direct terms)
+        20: ((2, 3, 5, 17, 40, 72), (150, 250)),
+        50: ((2, 3, 7, 30, 64, 111), ()),
+        310: ((2, 17, 90, 220, 368), ()),
+    }
+    for D, (us, direct) in sample.items():
+        N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
+        for r in (1, 2, 3, 4):
+            G, B = numerics._tail_row(r, 2, max(us + direct) + 1, D)
+            n0 = N + 1 + (r - 1 - N) % 4
+            for u in us + direct:
+                m0 = max(N, numerics._kernel_start(u, D)) + 1
+                with mp.workdps(D + 40 + math.ceil(u * math.log10(m0))):
+                    ref = mpf(4) ** -u * mp.zeta(u, mpf(n0) / 4) * mpf(N) ** u * mpf(2) ** W
+                    assert abs(G[u] - ref) <= B[u], (D, r, u)
+                if u in direct:
+                    continue
+                v, b = numerics.class_tail(r, u, N, D)
+                scale = N**u * 2**W
+                floor_v = math.floor(exact(v) * scale)
+                assert numerics._fixed_floor(v, N**u, 1, W) == floor_v
+                assert numerics._fixed_floor(v, -(N**u), 1, W) == math.floor(-exact(v) * scale)
+                kernel_units = math.ceil(exact(b) * scale)
+                assert abs(G[u] - floor_v) <= B[u] + kernel_units + 1, (D, r, u)
+                assert B[u] <= 2 * (kernel_units + 2), (D, r, u)
+
+
+def test_em_bracket_within_its_floor_units():
+    # the integer bracket against the exact rational partial sum of the same
+    # terms; the chain's floors drift by 15-30 units here, so each is counted
+    from fractions import Fraction
+
+    V = 400
+    for u, m0 in ((2, 321), (7, 323), (40, 1637), (368, 1640)):
+        x, units, _, j = numerics._em_bracket(u, m0, V, 1 << 100)
+        exact = Fraction(m0, 4 * (u - 1)) + Fraction(1, 2)
+        rise = 1  # (u)_(2i-1)
+        for i in range(1, j + 1):
+            rise = u if i == 1 else rise * (u + 2 * i - 3) * (u + 2 * i - 2)
+            beta = bernoulli(2 * i) * 4 ** (2 * i - 1) / math.factorial(2 * i)
+            exact += beta * rise / Fraction(m0) ** (2 * i - 1)
+        assert abs(x - exact * 2**V) <= units, (u, m0)
+
+
+def test_fixed_point_tail_restarts(monkeypatch):
+    # from a third of the usual start (r, u) = (4, 30) turns and restarts three
+    # times, as the kernel does, and still brackets the reference; every start
+    # lies above N = 10, so the head n = 12, 16, ... below m0 is summed directly
+    D, N, r, u = 310, 10, 4, 30
+    start = numerics._kernel_start(u, D) // 3
+    monkeypatch.setattr(numerics, "_kernel_start", lambda u, D: start)
+    W = numerics._fixed_bits(D)
+    starts: dict = {}
+    G, B = numerics._tail_fixed(r, u, N, D, N**u, starts)
+    assert len(starts) == 4
+    with mp.workdps(D + 80):
+        ref = mpf(4) ** -u * mp.zeta(u, mpf(12) / 4) * mpf(N) ** u * mpf(2) ** W
+        assert abs(G - ref) <= B
+    # a start that never lets the series fall below target runs out of restarts
+    monkeypatch.setattr(numerics, "_kernel_start", lambda u, D: 1)
+    with pytest.raises(PrecisionError, match=r"class 3, exponent 40, N=1, D=310"):
+        numerics._tail_fixed(3, 40, 1, D, 1, {})
 
 
 # ---------------------------------------------------------------------------
