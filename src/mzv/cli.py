@@ -1,8 +1,9 @@
 """Command-line front end: eval, reduce, verify, search, bernoulli, euler,
 corpus list.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 not reducible.
+Exit codes: 0 success, 1 verification failure, 2 usage, parse or domain error
+(bad input, e.g. `eval` or `reduce` of a divergent call such as zeta(1)),
+3 not reducible (a valid expression outside the closed-form scope).
 """
 from __future__ import annotations
 
@@ -108,10 +109,10 @@ def cmd_reduce(args) -> int:
     try:
         ast = parse_expr(args.expr)
         expr = reduce_ast(ast, {})
-    except ParseError as exc:
+    except (ParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NotReducible, DomainError) as exc:
+    except NotReducible as exc:
         print(f"not reducible: {exc}", file=sys.stderr)
         return EXIT_NOT_REDUCIBLE
     print(expr.render())

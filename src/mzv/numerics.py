@@ -56,6 +56,7 @@ Parallel callers should use processes.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate, cycle
@@ -117,8 +118,14 @@ class EvalContext:
         return self.prec + self.guard
 
     def tolerance(self):
-        with mp.workdps(self.work_digits):
-            return mpf(10) ** (-self.prec)
+        return _tolerance(self.prec, self.work_digits)
+
+
+@functools.cache
+def _tolerance(prec: int, digits: int):
+    """10^-prec at `digits` working digits (an mpf is immutable, so one is shared)."""
+    with mp.workdps(digits):
+        return mpf(10) ** (-prec)
 
 
 def _check(bound, ctx: EvalContext, what: str):
@@ -394,7 +401,8 @@ def periodic_tail_num(p: str, s: int, N: int, ctx: EvalContext):
 
 _array_cache: dict = {}
 # fixed-point rows: ("pow", u, D) -> [floor(2^W / n^u) for n = 0..N] (0 at n = 0),
-# ("tail", r, D) -> (G, B) indexed by exponent, ("fold", q, t, r, D) -> folded vector
+# ("tail", r, D) -> (G, B) indexed by exponent, ("fold", q, t, r, D) -> folded vector;
+# also _char_em's per-precision constants ("head", D) and ("Npow", e, D)
 _fixed_cache: dict = {}
 
 
@@ -403,15 +411,24 @@ def _fixed_bits(D: int) -> int:
     return int(3.33 * (D + 10)) + 60
 
 
-def _fixed_floor(x, num: int, den: int, W: int) -> int:
-    """floor(x * num / den * 2^W), exactly, for an mpf x, an int num and an int den > 0."""
-    sign, man, exp, _ = x._mpf_
-    if sign:
-        man = -man
-    shift = exp + W
-    if shift >= 0:
-        return (man * num << shift) // den
-    return man * num // (den << -shift)
+def _head_bound(D: int):
+    """N (3 + log N) 2^-W with N = N(D), W = W(D): the rounding bound of _char_em's
+    direct head, cached per D (computed at _char_em's working precision D + 10)."""
+    key = ("head", D)
+    hit = _fixed_cache.get(key)
+    if hit is None:
+        N = _outer_cutoff(D)
+        hit = _fixed_cache[key] = N * (3 + mp.log(N)) * mp.ldexp(1, -_fixed_bits(D))
+    return hit
+
+
+def _cutoff_pow(e: int, D: int):
+    """N(D)^e for _char_em's remainder bounds, cached per (e, D), as _head_bound."""
+    key = ("Npow", e, D)
+    hit = _fixed_cache.get(key)
+    if hit is None:
+        hit = _fixed_cache[key] = mpf(_outer_cutoff(D)) ** e
+    return hit
 
 
 def _pow_row(u: int, D: int):
@@ -635,11 +652,11 @@ def _folded_inner(q: str, t: int, r: int, D: int):
     """The inner arrays of q's classes seen from outer class r, summed with
     their character signs.
 
-    Returns (emin, F, Fabs, k, logsum, rems, rem_bounds): F[e - emin] is the
+    Returns (emin, F, k, logsum, rems, rem_bounds): F[e - emin] is the
     folded fixed-point coefficient, within k units (k = number of classes
-    folded) of the exact fold; Fabs its absolute values; logsum the folded log
-    coefficient (0 for a mean-zero q); rems the per-class remainder (crem, erem)
-    pairs, and rem_bounds a cache s -> their summed bound over the outer tail.
+    folded) of the exact fold; logsum the folded log coefficient (0 for a
+    mean-zero q); rems the per-class remainder (crem, erem) pairs, and
+    rem_bounds a cache s -> their summed bound over the outer tail.
     """
     key = ("fold", q, t, r, D)
     hit = _fixed_cache.get(key)
@@ -652,7 +669,7 @@ def _folded_inner(q: str, t: int, r: int, D: int):
         for i, a in enumerate(A, e0 - emin):
             F[i] += c * a
     logsum = sum(c * arr[2] for c, arr in parts)
-    res = (emin, F, [abs(f) for f in F], len(parts), logsum, [arr[3] for _, arr in parts], {})
+    res = (emin, F, len(parts), logsum, [arr[3] for _, arr in parts], {})
     _fixed_cache[key] = res
     return res
 
@@ -696,7 +713,7 @@ def _char_em(p: str, q: str, s: int, t: int, D: int):
             for r, c in zip((1, 2, 3, 4), CHI[p])
             if c
         )
-        bound = N * (3 + mp.log(N)) * mp.ldexp(1, -W)
+        bound = _head_bound(D)
         if divergent_inner:
             Cq = mp.zero
             bq = mp.zero
@@ -723,13 +740,13 @@ def _char_em(p: str, q: str, s: int, t: int, D: int):
             else:
                 reg_requests.append((cp * Cq, r))
                 bound += 2 * bq
-            emin, F, Fabs, k, logsum, rems, rem_bounds = _folded_inner(q, t, r, D)
+            emin, F, k, logsum, rems, rem_bounds = _folded_inner(q, t, r, D)
             lo = s + emin
             hi = lo + len(F)
             G, B = _tail_row(r, lo, hi, D)
             Gs, Bs = G[lo:hi], B[lo:hi]
             acc -= cp * sum(map(mul, F, Gs))
-            units += sum(map(mul, Fabs, Bs)) + k * (sum(Bs) + sum(map(abs, Gs)))
+            units += sum(map(mul, map(abs, F), Bs)) + k * (sum(Bs) + sum(map(abs, Gs)))
             if logsum:
                 v, b = class_tail(r, s, N, D, logw=True)
                 total -= cp * logsum * v
@@ -737,7 +754,7 @@ def _char_em(p: str, q: str, s: int, t: int, D: int):
             rb = rem_bounds.get(s)
             if rb is None:
                 # sum_{n > N} crem n^(-s-erem) <= crem N^(1-s-erem) / (s+erem-1)
-                rb = sum(crem * mpf(N) ** (1 - s - erem) / (s + erem - 1) for crem, erem in rems)
+                rb = sum(crem * _cutoff_pow(1 - s - erem, D) / (s + erem - 1) for crem, erem in rems)
                 rem_bounds[s] = rb
             bound += rb
         if reg_requests:

@@ -12,7 +12,7 @@ import functools
 from fractions import Fraction
 from typing import Union
 
-from .errors import NotReducible
+from .errors import DomainError, NotReducible
 from .exact import bernoulli, euler_number
 
 # A generator is 'pi', 'log2', 'li4h' or ('z', k) with odd k >= 3.
@@ -247,7 +247,7 @@ def zeta_sym(s: int) -> ConstExpr:
     Even case from 2*(2n)! zeta(2n) = (-1)^(n+1) (2 pi)^(2n) B_2n.
     """
     if s < 2:
-        raise ValueError("zeta_sym needs s >= 2")
+        raise DomainError(f"zeta_sym({s}) needs s >= 2")
     if s % 2 == 0:
         n = s // 2
         coef = Fraction((-1) ** (n + 1) * 2 ** (2 * n), 2) * bernoulli(2 * n)

@@ -1,20 +1,31 @@
 """AST evaluation (numeric with honest bound accumulation, and exact symbolic
 reduction) plus the verification drivers and report writers.
 
-Numeric evaluation keeps exact-rational subtrees exact: an identity built only
-from B, E, Hrat, binom, fact, hyp2f1sp and arithmetic is compared with zero
-tolerance, never through floats.  Mixed subtrees promote to multiprecision
-floats at the context's working precision, with every call node contributing
-its own rigorous error bound to the total.
+One node table (`_NODE`) and one call table (`_CALLS`: per DSL call its
+argument labels, domain test and message, numeric and symbolic entry) serve
+the numeric walk (`eval_ast`, `verify_numeric`), the symbolic walk
+(`reduce_ast`, `verify_symbolic`) and sum bounds; a domain test runs in both.
+
+Numeric evaluation keeps exact-rational subtrees exact (ints while integral,
+else Fractions): an identity built only from B, E, Hrat, binom, fact,
+hyp2f1sp and arithmetic is compared with zero tolerance, never through
+floats.  Mixed subtrees promote to multiprecision floats at the context's
+working precision, with every call node contributing its own rigorous error
+bound to the total.  Symbolic reduction likewise stays rational until a
+constant or a transcendental call brings in a ConstExpr, so call arguments,
+exponents and sum bounds never go through ConstExpr arithmetic.
 """
 from __future__ import annotations
 
 import datetime as _dt
 import json
+import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -37,363 +48,373 @@ def load_corpus(path: str | None = None):
 
 
 # ---------------------------------------------------------------------------
-# numeric evaluation
+# evaluation: one node table and one call table, walked in three modes
 # ---------------------------------------------------------------------------
+# A walker has run (dispatch through _NODE, whose keys are the parser's node
+# types) and op (one binary operator); the numeric and symbolic ones also gen,
+# arg (one call argument) and apply.  Walks go left to right and check a call's
+# arguments one at a time, so the first error met is the one reported.
 
 
-class _Counter:
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
-
-
-def _eval_int(node, env) -> int:
-    """Exact integer evaluation for sum bounds (params, ints, + - * / ^)."""
-    v = _eval_exact(node, env)
-    if v.denominator != 1:
-        raise DomainError(f"sum bound is not an integer: {v}")
-    return v.numerator
+def _div(a, b):
+    """a / b (b != 0); an int when a and b are ints and b divides a."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
-def _eval_exact(node, env) -> Fraction:
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Param):
-        return Fraction(env[node.name])
-    if isinstance(node, Neg):
-        return -_eval_exact(node.arg, env)
-    if isinstance(node, BinOp):
-        a = _eval_exact(node.left, env)
-        b = _eval_exact(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b == 0:
-                raise DomainError("division by zero in bound expression")
-            return a / b
-        if node.op == "^":
-            if b.denominator != 1:
-                raise DomainError("non-integer exponent in bound expression")
-            return a ** b.numerator
-    raise DomainError(f"node not allowed in an integer bound: {node!r}")
+def _pow(a, k: int):
+    """a^k for an exact a; 0^-k raises ZeroDivisionError('Fraction(1, 0)'), as Fraction does."""
+    if k >= 0 or type(a) is Fraction:
+        return a**k
+    return Fraction(1, a**-k)
 
 
-_EXACT_CALLS = {
-    "Hrat": lambda n: exact.harmonic(n),
-    "B": lambda n: exact.bernoulli(n),
-    "E": lambda n: Fraction(exact.euler_number(n)),
-    "fact": lambda n: Fraction(exact_factorial(n)),
-    "hyp2f1sp": lambda n: exact.hyp2f1_special(n),
-}
+_EXACT = (int, Fraction)
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
 
 
-def exact_factorial(n: int) -> int:
-    if n < 0:
-        raise DomainError("factorial of a negative integer")
-    import math
+def _to_mpf(v):
+    t = type(v)
+    if t is int:
+        return mpf(v)
+    if t is Fraction:
+        return mpf(v.numerator) / v.denominator
+    return v
 
-    return math.factorial(n)
 
-
-def _as_int(v, what: str) -> int:
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return v.numerator
+def _integral(v, what: str) -> int:
+    """The int value of an exact v; DomainError naming `what` when v is not integral."""
+    if type(v) is not int and v.denominator != 1:
         raise DomainError(f"{what} must be an integer, got {v}")
-    raise DomainError(f"{what} must be exact, got a float value")
+    return int(v)
 
 
-class _NumEval:
-    """Numeric evaluator carrying (value, bound); values are Fraction or mpf."""
+def _rational(v):
+    """The rational value of a symbolic value; NotReducible when it has an irrational term."""
+    return v.rational_value() if type(v) is ConstExpr else v
 
-    def __init__(self, ctx: EvalContext):
-        self.ctx = ctx
-        self.D = ctx.work_digits
+
+def _rational_or_none(v):
+    return None if type(v) is ConstExpr and not v.is_rational() else _rational(v)
+
+
+def _sum(w, node, env):
+    lo = _eval_int(node.lo, env)
+    hi = _eval_int(node.hi, env)
+    total, inner = 0, dict(env)
+    for i in range(lo, hi + 1):
+        inner[node.var] = i
+        total = w.op("+", total, w.run(node.body, inner))
+    return total
+
+
+def _call(w, node, env):
+    spec = _CALLS[node.name]  # the parser admits only these names
+    params = list(node.chars)
+    for arg, label in zip(node.args, spec.labels):
+        params.append(w.arg(arg, env, node.name, label))
+    if spec.ok is not None and not spec.ok(*params):
+        raise DomainError(spec.msg.format(*params))
+    return w.apply(spec, params)
+
+
+def _lit(w, node, env):
+    v = node.value
+    return v.numerator if v.denominator == 1 else v
+
+
+def _binop(w, node, env):
+    a = w.run(node.left, env)
+    return w.op(node.op, a, w.run(node.right, env))
+
+
+_NODE = {
+    Lit: _lit,
+    Param: lambda w, node, env: env[node.name],
+    Gen: lambda w, node, env: w.gen(node.name),
+    Neg: lambda w, node, env: -w.run(node.arg, env),
+    BinOp: _binop,
+    Sum: _sum,
+    Call: _call,
+}
+_BOUND_NODES = (Lit, Param, Neg, BinOp)
+
+
+class _Numeric:
+    """Numeric walk: exact values until a call with an error bound, mpf from
+    there on.  `nodes` counts visited nodes, call arguments included and sum
+    bounds not; `bound` adds up the calls' error bounds in evaluation order."""
+
+    __slots__ = ("D", "nodes", "bound")
+
+    def __init__(self, D: int):
+        self.D = D
         self.nodes = 0
         self.bound = mp.zero
 
-    def to_mpf(self, v):
-        if isinstance(v, Fraction):
-            return mpf(v.numerator) / v.denominator
-        return v
-
     def run(self, node, env):
         self.nodes += 1
-        if isinstance(node, Lit):
-            return node.value
-        if isinstance(node, Param):
-            return Fraction(env[node.name])
-        if isinstance(node, Gen):
-            v, b = numerics._generator_internal(node.name, self.D)
-            self.bound += b
-            return v
-        if isinstance(node, Neg):
-            return -self.run(node.arg, env)
-        if isinstance(node, Sum):
-            lo = _eval_int(node.lo, env)
-            hi = _eval_int(node.hi, env)
-            total = Fraction(0)
-            inner = dict(env)
-            for i in range(lo, hi + 1):
-                inner[node.var] = i
-                term = self.run(node.body, inner)
-                if isinstance(total, Fraction) and isinstance(term, Fraction):
-                    total = total + term
-                else:
-                    total = self.to_mpf(total) + self.to_mpf(term)
-            return total
-        if isinstance(node, BinOp):
-            a = self.run(node.left, env)
-            b = self.run(node.right, env)
-            return self._binop(node.op, a, b)
-        if isinstance(node, Call):
-            return self._call(node, env)
-        raise DomainError(f"cannot evaluate node {node!r}")
+        return _NODE[type(node)](self, node, env)
 
-    def _binop(self, op, a, b):
-        both_exact = isinstance(a, Fraction) and isinstance(b, Fraction)
-        if op == "^":
-            if not isinstance(b, Fraction):
-                raise DomainError("exponent must be exact")
-            k = _as_int(b, "exponent")
-            if isinstance(a, Fraction):
-                if a == 0 and k < 0:
-                    raise DomainError("0 raised to a negative power")
-                return a**k
-            return a**k
-        if both_exact:
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if b == 0:
-                raise DomainError("exact division by zero")
-            return a / b
-        am, bm = self.to_mpf(a), self.to_mpf(b)
-        if op == "+":
-            return am + bm
-        if op == "-":
-            return am - bm
-        if op == "*":
-            return am * bm
-        if bm == 0:
-            raise DomainError("division by zero")
-        return am / bm
-
-    def _call(self, node: Call, env):
-        name = node.name
-        if name in _EXACT_CALLS:
-            n = _as_int(_eval_exact_arg(self, node.args[0], env), f"{name} argument")
-            return _EXACT_CALLS[name](n)
-        if name == "binom":
-            n = _as_int(_eval_exact_arg(self, node.args[0], env), "binom n")
-            k = _as_int(_eval_exact_arg(self, node.args[1], env), "binom k")
-            return Fraction(exact.binomial(n, k))
-        if name == "abs":
-            v = self.run(node.args[0], env)
-            return abs(v)
-        if name == "zeta":
-            s = _as_int(_eval_exact_arg(self, node.args[0], env), "zeta argument")
-            if s == 0:
-                return Fraction(-1, 2)
-            if s < 2:
-                raise DomainError(f"zeta({s}) diverges or is unsupported")
-            v, b = numerics._zeta_internal(s, self.D)
-            self.bound += b
-            return v
-        if name == "L":
-            s = _as_int(_eval_exact_arg(self, node.args[0], env), "L argument")
-            p = node.chars[0]
-            if s < 2 and not (s == 1 and numerics.is_mean_zero(p)):
-                raise DomainError(f"L_{p}({s}) diverges")
-            v, b = numerics._L_internal(p, s, self.D)
-            self.bound += b
-            return v
-        if name == "dz":
-            a = _as_int(_eval_exact_arg(self, node.args[0], env), "dz argument")
-            bb = _as_int(_eval_exact_arg(self, node.args[1], env), "dz argument")
-            if a < 2 or bb < 1:
-                raise DomainError(f"zeta({a},{bb}) diverges")
-            v, b = numerics._dzeta_internal(a, bb, self.D)
-            self.bound += b
-            return v
-        if name == "cs":
-            s = _as_int(_eval_exact_arg(self, node.args[0], env), "cs argument")
-            t = _as_int(_eval_exact_arg(self, node.args[1], env), "cs argument")
-            p, q = node.chars
-            if not numerics._char_convergent(p, q, s, t):
-                raise DomainError(f"[{p},{q}]({s},{t}) diverges")
-            v, b = numerics._char_em(p, q, s, t, self.D)
-            self.bound += b
-            return v
-        if name == "W":
-            r = _as_int(_eval_exact_arg(self, node.args[0], env), "W argument")
-            s = _as_int(_eval_exact_arg(self, node.args[1], env), "W argument")
-            t = _as_int(_eval_exact_arg(self, node.args[2], env), "W argument")
-            if not numerics.witten_convergent(r, s, t):
-                raise DomainError(f"W({r},{s},{t}) diverges")
-            v, b = numerics._witten_internal(r, s, t, self.D)
-            self.bound += b
-            return v
-        if name in ("hsum_odd", "hsum_half"):
-            s = _as_int(_eval_exact_arg(self, node.args[0], env), f"{name} argument")
-            kind = "odd_denom" if name == "hsum_odd" else "half_index"
-            v, b = numerics._harmonic_internal(kind, s, self.D)
-            self.bound += b
-            return v
-        raise DomainError(f"unknown call {name!r}")
-
-
-def _eval_exact_arg(ev: _NumEval, node, env):
-    v = ev.run(node, env)
-    if isinstance(v, Fraction):
+    def gen(self, name):
+        v, b = numerics._generator_internal(name, self.D)
+        self.bound += b
         return v
-    raise DomainError("argument must be exact")
+
+    def op(self, op, a, b):
+        exact_a = type(a) in _EXACT
+        exact_b = type(b) in _EXACT
+        if op == "^":
+            if not exact_b:
+                raise DomainError("exponent must be exact")
+            k = _integral(b, "exponent")
+            if not exact_a:
+                return a**k
+            if a == 0 and k < 0:
+                raise DomainError("0 raised to a negative power")
+            return _pow(a, k)
+        if exact_a and exact_b:
+            if op == "/" and b == 0:
+                raise DomainError("exact division by zero")
+            return _OPS[op](a, b)
+        a, b = _to_mpf(a), _to_mpf(b)
+        if op == "/" and b == 0:
+            raise DomainError("division by zero")
+        return _OPS[op](a, b)
+
+    def arg(self, node, env, name, label):
+        v = self.run(node, env)
+        if label is None or type(v) is int:
+            return v
+        if type(v) is not Fraction:
+            raise DomainError("argument must be exact")
+        return _integral(v, label)
+
+    def apply(self, spec, params):
+        if spec.exact is not None:
+            return spec.exact(*params)
+        v, b = spec.num(self.D, *params)
+        if b is not None:
+            self.bound += b
+        return v
+
+
+class _Symbolic:
+    """Exact walk: rational values until a constant or a transcendental call,
+    ConstExpr from there on."""
+
+    __slots__ = ()
+
+    def run(self, node, env):
+        return _NODE[type(node)](self, node, env)
+
+    def gen(self, name):
+        return ConstExpr.generator(name)
+
+    def op(self, op, a, b):
+        if op == "^":
+            k = _rational(b)
+            if type(k) is not int:
+                if k.denominator != 1:
+                    raise NotReducible("non-integer exponent")
+                k = k.numerator
+            r = _rational_or_none(a)
+            if r is not None:
+                return _pow(r, k)
+            return a**k if k >= 0 else ConstExpr.rational(1).divide_exact(a**-k)
+        if op == "/":
+            r = _rational_or_none(b)
+            if r is None:
+                return (a if type(a) is ConstExpr else ConstExpr.rational(a)).divide_exact(b)
+            if r == 0:
+                raise DomainError("division by zero")
+            b = r
+        return _OPS[op](a, b)
+
+    def arg(self, node, env, name, label):
+        v = self.run(node, env)
+        if label is None:
+            return v
+        v = _rational(v)
+        if type(v) is not int and v.denominator != 1:
+            raise DomainError(f"{name} argument must be an integer")
+        return int(v)
+
+    def apply(self, spec, params):
+        return (spec.exact or spec.sym)(*params)
+
+
+class _Bound:
+    """Exact walk of a sum bound: literals, parameters, negation and + - * / ^."""
+
+    __slots__ = ()
+
+    def run(self, node, env):
+        if type(node) not in _BOUND_NODES:
+            raise DomainError(f"node not allowed in an integer bound: {node!r}")
+        return _NODE[type(node)](self, node, env)
+
+    def op(self, op, a, b):
+        if op == "/" and b == 0:
+            raise DomainError("division by zero in bound expression")
+        if op == "^" and type(b) is Fraction:
+            if b.denominator != 1:
+                raise DomainError("non-integer exponent in bound expression")
+            b = b.numerator
+        return _OPS[op](a, b)
+
+
+_SYMBOLIC = _Symbolic()
+_BOUND = _Bound()
+
+
+def _eval_int(node, env) -> int:
+    v = _BOUND.run(node, env)
+    if type(v) is not int and v.denominator != 1:
+        raise DomainError(f"sum bound is not an integer: {v}")
+    return int(v)
+
+
+# -- the call table ----------------------------------------------------------
+
+
+class _CallSpec(NamedTuple):
+    """One DSL call.
+
+    labels name the arguments in error messages, one each, so their number is
+    the arity; None marks an argument taken as any value instead of an
+    integer.  ok(chars..., args...) is the domain test of both modes and msg
+    its DomainError text, formatted with the same values.  exact(chars...,
+    args...) is an exact value in both modes; otherwise num(D, chars...,
+    args...) gives (value, bound), the bound None for an exact value, and
+    sym(chars..., args...) a ConstExpr.  Entry points are looked up on their
+    module at call time, so a wrapper installed there sees every call.
+    """
+
+    labels: tuple
+    ok: object = None
+    msg: str = ""
+    exact: object = None
+    num: object = None
+    sym: object = None
+
+
+def _labels(name: str, n: int = 1):
+    return (f"{name} argument",) * n
+
+
+_ZETA_0 = Fraction(-1, 2)
+
+
+def _abs(v):
+    """|v| for a numeric value, or for a symbolic one that is rational."""
+    return abs(_rational(v))
+
+
+def _cs_sym(p, q, s, t):
+    if (p, q) == ("1", "1"):
+        return reductions.dzeta_reduce(s, t)
+    return reductions.alt_value_lookup((p, q, s, t))
+
+
+def _witten_sym(r, s, t):
+    red = reductions.witten_reduce(r, s, t)
+    if isinstance(red, ConstExpr):
+        return red
+    raise NotReducible("Witten value leaves irreducible double zetas")
+
+
+def _hsum_odd_sym(sigma):
+    s = sigma + 1
+    total = ConstExpr.zero
+    for j in range(2, s):
+        total = total + reductions.dzeta_reduce(j, s - j) * Fraction(1, 2 ** (j - 1))
+    coef = Fraction(1, 2 ** (s - 1)) - 1
+    log2zeta = ConstExpr.generator("log2") * zeta_sym(s - 1)
+    total = total - (reductions.zeta_s1_reduce(s) - log2zeta * 2) * coef
+    total = total - zeta_sym(s) * (Fraction(1, 2 ** (s - 2)) - 1)
+    return total
+
+
+def _hsum_half_sym(s):
+    total = zeta_sym(2 * s + 1) * Fraction(5, 2)
+    total = total + reductions.zeta_s1_reduce(2 * s + 1) * 2
+    for j in range(2, 2 * s + 1):
+        term = reductions.dzeta_reduce(j, 2 * s + 1 - j)
+        total = total + (term if j % 2 == 0 else -term)
+    return total * Fraction(1, 2)
+
+
+_CALLS = {
+    "Hrat": _CallSpec(_labels("Hrat"), exact=lambda n: exact.harmonic(n)),
+    "B": _CallSpec(_labels("B"), exact=lambda n: exact.bernoulli(n)),
+    "E": _CallSpec(_labels("E"), exact=lambda n: exact.euler_number(n)),
+    "fact": _CallSpec(_labels("fact"), lambda n: n >= 0, "factorial of a negative integer",
+                      exact=math.factorial),
+    "hyp2f1sp": _CallSpec(_labels("hyp2f1sp"), lambda n: n >= 1, "hyp2f1sp({}) needs n >= 1",
+                          exact=lambda n: exact.hyp2f1_special(n)),
+    "binom": _CallSpec(("binom n", "binom k"), exact=lambda n, k: exact.binomial(n, k)),
+    "abs": _CallSpec((None,), exact=_abs),
+    "zeta": _CallSpec(_labels("zeta"), lambda s: s == 0 or s >= 2, "zeta({}) diverges or is unsupported",
+                      num=lambda D, s: numerics._zeta_internal(s, D) if s else (_ZETA_0, None),
+                      sym=lambda s: zeta_sym(s) if s else _ZETA_0),
+    "L": _CallSpec(_labels("L"), lambda p, s: s >= 2 or (s == 1 and numerics.is_mean_zero(p)),
+                   "L_{}({}) diverges", num=lambda D, p, s: numerics._L_internal(p, s, D), sym=L_sym),
+    "dz": _CallSpec(_labels("dz", 2), lambda a, b: a >= 2 and b >= 1, "zeta({},{}) diverges",
+                    num=lambda D, a, b: numerics._dzeta_internal(a, b, D),
+                    sym=lambda a, b: reductions.dzeta_reduce(a, b)),
+    "cs": _CallSpec(_labels("cs", 2), lambda p, q, s, t: numerics._char_convergent(p, q, s, t),
+                    "[{},{}]({},{}) diverges",
+                    num=lambda D, p, q, s, t: numerics._char_em(p, q, s, t, D), sym=_cs_sym),
+    "W": _CallSpec(_labels("W", 3), lambda r, s, t: numerics.witten_convergent(r, s, t),
+                   "W({},{},{}) diverges",
+                   num=lambda D, r, s, t: numerics._witten_internal(r, s, t, D), sym=_witten_sym),
+    "hsum_odd": _CallSpec(_labels("hsum_odd"), lambda s: s >= 2, "hsum_odd({}) needs s >= 2",
+                          num=lambda D, s: numerics._harmonic_internal("odd_denom", s, D),
+                          sym=_hsum_odd_sym),
+    "hsum_half": _CallSpec(_labels("hsum_half"), lambda s: s >= 1, "hsum_half({}) needs s >= 1",
+                           num=lambda D, s: numerics._harmonic_internal("half_index", s, D),
+                           sym=_hsum_half_sym),
+}
+
+
+# -- public entry points -----------------------------------------------------
+
+
+def _walk_numeric(ast, bindings, ctx: EvalContext, where: str):
+    """(value, node count) of a bound AST at the current precision; PrecisionError
+    naming `where` when the accumulated bound exceeds (node count) * 10^-prec."""
+    w = _Numeric(ctx.work_digits)
+    value = w.run(ast, bindings)
+    if w.bound and w.bound > w.nodes * ctx.tolerance():
+        raise PrecisionError(
+            f"{where}: accumulated error bound {mp.nstr(w.bound, 3)} exceeds the "
+            f"node-count budget {w.nodes} x 10^-{ctx.prec}"
+        )
+    return value, w.nodes
 
 
 def eval_ast(ast, bindings, ctx: EvalContext):
     """Numeric value of a bound AST; error is at most (node count) * 10^-prec."""
-    ev = _NumEval(ctx)
     with mp.workdps(ctx.work_digits + 10):
-        val = ev.run(ast, dict(bindings))
-        val = ev.to_mpf(val)
-        if ev.bound > ev.nodes * ctx.tolerance():
-            raise PrecisionError("accumulated bound exceeds the node-count budget")
-        return val
+        return _to_mpf(_walk_numeric(ast, bindings, ctx, "expression")[0])
 
 
 def eval_ast_detailed(ast, bindings, ctx: EvalContext):
     """(value, bound, visited-node count); value may be an exact Fraction."""
-    ev = _NumEval(ctx)
+    w = _Numeric(ctx.work_digits)
     with mp.workdps(ctx.work_digits + 10):
-        val = ev.run(ast, dict(bindings))
-        return val, ev.bound, ev.nodes
-
-
-# ---------------------------------------------------------------------------
-# symbolic reduction
-# ---------------------------------------------------------------------------
+        val = w.run(ast, bindings)
+    return (Fraction(val) if type(val) is int else val), w.bound, w.nodes
 
 
 def reduce_ast(ast, bindings) -> ConstExpr:
     """Exact ConstExpr for a bound AST; NotReducible when any sub-object is
     outside the supported reduction scope."""
-    return _reduce(ast, dict(bindings))
-
-
-def _reduce(node, env) -> ConstExpr:
-    if isinstance(node, Lit):
-        return ConstExpr.rational(node.value)
-    if isinstance(node, Param):
-        return ConstExpr.rational(env[node.name])
-    if isinstance(node, Gen):
-        return ConstExpr.generator(node.name)
-    if isinstance(node, Neg):
-        return -_reduce(node.arg, env)
-    if isinstance(node, Sum):
-        lo = _eval_int(node.lo, env)
-        hi = _eval_int(node.hi, env)
-        total = ConstExpr.zero
-        inner = dict(env)
-        for i in range(lo, hi + 1):
-            inner[node.var] = i
-            total = total + _reduce(node.body, inner)
-        return total
-    if isinstance(node, BinOp):
-        a = _reduce(node.left, env)
-        b = _reduce(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b.is_rational():
-                r = b.rational_value()
-                if r == 0:
-                    raise DomainError("division by zero")
-                return a / r
-            return a.divide_exact(b)
-        if node.op == "^":
-            k = b.rational_value()
-            if k.denominator != 1:
-                raise NotReducible("non-integer exponent")
-            k = k.numerator
-            if k >= 0:
-                return a**k
-            if a.is_rational():
-                return ConstExpr.rational(a.rational_value() ** k)
-            return ConstExpr.rational(1).divide_exact(a ** (-k))
-    if isinstance(node, Call):
-        return _reduce_call(node, env)
-    raise NotReducible(f"cannot reduce node {node!r}")
-
-
-def _reduce_call(node: Call, env) -> ConstExpr:
-    name = node.name
-
-    def intarg(i):
-        v = _reduce(node.args[i], env)
-        r = v.rational_value()
-        if r.denominator != 1:
-            raise DomainError(f"{name} argument must be an integer")
-        return r.numerator
-
-    if name in _EXACT_CALLS:
-        return ConstExpr.rational(_EXACT_CALLS[name](intarg(0)))
-    if name == "binom":
-        return ConstExpr.rational(exact.binomial(intarg(0), intarg(1)))
-    if name == "abs":
-        v = _reduce(node.args[0], env)
-        return ConstExpr.rational(abs(v.rational_value()))
-    if name == "zeta":
-        s = intarg(0)
-        if s == 0:
-            return ConstExpr.rational(Fraction(-1, 2))
-        return zeta_sym(s)
-    if name == "L":
-        return L_sym(node.chars[0], intarg(0))
-    if name == "dz":
-        return reductions.dzeta_reduce(intarg(0), intarg(1))
-    if name == "cs":
-        p, q = node.chars
-        s, t = intarg(0), intarg(1)
-        if (p, q) == ("1", "1"):
-            return reductions.dzeta_reduce(s, t)
-        return reductions.alt_value_lookup((p, q, s, t))
-    if name == "W":
-        red = reductions.witten_reduce(intarg(0), intarg(1), intarg(2))
-        if isinstance(red, ConstExpr):
-            return red
-        raise NotReducible("Witten value leaves irreducible double zetas")
-    if name == "hsum_odd":
-        sigma = intarg(0)
-        s = sigma + 1
-        total = ConstExpr.zero
-        for j in range(2, s):
-            total = total + reductions.dzeta_reduce(j, s - j) * Fraction(1, 2 ** (j - 1))
-        coef = Fraction(1, 2 ** (s - 1)) - 1
-        log2zeta = ConstExpr.generator("log2") * zeta_sym(s - 1)
-        total = total - (reductions.zeta_s1_reduce(s) - log2zeta * 2) * coef
-        total = total - zeta_sym(s) * (Fraction(1, 2 ** (s - 2)) - 1)
-        return total
-    if name == "hsum_half":
-        s = intarg(0)
-        total = zeta_sym(2 * s + 1) * Fraction(5, 2)
-        total = total + reductions.zeta_s1_reduce(2 * s + 1) * 2
-        for j in range(2, 2 * s + 1):
-            term = reductions.dzeta_reduce(j, 2 * s + 1 - j)
-            total = total + (term if j % 2 == 0 else -term)
-        return total * Fraction(1, 2)
-    raise NotReducible(f"no reduction for call {name!r}")
+    v = _SYMBOLIC.run(ast, bindings)
+    return v if type(v) is ConstExpr else ConstExpr.rational(v)
 
 
 # ---------------------------------------------------------------------------
@@ -420,57 +441,46 @@ class VerifyReport:
 
 
 def _tolerance_for(nodes: int, ctx: EvalContext):
-    import math as _m
-
-    slack = _m.ceil(_m.log10(max(nodes, 1))) + 2
+    slack = math.ceil(math.log10(max(nodes, 1))) + 2
     return mpf(10) ** (-(ctx.prec - slack))
+
+
+def _report(ident: Identity, params: dict, mode: str, status: str, t0: float, **fields):
+    return VerifyReport(ident.ident, dict(params), mode, status, expect=ident.expect,
+                        seconds=time.perf_counter() - t0, **fields)
 
 
 def verify_numeric(ident: Identity, params: dict, ctx: EvalContext) -> VerifyReport:
     """Evaluate every equation of the identity at the binding; the residual is
     the worst |lhs - rhs|; pass iff residual <= 10^-(P - ceil(log10 nodes) - 2).
-    Equations whose two sides stay exact are compared with zero tolerance."""
+    Equations whose two sides stay exact are compared with zero tolerance.  A
+    side whose accumulated error bound exceeds its node count times 10^-P is
+    an error that names the side."""
     t0 = time.perf_counter()
     try:
         with mp.workdps(ctx.work_digits + 10):
             worst = mp.zero
             nodes = 0
             all_exact = True
-            for lhs, rhs in ident.parts:
-                lv, lb, ln = eval_ast_detailed(lhs, params, ctx)
-                rv, rb, rn = eval_ast_detailed(rhs, params, ctx)
+            for i, (lhs, rhs) in enumerate(ident.parts, 1):
+                lv, ln = _walk_numeric(lhs, params, ctx, f"equation {i}, left side")
+                rv, rn = _walk_numeric(rhs, params, ctx, f"equation {i}, right side")
                 nodes += ln + rn
-                if isinstance(lv, Fraction) and isinstance(rv, Fraction):
+                if isinstance(lv, _EXACT) and isinstance(rv, _EXACT):
                     if lv != rv:
-                        return VerifyReport(
-                            ident.ident, dict(params), "numeric", "fail",
-                            residual=str(lv - rv), tol="0", exact=False,
-                            expect=ident.expect, seconds=time.perf_counter() - t0,
-                        )
+                        return _report(ident, params, "numeric", "fail", t0,
+                                       residual=str(lv - rv), tol="0", exact=False)
                     continue
                 all_exact = False
-                lvm = lv if not isinstance(lv, Fraction) else mpf(lv.numerator) / lv.denominator
-                rvm = rv if not isinstance(rv, Fraction) else mpf(rv.numerator) / rv.denominator
-                worst = max(worst, abs(lvm - rvm))
+                worst = max(worst, abs(_to_mpf(lv) - _to_mpf(rv)))
             if all_exact:
-                return VerifyReport(
-                    ident.ident, dict(params), "numeric", "pass",
-                    residual="0", tol="0", exact=True,
-                    expect=ident.expect, seconds=time.perf_counter() - t0,
-                )
+                return _report(ident, params, "numeric", "pass", t0, residual="0", tol="0", exact=True)
             tol = _tolerance_for(nodes, ctx)
-            status = "pass" if worst <= tol else "fail"
-            return VerifyReport(
-                ident.ident, dict(params), "numeric", status,
-                residual=mp.nstr(worst, 6, strip_zeros=False),
-                tol=mp.nstr(tol, 3), exact=False,
-                expect=ident.expect, seconds=time.perf_counter() - t0,
-            )
+            return _report(ident, params, "numeric", "pass" if worst <= tol else "fail", t0,
+                           residual=mp.nstr(worst, 6, strip_zeros=False), tol=mp.nstr(tol, 3),
+                           exact=False)
     except (DomainError, NotReducible, PrecisionError, OverflowError, ZeroDivisionError) as exc:
-        return VerifyReport(
-            ident.ident, dict(params), "numeric", "error",
-            expect=ident.expect, seconds=time.perf_counter() - t0, error=str(exc),
-        )
+        return _report(ident, params, "numeric", "error", t0, error=str(exc))
 
 
 def verify_symbolic(ident: Identity, params: dict) -> VerifyReport:
@@ -482,25 +492,13 @@ def verify_symbolic(ident: Identity, params: dict) -> VerifyReport:
             le = reduce_ast(lhs, params)
             re_ = reduce_ast(rhs, params)
             if le != re_:
-                return VerifyReport(
-                    ident.ident, dict(params), "symbolic", "fail",
-                    residual=(le - re_).render(), exact=False,
-                    expect=ident.expect, seconds=time.perf_counter() - t0,
-                )
-        return VerifyReport(
-            ident.ident, dict(params), "symbolic", "pass", exact=True,
-            expect=ident.expect, seconds=time.perf_counter() - t0,
-        )
+                return _report(ident, params, "symbolic", "fail", t0,
+                               residual=(le - re_).render(), exact=False)
+        return _report(ident, params, "symbolic", "pass", t0, exact=True)
     except NotReducible as exc:
-        return VerifyReport(
-            ident.ident, dict(params), "symbolic", "numeric-only",
-            expect=ident.expect, seconds=time.perf_counter() - t0, error=str(exc),
-        )
+        return _report(ident, params, "symbolic", "numeric-only", t0, error=str(exc))
     except (DomainError, PrecisionError) as exc:
-        return VerifyReport(
-            ident.ident, dict(params), "symbolic", "error",
-            expect=ident.expect, seconds=time.perf_counter() - t0, error=str(exc),
-        )
+        return _report(ident, params, "symbolic", "error", t0, error=str(exc))
 
 
 def enumerate_bindings(ident: Identity, max_param: int):

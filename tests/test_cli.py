@@ -1,6 +1,13 @@
 """Command-line interface: subcommands, exit codes, output stability."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import mzv
 from mzv.cli import main
 
 
@@ -44,6 +51,26 @@ def test_reduce(capsys):
 def test_reduce_not_reducible_exit_3(capsys):
     code, _, err = run(capsys, "reduce", "dz(5,3)")
     assert code == 3 and "not reducible" in err
+
+
+@pytest.mark.parametrize("expr, call", [
+    ("zeta(1)", "zeta(1)"), ("hsum_odd(1)", "hsum_odd(1)"), ("hsum_half(0)", "hsum_half(0)"),
+    ("dz(1,2)", "zeta(1,2)"), ("W(0,0,1)", "W(0,0,1)"),
+])
+def test_reduce_out_of_domain_is_usage_error(capsys, expr, call):
+    # a divergent call is bad input (exit 2, as for eval), not "not reducible" (3)
+    code, out, err = run(capsys, "reduce", expr)
+    assert code == 2 and out == "" and err.startswith(f"error: {call}")
+    assert run(capsys, "eval", expr)[0] == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(mzv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "mzv", "reduce", "dz(3,2)"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1/2*pi^2*z3 - 11/2*z5"
 
 
 def test_bernoulli_euler(capsys):

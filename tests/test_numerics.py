@@ -347,6 +347,16 @@ def test_fixed_point_tail_rows_bracket_the_kernel():
         sign, man, exp, _ = x._mpf_
         return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
 
+    def fixed_floor(x, num, den, W):
+        # floor(x * num / den * 2^W), exactly, for an mpf x and ints num, den > 0
+        sign, man, exp, _ = x._mpf_
+        if sign:
+            man = -man
+        shift = exp + W
+        if shift >= 0:
+            return (man * num << shift) // den
+        return man * num // (den << -shift)
+
     sample = {  # D -> (exponents within the rows' range, exponents with direct terms)
         20: ((2, 3, 5, 17, 40, 72), (150, 250)),
         50: ((2, 3, 7, 30, 64, 111), ()),
@@ -367,8 +377,8 @@ def test_fixed_point_tail_rows_bracket_the_kernel():
                 v, b = numerics.class_tail(r, u, N, D)
                 scale = N**u * 2**W
                 floor_v = math.floor(exact(v) * scale)
-                assert numerics._fixed_floor(v, N**u, 1, W) == floor_v
-                assert numerics._fixed_floor(v, -(N**u), 1, W) == math.floor(-exact(v) * scale)
+                assert fixed_floor(v, N**u, 1, W) == floor_v
+                assert fixed_floor(v, -(N**u), 1, W) == math.floor(-exact(v) * scale)
                 kernel_units = math.ceil(exact(b) * scale)
                 assert abs(G[u] - floor_v) <= B[u] + kernel_units + 1, (D, r, u)
                 assert B[u] <= 2 * (kernel_units + 2), (D, r, u)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from mzv.errors import NotReducible
+from mzv.errors import DomainError, NotReducible
 from mzv.numerics import dzeta_num, char_dzeta_num, expr_num
 from mzv.symexpr import PI, LOG2, LI4H, ConstExpr, L_sym, beta_sym, pi_power, zeta_sym
 
@@ -21,6 +21,13 @@ def test_zeta_sym_odd_is_generator():
     z5 = zeta_sym(5)
     assert z5 == ConstExpr.generator(("z", 5))
     assert z5.render() == "z5"
+
+
+def test_zeta_sym_domain_error():
+    # a typed error (DomainError is a ValueError), so the CLI reports bad input
+    for s in (1, 0, -3):
+        with pytest.raises(DomainError, match=rf"zeta_sym\({s}\) needs s >= 2"):
+            zeta_sym(s)
 
 
 def test_beta_sym():

@@ -1,14 +1,16 @@
 """AST evaluation/reduction and the verification drivers."""
+import math
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
-from mzv.corpus import parse_corpus, parse_expr
-from mzv.errors import NotReducible
+from mzv import exact, numerics, reductions, verify
+from mzv.corpus import ARITY, BinOp, Call, Gen, Lit, Neg, Param, Sum, parse_corpus, parse_expr
+from mzv.errors import DomainError, NotReducible, PrecisionError
 from mzv.numerics import EvalContext, zeta_num
 from mzv.reductions import dzeta_reduce
-from mzv.symexpr import ConstExpr, pi_power, zeta_sym
+from mzv.symexpr import ConstExpr, L_sym, pi_power, zeta_sym
 from mzv.verify import (
     SuiteConfig,
     enumerate_bindings,
@@ -160,3 +162,435 @@ def test_precision_scaling_residuals_shrink():
             res[prec] = mpf(r.residual)
         floor = mpf(10) ** -75
         assert res[30] / max(res[50], floor) >= mpf(10) ** 8, (cid, res)
+
+
+def test_exact_values_stay_exact(ctx40):
+    # exact results are Fractions at the boundary, never floats or ints
+    for text, want in (("2^(0-3)", Fraction(1, 8)), ("1/3", Fraction(1, 3)),
+                       ("2*3 - 6/3", Fraction(4)), ("binom(6,3)/fact(3)", Fraction(10, 3)),
+                       ("(0-2)^(0-3)", Fraction(-1, 8)), ("sum(j=1..4, 1/j)", Fraction(25, 12))):
+        val, bound, nodes = eval_ast_detailed(parse_expr(text), {}, ctx40)
+        assert type(val) is Fraction and val == want, text
+        assert bound == 0 and nodes > 0
+        assert reduce_ast(parse_expr(text), {}) == ConstExpr.rational(want), text
+
+
+def test_call_table_matches_the_parser_arity():
+    assert set(verify._CALLS) == set(ARITY)
+    for name, spec in verify._CALLS.items():
+        assert len(spec.labels) == ARITY[name][1], name
+
+
+def test_verify_numeric_reports_a_side_over_its_bound_budget(ctx40, monkeypatch):
+    (ident,) = parse_corpus("identity T : 1 == 1 ; 2*zeta(3) == zeta(3) + zeta(3)")
+    assert verify_numeric(ident, {}, ctx40).status == "pass"
+    real = numerics._zeta_internal
+    monkeypatch.setattr(numerics, "_zeta_internal", lambda s, D: (real(s, D)[0], mpf(1)))
+    r = verify_numeric(ident, {}, ctx40)
+    assert r.status == "error"
+    assert r.error.startswith("equation 2, left side: accumulated error bound 1.0 exceeds")
+    (ident,) = parse_corpus("identity T : 3 == zeta(3) - zeta(3) + 3")
+    r = verify_numeric(ident, {}, ctx40)
+    assert r.status == "error" and r.error.startswith("equation 1, right side:")
+    with pytest.raises(PrecisionError):
+        eval_ast(parse_expr("zeta(3)"), {}, ctx40)
+
+
+@pytest.mark.parametrize("text", ["zeta(1)", "hsum_odd(1)", "hsum_half(0)", "dz(1,2)",
+                                  "W(0,0,1)", "L(1,1)", "cs(1,1;1,2)", "fact(0-1)",
+                                  "hyp2f1sp(0)"])
+def test_domain_checks_run_in_both_modes(ctx40, text):
+    ast = parse_expr(text)
+    with pytest.raises(DomainError) as num:
+        eval_ast_detailed(ast, {}, ctx40)
+    with pytest.raises(DomainError) as sym:
+        reduce_ast(ast, {})
+    assert str(num.value) == str(sym.value)
+
+
+def _outcome(fn):
+    try:
+        return "ok", fn()
+    except (DomainError, NotReducible, PrecisionError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _bits(v):
+    return v._mpf_ if isinstance(v, mpf) else (type(v), v)
+
+
+def test_walks_match_the_reference_walk_on_the_corpus(ctx40):
+    """Every side of every corpus identity at max-param <= 5, against the
+    isinstance-chain walk below: numeric value, bound and node count bits, and
+    symbolic ConstExpr, or else the same exception text."""
+    checked = 0
+    for ident in load_corpus():
+        for binding in enumerate_bindings(ident, 5):
+            for side in {id(x): x for part in ident.parts for x in part}.values():
+                def ref_num():
+                    ev = _RefNumEval(ctx40)
+                    with mp.workdps(ctx40.work_digits + 10):
+                        v = ev.run(side, dict(binding))
+                    return _bits(v), _bits(ev.bound), ev.nodes
+
+                def new_num():
+                    v, b, n = eval_ast_detailed(side, binding, ctx40)
+                    return _bits(v), _bits(b), n
+
+                assert _outcome(new_num) == _outcome(ref_num), (ident.ident, binding)
+                assert _outcome(lambda: reduce_ast(side, binding)) == _outcome(
+                    lambda: _ref_reduce(side, dict(binding))
+                ), (ident.ident, binding)
+                checked += 1
+    assert checked > 400
+
+
+_ODD_INPUTS = (
+    "zeta(1/2)", "dz(pi,2)", "2^(1/2)", "1/0", "pi/0", "sum(j=1..1/2, j)", "sum(j=1..B(2), j)",
+    "sum(j=1..pi, j)", "abs(pi)", "pi^pi", "2^pi", "(pi-pi)/(pi-pi)", "(pi-pi)^(0-1)", "B(1/2)",
+    "binom(1/2, 1)", "binom(3, zeta(2))", "zeta(zeta(0)*(0-4))", "sum(j=1..3, j/(j-2))",
+    "sum(j=1..(0^(0-1)), j)", "pi/(pi/pi - 1)", "(pi*zeta(3))/zeta(3)", "(pi+1)/pi",
+    "(2*pi)^(0-2)*pi^2", "dz(5,3)/dz(5,3)", "W(2,2,4)*0", "cs(2b,1;1,1)", "B(0-2)", "L(2b,1)",
+    "sum(j=3..1, pi)", "li4h^2/li4h", "(pi-pi)^0", "0^0", "binom(0-1, 2)",
+)
+
+
+@pytest.mark.parametrize("text", _ODD_INPUTS)
+def test_odd_inputs_match_the_reference_walk(ctx30, text):
+    # values, bounds, node counts and error texts off the corpus's beaten path
+    ast = parse_expr(text)
+
+    def ref_num():
+        ev = _RefNumEval(ctx30)
+        with mp.workdps(ctx30.work_digits + 10):
+            v = ev.run(ast, {})
+        return _bits(v), _bits(ev.bound), ev.nodes
+
+    def new_num():
+        v, b, n = eval_ast_detailed(ast, {}, ctx30)
+        return _bits(v), _bits(b), n
+
+    assert _outcome(new_num) == _outcome(ref_num)
+    assert _outcome(lambda: reduce_ast(ast, {})) == _outcome(lambda: _ref_reduce(ast, {}))
+
+
+# ---------------------------------------------------------------------------
+# the original isinstance-chain walk (numeric and symbolic), kept as the
+# reference that the table-driven walk must reproduce
+# ---------------------------------------------------------------------------
+
+
+def _ref_eval_int(node, env) -> int:
+    """Exact integer evaluation for sum bounds (params, ints, + - * / ^)."""
+    v = _ref_eval_exact(node, env)
+    if v.denominator != 1:
+        raise DomainError(f"sum bound is not an integer: {v}")
+    return v.numerator
+
+
+def _ref_eval_exact(node, env) -> Fraction:
+    if isinstance(node, Lit):
+        return node.value
+    if isinstance(node, Param):
+        return Fraction(env[node.name])
+    if isinstance(node, Neg):
+        return -_ref_eval_exact(node.arg, env)
+    if isinstance(node, BinOp):
+        a = _ref_eval_exact(node.left, env)
+        b = _ref_eval_exact(node.right, env)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            if b == 0:
+                raise DomainError("division by zero in bound expression")
+            return a / b
+        if node.op == "^":
+            if b.denominator != 1:
+                raise DomainError("non-integer exponent in bound expression")
+            return a ** b.numerator
+    raise DomainError(f"node not allowed in an integer bound: {node!r}")
+
+
+_REF_EXACT_CALLS = {
+    "Hrat": lambda n: exact.harmonic(n),
+    "B": lambda n: exact.bernoulli(n),
+    "E": lambda n: Fraction(exact.euler_number(n)),
+    "fact": lambda n: Fraction(_ref_exact_factorial(n)),
+    "hyp2f1sp": lambda n: exact.hyp2f1_special(n),
+}
+
+
+def _ref_exact_factorial(n: int) -> int:
+    if n < 0:
+        raise DomainError("factorial of a negative integer")
+    return math.factorial(n)
+
+
+def _ref_as_int(v, what: str) -> int:
+    if isinstance(v, Fraction):
+        if v.denominator == 1:
+            return v.numerator
+        raise DomainError(f"{what} must be an integer, got {v}")
+    raise DomainError(f"{what} must be exact, got a float value")
+
+
+class _RefNumEval:
+    """Numeric evaluator carrying (value, bound); values are Fraction or mpf."""
+
+    def __init__(self, ctx: EvalContext):
+        self.ctx = ctx
+        self.D = ctx.work_digits
+        self.nodes = 0
+        self.bound = mp.zero
+
+    def to_mpf(self, v):
+        if isinstance(v, Fraction):
+            return mpf(v.numerator) / v.denominator
+        return v
+
+    def run(self, node, env):
+        self.nodes += 1
+        if isinstance(node, Lit):
+            return node.value
+        if isinstance(node, Param):
+            return Fraction(env[node.name])
+        if isinstance(node, Gen):
+            v, b = numerics._generator_internal(node.name, self.D)
+            self.bound += b
+            return v
+        if isinstance(node, Neg):
+            return -self.run(node.arg, env)
+        if isinstance(node, Sum):
+            lo = _ref_eval_int(node.lo, env)
+            hi = _ref_eval_int(node.hi, env)
+            total = Fraction(0)
+            inner = dict(env)
+            for i in range(lo, hi + 1):
+                inner[node.var] = i
+                term = self.run(node.body, inner)
+                if isinstance(total, Fraction) and isinstance(term, Fraction):
+                    total = total + term
+                else:
+                    total = self.to_mpf(total) + self.to_mpf(term)
+            return total
+        if isinstance(node, BinOp):
+            a = self.run(node.left, env)
+            b = self.run(node.right, env)
+            return self._binop(node.op, a, b)
+        if isinstance(node, Call):
+            return self._call(node, env)
+        raise DomainError(f"cannot evaluate node {node!r}")
+
+    def _binop(self, op, a, b):
+        both_exact = isinstance(a, Fraction) and isinstance(b, Fraction)
+        if op == "^":
+            if not isinstance(b, Fraction):
+                raise DomainError("exponent must be exact")
+            k = _ref_as_int(b, "exponent")
+            if isinstance(a, Fraction):
+                if a == 0 and k < 0:
+                    raise DomainError("0 raised to a negative power")
+                return a**k
+            return a**k
+        if both_exact:
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a - b
+            if op == "*":
+                return a * b
+            if b == 0:
+                raise DomainError("exact division by zero")
+            return a / b
+        am, bm = self.to_mpf(a), self.to_mpf(b)
+        if op == "+":
+            return am + bm
+        if op == "-":
+            return am - bm
+        if op == "*":
+            return am * bm
+        if bm == 0:
+            raise DomainError("division by zero")
+        return am / bm
+
+    def _call(self, node: Call, env):
+        name = node.name
+        if name in _REF_EXACT_CALLS:
+            n = _ref_as_int(_ref_eval_exact_arg(self, node.args[0], env), f"{name} argument")
+            return _REF_EXACT_CALLS[name](n)
+        if name == "binom":
+            n = _ref_as_int(_ref_eval_exact_arg(self, node.args[0], env), "binom n")
+            k = _ref_as_int(_ref_eval_exact_arg(self, node.args[1], env), "binom k")
+            return Fraction(exact.binomial(n, k))
+        if name == "abs":
+            v = self.run(node.args[0], env)
+            return abs(v)
+        if name == "zeta":
+            s = _ref_as_int(_ref_eval_exact_arg(self, node.args[0], env), "zeta argument")
+            if s == 0:
+                return Fraction(-1, 2)
+            if s < 2:
+                raise DomainError(f"zeta({s}) diverges or is unsupported")
+            v, b = numerics._zeta_internal(s, self.D)
+            self.bound += b
+            return v
+        if name == "L":
+            s = _ref_as_int(_ref_eval_exact_arg(self, node.args[0], env), "L argument")
+            p = node.chars[0]
+            if s < 2 and not (s == 1 and numerics.is_mean_zero(p)):
+                raise DomainError(f"L_{p}({s}) diverges")
+            v, b = numerics._L_internal(p, s, self.D)
+            self.bound += b
+            return v
+        if name == "dz":
+            a = _ref_as_int(_ref_eval_exact_arg(self, node.args[0], env), "dz argument")
+            bb = _ref_as_int(_ref_eval_exact_arg(self, node.args[1], env), "dz argument")
+            if a < 2 or bb < 1:
+                raise DomainError(f"zeta({a},{bb}) diverges")
+            v, b = numerics._dzeta_internal(a, bb, self.D)
+            self.bound += b
+            return v
+        if name == "cs":
+            s = _ref_as_int(_ref_eval_exact_arg(self, node.args[0], env), "cs argument")
+            t = _ref_as_int(_ref_eval_exact_arg(self, node.args[1], env), "cs argument")
+            p, q = node.chars
+            if not numerics._char_convergent(p, q, s, t):
+                raise DomainError(f"[{p},{q}]({s},{t}) diverges")
+            v, b = numerics._char_em(p, q, s, t, self.D)
+            self.bound += b
+            return v
+        if name == "W":
+            r = _ref_as_int(_ref_eval_exact_arg(self, node.args[0], env), "W argument")
+            s = _ref_as_int(_ref_eval_exact_arg(self, node.args[1], env), "W argument")
+            t = _ref_as_int(_ref_eval_exact_arg(self, node.args[2], env), "W argument")
+            if not numerics.witten_convergent(r, s, t):
+                raise DomainError(f"W({r},{s},{t}) diverges")
+            v, b = numerics._witten_internal(r, s, t, self.D)
+            self.bound += b
+            return v
+        if name in ("hsum_odd", "hsum_half"):
+            s = _ref_as_int(_ref_eval_exact_arg(self, node.args[0], env), f"{name} argument")
+            kind = "odd_denom" if name == "hsum_odd" else "half_index"
+            v, b = numerics._harmonic_internal(kind, s, self.D)
+            self.bound += b
+            return v
+        raise DomainError(f"unknown call {name!r}")
+
+
+def _ref_eval_exact_arg(ev: _RefNumEval, node, env):
+    v = ev.run(node, env)
+    if isinstance(v, Fraction):
+        return v
+    raise DomainError("argument must be exact")
+
+
+def _ref_reduce(node, env) -> ConstExpr:
+    if isinstance(node, Lit):
+        return ConstExpr.rational(node.value)
+    if isinstance(node, Param):
+        return ConstExpr.rational(env[node.name])
+    if isinstance(node, Gen):
+        return ConstExpr.generator(node.name)
+    if isinstance(node, Neg):
+        return -_ref_reduce(node.arg, env)
+    if isinstance(node, Sum):
+        lo = _ref_eval_int(node.lo, env)
+        hi = _ref_eval_int(node.hi, env)
+        total = ConstExpr.zero
+        inner = dict(env)
+        for i in range(lo, hi + 1):
+            inner[node.var] = i
+            total = total + _ref_reduce(node.body, inner)
+        return total
+    if isinstance(node, BinOp):
+        a = _ref_reduce(node.left, env)
+        b = _ref_reduce(node.right, env)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            if b.is_rational():
+                r = b.rational_value()
+                if r == 0:
+                    raise DomainError("division by zero")
+                return a / r
+            return a.divide_exact(b)
+        if node.op == "^":
+            k = b.rational_value()
+            if k.denominator != 1:
+                raise NotReducible("non-integer exponent")
+            k = k.numerator
+            if k >= 0:
+                return a**k
+            if a.is_rational():
+                return ConstExpr.rational(a.rational_value() ** k)
+            return ConstExpr.rational(1).divide_exact(a ** (-k))
+    if isinstance(node, Call):
+        return _ref_reduce_call(node, env)
+    raise NotReducible(f"cannot reduce node {node!r}")
+
+
+def _ref_reduce_call(node: Call, env) -> ConstExpr:
+    name = node.name
+
+    def intarg(i):
+        v = _ref_reduce(node.args[i], env)
+        r = v.rational_value()
+        if r.denominator != 1:
+            raise DomainError(f"{name} argument must be an integer")
+        return r.numerator
+
+    if name in _REF_EXACT_CALLS:
+        return ConstExpr.rational(_REF_EXACT_CALLS[name](intarg(0)))
+    if name == "binom":
+        return ConstExpr.rational(exact.binomial(intarg(0), intarg(1)))
+    if name == "abs":
+        v = _ref_reduce(node.args[0], env)
+        return ConstExpr.rational(abs(v.rational_value()))
+    if name == "zeta":
+        s = intarg(0)
+        if s == 0:
+            return ConstExpr.rational(Fraction(-1, 2))
+        return zeta_sym(s)
+    if name == "L":
+        return L_sym(node.chars[0], intarg(0))
+    if name == "dz":
+        return reductions.dzeta_reduce(intarg(0), intarg(1))
+    if name == "cs":
+        p, q = node.chars
+        s, t = intarg(0), intarg(1)
+        if (p, q) == ("1", "1"):
+            return reductions.dzeta_reduce(s, t)
+        return reductions.alt_value_lookup((p, q, s, t))
+    if name == "W":
+        red = reductions.witten_reduce(intarg(0), intarg(1), intarg(2))
+        if isinstance(red, ConstExpr):
+            return red
+        raise NotReducible("Witten value leaves irreducible double zetas")
+    if name == "hsum_odd":
+        sigma = intarg(0)
+        s = sigma + 1
+        total = ConstExpr.zero
+        for j in range(2, s):
+            total = total + reductions.dzeta_reduce(j, s - j) * Fraction(1, 2 ** (j - 1))
+        coef = Fraction(1, 2 ** (s - 1)) - 1
+        log2zeta = ConstExpr.generator("log2") * zeta_sym(s - 1)
+        total = total - (reductions.zeta_s1_reduce(s) - log2zeta * 2) * coef
+        total = total - zeta_sym(s) * (Fraction(1, 2 ** (s - 2)) - 1)
+        return total
+    if name == "hsum_half":
+        s = intarg(0)
+        total = zeta_sym(2 * s + 1) * Fraction(5, 2)
+        total = total + reductions.zeta_s1_reduce(2 * s + 1) * 2
+        for j in range(2, 2 * s + 1):
+            term = reductions.dzeta_reduce(j, 2 * s + 1 - j)
+            total = total + (term if j % 2 == 0 else -term)
+        return total * Fraction(1, 2)
+    raise NotReducible(f"no reduction for call {name!r}")
