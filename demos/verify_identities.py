@@ -1,7 +1,7 @@
 """Run the shipped identity corpus through the numeric verifier.
 
 Uses a reduced parameter sweep so the demo finishes in a few seconds; the
-acceptance-grade run is `mzv verify --max-param 10 --prec 40` (or the whole
+acceptance-grade run is `mzv --prec 40 verify --max-param 10` (or the whole
 pytest suite).
 """
 from mzv.verify import SuiteConfig, run_suite

@@ -20,14 +20,25 @@ one weight, memoized on that tuple of rows (`_span_checks`), so it is rebuilt
 only when a candidate is emitted; a relation is in the span iff every check
 row is orthogonal to it.
 
-The exact algebra is precomputed where it does not depend on the candidate.
+The exact algebra is precomputed where it does not depend on the candidate,
+so the per-candidate work is integer dot products.
+Anchor tables: per anchor weight w = 4..7 and j-parity, `_anchor_table` holds
+the integer vanishing rows (one per non-zeta(w) monomial of the reductions of
+zeta(j, w-j)) and the integer target row, over one denominator.  Weights x_j
+pass the vanishing conditions iff every row dots to 0 with x, and then
+f(w) = target . x / den.  A candidate's weights come as integers over one
+denominator (`_scaled_weights`), so its fit is dot products with these rows.
+Condition vectors: at a pool value x = p/q the rows give the integer vector
+V_i = sum_j row_i[j] p^j q^(w-1-j), a positive multiple of the rows evaluated
+at x; one search run builds them once per anchor key (`_ConditionVectors`)
+for the power and affine stages.
 Fit plans: the f(s) fit over F_SPAN eliminates each basis-subset matrix once
 per tuple of anchor s-values, keeping the solution rows and the integer
-left-null rows, so fitting a candidate is integer dot products.  Keyed affine
-pairing: b^j + c^s d^j can only pass the vanishing conditions when, at every
-anchor weight, the condition vectors of b and d are both zero or both nonzero
-and parallel; keying each pool value by the primitive integer directions of
-its vectors, d runs only over b's key group instead of the whole pool.
+left-null rows.  Keyed affine pairing: b^j + c^s d^j can only pass the
+vanishing conditions when, at every anchor weight, the condition vectors of b
+and d are both zero or both nonzero and parallel; keying each pool value by
+the primitive integer directions of its vectors, d runs only over b's key
+group instead of the whole pool.
 Symmetric-even f(s): for the weight d^j + d^(s-j), f(s) = P_s(d) with P_s a
 polynomial whose coefficients are fixed once per s (`_symmetric_even_poly`).
 """
@@ -42,7 +53,8 @@ from operator import mul
 
 from mpmath import mp, mpf
 
-from .errors import DomainError
+from . import numerics
+from .errors import DomainError, PrecisionError
 from .exact import _rref
 from .reductions import dzeta_reduce
 from .symexpr import ConstExpr, zeta_sym
@@ -283,10 +295,11 @@ def _primitive_ints(ints):
 
 def _int_powers(x, n: int):
     """([p^0 .. p^n], [q^0 .. q^n]) for a rational x = p/q, by running products."""
+    p, q = x.numerator, x.denominator
     num, den = [1], [1]
     for _ in range(n):
-        num.append(num[-1] * x.numerator)
-        den.append(den[-1] * x.denominator)
+        num.append(num[-1] * p)
+        den.append(den[-1] * q)
     return num, den
 
 
@@ -440,21 +453,23 @@ def _span_checks(rows: tuple, n: int):
 
 
 def height_rationals(H: int, include_zero: bool = False):
-    """All reduced p/q with 1 <= |p| <= H, 1 <= q <= H (plus 0 on request)."""
-    out = [Fraction(0)] if include_zero else []
-    seen = set()
-    for q in range(1, H + 1):
-        for p in range(1, H + 1):
-            fr = Fraction(p, q)
-            if fr not in seen:
-                seen.add(fr)
-                out.extend((fr, -fr))
-    return sorted(out)
+    """All reduced p/q with 1 <= |p| <= H, 1 <= q <= H (plus 0 on request), sorted."""
+    return list(_height_pool(H, include_zero))
+
+
+@functools.lru_cache(maxsize=8)
+def _height_pool(H: int, include_zero: bool):
+    out = {Fraction(p, q) for q in range(1, H + 1) for p in range(1, H + 1)}
+    out |= {-x for x in out}
+    if include_zero:
+        out.add(Fraction(0))
+    return tuple(sorted(out))
 
 
 def _vanishing_polys(w: int, j_parity: str = "any"):
     """Per non-target monomial m: {j: coefficient of m in zeta(j, w-j)}, so the
-    vanishing condition for weights x^j is sum_j coef * x^j = 0."""
+    vanishing condition for weights x^j is sum_j coef * x^j = 0; and
+    {j: coefficient of zeta(w)'s monomial in zeta(j, w-j)}."""
     zmono = tuple(zeta_sym(w).terms)[0]
     polys: dict = {}
     targets: dict = {}
@@ -469,8 +484,77 @@ def _vanishing_polys(w: int, j_parity: str = "any"):
     return polys, targets
 
 
-def _poly_at(poly: dict, x: Fraction) -> Fraction:
-    return sum((c * x**j for j, c in poly.items()), Fraction(0))
+@functools.cache
+def _anchor_table(w: int, j_parity: str):
+    """The exact anchor at weight w as integers: (js, rows, target, den).
+
+    js are the j columns (2 <= j <= w-1 of the parity); rows holds one integer
+    row over js per non-zeta(w) monomial of the reductions of zeta(j, w-j),
+    all scaled by one positive integer; target is an integer row.  For weights
+    x_j, sum_j x_j zeta(j, w-j) is a rational multiple of zeta(w) iff every row
+    dots to 0 with x, and the multiple is then f(w) = target . x / den."""
+    polys, targets = _vanishing_polys(w, j_parity)
+    js = tuple(j for j in range(2, w) if _parity_ok(j, j_parity))
+    flat, _ = _integer_scale([poly.get(j, 0) for poly in polys.values() for j in js])
+    rows = tuple(tuple(flat[k : k + len(js)]) for k in range(0, len(flat), len(js)))
+    (zcoef,) = zeta_sym(w).terms.values()
+    target, den = _integer_scale([targets.get(j, 0) / zcoef for j in js])
+    return js, rows, tuple(target), den
+
+
+def _condition_vector(w: int, j_parity: str, x: Fraction):
+    """V_i = sum_j rows[i][j] p^j q^(w-1-j) at x = p/q: the vanishing rows of
+    the anchor table evaluated at the weights x^j, times q^(w-1) > 0."""
+    js, rows, _, _ = _anchor_table(w, j_parity)
+    num, den = _int_powers(x, w - 1)
+    terms = [num[j] * den[w - 1 - j] for j in js]
+    return tuple(sum(map(mul, row, terms)) for row in rows)
+
+
+def _conditioned(anchors, j_parity: str):
+    """The anchor weights with at least one vanishing row."""
+    return [w for w in anchors if _anchor_table(w, j_parity)[1]]
+
+
+class _ConditionVectors:
+    """The condition vectors of the height-H pool per anchor key (w, j-parity),
+    each key built on first use; one search run shares them between its
+    power and affine stages."""
+
+    def __init__(self, H: int):
+        self.pool = height_rationals(H)
+        self._at: dict = {}
+
+    def at(self, w: int, j_parity: str) -> dict:
+        """{x: condition vector at (w, j_parity)} over the pool."""
+        vecs = self._at.get((w, j_parity))
+        if vecs is None:
+            vecs = self._at[w, j_parity] = {
+                x: _condition_vector(w, j_parity, x) for x in self.pool
+            }
+        return vecs
+
+
+def _anchor_f(w: int, j_parity: str, ints, den: int):
+    """`weighted_sum_f` at an anchor from integer weights: the f with
+    sum_j ints[i] / den * zeta(j, w-j) = f zeta(w) over the table's js, or None."""
+    _, rows, target, tden = _anchor_table(w, j_parity)
+    if any(sum(map(mul, row, ints)) for row in rows):
+        return None
+    return Fraction(sum(map(mul, target, ints)), tden * den)
+
+
+def _anchor_fit(cand: CandidateIdentity, anchors):
+    """The F_SPAN fit of the candidate's f from its weights at the anchors, or
+    None when they fail a vanishing condition at one of them."""
+    points = []
+    for w in anchors:
+        js = _anchor_table(w, cand.j_parity)[0]
+        f = _anchor_f(w, cand.j_parity, *cand._scaled_weights(w, js))
+        if f is None:
+            return None
+        points.append((w, f))
+    return fit_span_minimal(points)
 
 
 def solve_power_base(w: int, H: int = 16, j_parity: str = "any"):
@@ -478,12 +562,10 @@ def solve_power_base(w: int, H: int = 16, j_parity: str = "any"):
     every non-zeta(w) coefficient of sum_j a^j zeta(j, w-j) vanishes."""
     if w not in (5, 6, 7):
         raise DomainError("power-base solving uses weights 5..7")
-    polys, _ = _vanishing_polys(w, j_parity)
-    return sorted(
-        a
-        for a in height_rationals(H, include_zero=True)
-        if all(_poly_at(p, a) == 0 for p in polys.values())
-    )
+    return [
+        a for a in height_rationals(H, include_zero=True)
+        if not any(_condition_vector(w, j_parity, a))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -517,71 +599,54 @@ def _screen_params(cand: CandidateIdentity):
 
 def numeric_screen(cand: CandidateIdentity, prec: int = 40, tol_exp: int = 25) -> bool:
     """Reject-only numeric check of a candidate at two parameters beyond the
-    exact range (tolerance 10^-tol_exp)."""
-    from . import numerics
-
+    exact range (tolerance 10^-tol_exp).  The error bounds of the evaluated
+    terms are added up, weighted like the terms; PrecisionError when their sum
+    does not lie below the tolerance, since the check could then reject a true
+    identity."""
     D = prec + 10
     with mp.workdps(D + 10):
         tol = mpf(10) ** (-tol_exp)
         for sp in _screen_params(cand):
-            total = mp.zero
+            total = bound = mp.zero
             lo, off = cand.jrange
-            if cand.arg_style == "even":
-                for j in range(lo, sp - off + 1):
-                    c = cand.weight(sp, j)
-                    if c:
-                        v, _ = numerics._dzeta_internal(2 * j, 2 * sp - 2 * j, D)
-                        total += mpf(c.numerator) / c.denominator * v
-                zv, _ = numerics._zeta_internal(2 * sp, D)
-            else:
-                for j in range(lo, sp - off + 1):
-                    if not _parity_ok(j, cand.j_parity):
-                        continue
-                    c = cand.weight(sp, j)
-                    if c:
-                        v, _ = numerics._dzeta_internal(j, sp - j, D)
-                        total += mpf(c.numerator) / c.denominator * v
-                zv, _ = numerics._zeta_internal(sp, D)
+            k = 2 if cand.arg_style == "even" else 1  # the argument scale
+            for j in range(lo, sp - off + 1):
+                c = cand.weight(sp, j) if k == 2 or _parity_ok(j, cand.j_parity) else 0
+                if c:
+                    v, b = numerics._dzeta_internal(k * j, k * (sp - j), D)
+                    c = mpf(c.numerator) / c.denominator
+                    total += c * v
+                    bound += abs(c) * b
+            zv, zb = numerics._zeta_internal(k * sp, D)
             f = f_eval(cand.f_coeffs, sp)
-            if abs(total - (mpf(f.numerator) / f.denominator) * zv) > tol:
+            f = mpf(f.numerator) / f.denominator
+            bound += abs(f) * zb
+            if bound >= tol:
+                raise PrecisionError(
+                    f"numeric screen at s={sp}: error bound {mp.nstr(bound, 3)} does not "
+                    f"resolve the tolerance 1e-{tol_exp} at precision {prec}"
+                )
+            if abs(total - f * zv) > tol:
                 return False
     return True
 
 
-def _fit_candidate_f(weight_fn, anchors, j_parity):
-    points = []
-    for w in anchors:
-        f = weighted_sum_f(weight_fn, w, j_parity)
-        if f is None:
-            return None
-        points.append((w, f))
-    return fit_span_minimal(points)
-
-
-def _power_candidates(config: SearchConfig):
+def _power_candidates(config: SearchConfig, conds: _ConditionVectors | None = None):
+    conds = conds or _ConditionVectors(config.H)
     for s_par in config.parities:
         anchors = _anchor_weights(s_par)
         for j_par in config.parities:
-            conditions = []
-            for w in anchors:
-                polys, _ = _vanishing_polys(w, j_par)
-                if polys:
-                    conditions.append(list(polys.values()))
-            if not conditions:
+            ws = _conditioned(anchors, j_par)
+            if not ws:
                 continue  # a family with no vanishing condition is vacuous here
-            sols = None
-            for polys in conditions:
-                here = {
-                    a
-                    for a in height_rationals(config.H)
-                    if all(_poly_at(p, a) == 0 for p in polys)
-                }
-                sols = here if sols is None else sols & here
-            for a in sorted(sols):
-                coeffs = _fit_candidate_f(lambda _w, j, a=a: Fraction(a) ** j, anchors, j_par)
-                if coeffs is None:
+            vecs = [conds.at(w, j_par) for w in ws]
+            for a in conds.pool:
+                if any(v for vw in vecs for v in vw[a]):
                     continue
-                yield CandidateIdentity("power", {"a": a}, j_par, s_par, "plain", (2, 1), coeffs)
+                cand = CandidateIdentity("power", {"a": a}, j_par, s_par, "plain", (2, 1))
+                cand.f_coeffs = _anchor_fit(cand, anchors)
+                if cand.f_coeffs is not None:
+                    yield cand
 
 
 def _fraction_sqrt(x: Fraction):
@@ -594,59 +659,57 @@ def _fraction_sqrt(x: Fraction):
     return None
 
 
-def _affine_candidates(config: SearchConfig):
+def _affine_candidates(config: SearchConfig, conds: _ConditionVectors | None = None):
     """a * b^j + c^s * d^j with a = 1: (b, d) enumerated at height H, the
     per-weight scaling gamma_w = c^w forced by the vanishing conditions, and c
     recovered from consecutive (or parity-spaced) anchors."""
-    pool = height_rationals(config.H)
+    conds = conds or _ConditionVectors(config.H)
+    pool = conds.pool
     for s_par in config.parities:
         anchors = _anchor_weights(s_par)
         for j_par in config.parities:
-            polysets = []
-            for w in anchors:
-                polys, _ = _vanishing_polys(w, j_par)
-                if polys:
-                    polysets.append((w, list(polys.values())))
-            if not polysets:
+            ws = _conditioned(anchors, j_par)
+            if not ws:
                 continue
-            vals = {x: {w: [_poly_at(p, x) for p in ps] for w, ps in polysets} for x in pool}
+            vecs = [conds.at(w, j_par) for w in ws]
+
+            def candidate(b, c, d):
+                cand = CandidateIdentity(
+                    "affine", {"a": Fraction(1), "b": b, "c": c, "d": d},
+                    j_par, s_par, "plain", (2, 1),
+                )
+                cand.f_coeffs = _anchor_fit(cand, anchors)
+                return cand
+
             # degenerate c = 0: pure powers inside the affine shape
             for b in pool:
-                if all(v == 0 for w, _ in polysets for v in vals[b][w]):
-                    coeffs = _fit_candidate_f(
-                        lambda _w, j, b=b: Fraction(b) ** j, anchors, j_par
-                    )
-                    if coeffs is not None:
-                        yield CandidateIdentity(
-                            "affine",
-                            {"a": Fraction(1), "b": b, "c": Fraction(0), "d": Fraction(0)},
-                            j_par, s_par, "plain", (2, 1), coeffs,
-                        )
-            if len(polysets) < 2:
+                if not any(v for vw in vecs for v in vw[b]):
+                    cand = candidate(b, Fraction(0), Fraction(0))
+                    if cand.f_coeffs is not None:
+                        yield cand
+            if len(ws) < 2:
                 continue
             # b^j + gamma_w d^j passes the vanishing conditions at w iff
-            # vals[b][w] = -gamma_w vals[d][w]; with gamma_w != 0 that means
+            # V_b = -gamma_w (q_b / q_d)^(w-1) V_d for the condition vectors
+            # V at b = p_b/q_b and d = p_d/q_d; with gamma_w != 0 that means
             # both vectors are zero or both have the same primitive direction.
             # A pair needs two nonzero gammas, so only d sharing b's key tuple
             # (with at least two directions) can pass.
-            keys = {x: tuple(_direction(vals[x][w]) for w, _ in polysets) for x in pool}
+            keys = {x: tuple(_direction(vw[x]) for vw in vecs) for x in pool}
             groups: dict = {}
             for x in pool:
                 if sum(k is not None for k in keys[x]) >= 2:
                     groups.setdefault(keys[x], []).append(x)
             for b in pool:
-                vb = vals[b]
                 for d in groups.get(keys[b], ()):
                     if d == b:
                         continue
-                    vd = vals[d]
-                    gammas = {}
-                    for (w, _ps), key in zip(polysets, keys[b]):
-                        if key is not None:
-                            i = next(i for i, pd in enumerate(vd[w]) if pd)
-                            gammas[w] = -vb[w][i] / vd[w][i]
-                    ws = sorted(gammas)
-                    w1, w2 = ws[0], ws[1]
+                    gammas = {
+                        w: _gamma(w, b, vw[b], d, vw[d])
+                        for w, vw, key in zip(ws, vecs, keys[b])
+                        if key is not None
+                    }
+                    w1, w2 = sorted(gammas)[:2]
                     ratio = gammas[w2] / gammas[w1]
                     if w2 - w1 == 1:
                         croots = {ratio}
@@ -658,21 +721,20 @@ def _affine_candidates(config: SearchConfig):
                     else:
                         continue
                     for c in croots:
-                        if c == 0 or any(c**w != gammas[w] for w in ws):
+                        if c == 0 or any(c**w != g for w, g in gammas.items()):
                             continue
-                        coeffs = _fit_candidate_f(
-                            lambda _w, j, b=b, c=c, d=d: Fraction(b) ** j
-                            + c**_w * Fraction(d) ** j,
-                            anchors,
-                            j_par,
-                        )
-                        if coeffs is None:
-                            continue
-                        yield CandidateIdentity(
-                            "affine",
-                            {"a": Fraction(1), "b": b, "c": c, "d": d},
-                            j_par, s_par, "plain", (2, 1), coeffs,
-                        )
+                        cand = candidate(b, c, d)
+                        if cand.f_coeffs is not None:
+                            yield cand
+
+
+def _gamma(w: int, b: Fraction, vb, d: Fraction, vd):
+    """The gamma for which the weights b^j + gamma d^j pass the vanishing
+    conditions at w, from the condition vectors vb and vd (parallel, vd
+    nonzero): the rows at b and d are vb / q_b^(w-1) and vd / q_d^(w-1), up to
+    one positive factor."""
+    i = next(i for i, x in enumerate(vd) if x)
+    return Fraction(-vb[i] * d.denominator ** (w - 1), vd[i] * b.denominator ** (w - 1))
 
 
 def _direction(vec):
@@ -698,11 +760,11 @@ def _poly_plain_candidates(config: SearchConfig):
     anchors = (4, 5, 6, 7)
     rows = []
     for w in anchors:
-        polys, _ = _vanishing_polys(w, "any")
-        for mono_c in polys.values():
+        js, vanishing, _, _ = _anchor_table(w, "any")
+        for row in vanishing:
             rows.append(
                 [
-                    sum((c * _poly_mono(m, w, j) for j, c in mono_c.items()), Fraction(0))
+                    sum((c * _poly_mono(m, w, j) for j, c in zip(js, row) if c), Fraction(0))
                     for m in monos
                 ]
             )
@@ -712,11 +774,9 @@ def _poly_plain_candidates(config: SearchConfig):
         if not params:
             continue
         cand = CandidateIdentity("poly", params, "any", "any", "plain", (2, 1))
-        coeffs = _fit_candidate_f(lambda w, j, cand=cand: cand.weight(w, j), anchors, "any")
-        if coeffs is None:
-            continue
-        cand.f_coeffs = coeffs
-        yield cand
+        cand.f_coeffs = _anchor_fit(cand, anchors)
+        if cand.f_coeffs is not None:
+            yield cand
 
 
 def _poly_even_candidates(config: SearchConfig):
@@ -754,18 +814,28 @@ def search_general(config: SearchConfig | None = None):
         raise DomainError(
             f"unknown search family {unknown[0]!r}; choose from {', '.join(_FAMILY_ORDER)}"
         )
+    numerics.EvalContext(config.prec)  # the same precision floor as evaluation
+    if config.H < 1:
+        raise DomainError(f"search height must be at least 1, got {config.H}")
+    if not 0 <= config.deg <= 2:
+        raise DomainError(f"polynomial degree must be 0, 1 or 2, got {config.deg}")
+    conds = _ConditionVectors(config.H)
     emitted: list[CandidateIdentity] = []
     for family in sorted(config.families, key=_FAMILY_ORDER.index):
         if family == "power":
-            gen = _power_candidates(config)
+            gen = _power_candidates(config, conds)
         elif family == "alternating":
-            gen = (c for c in _power_candidates(config) if c.s_parity == "even")
+            gen = (c for c in _power_candidates(config, conds) if c.s_parity == "even")
         elif family == "affine":
-            gen = _affine_candidates(config)
-        elif family == "symmetric-even":
-            gen = _symmetric_even_candidates(config)
-        else:  # poly
-            gen = itertools.chain(_poly_plain_candidates(config), _poly_even_candidates(config))
+            gen = _affine_candidates(config, conds)
+        else:
+            conds = None  # the remaining stages do not read the condition vectors
+            if family == "symmetric-even":
+                gen = _symmetric_even_candidates(config)
+            else:  # poly
+                gen = itertools.chain(
+                    _poly_plain_candidates(config), _poly_even_candidates(config)
+                )
         for cand in gen:
             if not _is_new(cand, emitted):
                 continue

@@ -65,10 +65,13 @@ def _div(a, b):
 
 
 def _pow(a, k: int):
-    """a^k for an exact a; 0^-k raises ZeroDivisionError('Fraction(1, 0)'), as Fraction does."""
-    if k >= 0 or type(a) is Fraction:
+    """a^k (an int a to a negative k gives a Fraction); DomainError for 0 to a
+    negative power."""
+    if k >= 0:
         return a**k
-    return Fraction(1, a**-k)
+    if not a:
+        raise DomainError("0 raised to a negative power")
+    return Fraction(1, a**-k) if type(a) is int else a**k
 
 
 _EXACT = (int, Fraction)
@@ -169,12 +172,7 @@ class _Numeric:
         if op == "^":
             if not exact_b:
                 raise DomainError("exponent must be exact")
-            k = _integral(b, "exponent")
-            if not exact_a:
-                return a**k
-            if a == 0 and k < 0:
-                raise DomainError("0 raised to a negative power")
-            return _pow(a, k)
+            return _pow(a, _integral(b, "exponent"))
         if exact_a and exact_b:
             if op == "/" and b == 0:
                 raise DomainError("exact division by zero")

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, output stability."""
+import functools
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import mzv
+from mzv import cli
 from mzv.cli import main
+from mzv.search import SearchConfig
 
 
 def run(capsys, *argv):
@@ -162,3 +165,36 @@ def test_search_poly_cli(capsys):
     code, out, _ = run(capsys, "search", "--family", "poly", "--deg", "2")
     assert code == 0
     assert "j*(s-j)" in out
+
+
+@pytest.mark.parametrize("cmd, expr", [("reduce", "0^(0-1)"), ("eval", "(pi-pi)^(0-1)")])
+def test_zero_to_a_negative_power_is_usage_error(capsys, cmd, expr):
+    code, out, err = run(capsys, cmd, expr)
+    assert (code, out, err) == (2, "", "error: 0 raised to a negative power\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--prec", "5", "search", "--height", "2"), "precision must be at least 10 digits"),
+    (("search", "--height", "0"), "search height must be at least 1, got 0"),
+    (("search", "--height", "-3"), "search height must be at least 1, got -3"),
+    (("search", "--family", "poly", "--deg", "-1"), "polynomial degree must be 0, 1 or 2, got -1"),
+    (("search", "--family", "poly", "--deg", "5"), "polynomial degree must be 0, 1 or 2, got 5"),
+])
+def test_search_bad_settings_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_search_screen_precision_error_is_usage_error(capsys, monkeypatch):
+    # a screen tolerance that the evaluation bounds cannot resolve
+    monkeypatch.setattr(cli, "SearchConfig", functools.partial(SearchConfig, screen_tol_exp=60))
+    code, out, err = run(capsys, "search", "--family", "power", "--height", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: numeric screen at s=9: error bound")
+
+
+def test_search_low_precision_keeps_true_identities(capsys):
+    code, out, _ = run(capsys, "--prec", "15", "search", "--family", "power", "--height", "2")
+    assert code == 0
+    assert "'a': '1'" in out and "'a': '2'" in out and "'a': '-1'" in out
+    assert "# 3 surviving candidate(s)" in out

@@ -1,23 +1,37 @@
 """Ansatz search: exact anchors, base solving, family reproduction, soundness."""
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mzv
 from mzv.corpus import parse_corpus
-from mzv.errors import DomainError
+from mzv.errors import DomainError, PrecisionError
 from mzv.search import (
     F_SPAN,
     CandidateIdentity,
     SearchConfig,
     _affine_candidates,
+    _anchor_f,
+    _anchor_table,
     _anchor_weights,
-    _fit_candidate_f,
+    _canonical_scale,
+    _condition_vector,
+    _direction,
     _fraction_sqrt,
+    _gamma,
+    _integer_scale,
     _is_new,
+    _mono_deg,
+    _nullspace,
     _parity_ok,
-    _poly_at,
+    _poly_mono,
+    _power_candidates,
     _primitive,
     _solve_consistent,
     _span_value,
@@ -202,7 +216,62 @@ def test_fit_span_minimal_matches_subset_scan(points):
     assert fit_span_minimal(points) == want
 
 
-def _affine_reference(config):
+def _poly_at(poly: dict, x: Fraction) -> Fraction:
+    """A vanishing-condition polynomial {j: coefficient} at the weights x^j."""
+    return sum((c * x**j for j, c in poly.items()), Fraction(0))
+
+
+def _fit_candidate_f(weight_fn, anchors, j_parity):
+    """The fit through the ConstExpr reductions: weighted_sum_f per anchor."""
+    points = []
+    for w in anchors:
+        f = weighted_sum_f(weight_fn, w, j_parity)
+        if f is None:
+            return None
+        points.append((w, f))
+    return fit_span_minimal(points)
+
+
+def _power_reference(config, conds=None):
+    """Every pool value whose polynomials vanish at every anchor, each fitted
+    through the ConstExpr reductions."""
+    pool = height_rationals(config.H)
+    for s_par in config.parities:
+        anchors = _anchor_weights(s_par)
+        for j_par in config.parities:
+            polys = [p for w in anchors for p in _vanishing_polys(w, j_par)[0].values()]
+            if not polys:
+                continue
+            for a in pool:
+                if any(_poly_at(p, a) for p in polys):
+                    continue
+                coeffs = _fit_candidate_f(lambda _w, j, a=a: a**j, anchors, j_par)
+                if coeffs is not None:
+                    yield CandidateIdentity("power", {"a": a}, j_par, s_par, f_coeffs=coeffs)
+
+
+def _poly_plain_reference(config):
+    """The plain polynomial family from the Fraction polynomials and the
+    ConstExpr fit."""
+    monos = [m for m in ("1", "j", "s", "j^2", "j*s", "s^2") if _mono_deg(m) <= config.deg]
+    anchors = (4, 5, 6, 7)
+    rows = [
+        [sum((c * _poly_mono(m, w, j) for j, c in poly.items()), Fraction(0)) for m in monos]
+        for w in anchors
+        for poly in _vanishing_polys(w, "any")[0].values()
+    ]
+    for vec in _nullspace(rows, len(monos)):
+        params = {m: c for m, c in zip(monos, _canonical_scale(vec)) if c}
+        if not params:
+            continue
+        cand = CandidateIdentity("poly", params)
+        coeffs = _fit_candidate_f(lambda w, j, cand=cand: cand.weight(w, j), anchors, "any")
+        if coeffs is not None:
+            cand.f_coeffs = coeffs
+            yield cand
+
+
+def _affine_reference(config, conds=None):
     """All ordered (b, d) pairs of the pool, each weight's gamma solved from
     vals[b][w] + gamma vals[d][w] = 0 directly."""
     pool = height_rationals(config.H)
@@ -484,3 +553,157 @@ def test_unknown_family_is_a_domain_error():
 def test_even_arg_sum_rejects_unsupported_range():
     with pytest.raises(DomainError, match=r"\(3, 3\)"):
         even_arg_sum_f(lambda s, j: Fraction(1), 6, 3, 3)
+
+
+# ---------------------------------------------------------------------------
+# integer anchor tables against the Fraction polynomials and ConstExpr fits
+# ---------------------------------------------------------------------------
+
+_ANCHOR_KEYS = list(itertools.product((4, 5, 6, 7), ("any", "even", "odd")))
+
+
+@st.composite
+def _anchor_weight_vector(draw, w, j_par):
+    """Rational weights over the j columns: uniformly random (nearly always
+    failing the vanishing conditions) or a random point of their null space,
+    sometimes perturbed."""
+    js = [j for j in range(2, w) if _parity_ok(j, j_par)]
+    polys = list(_vanishing_polys(w, j_par)[0].values())
+    if not polys or draw(st.booleans()):
+        return js, [draw(_small_fractions) for _ in js]
+    basis = _nullspace([[Fraction(p.get(j, 0)) for j in js] for p in polys], len(js))
+    lams = [draw(_small_fractions) for _ in basis]
+    x = [sum((lam * vec[i] for lam, vec in zip(lams, basis)), Fraction(0)) for i in range(len(js))]
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(js) - 1))
+        x[i] += draw(_small_fractions.filter(bool))
+    return js, x
+
+
+@pytest.mark.parametrize("w, j_par", _ANCHOR_KEYS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_anchor_f_matches_weighted_sum_f(w, j_par, data):
+    js, x = data.draw(_anchor_weight_vector(w, j_par))
+    assert list(_anchor_table(w, j_par)[0]) == js
+    weights = dict(zip(js, x))
+    want = weighted_sum_f(lambda _w, j: weights[j], w, j_par)
+    assert _anchor_f(w, j_par, *_integer_scale(x)) == want
+
+
+@pytest.mark.parametrize("w, j_par", _ANCHOR_KEYS)
+def test_condition_vectors_match_fraction_polynomials(w, j_par):
+    """Zero pattern, pairing key and affine gamma of the integer condition
+    vectors, against the polynomials evaluated in Fractions."""
+    polys = list(_vanishing_polys(w, j_par)[0].values())
+    pool = height_rationals(5)
+    ref = {x: [_poly_at(p, x) for p in polys] for x in pool}
+    got = {x: _condition_vector(w, j_par, x) for x in pool}
+    for x in pool:
+        assert [v == 0 for v in got[x]] == [v == 0 for v in ref[x]], x
+        assert _direction(got[x]) == _direction(ref[x]), x
+    pairs = 0
+    for b, d in itertools.product(pool, pool):
+        key = _direction(ref[d])
+        if key is None or _direction(ref[b]) != key:
+            continue
+        i = next(i for i, v in enumerate(ref[d]) if v)
+        assert _gamma(w, b, got[b], d, got[d]) == -ref[b][i] / ref[d][i], (b, d)
+        pairs += 1
+    assert pairs or not polys or all(_direction(v) is None for v in ref.values())
+
+
+@pytest.mark.parametrize("H", [1, 3, 5])
+def test_power_stage_matches_all_pool_scan(H):
+    config = SearchConfig(H=H)
+    got = [c.describe() for c in _power_candidates(config)]
+    assert got == [c.describe() for c in _power_reference(config)]
+    assert got
+
+
+def test_solve_power_base_matches_fraction_polynomials():
+    for w, j_par in _ANCHOR_KEYS:
+        if w == 4:
+            continue
+        polys = _vanishing_polys(w, j_par)[0].values()
+        want = [a for a in height_rationals(5, include_zero=True)
+                if not any(_poly_at(p, a) for p in polys)]
+        assert solve_power_base(w, 5, j_par) == want
+
+
+def test_height_rationals_returns_a_fresh_list():
+    pool = height_rationals(3)
+    pool.append(Fraction(99))
+    assert Fraction(99) not in height_rationals(3)
+    assert height_rationals(3, include_zero=True) == sorted(height_rationals(3) + [Fraction(0)])
+
+
+def test_search_stream_matches_constexpr_fits(monkeypatch):
+    """The H = 8 candidate stream and survivors of every family, with the
+    power, affine and plain polynomial stages replaced by the Fraction
+    polynomial scans and ConstExpr fits."""
+    import mzv.search as search
+
+    config = SearchConfig(
+        families=("power", "alternating", "affine", "symmetric-even", "poly"), H=8
+    )
+
+    def run():
+        seen = []
+        is_new = search._is_new
+
+        def recording(cand, emitted):
+            new = is_new(cand, emitted)
+            seen.append((cand.describe(), new))
+            return new
+
+        with monkeypatch.context() as m:
+            m.setattr(search, "_is_new", recording)
+            out = search_general(config)
+        return seen, [c.describe() for c in out]
+
+    got = run()
+    monkeypatch.setattr(search, "_power_candidates", _power_reference)
+    monkeypatch.setattr(search, "_affine_candidates", _affine_reference)
+    monkeypatch.setattr(search, "_poly_plain_candidates", _poly_plain_reference)
+    assert run() == got
+    assert len(got[0]) > 100 and got[1]
+
+
+def test_importing_mzv_leaves_search_unloaded():
+    src = str(Path(mzv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, mzv; print('mzv.search' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# settings and the screen's error budget
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("settings_, match", [
+    ({"prec": 5}, "precision must be at least 10 digits"),
+    ({"H": 0}, "search height must be at least 1, got 0"),
+    ({"H": -3}, "search height must be at least 1, got -3"),
+    ({"deg": -1}, "polynomial degree must be 0, 1 or 2, got -1"),
+    ({"deg": 5}, "polynomial degree must be 0, 1 or 2, got 5"),
+])
+def test_search_settings_are_checked_up_front(settings_, match):
+    with pytest.raises(DomainError, match=match):
+        search_general(SearchConfig(families=("poly",), **settings_))
+
+
+def test_screen_raises_when_its_bound_cannot_resolve_the_tolerance():
+    cand = CandidateIdentity(
+        "power", {"a": Fraction(2)}, "any", "any", "plain", (2, 1),
+        {"1": Fraction(1), "s": Fraction(1)},
+    )
+    assert numeric_screen(cand, prec=40, tol_exp=25)
+    with pytest.raises(PrecisionError, match=r"s=9: error bound .* tolerance 1e-60"):
+        numeric_screen(cand, prec=40, tol_exp=60)
+    with pytest.raises(PrecisionError):
+        search_general(SearchConfig(families=("power",), H=2, screen_tol_exp=60))

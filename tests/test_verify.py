@@ -196,6 +196,13 @@ def test_verify_numeric_reports_a_side_over_its_bound_budget(ctx40, monkeypatch)
         eval_ast(parse_expr("zeta(3)"), {}, ctx40)
 
 
+@pytest.mark.parametrize("side", ["(pi-pi)^(0-s)", "0^(0-s)", "sum(j=1..(0^(0-s)), j)"])
+def test_zero_to_a_negative_power_is_reported_in_both_modes(ctx40, side):
+    (ident,) = parse_corpus(f"identity T : forall s>=1 : {side} == 1")
+    for r in (verify_numeric(ident, {"s": 1}, ctx40), verify_symbolic(ident, {"s": 1})):
+        assert (r.status, r.error) == ("error", "0 raised to a negative power")
+
+
 @pytest.mark.parametrize("text", ["zeta(1)", "hsum_odd(1)", "hsum_half(0)", "dz(1,2)",
                                   "W(0,0,1)", "L(1,1)", "cs(1,1;1,2)", "fact(0-1)",
                                   "hyp2f1sp(0)"])
@@ -251,7 +258,7 @@ _ODD_INPUTS = (
     "binom(1/2, 1)", "binom(3, zeta(2))", "zeta(zeta(0)*(0-4))", "sum(j=1..3, j/(j-2))",
     "sum(j=1..(0^(0-1)), j)", "pi/(pi/pi - 1)", "(pi*zeta(3))/zeta(3)", "(pi+1)/pi",
     "(2*pi)^(0-2)*pi^2", "dz(5,3)/dz(5,3)", "W(2,2,4)*0", "cs(2b,1;1,1)", "B(0-2)", "L(2b,1)",
-    "sum(j=3..1, pi)", "li4h^2/li4h", "(pi-pi)^0", "0^0", "binom(0-1, 2)",
+    "sum(j=3..1, pi)", "li4h^2/li4h", "(pi-pi)^0", "0^0", "binom(0-1, 2)", "0^(0-1)",
 )
 
 
@@ -311,6 +318,8 @@ def _ref_eval_exact(node, env) -> Fraction:
         if node.op == "^":
             if b.denominator != 1:
                 raise DomainError("non-integer exponent in bound expression")
+            if a == 0 and b < 0:
+                raise DomainError("0 raised to a negative power")
             return a ** b.numerator
     raise DomainError(f"node not allowed in an integer bound: {node!r}")
 
@@ -391,10 +400,8 @@ class _RefNumEval:
             if not isinstance(b, Fraction):
                 raise DomainError("exponent must be exact")
             k = _ref_as_int(b, "exponent")
-            if isinstance(a, Fraction):
-                if a == 0 and k < 0:
-                    raise DomainError("0 raised to a negative power")
-                return a**k
+            if a == 0 and k < 0:
+                raise DomainError("0 raised to a negative power")
             return a**k
         if both_exact:
             if op == "+":
@@ -530,6 +537,8 @@ def _ref_reduce(node, env) -> ConstExpr:
             if k >= 0:
                 return a**k
             if a.is_rational():
+                if a.rational_value() == 0:
+                    raise DomainError("0 raised to a negative power")
                 return ConstExpr.rational(a.rational_value() ** k)
             return ConstExpr.rational(1).divide_exact(a ** (-k))
     if isinstance(node, Call):
