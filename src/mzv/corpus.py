@@ -263,9 +263,9 @@ def _parse_atom(s: _Stream) -> Expr:
             if var_tok.kind != "NAME":
                 raise ParseError("sum index must be a name", var_tok.line, var_tok.col)
             s.expect("=")
-            lo = _parse_sum_bound(s)
+            lo = _parse_expr(s)
             s.expect("..")
-            hi = _parse_sum_bound(s, stop_comma=True)
+            hi = _parse_expr(s)
             s.expect(",")
             body = _parse_expr(s)
             s.expect(")")
@@ -273,9 +273,7 @@ def _parse_atom(s: _Stream) -> Expr:
         if name in GENERATORS:
             return Gen(name)
         m = re.fullmatch(r"z(\d+)", name)
-        if m and s.peek() is not None and s.peek().text != "(":
-            return Call("zeta", (), (Lit(Fraction(int(m.group(1)))),))
-        if m and s.peek() is None:
+        if m and (s.peek() is None or s.peek().text != "("):
             return Call("zeta", (), (Lit(Fraction(int(m.group(1)))),))
         if s.accept("("):
             if name not in ARITY:
@@ -299,29 +297,6 @@ def _parse_atom(s: _Stream) -> Expr:
             return Call(name, tuple(chars), tuple(args))
         return Param(name)
     raise ParseError(f"unexpected token {t.text!r}", t.line, t.col)
-
-
-def _parse_sum_bound(s: _Stream, stop_comma: bool = False) -> Expr:
-    """Sum bounds are additive expressions; '..' terminates the lower bound."""
-    node = _parse_term_nodots(s)
-    while True:
-        t = s.peek()
-        if t is not None and t.text in ("+", "-"):
-            s.next()
-            node = BinOp(t.text, node, _parse_term_nodots(s))
-        else:
-            return node
-
-
-def _parse_term_nodots(s: _Stream) -> Expr:
-    node = _parse_unary(s)
-    while True:
-        t = s.peek()
-        if t is not None and t.text in ("*", "/"):
-            s.next()
-            node = BinOp(t.text, node, _parse_unary(s))
-        else:
-            return node
 
 
 def parse_expr(text: str, line_no: int = 1) -> Expr:

@@ -3,12 +3,11 @@
 Everything here reduces to one audited Euler-Maclaurin tail kernel applied per
 residue class mod 4: single Dirichlet series (zeta, lambda, eta, beta and the
 4-periodic twists), nested double sums with or without character twists, and
-the constants pi, log 2, Li_4(1/2) and (internally) the Euler-Mascheroni
-constant.  Every internal routine returns a pair (value, bound) where bound is
-a rigorous upper bound on the absolute truncation/method error at the working
-precision; public operations check the accumulated bound against the context
-tolerance and raise PrecisionError instead of returning a value that might
-violate the contract.
+the constants pi, log 2 and Li_4(1/2).  Every internal routine returns a pair
+(value, bound) where bound is a rigorous upper bound on the absolute
+truncation/method error at the working precision; public operations check the
+accumulated bound against the context tolerance and raise PrecisionError
+instead of returning a value that might violate the contract.
 
 Evaluation scheme for double sums: the outer sum is truncated at N ~ O(P)
 and the inner prefix limit is expanded by Euler-Maclaurin in powers of 1/n
@@ -290,20 +289,18 @@ def _regularized_combo(requests, N, D):
         return total, bound
 
 
-def _class_const(r: int, D: int):
-    """C_r = lim_X (sum_{m <= X, m == r (4)} 1/m - (1/4) log X); sums to gamma over r."""
-    return class_tail(r, 1, 0, D)
-
-
-def _gamma_internal(D: int):
-    with mp.workdps(D + 10):
-        total = mp.zero
-        bound = mp.zero
-        for r in (1, 2, 3, 4):
-            v, b = _class_const(r, D)
-            total += v
+def _char_class_tails(p: str, u: int, N: int, D: int):
+    """(sum_r chi_p(r) T_r, sum_r bound_r) over the classes r with chi_p(r) != 0,
+    T_r = class_tail(r, u, N, D).  At u = 1 the T_r are the regularized tails
+    (at N = 0 the class constants C_r, which sum to gamma over r), so the sum
+    is the tail of L_p(1) when p is mean-zero.  Callers set the precision."""
+    total = bound = mp.zero
+    for r, c in zip((1, 2, 3, 4), CHI[p]):
+        if c:
+            v, b = class_tail(r, u, N, D)
+            total += c * v
             bound += b
-        return total, bound
+    return total, bound
 
 
 # --------------------------------------------------------------------------
@@ -323,21 +320,9 @@ def _L_internal(p: str, s: int, D: int):
             c = chi(p, n)
             if c:
                 direct += c * mpf(n) ** (-s)
-        bound = mp.zero
-        if s == 1:
-            if not is_mean_zero(p):
-                raise DomainError(f"L_{p}(1) diverges")
-            tail, bound = _regularized_combo(
-                [(mpf(CHI[p][r - 1]), r) for r in (1, 2, 3, 4) if CHI[p][r - 1]], N, D
-            )
-        else:
-            tail = mp.zero
-            for r in (1, 2, 3, 4):
-                c = CHI[p][r - 1]
-                if c:
-                    v, b = class_tail(r, s, N, D)
-                    tail += c * v
-                    bound += b
+        if s == 1 and not is_mean_zero(p):
+            raise DomainError(f"L_{p}(1) diverges")
+        tail, bound = _char_class_tails(p, s, N, D)
         res = (direct + tail, bound)
     _value_cache[key] = res
     return res
@@ -377,19 +362,7 @@ def periodic_tail_num(p: str, s: int, N: int, ctx: EvalContext):
         raise DomainError("N must be >= 0")
     D = ctx.work_digits
     with mp.workdps(D + 10):
-        if s == 1:
-            v, b = _regularized_combo(
-                [(mpf(CHI[p][r - 1]), r) for r in (1, 2, 3, 4) if CHI[p][r - 1]], N, D
-            )
-        else:
-            v = mp.zero
-            b = mp.zero
-            for r in (1, 2, 3, 4):
-                c = CHI[p][r - 1]
-                if c:
-                    tv, tb = class_tail(r, s, N, D)
-                    v += c * tv
-                    b += tb
+        v, b = _char_class_tails(p, s, N, D)
         if b > mpf(10) ** (-(ctx.prec + 2)):
             raise PrecisionError("periodic tail bound exceeds 10^-(P+2)")
         return v
@@ -715,14 +688,7 @@ def _char_em(p: str, q: str, s: int, t: int, D: int):
         )
         bound = _head_bound(D)
         if divergent_inner:
-            Cq = mp.zero
-            bq = mp.zero
-            for rp in (1, 2, 3, 4):
-                c = CHI[q][rp - 1]
-                if c:
-                    v, b = _class_const(rp, D)
-                    Cq += c * v
-                    bq += b
+            Cq, bq = _char_class_tails(q, 1, 0, D)
         else:
             Cq, bq = _L_internal(q, t, D)
         total = mp.zero
@@ -814,14 +780,14 @@ def witten_convergent(r: int, s: int, t: int) -> bool:
     return min(r, s, t) >= 0 and r + t >= 2 and s + t >= 2 and r + s + t >= 3
 
 
-def _witten_internal(r: int, s: int, t: int, D: int):
-    from .reductions import witten_reduction
-
-    key = ("W", r, s, t, D)
+def _reduction_internal(key, reduce, args, D: int):
+    """(value, bound) of the descriptor reduce(*args) (a reductions.WittenReduction):
+    its exact part through _expr_internal plus each leftover c * zeta(a, b),
+    cached in _value_cache under key."""
     hit = _value_cache.get(key)
     if hit is not None:
         return hit
-    red = witten_reduction(r, s, t)
+    red = reduce(*args)
     with mp.workdps(D + 10):
         total, bound = _expr_internal(red.const_part, D)
         for (a, b), coef in red.dz_terms.items():
@@ -832,6 +798,12 @@ def _witten_internal(r: int, s: int, t: int, D: int):
         res = (total, bound)
     _value_cache[key] = res
     return res
+
+
+def _witten_internal(r: int, s: int, t: int, D: int):
+    from .reductions import witten_reduction
+
+    return _reduction_internal(("W", r, s, t, D), witten_reduction, (r, s, t), D)
 
 
 def witten_num(r: int, s: int, t: int, ctx: EvalContext):
@@ -845,56 +817,15 @@ def witten_num(r: int, s: int, t: int, ctx: EvalContext):
 
 
 def _harmonic_internal(kind: str, s: int, D: int):
-    with mp.workdps(D + 10):
-        if kind == "half_index":
-            # 2 * sum H_{2n}/n^{2s} = 5/2 zeta(2s+1) + 2 zeta(2s,1) + sum_{j=2}^{2s} (-1)^j zeta(j, 2s+1-j)
-            if s < 1:
-                raise DomainError(f"hsum_half({s}) needs s >= 1")
-            v, b = _zeta_internal(2 * s + 1, D)
-            total = mpf(5) / 2 * v
-            bound = mpf(5) / 2 * b
-            v, b = _dzeta_internal(2 * s, 1, D)
-            total += 2 * v
-            bound += 2 * b
-            for j in range(2, 2 * s + 1):
-                v, b = _dzeta_internal(j, 2 * s + 1 - j, D)
-                sign = 1 if j % 2 == 0 else -1
-                total += sign * v
-                bound += b
-            return total / 2, bound / 2
-        if kind == "odd_denom":
-            # sum_{n>=0} H_n/(2n+1)^sigma, from the weight-1/2 lemma at s = sigma+1:
-            # = sum_{j=2}^{s-1} 2^(1-j) zeta(j,s-j)
-            #   - (2^(1-s)-1)(zeta(s-1,1) - 2 log2 zeta(s-1)) - (2^(2-s)-1) zeta(s)
-            sigma = s
-            if sigma < 2:
-                raise DomainError(f"hsum_odd({s}) needs s >= 2")
-            sl = sigma + 1
-            total = mp.zero
-            bound = mp.zero
-            for j in range(2, sl):
-                v, b = _dzeta_internal(j, sl - j, D)
-                w = mpf(2) ** (1 - j)
-                total += w * v
-                bound += w * b
-            v1, b1 = _dzeta_internal(sl - 1, 1, D)
-            vz, bz = _zeta_internal(sl - 1, D)
-            ln2 = mp.log(2)
-            coef = mpf(2) ** (1 - sl) - 1
-            total -= coef * (v1 - 2 * ln2 * vz)
-            bound += abs(coef) * (b1 + 2 * ln2 * bz)
-            v, b = _zeta_internal(sl, D)
-            coef = mpf(2) ** (2 - sl) - 1
-            total -= coef * v
-            bound += abs(coef) * b
-            return total, bound
-    raise DomainError(f"unknown harmonic sum kind {kind!r}")
+    from .reductions import harmonic_reduction
+
+    return _reduction_internal(("H", kind, s, D), harmonic_reduction, (kind, s), D)
 
 
 def harmonic_sum_num(kind: str, s: int, ctx: EvalContext):
     """Harmonic-number sums: 'odd_denom' is sum_{n>=0} H_n/(2n+1)^s (s >= 2),
-    'half_index' is sum_{n>=1} H_{2n}/n^{2s} (s >= 1), both computed from
-    already-validated zeta / double-zeta evaluations.  Domain errors name the
+    'half_index' is sum_{n>=1} H_{2n}/n^{2s} (s >= 1), both evaluated from
+    their reductions.harmonic_reduction descriptors.  Domain errors name the
     corpus DSL calls hsum_odd(s) and hsum_half(s)."""
     v, b = _harmonic_internal(kind, s, ctx.work_digits)
     _check(b, ctx, f"harmonic_sum({kind},{s})")

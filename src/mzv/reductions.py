@@ -1,6 +1,12 @@
-"""Exact closed-form reductions: zeta(n,1) at every weight, all double zeta
-values of weight <= 7, Witten double sums via their recursion, and the small
-tabulated alternating values.
+"""Exact closed-form reductions: zeta(n,1) at every weight, the diagonals
+zeta(a,a), all double zeta values of weight <= 7, and the small tabulated
+alternating values.
+
+Witten double sums (through their recursion) and the two harmonic-number sums
+reduce to one descriptor, a WittenReduction: an exact ConstExpr part plus the
+double zetas that dzeta_reduce does not close, with rational coefficients.
+Each formula is written once, here; numerics evaluates a descriptor and the
+symbolic walk reads it.
 
 The weight-w table is the unique solution of an exact linear system over
 ConstExpr assembled from the reflection pairs, the plain and 2^j-weighted sum
@@ -16,7 +22,7 @@ from fractions import Fraction
 
 from .errors import DomainError, NotReducible, ReductionError
 from .exact import _rref
-from .symexpr import ConstExpr, zeta_sym
+from .symexpr import LOG2, ConstExpr, zeta_sym
 
 _VERIFY_PREC = 40
 _VERIFY_TOL_EXP = 35  # residual <= 10^-(P-5) at P = 40
@@ -87,18 +93,27 @@ def _weight_rows(w: int):
 
 @dataclass
 class WittenReduction:
-    """Exact reduction of W(r,s,t): a ConstExpr part plus leftover double zeta
-    descriptors (weight > 7, second argument >= 2) with rational coefficients."""
+    """A rational combination of zeta values, log 2 zeta values and double
+    zetas: the exact const_part plus leftover double zetas, (a, b) -> rational
+    coefficient.  add_dz folds every zeta(a, b) that dzeta_reduce closes into
+    const_part, so a leftover is one it does not close (weight > 7, b >= 2,
+    a != b), kept in the order first added.  W(r,s,t), hsum_odd(s) and
+    hsum_half(s) each reduce to one."""
 
     const_part: ConstExpr = field(default_factory=lambda: ConstExpr.zero)
     dz_terms: dict = field(default_factory=dict)
 
     def add_dz(self, a: int, b: int, coef: Fraction):
-        cur = self.dz_terms.get((a, b), Fraction(0)) + coef
-        if cur:
-            self.dz_terms[(a, b)] = cur
-        else:
-            self.dz_terms.pop((a, b), None)
+        try:
+            closed = dzeta_reduce(a, b)
+        except NotReducible:
+            cur = self.dz_terms.get((a, b), Fraction(0)) + coef
+            if cur:
+                self.dz_terms[(a, b)] = cur
+            else:
+                self.dz_terms.pop((a, b), None)
+            return
+        self.const_part = self.const_part + closed * coef
 
     def is_closed(self) -> bool:
         return not self.dz_terms
@@ -243,17 +258,6 @@ def alt_value_lookup(key) -> ConstExpr:
     return _TABLE.alt_value(tuple(key))
 
 
-def _dz_to_expr(a: int, b: int):
-    """ConstExpr for zeta(a,b) if reducible here, else None."""
-    if b == 0:
-        return zeta_sym(a - 1) - zeta_sym(a)
-    if b == 1:
-        return zeta_s1_reduce(a + 1)
-    if a + b <= 7:
-        return _TABLE.dz_table(a + b)[a]
-    return None
-
-
 def _witten_expand(r: int, s: int, t: int, table: ReductionTable) -> WittenReduction:
     from .numerics import witten_convergent
 
@@ -283,27 +287,25 @@ def _witten_expand(r: int, s: int, t: int, table: ReductionTable) -> WittenReduc
         return out
 
     red = WittenReduction()
-    for desc, coef in go(r, s, t).items():
+    for (kind, a, b), coef in go(r, s, t).items():
         c = Fraction(coef)
-        if desc[0] == "zz":
-            _, a, b = desc
+        if kind == "zz":
             if a < 2 or b < 2:
                 raise DomainError(f"W({r},{s},{t}) hits divergent boundary zeta({a})zeta({b})")
             red.const_part = red.const_part + zeta_sym(a) * zeta_sym(b) * c
+        elif b == 0:
+            # W(0,0,a) = sum_{k>=2} (k-1) k^-a = zeta(a-1) - zeta(a)
+            red.const_part = red.const_part + (zeta_sym(a - 1) - zeta_sym(a)) * c
         else:
-            _, a, b = desc
-            expr = _dz_to_expr(a, b)
-            if expr is not None:
-                red.const_part = red.const_part + expr * c
-            else:
-                red.add_dz(a, b, c)
+            red.add_dz(a, b, c)
     return red
 
 
 def witten_reduce(r: int, s: int, t: int):
     """Expand W(r,s,t) through W(r,s,t) = W(r-1,s,t+1) + W(r,s-1,t+1) down to
-    the boundary values.  Returns a ConstExpr when everything closes (total
-    weight <= 7), otherwise a WittenReduction carrying leftover descriptors."""
+    the boundary values.  Returns a ConstExpr when every double zeta closes
+    (always at total weight <= 7), otherwise the WittenReduction with its
+    leftovers."""
     red = _TABLE.witten(r, s, t)
     if red.is_closed():
         return red.const_part
@@ -313,3 +315,38 @@ def witten_reduce(r: int, s: int, t: int):
 def witten_reduction(r: int, s: int, t: int) -> WittenReduction:
     """Always-structured form of witten_reduce (used by the numeric evaluator)."""
     return _TABLE.witten(r, s, t)
+
+
+@functools.cache
+def harmonic_reduction(kind: str, s: int) -> WittenReduction:
+    """The descriptor of a harmonic-number sum.
+
+    'half_index', s >= 1 (hsum_half):
+        sum_{n>=1} H_2n / n^2s = 5/4 zeta(2s+1) + zeta(2s,1)
+                                 + 1/2 sum_{j=2}^{2s} (-1)^j zeta(j, 2s+1-j);
+    'odd_denom', s >= 2 (hsum_odd), from the weight-1/2 lemma at w = s+1:
+        sum_{n>=0} H_n / (2n+1)^s = sum_{j=2}^{w-1} 2^(1-j) zeta(j, w-j)
+            - (2^(1-w) - 1)(zeta(w-1,1) - 2 log2 zeta(w-1)) - (2^(2-w) - 1) zeta(w).
+    Leftovers are added in j order.  The descriptor is memoized and shared,
+    so callers do not change it.
+    """
+    red = WittenReduction()
+    if kind == "half_index":
+        if s < 1:
+            raise DomainError(f"hsum_half({s}) needs s >= 1")
+        w = 2 * s + 1
+        red.const_part = zeta_sym(w) * Fraction(5, 4) + zeta_s1_reduce(w)
+        for j in range(2, w):
+            red.add_dz(j, w - j, Fraction(1 if j % 2 == 0 else -1, 2))
+    elif kind == "odd_denom":
+        if s < 2:
+            raise DomainError(f"hsum_odd({s}) needs s >= 2")
+        w = s + 1
+        log2zeta = ConstExpr.generator(LOG2) * zeta_sym(w - 1)
+        red.const_part = ((zeta_s1_reduce(w) - log2zeta * 2) * (1 - Fraction(1, 2 ** (w - 1)))
+                          - zeta_sym(w) * (Fraction(1, 2 ** (w - 2)) - 1))
+        for j in range(2, w):
+            red.add_dz(j, w - j, Fraction(1, 2 ** (j - 1)))
+    else:
+        raise DomainError(f"unknown harmonic sum kind {kind!r}")
+    return red

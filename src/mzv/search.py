@@ -599,11 +599,13 @@ def _screen_params(cand: CandidateIdentity):
 
 def numeric_screen(cand: CandidateIdentity, prec: int = 40, tol_exp: int = 25) -> bool:
     """Reject-only numeric check of a candidate at two parameters beyond the
-    exact range (tolerance 10^-tol_exp).  The error bounds of the evaluated
-    terms are added up, weighted like the terms; PrecisionError when their sum
-    does not lie below the tolerance, since the check could then reject a true
+    exact range (tolerance 10^-tol_exp).  Terms are evaluated at
+    max(prec, tol_exp) + 10 digits, so the tolerance, not only the precision,
+    sets the working digits.  The error bounds of the evaluated terms are
+    added up, weighted like the terms; PrecisionError when their sum does not
+    lie below the tolerance, since the check could then reject a true
     identity."""
-    D = prec + 10
+    D = max(prec, tol_exp) + 10
     with mp.workdps(D + 10):
         tol = mpf(10) ** (-tol_exp)
         for sp in _screen_params(cand):

@@ -317,32 +317,15 @@ def _cs_sym(p, q, s, t):
     return reductions.alt_value_lookup((p, q, s, t))
 
 
-def _witten_sym(r, s, t):
-    red = reductions.witten_reduce(r, s, t)
-    if isinstance(red, ConstExpr):
-        return red
-    raise NotReducible("Witten value leaves irreducible double zetas")
-
-
-def _hsum_odd_sym(sigma):
-    s = sigma + 1
-    total = ConstExpr.zero
-    for j in range(2, s):
-        total = total + reductions.dzeta_reduce(j, s - j) * Fraction(1, 2 ** (j - 1))
-    coef = Fraction(1, 2 ** (s - 1)) - 1
-    log2zeta = ConstExpr.generator("log2") * zeta_sym(s - 1)
-    total = total - (reductions.zeta_s1_reduce(s) - log2zeta * 2) * coef
-    total = total - zeta_sym(s) * (Fraction(1, 2 ** (s - 2)) - 1)
-    return total
-
-
-def _hsum_half_sym(s):
-    total = zeta_sym(2 * s + 1) * Fraction(5, 2)
-    total = total + reductions.zeta_s1_reduce(2 * s + 1) * 2
-    for j in range(2, 2 * s + 1):
-        term = reductions.dzeta_reduce(j, 2 * s + 1 - j)
-        total = total + (term if j % 2 == 0 else -term)
-    return total * Fraction(1, 2)
+def _closed(red, msg=None):
+    """The exact value of a reductions.WittenReduction descriptor that leaves
+    no double zeta over; otherwise NotReducible with msg, or without msg
+    dzeta_reduce's own text for the first leftover."""
+    if red.is_closed():
+        return red.const_part
+    if msg is None:
+        reductions.dzeta_reduce(*next(iter(red.dz_terms)))  # raises NotReducible
+    raise NotReducible(msg)
 
 
 _CALLS = {
@@ -368,13 +351,15 @@ _CALLS = {
                     num=lambda D, p, q, s, t: numerics._char_em(p, q, s, t, D), sym=_cs_sym),
     "W": _CallSpec(_labels("W", 3), lambda r, s, t: numerics.witten_convergent(r, s, t),
                    "W({},{},{}) diverges",
-                   num=lambda D, r, s, t: numerics._witten_internal(r, s, t, D), sym=_witten_sym),
+                   num=lambda D, r, s, t: numerics._witten_internal(r, s, t, D),
+                   sym=lambda r, s, t: _closed(reductions.witten_reduction(r, s, t),
+                                               "Witten value leaves irreducible double zetas")),
     "hsum_odd": _CallSpec(_labels("hsum_odd"), lambda s: s >= 2, "hsum_odd({}) needs s >= 2",
                           num=lambda D, s: numerics._harmonic_internal("odd_denom", s, D),
-                          sym=_hsum_odd_sym),
+                          sym=lambda s: _closed(reductions.harmonic_reduction("odd_denom", s))),
     "hsum_half": _CallSpec(_labels("hsum_half"), lambda s: s >= 1, "hsum_half({}) needs s >= 1",
                            num=lambda D, s: numerics._harmonic_internal("half_index", s, D),
-                           sym=_hsum_half_sym),
+                           sym=lambda s: _closed(reductions.harmonic_reduction("half_index", s))),
 }
 
 

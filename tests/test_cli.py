@@ -7,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from mpmath import mpf
 
 import mzv
-from mzv import cli
+from mzv import cli, numerics
 from mzv.cli import main
 from mzv.search import SearchConfig
 
@@ -186,11 +187,24 @@ def test_search_bad_settings_are_usage_errors(capsys, argv, message):
 
 
 def test_search_screen_precision_error_is_usage_error(capsys, monkeypatch):
-    # a screen tolerance that the evaluation bounds cannot resolve
-    monkeypatch.setattr(cli, "SearchConfig", functools.partial(SearchConfig, screen_tol_exp=60))
+    # evaluation bounds that cannot resolve the screen tolerance (values unchanged)
+    dz = numerics._dzeta_internal
+    monkeypatch.setattr(numerics, "_dzeta_internal", lambda a, b, D: (dz(a, b, D)[0], mpf(10) ** -20))
     code, out, err = run(capsys, "search", "--family", "power", "--height", "2")
     assert code == 2 and out == ""
     assert err.startswith("error: numeric screen at s=9: error bound")
+
+
+def test_search_screen_digits_follow_its_tolerance(capsys, monkeypatch):
+    # the screen works at max(prec, tol_exp) + 10 digits: a low --prec prints
+    # the same search as the default, and a finer tolerance still resolves
+    code, out40, _ = run(capsys, "search", "--family", "power", "--height", "2")
+    assert code == 0
+    code, out10, err = run(capsys, "--prec", "10", "search", "--family", "power", "--height", "2")
+    assert (code, out10, err) == (0, out40, "")
+    monkeypatch.setattr(cli, "SearchConfig", functools.partial(SearchConfig, screen_tol_exp=60))
+    code, out60, _ = run(capsys, "search", "--family", "power", "--height", "2")
+    assert (code, out60) == (0, out40)
 
 
 def test_search_low_precision_keeps_true_identities(capsys):

@@ -307,6 +307,48 @@ def test_harmonic_sum_brute_force(ctx40):
             assert abs(harmonic_sum_num(kind, s, ctx40) - value) < bound, (kind, s)
 
 
+def _harmonic_by_terms(kind, s, D):
+    """The harmonic sums term by term, every zeta and double zeta evaluated on
+    its own: the formulas before they became reductions descriptors."""
+    with mp.workdps(D + 10):
+        if kind == "half_index":
+            v, b = numerics._zeta_internal(2 * s + 1, D)
+            total, bound = mpf(5) / 2 * v, mpf(5) / 2 * b
+            v, b = numerics._dzeta_internal(2 * s, 1, D)
+            total += 2 * v
+            bound += 2 * b
+            for j in range(2, 2 * s + 1):
+                v, b = numerics._dzeta_internal(j, 2 * s + 1 - j, D)
+                total += v if j % 2 == 0 else -v
+                bound += b
+            return total / 2, bound / 2
+        w = s + 1
+        total = bound = mp.zero
+        for j in range(2, w):
+            v, b = numerics._dzeta_internal(j, w - j, D)
+            total += mpf(2) ** (1 - j) * v
+            bound += mpf(2) ** (1 - j) * b
+        v1, b1 = numerics._dzeta_internal(w - 1, 1, D)
+        vz, bz = numerics._zeta_internal(w - 1, D)
+        coef = mpf(2) ** (1 - w) - 1
+        total -= coef * (v1 - 2 * mp.log(2) * vz)
+        bound += abs(coef) * (b1 + 2 * mp.log(2) * bz)
+        v, b = numerics._zeta_internal(w, D)
+        coef = mpf(2) ** (2 - w) - 1
+        return total - coef * v, bound + abs(coef) * b
+
+
+@pytest.mark.parametrize("kind, svals", [("half_index", range(1, 11)), ("odd_denom", range(2, 20))])
+def test_harmonic_values_match_the_term_formulas(ctx40, kind, svals):
+    D = ctx40.work_digits
+    with mp.workdps(D + 10):
+        for s in svals:
+            got, bound = numerics._harmonic_internal(kind, s, D)
+            want, _ = _harmonic_by_terms(kind, s, D)
+            assert abs(got - want) <= 2 * tol(ctx40), (kind, s)
+            assert bound <= tol(ctx40), (kind, s)
+
+
 # ---------------------------------------------------------------------------
 # generators, determinism, telescoping lemmas
 # ---------------------------------------------------------------------------

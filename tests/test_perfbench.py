@@ -1,0 +1,20 @@
+"""The benchmark's layer tracer still finds the package names it wraps."""
+from pathlib import Path
+
+from mzv.corpus import parse_expr
+from mzv.numerics import EvalContext
+from mzv.verify import eval_ast
+
+
+def test_tracer_sees_the_witten_and_harmonic_layers(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracer import Tracer
+
+    tracer = Tracer().install()
+    try:
+        # a precision no other test uses, so the value cache cannot answer first
+        eval_ast(parse_expr("W(1,2,3) + hsum_odd(3) + hsum_half(2)"), {}, EvalContext(17))
+    finally:
+        tracer.uninstall()
+    for layer in ("numerics.witten", "numerics.harmonic", "reductions.witten"):
+        assert tracer.stats[layer].calls > 0, layer

@@ -1,12 +1,14 @@
 """Exact reductions: the zeta(n,1) closed form, the weight <= 7 tables, Witten
 expansion and the tabulated alternating values, all cross-checked against the
 independent multiprecision evaluator."""
+import itertools
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 import mzv.numerics as numerics
+from mzv.corpus import parse_expr
 from mzv.errors import DomainError, NotReducible, ReductionError
 from mzv.reductions import (
     WittenReduction,
@@ -14,11 +16,13 @@ from mzv.reductions import (
     _weight_rows,
     alt_value_lookup,
     dzeta_reduce,
+    harmonic_reduction,
     witten_reduce,
     witten_reduction,
     zeta_s1_reduce,
 )
 from mzv.symexpr import ConstExpr, expr_num, pi_power, zeta_sym
+from mzv.verify import reduce_ast
 
 
 def test_zeta_s1_small():
@@ -86,6 +90,14 @@ def test_witten_reduce_leftovers():
     assert all(c == int(c) for c in red.dz_terms.values())
 
 
+def test_witten_folds_reducible_diagonals():
+    # zeta(4,4) closes by reflection, so W(0,4,4) = zeta(4,4) closes too
+    assert witten_reduce(0, 4, 4) == (zeta_sym(4) ** 2 - zeta_sym(8)) * Fraction(1, 2)
+    for r, s, t in itertools.product(range(7), range(7), range(9)):
+        if numerics.witten_convergent(r, s, t):
+            assert all(a != b for a, b in witten_reduction(r, s, t).dz_terms), (r, s, t)
+
+
 def test_witten_symmetry_exact():
     for r, s, t in ((1, 2, 2), (0, 3, 2), (2, 2, 3), (1, 3, 2)):
         a = witten_reduction(r, s, t)
@@ -97,6 +109,57 @@ def test_witten_symmetry_exact():
 def test_witten_divergent():
     with pytest.raises(DomainError):
         witten_reduce(1, 2, 0)
+
+
+def _hsum_odd_by_terms(sigma):
+    """hsum_odd as written before the descriptor, summed term by term."""
+    s = sigma + 1
+    total = ConstExpr.zero
+    for j in range(2, s):
+        total = total + dzeta_reduce(j, s - j) * Fraction(1, 2 ** (j - 1))
+    coef = Fraction(1, 2 ** (s - 1)) - 1
+    log2zeta = ConstExpr.generator("log2") * zeta_sym(s - 1)
+    total = total - (zeta_s1_reduce(s) - log2zeta * 2) * coef
+    return total - zeta_sym(s) * (Fraction(1, 2 ** (s - 2)) - 1)
+
+
+def _hsum_half_by_terms(s):
+    """hsum_half as written before the descriptor, summed term by term."""
+    total = zeta_sym(2 * s + 1) * Fraction(5, 2) + zeta_s1_reduce(2 * s + 1) * 2
+    for j in range(2, 2 * s + 1):
+        term = dzeta_reduce(j, 2 * s + 1 - j)
+        total = total + (term if j % 2 == 0 else -term)
+    return total * Fraction(1, 2)
+
+
+@pytest.mark.parametrize("kind, call, by_terms, svals, closed", [
+    ("odd_denom", "hsum_odd", _hsum_odd_by_terms, range(2, 20), range(2, 7)),
+    ("half_index", "hsum_half", _hsum_half_by_terms, range(1, 11), range(1, 4)),
+])
+def test_harmonic_descriptors_match_the_term_formulas(kind, call, by_terms, svals, closed):
+    for s in svals:
+        red = harmonic_reduction(kind, s)
+        assert red.is_closed() == (s in closed), s
+        try:
+            want = by_terms(s)
+        except NotReducible as exc:
+            # the symbolic walk names the first leftover, as the term loop did
+            assert not red.is_closed()
+            with pytest.raises(NotReducible) as got:
+                reduce_ast(parse_expr(f"{call}({s})"), {})
+            assert str(got.value) == str(exc), s
+        else:
+            assert red.const_part == want, s
+            assert reduce_ast(parse_expr(f"{call}({s})"), {}) == want
+
+
+def test_harmonic_reduction_domain():
+    with pytest.raises(DomainError, match=r"^hsum_half\(0\) needs s >= 1$"):
+        harmonic_reduction("half_index", 0)
+    with pytest.raises(DomainError, match=r"^hsum_odd\(1\) needs s >= 2$"):
+        harmonic_reduction("odd_denom", 1)
+    with pytest.raises(DomainError, match="unknown harmonic sum kind"):
+        harmonic_reduction("even", 3)
 
 
 def test_alt_values(ctx40):

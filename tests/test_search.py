@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mpf
 
 import mzv
+from mzv import numerics
 from mzv.corpus import parse_corpus
 from mzv.errors import DomainError, PrecisionError
 from mzv.search import (
@@ -697,13 +699,19 @@ def test_search_settings_are_checked_up_front(settings_, match):
         search_general(SearchConfig(families=("poly",), **settings_))
 
 
-def test_screen_raises_when_its_bound_cannot_resolve_the_tolerance():
+def test_screen_raises_when_its_bound_cannot_resolve_the_tolerance(monkeypatch):
     cand = CandidateIdentity(
         "power", {"a": Fraction(2)}, "any", "any", "plain", (2, 1),
         {"1": Fraction(1), "s": Fraction(1)},
     )
     assert numeric_screen(cand, prec=40, tol_exp=25)
-    with pytest.raises(PrecisionError, match=r"s=9: error bound .* tolerance 1e-60"):
-        numeric_screen(cand, prec=40, tol_exp=60)
+    # the working digits follow the tolerance when it asks for more than prec
+    assert numeric_screen(cand, prec=10, tol_exp=25)
+    assert numeric_screen(cand, prec=40, tol_exp=60)
+    # term bounds too coarse for the tolerance (values unchanged, nothing cached)
+    dz = numerics._dzeta_internal
+    monkeypatch.setattr(numerics, "_dzeta_internal", lambda a, b, D: (dz(a, b, D)[0], mpf(10) ** -20))
+    with pytest.raises(PrecisionError, match=r"s=9: error bound .* tolerance 1e-25 at precision 40"):
+        numeric_screen(cand, prec=40, tol_exp=25)
     with pytest.raises(PrecisionError):
-        search_general(SearchConfig(families=("power",), H=2, screen_tol_exp=60))
+        search_general(SearchConfig(families=("power",), H=2))
