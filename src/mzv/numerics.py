@@ -15,17 +15,22 @@ and the inner prefix limit is expanded by Euler-Maclaurin in powers of 1/n
 gamma terms), converting the whole tail into a linear combination of
 per-class power/log tails of shifted exponent.
 
-That combination and the direct head n <= N are summed in exact fixed-point
-integers at scale 2^W, W = _fixed_bits(D), about 60 bits below the working
-precision.  For each outer class the inner classes are folded first: their
+The single series L_p(s) and that combination, with the direct head n <= N,
+are summed in exact fixed-point integers at scale 2^W, W = _fixed_bits(D),
+about 60 bits below the working precision.  L_p(s) is its head
+sum chi_p(n) floor(2^W/n^s) plus, for s >= 2, the class rows G_s below (at the
+mean-zero s = 1, the regularized class tails floored to 2^-W).  In a double sum
+the inner constant (L_q(t), or the class constants of a divergent inner sum)
+is read once in that form, and the cross term C T(r,s) is one product
+C_fix G_s.  For each outer class the inner classes are folded first: their
 expansion coefficients are added, with their character signs, into one vector
 of A_e = floor(c_e N^-e 2^W), and the log coefficients cancel exactly for a
 mean-zero inner character.  The tail is then one integer dot product with the
 class's row G_u ~ T(r,u) N^u 2^W, and the head a sum of
 floor(2^W/m^t) floor(2^W/n^s) products.  Every unit dropped by a floor goes
 into the reported bound: with B_u >= |T(r,u) N^u 2^W - G_u| and k folded
-classes, a term contributes at most |F_e| B_u + k (B_u + |G_u|) units of
-2^-2W N^-s.
+classes, a term contributes at most |F_e| B_u + k (B_u + G_u) units of
+2^-2W N^-s; the inner remainders are integer units too.
 
 The rows come from the kernel's Euler-Maclaurin series run in exact integers
 (_tail_fixed), not from mpf class tails: from the kernel's own start m0 the tail
@@ -35,12 +40,19 @@ is one floor division of t_(j-1) by the exact step ratio (beta_j / beta_(j-1),
 memoized per j, times (u+2j-3)(u+2j-2)/m0^2), whose magnitude is at most 1, so
 t_j is within j units after j steps.  B_u counts _EM_SAFETY times the last term
 plus those units, every other floor and the final shift from 2^V to 2^W; the
-stopping target and the restart rule are the kernel's.  Elsewhere in this
-module mpf rounding at the working precision is left to the guard digits.
+stopping target and the restart rule are the kernel's.
 
-The mpf kernel (class_tail) serves the single series, the log-weighted and
-regularized u = 1 tails and periodic_tail_num.  Its correction loop shares two
-memos and recomputes neither per step.  The coefficients
+mpf values enter the integer sums only as exact conversions (floors of their
+mantissas): the inner expansion coefficients, whose own rounding is bounded by
+2^(10-prec) of their magnitudes, and the log-weighted and regularized u = 1
+class tails, floored at 2^-W with their kernel bounds.  The one rounding of an
+L or [p,q](s,t) value is its final conversion to the working precision, counted
+in its bound (_from_fixed).  Witten, harmonic and ConstExpr values are still
+formed in mpf and leave that rounding to the guard digits.
+
+The mpf kernel (class_tail) serves the log-weighted and regularized u = 1 tails
+and periodic_tail_num.  Its correction loop shares two memos and recomputes
+neither per step.  The coefficients
 K_j = -B_2j / (2j)! * 4^(2j-1) are kept per (j, precision), built left to right
 in that order, so each correction K_j * f^(2j-1)(y) rounds exactly as the whole
 product written out in one expression would; the inner expansions use -K_j,
@@ -62,6 +74,7 @@ from itertools import accumulate, cycle
 from operator import mul
 
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec, from_man_exp, round_ceiling, round_nearest
 
 from .errors import DomainError, PrecisionError
 from .exact import bernoulli
@@ -272,35 +285,46 @@ def _class_tail_compute(r, u, N, D, logw, start_min, attempt=0):
         )
 
 
-def _regularized_combo(requests, N, D):
-    """Sum of coef * class_tail(r, 1, N) for (coef, r) pairs whose coefficients
-    cancel over the classes (so the discarded (1/4) log X parts cancel too)."""
-    with mp.workdps(D + 10):
-        tot_c = sum(c for c, _ in requests)
-        scale = max([abs(c) for c, _ in requests] + [mpf(1)])
-        if abs(tot_c) > mpf(10) ** (-(D + 2)) * scale:
-            raise DomainError("divergent combination: class coefficients do not cancel")
-        total = mp.zero
-        bound = mp.zero
-        for c, r in requests:
-            v, b = class_tail(r, 1, N, D)
-            total += c * v
-            bound += abs(c) * b
-        return total, bound
+def _floor_fixed(x, bits: int, num: int = 1, den: int = 1) -> int:
+    """floor(x num 2^bits / den) for an mpf x and integers num, den > 0, exactly."""
+    sign, man, exp, _ = x._mpf_
+    man *= -num if sign else num
+    e = exp + bits
+    return (man << e) // den if e >= 0 else man // (den << -e)
 
 
-def _char_class_tails(p: str, u: int, N: int, D: int):
-    """(sum_r chi_p(r) T_r, sum_r bound_r) over the classes r with chi_p(r) != 0,
-    T_r = class_tail(r, u, N, D).  At u = 1 the T_r are the regularized tails
-    (at N = 0 the class constants C_r, which sum to gamma over r), so the sum
-    is the tail of L_p(1) when p is mean-zero.  Callers set the precision."""
-    total = bound = mp.zero
+def _ceil_fixed(x, bits: int, num: int = 1, den: int = 1) -> int:
+    """ceil(x num 2^bits / den), exactly; mpf negation is exact."""
+    return -_floor_fixed(-x, bits, num, den)
+
+
+def _from_fixed(x: int, units: int, bits: int, D: int):
+    """(value, bound) at D + 10 digits of x 2^-bits, known within `units` units
+    of 2^-bits.  The value is rounded to nearest, within 2^-prec |x| units, and
+    the bound, which counts that rounding too, is rounded up."""
+    prec = dps_to_prec(D + 10)
+    units += (abs(x) >> (prec - 1)) + 1
+    return (
+        mp.make_mpf(from_man_exp(x, -bits, prec, round_nearest)),
+        mp.make_mpf(from_man_exp(units, -bits, prec, round_ceiling)),
+    )
+
+
+def _class_tails_fixed(p: str, u: int, N: int, D: int):
+    """(X, units): X = sum_r chi_p(r) floor(T_r 2^W) over the classes with
+    chi_p(r) != 0, T_r = class_tail(r, u, N, D), W = _fixed_bits(D), and
+    |sum_r chi_p(r) T_r 2^W - X| <= units.  At u = 1 the T_r are the regularized
+    tails (at N = 0 the class constants C_r, which sum to gamma over r), so the
+    sum is the tail of L_p(1) when p is mean-zero.  The class tails are the
+    only mpf values; their sum is exact."""
+    W = _fixed_bits(D)
+    X = units = 0
     for r, c in zip((1, 2, 3, 4), CHI[p]):
         if c:
             v, b = class_tail(r, u, N, D)
-            total += c * v
-            bound += b
-    return total, bound
+            X += c * _floor_fixed(v, W)
+            units += _ceil_fixed(b, W) + 1
+    return X, units
 
 
 # --------------------------------------------------------------------------
@@ -308,24 +332,44 @@ def _char_class_tails(p: str, u: int, N: int, D: int):
 # --------------------------------------------------------------------------
 
 
+def _L_fixed(p: str, s: int, D: int):
+    """(X, units) with |L_p(s) 2^W - X| <= units, W = _fixed_bits(D).
+
+    The head n <= N is sum chi_p(n) floor(2^W/n^s) from _pow_row, N floor units.
+    For s >= 2 the tail is sum_r chi_p(r) G_r[s] from the integer rows, within
+    sum_r B_r[s] units of 2^-W N^-s; at the mean-zero s = 1 it is
+    _class_tails_fixed(p, 1, N, D)."""
+    key = ("L", p, s, D)
+    hit = _fixed_cache.get(key)
+    if hit is not None:
+        return hit
+    if s == 1 and not is_mean_zero(p):
+        raise DomainError(f"L_{p}(1) diverges")
+    N = _outer_cutoff(D)
+    row = _pow_row(s, D)
+    head = sum(c * sum(row[r::4]) for r, c in zip((1, 2, 3, 4), CHI[p]) if c)
+    if s == 1:
+        X, units = _class_tails_fixed(p, 1, N, D)
+        hit = (head + X, units + N)
+    else:
+        Ns = N**s
+        acc, units = head * Ns, N * Ns
+        for r, c in zip((1, 2, 3, 4), CHI[p]):
+            if c:
+                G, B = _tail_row(r, s, s + 1, D)
+                acc += c * G[s]
+                units += B[s]
+        hit = (acc // Ns, -(-units // Ns) + 1)
+    _fixed_cache[key] = hit
+    return hit
+
+
 def _L_internal(p: str, s: int, D: int):
     key = ("L", p, s, D)
     hit = _value_cache.get(key)
-    if hit is not None:
-        return hit
-    N = _outer_cutoff(D)
-    with mp.workdps(D + 10):
-        direct = mp.zero
-        for n in range(1, N + 1):
-            c = chi(p, n)
-            if c:
-                direct += c * mpf(n) ** (-s)
-        if s == 1 and not is_mean_zero(p):
-            raise DomainError(f"L_{p}(1) diverges")
-        tail, bound = _char_class_tails(p, s, N, D)
-        res = (direct + tail, bound)
-    _value_cache[key] = res
-    return res
+    if hit is None:
+        hit = _value_cache[key] = _from_fixed(*_L_fixed(p, s, D), _fixed_bits(D), D)
+    return hit
 
 
 def _zeta_internal(s: int, D: int):
@@ -362,7 +406,7 @@ def periodic_tail_num(p: str, s: int, N: int, ctx: EvalContext):
         raise DomainError("N must be >= 0")
     D = ctx.work_digits
     with mp.workdps(D + 10):
-        v, b = _char_class_tails(p, s, N, D)
+        v, b = _from_fixed(*_class_tails_fixed(p, s, N, D), _fixed_bits(D), D)
         if b > mpf(10) ** (-(ctx.prec + 2)):
             raise PrecisionError("periodic tail bound exceeds 10^-(P+2)")
         return v
@@ -373,10 +417,16 @@ def periodic_tail_num(p: str, s: int, N: int, ctx: EvalContext):
 # --------------------------------------------------------------------------
 
 _array_cache: dict = {}
-# fixed-point rows: ("pow", u, D) -> [floor(2^W / n^u) for n = 0..N] (0 at n = 0),
-# ("tail", r, D) -> (G, B) indexed by exponent, ("fold", q, t, r, D) -> folded vector;
-# also _char_em's per-precision constants ("head", D) and ("Npow", e, D)
+# fixed-point values: ("pow", u, D) -> [floor(2^W / n^u) for n = 0..N] (0 at n = 0),
+# ("tail", r, D) -> (G, B) indexed by exponent, ("fold", q, t, r, D) -> folded vector,
+# ("L", p, s, D) and ("C", q, D) -> (X, units), the constants of _inner_const,
+# ("head", D) -> _char_em's head rounding units
 _fixed_cache: dict = {}
+# (t, N, D) -> _inner_ct's expansion for the latest key only: _inner_array asks
+# for the shifts delta of one (t, D) one after another
+_inner_ct_cache: dict = {}
+# (g, e, D) -> _gen_pow's generator power and error coefficient
+_gen_pow_cache: dict = {}
 
 
 def _fixed_bits(D: int) -> int:
@@ -384,23 +434,16 @@ def _fixed_bits(D: int) -> int:
     return int(3.33 * (D + 10)) + 60
 
 
-def _head_bound(D: int):
-    """N (3 + log N) 2^-W with N = N(D), W = W(D): the rounding bound of _char_em's
-    direct head, cached per D (computed at _char_em's working precision D + 10)."""
+def _head_units(D: int) -> int:
+    """ceil(N (3 + log N) 2^W), N = N(D), W = W(D): _char_em's head rounding in
+    units of 2^-2W, cached per D (log N at _char_em's working precision, whose
+    rounding the ceiling absorbs)."""
     key = ("head", D)
     hit = _fixed_cache.get(key)
     if hit is None:
         N = _outer_cutoff(D)
-        hit = _fixed_cache[key] = N * (3 + mp.log(N)) * mp.ldexp(1, -_fixed_bits(D))
-    return hit
-
-
-def _cutoff_pow(e: int, D: int):
-    """N(D)^e for _char_em's remainder bounds, cached per (e, D), as _head_bound."""
-    key = ("Npow", e, D)
-    hit = _fixed_cache.get(key)
-    if hit is None:
-        hit = _fixed_cache[key] = mpf(_outer_cutoff(D)) ** e
+        with mp.workdps(D + 10):
+            hit = _fixed_cache[key] = _ceil_fixed(N * (3 + mp.log(N)), _fixed_bits(D)) + 1
     return hit
 
 
@@ -510,8 +553,14 @@ def _inner_ct(t: int, N: int, D: int):
 
     Returns (terms, logcoef, (crem, erem)): for t == 1 the leading part is
     logcoef * log y with logcoef = -1/4 (the regularized class-harmonic tail);
-    remainder is bounded by crem * y^-erem.
+    remainder is bounded by crem * y^-erem.  Memoized for the latest
+    (t, N, D), which the shifts of one inner array share; callers must not
+    change the terms list.
     """
+    key = (t, N, D)
+    hit = _inner_ct_cache.get(key)
+    if hit is not None:
+        return hit
     with mp.workdps(D + 10):
         terms = []
         logc = mpf(0)
@@ -536,7 +585,9 @@ def _inner_ct(t: int, N: int, D: int):
                 raise PrecisionError(f"inner EM series turned at j={j} before target (t={t}, N={N})")
             prev = mag
             if mag * _EM_SAFETY < target:
-                return terms, logc, (_EM_SAFETY * abs(c), e)
+                _inner_ct_cache.clear()
+                hit = _inner_ct_cache[key] = (terms, logc, (_EM_SAFETY * abs(c), e))
+                return hit
             terms.append((e, c))
         raise PrecisionError(f"inner EM loop exhausted (t={t}, N={N})")
 
@@ -574,8 +625,15 @@ def _inner_array(t: int, delta: int, D: int):
 
     The tail of sum_{m >= n+delta, step 4} m^-t equals
     logcoef*log n + sum_e c_e n^-e + R,  |R| <= crem * n^-erem  for n > N(D).
-    Returns (emin, A, logcoef, (crem, erem)) with A[e - emin] =
-    floor(c_e N^-e 2^W) at W = _fixed_bits(D), 0 for an absent exponent.
+    Returns (emin, A, logcoef, (rem, erem), rnd) with A[e - emin] =
+    floor(c_e N^-e 2^W) at W = _fixed_bits(D), 0 for an absent exponent, and
+    rem >= crem N^(1-erem) 2^2W in integer units.  The c_e are sums of mpf
+    coefficients c, each times the expansion of (n+delta)^-u or n^-i, at most
+    N^-u or N^-i for n > N (to within the remainder that rem counts).  Each c
+    is within 1024 roundings of its exact value (fewer than 2j + 6 for the j-th
+    EM term, j < 500), so the exact expansion differs from the c_e by at most
+    rnd 2^-W at n > N, with rnd >= 2^(10-prec) sum |c| N^-u 2^W.  rem is padded
+    alike for the roundings that built crem.
     """
     key = (t, delta, D)
     hit = _array_cache.get(key)
@@ -604,19 +662,24 @@ def _inner_array(t: int, delta: int, D: int):
                 rems.append((abs(c) * cr, er))
         erem = min(e for _, e in rems)
         crem = sum(c * mpf(N) ** (erem - e) for c, e in rems)
+        prec = mp.prec
     # each mpf is man * 2^exp, so the coefficient sums are exact integers at scale 2^-shift
     shift = max(0, -min(c._mpf_[2] for c, _ in parts))
     comp: dict = {}
+    mag = 0
     for c, terms in parts:
         sign, man, exp, _ = c._mpf_
-        m = (-man if sign else man) << (exp + shift)
+        m = man << (exp + shift)
         for e, c2 in terms:
-            comp[e] = comp.get(e, 0) + m * c2
+            comp[e] = comp.get(e, 0) + (-m if sign else m) * c2
+        # c multiplies (n+delta)^-e or n^-e for the first exponent e: at most N^-e
+        mag += -(-(m << W) // (N ** terms[0][0] << shift))
     emin = min(comp)
     A = [0] * (max(comp) - emin + 1)
     for e, v in comp.items():
         A[e - emin] = (v << W) // (N**e << shift)
-    res = (emin, A, logc, (crem, erem))
+    rem = _ceil_fixed(crem, 2 * W, 1, N ** (erem - 1))
+    res = (emin, A, logc, (rem + (rem >> (prec - 11)) + 1, erem), (mag >> (prec - 10)) + 1)
     _array_cache[key] = res
     return res
 
@@ -625,11 +688,11 @@ def _folded_inner(q: str, t: int, r: int, D: int):
     """The inner arrays of q's classes seen from outer class r, summed with
     their character signs.
 
-    Returns (emin, F, k, logsum, rems, rem_bounds): F[e - emin] is the
-    folded fixed-point coefficient, within k units (k = number of classes
-    folded) of the exact fold; logsum the folded log coefficient (0 for a
-    mean-zero q); rems the per-class remainder (crem, erem) pairs, and
-    rem_bounds a cache s -> their summed bound over the outer tail.
+    Returns (emin, F, k, log4, rems, rnd): F[e - emin] is the folded
+    fixed-point coefficient, within k units (k = number of classes folded) of
+    the fold of the arrays' coefficients; log4 is 4 times the folded log
+    coefficient (0 for a mean-zero q, else -sum chi_q), rems the per-class
+    remainder (rem, erem) pairs and rnd the summed rounding units.
     """
     key = ("fold", q, t, r, D)
     hit = _fixed_cache.get(key)
@@ -638,13 +701,27 @@ def _folded_inner(q: str, t: int, r: int, D: int):
     parts = [(c, _inner_array(t, (rp - r) % 4, D)) for rp, c in zip((1, 2, 3, 4), CHI[q]) if c]
     emin = min(arr[0] for _, arr in parts)
     F = [0] * (max(arr[0] + len(arr[1]) for _, arr in parts) - emin)
-    for c, (e0, A, _, _) in parts:
+    for c, (e0, A, _, _, _) in parts:
         for i, a in enumerate(A, e0 - emin):
             F[i] += c * a
-    logsum = sum(c * arr[2] for c, arr in parts)
-    res = (emin, F, len(parts), logsum, [arr[3] for _, arr in parts], {})
+    log4 = sum(c * int(4 * arr[2]) for c, arr in parts)
+    rems = [arr[3] for _, arr in parts]
+    res = (emin, F, len(parts), log4, rems, sum(arr[4] for _, arr in parts))
     _fixed_cache[key] = res
     return res
+
+
+def _inner_const(q: str, t: int, D: int):
+    """(X, units) with |C 2^W - X| <= units, W = _fixed_bits(D), for the constant C
+    of the inner prefix sum_{m<n} chi_q(m) m^-t: L_q(t), or for a divergent inner
+    sum (t = 1, q not mean-zero) sum_r chi_q(r) C_r over the class constants."""
+    if t > 1 or is_mean_zero(q):
+        return _L_fixed(q, t, D)
+    key = ("C", q, D)
+    hit = _fixed_cache.get(key)
+    if hit is None:
+        hit = _fixed_cache[key] = _class_tails_fixed(q, 1, 0, D)
+    return hit
 
 
 # --------------------------------------------------------------------------
@@ -671,67 +748,55 @@ def _char_em(p: str, q: str, s: int, t: int, D: int):
         return hit
     if not _char_convergent(p, q, s, t):
         raise DomainError(f"[{p},{q}]({s},{t}) is outside the convergence region")
-    divergent_inner = t == 1 and not is_mean_zero(q)
-    if divergent_inner and s == 1:
+    if t == 1 and s == 1 and not is_mean_zero(q):
         # needs a regularized combination of the log-weighted u = 1 class tails
         raise DomainError(f"[{p},{q}](1,1): the divergent-inner s = 1 case is not supported yet")
     N, W = _outer_cutoff(D), _fixed_bits(D)
-    with mp.workdps(D + 10):
-        # head n <= N: sum chi_p(n) floor(2^W/n^s) * sum_{m<n} chi_q(m) floor(2^W/m^t),
-        # exact at scale 2^-2W; the floors drop < 2^W (2 + log N) units per n
-        prefix = list(accumulate(map(mul, cycle(CHI[q][3:] + CHI[q][:3]), _pow_row(t, D))))
-        outer = _pow_row(s, D)
-        direct = sum(
-            c * sum(map(mul, outer[r::4], prefix[r - 1 : N : 4]))
-            for r, c in zip((1, 2, 3, 4), CHI[p])
-            if c
-        )
-        bound = _head_bound(D)
-        if divergent_inner:
-            Cq, bq = _char_class_tails(q, 1, 0, D)
-        else:
-            Cq, bq = _L_internal(q, t, D)
-        total = mp.zero
-        acc = direct * N**s  # fixed-point part at scale 2^-2W N^-s
-        units = 0  # its rounding units at the same scale
-        reg_requests = []
-        for r in (1, 2, 3, 4):
-            cp = CHI[p][r - 1]
-            if not cp:
-                continue
-            if s >= 2:
-                v, b = class_tail(r, s, N, D)
-                total += cp * Cq * v
-                bound += abs(Cq) * b + abs(v) * bq
-            else:
-                reg_requests.append((cp * Cq, r))
-                bound += 2 * bq
-            emin, F, k, logsum, rems, rem_bounds = _folded_inner(q, t, r, D)
-            lo = s + emin
-            hi = lo + len(F)
-            G, B = _tail_row(r, lo, hi, D)
-            Gs, Bs = G[lo:hi], B[lo:hi]
-            acc -= cp * sum(map(mul, F, Gs))
-            units += sum(map(mul, map(abs, F), Bs)) + k * (sum(Bs) + sum(map(abs, Gs)))
-            if logsum:
-                v, b = class_tail(r, s, N, D, logw=True)
-                total -= cp * logsum * v
-                bound += abs(logsum) * b
-            rb = rem_bounds.get(s)
-            if rb is None:
-                # sum_{n > N} crem n^(-s-erem) <= crem N^(1-s-erem) / (s+erem-1)
-                rb = sum(crem * _cutoff_pow(1 - s - erem, D) / (s + erem - 1) for crem, erem in rems)
-                rem_bounds[s] = rb
-            bound += rb
-        if reg_requests:
-            v, b = _regularized_combo(reg_requests, N, D)
-            total += v
-            bound += b
-        total += mp.ldexp(mpf(acc) / N**s, -2 * W)
-        bound += mp.ldexp(mpf(units) / N**s, -2 * W)
-        res = (total, bound)
-    _value_cache[key] = res
-    return res
+    Ns = N**s
+    # everything is summed at scale 2^-2W N^-s.  Head n <= N:
+    # sum chi_p(n) floor(2^W/n^s) * sum_{m<n} chi_q(m) floor(2^W/m^t), whose
+    # floors drop < N (3 + log N) 2^W units
+    prefix = list(accumulate(map(mul, cycle(CHI[q][3:] + CHI[q][:3]), _pow_row(t, D))))
+    outer = _pow_row(s, D)
+    direct = sum(
+        c * sum(map(mul, outer[r::4], prefix[r - 1 : N : 4]))
+        for r, c in zip((1, 2, 3, 4), CHI[p])
+        if c
+    )
+    acc = direct * Ns
+    units = _head_units(D) * Ns
+    C, Cu = _inner_const(q, t, D)
+    for r in (1, 2, 3, 4):
+        cp = CHI[p][r - 1]
+        if not cp:
+            continue
+        emin, F, k, log4, rems, rnd = _folded_inner(q, t, r, D)
+        lo = s + emin
+        hi = lo + len(F)
+        G, B = _tail_row(r, s if s > 1 else lo, hi, D)
+        Gs, Bs = G[lo:hi], B[lo:hi]
+        acc -= cp * sum(map(mul, F, Gs))
+        # the folded floors, and the coefficients' rounding: rnd 2^-W at each n > N
+        # against the row's first entry, the largest T(r,u) N^u of the slice
+        units += sum(map(mul, map(abs, F), Bs)) + k * (sum(Bs) + sum(Gs)) + rnd * (Gs[0] + Bs[0])
+        # sum_{n > N} rem n^(-s-erem) <= rem N^(1-s-erem) / (s+erem-1)
+        units += sum(-(-rem // (s + erem - 1)) for rem, erem in rems)
+        if s > 1:
+            # C T_r: C 2^W within Cu units, T_r N^s 2^W within B[s]
+            acc += cp * C * G[s]
+            units += abs(C) * B[s] + Cu * (G[s] + B[s])
+        if log4:
+            # the log-weighted tail, floored at scale 2^-W N^-s, times log4 / 4
+            v, b = class_tail(r, s, N, D, logw=True)
+            acc -= cp * log4 * _floor_fixed(v, W, Ns) << (W - 2)
+            units += abs(log4) * (_ceil_fixed(b, W, Ns) + 1) << (W - 2)
+    if s == 1:
+        # C times the regularized tail sum_r chi_p(r) T_r(1) of the mean-zero L_p(1)
+        R, Ru = _class_tails_fixed(p, 1, N, D)
+        acc += C * R * N
+        units += (abs(C) * Ru + Cu * (abs(R) + Ru)) * N
+    hit = _value_cache[key] = _from_fixed(acc // Ns, -(-units // Ns) + 1, 2 * W, D)
+    return hit
 
 
 def char_dzeta_num(p: str, q: str, s: int, t: int, ctx: EvalContext):
@@ -849,7 +914,7 @@ def _li4_half_internal(D: int):
 
 def _generator_internal(g, D: int):
     with mp.workdps(D + 10):
-        ulp = mpf(10) ** (-(D + 6))
+        ulp = _tolerance(D + 6, D + 10)
         if g == "pi":
             return +mp.pi, ulp
         if g == "log2":
@@ -868,22 +933,34 @@ def generator_num(g, ctx: EvalContext):
     return v
 
 
+def _gen_pow(g, e: int, D: int):
+    """(g^e, e |g|^(e-1) b) at D + 10 digits for the generator g with bound b:
+    a factor of _expr_internal and its error's first-order coefficient,
+    memoized per (g, e, D)."""
+    key = (g, e, D)
+    hit = _gen_pow_cache.get(key)
+    if hit is None:
+        gv, gb = _generator_internal(g, D)
+        with mp.workdps(D + 10):
+            hit = _gen_pow_cache[key] = (gv**e, e * abs(gv) ** (e - 1) * gb)
+    return hit
+
+
 def _expr_internal(expr, D: int):
     with mp.workdps(D + 10):
         total = mp.zero
         bound = mp.zero
+        rel = _tolerance(D + 6, D + 10)
         for mono, coef in expr.terms.items():
-            c = mpf(coef.numerator) / coef.denominator
-            val = c
+            val = mpf(coef.numerator) / coef.denominator
             err = mp.zero  # absolute error of the accumulated product
             for g, e in mono:
-                gv, gb = _generator_internal(g, D)
-                newval = val * gv**e
+                pv, dp = _gen_pow(g, e, D)
                 # |d(val*g^e)| <= |g^e| * err + |val| * e * |g|^(e-1) * gb
-                err = abs(gv) ** e * err + abs(val) * e * abs(gv) ** (e - 1) * gb
-                val = newval
+                err = abs(pv) * err + abs(val) * dp
+                val = val * pv
             total += val
-            bound += err + abs(val) * mpf(10) ** (-(D + 6))
+            bound += err + abs(val) * rel
         return total, bound
 
 
@@ -1036,6 +1113,7 @@ def _oracle_harmonic(kind, s, N):
 def clear_caches():
     """Drop all numeric caches (mainly for tests)."""
     for cache in (
-        _kernel_cache, _em_coef_cache, _em_ratio_cache, _ladder_cache, _array_cache, _fixed_cache, _value_cache
+        _kernel_cache, _em_coef_cache, _em_ratio_cache, _ladder_cache, _array_cache, _fixed_cache,
+        _inner_ct_cache, _gen_pow_cache, _value_cache,
     ):
         cache.clear()

@@ -27,7 +27,8 @@ the integer vanishing rows (one per non-zeta(w) monomial of the reductions of
 zeta(j, w-j)) and the integer target row, over one denominator.  Weights x_j
 pass the vanishing conditions iff every row dots to 0 with x, and then
 f(w) = target . x / den.  A candidate's weights come as integers over one
-denominator (`_scaled_weights`), so its fit is dot products with these rows.
+denominator (`_scaled_weights`, from running powers of its bases that the
+candidate keeps across weights), so its fit is dot products with these rows.
 Condition vectors: at a pool value x = p/q the rows give the integer vector
 V_i = sum_j row_i[j] p^j q^(w-1-j), a positive multiple of the rows evaluated
 at x; one search run builds them once per anchor key (`_ConditionVectors`)
@@ -342,6 +343,7 @@ class CandidateIdentity:
     f_coeffs: dict = field(default_factory=dict)
     status: str = "exact<=7"
     _relations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def weight(self, s: int, j: int) -> Fraction:
         fam = self.family
@@ -402,18 +404,29 @@ class CandidateIdentity:
             return [], 1
         top = js[-1]
         if fam == "symmetric-even":
-            num, den = _int_powers(p["d"], s)
+            num, den = self._base_powers(p["d"], s)
             return [num[j] * den[s - j] + num[s - j] * den[j] for j in js], den[s]
         if fam in ("power", "affine"):
             # a b^j + c^s d^j over the common denominator a.den c.den^s bq^top dq^top
             a, b, c, d = (1, p["a"], 0, 0) if fam == "power" else (p["a"], p["b"], p["c"], p["d"])
-            bn, bq = _int_powers(b, top)
-            dn, dq = _int_powers(d, top)
-            left = a.numerator * c.denominator**s * dq[top]
-            right = c.numerator**s * a.denominator * bq[top]
+            bn, bq = self._base_powers(b, top)
+            dn, dq = self._base_powers(d, top)
+            cn, cq = self._base_powers(c, s)
+            left = a.numerator * cq[s] * dq[top]
+            right = cn[s] * a.denominator * bq[top]
             ints = [left * bn[j] * bq[top - j] + right * dn[j] * dq[top - j] for j in js]
-            return ints, a.denominator * c.denominator**s * bq[top] * dq[top]
+            return ints, a.denominator * cq[s] * bq[top] * dq[top]
         return _integer_scale([self.weight(s, j) for j in js])
+
+    def _base_powers(self, x, n: int):
+        """([p^0 .. p^n ...], [q^0 .. q^n ...]) for a rational x = p/q: the
+        candidate's running powers of x, extended in place when n grows."""
+        num, den = self._powers.setdefault(x, ([1], [1]))
+        p, q = x.numerator, x.denominator
+        while len(num) <= n:
+            num.append(num[-1] * p)
+            den.append(den[-1] * q)
+        return num, den
 
     def describe(self) -> str:
         ps = {k: str(v) for k, v in self.params.items()}

@@ -319,12 +319,14 @@ def _cs_sym(p, q, s, t):
 
 def _closed(red, msg=None):
     """The exact value of a reductions.WittenReduction descriptor that leaves
-    no double zeta over; otherwise NotReducible with msg, or without msg
-    dzeta_reduce's own text for the first leftover."""
+    no double zeta over; otherwise NotReducible with dzeta_reduce's own text
+    for the first leftover, after msg when one is given."""
     if red.is_closed():
         return red.const_part
-    if msg is None:
-        reductions.dzeta_reduce(*next(iter(red.dz_terms)))  # raises NotReducible
+    try:
+        reductions.dzeta_reduce(*next(iter(red.dz_terms)))
+    except NotReducible as exc:
+        raise NotReducible(f"{msg}: {exc}" if msg else str(exc)) from None
     raise NotReducible(msg)
 
 

@@ -57,6 +57,11 @@ def test_reduce_not_reducible_exit_3(capsys):
     assert code == 3 and "not reducible" in err
 
 
+def test_reduce_witten_names_its_first_leftover(capsys):
+    code, _, err = run(capsys, "reduce", "W(2,2,4)")
+    assert code == 3 and "Witten value leaves irreducible double zetas: zeta(6,2) has weight 8 > 7" in err
+
+
 @pytest.mark.parametrize("expr, call", [
     ("zeta(1)", "zeta(1)"), ("hsum_odd(1)", "hsum_odd(1)"), ("hsum_half(0)", "hsum_half(0)"),
     ("dz(1,2)", "zeta(1,2)"), ("W(0,0,1)", "W(0,0,1)"),

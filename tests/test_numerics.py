@@ -85,6 +85,51 @@ def test_L_and_li4h_against_mpmath_reference(prec):
         assert abs(value - mp.polylog(4, mpf(1) / 2)) <= tol(ctx)
 
 
+@pytest.mark.parametrize("D", [20, 50, 310])
+def test_integer_L_within_its_bound_of_hurwitz_reference(D):
+    # the fixed-point L_p(s) against 4^-s sum_r chi_p(r) zeta(s, r/4) (log 2 and
+    # pi/4 at s = 1) with no allowance; at D = 20 the kernel start of u = 150
+    # passes N, so that tail row sums direct terms first
+    cases = [(p, s) for p in CHAR_IDS for s in (2, 3, 7)] + [("2b", 1), ("m4", 1)]
+    if D == 20:
+        N = numerics._outer_cutoff(D)
+        assert numerics._kernel_start(150, D) > N
+        cases += [(p, 150) for p in CHAR_IDS]
+    for p, s in cases:
+        value, bound = numerics._L_internal(p, s, D)
+        assert 0 < bound < mpf(10) ** -D
+        with mp.workdps(D + 40):
+            if s == 1:
+                ref = {"2b": mp.log(2), "m4": mp.pi / 4}[p]
+            else:
+                ref = sum(c * mp.zeta(s, mpf(r) / 4) for r, c in zip((1, 2, 3, 4), CHI[p]) if c) / mpf(4) ** s
+            assert abs(value - ref) <= bound, (p, s, D)
+
+
+def test_cold_verify_values_within_their_bounds_of_a_deeper_evaluation():
+    # every L and [p,q](s,t) value a cold verify computes at D = 50, against the
+    # same sum at D = 90, with no allowance: the bounds count the floors of the
+    # fixed-point combine and the roundings of the mpf steps
+    from mzv import verify
+
+    ctx = EvalContext(40)
+    D = ctx.work_digits
+    numerics.clear_caches()
+    for ident in verify.load_corpus():
+        for binding in verify.enumerate_bindings(ident, 10):
+            verify.verify_numeric(ident, binding, ctx)
+    entries = [(key, vb) for key, vb in numerics._value_cache.items() if key[0] in ("L", "cs") and key[-1] == D]
+    assert sum(key[0] == "L" for key, _ in entries) >= 40
+    assert sum(key[0] == "cs" for key, _ in entries) >= 1800
+    for key, (value, bound) in entries:
+        if key[0] == "L":
+            ref, _ = numerics._L_internal(key[1], key[2], 90)
+        else:
+            ref, _ = numerics._char_em(*key[1:5], 90)
+        with mp.workdps(130):
+            assert abs(value - ref) <= bound, key
+
+
 def test_periodic_tail_partitions_zeta(ctx40):
     with mp.workdps(60):
         for s, N in ((2, 10), (5, 37)):
@@ -621,14 +666,28 @@ def test_precision_errors_name_their_term():
 
 
 def test_clear_caches_empties_every_cache(ctx40):
+    from mzv.symexpr import ConstExpr, zeta_sym
+
     D = ctx40.work_digits
-    first = numerics._char_em("2b", "m4", 1, 2, D)
+    expr = zeta_sym(3) * zeta_sym(5) + ConstExpr.generator("li4h") * ConstExpr.generator("log2", 2)
+
+    def cold_values():
+        return (
+            numerics._char_em("2b", "m4", 1, 2, D),
+            numerics._char_em("1", "2a", 3, 1, D),
+            numerics._L_internal("m4", 3, D),
+            numerics._expr_internal(expr, D),
+        )
+
+    numerics.clear_caches()
+    first = cold_values()
     caches = [v for k, v in vars(numerics).items() if k.endswith("_cache") and isinstance(v, dict)]
     assert len(caches) >= 4 and all(caches)
     assert any(key[0] == "tail" for key in numerics._fixed_cache)
     numerics.clear_caches()
     assert not any(caches)
-    assert numerics._char_em("2b", "m4", 1, 2, D) == first  # identical (value, bound)
+    # identical (value, bound) bits, computed again from empty caches
+    assert [(v._mpf_, b._mpf_) for v, b in cold_values()] == [(v._mpf_, b._mpf_) for v, b in first]
 
 
 def test_telescoping_lemma():

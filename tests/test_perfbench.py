@@ -1,4 +1,5 @@
-"""The benchmark's layer tracer still finds the package names it wraps."""
+"""The benchmark's layer tracer still finds the package names it wraps: the
+Witten and harmonic layers and the numerics layers below them."""
 from pathlib import Path
 
 from mzv.corpus import parse_expr
@@ -13,8 +14,11 @@ def test_tracer_sees_the_witten_and_harmonic_layers(monkeypatch):
     tracer = Tracer().install()
     try:
         # a precision no other test uses, so the value cache cannot answer first
-        eval_ast(parse_expr("W(1,2,3) + hsum_odd(3) + hsum_half(2)"), {}, EvalContext(17))
+        eval_ast(parse_expr("W(1,2,3) + hsum_odd(3) + hsum_half(2) + L(2b,3) + cs(2b,m4;1,2)"), {}, EvalContext(17))
     finally:
         tracer.uninstall()
-    for layer in ("numerics.witten", "numerics.harmonic", "reductions.witten"):
+    for layer in (
+        "numerics.witten", "numerics.harmonic", "reductions.witten", "numerics.L", "numerics.char_em",
+        "numerics.class_tail", "numerics.inner_array", "numerics.expr",
+    ):
         assert tracer.stats[layer].calls > 0, layer

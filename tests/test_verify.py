@@ -58,8 +58,9 @@ def test_reduce_ast_examples():
     assert e == pi_power(4, Fraction(1, 60))
     e = reduce_ast(parse_expr("sum(j=2..4, dz(j,5-j))"), {})
     assert e == zeta_sym(5)
-    with pytest.raises(NotReducible):
-        reduce_ast(parse_expr("W(2,2,4)"), {})  # weight 8 leftovers
+    # weight 8 leftovers; the message names the first one
+    with pytest.raises(NotReducible, match=r"^Witten value leaves irreducible double zetas: zeta\(6,2\) has weight 8 > 7$"):
+        reduce_ast(parse_expr("W(2,2,4)"), {})
     with pytest.raises(NotReducible):
         reduce_ast(parse_expr("dz(5,3)"), {})
 
@@ -582,7 +583,8 @@ def _ref_reduce_call(node: Call, env) -> ConstExpr:
         red = reductions.witten_reduce(intarg(0), intarg(1), intarg(2))
         if isinstance(red, ConstExpr):
             return red
-        raise NotReducible("Witten value leaves irreducible double zetas")
+        a, b = next(iter(red.dz_terms))
+        raise NotReducible(f"Witten value leaves irreducible double zetas: zeta({a},{b}) has weight {a + b} > 7")
     if name == "hsum_odd":
         sigma = intarg(0)
         s = sigma + 1
