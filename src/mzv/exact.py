@@ -4,21 +4,21 @@ Rationals are ``fractions.Fraction`` throughout: always in lowest terms with a
 positive denominator, arithmetic closed and exact.  The Bernoulli numbers use
 the convention B_1 = -1/2 (so 2*(2n)! * zeta(2n) = (-1)^(n+1) * (2*pi)^(2n) * B_2n),
 the Euler numbers the secant convention (E_0 = 1, E_2 = -1, E_4 = 5).
+
+Exact is single-threaded: the Bernoulli and Euler tables grow without locks.
+Parallel callers should use processes.
 """
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 from .errors import DomainError
 
 Rational = Fraction
 
-_bern_lock = threading.Lock()
 _bern_cache: list[Fraction] = [Fraction(1)]
 
-_euler_lock = threading.Lock()
 _euler_cache: list[int] = [1]  # even-index Euler numbers E_0, E_2, E_4, ...
 
 
@@ -32,26 +32,32 @@ def binomial(n: int, k: int) -> int:
 def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2).
 
-    Filled via the defining convolution sum_{k=0}^{n} C(n+1, k) B_k = 0; computing
-    B_n caches every lower index, so the table grows monotonically.
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers T_k; a
+    request past the table refills it to at least twice its length.
     """
     if n < 0:
         raise DomainError(f"Bernoulli number B_{n}: the index must be >= 0")
-    if n < len(_bern_cache):
-        return _bern_cache[n]
-    with _bern_lock:
-        while len(_bern_cache) <= n:
-            m = len(_bern_cache)
-            if m > 1 and m % 2 == 1:
-                _bern_cache.append(Fraction(0))
-                continue
-            acc = Fraction(0)
-            for k in range(m):
-                bk = _bern_cache[k]
-                if bk:
-                    acc += math.comb(m + 1, k) * bk
-            _bern_cache.append(-acc / (m + 1))
+    global _bern_cache
+    if n >= len(_bern_cache):
+        _bern_cache = _bernoulli_table(max(n, 2 * len(_bern_cache)) // 2)
     return _bern_cache[n]
+
+
+def _bernoulli_table(K: int) -> list[Fraction]:
+    """[B_0, ..., B_(2K+1)] from the tangent numbers T_1..T_K, by the all-integer
+    O(K^2) recurrence of Brent and Harvey ("Fast computation of Bernoulli,
+    Tangent and Secant numbers", 2011, algorithm TangentNumbers)."""
+    T = [0, 1] + [0] * (K - 1)  # T[k] = T_k
+    for k in range(2, K + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, K + 1):
+        for j in range(k, K + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    table = [Fraction(1), Fraction(-1, 2)]
+    for k in range(1, K + 1):
+        b = Fraction(2 * k * T[k], 4**k * (4**k - 1))
+        table += [b if k % 2 else -b, Fraction(0)]
+    return table
 
 
 def euler_number(n: int) -> int:
@@ -66,13 +72,12 @@ def euler_number(n: int) -> int:
     m = n // 2
     if m < len(_euler_cache):
         return _euler_cache[m]
-    with _euler_lock:
-        while len(_euler_cache) <= m:
-            j = len(_euler_cache)
-            acc = 0
-            for k in range(j):
-                acc += math.comb(2 * j, 2 * k) * _euler_cache[k]
-            _euler_cache.append(-acc)
+    while len(_euler_cache) <= m:
+        j = len(_euler_cache)
+        acc = 0
+        for k in range(j):
+            acc += math.comb(2 * j, 2 * k) * _euler_cache[k]
+        _euler_cache.append(-acc)
     return _euler_cache[m]
 
 

@@ -42,12 +42,18 @@ t_j is within j units after j steps.  B_u counts _EM_SAFETY times the last term
 plus those units, every other floor and the final shift from 2^V to 2^W; the
 stopping target and the restart rule are the kernel's.
 
+The inner expansions are integer floor chains too, at scale 2^(W+32): the
+EM coefficients of _inner_ct come from the same step ratios, and each
+(n+delta)^-e term, and log(1 + delta/n) for t = 1, is re-expanded in powers of
+1/n by _shift_chain, one floor division per term with a counted error unit,
+until the geometric rest of the chain is a few units.  The summed units,
+shifted to 2^-W, are the arrays' rnd.
+
 mpf values enter the integer sums only as exact conversions (floors of their
-mantissas): the inner expansion coefficients, whose own rounding is bounded by
-2^(10-prec) of their magnitudes, and the log-weighted and regularized u = 1
-class tails, floored at 2^-W with their kernel bounds.  The one rounding of an
-L or [p,q](s,t) value is its final conversion to the working precision, counted
-in its bound (_from_fixed).  Witten, harmonic and ConstExpr values are still
+mantissas): the log-weighted and regularized u = 1 class tails, floored at
+2^-W with their kernel bounds.  The one rounding of an L, [p,q](s,t) or
+Li_4(1/2) value is its final conversion to the working precision, counted in
+its bound (_from_fixed).  Witten, harmonic and ConstExpr values are still
 formed in mpf and leave that rounding to the guard digits.
 
 The mpf kernel (class_tail) serves the log-weighted and regularized u = 1 tails
@@ -55,11 +61,10 @@ and periodic_tail_num.  Its correction loop shares two memos and recomputes
 neither per step.  The coefficients
 K_j = -B_2j / (2j)! * 4^(2j-1) are kept per (j, precision), built left to right
 in that order, so each correction K_j * f^(2j-1)(y) rounds exactly as the whole
-product written out in one expression would; the inner expansions use -K_j,
-which is exact.  The powers y^-k of the start point y are kept for one (start,
-precision) at a time, and each is still a direct mpf(y) ** -k.  Class tail
-values and bounds are therefore bit-identical to computing every step from
-scratch.
+product written out in one expression would.  The powers y^-k of the start
+point y are kept for one (start, precision) at a time, and each is still a
+direct mpf(y) ** -k.  Class tail values and bounds are therefore bit-identical
+to computing every step from scratch.
 
 Numerics is single-threaded: mpmath's working precision (mp.workdps) is
 process-global, so concurrent callers would change each other's precision.
@@ -70,6 +75,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate, cycle
 from operator import mul
 
@@ -425,6 +431,10 @@ _fixed_cache: dict = {}
 # (t, N, D) -> _inner_ct's expansion for the latest key only: _inner_array asks
 # for the shifts delta of one (t, D) one after another
 _inner_ct_cache: dict = {}
+# guard bits of the inner expansions, summed at scale 2^(W + _INNER_GUARD)
+_INNER_GUARD = 32
+# a _shift_chain stops once the terms it leaves out sum to at most this many units
+_CHAIN_REST = 4
 # (g, e, D) -> _gen_pow's generator power and error coefficient
 _gen_pow_cache: dict = {}
 
@@ -549,11 +559,21 @@ def _tail_row(r: int, lo: int, hi: int, D: int):
 
 
 def _inner_ct(t: int, N: int, D: int):
-    """EM expansion of sum_{k>=0} (y+4k)^-t as terms c * y^-e, valid for y >= N.
+    """EM expansion of sum_{k>=0} (y+4k)^-t in powers y^-e, valid for y >= N, in
+    integers at scale 2^V, V = _fixed_bits(D) + _INNER_GUARD.
 
-    Returns (terms, logcoef, (crem, erem)): for t == 1 the leading part is
-    logcoef * log y with logcoef = -1/4 (the regularized class-harmonic tail);
-    remainder is bounded by crem * y^-erem.  Memoized for the latest
+    Returns (terms, (crem, erem)): terms lists (e, a, err) with
+    |c_e N^-e 2^V - a| <= err for the coefficient c_e of y^-e, and the remainder
+    is at most crem 2^-V (N/y)^erem.  For t == 1 the leading part is -log(y)/4
+    (the regularized class-harmonic tail), which is not listed.
+    a_(t-1) = 2^V / (4(t-1) N^(t-1)), a_t = 2^V / (2 N^t) and
+    a_(t+1) = t 2^V / (3 N^(t+1)) are floors; each later term is one floor
+    division of the one before by the exact step ratio times
+    (t+2j-3)(t+2j-2) / N^2, of magnitude at most 1, so the j-th is within j
+    units.  The series stops at the kernel's target _EM_SAFETY |c_e| N^-e <
+    10^-(D+6) N^-t, or once _EM_SAFETY |a| is below a unit of 2^-W, which the
+    floors can not resolve (the case for large t); the remainder is
+    _EM_SAFETY (|a| + j) for the first term left out.  Memoized for the latest
     (t, N, D), which the shifts of one inner array share; callers must not
     change the terms list.
     """
@@ -561,125 +581,89 @@ def _inner_ct(t: int, N: int, D: int):
     hit = _inner_ct_cache.get(key)
     if hit is not None:
         return hit
-    with mp.workdps(D + 10):
-        terms = []
-        logc = mpf(0)
-        if t == 1:
-            logc = mpf(-1) / 4
-        else:
-            terms.append((t - 1, mpf(1) / (4 * (t - 1))))
-        terms.append((t, mpf(1) / 2))
-        target = mpf(10) ** (-(D + 6)) * mpf(N) ** (-t)
-        prev = None
-        rise = mpf(1)  # rising factorial (t)_{2j-1}, extended incrementally
-        m = 0
-        prec = mp.prec
-        for j in range(1, 500):
-            while m < 2 * j - 1:
-                rise = rise * (t + m) if m else mpf(t)
-                m += 1
-            c = -_em_coef(j, prec) * rise  # negation is exact and rounding symmetric
-            e = t + 2 * j - 1
-            mag = abs(c) * mpf(N) ** (-e)
-            if prev is not None and mag > prev:
+    V = _fixed_bits(D) + _INNER_GUARD
+    Nt = N**t
+    terms = [(t - 1, (N << V) // (4 * (t - 1) * Nt), 1)] if t > 1 else []
+    terms.append((t, (1 << V) // (2 * Nt), 1))
+    lim = max((1 << V) // (10 ** (D + 6) * Nt), 1 << _INNER_GUARD)
+    a = (t << V) // (3 * Nt * N)  # beta_1 = 1/3
+    for j in range(1, 500):
+        if j > 1:
+            num, den = _em_ratio(j)
+            num *= (t + 2 * j - 3) * (t + 2 * j - 2)
+            den *= N * N
+            if abs(num) > den:
                 raise PrecisionError(f"inner EM series turned at j={j} before target (t={t}, N={N})")
-            prev = mag
-            if mag * _EM_SAFETY < target:
-                _inner_ct_cache.clear()
-                hit = _inner_ct_cache[key] = (terms, logc, (_EM_SAFETY * abs(c), e))
-                return hit
-            terms.append((e, c))
-        raise PrecisionError(f"inner EM loop exhausted (t={t}, N={N})")
+            a = a * num // den
+        if _EM_SAFETY * abs(a) < lim:
+            _inner_ct_cache.clear()
+            hit = _inner_ct_cache[key] = (terms, (_EM_SAFETY * (abs(a) + j), t + 2 * j - 1))
+            return hit
+        terms.append((t + 2 * j - 1, a, j))
+    raise PrecisionError(f"inner EM loop exhausted (t={t}, N={N})")
 
 
-def _binom_reexpand(u: int, delta: int, N: int, D: int):
-    """(n+delta)^-u = sum_i c_i n^-(u+i) for n > N with integer c_i =
-    (-delta)^i binom(u+i-1, i); returns (terms, (crem, erem)).
+def _shift_chain(comp: dict, e: int, i: int, b: int, err: int, delta: int, N: int, V: int) -> int:
+    """Add the series of b N^e (n+delta)^-e (i = 0, the binomial series), or of
+    -b (N/delta) log(1 + delta/n) (e = 0, i = 1), in powers (N/n)^(e+k) to
+    comp[e + k]: its k-th coefficient is (-1)^k b_k, with b_i = b and
+    b_(k+1) = floor(b_k (e+k) delta / ((k+1) N)).
 
-    The binomial series alternates; once the term ratio at n = N drops below 1
-    the remainder is geometrically dominated, giving the stated bound.
+    b is within err units; returns the units by which comp may be off: each
+    b_k is within err_k units, err_(k+1) = ceil(err_k (e+k) delta / ((k+1) N)) + 1,
+    honest also while that ratio is above 1, plus the geometric rest of the terms
+    left out.  The chain stops once the ratio is below 1 and that rest is at most
+    _CHAIN_REST units; it gives up after V + 2e terms.
     """
-    if delta == 0:
-        return [(u, 1)], (mpf(0), u + 1)
-    out = []
-    c = 1
-    i = 0
-    Ni = 1  # N^i
-    target = 10 ** (D + 6)
-    while True:
-        out.append((u + i, c))
-        c = c * -(u + i) * delta // (i + 1)  # exact: binom(u+i, i+1) is an integer
-        i += 1
-        Ni *= N
-        # term ratio at n = N is num/den; stop once |c| N^-i / (1 - num/den) < 10^-(D+6)
-        num, den = (u + i) * delta, (i + 1) * N
-        if num < den and abs(c) * den * target < Ni * (den - num):
-            with mp.workdps(D + 10):
-                return out, (mpf(abs(c) * den) / (den - num), u + i)
-        if i > 400:
-            raise PrecisionError(f"binomial re-expansion did not converge (u={u}, delta={delta}, N={N})")
+    units = 0
+    for k in range(i, i + V + 2 * e):
+        comp[e + k] = comp.get(e + k, 0) + (-b if k & 1 else b)
+        units += err
+        num, den = (e + k) * delta, (k + 1) * N
+        # every later ratio is at most q: (e+m)/(m+1) falls to 1 for e >= 1, rises to it for e = 0
+        qn, qd = (num, den) if e else (delta, N)
+        if qn < qd and (abs(b) + err) * qn <= _CHAIN_REST * (qd - qn):
+            return units + _CHAIN_REST
+        b = b * num // den
+        err = -(-err * num // den) + 1
+    raise PrecisionError(f"shift re-expansion did not converge (u={e}, delta={delta}, N={N})")
 
 
 def _inner_array(t: int, delta: int, D: int):
     """Fixed-point coefficients of the class inner tail at shift delta.
 
     The tail of sum_{m >= n+delta, step 4} m^-t equals
-    logcoef*log n + sum_e c_e n^-e + R,  |R| <= crem * n^-erem  for n > N(D).
+    logcoef*log n + sum_e c_e n^-e + R,  |R| <= crem n^-erem  for n > N(D).
     Returns (emin, A, logcoef, (rem, erem), rnd) with A[e - emin] =
-    floor(c_e N^-e 2^W) at W = _fixed_bits(D), 0 for an absent exponent, and
-    rem >= crem N^(1-erem) 2^2W in integer units.  The c_e are sums of mpf
-    coefficients c, each times the expansion of (n+delta)^-u or n^-i, at most
-    N^-u or N^-i for n > N (to within the remainder that rem counts).  Each c
-    is within 1024 roundings of its exact value (fewer than 2j + 6 for the j-th
-    EM term, j < 500), so the exact expansion differs from the c_e by at most
-    rnd 2^-W at n > N, with rnd >= 2^(10-prec) sum |c| N^-u 2^W.  rem is padded
-    alike for the roundings that built crem.
+    floor(x_e / 2^G), 0 for an absent exponent, G = _INNER_GUARD and
+    W = _fixed_bits(D): x_e sums the _shift_chain re-expansions of _inner_ct's
+    terms at n + delta (and of -log(1 + delta/n)/4 for t = 1) at scale
+    N^-e 2^(W+G), and sum_e |c_e N^-e 2^(W+G) - x_e| is at most the chains' units,
+    so sum_e |c_e N^-e 2^W - A[e - emin]| <= rnd + len(A) with
+    rnd = ceil(units / 2^G) + 1.  Every coefficient is an exact rational and
+    every step an integer floor.  rem = crem N^(1-erem) 2^2W in integer units,
+    from _inner_ct's remainder at y = n + delta > N.
     """
     key = (t, delta, D)
     hit = _array_cache.get(key)
     if hit is not None:
         return hit
     N, W = _outer_cutoff(D), _fixed_bits(D)
-    with mp.workdps(D + 10):
-        ct, logc, (crem0, erem0) = _inner_ct(t, N, D)
-        parts = []  # (mpf coefficient c, [(exponent e, integer multiplier m)]): c m n^-e
-        rems = [(crem0, erem0)]
-        if logc and delta > 0:
-            # log(n+delta) = log n + sum_i (-1)^(i-1) delta^i/(i n^i); alternating
-            i = 1
-            target = mpf(10) ** (-(D + 6))
-            while True:
-                parts.append((logc * (-1) ** (i - 1) * mpf(delta) ** i / i, [(i, 1)]))
-                nxt = abs(logc) * mpf(delta) ** (i + 1) / (i + 1)
-                if nxt * mpf(N) ** (-(i + 1)) < target:
-                    rems.append((nxt, i + 1))
-                    break
-                i += 1
-        for e, c in ct:
-            terms, (cr, er) = _binom_reexpand(e, delta, N, D)
-            parts.append((c, terms))
-            if cr:
-                rems.append((abs(c) * cr, er))
-        erem = min(e for _, e in rems)
-        crem = sum(c * mpf(N) ** (erem - e) for c, e in rems)
-        prec = mp.prec
-    # each mpf is man * 2^exp, so the coefficient sums are exact integers at scale 2^-shift
-    shift = max(0, -min(c._mpf_[2] for c, _ in parts))
+    V = W + _INNER_GUARD
+    terms, (crem, erem) = _inner_ct(t, N, D)
     comp: dict = {}
-    mag = 0
-    for c, terms in parts:
-        sign, man, exp, _ = c._mpf_
-        m = man << (exp + shift)
-        for e, c2 in terms:
-            comp[e] = comp.get(e, 0) + (-m if sign else m) * c2
-        # c multiplies (n+delta)^-e or n^-e for the first exponent e: at most N^-e
-        mag += -(-(m << W) // (N ** terms[0][0] << shift))
+    units = 0
+    if t == 1 and delta:
+        # log(n+delta) = log n + sum_{i >= 1} (-1)^(i-1) delta^i / (i n^i), times -1/4
+        units += _shift_chain(comp, 0, 1, (delta << V) // (4 * N), 1, delta, N, V)
+    for e, a, err in terms:
+        units += _shift_chain(comp, e, 0, a, err, delta, N, V)
     emin = min(comp)
     A = [0] * (max(comp) - emin + 1)
-    for e, v in comp.items():
-        A[e - emin] = (v << W) // (N**e << shift)
-    rem = _ceil_fixed(crem, 2 * W, 1, N ** (erem - 1))
-    res = (emin, A, logc, (rem + (rem >> (prec - 11)) + 1, erem), (mag >> (prec - 10)) + 1)
+    for e, x in comp.items():
+        A[e - emin] = x >> _INNER_GUARD
+    logc = Fraction(-1, 4) if t == 1 else 0
+    res = (emin, A, logc, (crem * N << (W - _INNER_GUARD), erem), (units >> _INNER_GUARD) + 2)
     _array_cache[key] = res
     return res
 
@@ -903,13 +887,12 @@ def harmonic_sum_num(kind: str, s: int, ctx: EvalContext):
 
 
 def _li4_half_internal(D: int):
-    with mp.workdps(D + 10):
-        N = int(3.33 * (D + 8)) + 8
-        total = mp.zero
-        for n in range(1, N + 1):
-            total += mpf(2) ** (-n) / mpf(n) ** 4
-        bound = mpf(2) ** (-N) / mpf(N + 1) ** 4  # geometric: sum_{n>N} 2^-n n^-4 <= 2^-N (N+1)^-4
-        return total, bound
+    """(value, bound) of Li_4(1/2) = sum 2^-n n^-4 as the fixed-point sum of
+    floor(2^(W-n) / n^4) for n <= N: N floor units, the tail
+    sum_{n>N} 2^-n n^-4 <= 2^-N (N+1)^-4 and the conversion of _from_fixed."""
+    N, W = int(3.33 * (D + 8)) + 8, _fixed_bits(D)
+    X = sum((1 << (W - n)) // n**4 for n in range(1, N + 1))
+    return _from_fixed(X, N - (-(1 << (W - N)) // (N + 1) ** 4), W, D)
 
 
 def _generator_internal(g, D: int):
@@ -979,15 +962,6 @@ def expr_num(expr, ctx: EvalContext):
 
 _EPS64 = 1.2e-16
 _ZETA2 = 1.6449340668482265  # upper bound for zeta(b), b >= 2
-
-
-def _upper_S(x: int, k: float) -> float:
-    """Elementary upper bound for sum_{n<=k} n^-x."""
-    if x >= 2:
-        return _ZETA2
-    if x == 1:
-        return 1.0 + math.log(k)
-    return float(k)  # x == 0
 
 
 def brute_force_oracle(series: str, params, N: int, ctx: EvalContext | None = None):

@@ -59,6 +59,20 @@ def test_bernoulli_defining_convolution():
         assert acc == 0, n
 
 
+def test_tangent_fill_equals_defining_convolution(monkeypatch):
+    # B_0..B_400 from sum_{k=0}^{m} C(m+1, k) B_k = 0, against the tangent-number
+    # table filled by requests in increasing and in decreasing order
+    import mzv.exact as exact
+
+    ref = [Fraction(1)]
+    for m in range(1, 401):
+        ref.append(-sum(math.comb(m + 1, k) * ref[k] for k in range(m) if ref[k]) / (m + 1))
+    for order in (range(401), range(400, -1, -1)):
+        monkeypatch.setattr(exact, "_bern_cache", [Fraction(1)])
+        got = {n: bernoulli(n) for n in order}
+        assert [got[n] for n in range(401)] == ref
+
+
 def test_euler_numbers():
     assert euler_number(0) == 1
     assert euler_number(1) == 0

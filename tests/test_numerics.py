@@ -399,6 +399,14 @@ def test_harmonic_values_match_the_term_formulas(ctx40, kind, svals):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("prec", [40, 100, 300])
+def test_li4h_within_its_bound_of_polylog(prec):
+    D = EvalContext(prec).work_digits
+    v, b = numerics._li4_half_internal(D)
+    with mp.workdps(D + 30):
+        assert abs(v - mp.polylog(4, mpf(1) / 2)) <= b, prec
+
+
 def test_generators(ctx40):
     with mp.workdps(60):
         # Li4(1/2) against a directly truncated series with geometric tail bound
@@ -617,23 +625,102 @@ def test_class_tail_kernel_restarts_bit_identical(monkeypatch):
     assert got == _tail_or_error(_direct_class_tail, *args)
 
 
-def test_inner_ct_bit_identical_to_direct_coefficients():
-    # the inner expansion shares the kernel's coefficient table: K_j negated
+def _inner_em_coefficients(t, J):
+    """{e: c_e}, exact, of the EM expansion of sum_{k>=0} (y+4k)^-t through its
+    j = J correction: 1/(4(t-1)) y^(1-t) (t > 1), y^-t / 2 and
+    beta_j (t)_(2j-1) y^-(t+2j-1), beta_j = B_2j 4^(2j-1) / (2j)!."""
+    from fractions import Fraction
+
+    c = {t - 1: Fraction(1, 4 * (t - 1))} if t > 1 else {}
+    c[t] = Fraction(1, 2)
+    rise = 1
+    for j in range(1, J + 1):
+        rise = t if j == 1 else rise * (t + 2 * j - 3) * (t + 2 * j - 2)
+        c[t + 2 * j - 1] = bernoulli(2 * j) * 4 ** (2 * j - 1) / math.factorial(2 * j) * rise
+    return c
+
+
+def test_inner_ct_within_its_units_of_exact_coefficients():
+    # each integer a_e against c_e N^-e 2^V with the exact c_e, within its
+    # stated units; the remainder names the first term left out.  At D = 310,
+    # t = 12 stops at a unit of 2^-W before the kernel's target
+    from fractions import Fraction
+
     for D in (50, 310):
         N = numerics._outer_cutoff(D)
-        for t in (1, 2, 5):
-            terms, _, _ = numerics._inner_ct(t, N, D)
+        V = numerics._fixed_bits(D) + numerics._INNER_GUARD
+        for t in (1, 2, 5, 12):
+            terms, (crem, erem) = numerics._inner_ct(t, N, D)
             assert len(terms) > 10
-            with mp.workdps(D + 10):
-                rise = mpf(1)
-                m = 0
-                for j, (e, c) in enumerate(terms[2 if t > 1 else 1 :], start=1):
-                    while m < 2 * j - 1:
-                        rise = rise * (t + m) if m else mpf(t)
-                        m += 1
-                    B = bernoulli(2 * j)
-                    want = mpf(B.numerator) / B.denominator / mp.factorial(2 * j) * mpf(4) ** (2 * j - 1) * rise
-                    assert (e, c._mpf_) == (t + 2 * j - 1, want._mpf_), (D, t, j)
+            J = len(terms) - (2 if t > 1 else 1)
+            c = _inner_em_coefficients(t, J + 1)
+            assert [e for e, _, _ in terms] == sorted(c)[:-1]
+            for e, a, err in terms:
+                assert abs(c[e] * Fraction(2**V, N**e) - a) <= err, (D, t, e)
+            assert erem == t + 2 * J + 1
+            assert abs(c[erem]) * Fraction(2**V, N**erem) * numerics._EM_SAFETY <= crem
+
+
+@pytest.mark.parametrize("D", [20, 50, 110])
+def test_inner_array_within_its_units_of_exact_expansion(D):
+    # the same EM truncation, every term (and -log(1 + delta/n)/4 for t = 1)
+    # re-expanded at n + delta in exact rationals through 120 exponents past the
+    # array: sum_e |c_e N^-e 2^W - A_e| <= rnd + len(A), with no allowance; at
+    # D = 20 the binomial ratios start above 1 for the late terms
+    from fractions import Fraction
+
+    N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
+    for t in (1, 2, 5):
+        terms, _ = numerics._inner_ct(t, N, D)
+        base = _inner_em_coefficients(t, len(terms) - (2 if t > 1 else 1))
+        for delta in range(4):
+            emin, A, logc, _, rnd = numerics._inner_array(t, delta, D)
+            assert logc == (Fraction(-1, 4) if t == 1 else 0)
+            emax = emin + len(A) + 120
+            c = dict.fromkeys(range(1, emax), Fraction(0))
+            if t == 1 and delta:
+                for i in range(1, emax):
+                    c[i] += Fraction((-1) ** i * delta**i, 4 * i)
+            for e, v in base.items():
+                for i in range(emax - e if delta else 1):
+                    c[e + i] += v * (-delta) ** i * math.comb(e + i - 1, i)
+            off = sum(
+                abs(v * Fraction(2**W, N**e) - (A[e - emin] if 0 <= e - emin < len(A) else 0))
+                for e, v in c.items()
+            )
+            assert off <= rnd + len(A), (D, t, delta)
+
+
+def test_shift_chain_counts_its_units():
+    # each chain from an exact start X, b = floor(X) within 1 unit (0 for an
+    # integer X), against the exact series X prod (e+m) delta / ((m+1) N) taken
+    # 300 terms past its stop: ratios that start at 9 (e = 60, N = 20), an exact
+    # start that stops at its first term, so its units are only the rest, a
+    # negative start, and the log chain
+    from fractions import Fraction
+
+    cases = [
+        (60, 0, Fraction(7 << 80, 3), 3, 20),
+        (1, 0, Fraction(3), 1, 100),
+        (7, 0, Fraction(-(5 << 90), 7), 2, 40),
+        (0, 1, Fraction(3 << 100, 4 * 50), 3, 50),
+    ]
+    for e, i, X, delta, N in cases:
+        comp: dict = {}
+        b = math.floor(X)
+        units = numerics._shift_chain(comp, e, i, b, int(b != X), delta, N, 100)
+        stop = max(comp) - e
+        off = 0
+        for k in range(i, stop + 300):
+            off += abs((-1) ** k * X - comp.get(e + k, 0))
+            X = X * (e + k) * delta / ((k + 1) * N)
+        assert off <= units, (e, delta, N)
+
+
+def test_inner_array_length_at_deep_precision():
+    # chains stop at an absolute unit: at D = 310 the t = 2, delta = 3 array
+    # (about 365 entries while its chains stopped at 10^-(D+6) of each term)
+    assert len(numerics._inner_array(2, 3, 310)[1]) <= 240
 
 
 @pytest.mark.parametrize("prec", [40, 100, 300])
@@ -661,8 +748,9 @@ def test_class_tails_within_bound_of_hurwitz_reference(prec):
 
 
 def test_precision_errors_name_their_term():
+    # the shift ratio (2+k) 10^6 / (k+1) never falls below 1
     with pytest.raises(PrecisionError, match=r"u=2, delta=1000000, N=1"):
-        numerics._binom_reexpand(2, 10**6, 1, 10)
+        numerics._shift_chain({}, 2, 0, 1 << 64, 0, 10**6, 1, 64)
 
 
 def test_clear_caches_empties_every_cache(ctx40):
