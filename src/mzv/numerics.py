@@ -18,53 +18,53 @@ per-class power/log tails of shifted exponent.
 The single series L_p(s) and that combination, with the direct head n <= N,
 are summed in exact fixed-point integers at scale 2^W, W = _fixed_bits(D),
 about 60 bits below the working precision.  L_p(s) is its head
-sum chi_p(n) floor(2^W/n^s) plus, for s >= 2, the class rows G_s below (at the
-mean-zero s = 1, the regularized class tails floored to 2^-W).  In a double sum
-the inner constant (L_q(t), or the class constants of a divergent inner sum)
-is read once in that form, and the cross term C T(r,s) is one product
-C_fix G_s.  For each outer class the inner classes are folded first: their
-expansion coefficients are added, with their character signs, into one vector
-of A_e = floor(c_e N^-e 2^W), and the log coefficients cancel exactly for a
-mean-zero inner character.  The tail is then one integer dot product with the
-class's row G_u ~ T(r,u) N^u 2^W, and the head a sum of
+sum chi_p(n) floor(2^W/n^s) plus the class tails, for s >= 2 from the class
+rows G_s below (at the mean-zero s = 1, the regularized class tails).  In a
+double sum the inner constant (L_q(t), or the class constants of a divergent
+inner sum) is read once in that form, and the cross term C T(r,s) is one
+product C_fix G_s.  For each outer class the inner classes are folded first:
+their expansion coefficients are added, with their character signs, into one
+vector of A_e = floor(c_e N^-e 2^W), and the log coefficients cancel exactly
+for a mean-zero inner character.  The tail is then one integer dot product
+with the class's row G_u ~ T(r,u) N^u 2^W, and the head a sum of
 floor(2^W/m^t) floor(2^W/n^s) products.  Every unit dropped by a floor goes
 into the reported bound: with B_u >= |T(r,u) N^u 2^W - G_u| and k folded
 classes, a term contributes at most |F_e| B_u + k (B_u + G_u) units of
 2^-2W N^-s; the inner remainders are integer units too.
 
-The rows come from the kernel's Euler-Maclaurin series run in exact integers
-(_tail_fixed), not from mpf class tails: from the kernel's own start m0 the tail
-is m0^-u (m0/(4(u-1)) + 1/2 + sum_j t_j), t_j = beta_j (u)_(2j-1) / m0^(2j-1)
-with beta_j = B_2j 4^(2j-1) / (2j)!, summed at scale 2^V, V = W + 64.  Each t_j
-is one floor division of t_(j-1) by the exact step ratio (beta_j / beta_(j-1),
-memoized per j, times (u+2j-3)(u+2j-2)/m0^2), whose magnitude is at most 1, so
-t_j is within j units after j steps.  B_u counts _EM_SAFETY times the last term
-plus those units, every other floor and the final shift from 2^V to 2^W; the
-stopping target and the restart rule are the kernel's.
+Every class tail, plain, log-weighted or regularized, comes from one
+Euler-Maclaurin kernel run in exact integers (class_tail, _tail_fixed): from a
+start m0 > N in class r, far enough out that the terms fall below the target
+before they turn upward, the direct terms N < n < m0 are floors and the rest
+is m0^-u times a bracket summed at scale 2^V, V = W + 64.  The plain bracket
+is m0/(4(u-1)) + 1/2 + sum_j t_j, t_j = beta_j (u)_(2j-1) / m0^(2j-1) with
+beta_j = B_2j 4^(2j-1) / (2j)!.  Each t_j is one floor division of t_(j-1) by
+the exact step ratio (beta_j / beta_(j-1), from one list grown on demand,
+times (u+2j-3)(u+2j-2)/m0^2), whose magnitude is at most 1, so t_j is within
+j units after j steps (_em_chain).  The log-weighted tail is minus the
+u-derivative of the plain one: its bracket is L (the plain bracket) +
+m0/(4(u-1)^2) - sum_j t_j h_(2j-1), with L = log m0 and
+h_k = sum_(i<k) 1/(u+i), and the products t_j h_(2j-1) are a second floor
+chain next to t_j.  The regularized u = 1 tail replaces the integral term
+m0/(4(u-1)) by -m0 L/4.  L enters only there and in the log-weighted direct
+terms, as floor(log n 2^V) from mpmath, within 2 units that the bound counts.
+The bound also counts _EM_SAFETY times the last term with its units, every
+other floor and the shift from 2^V to 2^W.  A series that turns before its
+target restarts from a start 1.6 times farther out, at most five times.
+class_tail returns its pair at the rows' scale N^u 2^W (2^W at N = 0).
 
 The inner expansions are integer floor chains too, at scale 2^(W+32): the
-EM coefficients of _inner_ct come from the same step ratios, and each
+EM coefficients of _inner_ct come from the same step chain, and each
 (n+delta)^-e term, and log(1 + delta/n) for t = 1, is re-expanded in powers of
 1/n by _shift_chain, one floor division per term with a counted error unit,
 until the geometric rest of the chain is a few units.  The summed units,
 shifted to 2^-W, are the arrays' rnd.
 
-mpf values enter the integer sums only as exact conversions (floors of their
-mantissas): the log-weighted and regularized u = 1 class tails, floored at
-2^-W with their kernel bounds.  The one rounding of an L, [p,q](s,t) or
-Li_4(1/2) value is its final conversion to the working precision, counted in
-its bound (_from_fixed).  Witten, harmonic and ConstExpr values are still
-formed in mpf and leave that rounding to the guard digits.
-
-The mpf kernel (class_tail) serves the log-weighted and regularized u = 1 tails
-and periodic_tail_num.  Its correction loop shares two memos and recomputes
-neither per step.  The coefficients
-K_j = -B_2j / (2j)! * 4^(2j-1) are kept per (j, precision), built left to right
-in that order, so each correction K_j * f^(2j-1)(y) rounds exactly as the whole
-product written out in one expression would.  The powers y^-k of the start
-point y are kept for one (start, precision) at a time, and each is still a
-direct mpf(y) ** -k.  Class tail values and bounds are therefore bit-identical
-to computing every step from scratch.
+The one rounding of an L, [p,q](s,t), periodic tail or Li_4(1/2) value is its
+final conversion to the working precision, counted in its bound
+(_from_fixed).  Witten, harmonic and ConstExpr values are formed in mpf from
+such values; each of their terms adds 10^-(D+6) of its magnitude to the bound
+for the roundings.
 
 Numerics is single-threaded: mpmath's working precision (mp.workdps) is
 process-global, so concurrent callers would change each other's precision.
@@ -164,13 +164,9 @@ _value_cache: dict = {}
 # first omitted term for completely monotone integrands; 4 is a safe margin.
 _EM_SAFETY = 4
 
-# (j, prec) -> K_j = -B_2j / (2j)! * 4^(2j-1), the j-th EM coefficient at step 4
-_em_coef_cache: dict = {}
-# j -> beta_j / beta_(j-1) as (num, den), the step ratio of the integer tail rows
-_em_ratio_cache: dict = {}
-# k -> mpf(m0) ** -k for the latest kernel start only: _ladder_key = (m0, prec)
-_ladder_cache: dict = {}
-_ladder_key = None
+# beta_j / beta_(j-1) as (num, den) at index j >= 2: the step ratios of _em_chain,
+# appended as the chains first reach each j
+_em_ratios: list = [None, None]
 
 
 def _outer_cutoff(D: int) -> int:
@@ -182,126 +178,23 @@ def _kernel_start(u: int, D: int) -> int:
 
 
 def class_tail(r: int, u: int, N: int, D: int, logw: bool = False):
-    """(value, bound) of sum_{n > N, n == r (mod 4)} n^-u * (log n if logw).
+    """(X, units) with |T Nu 2^W - X| <= units for the class tail
+    T = sum_{n > N, n == r (mod 4)} n^-u (times log n if logw), at the scale of
+    the tail rows: Nu = N^u (1 at N = 0) and W = _fixed_bits(D).
 
     For u == 1, logw False, the *regularized* tail: the limit of the partial
     sum minus (1/4) log X.  Only meaningful inside combinations whose
     coefficients over the four classes sum to zero, where the log X parts
-    cancel; callers are responsible for that cancellation.
-
-    Euler-Maclaurin applied to f(x) = (4x + m0)^-u (log(4x + m0))^w from a
-    start m0 far enough out that the asymptotic terms pass below the target
-    before diverging; terms must decrease monotonically or the computation is
-    retried from a larger start.
+    cancel; callers are responsible for that cancellation.  Memoized per
+    argument tuple; the integer kernel _tail_fixed computes it.
     """
     if u < 1 or (u == 1 and logw):
         raise DomainError("class_tail needs u >= 2, or u == 1 without log weight")
     key = (r, u, N, D, logw)
     hit = _kernel_cache.get(key)
     if hit is None:
-        hit = _kernel_cache[key] = _class_tail_compute(r, u, N, D, logw, _kernel_start(u, D))
+        hit = _kernel_cache[key] = _tail_fixed(r, u, N, D, max(N, 1) ** u, {}, logw)
     return hit
-
-
-def _em_coef(j: int, prec: int):
-    """K_j = -B_2j / (2j)! * 4^(2j-1) at prec bits, evaluated left to right.
-
-    Memoized per (j, prec).  K_j * deriv then has the bits of the one-line
-    product -B_2j / (2j)! * 4^(2j-1) * deriv, which Python evaluates in the
-    same order.
-    """
-    key = (j, prec)
-    K = _em_coef_cache.get(key)
-    if K is None:
-        B = bernoulli(2 * j)
-        with mp.workprec(prec):
-            K = -mpf(B.numerator) / B.denominator / mp.factorial(2 * j) * mpf(4) ** (2 * j - 1)
-        _em_coef_cache[key] = K
-    return K
-
-
-def _inv_pow(m0: int, k: int):
-    """mpf(m0) ** -k at the current precision, memoized for one start m0 at a time."""
-    global _ladder_key
-    key = (m0, mp.prec)
-    if key != _ladder_key:
-        _ladder_cache.clear()
-        _ladder_key = key
-    p = _ladder_cache.get(k)
-    if p is None:
-        p = _ladder_cache[k] = mpf(m0) ** (-k)
-    return p
-
-
-def _class_tail_compute(r, u, N, D, logw, start_min, attempt=0):
-    if attempt > 4:
-        raise PrecisionError(
-            f"EM tail did not converge for class {r}, exponent {u}, log weight {logw}, N={N}, D={D}"
-        )
-    with mp.workdps(D + 10):
-        m0 = max(N, start_min) + 1
-        while (m0 - 1) % 4 != (r - 1) % 4:
-            m0 += 1
-        direct = mp.zero
-        n = N + 1
-        while (n - 1) % 4 != (r - 1) % 4:
-            n += 1
-        while n < m0:
-            t = mpf(n) ** (-u)
-            if logw:
-                t *= mp.log(n)
-            direct += t
-            n += 4
-        y = mpf(m0)
-        L = mp.log(y)
-        if u == 1 and not logw:
-            integ = -L / 4
-        elif logw:
-            integ = _inv_pow(m0, u - 1) * (L / (u - 1) + mpf(1) / (u - 1) ** 2) / 4
-        else:
-            integ = _inv_pow(m0, u - 1) / (4 * (u - 1))
-        f0 = _inv_pow(m0, u) * (L if logw else 1)
-        total = direct + integ + f0 / 2
-        scale = abs(integ) + abs(f0) + mpf(10) ** (-(D + 30))
-        target = mpf(10) ** (-(D + 6)) * scale
-        # f^(m)(y) = y^(-u-m) (a_m log y + b_m); b_m stays 0 without the log
-        a, b = mpf(1), mpf(0)
-        m = 0
-        prev = None
-        prec = mp.prec
-        for j in range(1, 500):
-            while m < 2 * j - 1:
-                if logw:
-                    a, b = -(u + m) * a, -(u + m) * b + a
-                else:
-                    a = -(u + m) * a
-                m += 1
-            deriv = ((a * L + b) if logw else a) * _inv_pow(m0, u + m)
-            c = _em_coef(j, prec) * deriv
-            mag = abs(c)
-            if prev is not None and mag > prev:
-                # asymptotic series turned before reaching target: restart farther out
-                return _class_tail_compute(r, u, N, D, logw, int(start_min * 1.6) + 8, attempt + 1)
-            total += c
-            prev = mag
-            if mag * _EM_SAFETY < target:
-                return total, mag * _EM_SAFETY
-        raise PrecisionError(
-            f"EM correction loop exhausted for class {r}, exponent {u}, log weight {logw}, N={N}, D={D}"
-        )
-
-
-def _floor_fixed(x, bits: int, num: int = 1, den: int = 1) -> int:
-    """floor(x num 2^bits / den) for an mpf x and integers num, den > 0, exactly."""
-    sign, man, exp, _ = x._mpf_
-    man *= -num if sign else num
-    e = exp + bits
-    return (man << e) // den if e >= 0 else man // (den << -e)
-
-
-def _ceil_fixed(x, bits: int, num: int = 1, den: int = 1) -> int:
-    """ceil(x num 2^bits / den), exactly; mpf negation is exact."""
-    return -_floor_fixed(-x, bits, num, den)
 
 
 def _from_fixed(x: int, units: int, bits: int, D: int):
@@ -317,19 +210,17 @@ def _from_fixed(x: int, units: int, bits: int, D: int):
 
 
 def _class_tails_fixed(p: str, u: int, N: int, D: int):
-    """(X, units): X = sum_r chi_p(r) floor(T_r 2^W) over the classes with
-    chi_p(r) != 0, T_r = class_tail(r, u, N, D), W = _fixed_bits(D), and
-    |sum_r chi_p(r) T_r 2^W - X| <= units.  At u = 1 the T_r are the regularized
-    tails (at N = 0 the class constants C_r, which sum to gamma over r), so the
-    sum is the tail of L_p(1) when p is mean-zero.  The class tails are the
-    only mpf values; their sum is exact."""
-    W = _fixed_bits(D)
+    """(X, units): the sums over the classes r with chi_p(r) != 0 of
+    chi_p(r) X_r and of units_r for the class_tail(r, u, N, D) pairs, so that
+    |sum_r chi_p(r) T_r Nu 2^W - X| <= units at class_tail's scale.  At u = 1
+    the T_r are the regularized tails (at N = 0 the class constants C_r, which
+    sum to gamma over r), so the sum is the tail of L_p(1) when p is mean-zero."""
     X = units = 0
     for r, c in zip((1, 2, 3, 4), CHI[p]):
         if c:
-            v, b = class_tail(r, u, N, D)
-            X += c * _floor_fixed(v, W)
-            units += _ceil_fixed(b, W) + 1
+            x, b = class_tail(r, u, N, D)
+            X += c * x
+            units += b
     return X, units
 
 
@@ -342,9 +233,9 @@ def _L_fixed(p: str, s: int, D: int):
     """(X, units) with |L_p(s) 2^W - X| <= units, W = _fixed_bits(D).
 
     The head n <= N is sum chi_p(n) floor(2^W/n^s) from _pow_row, N floor units.
-    For s >= 2 the tail is sum_r chi_p(r) G_r[s] from the integer rows, within
-    sum_r B_r[s] units of 2^-W N^-s; at the mean-zero s = 1 it is
-    _class_tails_fixed(p, 1, N, D)."""
+    The tail, at scale N^s 2^W, is sum_r chi_p(r) G_r[s] from the integer rows
+    for s >= 2, within sum_r B_r[s] units, and _class_tails_fixed(p, 1, N, D)
+    at the mean-zero s = 1."""
     key = ("L", p, s, D)
     hit = _fixed_cache.get(key)
     if hit is not None:
@@ -352,21 +243,19 @@ def _L_fixed(p: str, s: int, D: int):
     if s == 1 and not is_mean_zero(p):
         raise DomainError(f"L_{p}(1) diverges")
     N = _outer_cutoff(D)
+    Ns = N**s
     row = _pow_row(s, D)
     head = sum(c * sum(row[r::4]) for r, c in zip((1, 2, 3, 4), CHI[p]) if c)
     if s == 1:
         X, units = _class_tails_fixed(p, 1, N, D)
-        hit = (head + X, units + N)
     else:
-        Ns = N**s
-        acc, units = head * Ns, N * Ns
+        X = units = 0
         for r, c in zip((1, 2, 3, 4), CHI[p]):
             if c:
                 G, B = _tail_row(r, s, s + 1, D)
-                acc += c * G[s]
+                X += c * G[s]
                 units += B[s]
-        hit = (acc // Ns, -(-units // Ns) + 1)
-    _fixed_cache[key] = hit
+    hit = _fixed_cache[key] = ((head * Ns + X) // Ns, -(-(units + N * Ns) // Ns) + 1)
     return hit
 
 
@@ -411,8 +300,10 @@ def periodic_tail_num(p: str, s: int, N: int, ctx: EvalContext):
     if N < 0:
         raise DomainError("N must be >= 0")
     D = ctx.work_digits
+    X, units = _class_tails_fixed(p, s, N, D)
+    Ns = max(N, 1) ** s
     with mp.workdps(D + 10):
-        v, b = _from_fixed(*_class_tails_fixed(p, s, N, D), _fixed_bits(D), D)
+        v, b = _from_fixed(X // Ns, -(-units // Ns) + 1, _fixed_bits(D), D)
         if b > mpf(10) ** (-(ctx.prec + 2)):
             raise PrecisionError("periodic tail bound exceeds 10^-(P+2)")
         return v
@@ -445,15 +336,13 @@ def _fixed_bits(D: int) -> int:
 
 
 def _head_units(D: int) -> int:
-    """ceil(N (3 + log N) 2^W), N = N(D), W = W(D): _char_em's head rounding in
-    units of 2^-2W, cached per D (log N at _char_em's working precision, whose
-    rounding the ceiling absorbs)."""
+    """At least N (3 + log N) 2^W + 1, N = N(D), W = W(D): _char_em's head rounding
+    in units of 2^-2W, cached per D (log N from _log_fixed, within 2 units)."""
     key = ("head", D)
     hit = _fixed_cache.get(key)
     if hit is None:
-        N = _outer_cutoff(D)
-        with mp.workdps(D + 10):
-            hit = _fixed_cache[key] = _ceil_fixed(N * (3 + mp.log(N)), _fixed_bits(D)) + 1
+        N, W = _outer_cutoff(D), _fixed_bits(D)
+        hit = _fixed_cache[key] = N * ((3 << W) + _log_fixed(N, W) + 2) + 1
     return hit
 
 
@@ -467,76 +356,133 @@ def _pow_row(u: int, D: int):
     return row
 
 
-def _em_ratio(j: int):
-    """(num, den), den > 0: beta_j / beta_(j-1) = 16 B_2j / (B_(2j-2) (2j) (2j-1)) in
-    lowest terms, for the EM coefficients beta_j = B_2j 4^(2j-1) / (2j)! and j >= 2."""
-    hit = _em_ratio_cache.get(j)
-    if hit is None:
-        q = 16 * bernoulli(2 * j) / (bernoulli(2 * j - 2) * (2 * j) * (2 * j - 1))
-        hit = _em_ratio_cache[j] = (q.numerator, q.denominator)
-    return hit
+def _log_fixed(n: int, bits: int) -> int:
+    """floor(log(n) 2^bits), within 2 units of log(n) 2^bits: mpmath's log at
+    bits + 32 bits of precision is off by far less than a unit."""
+    with mp.workprec(bits + 32):
+        return int(mp.floor(mp.ldexp(mp.log(n), bits)))
 
 
-def _em_bracket(u: int, m0: int, V: int, lim: int):
-    """The EM bracket m0/(4(u-1)) + 1/2 + sum_{i <= j} t_i at scale 2^V, with
-    t_i = beta_i (u)_(2i-1) / m0^(2i-1), summed until |t_j| < lim.
+def _em_chain(u: int, y: int, t: int, h: int | None = None):
+    """Yield (j, t_j, h_j) for j = 1, 2, ..., 499 from t = t_1 and h = h_1: the
+    EM terms t_j = t_(j-1) q_j with q_j = (beta_j / beta_(j-1)) (u+2j-3)(u+2j-2)
+    / y^2, and, unless h is None, h_j = q_j (h_(j-1) + t_(j-1) (1/(u+2j-3) +
+    1/(u+2j-2))), which is t_j (1/u + ... + 1/(u+2j-2)) from h_1 = t_1 / u.
 
-    Returns (x, units, t_j, j), x within `units` of the exact partial sum times
-    2^V, or None if the terms turn upward first.  t_1 = u 2^V / (3 m0) is one
-    floor; each later t_i is one floor division of t_(i-1) by the exact step
-    ratio, of magnitude at most 1, so t_i is within i units.
+    Each step is one floor division.  Yields None and stops where |q_j| > 1:
+    the terms turn upward.  Below that, t_j is within j units when t_1 is
+    within one, and for u >= 2 h_j within j (j+1) / 2 when h_1 is within one.
     """
-    x = (m0 << V) // (4 * (u - 1)) + (1 << (V - 1))
+    yield 1, t, h
+    for j in range(2, 500):
+        if j == len(_em_ratios):
+            q = 16 * bernoulli(2 * j) / (bernoulli(2 * j - 2) * (2 * j) * (2 * j - 1))
+            _em_ratios.append((q.numerator, q.denominator))
+        rn, rd = _em_ratios[j]
+        a, b = u + 2 * j - 3, u + 2 * j - 2
+        num, den = rn * a * b, rd * y * y
+        if abs(num) > den:
+            yield None
+            return
+        if h is not None:
+            h = (h * num + rn * (a + b) * t) // den
+        t = t * num // den
+        yield j, t, h
+
+
+def _em_bracket(
+    u: int, m0: int, m0u: int, V: int, D: int, L: int | None = None, logw: bool = False, what: str = ""
+):
+    """The Euler-Maclaurin bracket of class_tail's tail from m0 at scale 2^V:
+    the tail from m0 on is m0^-u times
+      m0/(4(u-1)) + 1/2 + sum_j t_j           (plain, u >= 2),
+      -m0 log(m0)/4 + 1/2 + sum_j t_j         (regularized, u = 1),
+      log(m0) (plain) + m0/(4(u-1)^2) - sum_j h_j   (logw, u >= 2),
+    with t_j = beta_j (u)_(2j-1) / m0^(2j-1) and h_j = t_j (1/u + ... +
+    1/(u+2j-2)) from _em_chain; the log-weighted bracket is minus the
+    u-derivative of the plain one.  L = floor(log(m0) 2^V), within 2 units, for
+    u = 1 or logw; m0u = m0^u.
+
+    The sum stops once the last term is below 10^-(D+6) / _EM_SAFETY times the
+    scale |integral term| + f(m0) m0^u + 10^-(D+30) m0^u.  Returns
+    (x, floors, rem, j): x within `floors` units of the partial sum through j
+    terms times 2^V, and rem = _EM_SAFETY (|last term| + its units), which
+    bounds the rest; or None if the terms turn upward first.  A sum that does
+    not stop in 499 terms raises PrecisionError naming `what`.
+    """
+    c = 4 * (u - 1)
+    if u == 1:  # L's 2 units move m0 L / 4 by m0 / 2, and the floor adds one
+        lead, floors = -(m0 * L) // 4, m0 // 2 + 2
+    else:
+        lead, floors = (m0 << V) // c, 1
+    x = lead + (1 << (V - 1))
+    if logw:
+        lead = (L * lead >> V) + (m0 << V) // (c * (u - 1))
+    scale = abs(lead) + (L if logw else 1 << V) + (m0u << V) // 10 ** (D + 30)
+    lim = scale // (_EM_SAFETY * 10 ** (D + 6))
     t = (u << V) // (3 * m0)  # beta_1 = 1/3
-    for j in range(1, 500):
-        if j > 1:
-            num, den = _em_ratio(j)
-            a = num * (u + 2 * j - 3) * (u + 2 * j - 2)
-            b = den * m0 * m0
-            if abs(a) > b:
-                return None
-            t = t * a // b
+    hsum = 0
+    for step in _em_chain(u, m0, t, (1 << V) // (3 * m0) if logw else None):
+        if step is None:
+            return None
+        j, t, h = step
         x += t
-        if abs(t) < lim:
-            return x, 1 + j * (j + 1) // 2, t, j
-    raise PrecisionError(f"EM correction loop exhausted for exponent {u} from start {m0}")
+        term = t
+        if logw:
+            hsum += h
+            term = (L * t >> V) - h
+        if abs(term) < lim:
+            break
+    else:
+        raise PrecisionError(f"EM correction loop exhausted for {what}")
+    floors += j * (j + 1) // 2
+    if not logw:
+        return x, floors, _EM_SAFETY * (abs(t) + j), j
+    # with log(m0) 2^V within 2 units of L, L x is within 2 |x| + (L + 2) floors
+    # units of 2^-2V of its exact product; the shift and m0/(4(u-1)^2) are one
+    # floor each, and h_i is within i (i+1) / 2 units
+    term_units = ((2 * abs(t) + (L + 2) * j) >> V) + 2 + j * (j + 1) // 2
+    floors = ((2 * abs(x) + (L + 2) * floors) >> V) + 3 + j * (j + 1) * (j + 2) // 6
+    x = (L * x >> V) + (m0 << V) // (c * (u - 1)) - hsum
+    return x, floors, _EM_SAFETY * (abs(term) + term_units), j
 
 
-def _tail_fixed(r: int, u: int, N: int, D: int, Nu: int, powers: dict):
-    """(G, B) with |T N^u 2^W - G| <= B for the class tail
-    T = sum_{n > N, n == r (mod 4)} n^-u, u >= 2, W = _fixed_bits(D).
+def _tail_fixed(r: int, u: int, N: int, D: int, Nu: int, powers: dict, logw: bool = False):
+    """(G, B) with |T Nu 2^W - G| <= B for class_tail's tail T, W = _fixed_bits(D).
 
-    The class_tail kernel in exact integers at scale 2^V, V = W + 64: from the
-    kernel's start m0, the direct terms N < n < m0 are floors and the rest is
-    m0^-u times _em_bracket.  The stopping target, the restart rule and
-    _EM_SAFETY are the kernel's; B counts every floor unit, _EM_SAFETY times the
-    last term and the shift from 2^V to 2^W.  Nu = N^u; powers maps each start
-    m0 to (k, m0^k) and is updated in place, so calls that share it must not
-    decrease u.
+    Euler-Maclaurin for f(x) = (4x + m0)^-u (times log(4x + m0) if logw) in
+    exact integers at scale 2^V, V = W + 64, from the kernel's start m0: the
+    direct terms N < n < m0 are floors (with log n from _log_fixed if logw) and
+    the rest is m0^-u times _em_bracket.  B counts every floor unit, the
+    bracket's units and remainder and the shift from 2^V to 2^W.  Nu = N^u (1 at
+    N = 0); powers maps each start m0 to (k, m0^k) and is updated in place, so
+    calls that share it must not decrease u.
     """
     V = _fixed_bits(D) + 64
-    c = 4 * (u - 1)
     start_min = _kernel_start(u, D)
+    what = f"class {r}, exponent {u}, log weight {logw}, N={N}, D={D}"
     for _ in range(5):
         m0 = max(N, start_min) + 1
         m0 += (r - m0) % 4
         k, p = powers.get(m0, (0, 1))
         m0u = p * m0 ** (u - k)
         powers[m0] = (u, m0u)
-        # the kernel stops once _EM_SAFETY |t| < 10^-(D+6) (m0/c + 1 + 10^-(D+30) m0^u)
-        lim = (((m0 + c) * 10 ** (D + 30) + c * m0u) << V) // (c * _EM_SAFETY * 10 ** (2 * D + 36))
-        em = _em_bracket(u, m0, V, lim)
+        L = _log_fixed(m0, V) if logw or u == 1 else None
+        em = _em_bracket(u, m0, m0u, V, D, L, logw, what)
         if em is None:
             start_min = int(start_min * 1.6) + 8  # the series turned: restart farther out
             continue
-        x, floors, t, j = em
+        x, floors, rem, _ = em
         head = range(N + 1 + (r - N - 1) % 4, m0, 4)
-        s = sum((Nu << V) // n**u for n in head) + x * Nu // m0u
-        # |t_j - exact| <= j, so the remainder is at most _EM_SAFETY (|t_j| + j)
-        ex = floors + _EM_SAFETY * (abs(t) + j)
-        err = len(head) + 1 - (-ex * Nu // m0u)  # units of 2^-V, then of 2^-W after the shift
+        if logw:
+            # Nu <= n^u: each term within 2 units of its log and 1 of its floor
+            s, err = sum(Nu * _log_fixed(n, V) // n**u for n in head), 3 * len(head)
+        else:
+            s, err = sum((Nu << V) // n**u for n in head), len(head)
+        s += x * Nu // m0u
+        err += 1 - (-(floors + rem) * Nu // m0u)  # units of 2^-V, then of 2^-W after the shift
         return s >> 64, ((err - 1) >> 64) + 2
-    raise PrecisionError(f"EM tail did not converge for class {r}, exponent {u}, N={N}, D={D}")
+    raise PrecisionError(f"EM tail did not converge for {what}")
 
 
 def _tail_row(r: int, lo: int, hi: int, D: int):
@@ -587,14 +533,10 @@ def _inner_ct(t: int, N: int, D: int):
     terms.append((t, (1 << V) // (2 * Nt), 1))
     lim = max((1 << V) // (10 ** (D + 6) * Nt), 1 << _INNER_GUARD)
     a = (t << V) // (3 * Nt * N)  # beta_1 = 1/3
-    for j in range(1, 500):
-        if j > 1:
-            num, den = _em_ratio(j)
-            num *= (t + 2 * j - 3) * (t + 2 * j - 2)
-            den *= N * N
-            if abs(num) > den:
-                raise PrecisionError(f"inner EM series turned at j={j} before target (t={t}, N={N})")
-            a = a * num // den
+    for step in _em_chain(t, N, a):
+        if step is None:
+            raise PrecisionError(f"inner EM series turned at j={j + 1} before target (t={t}, N={N})")
+        j, a, _ = step
         if _EM_SAFETY * abs(a) < lim:
             _inner_ct_cache.clear()
             hit = _inner_ct_cache[key] = (terms, (_EM_SAFETY * (abs(a) + j), t + 2 * j - 1))
@@ -770,15 +712,15 @@ def _char_em(p: str, q: str, s: int, t: int, D: int):
             acc += cp * C * G[s]
             units += abs(C) * B[s] + Cu * (G[s] + B[s])
         if log4:
-            # the log-weighted tail, floored at scale 2^-W N^-s, times log4 / 4
-            v, b = class_tail(r, s, N, D, logw=True)
-            acc -= cp * log4 * _floor_fixed(v, W, Ns) << (W - 2)
-            units += abs(log4) * (_ceil_fixed(b, W, Ns) + 1) << (W - 2)
+            # the log-weighted tail at scale 2^W N^s, times log4 / 4
+            X, Xu = class_tail(r, s, N, D, logw=True)
+            acc -= cp * log4 * X << (W - 2)
+            units += abs(log4) * Xu << (W - 2)
     if s == 1:
         # C times the regularized tail sum_r chi_p(r) T_r(1) of the mean-zero L_p(1)
         R, Ru = _class_tails_fixed(p, 1, N, D)
-        acc += C * R * N
-        units += (abs(C) * Ru + Cu * (abs(R) + Ru)) * N
+        acc += C * R
+        units += abs(C) * Ru + Cu * (abs(R) + Ru)
     hit = _value_cache[key] = _from_fixed(acc // Ns, -(-units // Ns) + 1, 2 * W, D)
     return hit
 
@@ -832,18 +774,22 @@ def witten_convergent(r: int, s: int, t: int) -> bool:
 def _reduction_internal(key, reduce, args, D: int):
     """(value, bound) of the descriptor reduce(*args) (a reductions.WittenReduction):
     its exact part through _expr_internal plus each leftover c * zeta(a, b),
-    cached in _value_cache under key."""
+    cached in _value_cache under key.  Each leftover adds |c| times its bound,
+    and |c zeta(a, b)| 10^-(D+6) for the roundings of c, the product and the
+    sum, as _expr_internal does per monomial."""
     hit = _value_cache.get(key)
     if hit is not None:
         return hit
     red = reduce(*args)
     with mp.workdps(D + 10):
         total, bound = _expr_internal(red.const_part, D)
+        rel = _tolerance(D + 6, D + 10)
         for (a, b), coef in red.dz_terms.items():
             v, bb = _dzeta_internal(a, b, D)
             c = mpf(coef.numerator) / coef.denominator
-            total += c * v
-            bound += abs(c) * bb
+            cv = c * v
+            total += cv
+            bound += abs(c) * bb + abs(cv) * rel
         res = (total, bound)
     _value_cache[key] = res
     return res
@@ -1086,8 +1032,6 @@ def _oracle_harmonic(kind, s, N):
 
 def clear_caches():
     """Drop all numeric caches (mainly for tests)."""
-    for cache in (
-        _kernel_cache, _em_coef_cache, _em_ratio_cache, _ladder_cache, _array_cache, _fixed_cache,
-        _inner_ct_cache, _gen_pow_cache, _value_cache,
-    ):
+    for cache in (_kernel_cache, _array_cache, _fixed_cache, _inner_ct_cache, _gen_pow_cache, _value_cache):
         cache.clear()
+    del _em_ratios[2:]

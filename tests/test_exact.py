@@ -1,7 +1,6 @@
 """Exact integer/rational layer: Bernoulli, Euler, binomials, the inverse
 binomial sums and the rational hypergeometric special value."""
 import math
-import threading
 from fractions import Fraction
 
 import mpmath
@@ -170,17 +169,3 @@ def test_rational_normal_form():
     v = inv_binomial_sum(6, 3)
     assert v.denominator > 0
     assert math.gcd(v.numerator, v.denominator) == 1
-
-
-def test_cache_concurrent_reads():
-    results = []
-
-    def worker():
-        results.append(bernoulli(60))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(results)) == 1

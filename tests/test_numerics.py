@@ -432,197 +432,104 @@ def test_determinism(ctx40):
 
 def test_fixed_point_tail_rows_bracket_the_kernel():
     # the integer rows against a Hurwitz-zeta reference with no allowance, and
-    # against class_tail's (value, bound) within both bounds; B stays as tight.
-    # Exponents are sampled across each row's range: _char_em asks for u up to
-    # about 72 at D = 20, 111 at D = 50 and 368 at D = 310.  At D = 20 the start
-    # passes N from u = 132 on, so u = 150 and 250 also take direct terms.
-    from fractions import Fraction
-
-    def exact(x):
-        sign, man, exp, _ = x._mpf_
-        return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
-
-    def fixed_floor(x, num, den, W):
-        # floor(x * num / den * 2^W), exactly, for an mpf x and ints num, den > 0
-        sign, man, exp, _ = x._mpf_
-        if sign:
-            man = -man
-        shift = exp + W
-        if shift >= 0:
-            return (man * num << shift) // den
-        return man * num // (den << -shift)
-
-    sample = {  # D -> (exponents within the rows' range, exponents with direct terms)
-        20: ((2, 3, 5, 17, 40, 72), (150, 250)),
-        50: ((2, 3, 7, 30, 64, 111), ()),
-        310: ((2, 17, 90, 220, 368), ()),
+    # every row entry is class_tail's pair.  Exponents are sampled across each
+    # row's range: _char_em asks for u up to about 72 at D = 20, 111 at D = 50
+    # and 368 at D = 310.  At D = 20 the start passes N from u = 132 on, so
+    # u = 150 and 250 also take direct terms.
+    sample = {  # D -> exponents within the rows' range and with direct terms
+        20: (2, 3, 5, 17, 40, 72, 150, 250),
+        50: (2, 3, 7, 30, 64, 111),
+        310: (2, 17, 90, 220, 368),
     }
-    for D, (us, direct) in sample.items():
+    for D, us in sample.items():
         N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
         for r in (1, 2, 3, 4):
-            G, B = numerics._tail_row(r, 2, max(us + direct) + 1, D)
+            G, B = numerics._tail_row(r, 2, max(us) + 1, D)
             n0 = N + 1 + (r - 1 - N) % 4
-            for u in us + direct:
+            for u in us:
                 m0 = max(N, numerics._kernel_start(u, D)) + 1
                 with mp.workdps(D + 40 + math.ceil(u * math.log10(m0))):
                     ref = mpf(4) ** -u * mp.zeta(u, mpf(n0) / 4) * mpf(N) ** u * mpf(2) ** W
                     assert abs(G[u] - ref) <= B[u], (D, r, u)
-                if u in direct:
-                    continue
-                v, b = numerics.class_tail(r, u, N, D)
-                scale = N**u * 2**W
-                floor_v = math.floor(exact(v) * scale)
-                assert fixed_floor(v, N**u, 1, W) == floor_v
-                assert fixed_floor(v, -(N**u), 1, W) == math.floor(-exact(v) * scale)
-                kernel_units = math.ceil(exact(b) * scale)
-                assert abs(G[u] - floor_v) <= B[u] + kernel_units + 1, (D, r, u)
-                assert B[u] <= 2 * (kernel_units + 2), (D, r, u)
+                assert numerics.class_tail(r, u, N, D) == (G[u], B[u]), (D, r, u)
+
+
+def _exact(x):
+    """An mpf as an exact Fraction."""
+    from fractions import Fraction
+
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _class_tail_reference(u, logw, n0):
+    """The class tail from n0 on at the current precision, a = n0/4:
+    sum n^-u = 4^-u zeta(u, a), sum n^-u log n = 4^-u (log 4 zeta(u, a) -
+    zeta'(u, a)), and the regularized u = 1 tail is -digamma(a)/4 - log(4)/4."""
+    a = mpf(n0) / 4
+    if u == 1:
+        return -mp.digamma(a) / 4 - mp.log(4) / 4
+    if logw:
+        return mpf(4) ** -u * (mp.log(4) * mp.zeta(u, a) - mp.zeta(u, a, 1))
+    return mpf(4) ** -u * mp.zeta(u, a)
 
 
 def test_em_bracket_within_its_floor_units():
     # the integer bracket against the exact rational partial sum of the same
-    # terms; the chain's floors drift by 15-30 units here, so each is counted
+    # terms, the three kinds: plain, regularized u = 1 and log-weighted, where
+    # log m0 is taken from a D + 60 digit reference.  The chain's floors drift
+    # by 15-30 units here, so each is counted; L is passed a unit below its
+    # floor, within the 2 units the bracket allows, and at m0 = 10^6 that unit
+    # moves the sum by about m0 / 4 units, far above the floors.
     from fractions import Fraction
 
-    V = 400
-    for u, m0 in ((2, 321), (7, 323), (40, 1637), (368, 1640)):
-        x, units, _, j = numerics._em_bracket(u, m0, V, 1 << 100)
-        exact = Fraction(m0, 4 * (u - 1)) + Fraction(1, 2)
-        rise = 1  # (u)_(2i-1)
+    V, D = 400, 84
+    for u, m0, logw in (
+        (2, 321, False), (7, 323, False), (40, 1637, False), (368, 1640, False),
+        (1, 321, False), (1, 10**6, False), (2, 321, True), (40, 1637, True), (2, 10**6, True),
+    ):
+        with mp.workprec(V + 200):
+            log_m0 = _exact(mp.log(m0))
+        L = numerics._log_fixed(m0, V)
+        assert abs(L - log_m0 * 2**V) < 1
+        x, units, _, j = numerics._em_bracket(u, m0, m0**u, V, D, L - 1, logw)
+        plain = Fraction(m0, 4 * (u - 1)) if u > 1 else -m0 * log_m0 / 4
+        plain += Fraction(1, 2)
+        hsum = rise = 0
         for i in range(1, j + 1):
             rise = u if i == 1 else rise * (u + 2 * i - 3) * (u + 2 * i - 2)
             beta = bernoulli(2 * i) * 4 ** (2 * i - 1) / math.factorial(2 * i)
-            exact += beta * rise / Fraction(m0) ** (2 * i - 1)
-        assert abs(x - exact * 2**V) <= units, (u, m0)
+            t = beta * rise / Fraction(m0) ** (2 * i - 1)
+            plain += t
+            hsum += t * sum(Fraction(1, u + k) for k in range(2 * i - 1))
+        exact = log_m0 * plain + Fraction(m0, 4 * (u - 1) ** 2) - hsum if logw else plain
+        assert abs(x - exact * 2**V) <= units, (u, m0, logw)
 
 
 def test_fixed_point_tail_restarts(monkeypatch):
-    # from a third of the usual start (r, u) = (4, 30) turns and restarts three
-    # times, as the kernel does, and still brackets the reference; every start
-    # lies above N = 10, so the head n = 12, 16, ... below m0 is summed directly
-    D, N, r, u = 310, 10, 4, 30
-    start = numerics._kernel_start(u, D) // 3
-    monkeypatch.setattr(numerics, "_kernel_start", lambda u, D: start)
+    # from a third of the usual start the plain and log-weighted (r, u) = (4, 30)
+    # tails and the regularized u = 1 tail of class 2 turn and restart farther
+    # out, and still bracket the reference; every start lies above N = 10, so
+    # the head n = 12, 16, ... (n = 14, 18, ...) below m0 is summed directly
+    D, N = 310, 10
     W = numerics._fixed_bits(D)
-    starts: dict = {}
-    G, B = numerics._tail_fixed(r, u, N, D, N**u, starts)
-    assert len(starts) == 4
-    with mp.workdps(D + 80):
-        ref = mpf(4) ** -u * mp.zeta(u, mpf(12) / 4) * mpf(N) ** u * mpf(2) ** W
-        assert abs(G - ref) <= B
+    real_start = numerics._kernel_start
+    for r, u, logw, restarts in ((4, 30, False, 3), (4, 30, True, 3), (2, 1, False, 2)):
+        start = real_start(u, D) // 3
+        monkeypatch.setattr(numerics, "_kernel_start", lambda u, D: start)
+        starts: dict = {}
+        G, B = numerics._tail_fixed(r, u, N, D, N**u, starts, logw)
+        assert len(starts) == restarts + 1, (u, logw)
+        n0 = N + 1 + (r - 1 - N) % 4
+        with mp.workdps(D + 80):
+            ref = _class_tail_reference(u, logw, n0)
+            assert abs(G - ref * mpf(N) ** u * mpf(2) ** W) <= B, (u, logw)
     # a start that never lets the series fall below target runs out of restarts
     monkeypatch.setattr(numerics, "_kernel_start", lambda u, D: 1)
-    with pytest.raises(PrecisionError, match=r"class 3, exponent 40, N=1, D=310"):
-        numerics._tail_fixed(3, 40, 1, D, 1, {})
-
-
-# ---------------------------------------------------------------------------
-# the EM kernel: bit identity with the direct loop, full-precision reference
-# ---------------------------------------------------------------------------
-
-
-def _direct_class_tail(r, u, N, D, logw, start_min, attempt=0):
-    """The kernel loop without shared coefficients or powers: every j step
-    converts B_2j and recomputes (2j)!, 4^(2j-1) and y^(-u-m)."""
-    if attempt > 4:
-        raise PrecisionError("EM tail did not converge")
-    with mp.workdps(D + 10):
-        m0 = max(N, start_min) + 1
-        while (m0 - 1) % 4 != (r - 1) % 4:
-            m0 += 1
-        direct = mp.zero
-        n = N + 1
-        while (n - 1) % 4 != (r - 1) % 4:
-            n += 1
-        while n < m0:
-            t = mpf(n) ** (-u)
-            if logw:
-                t *= mp.log(n)
-            direct += t
-            n += 4
-        y = mpf(m0)
-        L = mp.log(y)
-        if u == 1 and not logw:
-            integ = -L / 4
-        elif logw:
-            integ = y ** (1 - u) * (L / (u - 1) + mpf(1) / (u - 1) ** 2) / 4
-        else:
-            integ = y ** (1 - u) / (4 * (u - 1))
-        f0 = y ** (-u) * (L if logw else 1)
-        total = direct + integ + f0 / 2
-        scale = abs(integ) + abs(f0) + mpf(10) ** (-(D + 30))
-        target = mpf(10) ** (-(D + 6)) * scale
-        a, b = mpf(1), mpf(0)
-        m = 0
-        prev = None
-        for j in range(1, 500):
-            while m < 2 * j - 1:
-                a, b = -(u + m) * a, -(u + m) * b + a
-                m += 1
-            deriv = ((a * L + b) if logw else a) * y ** (-u - m)
-            B = bernoulli(2 * j)
-            c = -mpf(B.numerator) / B.denominator / mp.factorial(2 * j) * mpf(4) ** (2 * j - 1) * deriv
-            mag = abs(c)
-            if prev is not None and mag > prev:
-                return _direct_class_tail(r, u, N, D, logw, int(start_min * 1.6) + 8, attempt + 1)
-            total += c
-            prev = mag
-            if mag * numerics._EM_SAFETY < target:
-                return total, mag * numerics._EM_SAFETY
-        raise PrecisionError("EM correction loop exhausted")
-
-
-def _tail_or_error(fn, *args):
-    try:
-        v, b = fn(*args)
-    except PrecisionError:
-        return "PrecisionError"
-    return v._mpf_, b._mpf_
-
-
-def test_class_tail_kernel_bit_identical_to_direct_loop():
-    # same (value, bound) bits as the direct loop: at the outer cutoff, and from
-    # a start a third of the usual one (N = 10), which forces restarts
-    grid = [(1, False), (2, False), (3, True), (40, True)]
-    numerics.clear_caches()
-
-    def check(args):
-        want = _tail_or_error(_direct_class_tail, *args)
-        assert _tail_or_error(numerics._class_tail_compute, *args) == want, args
-
-    for D in (50, 110, 310):
-        N = numerics._outer_cutoff(D)
-        for r in (1, 2, 3, 4):
-            for u, logw in grid:
-                start = numerics._kernel_start(u, D)
-                check((r, u, N, D, logw, start))
-                check((r, u, 10, D, logw, start // 3))
-            # the shared powers are the directly computed ones
-            m0, prec = numerics._ladder_key
-            with mp.workprec(prec):
-                for k, p in numerics._ladder_cache.items():
-                    assert p._mpf_ == (mpf(m0) ** -k)._mpf_, (m0, k)
-    # from N = 1000 every D starts at the same m0, each at its own precision
-    for D in (50, 110, 310):
-        check((1, 3, 1000, D, True, numerics._kernel_start(3, D)))
-
-
-def test_class_tail_kernel_restarts_bit_identical(monkeypatch):
-    # (r, u) = (4, 30) from start_min = _kernel_start // 3 at N = 10 turns and
-    # restarts three times, each restart from a new start point
-    D = 310
-    args = (4, 30, 10, D, False, numerics._kernel_start(30, D) // 3)
-    calls = []
-    real = numerics._class_tail_compute
-
-    def spy(*a, **kw):
-        calls.append(a)
-        return real(*a, **kw)
-
-    monkeypatch.setattr(numerics, "_class_tail_compute", spy)
-    got = _tail_or_error(numerics._class_tail_compute, *args)
-    assert len(calls) == 4
-    assert got == _tail_or_error(_direct_class_tail, *args)
+    for r, u, logw, N in ((3, 40, False, 1), (3, 40, True, 1), (2, 1, False, 0)):
+        msg = rf"did not converge for class {r}, exponent {u}, log weight {logw}, N={N}, D=310"
+        with pytest.raises(PrecisionError, match=msg):
+            numerics._tail_fixed(r, u, N, D, max(N, 1) ** u, {}, logw)
 
 
 def _inner_em_coefficients(t, J):
@@ -725,32 +632,32 @@ def test_inner_array_length_at_deep_precision():
 
 @pytest.mark.parametrize("prec", [40, 100, 300])
 def test_class_tails_within_bound_of_hurwitz_reference(prec):
-    # with n0 the first n > N in class r and a = n0/4: sum n^-u = 4^-u zeta(u, a),
-    # sum n^-u log n = 4^-u (log 4 zeta(u, a) - zeta'(u, a)), and the regularized
-    # u = 1 tail is -digamma(a)/4 - log(4)/4; each reference is computed with
-    # enough digits that its absolute error is far below the tail's scale
+    # class_tail's integer pair at scale Nu 2^W (Nu = N^u, 1 at N = 0), with no
+    # allowance, against the reference from n0, the first n > N in class r;
+    # each is computed with enough digits that its error at that scale is far
+    # below a unit
     D = EvalContext(prec).work_digits
-    Nc = numerics._outer_cutoff(D)
+    Nc, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
     sample = [(1, False, 0), (2, True, 0), (1, False, Nc), (2, False, Nc), (40, True, Nc), (120, False, Nc)]
     for r in (1, 2, 3, 4):
         for u, logw, N in sample:
-            v, b = numerics.class_tail(r, u, N, D, logw)
+            X, units = numerics.class_tail(r, u, N, D, logw)
             n0 = N + 1 + (r - 1 - N) % 4
-            with mp.workdps(D + 30 + math.ceil((u - 1) * math.log10(n0))):
-                a = mpf(n0) / 4
-                if u == 1:
-                    ref = -mp.digamma(a) / 4 - mp.log(4) / 4
-                elif logw:
-                    ref = mpf(4) ** -u * (mp.log(4) * mp.zeta(u, a) - mp.zeta(u, a, 1))
-                else:
-                    ref = mpf(4) ** -u * mp.zeta(u, a)
-                assert abs(v - ref) <= b, (r, u, logw, N, prec)
+            with mp.workdps(D + 40 + math.ceil(u * math.log10(n0))):
+                ref = _class_tail_reference(u, logw, n0)
+                assert abs(X - ref * mpf(max(N, 1)) ** u * mpf(2) ** W) <= units, (r, u, logw, N, prec)
 
 
 def test_precision_errors_name_their_term():
     # the shift ratio (2+k) 10^6 / (k+1) never falls below 1
     with pytest.raises(PrecisionError, match=r"u=2, delta=1000000, N=1"):
         numerics._shift_chain({}, 2, 0, 1 << 64, 0, 10**6, 1, 64)
+    # from m0 = 10^6 + 1 the EM terms fall for far more than 499 steps, and
+    # still lie above the target of D = 5000 digits after them
+    for logw in (False, True):
+        msg = rf"loop exhausted for class 1, exponent 2, log weight {logw}, N=1000000, D=5000"
+        with pytest.raises(PrecisionError, match=msg):
+            numerics._tail_fixed(1, 2, 10**6, 5000, 10**12, {}, logw)
 
 
 def test_clear_caches_empties_every_cache(ctx40):
