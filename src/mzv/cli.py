@@ -2,8 +2,9 @@
 corpus list.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse or domain error
-(bad input, e.g. `eval` or `reduce` of a divergent call such as zeta(1)),
-3 not reducible (a valid expression outside the closed-form scope).
+(bad input, e.g. `eval` or `reduce` of a divergent call such as zeta(1), or a
+corpus or report path that can not be read or written), 3 not reducible (a
+valid expression outside the closed-form scope).
 """
 from __future__ import annotations
 
@@ -57,7 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run corpus verification")
     p.add_argument("--all", action="store_true", help="verify the whole corpus (default)")
     p.add_argument("--ids", help="comma-separated identity ids")
-    p.add_argument("--max-param", type=int, default=10)
+    p.add_argument("--max-param", type=int, default=10,
+                   help="largest parameter value to try (default 10, must be >= 0); "
+                        "each parameter still runs at least at its lower bound")
     p.add_argument("--mode", choices=("numeric", "symbolic", "both"), default="numeric")
     p.add_argument("--format", choices=("json", "tsv", "text"), default="text")
     p.add_argument("--no-timestamp", action="store_true",
@@ -86,14 +89,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_eval(args) -> int:
     ctx = EvalContext(args.prec)
     try:
         ast = parse_expr(args.expr)
         value, bound, nodes = eval_ast_detailed(ast, {}, ctx)
     except (ParseError, DomainError, PrecisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(str(exc))
     with mp.workdps(ctx.work_digits):
         if isinstance(value, Fraction):
             print(f"{value}  (exact rational)")
@@ -110,8 +117,7 @@ def cmd_reduce(args) -> int:
         ast = parse_expr(args.expr)
         expr = reduce_ast(ast, {})
     except (ParseError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(str(exc))
     except NotReducible as exc:
         print(f"not reducible: {exc}", file=sys.stderr)
         return EXIT_NOT_REDUCIBLE
@@ -120,6 +126,12 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_param < 0:
+        return _usage_error(f"--max-param must be >= 0, got {args.max_param}")
+    for path in (args.json_out, args.tsv_out):
+        folder = os.path.dirname(path)
+        if folder and not os.path.isdir(folder):
+            return _usage_error(f"cannot write {path}: no directory {folder}")
     ids = args.ids.split(",") if args.ids else None
     config = SuiteConfig(
         ids=ids,
@@ -131,14 +143,15 @@ def cmd_verify(args) -> int:
     try:
         reports, summary = run_suite(config)
     except (ParseError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(str(exc))
     json_text = reports_json(reports, summary, timestamp=not args.no_timestamp)
     tsv_text = reports_tsv(reports)
-    with open(args.json_out, "w") as fh:
-        fh.write(json_text + "\n")
-    with open(args.tsv_out, "w") as fh:
-        fh.write(tsv_text)
+    for path, text in ((args.json_out, json_text + "\n"), (args.tsv_out, tsv_text)):
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _usage_error(f"cannot write {path}: {exc.strerror or exc}")
     if args.format == "json":
         print(json_text)
     elif args.format == "tsv":
@@ -208,9 +221,8 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "corpus":
             return cmd_corpus(args)
-    except (DomainError, PrecisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (DomainError, ParseError, PrecisionError) as exc:
+        return _usage_error(str(exc))
     return EXIT_USAGE
 
 

@@ -32,6 +32,9 @@ into the reported bound: with B_u >= |T(r,u) N^u 2^W - G_u| and k folded
 classes, a term contributes at most |F_e| B_u + k (B_u + G_u) units of
 2^-2W N^-s; the inner remainders are integer units too.
 
+The per-class terms do not depend on the outer character p: _class_pairs sums
+them into one pair per class and (q, s, t, D), which all p share and only sign.
+
 Every class tail, plain, log-weighted or regularized, comes from one
 Euler-Maclaurin kernel run in exact integers (class_tail, _tail_fixed): from a
 start m0 > N in class r, far enough out that the terms fall below the target
@@ -317,7 +320,8 @@ _array_cache: dict = {}
 # fixed-point values: ("pow", u, D) -> [floor(2^W / n^u) for n = 0..N] (0 at n = 0),
 # ("tail", r, D) -> (G, B) indexed by exponent, ("fold", q, t, r, D) -> folded vector,
 # ("L", p, s, D) and ("C", q, D) -> (X, units), the constants of _inner_const,
-# ("head", D) -> _char_em's head rounding units
+# ("head", D) -> _char_em's head rounding units,
+# ("pairs", q, s, t, D) -> _class_pairs' four (acc, units) pairs
 _fixed_cache: dict = {}
 # (t, N, D) -> _inner_ct's expansion for the latest key only: _inner_array asks
 # for the shifts delta of one (t, D) one after another
@@ -666,6 +670,48 @@ def _char_convergent(p, q, s, t):
     return s == 1 and is_mean_zero(p)
 
 
+def _class_pairs(q: str, s: int, t: int, D: int):
+    """(acc_r, units_r) for r = 1..4 at scale 2^-2W N^-s: the head, fold, cross and
+    log terms of [p,q](s,t)'s outer class r, which _char_em signs with chi_p(r)."""
+    key = ("pairs", q, s, t, D)
+    hit = _fixed_cache.get(key)
+    if hit is not None:
+        return hit
+    N, W = _outer_cutoff(D), _fixed_bits(D)
+    Ns = N**s
+    # head n <= N: floor(2^W/n^s) * sum_{m<n} chi_q(m) floor(2^W/m^t), whose
+    # floors drop < N (3 + log N) 2^W units in all (_head_units)
+    prefix = list(accumulate(map(mul, cycle(CHI[q][3:] + CHI[q][:3]), _pow_row(t, D))))
+    outer = _pow_row(s, D)
+    C, Cu = _inner_const(q, t, D)
+    pairs = []
+    for r in (1, 2, 3, 4):
+        acc = sum(map(mul, outer[r::4], prefix[r - 1 : N : 4])) * Ns
+        emin, F, k, log4, rems, rnd = _folded_inner(q, t, r, D)
+        lo = s + emin
+        hi = lo + len(F)
+        G, B = _tail_row(r, s if s > 1 else lo, hi, D)
+        Gs, Bs = G[lo:hi], B[lo:hi]
+        acc -= sum(map(mul, F, Gs))
+        # the folded floors, and the coefficients' rounding: rnd 2^-W at each n > N
+        # against the row's first entry, the largest T(r,u) N^u of the slice
+        units = sum(map(mul, map(abs, F), Bs)) + k * (sum(Bs) + sum(Gs)) + rnd * (Gs[0] + Bs[0])
+        # sum_{n > N} rem n^(-s-erem) <= rem N^(1-s-erem) / (s+erem-1)
+        units += sum(-(-rem // (s + erem - 1)) for rem, erem in rems)
+        if s > 1:
+            # C T_r: C 2^W within Cu units, T_r N^s 2^W within B[s]
+            acc += C * G[s]
+            units += abs(C) * B[s] + Cu * (G[s] + B[s])
+        if log4:
+            # the log-weighted tail at scale 2^W N^s, times log4 / 4
+            X, Xu = class_tail(r, s, N, D, logw=True)
+            acc -= log4 * X << (W - 2)
+            units += abs(log4) * Xu << (W - 2)
+        pairs.append((acc, units))
+    hit = _fixed_cache[key] = tuple(pairs)
+    return hit
+
+
 def _char_em(p: str, q: str, s: int, t: int, D: int):
     """(value, bound) of [p,q](s,t) by the accelerated double-sum scheme."""
     key = ("cs", p, q, s, t, D)
@@ -679,45 +725,14 @@ def _char_em(p: str, q: str, s: int, t: int, D: int):
         raise DomainError(f"[{p},{q}](1,1): the divergent-inner s = 1 case is not supported yet")
     N, W = _outer_cutoff(D), _fixed_bits(D)
     Ns = N**s
-    # everything is summed at scale 2^-2W N^-s.  Head n <= N:
-    # sum chi_p(n) floor(2^W/n^s) * sum_{m<n} chi_q(m) floor(2^W/m^t), whose
-    # floors drop < N (3 + log N) 2^W units
-    prefix = list(accumulate(map(mul, cycle(CHI[q][3:] + CHI[q][:3]), _pow_row(t, D))))
-    outer = _pow_row(s, D)
-    direct = sum(
-        c * sum(map(mul, outer[r::4], prefix[r - 1 : N : 4]))
-        for r, c in zip((1, 2, 3, 4), CHI[p])
-        if c
-    )
-    acc = direct * Ns
-    units = _head_units(D) * Ns
-    C, Cu = _inner_const(q, t, D)
-    for r in (1, 2, 3, 4):
-        cp = CHI[p][r - 1]
-        if not cp:
-            continue
-        emin, F, k, log4, rems, rnd = _folded_inner(q, t, r, D)
-        lo = s + emin
-        hi = lo + len(F)
-        G, B = _tail_row(r, s if s > 1 else lo, hi, D)
-        Gs, Bs = G[lo:hi], B[lo:hi]
-        acc -= cp * sum(map(mul, F, Gs))
-        # the folded floors, and the coefficients' rounding: rnd 2^-W at each n > N
-        # against the row's first entry, the largest T(r,u) N^u of the slice
-        units += sum(map(mul, map(abs, F), Bs)) + k * (sum(Bs) + sum(Gs)) + rnd * (Gs[0] + Bs[0])
-        # sum_{n > N} rem n^(-s-erem) <= rem N^(1-s-erem) / (s+erem-1)
-        units += sum(-(-rem // (s + erem - 1)) for rem, erem in rems)
-        if s > 1:
-            # C T_r: C 2^W within Cu units, T_r N^s 2^W within B[s]
-            acc += cp * C * G[s]
-            units += abs(C) * B[s] + Cu * (G[s] + B[s])
-        if log4:
-            # the log-weighted tail at scale 2^W N^s, times log4 / 4
-            X, Xu = class_tail(r, s, N, D, logw=True)
-            acc -= cp * log4 * X << (W - 2)
-            units += abs(log4) * Xu << (W - 2)
+    acc, units = 0, _head_units(D) * Ns
+    for cp, (a, u) in zip(CHI[p], _class_pairs(q, s, t, D)):
+        if cp:
+            acc += cp * a
+            units += u
     if s == 1:
         # C times the regularized tail sum_r chi_p(r) T_r(1) of the mean-zero L_p(1)
+        C, Cu = _inner_const(q, t, D)
         R, Ru = _class_tails_fixed(p, 1, N, D)
         acc += C * R
         units += abs(C) * Ru + Cu * (abs(R) + Ru)

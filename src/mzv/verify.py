@@ -41,10 +41,15 @@ def default_corpus_text() -> str:
 
 
 def load_corpus(path: str | None = None):
+    """The packaged corpus, or the one at path; DomainError if it can not be read."""
     if path is None:
         return parse_corpus(default_corpus_text())
-    with open(path, "r") as fh:
-        return parse_corpus(fh.read())
+    try:
+        with open(path, "r") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DomainError(f"cannot read corpus {path}: {exc.strerror or exc}") from None
+    return parse_corpus(text)
 
 
 # ---------------------------------------------------------------------------

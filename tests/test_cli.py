@@ -217,3 +217,69 @@ def test_search_low_precision_keeps_true_identities(capsys):
     assert code == 0
     assert "'a': '1'" in out and "'a': '2'" in out and "'a': '-1'" in out
     assert "# 3 surviving candidate(s)" in out
+
+
+@pytest.mark.parametrize("argv", [("verify", "--max-param", "4"), ("corpus", "list")])
+def test_missing_corpus_is_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    missing = str(tmp_path / "nope.txt")
+    code, _, err = run(capsys, "--corpus", missing, *argv)
+    assert code == 2
+    assert err.startswith(f"error: cannot read corpus {missing}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_missing_corpus_from_environment_is_usage_error(capsys, tmp_path, monkeypatch):
+    missing = str(tmp_path / "nope.txt")
+    monkeypatch.setenv("MZV_CORPUS", missing)
+    code, _, err = run(capsys, "corpus", "list")
+    assert code == 2
+    assert err == f"error: cannot read corpus {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv", [("verify", "--max-param", "4"), ("corpus", "list")])
+def test_unparsable_corpus_names_the_position(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("identity C99 : forall s>=3 : dz(2,\n")
+    code, _, err = run(capsys, "--corpus", str(bad), *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "(line 1" in err
+
+
+def test_report_paths_are_checked_before_the_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli, "run_suite", lambda config: calls.append(config))
+    for flag in ("--json-out", "--tsv-out"):
+        target = str(tmp_path / "missing" / "x")
+        code, _, err = run(capsys, "verify", flag, target)
+        assert code == 2
+        assert err == f"error: cannot write {target}: no directory {tmp_path / 'missing'}\n"
+    assert calls == []
+
+
+def test_report_write_failure_is_usage_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # a directory where the report file should go: open() fails after the run
+    code, _, err = run(
+        capsys, "--prec", "30", "verify", "--ids", "C18", "--max-param", "4",
+        "--json-out", str(tmp_path),
+    )
+    assert code == 2
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+def test_max_param_range(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "verify", "--max-param", "-2")
+    assert code == 2
+    assert err == "error: --max-param must be >= 0, got -2\n"
+    # 0 is in range: each identity still runs its lowest instance
+    code, out, _ = run(
+        capsys, "--prec", "30", "verify", "--ids", "C18,C25", "--max-param", "0",
+        "--format", "json", "--no-timestamp",
+    )
+    assert code == 0
+    assert json.loads(out)["summary"]["instances"] == 2

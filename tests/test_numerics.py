@@ -235,6 +235,78 @@ def test_char_dzeta_divergent_inner_s1_corner_names_the_sum(ctx40, p, q):
         char_dzeta_num(p, q, 1, 1, ctx40)
 
 
+def _char_em_per_character(p, q, s, t, D):
+    """[p,q](s,t) with its per-class terms computed for this p alone: the
+    per-character combine loop that _class_pairs replaced, kept as a reference."""
+    from itertools import accumulate, cycle
+    from operator import mul
+
+    N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
+    Ns = N**s
+    prefix = list(accumulate(map(mul, cycle(CHI[q][3:] + CHI[q][:3]), numerics._pow_row(t, D))))
+    outer = numerics._pow_row(s, D)
+    direct = sum(
+        c * sum(map(mul, outer[r::4], prefix[r - 1 : N : 4])) for r, c in zip((1, 2, 3, 4), CHI[p]) if c
+    )
+    acc = direct * Ns
+    units = numerics._head_units(D) * Ns
+    C, Cu = numerics._inner_const(q, t, D)
+    for r in (1, 2, 3, 4):
+        cp = CHI[p][r - 1]
+        if not cp:
+            continue
+        emin, F, k, log4, rems, rnd = numerics._folded_inner(q, t, r, D)
+        lo = s + emin
+        hi = lo + len(F)
+        G, B = numerics._tail_row(r, s if s > 1 else lo, hi, D)
+        Gs, Bs = G[lo:hi], B[lo:hi]
+        acc -= cp * sum(map(mul, F, Gs))
+        units += sum(map(mul, map(abs, F), Bs)) + k * (sum(Bs) + sum(Gs)) + rnd * (Gs[0] + Bs[0])
+        units += sum(-(-rem // (s + erem - 1)) for rem, erem in rems)
+        if s > 1:
+            acc += cp * C * G[s]
+            units += abs(C) * B[s] + Cu * (G[s] + B[s])
+        if log4:
+            X, Xu = numerics.class_tail(r, s, N, D, logw=True)
+            acc -= cp * log4 * X << (W - 2)
+            units += abs(log4) * Xu << (W - 2)
+    if s == 1:
+        R, Ru = numerics._class_tails_fixed(p, 1, N, D)
+        acc += C * R
+        units += abs(C) * Ru + Cu * (abs(R) + Ru)
+    return numerics._from_fixed(acc // Ns, -(-units // Ns) + 1, 2 * W, D)
+
+
+def test_shared_class_pairs_bit_identical_to_per_character_loop():
+    # every supported [p,q](s,t), s <= 4, t <= 3, at three depths, requested in a
+    # shuffled order from empty caches so that pairs one p fills are read by another
+    import random
+
+    requests = [
+        (p, q, s, t, D)
+        for p in CHAR_IDS
+        for q in CHAR_IDS
+        for s in range(1, 5)
+        for t in range(1, 4)
+        for D in (20, 50, 110)
+        if numerics._char_convergent(p, q, s, t) and not (s == t == 1 and not numerics.is_mean_zero(q))
+    ]
+    random.Random(20261018).shuffle(requests)
+    numerics.clear_caches()
+    shared = [numerics._char_em(*req) for req in requests]
+    # one pair tuple per distinct (q, s, t, D), whichever p asked first
+    assert {key for key in numerics._fixed_cache if key[0] == "pairs"} == {
+        ("pairs",) + req[1:] for req in requests
+    }
+    for req, (v, b) in zip(requests, shared):
+        ref_v, ref_b = _char_em_per_character(*req)
+        assert (v._mpf_, b._mpf_) == (ref_v._mpf_, ref_b._mpf_), req
+    # the unsupported corner is refused before any pair is built
+    with pytest.raises(DomainError):
+        numerics._char_em("2b", "1", 1, 1, 50)
+    assert ("pairs", "1", 1, 1, 50) not in numerics._fixed_cache
+
+
 def test_reflection_s_t_le_2_within_reported_bounds(ctx40):
     # [p,q](s,t) + [q,p](t,s) = L_p(s) L_q(t) - L_pq(s+t), checked against L from
     # mpmath's Hurwitz zeta (log 2 and pi/4 at s = 1) within the two reported bounds
@@ -679,8 +751,10 @@ def test_clear_caches_empties_every_cache(ctx40):
     caches = [v for k, v in vars(numerics).items() if k.endswith("_cache") and isinstance(v, dict)]
     assert len(caches) >= 4 and all(caches)
     assert any(key[0] == "tail" for key in numerics._fixed_cache)
+    assert any(key[0] == "pairs" for key in numerics._fixed_cache)
     numerics.clear_caches()
     assert not any(caches)
+    assert not any(key[0] == "pairs" for key in numerics._fixed_cache)
     # identical (value, bound) bits, computed again from empty caches
     assert [(v._mpf_, b._mpf_) for v, b in cold_values()] == [(v._mpf_, b._mpf_) for v, b in first]
 
