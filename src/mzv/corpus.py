@@ -90,7 +90,6 @@ ARITY = {
 }
 
 GENERATORS = ("pi", "log2", "li4h")
-CHARIDS = ("1", "2a", "2b", "m4")
 
 
 @dataclass
@@ -444,10 +443,6 @@ def parse_corpus(text: str):
                     note = body[5:].strip()
                 continue
             pending_line = i
-        else:
-            comment = stripped.find("#")
-            if comment >= 0:
-                stripped = stripped[:comment].strip()
         hash_pos = stripped.find("#")
         if hash_pos >= 0:
             stripped = stripped[:hash_pos].strip()

@@ -9,20 +9,22 @@ Each formula is written once, here; numerics evaluates a descriptor and the
 symbolic walk reads it.
 
 The weight-w table is the unique solution of an exact linear system over
-ConstExpr assembled from the reflection pairs, the plain and 2^j-weighted sum
-formulas, and (per parity) the alternating-sign sum or its odd-weight closed
-form.  Redundant rows (the even/odd pair sums) are kept and checked for exact
-consistency; any rank deficiency is a hard error, never silently patched.
+ConstExpr built from double shuffle alone: the stuffle and shuffle products
+zeta(a) zeta(b), a + b = w, and Euler's zeta(w-1, 1).  None of the weighted
+sum formulas the corpus states is assumed.  A redundant row (one at each even
+weight) is kept and checked for exact consistency; any rank deficiency is a
+hard error, never silently patched.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .errors import DomainError, NotReducible, ReductionError
 from .exact import _rref
-from .symexpr import LOG2, ConstExpr, zeta_sym
+from .symexpr import LI4H, LOG2, PI, ConstExpr, zeta_sym
 
 _VERIFY_PREC = 40
 _VERIFY_TOL_EXP = 35  # residual <= 10^-(P-5) at P = 40
@@ -57,37 +59,19 @@ def _solve_exact(rows, nunknowns: int):
 
 
 def _weight_rows(w: int):
-    """Rows of the weight-w system over unknowns zeta(j, w-j), j = 2..w-1."""
+    """Double shuffle rows of the weight-w system over the unknowns
+    zeta(j, w-j), j = 2..w-1: for each 2 <= a <= b = w - a the stuffle row
+    zeta(a) zeta(b) = zeta(a,b) + zeta(b,a) + zeta(w) and the shuffle row
+    zeta(a) zeta(b) = sum_j [C(j-1,a-1) + C(j-1,b-1)] zeta(j, w-j), then
+    Euler's zeta(w-1, 1)."""
     js = list(range(2, w))
-    idx = {j: i for i, j in enumerate(js)}
     rows = []
-
-    def row(coef_by_j, rhs):
-        coeffs = [Fraction(0)] * len(js)
-        for j, c in coef_by_j.items():
-            coeffs[idx[j]] += c
-        rows.append((coeffs, rhs))
-
     for a in range(2, w // 2 + 1):
         b = w - a
-        if b < 2:
-            continue
-        cmap = {a: Fraction(1)}
-        cmap[b] = cmap.get(b, Fraction(0)) + 1
-        row(cmap, zeta_sym(a) * zeta_sym(b) - zeta_sym(w))
-    row({j: Fraction(1) for j in js}, zeta_sym(w))
-    row({j: Fraction(2**j) for j in js}, zeta_sym(w) * (w + 1))
-    if w % 2 == 0:
-        row({j: Fraction((-1) ** j) for j in js}, zeta_sym(w) * Fraction(1, 2))
-        row({j: Fraction(1) for j in js if j % 2 == 0}, zeta_sym(w) * Fraction(3, 4))
-        row({j: Fraction(1) for j in js if j % 2 == 1}, zeta_sym(w) * Fraction(1, 4))
-    else:
-        # alternating-sign odd-weight closed form at w = 2s+1
-        s = (w - 1) // 2
-        rhs = zeta_sym(w) * (4**s - s - 2)
-        for k in range(1, s):
-            rhs = rhs - zeta_sym(2 * k) * zeta_sym(w - 2 * k) * (2 * (4 ** (s - k) - 1))
-        row({j: Fraction((-1) ** j) for j in js}, rhs)
+        zz = zeta_sym(a) * zeta_sym(b)
+        rows.append(([(j == a) + (j == b) for j in js], zz - zeta_sym(w)))
+        rows.append(([comb(j - 1, a - 1) + comb(j - 1, b - 1) for j in js], zz))
+    rows.append(([int(j == w - 1) for j in js], zeta_s1_reduce(w)))
     return rows, js
 
 
@@ -128,8 +112,7 @@ class ReductionTable:
     precision is process-global, so no lock here could make that check safe
     across threads."""
 
-    def __init__(self, verify: bool = True):
-        self.verify = verify
+    def __init__(self):
         self._dz_tables: dict = {}
         self._alt: dict = {}
         self._witten: dict = {}
@@ -141,9 +124,8 @@ class ReductionTable:
         rows, js = _weight_rows(w)
         sol = _solve_exact(rows, len(js))
         table = {j: sol[i] for i, j in enumerate(js)}
-        if self.verify:
-            for j, expr in table.items():
-                _verify_against_em(expr, ("1", "1", j, w - j))
+        for j, expr in table.items():
+            _verify_against_em(expr, ("1", "1", j, w - j))
         self._dz_tables[w] = table
         return table
 
@@ -155,8 +137,7 @@ class ReductionTable:
         if expr is None:
             raise NotReducible(f"no tabulated closed form for {key}")
         expr = expr()
-        if self.verify:
-            _verify_against_em(expr, key)
+        _verify_against_em(expr, key)
         self._alt[key] = expr
         return expr
 
@@ -192,24 +173,18 @@ def _alt_2b1_21():
 
 
 def _alt_1_2b_21():
-    from .symexpr import LOG2, PI, ConstExpr as CE
-
-    return CE({((PI, 2), (LOG2, 1)): Fraction(1, 4)}) - zeta_sym(3)
+    return ConstExpr({((PI, 2), (LOG2, 1)): Fraction(1, 4)}) - zeta_sym(3)
 
 
 def _alt_2b_2b_21():
-    from .symexpr import LOG2, PI, ConstExpr as CE
-
-    return CE({((PI, 2), (LOG2, 1)): Fraction(1, 4)}) - zeta_sym(3) * Fraction(13, 8)
+    return ConstExpr({((PI, 2), (LOG2, 1)): Fraction(1, 4)}) - zeta_sym(3) * Fraction(13, 8)
 
 
 def _alt_2b1_22_expr():
-    from .symexpr import LI4H, LOG2, PI, ConstExpr as CE
-
-    log2 = CE.generator(LOG2)
-    pi = CE.generator(PI)
+    log2 = ConstExpr.generator(LOG2)
+    pi = ConstExpr.generator(PI)
     z3 = zeta_sym(3)
-    li4 = CE.generator(LI4H)
+    li4 = ConstExpr.generator(LI4H)
     return (
         log2**4 * Fraction(1, 6)
         - log2**2 * pi**2 * Fraction(1, 6)

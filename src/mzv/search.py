@@ -313,9 +313,6 @@ def _canonical_scale(vec):
 # candidates
 # ---------------------------------------------------------------------------
 
-_POLY_MONOS = ("1", "j", "s", "j^2", "j*s", "s^2", "j*(s-j)")
-
-
 def _poly_mono(mono: str, s: int, j: int) -> Fraction:
     return {
         "1": Fraction(1),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Union
 
 from .errors import DomainError, NotReducible
 from .exact import bernoulli, euler_number
@@ -232,8 +231,6 @@ def _mono_mul(m1, m2):
 
 
 ConstExpr.zero = _raw({})
-
-ExprLike = Union[ConstExpr, Fraction, int]
 
 
 def pi_power(k: int, coef=1) -> ConstExpr:

@@ -31,7 +31,7 @@ from mpmath import mp, mpf
 
 from . import exact, numerics, reductions
 from .corpus import BinOp, Call, Gen, Identity, Lit, Neg, Param, Sum, parse_corpus
-from .errors import DomainError, NotReducible, PrecisionError
+from .errors import DomainError, NotReducible, ParseError, PrecisionError
 from .numerics import EvalContext
 from .symexpr import ConstExpr, L_sym, zeta_sym
 
@@ -41,7 +41,8 @@ def default_corpus_text() -> str:
 
 
 def load_corpus(path: str | None = None):
-    """The packaged corpus, or the one at path; DomainError if it can not be read."""
+    """The packaged corpus, or the one at path; DomainError if it can not be
+    read, ParseError prefixed with the path if it does not parse."""
     if path is None:
         return parse_corpus(default_corpus_text())
     try:
@@ -49,7 +50,11 @@ def load_corpus(path: str | None = None):
             text = fh.read()
     except OSError as exc:
         raise DomainError(f"cannot read corpus {path}: {exc.strerror or exc}") from None
-    return parse_corpus(text)
+    try:
+        return parse_corpus(text)
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +379,9 @@ _CALLS = {
 
 
 def _walk_numeric(ast, bindings, ctx: EvalContext, where: str):
-    """(value, node count) of a bound AST at the current precision; PrecisionError
-    naming `where` when the accumulated bound exceeds (node count) * 10^-prec."""
+    """(value, bound, node count) of a bound AST at the current precision;
+    PrecisionError naming `where` when the accumulated bound exceeds
+    (node count) * 10^-prec."""
     w = _Numeric(ctx.work_digits)
     value = w.run(ast, bindings)
     if w.bound and w.bound > w.nodes * ctx.tolerance():
@@ -383,7 +389,7 @@ def _walk_numeric(ast, bindings, ctx: EvalContext, where: str):
             f"{where}: accumulated error bound {mp.nstr(w.bound, 3)} exceeds the "
             f"node-count budget {w.nodes} x 10^-{ctx.prec}"
         )
-    return value, w.nodes
+    return value, w.bound, w.nodes
 
 
 def eval_ast(ast, bindings, ctx: EvalContext):
@@ -393,11 +399,11 @@ def eval_ast(ast, bindings, ctx: EvalContext):
 
 
 def eval_ast_detailed(ast, bindings, ctx: EvalContext):
-    """(value, bound, visited-node count); value may be an exact Fraction."""
-    w = _Numeric(ctx.work_digits)
+    """(value, bound, visited-node count); value may be an exact Fraction.
+    PrecisionError as for eval_ast."""
     with mp.workdps(ctx.work_digits + 10):
-        val = w.run(ast, bindings)
-    return (Fraction(val) if type(val) is int else val), w.bound, w.nodes
+        val, bound, nodes = _walk_numeric(ast, bindings, ctx, "expression")
+    return (Fraction(val) if type(val) is int else val), bound, nodes
 
 
 def reduce_ast(ast, bindings) -> ConstExpr:
@@ -453,8 +459,8 @@ def verify_numeric(ident: Identity, params: dict, ctx: EvalContext) -> VerifyRep
             nodes = 0
             all_exact = True
             for i, (lhs, rhs) in enumerate(ident.parts, 1):
-                lv, ln = _walk_numeric(lhs, params, ctx, f"equation {i}, left side")
-                rv, rn = _walk_numeric(rhs, params, ctx, f"equation {i}, right side")
+                lv, _, ln = _walk_numeric(lhs, params, ctx, f"equation {i}, left side")
+                rv, _, rn = _walk_numeric(rhs, params, ctx, f"equation {i}, right side")
                 nodes += ln + rn
                 if isinstance(lv, _EXACT) and isinstance(rv, _EXACT):
                     if lv != rv:

@@ -45,6 +45,14 @@ def test_eval_parse_error(capsys):
     assert code == 2 and "error" in err
 
 
+def test_eval_over_its_bound_budget_is_an_error(capsys, monkeypatch):
+    real = numerics._zeta_internal
+    monkeypatch.setattr(numerics, "_zeta_internal", lambda s, D: (real(s, D)[0], mpf(1)))
+    code, out, err = run(capsys, "eval", "zeta(3)")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: expression: accumulated error bound 1.0 exceeds the node-count budget")
+
+
 def test_reduce(capsys):
     code, out, _ = run(capsys, "reduce", "dz(3,2)")
     assert code == 0 and out.strip() == "1/2*pi^2*z3 - 11/2*z5"
@@ -245,7 +253,7 @@ def test_unparsable_corpus_names_the_position(capsys, tmp_path, monkeypatch, arg
     bad.write_text("identity C99 : forall s>=3 : dz(2,\n")
     code, _, err = run(capsys, "--corpus", str(bad), *argv)
     assert code == 2
-    assert err.startswith("error: ") and "(line 1" in err
+    assert err.startswith(f"error: {bad}: ") and "(line 1" in err
 
 
 def test_report_paths_are_checked_before_the_run(capsys, tmp_path, monkeypatch):

@@ -183,6 +183,65 @@ def test_weight7_column():
         assert abs(got - want) < mpf(10) ** -35
 
 
+@pytest.mark.parametrize("w", range(3, 13))
+def test_double_shuffle_rows_hold_numerically(w):
+    """Every stuffle, shuffle and Euler row, past the w <= 7 table scope:
+    sum_j c_j zeta(j, w-j) from the Euler-Maclaurin evaluator against the
+    exact right side."""
+    D = 50
+    rows, js = _weight_rows(w)
+    with mp.workdps(D + 10):
+        dz = {j: numerics._char_em("1", "1", j, w - j, D)[0] for j in js}
+        for coeffs, rhs in rows:
+            got = sum(c * dz[j] for c, j in zip(coeffs, js))
+            want, _ = numerics._expr_internal(rhs, D)
+            assert abs(got - want) < mpf(10) ** -45, (w, coeffs)
+
+
+def _sum_formula_rows(w: int):
+    """The rows the tables were first solved from: the reflection pairs, the
+    plain and 2^j-weighted sum formulas and, by parity, the alternating-sign
+    sum with the even/odd-j sums, or the odd-weight alternating closed form.
+    Kept as the reference the double shuffle tables must reproduce."""
+    js = list(range(2, w))
+    idx = {j: i for i, j in enumerate(js)}
+    rows = []
+
+    def row(coef_by_j, rhs):
+        coeffs = [Fraction(0)] * len(js)
+        for j, c in coef_by_j.items():
+            coeffs[idx[j]] += c
+        rows.append((coeffs, rhs))
+
+    for a in range(2, w // 2 + 1):
+        b = w - a
+        cmap = {a: Fraction(1)}
+        cmap[b] = cmap.get(b, Fraction(0)) + 1
+        row(cmap, zeta_sym(a) * zeta_sym(b) - zeta_sym(w))
+    row({j: Fraction(1) for j in js}, zeta_sym(w))
+    row({j: Fraction(2**j) for j in js}, zeta_sym(w) * (w + 1))
+    if w % 2 == 0:
+        row({j: Fraction((-1) ** j) for j in js}, zeta_sym(w) * Fraction(1, 2))
+        row({j: Fraction(1) for j in js if j % 2 == 0}, zeta_sym(w) * Fraction(3, 4))
+        row({j: Fraction(1) for j in js if j % 2 == 1}, zeta_sym(w) * Fraction(1, 4))
+    else:
+        s = (w - 1) // 2
+        rhs = zeta_sym(w) * (4**s - s - 2)
+        for k in range(1, s):
+            rhs = rhs - zeta_sym(2 * k) * zeta_sym(w - 2 * k) * (2 * (4 ** (s - k) - 1))
+        row({j: Fraction((-1) ** j) for j in js}, rhs)
+    return rows, js
+
+
+@pytest.mark.parametrize("w, nrows", [(3, 1), (4, 3), (5, 3), (6, 5), (7, 5)])
+def test_double_shuffle_tables_match_the_sum_formulas(w, nrows):
+    rows, js = _weight_rows(w)
+    assert len(rows) == nrows
+    ref_rows, ref_js = _sum_formula_rows(w)
+    assert js == ref_js
+    assert _solve_exact(rows, len(js)) == _solve_exact(ref_rows, len(js))
+
+
 def _solve_exact_reference(rows, nunknowns: int):
     """The forward-elimination-then-back-substitution solver the tables were
     first built with, kept to check the shared Gauss-Jordan routine."""
