@@ -67,7 +67,9 @@ The one rounding of an L, [p,q](s,t), periodic tail or Li_4(1/2) value is its
 final conversion to the working precision, counted in its bound
 (_from_fixed).  Witten, harmonic and ConstExpr values are formed in mpf from
 such values; each of their terms adds 10^-(D+6) of its magnitude to the bound
-for the roundings.
+for the roundings.  No value here reads a closed form of reductions, which
+builds on this module: zeta(a, 1) is [1,1](a,1), and W and the harmonic sums
+are sums of the kernel's own values (witten_terms, _harmonic_internal).
 
 Numerics is single-threaded: mpmath's working precision (mp.workdps) is
 process-global, so concurrent callers would change each other's precision.
@@ -755,16 +757,6 @@ def char_dzeta_num(p: str, q: str, s: int, t: int, ctx: EvalContext):
 
 
 def _dzeta_internal(a: int, b: int, D: int):
-    if b == 1:
-        # exact closed form for zeta(a, 1); the raw EM path stays available via
-        # _char_em("1","1",a,1) and is used to cross-verify reductions.
-        from .reductions import zeta_s1_reduce
-
-        key = ("dz1", a, D)
-        hit = _value_cache.get(key)
-        if hit is None:
-            hit = _value_cache[key] = _expr_internal(zeta_s1_reduce(a + 1), D)
-        return hit
     return _char_em("1", "1", a, b, D)
 
 
@@ -786,56 +778,105 @@ def witten_convergent(r: int, s: int, t: int) -> bool:
     return min(r, s, t) >= 0 and r + t >= 2 and s + t >= 2 and r + s + t >= 3
 
 
-def _reduction_internal(key, reduce, args, D: int):
-    """(value, bound) of the descriptor reduce(*args) (a reductions.WittenReduction):
-    its exact part through _expr_internal plus each leftover c * zeta(a, b),
-    cached in _value_cache under key.  Each leftover adds |c| times its bound,
-    and |c zeta(a, b)| 10^-(D+6) for the roundings of c, the product and the
-    sum, as _expr_internal does per monomial."""
-    hit = _value_cache.get(key)
-    if hit is not None:
-        return hit
-    red = reduce(*args)
+@functools.cache
+def witten_terms(r: int, s: int, t: int) -> dict:
+    """W(r,s,t) as {boundary term: integer coefficient}, through the
+    partial-fraction recursion W(r,s,t) = W(r-1,s,t+1) + W(r,s-1,t+1): the term
+    ("zz", a, b) is W(a,b,0) = zeta(a) zeta(b), ("dz", a, 0) is
+    W(0,0,a) = zeta(a-1) - zeta(a) and ("dz", a, b) is zeta(a, b).  Memoized and
+    shared, so callers do not change it."""
+    if not witten_convergent(r, s, t):
+        raise DomainError(f"W({r},{s},{t}) diverges")
+    if t == 0:
+        if r < 2 or s < 2:
+            raise DomainError(f"W({r},{s},{t}) hits divergent boundary zeta({r})zeta({s})")
+        return {("zz", r, s): 1}
+    if r == 0 or s == 0:
+        return {("dz", t, r + s): 1}
+    out = dict(witten_terms(r - 1, s, t + 1))
+    for k, c in witten_terms(r, s - 1, t + 1).items():
+        out[k] = out.get(k, 0) + c
+    return out
+
+
+def _combine(terms, D: int):
+    """(value, bound) of sum c v over the terms (c, (v, b)), c rational, at
+    D + 10 digits: each term adds |c| b, and |c v| 10^-(D+6) for the roundings
+    of c, the product and the sum."""
     with mp.workdps(D + 10):
-        total, bound = _expr_internal(red.const_part, D)
         rel = _tolerance(D + 6, D + 10)
-        for (a, b), coef in red.dz_terms.items():
-            v, bb = _dzeta_internal(a, b, D)
-            c = mpf(coef.numerator) / coef.denominator
-            cv = c * v
+        total = bound = mp.zero
+        for c, (v, b) in terms:
+            cv = mpf(c.numerator) / c.denominator * v
             total += cv
-            bound += abs(c) * bb + abs(cv) * rel
-        res = (total, bound)
-    _value_cache[key] = res
-    return res
+            bound += abs(c) * b + abs(cv) * rel
+        return total, bound
 
 
 def _witten_internal(r: int, s: int, t: int, D: int):
-    from .reductions import witten_reduction
-
-    return _reduction_internal(("W", r, s, t, D), witten_reduction, (r, s, t), D)
+    """(value, bound) of W(r,s,t) from the kernel values of its witten_terms."""
+    key = ("W", r, s, t, D)
+    hit = _value_cache.get(key)
+    if hit is not None:
+        return hit
+    terms = []
+    for (kind, a, b), coef in witten_terms(r, s, t).items():
+        if kind == "zz":
+            (va, ba), (vb, bb) = _zeta_internal(a, D), _zeta_internal(b, D)
+            with mp.workdps(D + 10):
+                terms.append((coef, (va * vb, abs(va) * bb + abs(vb) * ba + ba * bb)))
+        elif b == 0:
+            terms += [(coef, _zeta_internal(a - 1, D)), (-coef, _zeta_internal(a, D))]
+        else:
+            terms.append((coef, _dzeta_internal(a, b, D)))
+    return _value_cache.setdefault(key, _combine(terms, D))
 
 
 def witten_num(r: int, s: int, t: int, ctx: EvalContext):
     """W(r,s,t) = sum_{n,m>=1} n^-r m^-s (n+m)^-t, evaluated through the exact
     recursion down to zeta / double-zeta boundary values."""
-    if not witten_convergent(r, s, t):
-        raise DomainError(f"W({r},{s},{t}) diverges")
     v, b = _witten_internal(r, s, t, ctx.work_digits)
     _check(b, ctx, f"W({r},{s},{t})")
     return v
 
 
-def _harmonic_internal(kind: str, s: int, D: int):
-    from .reductions import harmonic_reduction
+def harmonic_domain(kind: str, s: int):
+    """Raise DomainError unless s is in the domain of the harmonic sum `kind`."""
+    if kind == "odd_denom":
+        if s < 2:
+            raise DomainError(f"hsum_odd({s}) needs s >= 2")
+    elif kind == "half_index":
+        if s < 1:
+            raise DomainError(f"hsum_half({s}) needs s >= 1")
+    else:
+        raise DomainError(f"unknown harmonic sum kind {kind!r}")
 
-    return _reduction_internal(("H", kind, s, D), harmonic_reduction, (kind, s), D)
+
+def _harmonic_internal(kind: str, s: int, D: int):
+    """(value, bound) of a harmonic-number sum from character double sums.
+    odd_denom: at n = 2m+1, [2a,1](s,1) has the inner sum H_2m and [2a,2a](s,1)
+    its odd part H_2m - H_m/2, so the sum is 2([2a,1](s,1) - [2a,2a](s,1)).
+    half_index: sum H_N/N^k is zeta(k,1) + zeta(k+1) over all N and
+    [2a,1](k,1) + (1 - 2^-(k+1)) zeta(k+1) over odd N, so at k = 2s the sum
+    is 4^s (zeta(2s,1) - [2a,1](2s,1)) + zeta(2s+1)/2."""
+    key = ("H", kind, s, D)
+    hit = _value_cache.get(key)
+    if hit is not None:
+        return hit
+    harmonic_domain(kind, s)
+    if kind == "odd_denom":
+        terms = [(2, _char_em("2a", "1", s, 1, D)), (-2, _char_em("2a", "2a", s, 1, D))]
+    else:
+        k = 2 * s
+        terms = [(4**s, _dzeta_internal(k, 1, D)), (-(4**s), _char_em("2a", "1", k, 1, D)),
+                 (Fraction(1, 2), _zeta_internal(k + 1, D))]
+    return _value_cache.setdefault(key, _combine(terms, D))
 
 
 def harmonic_sum_num(kind: str, s: int, ctx: EvalContext):
     """Harmonic-number sums: 'odd_denom' is sum_{n>=0} H_n/(2n+1)^s (s >= 2),
-    'half_index' is sum_{n>=1} H_{2n}/n^{2s} (s >= 1), both evaluated from
-    their reductions.harmonic_reduction descriptors.  Domain errors name the
+    'half_index' is sum_{n>=1} H_{2n}/n^{2s} (s >= 1), both evaluated as
+    character double sums (_harmonic_internal).  Domain errors name the
     corpus DSL calls hsum_odd(s) and hsum_half(s)."""
     v, b = _harmonic_internal(kind, s, ctx.work_digits)
     _check(b, ctx, f"harmonic_sum({kind},{s})")

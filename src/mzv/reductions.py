@@ -2,11 +2,11 @@
 zeta(a,a), all double zeta values of weight <= 7, and the small tabulated
 alternating values.
 
-Witten double sums (through their recursion) and the two harmonic-number sums
-reduce to one descriptor, a WittenReduction: an exact ConstExpr part plus the
-double zetas that dzeta_reduce does not close, with rational coefficients.
-Each formula is written once, here; numerics evaluates a descriptor and the
-symbolic walk reads it.
+Witten double sums (through their recursion, numerics.witten_terms) and the
+two harmonic-number sums reduce to one descriptor, a WittenReduction: an exact
+ConstExpr part plus the double zetas that dzeta_reduce does not close, with
+rational coefficients.  The symbolic walk reads it; numerics evaluates every
+sum without it, so a numeric verify checks these closed forms.
 
 The weight-w table is the unique solution of an exact linear system over
 ConstExpr built from double shuffle alone: the stuffle and shuffle products
@@ -22,6 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
+from mpmath import mp, mpf
+
+from . import numerics
 from .errors import DomainError, NotReducible, ReductionError
 from .exact import _rref
 from .symexpr import LI4H, LOG2, PI, ConstExpr, zeta_sym
@@ -82,7 +85,7 @@ class WittenReduction:
     coefficient.  add_dz folds every zeta(a, b) that dzeta_reduce closes into
     const_part, so a leftover is one it does not close (weight > 7, b >= 2,
     a != b), kept in the order first added.  W(r,s,t), hsum_odd(s) and
-    hsum_half(s) each reduce to one."""
+    hsum_half(s) each reduce to one; the symbolic walk reads it."""
 
     const_part: ConstExpr = field(default_factory=lambda: ConstExpr.zero)
     dz_terms: dict = field(default_factory=dict)
@@ -146,20 +149,24 @@ class ReductionTable:
         key = (r, s, t)
         if key in self._witten:
             return self._witten[key]
-        red = _witten_expand(r, s, t, self)
+        red = WittenReduction()
+        for (kind, a, b), coef in numerics.witten_terms(r, s, t).items():
+            c = Fraction(coef)
+            if kind == "zz":
+                red.const_part = red.const_part + zeta_sym(a) * zeta_sym(b) * c
+            elif b == 0:
+                red.const_part = red.const_part + (zeta_sym(a - 1) - zeta_sym(a)) * c
+            else:
+                red.add_dz(a, b, c)
         self._witten[key] = red
         return red
 
 
 def _verify_against_em(expr: ConstExpr, char_key):
-    from . import numerics
-
     D = _VERIFY_PREC + 10
     p, q, s, t = char_key
     got, gb = numerics._char_em(p, q, s, t, D)
     want, wb = numerics._expr_internal(expr, D)
-    from mpmath import mp, mpf
-
     with mp.workdps(D):
         resid = abs(got - want)
         if resid > mpf(10) ** (-_VERIFY_TOL_EXP):
@@ -233,49 +240,6 @@ def alt_value_lookup(key) -> ConstExpr:
     return _TABLE.alt_value(tuple(key))
 
 
-def _witten_expand(r: int, s: int, t: int, table: ReductionTable) -> WittenReduction:
-    from .numerics import witten_convergent
-
-    if not witten_convergent(r, s, t):
-        raise DomainError(f"W({r},{s},{t}) diverges")
-    memo: dict = {}
-
-    def go(r, s, t) -> dict:
-        """Map from terminal descriptors to integer coefficients."""
-        key = (r, s, t)
-        if key in memo:
-            return memo[key]
-        if t == 0:
-            out = {("zz", r, s): 1}
-        elif r == 0 and s == 0:
-            out = {("dz", t, 0): 1}
-        elif r == 0:
-            out = {("dz", t, s): 1}
-        elif s == 0:
-            out = {("dz", t, r): 1}
-        else:
-            out = {}
-            for part in (go(r - 1, s, t + 1), go(r, s - 1, t + 1)):
-                for k, c in part.items():
-                    out[k] = out.get(k, 0) + c
-        memo[key] = out
-        return out
-
-    red = WittenReduction()
-    for (kind, a, b), coef in go(r, s, t).items():
-        c = Fraction(coef)
-        if kind == "zz":
-            if a < 2 or b < 2:
-                raise DomainError(f"W({r},{s},{t}) hits divergent boundary zeta({a})zeta({b})")
-            red.const_part = red.const_part + zeta_sym(a) * zeta_sym(b) * c
-        elif b == 0:
-            # W(0,0,a) = sum_{k>=2} (k-1) k^-a = zeta(a-1) - zeta(a)
-            red.const_part = red.const_part + (zeta_sym(a - 1) - zeta_sym(a)) * c
-        else:
-            red.add_dz(a, b, c)
-    return red
-
-
 def witten_reduce(r: int, s: int, t: int):
     """Expand W(r,s,t) through W(r,s,t) = W(r-1,s,t+1) + W(r,s-1,t+1) down to
     the boundary values.  Returns a ConstExpr when every double zeta closes
@@ -288,7 +252,7 @@ def witten_reduce(r: int, s: int, t: int):
 
 
 def witten_reduction(r: int, s: int, t: int) -> WittenReduction:
-    """Always-structured form of witten_reduce (used by the numeric evaluator)."""
+    """Always-structured form of witten_reduce (used by the symbolic walk)."""
     return _TABLE.witten(r, s, t)
 
 
@@ -305,23 +269,18 @@ def harmonic_reduction(kind: str, s: int) -> WittenReduction:
     Leftovers are added in j order.  The descriptor is memoized and shared,
     so callers do not change it.
     """
+    numerics.harmonic_domain(kind, s)
     red = WittenReduction()
     if kind == "half_index":
-        if s < 1:
-            raise DomainError(f"hsum_half({s}) needs s >= 1")
         w = 2 * s + 1
         red.const_part = zeta_sym(w) * Fraction(5, 4) + zeta_s1_reduce(w)
         for j in range(2, w):
             red.add_dz(j, w - j, Fraction(1 if j % 2 == 0 else -1, 2))
-    elif kind == "odd_denom":
-        if s < 2:
-            raise DomainError(f"hsum_odd({s}) needs s >= 2")
+    else:
         w = s + 1
         log2zeta = ConstExpr.generator(LOG2) * zeta_sym(w - 1)
         red.const_part = ((zeta_s1_reduce(w) - log2zeta * 2) * (1 - Fraction(1, 2 ** (w - 1)))
                           - zeta_sym(w) * (Fraction(1, 2 ** (w - 2)) - 1))
         for j in range(2, w):
             red.add_dz(j, w - j, Fraction(1, 2 ** (j - 1)))
-    else:
-        raise DomainError(f"unknown harmonic sum kind {kind!r}")
     return red

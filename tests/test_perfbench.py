@@ -1,10 +1,11 @@
 """The benchmark's layer tracer still finds the package names it wraps: the
-Witten and harmonic layers and the numerics layers below them."""
+Witten and harmonic layers, the numerics layers below them and the symbolic
+Witten table."""
 from pathlib import Path
 
 from mzv.corpus import parse_expr
-from mzv.numerics import EvalContext
-from mzv.verify import eval_ast
+from mzv.numerics import EvalContext, expr_num
+from mzv.verify import eval_ast, reduce_ast
 
 
 def test_tracer_sees_the_witten_and_harmonic_layers(monkeypatch):
@@ -15,6 +16,8 @@ def test_tracer_sees_the_witten_and_harmonic_layers(monkeypatch):
     try:
         # a precision no other test uses, so the value cache cannot answer first
         eval_ast(parse_expr("W(1,2,3) + hsum_odd(3) + hsum_half(2) + L(2b,3) + cs(2b,m4;1,2)"), {}, EvalContext(17))
+        # the numeric walk reads no reduction; the symbolic walk reaches them
+        expr_num(reduce_ast(parse_expr("W(1,2,3)"), {}), EvalContext(17))
     finally:
         tracer.uninstall()
     for layer in (

@@ -153,16 +153,39 @@ def test_run_suite_subset_and_reports(tmp_path):
 
 
 def test_precision_scaling_residuals_shrink():
-    """Residuals of C02..C05 at s = 8 shrink by >= 1e8 from P=30 to P=50."""
+    """Each side of C02..C05 at s = 8 comes >= 1e8 closer to its own P = 90
+    value from P=30 to P=50.  Unlike |lhs - rhs|, a side's distance to a deeper
+    evaluation of itself cannot be an exact zero by luck."""
     cmap = _corpus_map()
     for cid in ("C02", "C03", "C04", "C05"):
-        res = {}
         for prec in (30, 50):
-            r = verify_numeric(cmap[cid], {"s": 8}, EvalContext(prec))
-            assert r.status == "pass"
-            res[prec] = mpf(r.residual)
-        floor = mpf(10) ** -75
-        assert res[30] / max(res[50], floor) >= mpf(10) ** 8, (cid, res)
+            assert verify_numeric(cmap[cid], {"s": 8}, EvalContext(prec)).status == "pass"
+        for side in (side for part in cmap[cid].parts for side in part):
+            ref = eval_ast(side, {"s": 8}, EvalContext(90))
+            with mp.workdps(110):
+                dist = {prec: abs(eval_ast(side, {"s": 8}, EvalContext(prec)) - ref) for prec in (30, 50)}
+                assert dist[30] / max(dist[50], mpf(10) ** -75) >= mpf(10) ** 8, (cid, side, dist)
+
+
+def test_numeric_verify_reads_no_reduction(monkeypatch):
+    """The numeric statuses of the harmonic and Witten identities C07..C15 come
+    from numerics alone: with every closed form of reductions made to raise,
+    a cold numeric verify gives the same statuses."""
+    ctx = EvalContext(40)
+    instances = [(ident, b) for ident in load_corpus() if "C07" <= ident.ident <= "C15"
+                 for b in enumerate_bindings(ident, 10)]
+    want = [verify_numeric(ident, b, ctx).status for ident, b in instances]
+
+    def closed_form(*args):
+        raise AssertionError(f"the numeric verify read a closed form {args}")
+
+    numerics.clear_caches()
+    for name in ("harmonic_reduction", "witten_reduction", "dzeta_reduce", "zeta_s1_reduce"):
+        monkeypatch.setattr(reductions, name, closed_form)
+    for name in ("dz_table", "witten", "alt_value"):
+        monkeypatch.setattr(reductions._TABLE, name, closed_form)
+    assert [verify_numeric(ident, b, ctx).status for ident, b in instances] == want
+    assert len(want) > 100 and "pass" in want
 
 
 def test_exact_values_stay_exact(ctx40):
