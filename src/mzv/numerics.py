@@ -40,20 +40,28 @@ Euler-Maclaurin kernel run in exact integers (class_tail, _tail_fixed): from a
 start m0 > N in class r, far enough out that the terms fall below the target
 before they turn upward, the direct terms N < n < m0 are floors and the rest
 is m0^-u times a bracket summed at scale 2^V, V = W + 64.  The plain bracket
-is m0/(4(u-1)) + 1/2 + sum_j t_j, t_j = beta_j (u)_(2j-1) / m0^(2j-1) with
-beta_j = B_2j 4^(2j-1) / (2j)!.  Each t_j is one floor division of t_(j-1) by
-the exact step ratio (beta_j / beta_(j-1), from one list grown on demand,
-times (u+2j-3)(u+2j-2)/m0^2), whose magnitude is at most 1, so t_j is within
-j units after j steps (_em_chain).  The log-weighted tail is minus the
-u-derivative of the plain one: its bracket is L (the plain bracket) +
-m0/(4(u-1)^2) - sum_j t_j h_(2j-1), with L = log m0 and
-h_k = sum_(i<k) 1/(u+i), and the products t_j h_(2j-1) are a second floor
-chain next to t_j.  The regularized u = 1 tail replaces the integral term
-m0/(4(u-1)) by -m0 L/4.  L enters only there and in the log-weighted direct
-terms, as floor(log n 2^V) from mpmath, within 2 units that the bound counts.
-The bound also counts _EM_SAFETY times the last term with its units, every
-other floor and the shift from 2^V to 2^W.  A series that turns before its
-target restarts from a start 1.6 times farther out, at most five times.
+is m0/(4(u-1)) + 1/2 + sum_j t_j, t_j(u) = beta_j (u)_(2j-1) / m0^(2j-1) with
+beta_j = B_2j 4^(2j-1) / (2j)!.  The exponents of one row (_tail_row) are
+built from the highest down, and all those with the same start share one list
+of t_j (_EMTerms): since t_j(u) = t_j(u+1) u / (u+2j-1), the list steps down
+one exponent by one multiplication and one floor division by small integers
+per term.  The ratio is below 1, so each descent adds at most one unit to a
+term.  Past the list's end, t_j is one floor division of t_(j-1) by the exact
+step ratio (beta_j / beta_(j-1), from one list grown on demand, times
+(u+2j-3)(u+2j-2)/m0^2), whose magnitude is at most 1 (_em_step), which adds
+one unit more; so after d descents t_j is within j + d units.  A new start
+begins a new list, and a lone class_tail is the one-exponent case with d = 0.
+The log-weighted tail is minus the u-derivative of the plain one: its bracket
+is L (the plain bracket) + m0/(4(u-1)^2) - sum_j t_j h_(2j-1), with
+L = log m0 and h_k = sum_(i<k) 1/(u+i); it runs a chain of its own by the
+step ratios, where the products t_j h_(2j-1) are a second floor chain next to
+t_j.  The regularized u = 1 tail replaces the integral term m0/(4(u-1)) by
+-m0 L/4 and sums a list of its own.  L enters only there and in the
+log-weighted direct terms, as floor(log n 2^V) from mpmath, within 2 units
+that the bound counts.  The bound also counts _EM_SAFETY times the last term
+with its units, every other floor and the shift from 2^V to 2^W.  A series
+that turns before its target restarts from a start 1.6 times farther out, at
+most five times, with a list of its own.
 class_tail returns its pair at the rows' scale N^u 2^W (2^W at N = 0).
 
 The inner expansions are integer floor chains too, at scale 2^(W+32): the
@@ -81,7 +89,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, cycle
+from itertools import accumulate, compress, count, cycle
 from operator import mul
 
 from mpmath import mp, mpf
@@ -169,7 +177,7 @@ _value_cache: dict = {}
 # first omitted term for completely monotone integrands; 4 is a safe margin.
 _EM_SAFETY = 4
 
-# beta_j / beta_(j-1) as (num, den) at index j >= 2: the step ratios of _em_chain,
+# beta_j / beta_(j-1) as (num, den) at index j >= 2: the step ratios of _em_step,
 # appended as the chains first reach each j
 _em_ratios: list = [None, None]
 
@@ -198,7 +206,7 @@ def class_tail(r: int, u: int, N: int, D: int, logw: bool = False):
     key = (r, u, N, D, logw)
     hit = _kernel_cache.get(key)
     if hit is None:
-        hit = _kernel_cache[key] = _tail_fixed(r, u, N, D, max(N, 1) ** u, {}, logw)
+        hit = _kernel_cache[key] = _tail_fixed(r, u, N, D, logw)
     return hit
 
 
@@ -369,35 +377,47 @@ def _log_fixed(n: int, bits: int) -> int:
         return int(mp.floor(mp.ldexp(mp.log(n), bits)))
 
 
-def _em_chain(u: int, y: int, t: int, h: int | None = None):
-    """Yield (j, t_j, h_j) for j = 1, 2, ..., 499 from t = t_1 and h = h_1: the
-    EM terms t_j = t_(j-1) q_j with q_j = (beta_j / beta_(j-1)) (u+2j-3)(u+2j-2)
-    / y^2, and, unless h is None, h_j = q_j (h_(j-1) + t_(j-1) (1/(u+2j-3) +
-    1/(u+2j-2))), which is t_j (1/u + ... + 1/(u+2j-2)) from h_1 = t_1 / u.
+def _em_step(u: int, j: int, y: int):
+    """(num, den) of the EM step ratio q_j = num / den = (beta_j / beta_(j-1))
+    (u+2j-3)(u+2j-2) / y^2, j >= 2, with which t_j = t_(j-1) q_j at exponent u
+    from y; None where |q_j| > 1: the terms turn upward.  beta_j / beta_(j-1) =
+    16 B_2j / (B_(2j-2) (2j)(2j-1)) is read from _em_ratios, grown on demand."""
+    while len(_em_ratios) <= j:
+        k = len(_em_ratios)
+        q = 16 * bernoulli(2 * k) / (bernoulli(2 * k - 2) * (2 * k) * (2 * k - 1))
+        _em_ratios.append((q.numerator, q.denominator))
+    rn, rd = _em_ratios[j]
+    num, den = rn * (u + 2 * j - 3) * (u + 2 * j - 2), rd * y * y
+    return None if abs(num) > den else (num, den)
 
-    Each step is one floor division.  Yields None and stops where |q_j| > 1:
-    the terms turn upward.  Below that, t_j is within j units when t_1 is
-    within one, and for u >= 2 h_j within j (j+1) / 2 when h_1 is within one.
+
+class _EMTerms:
+    """The plain EM terms t[j-1] = t_j(u) = beta_j (u)_(2j-1) / m0^(2j-1) of
+    one start m0 at scale 2^V, each within j + d units after d descents.  at()
+    steps them down to exponent u, t_j(k) = floor(t_j(k+1) k / (k+2j-1)) for
+    each k, a ratio below 1 that adds at most one unit per step, or starts
+    anew from t_1(u) = floor(u 2^V / (3 m0)) (beta_1 = 1/3) at a new m0 or a
+    higher u.  _em_bracket extends the list by _em_step and cuts it at its stop.
     """
-    yield 1, t, h
-    for j in range(2, 500):
-        if j == len(_em_ratios):
-            q = 16 * bernoulli(2 * j) / (bernoulli(2 * j - 2) * (2 * j) * (2 * j - 1))
-            _em_ratios.append((q.numerator, q.denominator))
-        rn, rd = _em_ratios[j]
-        a, b = u + 2 * j - 3, u + 2 * j - 2
-        num, den = rn * a * b, rd * y * y
-        if abs(num) > den:
-            yield None
-            return
-        if h is not None:
-            h = (h * num + rn * (a + b) * t) // den
-        t = t * num // den
-        yield j, t, h
+
+    __slots__ = ("m0", "u", "d", "t")
+
+    def __init__(self):
+        self.m0 = None
+
+    def at(self, u: int, m0: int, V: int) -> list:
+        if m0 != self.m0 or u > self.u:
+            self.m0, self.u, self.d, self.t = m0, u, 0, [(u << V) // (3 * m0)]
+        for k in range(self.u - 1, u - 1, -1):
+            self.t = [x * k // (k + 2 * j - 1) for j, x in enumerate(self.t, 1)]
+        self.d += self.u - u
+        self.u = u
+        return self.t
 
 
 def _em_bracket(
-    u: int, m0: int, m0u: int, V: int, D: int, L: int | None = None, logw: bool = False, what: str = ""
+    u: int, m0: int, m0u: int, V: int, D: int, L: int | None = None, logw: bool = False,
+    what: str = "", terms: _EMTerms | None = None,
 ):
     """The Euler-Maclaurin bracket of class_tail's tail from m0 at scale 2^V:
     the tail from m0 on is m0^-u times
@@ -405,9 +425,11 @@ def _em_bracket(
       -m0 log(m0)/4 + 1/2 + sum_j t_j         (regularized, u = 1),
       log(m0) (plain) + m0/(4(u-1)^2) - sum_j h_j   (logw, u >= 2),
     with t_j = beta_j (u)_(2j-1) / m0^(2j-1) and h_j = t_j (1/u + ... +
-    1/(u+2j-2)) from _em_chain; the log-weighted bracket is minus the
-    u-derivative of the plain one.  L = floor(log(m0) 2^V), within 2 units, for
-    u = 1 or logw; m0u = m0^u.
+    1/(u+2j-2)); the log-weighted bracket is minus the u-derivative of the
+    plain one.  L = floor(log(m0) 2^V), within 2 units, for u = 1 or logw;
+    m0u = m0^u.  The plain and regularized brackets sum the terms of `terms`,
+    the _EMTerms a row shares (a new one if None), where the j-th is within
+    j + d units after d descents; the log-weighted one runs its own chain.
 
     The sum stops once the last term is below 10^-(D+6) / _EM_SAFETY times the
     scale |integral term| + f(m0) m0^u + 10^-(D+30) m0^u.  Returns
@@ -426,57 +448,75 @@ def _em_bracket(
         lead = (L * lead >> V) + (m0 << V) // (c * (u - 1))
     scale = abs(lead) + (L if logw else 1 << V) + (m0u << V) // 10 ** (D + 30)
     lim = scale // (_EM_SAFETY * 10 ** (D + 6))
-    t = (u << V) // (3 * m0)  # beta_1 = 1/3
-    hsum = 0
-    for step in _em_chain(u, m0, t, (1 << V) // (3 * m0) if logw else None):
-        if step is None:
-            return None
-        j, t, h = step
+    if not logw:
+        if terms is None:
+            terms = _EMTerms()
+        t = terms.at(u, m0, V)
+        j = next(compress(count(1), map(lim.__gt__, map(abs, t))), 0)  # the first |t_j| < lim
+        while not j:
+            if len(t) == 499:
+                raise PrecisionError(f"EM correction loop exhausted for {what}")
+            step = _em_step(u, len(t) + 1, m0)
+            if step is None:
+                return None
+            t.append(t[-1] * step[0] // step[1])
+            if abs(t[-1]) < lim:
+                j = len(t)
+        del t[j:]
+        d = terms.d
+        return x + sum(t), floors + j * (j + 1) // 2 + j * d, _EM_SAFETY * (abs(t[-1]) + j + d), j
+    # h_j = q_j (h_(j-1) + t_(j-1) (1/(u+2j-3) + 1/(u+2j-2))) from h_1 = t_1 / u
+    t, h, hsum = (u << V) // (3 * m0), (1 << V) // (3 * m0), 0
+    for j in range(1, 500):
+        if j > 1:
+            step = _em_step(u, j, m0)
+            if step is None:
+                return None
+            num, den = step
+            h = (h * num + _em_ratios[j][0] * (2 * u + 4 * j - 5) * t) // den
+            t = t * num // den
         x += t
-        term = t
-        if logw:
-            hsum += h
-            term = (L * t >> V) - h
+        hsum += h
+        term = (L * t >> V) - h
         if abs(term) < lim:
             break
     else:
         raise PrecisionError(f"EM correction loop exhausted for {what}")
-    floors += j * (j + 1) // 2
-    if not logw:
-        return x, floors, _EM_SAFETY * (abs(t) + j), j
     # with log(m0) 2^V within 2 units of L, L x is within 2 |x| + (L + 2) floors
     # units of 2^-2V of its exact product; the shift and m0/(4(u-1)^2) are one
-    # floor each, and h_i is within i (i+1) / 2 units
+    # floor each, t_i is within i units and h_i within i (i+1) / 2
+    floors += j * (j + 1) // 2
     term_units = ((2 * abs(t) + (L + 2) * j) >> V) + 2 + j * (j + 1) // 2
     floors = ((2 * abs(x) + (L + 2) * floors) >> V) + 3 + j * (j + 1) * (j + 2) // 6
     x = (L * x >> V) + (m0 << V) // (c * (u - 1)) - hsum
     return x, floors, _EM_SAFETY * (abs(term) + term_units), j
 
 
-def _tail_fixed(r: int, u: int, N: int, D: int, Nu: int, powers: dict, logw: bool = False):
-    """(G, B) with |T Nu 2^W - G| <= B for class_tail's tail T, W = _fixed_bits(D).
+def _tail_fixed(r: int, u: int, N: int, D: int, logw: bool = False, terms: _EMTerms | None = None):
+    """(G, B) with |T Nu 2^W - G| <= B for class_tail's tail T, Nu = N^u (1 at
+    N = 0), W = _fixed_bits(D).
 
     Euler-Maclaurin for f(x) = (4x + m0)^-u (times log(4x + m0) if logw) in
     exact integers at scale 2^V, V = W + 64, from the kernel's start m0: the
     direct terms N < n < m0 are floors (with log n from _log_fixed if logw) and
     the rest is m0^-u times _em_bracket.  B counts every floor unit, the
-    bracket's units and remainder and the shift from 2^V to 2^W.  Nu = N^u (1 at
-    N = 0); powers maps each start m0 to (k, m0^k) and is updated in place, so
-    calls that share it must not decrease u.
+    bracket's units and remainder and the shift from 2^V to 2^W.  `terms` is
+    the _EMTerms a row shares for its plain brackets from the kernel's start; a
+    restart farther out sums a list of its own.
     """
     V = _fixed_bits(D) + 64
+    Nu = max(N, 1) ** u
     start_min = _kernel_start(u, D)
     what = f"class {r}, exponent {u}, log weight {logw}, N={N}, D={D}"
     for _ in range(5):
         m0 = max(N, start_min) + 1
         m0 += (r - m0) % 4
-        k, p = powers.get(m0, (0, 1))
-        m0u = p * m0 ** (u - k)
-        powers[m0] = (u, m0u)
+        m0u = m0**u
         L = _log_fixed(m0, V) if logw or u == 1 else None
-        em = _em_bracket(u, m0, m0u, V, D, L, logw, what)
+        em = _em_bracket(u, m0, m0u, V, D, L, logw, what, terms)
         if em is None:
             start_min = int(start_min * 1.6) + 8  # the series turned: restart farther out
+            terms = None
             continue
         x, floors, rem, _ = em
         head = range(N + 1 + (r - N - 1) % 4, m0, 4)
@@ -494,19 +534,21 @@ def _tail_fixed(r: int, u: int, N: int, D: int, Nu: int, powers: dict, logw: boo
 def _tail_row(r: int, lo: int, hi: int, D: int):
     """Lists (G, B) indexed by exponent u, filled at least for lo <= u < hi:
     G[u] = floor(T N^u 2^W) up to B[u] >= |T N^u 2^W - G[u]| units for the class
-    tail T of class_tail(r, u, N, D), from the integer kernel _tail_fixed."""
+    tail T of class_tail(r, u, N, D), N = _outer_cutoff(D).  The missing
+    entries are filled from the highest u down and share one _EMTerms: at the
+    same start m0, t_j(u) = floor(t_j(u+1) u / (u+2j-1)), one multiplication
+    and one division by small integers per term, which adds one unit to it;
+    the exact step ratio runs only past the list's end.  Start, stop test and
+    restarts are class_tail's, which is the one-exponent case.
+    """
     G, B = row = _fixed_cache.setdefault(("tail", r, D), ([], []))
     if len(G) < hi:
         G.extend([None] * (hi - len(G)))
         B.extend([None] * (hi - len(B)))
-    if None in G[lo:hi]:
-        N = _outer_cutoff(D)
-        Nu = N**lo
-        powers: dict = {}
-        for u in range(lo, hi):
-            if G[u] is None:
-                G[u], B[u] = _tail_fixed(r, u, N, D, Nu, powers)
-            Nu *= N
+    terms = _EMTerms()
+    for u in range(hi - 1, lo - 1, -1):
+        if G[u] is None:
+            G[u], B[u] = _tail_fixed(r, u, _outer_cutoff(D), D, terms=terms)
     return row
 
 
@@ -539,10 +581,12 @@ def _inner_ct(t: int, N: int, D: int):
     terms.append((t, (1 << V) // (2 * Nt), 1))
     lim = max((1 << V) // (10 ** (D + 6) * Nt), 1 << _INNER_GUARD)
     a = (t << V) // (3 * Nt * N)  # beta_1 = 1/3
-    for step in _em_chain(t, N, a):
-        if step is None:
-            raise PrecisionError(f"inner EM series turned at j={j + 1} before target (t={t}, N={N})")
-        j, a, _ = step
+    for j in range(1, 500):
+        if j > 1:
+            step = _em_step(t, j, N)
+            if step is None:
+                raise PrecisionError(f"inner EM series turned at j={j} before target (t={t}, N={N})")
+            a = a * step[0] // step[1]
         if _EM_SAFETY * abs(a) < lim:
             _inner_ct_cache.clear()
             hit = _inner_ct_cache[key] = (terms, (_EM_SAFETY * (abs(a) + j), t + 2 * j - 1))
@@ -787,9 +831,7 @@ def witten_terms(r: int, s: int, t: int) -> dict:
     shared, so callers do not change it."""
     if not witten_convergent(r, s, t):
         raise DomainError(f"W({r},{s},{t}) diverges")
-    if t == 0:
-        if r < 2 or s < 2:
-            raise DomainError(f"W({r},{s},{t}) hits divergent boundary zeta({r})zeta({s})")
+    if t == 0:  # r, s >= 2 by convergence
         return {("zz", r, s): 1}
     if r == 0 or s == 0:
         return {("dz", t, r + s): 1}

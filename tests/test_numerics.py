@@ -2,6 +2,7 @@
 harmonic sums, oracles and the error-bound contract."""
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -400,6 +401,14 @@ def test_witten_domain(ctx40):
         witten_num(0, 0, 2, ctx40)
 
 
+def test_witten_t0_terms_are_zeta_products():
+    # a convergent W(r, s, 0) has r, s >= 2: it is the product zeta(r) zeta(s)
+    convergent = [(r, s) for r in range(13) for s in range(13) if numerics.witten_convergent(r, s, 0)]
+    assert len(convergent) == 121
+    for r, s in convergent:
+        assert numerics.witten_terms(r, s, 0) == {("zz", r, s): 1}, (r, s)
+
+
 # ---------------------------------------------------------------------------
 # harmonic sums
 # ---------------------------------------------------------------------------
@@ -503,27 +512,74 @@ def test_determinism(ctx40):
 
 
 def test_fixed_point_tail_rows_bracket_the_kernel():
-    # the integer rows against a Hurwitz-zeta reference with no allowance, and
-    # every row entry is class_tail's pair.  Exponents are sampled across each
-    # row's range: _char_em asks for u up to about 72 at D = 20, 111 at D = 50
-    # and 368 at D = 310.  At D = 20 the start passes N from u = 132 on, so
+    # every row entry is class_tail's pair, the one-exponent case of the row
+    # kernel, and sampled entries bracket a Hurwitz-zeta reference with no
+    # allowance.  Each row runs past the exponents _char_em asks for (about 72
+    # at D = 20, 111 at D = 50 and 368 at D = 310).  At D = 20 the start passes
+    # N from u = 132 on, so the start m0 changes every few exponents there and
     # u = 150 and 250 also take direct terms.
-    sample = {  # D -> exponents within the rows' range and with direct terms
-        20: (2, 3, 5, 17, 40, 72, 150, 250),
-        50: (2, 3, 7, 30, 64, 111),
-        310: (2, 17, 90, 220, 368),
+    rows = {  # D -> (row end, exponents checked against the reference)
+        20: (251, (2, 3, 5, 17, 40, 72, 131, 132, 150, 250)),
+        50: (112, (2, 3, 7, 30, 64, 111)),
+        110: (160, (2, 9, 50, 159)),
+        310: (369, (2, 17, 90, 220, 368)),
     }
-    for D, us in sample.items():
+    for D, (hi, us) in rows.items():
         N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
         for r in (1, 2, 3, 4):
-            G, B = numerics._tail_row(r, 2, max(us) + 1, D)
+            G, B = numerics._tail_row(r, 2, hi, D)
+            for u in range(2, hi):
+                assert numerics.class_tail(r, u, N, D) == (G[u], B[u]), (D, r, u)
             n0 = N + 1 + (r - 1 - N) % 4
             for u in us:
                 m0 = max(N, numerics._kernel_start(u, D)) + 1
                 with mp.workdps(D + 40 + math.ceil(u * math.log10(m0))):
                     ref = mpf(4) ** -u * mp.zeta(u, mpf(n0) / 4) * mpf(N) ** u * mpf(2) ** W
                     assert abs(G[u] - ref) <= B[u], (D, r, u)
-                assert numerics.class_tail(r, u, N, D) == (G[u], B[u]), (D, r, u)
+
+
+def test_tail_row_entries_do_not_depend_on_fill_order():
+    # a row first filled at single exponents, as _L_fixed asks for them, and
+    # then over its range, against the same row filled in one call
+    for D, singles, hi in ((50, (3, 7), 112), (310, (2, 5, 200), 369)):
+        for r in (1, 2, 3, 4):
+            numerics._fixed_cache.pop(("tail", r, D), None)
+            for s in singles:
+                numerics._tail_row(r, s, s + 1, D)
+            G, B = numerics._tail_row(r, 2, hi, D)
+            in_parts = (G[2:hi], B[2:hi])
+            numerics._fixed_cache.pop(("tail", r, D), None)
+            G, B = numerics._tail_row(r, 2, hi, D)
+            assert (G[2:hi], B[2:hi]) == in_parts, (D, r)
+
+
+def test_tail_row_restart_in_the_middle_of_a_row(monkeypatch):
+    # with N = 10 and a start of 600 for u <= 90 (1200 above), the exponents
+    # from u = 58 (59 in class 3) to 90 turn from the start they share and
+    # restart farther out: below them are exponents with a start of their own,
+    # above them ones that read the shared list after those restarts.  Every
+    # entry brackets the reference with no allowance
+    D, N = 310, 10
+    W = numerics._fixed_bits(D)
+    monkeypatch.setattr(numerics, "_outer_cutoff", lambda D: N)
+    monkeypatch.setattr(numerics, "_kernel_start", lambda u, D: 600 if u <= 90 else 1200)
+    real_bracket = numerics._em_bracket
+    starts = []
+    monkeypatch.setattr(numerics, "_em_bracket", lambda *a: starts.append(a[:2]) or real_bracket(*a))
+    numerics.clear_caches()
+    try:
+        for r, first in ((1, 58), (3, 59)):
+            starts.clear()
+            G, B = numerics._tail_row(r, 2, 121, D)
+            tries = Counter(u for u, _ in starts)
+            assert {u for u, k in tries.items() if k > 1} == set(range(first, 91)), r
+            n0 = N + 1 + (r - 1 - N) % 4
+            for u in {*range(2, 121, 3), first - 1, first, 90, 91}:
+                with mp.workdps(D + 40 + math.ceil(u * math.log10(n0))):
+                    ref = mpf(4) ** -u * mp.zeta(u, mpf(n0) / 4) * mpf(N) ** u * mpf(2) ** W
+                    assert abs(G[u] - ref) <= B[u], (r, u)
+    finally:
+        numerics.clear_caches()
 
 
 def _exact(x):
@@ -586,12 +642,14 @@ def test_fixed_point_tail_restarts(monkeypatch):
     D, N = 310, 10
     W = numerics._fixed_bits(D)
     real_start = numerics._kernel_start
+    real_bracket = numerics._em_bracket
     for r, u, logw, restarts in ((4, 30, False, 3), (4, 30, True, 3), (2, 1, False, 2)):
         start = real_start(u, D) // 3
         monkeypatch.setattr(numerics, "_kernel_start", lambda u, D: start)
-        starts: dict = {}
-        G, B = numerics._tail_fixed(r, u, N, D, N**u, starts, logw)
-        assert len(starts) == restarts + 1, (u, logw)
+        starts = []
+        monkeypatch.setattr(numerics, "_em_bracket", lambda *a: starts.append(a[1]) or real_bracket(*a))
+        G, B = numerics._tail_fixed(r, u, N, D, logw)
+        assert len(set(starts)) == len(starts) == restarts + 1, (u, logw)
         n0 = N + 1 + (r - 1 - N) % 4
         with mp.workdps(D + 80):
             ref = _class_tail_reference(u, logw, n0)
@@ -601,7 +659,7 @@ def test_fixed_point_tail_restarts(monkeypatch):
     for r, u, logw, N in ((3, 40, False, 1), (3, 40, True, 1), (2, 1, False, 0)):
         msg = rf"did not converge for class {r}, exponent {u}, log weight {logw}, N={N}, D=310"
         with pytest.raises(PrecisionError, match=msg):
-            numerics._tail_fixed(r, u, N, D, max(N, 1) ** u, {}, logw)
+            numerics._tail_fixed(r, u, N, D, logw)
 
 
 def _inner_em_coefficients(t, J):
@@ -729,7 +787,7 @@ def test_precision_errors_name_their_term():
     for logw in (False, True):
         msg = rf"loop exhausted for class 1, exponent 2, log weight {logw}, N=1000000, D=5000"
         with pytest.raises(PrecisionError, match=msg):
-            numerics._tail_fixed(1, 2, 10**6, 5000, 10**12, {}, logw)
+            numerics._tail_fixed(1, 2, 10**6, 5000, logw)
 
 
 def test_clear_caches_empties_every_cache(ctx40):
