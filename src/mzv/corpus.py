@@ -107,6 +107,8 @@ class Identity:
     expect: str = "must-pass"  # or 'report'
     note: str = ""
     line: int = 0
+    # the sides' numeric plans by id(side), compiled by verify on first use
+    plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def params(self):

@@ -73,11 +73,15 @@ shifted to 2^-W, are the arrays' rnd.
 
 The one rounding of an L, [p,q](s,t), periodic tail or Li_4(1/2) value is its
 final conversion to the working precision, counted in its bound
-(_from_fixed).  Witten, harmonic and ConstExpr values are formed in mpf from
-such values; each of their terms adds 10^-(D+6) of its magnitude to the bound
-for the roundings.  No value here reads a closed form of reductions, which
-builds on this module: zeta(a, 1) is [1,1](a,1), and W and the harmonic sums
-are sums of the kernel's own values (witten_terms, _harmonic_internal).
+(_from_fixed).  W and the harmonic sums are added up before that rounding:
+their terms' integers, _char_fixed's [p,q](s,t) at 2^-2W and _L_fixed's
+zeta(a) at 2^-W (a zeta product is the product of two, a lone zeta is shifted
+by W), are summed exactly with their integer coefficients, units and all, and
+the total is rounded once.  ConstExpr values are formed in mpf from
+generator values; each of their terms adds 10^-(D+6) of its magnitude to the
+bound for the roundings.  No value here reads a closed form of reductions,
+which builds on this module: zeta(a, 1) is [1,1](a,1), and W and the harmonic
+sums are sums of the kernel's own values (witten_terms, _harmonic_internal).
 
 Numerics is single-threaded: mpmath's working precision (mp.workdps) is
 process-global, so concurrent callers would change each other's precision.
@@ -758,18 +762,15 @@ def _class_pairs(q: str, s: int, t: int, D: int):
     return hit
 
 
-def _char_em(p: str, q: str, s: int, t: int, D: int):
-    """(value, bound) of [p,q](s,t) by the accelerated double-sum scheme."""
-    key = ("cs", p, q, s, t, D)
-    hit = _value_cache.get(key)
-    if hit is not None:
-        return hit
+def _char_fixed(p: str, q: str, s: int, t: int, D: int):
+    """(x, units) with |[p,q](s,t) 2^(2W) - x| <= units, W = _fixed_bits(D): the
+    combine of the cached _class_pairs with chi_p's signs, itself not cached."""
     if not _char_convergent(p, q, s, t):
         raise DomainError(f"[{p},{q}]({s},{t}) is outside the convergence region")
     if t == 1 and s == 1 and not is_mean_zero(q):
         # needs a regularized combination of the log-weighted u = 1 class tails
         raise DomainError(f"[{p},{q}](1,1): the divergent-inner s = 1 case is not supported yet")
-    N, W = _outer_cutoff(D), _fixed_bits(D)
+    N = _outer_cutoff(D)
     Ns = N**s
     acc, units = 0, _head_units(D) * Ns
     for cp, (a, u) in zip(CHI[p], _class_pairs(q, s, t, D)):
@@ -782,7 +783,15 @@ def _char_em(p: str, q: str, s: int, t: int, D: int):
         R, Ru = _class_tails_fixed(p, 1, N, D)
         acc += C * R
         units += abs(C) * Ru + Cu * (abs(R) + Ru)
-    hit = _value_cache[key] = _from_fixed(acc // Ns, -(-units // Ns) + 1, 2 * W, D)
+    return acc // Ns, -(-units // Ns) + 1
+
+
+def _char_em(p: str, q: str, s: int, t: int, D: int):
+    """(value, bound) of [p,q](s,t) by the accelerated double-sum scheme."""
+    key = ("cs", p, q, s, t, D)
+    hit = _value_cache.get(key)
+    if hit is None:
+        hit = _value_cache[key] = _from_fixed(*_char_fixed(p, q, s, t, D), 2 * _fixed_bits(D), D)
     return hit
 
 
@@ -841,37 +850,28 @@ def witten_terms(r: int, s: int, t: int) -> dict:
     return out
 
 
-def _combine(terms, D: int):
-    """(value, bound) of sum c v over the terms (c, (v, b)), c rational, at
-    D + 10 digits: each term adds |c| b, and |c v| 10^-(D+6) for the roundings
-    of c, the product and the sum."""
-    with mp.workdps(D + 10):
-        rel = _tolerance(D + 6, D + 10)
-        total = bound = mp.zero
-        for c, (v, b) in terms:
-            cv = mpf(c.numerator) / c.denominator * v
-            total += cv
-            bound += abs(c) * b + abs(cv) * rel
-        return total, bound
-
-
 def _witten_internal(r: int, s: int, t: int, D: int):
-    """(value, bound) of W(r,s,t) from the kernel values of its witten_terms."""
+    """(value, bound) of W(r,s,t): its witten_terms summed exactly at scale
+    2^(2W) from the kernel's integers, with one rounding (_from_fixed)."""
     key = ("W", r, s, t, D)
     hit = _value_cache.get(key)
     if hit is not None:
         return hit
-    terms = []
+    W = _fixed_bits(D)
+    x = units = 0
     for (kind, a, b), coef in witten_terms(r, s, t).items():
         if kind == "zz":
-            (va, ba), (vb, bb) = _zeta_internal(a, D), _zeta_internal(b, D)
-            with mp.workdps(D + 10):
-                terms.append((coef, (va * vb, abs(va) * bb + abs(vb) * ba + ba * bb)))
+            # (xa + ea)(xb + eb) - xa xb, with |ea| <= ua and |eb| <= ub
+            (xa, ua), (xb, ub) = _L_fixed("1", a, D), _L_fixed("1", b, D)
+            v, u = xa * xb, abs(xa) * ub + abs(xb) * ua + ua * ub
         elif b == 0:
-            terms += [(coef, _zeta_internal(a - 1, D)), (-coef, _zeta_internal(a, D))]
+            (x1, u1), (x2, u2) = _L_fixed("1", a - 1, D), _L_fixed("1", a, D)
+            v, u = x1 - x2 << W, u1 + u2 << W
         else:
-            terms.append((coef, _dzeta_internal(a, b, D)))
-    return _value_cache.setdefault(key, _combine(terms, D))
+            v, u = _char_fixed("1", "1", a, b, D)
+        x += coef * v
+        units += abs(coef) * u
+    return _value_cache.setdefault(key, _from_fixed(x, units, 2 * W, D))
 
 
 def witten_num(r: int, s: int, t: int, ctx: EvalContext):
@@ -906,13 +906,18 @@ def _harmonic_internal(kind: str, s: int, D: int):
     if hit is not None:
         return hit
     harmonic_domain(kind, s)
+    W = _fixed_bits(D)
     if kind == "odd_denom":
-        terms = [(2, _char_em("2a", "1", s, 1, D)), (-2, _char_em("2a", "2a", s, 1, D))]
+        (x1, u1), (x2, u2) = _char_fixed("2a", "1", s, 1, D), _char_fixed("2a", "2a", s, 1, D)
+        x, units = 2 * (x1 - x2), 2 * (u1 + u2)
     else:
         k = 2 * s
-        terms = [(4**s, _dzeta_internal(k, 1, D)), (-(4**s), _char_em("2a", "1", k, 1, D)),
-                 (Fraction(1, 2), _zeta_internal(k + 1, D))]
-    return _value_cache.setdefault(key, _combine(terms, D))
+        (x1, u1), (x2, u2) = _char_fixed("1", "1", k, 1, D), _char_fixed("2a", "1", k, 1, D)
+        # zeta(2s+1)/2 from 2^-W to 2^-2W is a shift by W - 1, exact with its units
+        z, zu = _L_fixed("1", k + 1, D)
+        x = (x1 - x2 << k) + (z << W - 1)
+        units = (u1 + u2 << k) + (zu << W - 1)
+    return _value_cache.setdefault(key, _from_fixed(x, units, 2 * W, D))
 
 
 def harmonic_sum_num(kind: str, s: int, ctx: EvalContext):

@@ -1,10 +1,14 @@
 """AST evaluation (numeric with honest bound accumulation, and exact symbolic
 reduction) plus the verification drivers and report writers.
 
-One node table (`_NODE`) and one call table (`_CALLS`: per DSL call its
-argument labels, domain test and message, numeric and symbolic entry) serve
-the numeric walk (`eval_ast`, `verify_numeric`), the symbolic walk
-(`reduce_ast`, `verify_symbolic`) and sum bounds; a domain test runs in both.
+One call table (`_CALLS`: per DSL call its argument labels, domain test and
+message, numeric and symbolic entry) serves numeric evaluation (`eval_ast`,
+`verify_numeric`) and the symbolic walk (`reduce_ast`, `verify_symbolic`); a
+domain test runs in both.  The symbolic walk and sum bounds dispatch through
+one node table (`_NODE`).  Numeric evaluation compiles a side once into a plan
+of nested closures (`_compile`) that computes what a walk of the same nodes
+would, bit for bit; `verify_numeric` keeps each side's plan with its
+identity, and a one-shot `eval_ast` compiles and drops its own.
 
 Numeric evaluation keeps exact-rational subtrees exact (ints while integral,
 else Fractions): an identity built only from B, E, Hrat, binom, fact,
@@ -18,6 +22,7 @@ exponents and sum bounds never go through ConstExpr arithmetic.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import json
 import math
 import operator
@@ -28,9 +33,10 @@ from importlib import resources
 from typing import NamedTuple
 
 from mpmath import mp, mpf
+from mpmath.libmp import fzero, mpf_add, round_nearest
 
 from . import exact, numerics, reductions
-from .corpus import BinOp, Call, Gen, Identity, Lit, Neg, Param, Sum, parse_corpus
+from .corpus import BinOp, Call, Gen, Identity, Lit, Neg, Param, Sum, _free_params, parse_corpus
 from .errors import DomainError, NotReducible, ParseError, PrecisionError
 from .numerics import EvalContext
 from .symexpr import ConstExpr, L_sym, zeta_sym
@@ -58,12 +64,13 @@ def load_corpus(path: str | None = None):
 
 
 # ---------------------------------------------------------------------------
-# evaluation: one node table and one call table, walked in three modes
+# evaluation: one node table and one call table
 # ---------------------------------------------------------------------------
 # A walker has run (dispatch through _NODE, whose keys are the parser's node
-# types) and op (one binary operator); the numeric and symbolic ones also gen,
-# arg (one call argument) and apply.  Walks go left to right and check a call's
-# arguments one at a time, so the first error met is the one reported.
+# types) and op (one binary operator); the symbolic one also gen, arg (one
+# call argument) and apply.  Numeric plans (below the call table) evaluate the
+# same nodes.  Both go left to right and check a call's arguments one at a
+# time, so the first error met is the one reported.
 
 
 def _div(a, b):
@@ -153,60 +160,6 @@ _NODE = {
     Call: _call,
 }
 _BOUND_NODES = (Lit, Param, Neg, BinOp)
-
-
-class _Numeric:
-    """Numeric walk: exact values until a call with an error bound, mpf from
-    there on.  `nodes` counts visited nodes, call arguments included and sum
-    bounds not; `bound` adds up the calls' error bounds in evaluation order."""
-
-    __slots__ = ("D", "nodes", "bound")
-
-    def __init__(self, D: int):
-        self.D = D
-        self.nodes = 0
-        self.bound = mp.zero
-
-    def run(self, node, env):
-        self.nodes += 1
-        return _NODE[type(node)](self, node, env)
-
-    def gen(self, name):
-        v, b = numerics._generator_internal(name, self.D)
-        self.bound += b
-        return v
-
-    def op(self, op, a, b):
-        exact_a = type(a) in _EXACT
-        exact_b = type(b) in _EXACT
-        if op == "^":
-            if not exact_b:
-                raise DomainError("exponent must be exact")
-            return _pow(a, _integral(b, "exponent"))
-        if exact_a and exact_b:
-            if op == "/" and b == 0:
-                raise DomainError("exact division by zero")
-            return _OPS[op](a, b)
-        a, b = _to_mpf(a), _to_mpf(b)
-        if op == "/" and b == 0:
-            raise DomainError("division by zero")
-        return _OPS[op](a, b)
-
-    def arg(self, node, env, name, label):
-        v = self.run(node, env)
-        if label is None or type(v) is int:
-            return v
-        if type(v) is not Fraction:
-            raise DomainError("argument must be exact")
-        return _integral(v, label)
-
-    def apply(self, spec, params):
-        if spec.exact is not None:
-            return spec.exact(*params)
-        v, b = spec.num(self.D, *params)
-        if b is not None:
-            self.bound += b
-        return v
 
 
 class _Symbolic:
@@ -375,42 +328,380 @@ _CALLS = {
 }
 
 
+# -- numeric plans -----------------------------------------------------------
+# _compile turns a side, once, into nested closures fn(env, run) that return
+# what a numeric walk of it gives: exact values (ints while integral, else
+# Fractions) until a call with an error bound, mpf from there on.  Literals are
+# normalised in advance, and a subtree of literals, negations and operators is
+# folded into its exact value unless that raises.  Each operator closure is
+# bound to its exact and mpf branches, and each call closure to its _CALLS
+# entry, argument labels and arity.  A _Run carries the working digits and
+# adds up the call bounds in evaluation order; a side's node count is its
+# static count plus its sum bodies' counts once per iteration.
+
+# an int below 2^53 in magnitude is an exact mpf at a walk's precision (at
+# least 21 digits), so mpmath's int paths round `mpf op int` once, as the op
+# on _to_mpf(int) does
+_SMALL = 1 << 53
+_DYN = object()  # the `const` of a compiled node whose value is not known in advance
+
+
+class _Run:
+    """D, the working digits; bound, the summed call bounds as a raw mpf at
+    the precision prec of the run, so that each addition rounds as an mpf
+    addition does; nodes, the node visits of sum bodies."""
+
+    __slots__ = ("D", "prec", "bound", "nodes")
+
+    def __init__(self, D: int):
+        self.D = D
+        self.prec = mp.prec
+        self.bound = fzero
+        self.nodes = 0
+
+
+class _Plan(NamedTuple):
+    fn: object  # fn(env, run) -> value
+    nodes: int  # node count, sum bodies once per iteration left out
+
+
+def _small(v) -> bool:
+    return type(v) is int and -_SMALL < v < _SMALL
+
+
+def _mpf_operand(v):
+    """An exact v as the operand of an mpf operation: a small int as is, else _to_mpf(v)."""
+    return v if _small(v) else _to_mpf(v)
+
+
+def _arith(opf, a, b):
+    """a + b, a - b or a * b (opf) as the walk computes it: exact for exact a
+    and b, else in mpf."""
+    if type(a) in _EXACT:
+        if type(b) in _EXACT:
+            return opf(a, b)
+        a = _mpf_operand(a)
+    elif type(b) in _EXACT:
+        b = _mpf_operand(b)
+    return opf(a, b)
+
+
+def _exact_op(op, a, b):
+    """a op b for exact a and b."""
+    if op == "^":
+        return _pow(a, _integral(b, "exponent"))
+    if op == "/" and b == 0:
+        raise DomainError("exact division by zero")
+    return _OPS[op](a, b)
+
+
+def _arg(v, label):
+    """A call argument v that is not an int: as is for label None, else the int of an integral Fraction."""
+    if label is None:
+        return v
+    if type(v) is not Fraction:
+        raise DomainError("argument must be exact")
+    return _integral(v, label)
+
+
+def _compile(node):
+    """(fn, n, const): fn(env, run) gives the node's value, n is its node count
+    (1 for a sum, whose body counts at run time) and const its exact value when
+    it has no parameter, generator or call, else _DYN."""
+    return _COMPILE[type(node)](node)
+
+
+def _const(v, n: int):
+    return (lambda env, run: v), n, v
+
+
+def _c_lit(node):
+    v = node.value
+    return _const(v.numerator if v.denominator == 1 else v, 1)
+
+
+def _c_param(node):
+    name = node.name
+    return (lambda env, run: env[name]), 1, _DYN
+
+
+def _c_gen(node):
+    name = node.name
+
+    def gen(env, run):
+        v, b = numerics._generator_internal(name, run.D)
+        run.bound = mpf_add(run.bound, b._mpf_, run.prec, round_nearest)
+        return v
+
+    return gen, 1, _DYN
+
+
+def _c_neg(node):
+    fa, n, c = _compile(node.arg)
+    if c is not _DYN:
+        return _const(-c, n + 1)
+    return (lambda env, run: -fa(env, run)), n + 1, _DYN
+
+
+def _c_binop(node):
+    fa, na, ca = _compile(node.left)
+    fb, nb, cb = _compile(node.right)
+    n, op = na + nb + 1, node.op
+    if ca is not _DYN and cb is not _DYN:
+        try:
+            return _const(_exact_op(op, ca, cb), n)
+        except DomainError:
+            pass  # raised at run time, after whatever comes before it
+    if op == "^":
+        if type(cb) is int:
+            if cb >= 0:
+                return (lambda env, run: fa(env, run) ** cb), n, _DYN
+            return (lambda env, run: _pow(fa(env, run), cb)), n, _DYN
+
+        def power(env, run):
+            a = fa(env, run)
+            b = fb(env, run)
+            if type(b) not in _EXACT:
+                raise DomainError("exponent must be exact")
+            return _pow(a, _integral(b, "exponent"))
+
+        return power, n, _DYN
+    if op == "/":
+        if _small(cb) and cb:
+            return (lambda env, run: _div(fa(env, run), cb)), n, _DYN
+
+        def divide(env, run):
+            a = fa(env, run)
+            b = fb(env, run)
+            if type(a) in _EXACT:
+                if type(b) in _EXACT:
+                    if b == 0:
+                        raise DomainError("exact division by zero")
+                    return _div(a, b)
+                a = _mpf_operand(a)
+            elif type(b) in _EXACT:
+                b = _mpf_operand(b)
+            if b == 0:
+                raise DomainError("division by zero")
+            return a / b
+
+        return divide, n, _DYN
+    opf = _OPS[op]
+    # a small int operand meets an exact value exactly and an mpf through
+    # mpmath's int path; a parameter next to it is read in the same closure
+    if _small(cb):
+        if type(node.left) is Param:
+            name = node.left.name
+            return (lambda env, run: opf(env[name], cb)), n, _DYN
+        return (lambda env, run: opf(fa(env, run), cb)), n, _DYN
+    if _small(ca):
+        if type(node.right) is Param:
+            name = node.right.name
+            return (lambda env, run: opf(ca, env[name])), n, _DYN
+        return (lambda env, run: opf(ca, fb(env, run))), n, _DYN
+    return (lambda env, run: _arith(opf, fa(env, run), fb(env, run))), n, _DYN
+
+
+def _c_sum(node):
+    fb, nb, _ = _compile(node.body)
+    var, lo, hi = node.var, node.lo, node.hi
+    add = operator.add
+
+    def total(env, run):
+        first, last = _eval_int(lo, env), _eval_int(hi, env)
+        inner, acc = dict(env), 0
+        for i in range(first, last + 1):
+            inner[var] = i
+            acc = _arith(add, acc, fb(inner, run))
+        if last >= first:
+            run.nodes += nb * (last - first + 1)
+        return acc
+
+    return total, 1, _DYN
+
+
+def _c_call(node):
+    spec = _CALLS[node.name]  # the parser admits only these names
+    args = [_compile(a) for a in node.args]
+    chars = node.chars
+    ok, fmt, entry = spec.ok, spec.msg.format, spec.exact or spec.num
+    if chars:  # L and cs, numeric calls with a domain test: the ids go first, after num's D
+        ok, fmt = functools.partial(ok, *chars), functools.partial(fmt, *chars)
+        entry = lambda D, *a: spec.num(D, *chars, *a)
+    fns = [(fa, label) for (fa, _, _), label in zip(args, spec.labels)]
+    make = _CALL_PLANS[len(fns), spec.exact is not None]
+    return make(entry, ok, fmt, *fns), 1 + sum(n for _, n, _ in args), _DYN
+
+
+# call closures by arity and by entry: exact(args...) gives a value, num(D,
+# args...) a (value, bound) pair whose bound, unless None, is added to the run
+
+
+def _exact1(entry, ok, fmt, a):
+    fa, la = a
+
+    def call(env, run):
+        x = fa(env, run)
+        if type(x) is not int:
+            x = _arg(x, la)
+        if ok is not None and not ok(x):
+            raise DomainError(fmt(x))
+        return entry(x)
+
+    return call
+
+
+def _exact2(entry, ok, fmt, a, b):
+    (fa, la), (fb, lb) = a, b
+
+    def call(env, run):
+        x = fa(env, run)
+        if type(x) is not int:
+            x = _arg(x, la)
+        y = fb(env, run)
+        if type(y) is not int:
+            y = _arg(y, lb)
+        if ok is not None and not ok(x, y):
+            raise DomainError(fmt(x, y))
+        return entry(x, y)
+
+    return call
+
+
+def _num1(entry, ok, fmt, a):
+    fa, la = a
+
+    def call(env, run):
+        x = fa(env, run)
+        if type(x) is not int:
+            x = _arg(x, la)
+        if not ok(x):
+            raise DomainError(fmt(x))
+        v, b = entry(run.D, x)
+        if b is not None:
+            run.bound = mpf_add(run.bound, b._mpf_, run.prec, round_nearest)
+        return v
+
+    return call
+
+
+def _num2(entry, ok, fmt, a, b):
+    (fa, la), (fb, lb) = a, b
+
+    def call(env, run):
+        x = fa(env, run)
+        if type(x) is not int:
+            x = _arg(x, la)
+        y = fb(env, run)
+        if type(y) is not int:
+            y = _arg(y, lb)
+        if not ok(x, y):
+            raise DomainError(fmt(x, y))
+        v, bd = entry(run.D, x, y)
+        if bd is not None:
+            run.bound = mpf_add(run.bound, bd._mpf_, run.prec, round_nearest)
+        return v
+
+    return call
+
+
+def _num3(entry, ok, fmt, a, b, c):
+    (fa, la), (fb, lb), (fc, lc) = a, b, c
+
+    def call(env, run):
+        x = fa(env, run)
+        if type(x) is not int:
+            x = _arg(x, la)
+        y = fb(env, run)
+        if type(y) is not int:
+            y = _arg(y, lb)
+        z = fc(env, run)
+        if type(z) is not int:
+            z = _arg(z, lc)
+        if not ok(x, y, z):
+            raise DomainError(fmt(x, y, z))
+        v, bd = entry(run.D, x, y, z)
+        if bd is not None:
+            run.bound = mpf_add(run.bound, bd._mpf_, run.prec, round_nearest)
+        return v
+
+    return call
+
+
+_CALL_PLANS = {(1, True): _exact1, (2, True): _exact2, (1, False): _num1, (2, False): _num2,
+               (3, False): _num3}
+_COMPILE = {Lit: _c_lit, Param: _c_param, Gen: _c_gen, Neg: _c_neg, BinOp: _c_binop,
+            Sum: _c_sum, Call: _c_call}
+
+
+def _compile_side(side) -> _Plan:
+    fn, nodes, _ = _compile(side)
+    return _Plan(fn, nodes)
+
+
+def _side_plan(ident: Identity, side) -> _Plan:
+    """The plan of one of ident's sides, compiled on first use and kept in ident.plans."""
+    plan = ident.plans.get(id(side))
+    if plan is None:
+        plan = ident.plans[id(side)] = _compile_side(side)
+    return plan
+
+
 # -- public entry points -----------------------------------------------------
 
 
-def _walk_numeric(ast, bindings, ctx: EvalContext, where: str):
-    """(value, bound, node count) of a bound AST at the current precision;
-    PrecisionError naming `where` when the accumulated bound exceeds
-    (node count) * 10^-prec."""
-    w = _Numeric(ctx.work_digits)
-    value = w.run(ast, bindings)
-    if w.bound and w.bound > w.nodes * ctx.tolerance():
+def _walk_numeric(plan: _Plan, bindings, ctx: EvalContext, where: str):
+    """(value, bound, node count) of a side's plan run at the bindings, at the
+    current precision; PrecisionError naming `where` when the accumulated
+    bound exceeds (node count) * 10^-prec."""
+    run = _Run(ctx.work_digits)
+    value = plan.fn(bindings, run)
+    nodes = plan.nodes + run.nodes
+    bound = mp.make_mpf(run.bound)
+    _, man, exp, bc = run.bound
+    _, _, texp, tbc = ctx.tolerance()._mpf_
+    # bound < 2^(exp+bc) <= 2^(texp+tbc-1) <= tol <= nodes * tol needs no product
+    if man and exp + bc >= texp + tbc and bound > nodes * ctx.tolerance():
         raise PrecisionError(
-            f"{where}: accumulated error bound {mp.nstr(w.bound, 3)} exceeds the "
-            f"node-count budget {w.nodes} x 10^-{ctx.prec}"
+            f"{where}: accumulated error bound {mp.nstr(bound, 3)} exceeds the "
+            f"node-count budget {nodes} x 10^-{ctx.prec}"
         )
-    return value, w.bound, w.nodes
+    return value, bound, nodes
+
+
+def _check_bound(ast, bindings):
+    """DomainError naming the parameters of ast that bindings leave unbound."""
+    free = _free_params(ast, frozenset(bindings))
+    if free:
+        raise DomainError(f"unbound parameter{'s' if len(free) > 1 else ''} {', '.join(sorted(free))}")
 
 
 def eval_ast(ast, bindings, ctx: EvalContext):
     """Numeric value of a bound AST; error is at most (node count) * 10^-prec."""
+    _check_bound(ast, bindings)
     with mp.workdps(ctx.work_digits + 10):
-        return _to_mpf(_walk_numeric(ast, bindings, ctx, "expression")[0])
+        return _to_mpf(_walk_numeric(_compile_side(ast), bindings, ctx, "expression")[0])
 
 
 def eval_ast_detailed(ast, bindings, ctx: EvalContext):
     """(value, bound, visited-node count); value may be an exact Fraction.
     PrecisionError as for eval_ast."""
+    _check_bound(ast, bindings)
     with mp.workdps(ctx.work_digits + 10):
-        val, bound, nodes = _walk_numeric(ast, bindings, ctx, "expression")
+        val, bound, nodes = _walk_numeric(_compile_side(ast), bindings, ctx, "expression")
     return (Fraction(val) if type(val) is int else val), bound, nodes
+
+
+def _reduce(ast, bindings) -> ConstExpr:
+    v = _SYMBOLIC.run(ast, bindings)
+    return v if type(v) is ConstExpr else ConstExpr.rational(v)
 
 
 def reduce_ast(ast, bindings) -> ConstExpr:
     """Exact ConstExpr for a bound AST; NotReducible when any sub-object is
     outside the supported reduction scope."""
-    v = _SYMBOLIC.run(ast, bindings)
-    return v if type(v) is ConstExpr else ConstExpr.rational(v)
+    _check_bound(ast, bindings)
+    return _reduce(ast, bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +729,7 @@ class VerifyReport:
 
 def _tolerance_for(nodes: int, ctx: EvalContext):
     slack = math.ceil(math.log10(max(nodes, 1))) + 2
-    return mpf(10) ** (-(ctx.prec - slack))
+    return numerics._tolerance(ctx.prec - slack, ctx.work_digits + 10)
 
 
 def _report(ident: Identity, params: dict, mode: str, status: str, t0: float, **fields):
@@ -459,8 +750,8 @@ def verify_numeric(ident: Identity, params: dict, ctx: EvalContext) -> VerifyRep
             nodes = 0
             all_exact = True
             for i, (lhs, rhs) in enumerate(ident.parts, 1):
-                lv, _, ln = _walk_numeric(lhs, params, ctx, f"equation {i}, left side")
-                rv, _, rn = _walk_numeric(rhs, params, ctx, f"equation {i}, right side")
+                lv, _, ln = _walk_numeric(_side_plan(ident, lhs), params, ctx, f"equation {i}, left side")
+                rv, _, rn = _walk_numeric(_side_plan(ident, rhs), params, ctx, f"equation {i}, right side")
                 nodes += ln + rn
                 if isinstance(lv, _EXACT) and isinstance(rv, _EXACT):
                     if lv != rv:
@@ -485,8 +776,8 @@ def verify_symbolic(ident: Identity, params: dict) -> VerifyReport:
     t0 = time.perf_counter()
     try:
         for lhs, rhs in ident.parts:
-            le = reduce_ast(lhs, params)
-            re_ = reduce_ast(rhs, params)
+            le = _reduce(lhs, params)  # a corpus side has no free parameter
+            re_ = _reduce(rhs, params)
             if le != re_:
                 return _report(ident, params, "symbolic", "fail", t0,
                                residual=(le - re_).render(), exact=False)

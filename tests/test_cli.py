@@ -187,6 +187,18 @@ def test_zero_to_a_negative_power_is_usage_error(capsys, cmd, expr):
     assert (code, out, err) == (2, "", "error: 0 raised to a negative power\n")
 
 
+@pytest.mark.parametrize("cmd, expr, message", [
+    ("eval", "s+1", "unbound parameter s"),
+    ("eval", "sum(j=1..n, j)", "unbound parameter n"),
+    ("eval", "zeta(s)*dz(a,2)", "unbound parameters a, s"),
+    ("reduce", "s+1", "unbound parameter s"),
+    ("reduce", "sum(j=1..3, j*k)", "unbound parameter k"),
+])
+def test_unbound_parameter_is_usage_error(capsys, cmd, expr, message):
+    code, out, err = run(capsys, cmd, expr)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--prec", "5", "search", "--height", "2"), "precision must be at least 10 digits"),
     (("search", "--height", "0"), "search height must be at least 1, got 0"),

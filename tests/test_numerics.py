@@ -3,6 +3,7 @@ harmonic sums, oracles and the error-bound contract."""
 import math
 import re
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -473,6 +474,65 @@ def test_harmonic_values_match_the_term_formulas(ctx40, kind, svals):
             want, _ = _harmonic_by_terms(kind, s, D)
             assert abs(got - want) <= 2 * tol(ctx40), (kind, s)
             assert bound <= tol(ctx40), (kind, s)
+
+
+def _combine_ref(terms, D):
+    """The former mpf combine of Witten and harmonic values, kept as the
+    reference: sum c v over the terms (c, (v, b)), each term adding |c| b and
+    |c v| 10^-(D+6) for the roundings of c, the product and the sum."""
+    with mp.workdps(D + 10):
+        rel = mpf(10) ** -(D + 6)
+        total = bound = mp.zero
+        for c, (v, b) in terms:
+            cv = mpf(c.numerator) / c.denominator * v
+            total += cv
+            bound += abs(c) * b + abs(cv) * rel
+        return total, bound
+
+
+def _combined_by_mpf(kind, args, D):
+    """(value, bound) of W(r,s,t), hsum_odd(s) or hsum_half(s) from the mpf
+    kernel values and _combine_ref, as the numerics computed them before
+    summing in integers."""
+    zeta = lambda a: numerics._zeta_internal(a, D)  # noqa: E731
+    terms = []
+    if kind == "W":
+        for (term, a, b), coef in numerics.witten_terms(*args).items():
+            if term == "zz":
+                (va, ba), (vb, bb) = zeta(a), zeta(b)
+                with mp.workdps(D + 10):
+                    terms.append((coef, (va * vb, abs(va) * bb + abs(vb) * ba + ba * bb)))
+            elif b == 0:
+                terms += [(coef, zeta(a - 1)), (-coef, zeta(a))]
+            else:
+                terms.append((coef, numerics._dzeta_internal(a, b, D)))
+    elif kind == "odd_denom":
+        (s,) = args
+        terms = [(2, numerics._char_em("2a", "1", s, 1, D)), (-2, numerics._char_em("2a", "2a", s, 1, D))]
+    else:
+        (s,) = args
+        terms = [(4**s, numerics._dzeta_internal(2 * s, 1, D)), (-(4**s), numerics._char_em("2a", "1", 2 * s, 1, D)),
+                 (Fraction(1, 2), zeta(2 * s + 1))]
+    return _combine_ref(terms, D)
+
+
+def test_exact_witten_and_harmonic_sums_within_their_bounds():
+    # the integer sums at P = 40 against the same sums at P = 90, with no
+    # allowance, and their bounds against the former mpf combine's
+    D, deep = EvalContext(40).work_digits, EvalContext(90).work_digits
+    cases = [("W", (r, s, t)) for r in range(7) for s in range(7) for t in range(7)
+             if numerics.witten_convergent(r, s, t)]
+    cases += [("odd_denom", (s,)) for s in range(2, 9)] + [("half_index", (s,)) for s in range(1, 7)]
+    for kind, args in cases:
+        if kind == "W":
+            (v, b), (ref, _) = numerics._witten_internal(*args, D), numerics._witten_internal(*args, deep)
+        else:
+            (v, b), (ref, _) = numerics._harmonic_internal(kind, *args, D), numerics._harmonic_internal(kind, *args, deep)
+        _, mpf_bound = _combined_by_mpf(kind, args, D)
+        with mp.workdps(deep + 20):
+            assert abs(v - ref) <= b, (kind, args)
+        assert b <= mpf_bound, (kind, args)
+    assert len(cases) == 318
 
 
 # ---------------------------------------------------------------------------

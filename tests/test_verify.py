@@ -203,6 +203,8 @@ def test_call_table_matches_the_parser_arity():
     assert set(verify._CALLS) == set(ARITY)
     for name, spec in verify._CALLS.items():
         assert len(spec.labels) == ARITY[name][1], name
+        # a numeric plan has a call closure for each arity and kind of entry
+        assert (len(spec.labels), spec.exact is not None) in verify._CALL_PLANS, name
 
 
 def test_verify_numeric_reports_a_side_over_its_bound_budget(ctx40, monkeypatch):
@@ -276,6 +278,68 @@ def test_walks_match_the_reference_walk_on_the_corpus(ctx40):
     assert checked > 400
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cached_plans_match_the_reference_walk_in_any_order(ctx40, seed):
+    """Every corpus side at max-param <= 5 through its cached plan, in a
+    shuffled order and twice over, against the reference walk: value, bound
+    and node count bits, or else the same exception text."""
+    import random
+
+    cases = [(ident, binding, side) for ident in load_corpus()
+             for binding in enumerate_bindings(ident, 5)
+             for side in {id(x): x for part in ident.parts for x in part}.values()]
+    plans = {}
+    for _ in range(2):
+        random.Random(seed).shuffle(cases)
+        seed += 100
+        for ident, binding, side in cases:
+            plan = verify._side_plan(ident, side)
+            assert plans.setdefault(id(side), plan) is plan
+
+            def ref_num():
+                ev = _RefNumEval(ctx40)
+                with mp.workdps(ctx40.work_digits + 10):
+                    v = ev.run(side, dict(binding))
+                return _bits(v), _bits(ev.bound), ev.nodes
+
+            def plan_num():
+                with mp.workdps(ctx40.work_digits + 10):
+                    v, b, n = verify._walk_numeric(plan, binding, ctx40, "side")
+                return _bits(Fraction(v) if type(v) is int else v), _bits(b), n
+
+            assert _outcome(plan_num) == _outcome(ref_num), (ident.ident, binding)
+    assert len(plans) > 100
+
+
+def test_run_suite_compiles_each_side_once(monkeypatch):
+    compiled = []
+    real = verify._compile_side
+    monkeypatch.setattr(verify, "_compile_side", lambda side: compiled.append(side) or real(side))
+    run_suite(SuiteConfig(max_param=3, mode="numeric"))
+    distinct = {id(x) for ident in load_corpus() for part in ident.parts for x in part}
+    assert len({id(x) for x in compiled}) == len(compiled) == len(distinct)
+
+
+def test_one_shot_evaluation_keeps_no_plan(ctx40, monkeypatch):
+    import gc
+    import weakref
+
+    made = []
+    real = verify._compile_side
+
+    def compile_side(side):
+        plan = real(side)
+        made.append(weakref.ref(plan.fn))
+        return plan
+
+    monkeypatch.setattr(verify, "_compile_side", compile_side)
+    ast = parse_expr("sum(j=2..4, 2^j*dz(j,5-j)) + zeta(3)")
+    first = eval_ast(ast, {}, ctx40)
+    assert eval_ast_detailed(ast, {}, ctx40)[0] == first
+    gc.collect()
+    assert len(made) == 2 and all(ref() is None for ref in made)
+
+
 _ODD_INPUTS = (
     "zeta(1/2)", "dz(pi,2)", "2^(1/2)", "1/0", "pi/0", "sum(j=1..1/2, j)", "sum(j=1..B(2), j)",
     "sum(j=1..pi, j)", "abs(pi)", "pi^pi", "2^pi", "(pi-pi)/(pi-pi)", "(pi-pi)^(0-1)", "B(1/2)",
@@ -303,6 +367,39 @@ def test_odd_inputs_match_the_reference_walk(ctx30, text):
 
     assert _outcome(new_num) == _outcome(ref_num)
     assert _outcome(lambda: reduce_ast(ast, {})) == _outcome(lambda: _ref_reduce(ast, {}))
+
+
+_FOLDED_INPUTS = (
+    "10^30*zeta(3)", "zeta(3)*10^30", "zeta(3)+2^60", "2^60-zeta(3)", "zeta(3)/2^60", "2^60/zeta(3)",
+    "10^80*zeta(3)", "zeta(3)-10^80", "10^80/zeta(3)", "zeta(3)/10^80", "(10^80+s)*zeta(3)",
+    "zeta(3)*(1/3)", "(1/3)-zeta(3)", "zeta(3)/3", "3/zeta(3)", "zeta(3)^(0-2)", "pi^0",
+    "s*zeta(3)", "zeta(3)*s", "s-zeta(3)", "(s+1)*zeta(3)", "2*s*zeta(3)", "zeta(3)/s", "s/zeta(3)",
+    "(0-1)^s*zeta(3)", "sum(j=1..3, s*j*zeta(2*j))", "zeta(3)/(s-s)", "s/(s-s)", "3*W(1,1,1)",
+    "cs(2b,1;1+1,1)*s",
+)
+# with a parameter exponent: at s = 3 only
+_FOLDED_POWERS = ("2^s*zeta(3)", "s^(0-s)", "(1/2)^s*dz(3,2)", "zeta(3)^s", "(s-3)^(0-s)")
+
+
+@pytest.mark.parametrize("text, s", [(t, 3) for t in _FOLDED_INPUTS + _FOLDED_POWERS]
+                         + [(t, s) for t in _FOLDED_INPUTS for s in (2**60 + 1, 10**80 + 1)])
+def test_folded_operands_match_the_reference_walk(ctx30, text, s):
+    # small-int and parameter operands folded into their operation, next to
+    # ints wider than the working precision and Fractions, which are rounded
+    # to mpf first
+    ast = parse_expr(text)
+
+    def ref_num():
+        ev = _RefNumEval(ctx30)
+        with mp.workdps(ctx30.work_digits + 10):
+            v = ev.run(ast, {"s": s})
+        return _bits(v), _bits(ev.bound), ev.nodes
+
+    def new_num():
+        v, b, n = eval_ast_detailed(ast, {"s": s}, ctx30)
+        return _bits(v), _bits(b), n
+
+    assert _outcome(new_num) == _outcome(ref_num)
 
 
 # ---------------------------------------------------------------------------
