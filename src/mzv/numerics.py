@@ -802,8 +802,6 @@ def char_dzeta_num(p: str, q: str, s: int, t: int, ctx: EvalContext):
     s = 1 is accepted for mean-zero outer characters (2b, m4); s = t = 1 also
     needs a mean-zero inner character (the divergent-inner corner raises).
     """
-    if not _char_convergent(p, q, s, t):
-        raise DomainError(f"[{p},{q}]({s},{t}) is outside the convergence region")
     v, b = _char_em(p, q, s, t, ctx.work_digits)
     _check(b, ctx, f"[{p},{q}]({s},{t})")
     return v

@@ -6,9 +6,10 @@ message, numeric and symbolic entry) serves numeric evaluation (`eval_ast`,
 `verify_numeric`) and the symbolic walk (`reduce_ast`, `verify_symbolic`); a
 domain test runs in both.  The symbolic walk and sum bounds dispatch through
 one node table (`_NODE`).  Numeric evaluation compiles a side once into a plan
-of nested closures (`_compile`) that computes what a walk of the same nodes
-would, bit for bit; `verify_numeric` keeps each side's plan with its
-identity, and a one-shot `eval_ast` compiles and drops its own.
+of nested closures (`_compile`, with one call closure for every `_CALLS`
+entry) that computes what a walk of the same nodes would, bit for bit;
+`verify_numeric` keeps each side's plan with its identity, and a one-shot
+`eval_ast` compiles and drops its own.
 
 Numeric evaluation keeps exact-rational subtrees exact (ints while integral,
 else Fractions): an identity built only from B, E, Hrat, binom, fact,
@@ -22,7 +23,6 @@ exponents and sum bounds never go through ConstExpr arithmetic.
 from __future__ import annotations
 
 import datetime as _dt
-import functools
 import json
 import math
 import operator
@@ -334,10 +334,12 @@ _CALLS = {
 # Fractions) until a call with an error bound, mpf from there on.  Literals are
 # normalised in advance, and a subtree of literals, negations and operators is
 # folded into its exact value unless that raises.  Each operator closure is
-# bound to its exact and mpf branches, and each call closure to its _CALLS
-# entry, argument labels and arity.  A _Run carries the working digits and
-# adds up the call bounds in evaluation order; a side's node count is its
-# static count plus its sum bodies' counts once per iteration.
+# bound to its exact and mpf branches.  One call closure serves every _CALLS
+# entry: it takes the node's character ids, then its arguments left to right,
+# runs the domain test and calls exact(...) or num(D, ...).  A _Run carries
+# the working digits and adds up the call bounds in evaluation order; a side's
+# node count is its static count plus its sum bodies' counts once per
+# iteration.
 
 # an int below 2^53 in magnitude is an exact mpf at a walk's precision (at
 # least 21 digits), so mpmath's int paths round `mpf op int` once, as the op
@@ -400,7 +402,7 @@ def _arg(v, label):
     if label is None:
         return v
     if type(v) is not Fraction:
-        raise DomainError("argument must be exact")
+        raise DomainError(f"{label} must be exact")
     return _integral(v, label)
 
 
@@ -453,11 +455,6 @@ def _c_binop(node):
         except DomainError:
             pass  # raised at run time, after whatever comes before it
     if op == "^":
-        if type(cb) is int:
-            if cb >= 0:
-                return (lambda env, run: fa(env, run) ** cb), n, _DYN
-            return (lambda env, run: _pow(fa(env, run), cb)), n, _DYN
-
         def power(env, run):
             a = fa(env, run)
             b = fb(env, run)
@@ -467,9 +464,6 @@ def _c_binop(node):
 
         return power, n, _DYN
     if op == "/":
-        if _small(cb) and cb:
-            return (lambda env, run: _div(fa(env, run), cb)), n, _DYN
-
         def divide(env, run):
             a = fa(env, run)
             b = fb(env, run)
@@ -523,113 +517,26 @@ def _c_sum(node):
 def _c_call(node):
     spec = _CALLS[node.name]  # the parser admits only these names
     args = [_compile(a) for a in node.args]
-    chars = node.chars
-    ok, fmt, entry = spec.ok, spec.msg.format, spec.exact or spec.num
-    if chars:  # L and cs, numeric calls with a domain test: the ids go first, after num's D
-        ok, fmt = functools.partial(ok, *chars), functools.partial(fmt, *chars)
-        entry = lambda D, *a: spec.num(D, *chars, *a)
     fns = [(fa, label) for (fa, _, _), label in zip(args, spec.labels)]
-    make = _CALL_PLANS[len(fns), spec.exact is not None]
-    return make(entry, ok, fmt, *fns), 1 + sum(n for _, n, _ in args), _DYN
-
-
-# call closures by arity and by entry: exact(args...) gives a value, num(D,
-# args...) a (value, bound) pair whose bound, unless None, is added to the run
-
-
-def _exact1(entry, ok, fmt, a):
-    fa, la = a
+    chars, ok, fmt, exact_fn, num = node.chars, spec.ok, spec.msg.format, spec.exact, spec.num
 
     def call(env, run):
-        x = fa(env, run)
-        if type(x) is not int:
-            x = _arg(x, la)
-        if ok is not None and not ok(x):
-            raise DomainError(fmt(x))
-        return entry(x)
-
-    return call
-
-
-def _exact2(entry, ok, fmt, a, b):
-    (fa, la), (fb, lb) = a, b
-
-    def call(env, run):
-        x = fa(env, run)
-        if type(x) is not int:
-            x = _arg(x, la)
-        y = fb(env, run)
-        if type(y) is not int:
-            y = _arg(y, lb)
-        if ok is not None and not ok(x, y):
-            raise DomainError(fmt(x, y))
-        return entry(x, y)
-
-    return call
-
-
-def _num1(entry, ok, fmt, a):
-    fa, la = a
-
-    def call(env, run):
-        x = fa(env, run)
-        if type(x) is not int:
-            x = _arg(x, la)
-        if not ok(x):
-            raise DomainError(fmt(x))
-        v, b = entry(run.D, x)
+        xs = list(chars)  # the ids of L and cs go first, as _CALLS states them
+        for fa, label in fns:
+            x = fa(env, run)
+            xs.append(x if type(x) is int else _arg(x, label))
+        if ok is not None and not ok(*xs):
+            raise DomainError(fmt(*xs))
+        if exact_fn is not None:
+            return exact_fn(*xs)
+        v, b = num(run.D, *xs)
         if b is not None:
             run.bound = mpf_add(run.bound, b._mpf_, run.prec, round_nearest)
         return v
 
-    return call
+    return call, 1 + sum(n for _, n, _ in args), _DYN
 
 
-def _num2(entry, ok, fmt, a, b):
-    (fa, la), (fb, lb) = a, b
-
-    def call(env, run):
-        x = fa(env, run)
-        if type(x) is not int:
-            x = _arg(x, la)
-        y = fb(env, run)
-        if type(y) is not int:
-            y = _arg(y, lb)
-        if not ok(x, y):
-            raise DomainError(fmt(x, y))
-        v, bd = entry(run.D, x, y)
-        if bd is not None:
-            run.bound = mpf_add(run.bound, bd._mpf_, run.prec, round_nearest)
-        return v
-
-    return call
-
-
-def _num3(entry, ok, fmt, a, b, c):
-    (fa, la), (fb, lb), (fc, lc) = a, b, c
-
-    def call(env, run):
-        x = fa(env, run)
-        if type(x) is not int:
-            x = _arg(x, la)
-        y = fb(env, run)
-        if type(y) is not int:
-            y = _arg(y, lb)
-        z = fc(env, run)
-        if type(z) is not int:
-            z = _arg(z, lc)
-        if not ok(x, y, z):
-            raise DomainError(fmt(x, y, z))
-        v, bd = entry(run.D, x, y, z)
-        if bd is not None:
-            run.bound = mpf_add(run.bound, bd._mpf_, run.prec, round_nearest)
-        return v
-
-    return call
-
-
-_CALL_PLANS = {(1, True): _exact1, (2, True): _exact2, (1, False): _num1, (2, False): _num2,
-               (3, False): _num3}
 _COMPILE = {Lit: _c_lit, Param: _c_param, Gen: _c_gen, Neg: _c_neg, BinOp: _c_binop,
             Sum: _c_sum, Call: _c_call}
 

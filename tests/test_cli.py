@@ -193,6 +193,8 @@ def test_zero_to_a_negative_power_is_usage_error(capsys, cmd, expr):
     ("eval", "zeta(s)*dz(a,2)", "unbound parameters a, s"),
     ("reduce", "s+1", "unbound parameter s"),
     ("reduce", "sum(j=1..3, j*k)", "unbound parameter k"),
+    # an inexact call argument exits the same way and names the argument
+    ("eval", "binom(3,zeta(2))", "binom k must be exact"),
 ])
 def test_unbound_parameter_is_usage_error(capsys, cmd, expr, message):
     code, out, err = run(capsys, cmd, expr)

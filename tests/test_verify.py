@@ -203,8 +203,6 @@ def test_call_table_matches_the_parser_arity():
     assert set(verify._CALLS) == set(ARITY)
     for name, spec in verify._CALLS.items():
         assert len(spec.labels) == ARITY[name][1], name
-        # a numeric plan has a call closure for each arity and kind of entry
-        assert (len(spec.labels), spec.exact is not None) in verify._CALL_PLANS, name
 
 
 def test_verify_numeric_reports_a_side_over_its_bound_budget(ctx40, monkeypatch):
@@ -347,6 +345,8 @@ _ODD_INPUTS = (
     "sum(j=1..(0^(0-1)), j)", "pi/(pi/pi - 1)", "(pi*zeta(3))/zeta(3)", "(pi+1)/pi",
     "(2*pi)^(0-2)*pi^2", "dz(5,3)/dz(5,3)", "W(2,2,4)*0", "cs(2b,1;1,1)", "B(0-2)", "L(2b,1)",
     "sum(j=3..1, pi)", "li4h^2/li4h", "(pi-pi)^0", "0^0", "binom(0-1, 2)", "0^(0-1)",
+    "W(1,1,3/2)", "W(1,pi,3)", "cs(2b,1;pi,1)", "cs(2b,1;2,3/2)", "L(2b,1/2)", "hsum_half(pi)",
+    "binom(3/2,1)", "binom(3,pi)", "dz(3,pi)", "fact(zeta(2))", "abs(0-zeta(3))", "L(m4,2)",
 )
 
 
@@ -548,17 +548,17 @@ class _RefNumEval:
     def _call(self, node: Call, env):
         name = node.name
         if name in _REF_EXACT_CALLS:
-            n = _ref_as_int(_ref_eval_exact_arg(self, node.args[0], env), f"{name} argument")
+            n = _ref_eval_exact_arg(self, node.args[0], env, f"{name} argument")
             return _REF_EXACT_CALLS[name](n)
         if name == "binom":
-            n = _ref_as_int(_ref_eval_exact_arg(self, node.args[0], env), "binom n")
-            k = _ref_as_int(_ref_eval_exact_arg(self, node.args[1], env), "binom k")
+            n = _ref_eval_exact_arg(self, node.args[0], env, "binom n")
+            k = _ref_eval_exact_arg(self, node.args[1], env, "binom k")
             return Fraction(exact.binomial(n, k))
         if name == "abs":
             v = self.run(node.args[0], env)
             return abs(v)
         if name == "zeta":
-            s = _ref_as_int(_ref_eval_exact_arg(self, node.args[0], env), "zeta argument")
+            s = _ref_eval_exact_arg(self, node.args[0], env, "zeta argument")
             if s == 0:
                 return Fraction(-1, 2)
             if s < 2:
@@ -567,7 +567,7 @@ class _RefNumEval:
             self.bound += b
             return v
         if name == "L":
-            s = _ref_as_int(_ref_eval_exact_arg(self, node.args[0], env), "L argument")
+            s = _ref_eval_exact_arg(self, node.args[0], env, "L argument")
             p = node.chars[0]
             if s < 2 and not (s == 1 and numerics.is_mean_zero(p)):
                 raise DomainError(f"L_{p}({s}) diverges")
@@ -575,16 +575,16 @@ class _RefNumEval:
             self.bound += b
             return v
         if name == "dz":
-            a = _ref_as_int(_ref_eval_exact_arg(self, node.args[0], env), "dz argument")
-            bb = _ref_as_int(_ref_eval_exact_arg(self, node.args[1], env), "dz argument")
+            a = _ref_eval_exact_arg(self, node.args[0], env, "dz argument")
+            bb = _ref_eval_exact_arg(self, node.args[1], env, "dz argument")
             if a < 2 or bb < 1:
                 raise DomainError(f"zeta({a},{bb}) diverges")
             v, b = numerics._dzeta_internal(a, bb, self.D)
             self.bound += b
             return v
         if name == "cs":
-            s = _ref_as_int(_ref_eval_exact_arg(self, node.args[0], env), "cs argument")
-            t = _ref_as_int(_ref_eval_exact_arg(self, node.args[1], env), "cs argument")
+            s = _ref_eval_exact_arg(self, node.args[0], env, "cs argument")
+            t = _ref_eval_exact_arg(self, node.args[1], env, "cs argument")
             p, q = node.chars
             if not numerics._char_convergent(p, q, s, t):
                 raise DomainError(f"[{p},{q}]({s},{t}) diverges")
@@ -592,16 +592,16 @@ class _RefNumEval:
             self.bound += b
             return v
         if name == "W":
-            r = _ref_as_int(_ref_eval_exact_arg(self, node.args[0], env), "W argument")
-            s = _ref_as_int(_ref_eval_exact_arg(self, node.args[1], env), "W argument")
-            t = _ref_as_int(_ref_eval_exact_arg(self, node.args[2], env), "W argument")
+            r = _ref_eval_exact_arg(self, node.args[0], env, "W argument")
+            s = _ref_eval_exact_arg(self, node.args[1], env, "W argument")
+            t = _ref_eval_exact_arg(self, node.args[2], env, "W argument")
             if not numerics.witten_convergent(r, s, t):
                 raise DomainError(f"W({r},{s},{t}) diverges")
             v, b = numerics._witten_internal(r, s, t, self.D)
             self.bound += b
             return v
         if name in ("hsum_odd", "hsum_half"):
-            s = _ref_as_int(_ref_eval_exact_arg(self, node.args[0], env), f"{name} argument")
+            s = _ref_eval_exact_arg(self, node.args[0], env, f"{name} argument")
             kind = "odd_denom" if name == "hsum_odd" else "half_index"
             v, b = numerics._harmonic_internal(kind, s, self.D)
             self.bound += b
@@ -609,11 +609,11 @@ class _RefNumEval:
         raise DomainError(f"unknown call {name!r}")
 
 
-def _ref_eval_exact_arg(ev: _RefNumEval, node, env):
+def _ref_eval_exact_arg(ev: _RefNumEval, node, env, what: str) -> int:
     v = ev.run(node, env)
     if isinstance(v, Fraction):
-        return v
-    raise DomainError("argument must be exact")
+        return _ref_as_int(v, what)
+    raise DomainError(f"{what} must be exact")
 
 
 def _ref_reduce(node, env) -> ConstExpr:
