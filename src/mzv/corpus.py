@@ -107,7 +107,7 @@ class Identity:
     expect: str = "must-pass"  # or 'report'
     note: str = ""
     line: int = 0
-    # the sides' numeric plans by id(side), compiled by verify on first use
+    # the sides' plans by id(side), compiled by verify on first use, for both verify passes
     plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property

@@ -2,14 +2,15 @@
 reduction) plus the verification drivers and report writers.
 
 One call table (`_CALLS`: per DSL call its argument labels, domain test and
-message, numeric and symbolic entry) serves numeric evaluation (`eval_ast`,
-`verify_numeric`) and the symbolic walk (`reduce_ast`, `verify_symbolic`); a
-domain test runs in both.  The symbolic walk and sum bounds dispatch through
-one node table (`_NODE`).  Numeric evaluation compiles a side once into a plan
-of nested closures (`_compile`, with one call closure for every `_CALLS`
-entry) that computes what a walk of the same nodes would, bit for bit;
-`verify_numeric` keeps each side's plan with its identity, and a one-shot
-`eval_ast` compiles and drops its own.
+message, exact entry or numeric and symbolic entries) and one compiler
+(`_compile`) serve every evaluation.  A side compiles once into a plan of
+nested closures; a run object supplies the algebra the plan calls on: the
+numeric `_Run` (`eval_ast`, `verify_numeric`), the symbolic `_SymRun`
+(`reduce_ast`, `verify_symbolic`) and, inside every sum, the exact
+`_BoundRun` for its bounds, which are compiled with the sum.  A domain test
+runs in every mode.  `verify_numeric` and `verify_symbolic` keep each side's
+plan with its identity; a one-shot `eval_ast` or `reduce_ast` compiles and
+drops its own.
 
 Numeric evaluation keeps exact-rational subtrees exact (ints while integral,
 else Fractions): an identity built only from B, E, Hrat, binom, fact,
@@ -64,13 +65,17 @@ def load_corpus(path: str | None = None):
 
 
 # ---------------------------------------------------------------------------
-# evaluation: one node table and one call table
+# evaluation: one call table, one plan per side, three runs
 # ---------------------------------------------------------------------------
-# A walker has run (dispatch through _NODE, whose keys are the parser's node
-# types) and op (one binary operator); the symbolic one also gen, arg (one
-# call argument) and apply.  Numeric plans (below the call table) evaluate the
-# same nodes.  Both go left to right and check a call's arguments one at a
-# time, so the first error met is the one reported.
+# _compile turns a side, once, into a plan of nested closures fn(env, run):
+# the plan knows the shape of the side and the run knows the algebra.  A run
+# provides gen(name), apply(spec, args) for a call without an exact entry,
+# arg(v, label) for a call argument that is not an int, power(a, b) and
+# divide(a, b); + - * and sums run the same code in every run (_arith).  The
+# numeric _Run gives values with rigorous bounds, _SymRun exact ConstExprs and
+# _BoundRun the exact value of a sum bound.  Plans go left to right and check
+# a call's arguments one at a time, so the first error met is the one
+# reported.
 
 
 def _div(a, b):
@@ -92,7 +97,7 @@ def _pow(a, k: int):
 
 
 _EXACT = (int, Fraction)
-_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _to_mpf(v):
@@ -118,124 +123,6 @@ def _rational(v):
 
 def _rational_or_none(v):
     return None if type(v) is ConstExpr and not v.is_rational() else _rational(v)
-
-
-def _sum(w, node, env):
-    lo = _eval_int(node.lo, env)
-    hi = _eval_int(node.hi, env)
-    total, inner = 0, dict(env)
-    for i in range(lo, hi + 1):
-        inner[node.var] = i
-        total = w.op("+", total, w.run(node.body, inner))
-    return total
-
-
-def _call(w, node, env):
-    spec = _CALLS[node.name]  # the parser admits only these names
-    params = list(node.chars)
-    for arg, label in zip(node.args, spec.labels):
-        params.append(w.arg(arg, env, node.name, label))
-    if spec.ok is not None and not spec.ok(*params):
-        raise DomainError(spec.msg.format(*params))
-    return w.apply(spec, params)
-
-
-def _lit(w, node, env):
-    v = node.value
-    return v.numerator if v.denominator == 1 else v
-
-
-def _binop(w, node, env):
-    a = w.run(node.left, env)
-    return w.op(node.op, a, w.run(node.right, env))
-
-
-_NODE = {
-    Lit: _lit,
-    Param: lambda w, node, env: env[node.name],
-    Gen: lambda w, node, env: w.gen(node.name),
-    Neg: lambda w, node, env: -w.run(node.arg, env),
-    BinOp: _binop,
-    Sum: _sum,
-    Call: _call,
-}
-_BOUND_NODES = (Lit, Param, Neg, BinOp)
-
-
-class _Symbolic:
-    """Exact walk: rational values until a constant or a transcendental call,
-    ConstExpr from there on."""
-
-    __slots__ = ()
-
-    def run(self, node, env):
-        return _NODE[type(node)](self, node, env)
-
-    def gen(self, name):
-        return ConstExpr.generator(name)
-
-    def op(self, op, a, b):
-        if op == "^":
-            k = _rational(b)
-            if type(k) is not int:
-                if k.denominator != 1:
-                    raise NotReducible("non-integer exponent")
-                k = k.numerator
-            r = _rational_or_none(a)
-            if r is not None:
-                return _pow(r, k)
-            return a**k if k >= 0 else ConstExpr.rational(1).divide_exact(a**-k)
-        if op == "/":
-            r = _rational_or_none(b)
-            if r is None:
-                return (a if type(a) is ConstExpr else ConstExpr.rational(a)).divide_exact(b)
-            if r == 0:
-                raise DomainError("division by zero")
-            b = r
-        return _OPS[op](a, b)
-
-    def arg(self, node, env, name, label):
-        v = self.run(node, env)
-        if label is None:
-            return v
-        v = _rational(v)
-        if type(v) is not int and v.denominator != 1:
-            raise DomainError(f"{name} argument must be an integer")
-        return int(v)
-
-    def apply(self, spec, params):
-        return (spec.exact or spec.sym)(*params)
-
-
-class _Bound:
-    """Exact walk of a sum bound: literals, parameters, negation and + - * / ^."""
-
-    __slots__ = ()
-
-    def run(self, node, env):
-        if type(node) not in _BOUND_NODES:
-            raise DomainError(f"node not allowed in an integer bound: {node!r}")
-        return _NODE[type(node)](self, node, env)
-
-    def op(self, op, a, b):
-        if op == "/" and b == 0:
-            raise DomainError("division by zero in bound expression")
-        if op == "^" and type(b) is Fraction:
-            if b.denominator != 1:
-                raise DomainError("non-integer exponent in bound expression")
-            b = b.numerator
-        return _OPS[op](a, b)
-
-
-_SYMBOLIC = _Symbolic()
-_BOUND = _Bound()
-
-
-def _eval_int(node, env) -> int:
-    v = _BOUND.run(node, env)
-    if type(v) is not int and v.denominator != 1:
-        raise DomainError(f"sum bound is not an integer: {v}")
-    return int(v)
 
 
 # -- the call table ----------------------------------------------------------
@@ -328,30 +215,40 @@ _CALLS = {
 }
 
 
-# -- numeric plans -----------------------------------------------------------
-# _compile turns a side, once, into nested closures fn(env, run) that return
-# what a numeric walk of it gives: exact values (ints while integral, else
-# Fractions) until a call with an error bound, mpf from there on.  Literals are
-# normalised in advance, and a subtree of literals, negations and operators is
-# folded into its exact value unless that raises.  Each operator closure is
-# bound to its exact and mpf branches.  One call closure serves every _CALLS
-# entry: it takes the node's character ids, then its arguments left to right,
-# runs the domain test and calls exact(...) or num(D, ...).  A _Run carries
-# the working digits and adds up the call bounds in evaluation order; a side's
-# node count is its static count plus its sum bodies' counts once per
-# iteration.
+# -- runs --------------------------------------------------------------------
 
-# an int below 2^53 in magnitude is an exact mpf at a walk's precision (at
+# an int below 2^53 in magnitude is an exact mpf at a run's precision (at
 # least 21 digits), so mpmath's int paths round `mpf op int` once, as the op
 # on _to_mpf(int) does
 _SMALL = 1 << 53
-_DYN = object()  # the `const` of a compiled node whose value is not known in advance
+
+
+def _small(v) -> bool:
+    return type(v) is int and -_SMALL < v < _SMALL
+
+
+def _mpf_operand(v):
+    """An exact v as the operand of an mpf operation: a small int as is, else _to_mpf(v)."""
+    return v if type(v) is int and -_SMALL < v < _SMALL else _to_mpf(v)
+
+
+def _arith(opf, a, b):
+    """a + b, a - b or a * b (opf): exact for exact a and b, in mpf when one
+    is an mpf (the other as _mpf_operand gives it), else in ConstExpr."""
+    if type(a) in _EXACT:
+        if type(b) is mpf:
+            a = _mpf_operand(a)
+    elif type(b) in _EXACT and type(a) is mpf:
+        b = _mpf_operand(b)
+    return opf(a, b)
 
 
 class _Run:
-    """D, the working digits; bound, the summed call bounds as a raw mpf at
-    the precision prec of the run, so that each addition rounds as an mpf
-    addition does; nodes, the node visits of sum bodies."""
+    """The numeric run: exact values (ints while integral, else Fractions)
+    until a call with an error bound, mpf from there on.  D, the working
+    digits; bound, the summed call bounds as a raw mpf at the precision prec
+    of the run, so that each addition rounds as an mpf addition does; nodes,
+    the node visits of sum bodies."""
 
     __slots__ = ("D", "prec", "bound", "nodes")
 
@@ -361,148 +258,201 @@ class _Run:
         self.bound = fzero
         self.nodes = 0
 
+    def gen(self, name):
+        v, b = numerics._generator_internal(name, self.D)
+        self.bound = mpf_add(self.bound, b._mpf_, self.prec, round_nearest)
+        return v
+
+    def apply(self, spec, xs):
+        v, b = spec.num(self.D, *xs)
+        if b is not None:
+            self.bound = mpf_add(self.bound, b._mpf_, self.prec, round_nearest)
+        return v
+
+    def arg(self, v, label):
+        if label is None:
+            return v
+        if type(v) is not Fraction:
+            raise DomainError(f"{label} must be exact")
+        return _integral(v, label)
+
+    def power(self, a, b):
+        if type(b) is not int:
+            if type(b) is not Fraction:
+                raise DomainError("exponent must be exact")
+            b = _integral(b, "exponent")
+        return _pow(a, b)
+
+    def divide(self, a, b):
+        if type(a) in _EXACT:
+            if type(b) in _EXACT:
+                if b == 0:
+                    raise DomainError("exact division by zero")
+                return _div(a, b)
+            a = _mpf_operand(a)
+        elif type(b) in _EXACT:
+            b = _mpf_operand(b)
+        if b == 0:
+            raise DomainError("division by zero")
+        return a / b
+
+
+class _SymRun:
+    """The symbolic run: rational values until a constant or a transcendental
+    call, ConstExpr from there on."""
+
+    nodes = 0  # sum closures count their node visits here too; nothing reads them
+
+    def gen(self, name):
+        return ConstExpr.generator(name)
+
+    def apply(self, spec, xs):
+        return spec.sym(*xs)
+
+    def arg(self, v, label):
+        return v if label is None else _integral(_rational(v), label)
+
+    def power(self, a, b):
+        k = _rational(b)
+        if type(k) is not int:
+            if k.denominator != 1:
+                raise NotReducible("non-integer exponent")
+            k = k.numerator
+        r = _rational_or_none(a)
+        if r is not None:
+            return _pow(r, k)
+        return a**k if k >= 0 else ConstExpr.rational(1).divide_exact(a**-k)
+
+    def divide(self, a, b):
+        r = _rational_or_none(b)
+        if r is None:
+            return (a if type(a) is ConstExpr else ConstExpr.rational(a)).divide_exact(b)
+        if r == 0:
+            raise DomainError("division by zero")
+        return _div(a, r)
+
+
+class _BoundRun:
+    """The run of a sum bound, whose plan has only literals, parameters,
+    negation and + - * / ^: exact values."""
+
+    __slots__ = ()
+
+    def power(self, a, b):
+        if type(b) is Fraction:
+            if b.denominator != 1:
+                raise DomainError("non-integer exponent in bound expression")
+            b = b.numerator
+        return _pow(a, b)
+
+    def divide(self, a, b):
+        if b == 0:
+            raise DomainError("division by zero in bound expression")
+        return _div(a, b)
+
+
+_BOUND_RUN = _BoundRun()
+
+
+# -- plans -------------------------------------------------------------------
+# Literals are normalised in advance, and a subtree of literals, negations and
+# operators is folded into its exact value, computed in the bound run (which
+# gives every run's value on exact operands), unless that raises.  One call
+# closure serves every _CALLS entry: it takes the node's character ids, then
+# its arguments left to right, runs the domain test and returns exact(...) or
+# run.apply(...).  A sum compiles its bounds with the bound table, in which
+# any other node raises when it is reached.  A side's node count is its
+# static count plus its sum bodies' counts once per iteration.
+
+_DYN = object()  # the `const` of a compiled node whose value is not known in advance
+
 
 class _Plan(NamedTuple):
     fn: object  # fn(env, run) -> value
     nodes: int  # node count, sum bodies once per iteration left out
 
 
-def _small(v) -> bool:
-    return type(v) is int and -_SMALL < v < _SMALL
-
-
-def _mpf_operand(v):
-    """An exact v as the operand of an mpf operation: a small int as is, else _to_mpf(v)."""
-    return v if _small(v) else _to_mpf(v)
-
-
-def _arith(opf, a, b):
-    """a + b, a - b or a * b (opf) as the walk computes it: exact for exact a
-    and b, else in mpf."""
-    if type(a) in _EXACT:
-        if type(b) in _EXACT:
-            return opf(a, b)
-        a = _mpf_operand(a)
-    elif type(b) in _EXACT:
-        b = _mpf_operand(b)
-    return opf(a, b)
-
-
-def _exact_op(op, a, b):
-    """a op b for exact a and b."""
-    if op == "^":
-        return _pow(a, _integral(b, "exponent"))
-    if op == "/" and b == 0:
-        raise DomainError("exact division by zero")
-    return _OPS[op](a, b)
-
-
-def _arg(v, label):
-    """A call argument v that is not an int: as is for label None, else the int of an integral Fraction."""
-    if label is None:
-        return v
-    if type(v) is not Fraction:
-        raise DomainError(f"{label} must be exact")
-    return _integral(v, label)
-
-
-def _compile(node):
-    """(fn, n, const): fn(env, run) gives the node's value, n is its node count
-    (1 for a sum, whose body counts at run time) and const its exact value when
-    it has no parameter, generator or call, else _DYN."""
-    return _COMPILE[type(node)](node)
+def _compile(node, table):
+    """(fn, n, const) for node under the compile table: fn(env, run) gives
+    the node's value, n is its node count (1 for a sum, whose body counts at
+    run time) and const its exact value when it has no parameter, generator
+    or call, else _DYN."""
+    return table[type(node)](node, table)
 
 
 def _const(v, n: int):
     return (lambda env, run: v), n, v
 
 
-def _c_lit(node):
+def _c_lit(node, table):
     v = node.value
     return _const(v.numerator if v.denominator == 1 else v, 1)
 
 
-def _c_param(node):
+def _c_param(node, table):
     name = node.name
     return (lambda env, run: env[name]), 1, _DYN
 
 
-def _c_gen(node):
+def _c_gen(node, table):
     name = node.name
-
-    def gen(env, run):
-        v, b = numerics._generator_internal(name, run.D)
-        run.bound = mpf_add(run.bound, b._mpf_, run.prec, round_nearest)
-        return v
-
-    return gen, 1, _DYN
+    return (lambda env, run: run.gen(name)), 1, _DYN
 
 
-def _c_neg(node):
-    fa, n, c = _compile(node.arg)
+def _c_neg(node, table):
+    fa, n, c = _compile(node.arg, table)
     if c is not _DYN:
         return _const(-c, n + 1)
     return (lambda env, run: -fa(env, run)), n + 1, _DYN
 
 
-def _c_binop(node):
-    fa, na, ca = _compile(node.left)
-    fb, nb, cb = _compile(node.right)
-    n, op = na + nb + 1, node.op
-    if ca is not _DYN and cb is not _DYN:
-        try:
-            return _const(_exact_op(op, ca, cb), n)
-        except DomainError:
-            pass  # raised at run time, after whatever comes before it
+def _c_binop(node, table):
+    fa, na, ca = _compile(node.left, table)
+    fb, nb, cb = _compile(node.right, table)
+    n, op, opf = na + nb + 1, node.op, _OPS.get(node.op)
     if op == "^":
-        def power(env, run):
-            a = fa(env, run)
-            b = fb(env, run)
-            if type(b) not in _EXACT:
-                raise DomainError("exponent must be exact")
-            return _pow(a, _integral(b, "exponent"))
-
-        return power, n, _DYN
-    if op == "/":
-        def divide(env, run):
-            a = fa(env, run)
-            b = fb(env, run)
-            if type(a) in _EXACT:
-                if type(b) in _EXACT:
-                    if b == 0:
-                        raise DomainError("exact division by zero")
-                    return _div(a, b)
-                a = _mpf_operand(a)
-            elif type(b) in _EXACT:
-                b = _mpf_operand(b)
-            if b == 0:
-                raise DomainError("division by zero")
-            return a / b
-
-        return divide, n, _DYN
-    opf = _OPS[op]
+        fn = lambda env, run: run.power(fa(env, run), fb(env, run))
+    elif op == "/":
+        fn = lambda env, run: run.divide(fa(env, run), fb(env, run))
     # a small int operand meets an exact value exactly and an mpf through
     # mpmath's int path; a parameter next to it is read in the same closure
-    if _small(cb):
+    elif _small(cb):
         if type(node.left) is Param:
             name = node.left.name
-            return (lambda env, run: opf(env[name], cb)), n, _DYN
-        return (lambda env, run: opf(fa(env, run), cb)), n, _DYN
-    if _small(ca):
+            fn = lambda env, run: opf(env[name], cb)
+        else:
+            fn = lambda env, run: opf(fa(env, run), cb)
+    elif _small(ca):
         if type(node.right) is Param:
             name = node.right.name
-            return (lambda env, run: opf(ca, env[name])), n, _DYN
-        return (lambda env, run: opf(ca, fb(env, run))), n, _DYN
-    return (lambda env, run: _arith(opf, fa(env, run), fb(env, run))), n, _DYN
+            fn = lambda env, run: opf(ca, env[name])
+        else:
+            fn = lambda env, run: opf(ca, fb(env, run))
+    else:
+        fn = lambda env, run: _arith(opf, fa(env, run), fb(env, run))
+    if ca is not _DYN and cb is not _DYN:
+        try:  # exact operands give the same value in every run
+            return _const(fn(None, _BOUND_RUN), n)
+        except DomainError:
+            pass  # raised at run time, after whatever comes before it
+    return fn, n, _DYN
 
 
-def _c_sum(node):
-    fb, nb, _ = _compile(node.body)
-    var, lo, hi = node.var, node.lo, node.hi
-    add = operator.add
+def _int_bound(fn, env) -> int:
+    v = fn(env, _BOUND_RUN)
+    if type(v) is not int and v.denominator != 1:
+        raise DomainError(f"sum bound is not an integer: {v}")
+    return int(v)
+
+
+def _c_sum(node, table):
+    fb, nb, _ = _compile(node.body, table)
+    flo, _, _ = _compile(node.lo, _BOUND_COMPILE)
+    fhi, _, _ = _compile(node.hi, _BOUND_COMPILE)
+    var, add = node.var, operator.add
 
     def total(env, run):
-        first, last = _eval_int(lo, env), _eval_int(hi, env)
+        first, last = _int_bound(flo, env), _int_bound(fhi, env)
         inner, acc = dict(env), 0
         for i in range(first, last + 1):
             inner[var] = i
@@ -514,35 +464,39 @@ def _c_sum(node):
     return total, 1, _DYN
 
 
-def _c_call(node):
+def _c_call(node, table):
     spec = _CALLS[node.name]  # the parser admits only these names
-    args = [_compile(a) for a in node.args]
+    args = [_compile(a, table) for a in node.args]
     fns = [(fa, label) for (fa, _, _), label in zip(args, spec.labels)]
-    chars, ok, fmt, exact_fn, num = node.chars, spec.ok, spec.msg.format, spec.exact, spec.num
+    chars, ok, fmt, exact_fn = node.chars, spec.ok, spec.msg.format, spec.exact
 
     def call(env, run):
         xs = list(chars)  # the ids of L and cs go first, as _CALLS states them
         for fa, label in fns:
             x = fa(env, run)
-            xs.append(x if type(x) is int else _arg(x, label))
+            xs.append(x if type(x) is int else run.arg(x, label))
         if ok is not None and not ok(*xs):
             raise DomainError(fmt(*xs))
-        if exact_fn is not None:
-            return exact_fn(*xs)
-        v, b = num(run.D, *xs)
-        if b is not None:
-            run.bound = mpf_add(run.bound, b._mpf_, run.prec, round_nearest)
-        return v
+        # an exact entry gives the same value in every run
+        return exact_fn(*xs) if exact_fn is not None else run.apply(spec, xs)
 
     return call, 1 + sum(n for _, n, _ in args), _DYN
 
 
+def _c_refused(node, table):
+    def refused(env, run):
+        raise DomainError(f"node not allowed in an integer bound: {node!r}")
+
+    return refused, 1, _DYN
+
+
 _COMPILE = {Lit: _c_lit, Param: _c_param, Gen: _c_gen, Neg: _c_neg, BinOp: _c_binop,
             Sum: _c_sum, Call: _c_call}
+_BOUND_COMPILE = {**_COMPILE, Gen: _c_refused, Sum: _c_refused, Call: _c_refused}
 
 
 def _compile_side(side) -> _Plan:
-    fn, nodes, _ = _compile(side)
+    fn, nodes, _ = _compile(side, _COMPILE)
     return _Plan(fn, nodes)
 
 
@@ -599,8 +553,8 @@ def eval_ast_detailed(ast, bindings, ctx: EvalContext):
     return (Fraction(val) if type(val) is int else val), bound, nodes
 
 
-def _reduce(ast, bindings) -> ConstExpr:
-    v = _SYMBOLIC.run(ast, bindings)
+def _reduce(plan: _Plan, bindings) -> ConstExpr:
+    v = plan.fn(bindings, _SymRun())
     return v if type(v) is ConstExpr else ConstExpr.rational(v)
 
 
@@ -608,7 +562,7 @@ def reduce_ast(ast, bindings) -> ConstExpr:
     """Exact ConstExpr for a bound AST; NotReducible when any sub-object is
     outside the supported reduction scope."""
     _check_bound(ast, bindings)
-    return _reduce(ast, bindings)
+    return _reduce(_compile_side(ast), bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +637,8 @@ def verify_symbolic(ident: Identity, params: dict) -> VerifyReport:
     t0 = time.perf_counter()
     try:
         for lhs, rhs in ident.parts:
-            le = _reduce(lhs, params)  # a corpus side has no free parameter
-            re_ = _reduce(rhs, params)
+            le = _reduce(_side_plan(ident, lhs), params)  # a corpus side has no free parameter
+            re_ = _reduce(_side_plan(ident, rhs), params)
             if le != re_:
                 return _report(ident, params, "symbolic", "fail", t0,
                                residual=(le - re_).render(), exact=False)

@@ -229,7 +229,7 @@ def test_zero_to_a_negative_power_is_reported_in_both_modes(ctx40, side):
 
 @pytest.mark.parametrize("text", ["zeta(1)", "hsum_odd(1)", "hsum_half(0)", "dz(1,2)",
                                   "W(0,0,1)", "L(1,1)", "cs(1,1;1,2)", "fact(0-1)",
-                                  "hyp2f1sp(0)"])
+                                  "hyp2f1sp(0)", "binom(3/2,1)"])
 def test_domain_checks_run_in_both_modes(ctx40, text):
     ast = parse_expr(text)
     with pytest.raises(DomainError) as num:
@@ -309,13 +309,29 @@ def test_cached_plans_match_the_reference_walk_in_any_order(ctx40, seed):
     assert len(plans) > 100
 
 
-def test_run_suite_compiles_each_side_once(monkeypatch):
+@pytest.mark.parametrize("mode", ["numeric", "symbolic", "both"])
+def test_run_suite_compiles_each_side_once(monkeypatch, mode):
+    # a symbolic verify stops at the first side it can not reduce, so it may
+    # leave a later side of the same identity uncompiled
     compiled = []
     real = verify._compile_side
-    monkeypatch.setattr(verify, "_compile_side", lambda side: compiled.append(side) or real(side))
-    run_suite(SuiteConfig(max_param=3, mode="numeric"))
-    distinct = {id(x) for ident in load_corpus() for part in ident.parts for x in part}
-    assert len({id(x) for x in compiled}) == len(compiled) == len(distinct)
+    monkeypatch.setattr(verify, "_compile_side", lambda side: compiled.append(id(side)) or real(side))
+    corpus = load_corpus()
+    monkeypatch.setattr(verify, "load_corpus", lambda path=None: corpus)
+    run_suite(SuiteConfig(max_param=3, mode=mode))
+    distinct = {id(x) for ident in corpus for part in ident.parts for x in part}
+    assert len(set(compiled)) == len(compiled)
+    assert set(compiled) <= distinct and len(compiled) > 100
+    if mode != "symbolic":
+        assert set(compiled) == distinct
+    # sum bounds are compiled with their side, so a second run compiles no node
+    nodes = []
+    real_compile = verify._compile
+    monkeypatch.setattr(verify, "_compile", lambda node, table: nodes.append(node) or real_compile(node, table))
+    run_suite(SuiteConfig(max_param=3, mode=mode))
+    assert nodes == []
+    reduce_ast(parse_expr("sum(j=1..3, j)"), {})
+    assert nodes  # the compiler in use is the one counted
 
 
 def test_one_shot_evaluation_keeps_no_plan(ctx40, monkeypatch):
@@ -347,6 +363,7 @@ _ODD_INPUTS = (
     "sum(j=3..1, pi)", "li4h^2/li4h", "(pi-pi)^0", "0^0", "binom(0-1, 2)", "0^(0-1)",
     "W(1,1,3/2)", "W(1,pi,3)", "cs(2b,1;pi,1)", "cs(2b,1;2,3/2)", "L(2b,1/2)", "hsum_half(pi)",
     "binom(3/2,1)", "binom(3,pi)", "dz(3,pi)", "fact(zeta(2))", "abs(0-zeta(3))", "L(m4,2)",
+    "sum(j=1..1/(1-1), j)", "sum(j=1..4^(1/2), j)", "sum(j=1..(1/0)*pi, j)",
 )
 
 
@@ -674,7 +691,8 @@ def _ref_reduce_call(node: Call, env) -> ConstExpr:
         v = _ref_reduce(node.args[i], env)
         r = v.rational_value()
         if r.denominator != 1:
-            raise DomainError(f"{name} argument must be an integer")
+            label = ("binom n", "binom k")[i] if name == "binom" else f"{name} argument"
+            raise DomainError(f"{label} must be an integer, got {r}")
         return r.numerator
 
     if name in _REF_EXACT_CALLS:
