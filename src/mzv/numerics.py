@@ -136,21 +136,18 @@ def is_mean_zero(p: str) -> bool:
 class EvalContext:
     """Target precision contract: results are within 10^-prec absolutely.
 
-    Internally everything runs at prec + guard decimal digits.
+    Internally everything runs at prec + 10 decimal digits.
     """
 
     prec: int = 40
-    guard: int = 10
 
     def __post_init__(self):
         if self.prec < 10:
             raise DomainError("precision must be at least 10 digits")
-        if self.guard < 1:
-            raise DomainError("guard digits must be positive")
 
     @property
     def work_digits(self) -> int:
-        return self.prec + self.guard
+        return self.prec + 10
 
     def tolerance(self):
         return _tolerance(self.prec, self.work_digits)
@@ -171,11 +168,45 @@ def _check(bound, ctx: EvalContext, what: str):
 
 
 # --------------------------------------------------------------------------
-# the audited kernel: per-class power/log tails
+# caches
 # --------------------------------------------------------------------------
 
-_kernel_cache: dict = {}
+# One memo rule (_memo): a layer stores its result under its argument tuple,
+# led by the layer's tag where layers share a dict.  _value_cache holds the
+# rounded (value, bound) pairs ("L", "cs", "W", "H"), _fixed_cache the integer
+# layers ("L", "head", "pow", "fold", "C", "pairs", and _tail_row's growing
+# ("tail", r, D) rows); the others are class_tail's kernel, _inner_array,
+# _inner_ct and _gen_pow.  Callers must not change a returned list.
 _value_cache: dict = {}
+_fixed_cache: dict = {}
+_kernel_cache: dict = {}
+_array_cache: dict = {}
+_inner_ct_cache: dict = {}
+_gen_pow_cache: dict = {}
+
+
+def _memo(cache: dict, tag=None):
+    """Store fn(*args) in `cache` under (tag, *args), or under args without a
+    tag.  A call that raises stores nothing, so the cache grows exactly on a
+    miss."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def memo(*args):
+            key = args if tag is None else (tag, *args)
+            hit = cache.get(key)
+            if hit is None:
+                hit = cache[key] = fn(*args)
+            return hit
+
+        return memo
+
+    return decorate
+
+
+# --------------------------------------------------------------------------
+# the audited kernel: per-class power/log tails
+# --------------------------------------------------------------------------
 
 # EM safety factor: the remainder after the B_{2j} correction is bounded by the
 # first omitted term for completely monotone integrands; 4 is a safe margin.
@@ -202,16 +233,12 @@ def class_tail(r: int, u: int, N: int, D: int, logw: bool = False):
     For u == 1, logw False, the *regularized* tail: the limit of the partial
     sum minus (1/4) log X.  Only meaningful inside combinations whose
     coefficients over the four classes sum to zero, where the log X parts
-    cancel; callers are responsible for that cancellation.  Memoized per
-    argument tuple; the integer kernel _tail_fixed computes it.
+    cancel; callers are responsible for that cancellation.  The integer kernel
+    _tail_fixed computes it.
     """
     if u < 1 or (u == 1 and logw):
         raise DomainError("class_tail needs u >= 2, or u == 1 without log weight")
-    key = (r, u, N, D, logw)
-    hit = _kernel_cache.get(key)
-    if hit is None:
-        hit = _kernel_cache[key] = _tail_fixed(r, u, N, D, logw)
-    return hit
+    return _class_tail(r, u, N, D, logw)
 
 
 def _from_fixed(x: int, units: int, bits: int, D: int):
@@ -246,6 +273,7 @@ def _class_tails_fixed(p: str, u: int, N: int, D: int):
 # --------------------------------------------------------------------------
 
 
+@_memo(_fixed_cache, "L")
 def _L_fixed(p: str, s: int, D: int):
     """(X, units) with |L_p(s) 2^W - X| <= units, W = _fixed_bits(D).
 
@@ -253,10 +281,6 @@ def _L_fixed(p: str, s: int, D: int):
     The tail, at scale N^s 2^W, is sum_r chi_p(r) G_r[s] from the integer rows
     for s >= 2, within sum_r B_r[s] units, and _class_tails_fixed(p, 1, N, D)
     at the mean-zero s = 1."""
-    key = ("L", p, s, D)
-    hit = _fixed_cache.get(key)
-    if hit is not None:
-        return hit
     if s == 1 and not is_mean_zero(p):
         raise DomainError(f"L_{p}(1) diverges")
     N = _outer_cutoff(D)
@@ -272,16 +296,12 @@ def _L_fixed(p: str, s: int, D: int):
                 G, B = _tail_row(r, s, s + 1, D)
                 X += c * G[s]
                 units += B[s]
-    hit = _fixed_cache[key] = ((head * Ns + X) // Ns, -(-(units + N * Ns) // Ns) + 1)
-    return hit
+    return (head * Ns + X) // Ns, -(-(units + N * Ns) // Ns) + 1
 
 
+@_memo(_value_cache, "L")
 def _L_internal(p: str, s: int, D: int):
-    key = ("L", p, s, D)
-    hit = _value_cache.get(key)
-    if hit is None:
-        hit = _value_cache[key] = _from_fixed(*_L_fixed(p, s, D), _fixed_bits(D), D)
-    return hit
+    return _from_fixed(*_L_fixed(p, s, D), _fixed_bits(D), D)
 
 
 def _zeta_internal(s: int, D: int):
@@ -330,22 +350,10 @@ def periodic_tail_num(p: str, s: int, N: int, ctx: EvalContext):
 # inner prefix expansions for double sums
 # --------------------------------------------------------------------------
 
-_array_cache: dict = {}
-# fixed-point values: ("pow", u, D) -> [floor(2^W / n^u) for n = 0..N] (0 at n = 0),
-# ("tail", r, D) -> (G, B) indexed by exponent, ("fold", q, t, r, D) -> folded vector,
-# ("L", p, s, D) and ("C", q, D) -> (X, units), the constants of _inner_const,
-# ("head", D) -> _char_em's head rounding units,
-# ("pairs", q, s, t, D) -> _class_pairs' four (acc, units) pairs
-_fixed_cache: dict = {}
-# (t, N, D) -> _inner_ct's expansion for the latest key only: _inner_array asks
-# for the shifts delta of one (t, D) one after another
-_inner_ct_cache: dict = {}
 # guard bits of the inner expansions, summed at scale 2^(W + _INNER_GUARD)
 _INNER_GUARD = 32
 # a _shift_chain stops once the terms it leaves out sum to at most this many units
 _CHAIN_REST = 4
-# (g, e, D) -> _gen_pow's generator power and error coefficient
-_gen_pow_cache: dict = {}
 
 
 def _fixed_bits(D: int) -> int:
@@ -353,25 +361,19 @@ def _fixed_bits(D: int) -> int:
     return int(3.33 * (D + 10)) + 60
 
 
+@_memo(_fixed_cache, "head")
 def _head_units(D: int) -> int:
     """At least N (3 + log N) 2^W + 1, N = N(D), W = W(D): _char_em's head rounding
-    in units of 2^-2W, cached per D (log N from _log_fixed, within 2 units)."""
-    key = ("head", D)
-    hit = _fixed_cache.get(key)
-    if hit is None:
-        N, W = _outer_cutoff(D), _fixed_bits(D)
-        hit = _fixed_cache[key] = N * ((3 << W) + _log_fixed(N, W) + 2) + 1
-    return hit
+    in units of 2^-2W (log N from _log_fixed, within 2 units)."""
+    N, W = _outer_cutoff(D), _fixed_bits(D)
+    return N * ((3 << W) + _log_fixed(N, W) + 2) + 1
 
 
+@_memo(_fixed_cache, "pow")
 def _pow_row(u: int, D: int):
     """[floor(2^W / n^u) for n = 0..N(D)], with 0 at n = 0."""
-    key = ("pow", u, D)
-    row = _fixed_cache.get(key)
-    if row is None:
-        one = 1 << _fixed_bits(D)
-        row = _fixed_cache[key] = [0] + [one // n**u for n in range(1, _outer_cutoff(D) + 1)]
-    return row
+    one = 1 << _fixed_bits(D)
+    return [0] + [one // n**u for n in range(1, _outer_cutoff(D) + 1)]
 
 
 def _log_fixed(n: int, bits: int) -> int:
@@ -535,6 +537,10 @@ def _tail_fixed(r: int, u: int, N: int, D: int, logw: bool = False, terms: _EMTe
     raise PrecisionError(f"EM tail did not converge for {what}")
 
 
+# class_tail's memoized kernel, keyed (r, u, N, D, logw)
+_class_tail = _memo(_kernel_cache)(_tail_fixed)
+
+
 def _tail_row(r: int, lo: int, hi: int, D: int):
     """Lists (G, B) indexed by exponent u, filled at least for lo <= u < hi:
     G[u] = floor(T N^u 2^W) up to B[u] >= |T N^u 2^W - G[u]| units for the class
@@ -556,6 +562,7 @@ def _tail_row(r: int, lo: int, hi: int, D: int):
     return row
 
 
+@_memo(_inner_ct_cache)
 def _inner_ct(t: int, N: int, D: int):
     """EM expansion of sum_{k>=0} (y+4k)^-t in powers y^-e, valid for y >= N, in
     integers at scale 2^V, V = _fixed_bits(D) + _INNER_GUARD.
@@ -571,14 +578,9 @@ def _inner_ct(t: int, N: int, D: int):
     units.  The series stops at the kernel's target _EM_SAFETY |c_e| N^-e <
     10^-(D+6) N^-t, or once _EM_SAFETY |a| is below a unit of 2^-W, which the
     floors can not resolve (the case for large t); the remainder is
-    _EM_SAFETY (|a| + j) for the first term left out.  Memoized for the latest
-    (t, N, D), which the shifts of one inner array share; callers must not
-    change the terms list.
+    _EM_SAFETY (|a| + j) for the first term left out.  The shifts of one
+    inner array share it.
     """
-    key = (t, N, D)
-    hit = _inner_ct_cache.get(key)
-    if hit is not None:
-        return hit
     V = _fixed_bits(D) + _INNER_GUARD
     Nt = N**t
     terms = [(t - 1, (N << V) // (4 * (t - 1) * Nt), 1)] if t > 1 else []
@@ -592,9 +594,7 @@ def _inner_ct(t: int, N: int, D: int):
                 raise PrecisionError(f"inner EM series turned at j={j} before target (t={t}, N={N})")
             a = a * step[0] // step[1]
         if _EM_SAFETY * abs(a) < lim:
-            _inner_ct_cache.clear()
-            hit = _inner_ct_cache[key] = (terms, (_EM_SAFETY * (abs(a) + j), t + 2 * j - 1))
-            return hit
+            return terms, (_EM_SAFETY * (abs(a) + j), t + 2 * j - 1)
         terms.append((t + 2 * j - 1, a, j))
     raise PrecisionError(f"inner EM loop exhausted (t={t}, N={N})")
 
@@ -625,6 +625,7 @@ def _shift_chain(comp: dict, e: int, i: int, b: int, err: int, delta: int, N: in
     raise PrecisionError(f"shift re-expansion did not converge (u={e}, delta={delta}, N={N})")
 
 
+@_memo(_array_cache)
 def _inner_array(t: int, delta: int, D: int):
     """Fixed-point coefficients of the class inner tail at shift delta.
 
@@ -640,10 +641,6 @@ def _inner_array(t: int, delta: int, D: int):
     every step an integer floor.  rem = crem N^(1-erem) 2^2W in integer units,
     from _inner_ct's remainder at y = n + delta > N.
     """
-    key = (t, delta, D)
-    hit = _array_cache.get(key)
-    if hit is not None:
-        return hit
     N, W = _outer_cutoff(D), _fixed_bits(D)
     V = W + _INNER_GUARD
     terms, (crem, erem) = _inner_ct(t, N, D)
@@ -659,11 +656,10 @@ def _inner_array(t: int, delta: int, D: int):
     for e, x in comp.items():
         A[e - emin] = x >> _INNER_GUARD
     logc = Fraction(-1, 4) if t == 1 else 0
-    res = (emin, A, logc, (crem * N << (W - _INNER_GUARD), erem), (units >> _INNER_GUARD) + 2)
-    _array_cache[key] = res
-    return res
+    return emin, A, logc, (crem * N << (W - _INNER_GUARD), erem), (units >> _INNER_GUARD) + 2
 
 
+@_memo(_fixed_cache, "fold")
 def _folded_inner(q: str, t: int, r: int, D: int):
     """The inner arrays of q's classes seen from outer class r, summed with
     their character signs.
@@ -674,10 +670,6 @@ def _folded_inner(q: str, t: int, r: int, D: int):
     coefficient (0 for a mean-zero q, else -sum chi_q), rems the per-class
     remainder (rem, erem) pairs and rnd the summed rounding units.
     """
-    key = ("fold", q, t, r, D)
-    hit = _fixed_cache.get(key)
-    if hit is not None:
-        return hit
     parts = [(c, _inner_array(t, (rp - r) % 4, D)) for rp, c in zip((1, 2, 3, 4), CHI[q]) if c]
     emin = min(arr[0] for _, arr in parts)
     F = [0] * (max(arr[0] + len(arr[1]) for _, arr in parts) - emin)
@@ -686,9 +678,7 @@ def _folded_inner(q: str, t: int, r: int, D: int):
             F[i] += c * a
     log4 = sum(c * int(4 * arr[2]) for c, arr in parts)
     rems = [arr[3] for _, arr in parts]
-    res = (emin, F, len(parts), log4, rems, sum(arr[4] for _, arr in parts))
-    _fixed_cache[key] = res
-    return res
+    return emin, F, len(parts), log4, rems, sum(arr[4] for _, arr in parts)
 
 
 def _inner_const(q: str, t: int, D: int):
@@ -697,11 +687,12 @@ def _inner_const(q: str, t: int, D: int):
     sum (t = 1, q not mean-zero) sum_r chi_q(r) C_r over the class constants."""
     if t > 1 or is_mean_zero(q):
         return _L_fixed(q, t, D)
-    key = ("C", q, D)
-    hit = _fixed_cache.get(key)
-    if hit is None:
-        hit = _fixed_cache[key] = _class_tails_fixed(q, 1, 0, D)
-    return hit
+    return _class_consts(q, D)
+
+
+@_memo(_fixed_cache, "C")
+def _class_consts(q: str, D: int):
+    return _class_tails_fixed(q, 1, 0, D)
 
 
 # --------------------------------------------------------------------------
@@ -720,13 +711,10 @@ def _char_convergent(p, q, s, t):
     return s == 1 and is_mean_zero(p)
 
 
+@_memo(_fixed_cache, "pairs")
 def _class_pairs(q: str, s: int, t: int, D: int):
     """(acc_r, units_r) for r = 1..4 at scale 2^-2W N^-s: the head, fold, cross and
     log terms of [p,q](s,t)'s outer class r, which _char_em signs with chi_p(r)."""
-    key = ("pairs", q, s, t, D)
-    hit = _fixed_cache.get(key)
-    if hit is not None:
-        return hit
     N, W = _outer_cutoff(D), _fixed_bits(D)
     Ns = N**s
     # head n <= N: floor(2^W/n^s) * sum_{m<n} chi_q(m) floor(2^W/m^t), whose
@@ -758,8 +746,7 @@ def _class_pairs(q: str, s: int, t: int, D: int):
             acc -= log4 * X << (W - 2)
             units += abs(log4) * Xu << (W - 2)
         pairs.append((acc, units))
-    hit = _fixed_cache[key] = tuple(pairs)
-    return hit
+    return tuple(pairs)
 
 
 def _char_fixed(p: str, q: str, s: int, t: int, D: int):
@@ -786,13 +773,10 @@ def _char_fixed(p: str, q: str, s: int, t: int, D: int):
     return acc // Ns, -(-units // Ns) + 1
 
 
+@_memo(_value_cache, "cs")
 def _char_em(p: str, q: str, s: int, t: int, D: int):
     """(value, bound) of [p,q](s,t) by the accelerated double-sum scheme."""
-    key = ("cs", p, q, s, t, D)
-    hit = _value_cache.get(key)
-    if hit is None:
-        hit = _value_cache[key] = _from_fixed(*_char_fixed(p, q, s, t, D), 2 * _fixed_bits(D), D)
-    return hit
+    return _from_fixed(*_char_fixed(p, q, s, t, D), 2 * _fixed_bits(D), D)
 
 
 def char_dzeta_num(p: str, q: str, s: int, t: int, ctx: EvalContext):
@@ -848,13 +832,10 @@ def witten_terms(r: int, s: int, t: int) -> dict:
     return out
 
 
+@_memo(_value_cache, "W")
 def _witten_internal(r: int, s: int, t: int, D: int):
     """(value, bound) of W(r,s,t): its witten_terms summed exactly at scale
     2^(2W) from the kernel's integers, with one rounding (_from_fixed)."""
-    key = ("W", r, s, t, D)
-    hit = _value_cache.get(key)
-    if hit is not None:
-        return hit
     W = _fixed_bits(D)
     x = units = 0
     for (kind, a, b), coef in witten_terms(r, s, t).items():
@@ -869,7 +850,7 @@ def _witten_internal(r: int, s: int, t: int, D: int):
             v, u = _char_fixed("1", "1", a, b, D)
         x += coef * v
         units += abs(coef) * u
-    return _value_cache.setdefault(key, _from_fixed(x, units, 2 * W, D))
+    return _from_fixed(x, units, 2 * W, D)
 
 
 def witten_num(r: int, s: int, t: int, ctx: EvalContext):
@@ -892,6 +873,7 @@ def harmonic_domain(kind: str, s: int):
         raise DomainError(f"unknown harmonic sum kind {kind!r}")
 
 
+@_memo(_value_cache, "H")
 def _harmonic_internal(kind: str, s: int, D: int):
     """(value, bound) of a harmonic-number sum from character double sums.
     odd_denom: at n = 2m+1, [2a,1](s,1) has the inner sum H_2m and [2a,2a](s,1)
@@ -899,10 +881,6 @@ def _harmonic_internal(kind: str, s: int, D: int):
     half_index: sum H_N/N^k is zeta(k,1) + zeta(k+1) over all N and
     [2a,1](k,1) + (1 - 2^-(k+1)) zeta(k+1) over odd N, so at k = 2s the sum
     is 4^s (zeta(2s,1) - [2a,1](2s,1)) + zeta(2s+1)/2."""
-    key = ("H", kind, s, D)
-    hit = _value_cache.get(key)
-    if hit is not None:
-        return hit
     harmonic_domain(kind, s)
     W = _fixed_bits(D)
     if kind == "odd_denom":
@@ -915,7 +893,7 @@ def _harmonic_internal(kind: str, s: int, D: int):
         z, zu = _L_fixed("1", k + 1, D)
         x = (x1 - x2 << k) + (z << W - 1)
         units = (u1 + u2 << k) + (zu << W - 1)
-    return _value_cache.setdefault(key, _from_fixed(x, units, 2 * W, D))
+    return _from_fixed(x, units, 2 * W, D)
 
 
 def harmonic_sum_num(kind: str, s: int, ctx: EvalContext):
@@ -963,17 +941,13 @@ def generator_num(g, ctx: EvalContext):
     return v
 
 
+@_memo(_gen_pow_cache)
 def _gen_pow(g, e: int, D: int):
     """(g^e, e |g|^(e-1) b) at D + 10 digits for the generator g with bound b:
-    a factor of _expr_internal and its error's first-order coefficient,
-    memoized per (g, e, D)."""
-    key = (g, e, D)
-    hit = _gen_pow_cache.get(key)
-    if hit is None:
-        gv, gb = _generator_internal(g, D)
-        with mp.workdps(D + 10):
-            hit = _gen_pow_cache[key] = (gv**e, e * abs(gv) ** (e - 1) * gb)
-    return hit
+    a factor of _expr_internal and its error's first-order coefficient."""
+    gv, gb = _generator_internal(g, D)
+    with mp.workdps(D + 10):
+        return gv**e, e * abs(gv) ** (e - 1) * gb
 
 
 def _expr_internal(expr, D: int):
@@ -1011,7 +985,7 @@ _EPS64 = 1.2e-16
 _ZETA2 = 1.6449340668482265  # upper bound for zeta(b), b >= 2
 
 
-def brute_force_oracle(series: str, params, N: int, ctx: EvalContext | None = None):
+def brute_force_oracle(series: str, params, N: int):
     """Direct truncated summation with a rigorous elementary tail bound.
 
     Returns (value, bound) with bound a true upper bound on |value - limit|:

@@ -592,7 +592,6 @@ class SearchConfig:
     prec: int = 40
     screen_tol_exp: int = 25
     deg: int = 2
-    parities: tuple = _PARITIES
 
 
 def _anchor_weights(s_parity: str):
@@ -645,9 +644,9 @@ def numeric_screen(cand: CandidateIdentity, prec: int = 40, tol_exp: int = 25) -
 
 def _power_candidates(config: SearchConfig, conds: _ConditionVectors | None = None):
     conds = conds or _ConditionVectors(config.H)
-    for s_par in config.parities:
+    for s_par in _PARITIES:
         anchors = _anchor_weights(s_par)
-        for j_par in config.parities:
+        for j_par in _PARITIES:
             ws = _conditioned(anchors, j_par)
             if not ws:
                 continue  # a family with no vanishing condition is vacuous here
@@ -677,9 +676,9 @@ def _affine_candidates(config: SearchConfig, conds: _ConditionVectors | None = N
     recovered from consecutive (or parity-spaced) anchors."""
     conds = conds or _ConditionVectors(config.H)
     pool = conds.pool
-    for s_par in config.parities:
+    for s_par in _PARITIES:
         anchors = _anchor_weights(s_par)
-        for j_par in config.parities:
+        for j_par in _PARITIES:
             ws = _conditioned(anchors, j_par)
             if not ws:
                 continue

@@ -877,6 +877,59 @@ def test_clear_caches_empties_every_cache(ctx40):
     assert [(v._mpf_, b._mpf_) for v, b in cold_values()] == [(v._mpf_, b._mpf_) for v, b in first]
 
 
+def _cache_sizes():
+    return {k: len(v) for k, v in vars(numerics).items() if k.endswith("_cache") and isinstance(v, dict)}
+
+
+_D = 20
+_N = numerics._outer_cutoff(_D)
+# (layer, arguments, its cache, the key it stores under)
+_MEMO_LAYERS = [
+    ("class_tail", (1, 3, _N, _D), "_kernel_cache", (1, 3, _N, _D, False)),
+    ("class_tail", (2, 3, _N, _D, True), "_kernel_cache", (2, 3, _N, _D, True)),
+    ("_L_fixed", ("m4", 3, _D), "_fixed_cache", ("L", "m4", 3, _D)),
+    ("_L_internal", ("2b", 1, _D), "_value_cache", ("L", "2b", 1, _D)),
+    ("_head_units", (_D,), "_fixed_cache", ("head", _D)),
+    ("_pow_row", (2, _D), "_fixed_cache", ("pow", 2, _D)),
+    ("_inner_ct", (2, _N, _D), "_inner_ct_cache", (2, _N, _D)),
+    ("_inner_array", (2, 1, _D), "_array_cache", (2, 1, _D)),
+    ("_folded_inner", ("2a", 2, 1, _D), "_fixed_cache", ("fold", "2a", 2, 1, _D)),
+    ("_inner_const", ("1", 1, _D), "_fixed_cache", ("C", "1", _D)),
+    ("_class_pairs", ("1", 2, 1, _D), "_fixed_cache", ("pairs", "1", 2, 1, _D)),
+    ("_char_em", ("2b", "m4", 1, 2, _D), "_value_cache", ("cs", "2b", "m4", 1, 2, _D)),
+    ("_witten_internal", (1, 1, 2, _D), "_value_cache", ("W", 1, 1, 2, _D)),
+    ("_harmonic_internal", ("half_index", 1, _D), "_value_cache", ("H", "half_index", 1, _D)),
+    ("_gen_pow", ("pi", 3, _D), "_gen_pow_cache", ("pi", 3, _D)),
+]
+
+
+@pytest.mark.parametrize("name, args, cache, key", _MEMO_LAYERS, ids=[m[0] for m in _MEMO_LAYERS])
+def test_memo_hit_returns_the_stored_object_and_grows_no_cache(name, args, cache, key):
+    # the benchmark tracer counts a miss as "the cache grew during the call"
+    numerics.clear_caches()
+    first = getattr(numerics, name)(*args)
+    assert getattr(numerics, cache)[key] is first
+    sizes = _cache_sizes()
+    assert getattr(numerics, name)(*args) is first
+    assert _cache_sizes() == sizes
+
+
+_REFUSED = [
+    ("_L_fixed", ("1", 1, _D)),
+    ("_char_em", ("2b", "1", 1, 1, _D)),
+    ("_harmonic_internal", ("odd_denom", 1, _D)),
+    ("class_tail", (1, 1, _N, _D, True)),
+]
+
+
+@pytest.mark.parametrize("name, args", _REFUSED, ids=[c[0] for c in _REFUSED])
+def test_memo_stores_nothing_for_a_refused_call(name, args):
+    numerics.clear_caches()
+    with pytest.raises(DomainError):
+        getattr(numerics, name)(*args)
+    assert not any(_cache_sizes().values())
+
+
 def test_telescoping_lemma():
     # partial sums of sum_{m != n} 1/(m^2-n^2) approach 3/(4n^2) at rate O(1/M)
     M = 10**5

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 import mzv
-from mzv import numerics
+from mzv import numerics, search
 from mzv.corpus import parse_corpus
 from mzv.errors import DomainError, PrecisionError
 from mzv.search import (
@@ -238,9 +238,9 @@ def _power_reference(config, conds=None):
     """Every pool value whose polynomials vanish at every anchor, each fitted
     through the ConstExpr reductions."""
     pool = height_rationals(config.H)
-    for s_par in config.parities:
+    for s_par in search._PARITIES:
         anchors = _anchor_weights(s_par)
-        for j_par in config.parities:
+        for j_par in search._PARITIES:
             polys = [p for w in anchors for p in _vanishing_polys(w, j_par)[0].values()]
             if not polys:
                 continue
@@ -277,9 +277,9 @@ def _affine_reference(config, conds=None):
     """All ordered (b, d) pairs of the pool, each weight's gamma solved from
     vals[b][w] + gamma vals[d][w] = 0 directly."""
     pool = height_rationals(config.H)
-    for s_par in config.parities:
+    for s_par in search._PARITIES:
         anchors = _anchor_weights(s_par)
-        for j_par in config.parities:
+        for j_par in search._PARITIES:
             polysets = [(w, list(_vanishing_polys(w, j_par)[0].values())) for w in anchors]
             polysets = [(w, ps) for w, ps in polysets if ps]
             if not polysets:
