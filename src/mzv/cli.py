@@ -186,14 +186,9 @@ def cmd_search(args) -> int:
 def cmd_corpus(args) -> int:
     identities = load_corpus(args.corpus)
     for ident in identities:
-        dom = ", ".join(
-            f"{c.var}{'>=' if c.kind == 'ge' else ('<=' if c.kind == 'le' else ' ')}"
-            f"{c.value}"
-            for c in ident.clauses
-        )
         note = f"  -- {ident.note}" if ident.note else ""
         flag = " [report]" if ident.expect == "report" else ""
-        print(f"{ident.ident}: {len(ident.parts)} eq, forall {dom or '-'}{flag}{note}")
+        print(f"{ident.ident}: {len(ident.parts)} eq, forall {ident.domain_text() or '-'}{flag}{note}")
     print(f"{len(identities)} identities")
     return EXIT_OK
 

@@ -99,6 +99,11 @@ class Clause:
     value: Union[int, str]  # int bound, var name, or 'even'/'odd'
 
 
+# what the DSL writes between a clause's variable and its value, per kind
+_CLAUSE_TEXT = {"ge": ">=", "le": "<=", "parity": " "}
+_CLAUSE_KIND = {text: kind for kind, text in _CLAUSE_TEXT.items()}
+
+
 @dataclass
 class Identity:
     ident: str
@@ -117,6 +122,10 @@ class Identity:
             if cl.kind == "ge" and cl.var not in seen:
                 seen.append(cl.var)
         return seen
+
+    def domain_text(self) -> str:
+        """The forall clauses as the DSL writes them, e.g. 's>=2, s even'."""
+        return ", ".join(f"{c.var}{_CLAUSE_TEXT[c.kind]}{c.value}" for c in self.clauses)
 
     def lower_bound(self, var: str) -> int:
         for cl in self.clauses:
@@ -201,28 +210,21 @@ class _Stream:
 # ---------------------------------------------------------------------------
 
 
-def _parse_expr(s: _Stream) -> Expr:
-    node = _parse_term(s)
-    while True:
-        t = s.peek()
-        if t is not None and t.text in ("+", "-") and t.kind == "OP":
-            s.next()
-            rhs = _parse_term(s)
-            node = BinOp(t.text, node, rhs)
-        else:
-            return node
+# the left-associative binary operators by precedence level; unary minus and
+# ^ bind tighter, in _parse_unary and _parse_power
+_BINARY = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def _parse_term(s: _Stream) -> Expr:
+def _parse_expr(s: _Stream, level: int = 1) -> Expr:
+    """A chain of operators of at least `level`, by precedence climbing."""
     node = _parse_unary(s)
     while True:
         t = s.peek()
-        if t is not None and t.text in ("*", "/"):
-            s.next()
-            rhs = _parse_unary(s)
-            node = BinOp(t.text, node, rhs)
-        else:
+        op_level = _BINARY.get(t.text, 0) if t is not None else 0
+        if op_level < level:
             return node
+        s.next()
+        node = BinOp(t.text, node, _parse_expr(s, op_level + 1))
 
 
 def _parse_unary(s: _Stream) -> Expr:
@@ -282,19 +284,22 @@ def _parse_atom(s: _Stream) -> Expr:
             nchars, nargs = ARITY[name]
             chars = []
             for i in range(nchars):
+                if i:
+                    s.expect(",")
                 chars.append(_charid(s))
-                if i + 1 < nchars:
-                    s.expect(",")
-            if nchars:
-                s.expect(";" if name == "cs" else ",")
             args = []
-            for i in range(nargs):
+            if not s.accept(")"):
+                if nchars:
+                    s.expect(";" if name == "cs" else ",")
                 args.append(_parse_expr(s))
-                if i + 1 < nargs:
-                    s.expect(",")
-            s.expect(")")
+                while s.accept(","):
+                    args.append(_parse_expr(s))
+                s.expect(")")
             if len(args) != nargs:
-                raise ArityError(f"{name} takes {nargs} arguments", t.line, t.col)
+                raise ArityError(
+                    f"{name} takes {nargs} argument{'s' if nargs > 1 else ''}, got {len(args)}",
+                    t.line, t.col,
+                )
             return Call(name, tuple(chars), tuple(args))
         return Param(name)
     raise ParseError(f"unexpected token {t.text!r}", t.line, t.col)
@@ -317,7 +322,8 @@ def _parse_clauses(s: _Stream):
         if var_tok.kind != "NAME":
             raise ParseError("domain clause must start with a variable", var_tok.line, var_tok.col)
         t = s.next()
-        if t.text in (">=", "<="):
+        kind = _CLAUSE_KIND.get(t.text)
+        if kind in ("ge", "le"):
             val_tok = s.next()
             if val_tok.kind == "INT":
                 value: Union[int, str] = int(val_tok.text)
@@ -325,9 +331,9 @@ def _parse_clauses(s: _Stream):
                 value = val_tok.text
             else:
                 raise ParseError("bound must be an integer or variable", val_tok.line, val_tok.col)
-            if t.text == ">=" and not isinstance(value, int):
+            if kind == "ge" and not isinstance(value, int):
                 raise ParseError("lower bounds must be integers", val_tok.line, val_tok.col)
-            clauses.append(Clause("ge" if t.text == ">=" else "le", var_tok.text, value))
+            clauses.append(Clause(kind, var_tok.text, value))
         elif t.text in ("even", "odd"):
             clauses.append(Clause("parity", var_tok.text, t.text))
         else:
@@ -336,37 +342,28 @@ def _parse_clauses(s: _Stream):
             return clauses
 
 
-def _free_params(e: Expr, bound: frozenset) -> set:
-    if isinstance(e, Param):
-        return set() if e.name in bound else {e.name}
-    if isinstance(e, BinOp):
-        return _free_params(e.left, bound) | _free_params(e.right, bound)
-    if isinstance(e, Neg):
-        return _free_params(e.arg, bound)
-    if isinstance(e, Call):
-        out = set()
-        for a in e.args:
-            out |= _free_params(a, bound)
-        return out
-    if isinstance(e, Sum):
-        out = _free_params(e.lo, bound) | _free_params(e.hi, bound)
-        return out | _free_params(e.body, bound | {e.var})
-    return set()
-
-
-def sum_vars(e: Expr) -> set:
-    if isinstance(e, Sum):
-        return {e.var} | sum_vars(e.lo) | sum_vars(e.hi) | sum_vars(e.body)
-    if isinstance(e, BinOp):
-        return sum_vars(e.left) | sum_vars(e.right)
-    if isinstance(e, Neg):
-        return sum_vars(e.arg)
-    if isinstance(e, Call):
-        out = set()
-        for a in e.args:
-            out |= sum_vars(a)
-        return out
-    return set()
+def _free_params(e: Expr, bound: frozenset, sums: Optional[set] = None) -> set:
+    """The parameters of e outside bound, a sum's index bound in its body
+    only; every sum index also goes into sums, when given."""
+    free = set()
+    todo = [(e, bound)]
+    while todo:
+        node, scope = todo.pop()
+        t = type(node)
+        if t is Param:
+            if node.name not in scope:
+                free.add(node.name)
+        elif t is BinOp:
+            todo += ((node.left, scope), (node.right, scope))
+        elif t is Neg:
+            todo.append((node.arg, scope))
+        elif t is Call:
+            todo += ((a, scope) for a in node.args)
+        elif t is Sum:
+            if sums is not None:
+                sums.add(node.var)
+            todo += ((node.lo, scope), (node.hi, scope), (node.body, scope | {node.var}))
+    return free
 
 
 def _parse_entry(tokens, line_no, note) -> Identity:
@@ -405,19 +402,14 @@ def _parse_entry(tokens, line_no, note) -> Identity:
         t = s.peek()
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
     ident = Identity(id_tok.text, parts, clauses, expect, note, line_no)
-    declared = set(ident.params)
+    declared = frozenset(ident.params)
     svars = set()
-    for lhs, rhs in parts:
-        svars |= sum_vars(lhs) | sum_vars(rhs)
+    strays = [_free_params(side, declared, svars) for part in parts for side in part]
     if declared & svars:
         raise ParseError(f"sum index shadows parameter in {ident.ident}", line_no)
-    for lhs, rhs in parts:
-        for side in (lhs, rhs):
-            stray = _free_params(side, frozenset(declared))
-            if stray:
-                raise UnboundSymbol(
-                    f"unbound symbol(s) {sorted(stray)} in {ident.ident}", line_no
-                )
+    for stray in strays:
+        if stray:
+            raise UnboundSymbol(f"unbound symbol(s) {sorted(stray)} in {ident.ident}", line_no)
     for cl in clauses:
         if cl.kind in ("le", "parity") and cl.var not in declared:
             raise UnboundSymbol(f"clause for undeclared variable {cl.var!r}", line_no)
@@ -472,7 +464,7 @@ def parse_corpus(text: str):
 # renderer
 # ---------------------------------------------------------------------------
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+_PREC = {**_BINARY, "neg": 3, "^": 4}
 
 
 def render_expr(e: Expr) -> str:
@@ -533,15 +525,7 @@ def render_identity(ident: Identity) -> str:
         head += " expect: report"
     head += " :"
     if ident.clauses:
-        cparts = []
-        for cl in ident.clauses:
-            if cl.kind == "ge":
-                cparts.append(f"{cl.var}>={cl.value}")
-            elif cl.kind == "le":
-                cparts.append(f"{cl.var}<={cl.value}")
-            else:
-                cparts.append(f"{cl.var} {cl.value}")
-        head += " forall " + ", ".join(cparts) + " :"
+        head += f" forall {ident.domain_text()} :"
     eqs = " ; ".join(
         f"{render_expr(l)} == {render_expr(r)}" for l, r in ident.parts
     )

@@ -583,6 +583,7 @@ def solve_power_base(w: int, H: int = 16, j_parity: str = "any"):
 # ---------------------------------------------------------------------------
 
 _PARITIES = ("any", "even", "odd")
+SCREEN_TOL_EXP = 25  # the numeric screen's tolerance is 10^-SCREEN_TOL_EXP
 
 
 @dataclass
@@ -590,7 +591,6 @@ class SearchConfig:
     families: tuple = ("power", "affine", "symmetric-even")
     H: int = 16
     prec: int = 40
-    screen_tol_exp: int = 25
     deg: int = 2
 
 
@@ -606,7 +606,7 @@ def _screen_params(cand: CandidateIdentity):
     return (9, 11)
 
 
-def numeric_screen(cand: CandidateIdentity, prec: int = 40, tol_exp: int = 25) -> bool:
+def numeric_screen(cand: CandidateIdentity, prec: int = 40, tol_exp: int = SCREEN_TOL_EXP) -> bool:
     """Reject-only numeric check of a candidate at two parameters beyond the
     exact range (tolerance 10^-tol_exp).  Terms are evaluated at
     max(prec, tol_exp) + 10 digits, so the tolerance, not only the precision,
@@ -850,7 +850,7 @@ def search_general(config: SearchConfig | None = None):
         for cand in gen:
             if not _is_new(cand, emitted):
                 continue
-            if numeric_screen(cand, config.prec, config.screen_tol_exp):
+            if numeric_screen(cand, config.prec, SCREEN_TOL_EXP):
                 emitted.append(cand)
             else:
                 cand.status = "rejected"

@@ -24,6 +24,7 @@ exponents and sum bounds never go through ConstExpr arithmetic.
 from __future__ import annotations
 
 import datetime as _dt
+import itertools
 import json
 import math
 import operator
@@ -649,40 +650,22 @@ def verify_symbolic(ident: Identity, params: dict) -> VerifyReport:
         return _report(ident, params, "symbolic", "error", t0, error=str(exc))
 
 
+def _admits(cl, binding) -> bool:
+    """Whether binding meets a <= or parity clause (the ranges meet each >=)."""
+    if cl.kind == "le":
+        return binding[cl.var] <= (cl.value if isinstance(cl.value, int) else binding[cl.value])
+    return cl.kind != "parity" or binding[cl.var] % 2 == (cl.value == "odd")
+
+
 def enumerate_bindings(ident: Identity, max_param: int):
-    """Cartesian parameter range per clause order, filtered by <= and parity."""
+    """Each parameter from its lower bound to max(lower bound, max_param), the
+    last declared varying fastest, filtered by the <= and parity clauses."""
     names = ident.params
-    if not names:
-        yield {}
-        return
-    ranges = []
-    for name in names:
-        lo = ident.lower_bound(name)
-        hi = max(lo, max_param)
-        ranges.append(range(lo, hi + 1))
-
-    def ok(binding):
-        for cl in ident.clauses:
-            if cl.kind == "le":
-                hi = cl.value if isinstance(cl.value, int) else binding[cl.value]
-                if binding[cl.var] > hi:
-                    return False
-            elif cl.kind == "parity":
-                if binding[cl.var] % 2 != (0 if cl.value == "even" else 1):
-                    return False
-        return True
-
-    def rec(i, acc):
-        if i == len(names):
-            if ok(acc):
-                yield dict(acc)
-            return
-        for v in ranges[i]:
-            acc[names[i]] = v
-            yield from rec(i + 1, acc)
-        acc.pop(names[i], None)
-
-    yield from rec(0, {})
+    ranges = [range(lo, max(lo, max_param) + 1) for lo in map(ident.lower_bound, names)]
+    for values in itertools.product(*ranges):
+        binding = dict(zip(names, values))
+        if all(_admits(cl, binding) for cl in ident.clauses):
+            yield binding
 
 
 @dataclass

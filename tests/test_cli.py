@@ -1,5 +1,4 @@
 """Command-line interface: subcommands, exit codes, output stability."""
-import functools
 import json
 import os
 import subprocess
@@ -10,9 +9,8 @@ import pytest
 from mpmath import mpf
 
 import mzv
-from mzv import cli, numerics
+from mzv import cli, numerics, search
 from mzv.cli import main
-from mzv.search import SearchConfig
 
 
 def run(capsys, *argv):
@@ -193,8 +191,12 @@ def test_zero_to_a_negative_power_is_usage_error(capsys, cmd, expr):
     ("eval", "zeta(s)*dz(a,2)", "unbound parameters a, s"),
     ("reduce", "s+1", "unbound parameter s"),
     ("reduce", "sum(j=1..3, j*k)", "unbound parameter k"),
+    ("eval", "sum(j=1..j, j)", "unbound parameter j"),
     # an inexact call argument exits the same way and names the argument
     ("eval", "binom(3,zeta(2))", "binom k must be exact"),
+    # so does a call with the wrong number of arguments
+    ("eval", "zeta(1,2)", "zeta takes 1 argument, got 2 (line 1, col 1)"),
+    ("reduce", "1+binom(3)", "binom takes 2 arguments, got 1 (line 1, col 3)"),
 ])
 def test_unbound_parameter_is_usage_error(capsys, cmd, expr, message):
     code, out, err = run(capsys, cmd, expr)
@@ -229,7 +231,7 @@ def test_search_screen_digits_follow_its_tolerance(capsys, monkeypatch):
     assert code == 0
     code, out10, err = run(capsys, "--prec", "10", "search", "--family", "power", "--height", "2")
     assert (code, out10, err) == (0, out40, "")
-    monkeypatch.setattr(cli, "SearchConfig", functools.partial(SearchConfig, screen_tol_exp=60))
+    monkeypatch.setattr(search, "SCREEN_TOL_EXP", 60)
     code, out60, _ = run(capsys, "search", "--family", "power", "--height", "2")
     assert (code, out60) == (0, out40)
 

@@ -5,7 +5,9 @@ from mzv.corpus import (
     BinOp,
     Call,
     Lit,
+    Neg,
     Sum,
+    _free_params,
     parse_corpus,
     parse_expr,
     render_expr,
@@ -54,8 +56,22 @@ def test_parse_errors():
         parse_expr("dz(2,3) +")
     with pytest.raises(ParseError):
         parse_corpus("identity Y : forall q>=$ : 1 == 1")
-    with pytest.raises((ParseError, ArityError)):
+    with pytest.raises(ArityError):
         parse_expr("binom(3)")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("zeta(1,2)", "zeta takes 1 argument, got 2 (line 1, col 1)"),
+    ("zeta()", "zeta takes 1 argument, got 0 (line 1, col 1)"),
+    ("dz(3)", "dz takes 2 arguments, got 1 (line 1, col 1)"),
+    ("cs(2b,1;2)", "cs takes 2 arguments, got 1 (line 1, col 1)"),
+    ("L(2a)", "L takes 1 argument, got 0 (line 1, col 1)"),
+    ("2*W(1,2)", "W takes 3 arguments, got 2 (line 1, col 3)"),
+])
+def test_wrong_arity_names_the_call_and_both_counts(text, message):
+    with pytest.raises(ArityError) as info:
+        parse_expr(text)
+    assert str(info.value) == message
 
 
 def test_charid_parsing():
@@ -107,6 +123,55 @@ def test_expression_precedence():
     e = parse_expr("(-1)^(2+1)")
     assert isinstance(e, BinOp) and e.op == "^"
     assert parse_expr("1-2-3") == BinOp("-", BinOp("-", Lit(1), Lit(2)), Lit(3))
+
+
+@pytest.mark.parametrize("text, tree, rendered", [
+    ("6/2/3", BinOp("/", BinOp("/", Lit(6), Lit(2)), Lit(3)), "6/2/3"),
+    ("6/(2/3)", BinOp("/", Lit(6), BinOp("/", Lit(2), Lit(3))), "6/(2/3)"),
+    ("1-2*3/4-5",
+     BinOp("-", BinOp("-", Lit(1), BinOp("/", BinOp("*", Lit(2), Lit(3)), Lit(4))), Lit(5)),
+     "1-2*3/4-5"),
+    ("2*3^2", BinOp("*", Lit(2), BinOp("^", Lit(3), Lit(2))), "2*3^2"),
+    ("(1+2)*-3", BinOp("*", BinOp("+", Lit(1), Lit(2)), Neg(Lit(3))), "(1+2)*(-3)"),
+])
+def test_binary_operators_associate_left_by_precedence(text, tree, rendered):
+    assert parse_expr(text) == tree
+    assert render_expr(tree) == rendered
+    assert parse_expr(rendered) == tree
+
+
+@pytest.mark.parametrize("text, free, sums", [
+    ("sum(j=1..j, j)", {"j"}, {"j"}),  # an index is not bound in its own bounds
+    ("sum(j=j..3, 1) * 2", {"j"}, {"j"}),
+    ("sum(j=1..3, j) + j", {"j"}, {"j"}),  # nor after its sum
+    ("sum(j=1..3, sum(j=1..j, j))", set(), {"j"}),  # an inner sum may reuse an index
+    ("sum(k=1..2, sum(j=k..3, dz(j+1, k*m)))", {"m"}, {"j", "k"}),
+    ("zeta(s+k) * W(1, 2, t)", {"k", "s", "t"}, set()),
+])
+def test_free_params_binds_a_sum_index_in_its_body_only(text, free, sums):
+    seen = set()
+    assert _free_params(parse_expr(text), frozenset(), seen) == free
+    assert seen == sums
+    assert _free_params(parse_expr(text), frozenset({"m", "s"})) == free - {"m", "s"}
+
+
+@pytest.mark.parametrize("entry, error, message", [
+    ("sum(j=1..j, j) == 1", UnboundSymbol, "unbound symbol(s) ['j'] in S"),
+    ("sum(j=1..2, j) + j == 3", UnboundSymbol, "unbound symbol(s) ['j'] in S"),
+    ("forall s>=2 : zeta(s) == dz(s, k+1)", UnboundSymbol, "unbound symbol(s) ['k'] in S"),
+    ("forall j>=1 : sum(k=1..2, sum(j=1..k, j)) == 3", ParseError,
+     "sum index shadows parameter in S"),
+])
+def test_corpus_scope_errors(entry, error, message):
+    with pytest.raises(error) as info:
+        parse_corpus(f"identity S : {entry}")
+    assert str(info.value) == f"{message} (line 1)"
+
+
+def test_corpus_scope_accepts_bound_indices():
+    text = "identity S : forall s>=2 : sum(j=1..s, sum(j=1..j, j) + sum(k=j..s, dz(s, k))) == 1"
+    (ident,) = parse_corpus(text)
+    assert ident.params == ["s"]
 
 
 def test_comments_and_continuations():

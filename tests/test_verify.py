@@ -1,4 +1,5 @@
 """AST evaluation/reduction and the verification drivers."""
+import inspect
 import math
 from fractions import Fraction
 
@@ -125,6 +126,21 @@ def test_enumerate_bindings_constraints():
     }
 
 
+@pytest.mark.parametrize("clauses, want", [
+    ("", [{}]),  # a parameterless identity is one instance
+    ("n>=1, m>=0, m<=2", [{"n": n, "m": m} for n in range(1, 5) for m in range(0, 3)]),
+    ("m>=0, n>=1, m<=n",
+     [{"m": m, "n": n} for m in range(0, 5) for n in range(1, 5) if m <= n]),
+    ("s>=2, s even, t>=1, t odd, t<=s",
+     [{"s": s, "t": t} for s in range(2, 5) for t in range(1, 5) if s % 2 == 0 and t % 2 and t <= s]),
+    ("s>=6, t>=1, t<=s", [{"s": 6, "t": t} for t in range(1, 5)]),  # a lower bound above max_param
+])
+def test_enumerate_bindings_order_matches_nested_loops(clauses, want):
+    head = f"forall {clauses} :" if clauses else ""
+    (ident,) = parse_corpus(f"identity T : {head} 1 == 1")
+    assert list(enumerate_bindings(ident, 4)) == want
+
+
 def test_run_suite_empty_ids():
     reports, summary = run_suite(SuiteConfig(ids=[], max_param=3))
     assert reports == [] and summary["failures"] == 0
@@ -200,9 +216,17 @@ def test_exact_values_stay_exact(ctx40):
 
 
 def test_call_table_matches_the_parser_arity():
+    # the character ids come first, and num takes D before them
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
     assert set(verify._CALLS) == set(ARITY)
     for name, spec in verify._CALLS.items():
-        assert len(spec.labels) == ARITY[name][1], name
+        nchars, nargs = ARITY[name]
+        assert len(spec.labels) == nargs, name
+        assert (spec.exact is None) == (spec.num is not None) == (spec.sym is not None), name
+        for entry, extra in ((spec.ok, 0), (spec.exact, 0), (spec.sym, 0), (spec.num, 1)):
+            if entry is not None:
+                params = inspect.signature(entry).parameters.values()
+                assert [p.kind in positional for p in params] == [True] * (nchars + nargs + extra), name
 
 
 def test_verify_numeric_reports_a_side_over_its_bound_budget(ctx40, monkeypatch):
