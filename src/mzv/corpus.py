@@ -117,11 +117,7 @@ class Identity:
 
     @property
     def params(self):
-        seen = []
-        for cl in self.clauses:
-            if cl.kind == "ge" and cl.var not in seen:
-                seen.append(cl.var)
-        return seen
+        return [cl.var for cl in self.clauses if cl.kind == "ge"]  # the parser allows one each
 
     def domain_text(self) -> str:
         """The forall clauses as the DSL writes them, e.g. 's>=2, s even'."""
@@ -316,7 +312,10 @@ def parse_expr(text: str, line_no: int = 1) -> Expr:
 
 
 def _parse_clauses(s: _Stream):
+    """The forall clauses; at most one >= and one <= per variable, and an
+    integer <= not below the variable's >=."""
     clauses = []
+    bounds: dict = {}  # (kind, var) -> value of its ge or le clause
     while True:
         var_tok = s.next()
         if var_tok.kind != "NAME":
@@ -333,7 +332,18 @@ def _parse_clauses(s: _Stream):
                 raise ParseError("bound must be an integer or variable", val_tok.line, val_tok.col)
             if kind == "ge" and not isinstance(value, int):
                 raise ParseError("lower bounds must be integers", val_tok.line, val_tok.col)
-            clauses.append(Clause(kind, var_tok.text, value))
+            var = var_tok.text
+            if (kind, var) in bounds:
+                side = "lower" if kind == "ge" else "upper"
+                raise ParseError(f"second {side} bound for {var!r}", var_tok.line, var_tok.col)
+            bounds[kind, var] = value
+            lo, hi = bounds.get(("ge", var)), bounds.get(("le", var))
+            if lo is not None and isinstance(hi, int) and hi < lo:
+                raise ParseError(
+                    f"upper bound {var}<={hi} lies below the lower bound {var}>={lo}",
+                    var_tok.line, var_tok.col,
+                )
+            clauses.append(Clause(kind, var, value))
         elif t.text in ("even", "odd"):
             clauses.append(Clause("parity", var_tok.text, t.text))
         else:

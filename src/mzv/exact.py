@@ -1,9 +1,11 @@
 """Exact integer/rational arithmetic and the classical number sequences.
 
-Rationals are ``fractions.Fraction`` throughout: always in lowest terms with a
-positive denominator, arithmetic closed and exact.  The Bernoulli numbers use
-the convention B_1 = -1/2 (so 2*(2n)! * zeta(2n) = (-1)^(n+1) * (2*pi)^(2n) * B_2n),
-the Euler numbers the secant convention (E_0 = 1, E_2 = -1, E_4 = 5).
+Rational results are ``fractions.Fraction``: always in lowest terms with a
+positive denominator, arithmetic closed and exact.  The linear solver
+``_rref`` eliminates on ints and makes Fractions only of its reduced rows.
+The Bernoulli numbers use the convention B_1 = -1/2 (so
+2*(2n)! * zeta(2n) = (-1)^(n+1) * (2*pi)^(2n) * B_2n), the Euler numbers the
+secant convention (E_0 = 1, E_2 = -1, E_4 = 5).
 
 Exact is single-threaded: the Bernoulli and Euler tables grow without locks.
 Parallel callers should use processes.
@@ -137,24 +139,50 @@ def hyp2f1_special(n: int) -> Fraction:
 
 
 def _rref(aug, ncols):
-    """Gauss-Jordan elimination in place over the first ncols columns (the
-    rest ride along and may hold any values closed under - and * by a
-    Fraction, e.g. ConstExpr right-hand sides); returns the pivot columns,
-    whose rows come first with a leading 1.  The one exact solver: the search
-    fits, null spaces and the reduction tables all eliminate through it."""
+    """Gauss-Jordan elimination in place over the first ncols columns, which
+    must be rational; the columns after them ride along and may hold
+    rationals or values closed under -, * by an int and exact / by an int
+    (ConstExpr right-hand sides).  Returns the pivot columns.  Their rows
+    come first, each with a leading 1 and zeros above and below it: the rows
+    Fraction Gauss-Jordan gives.  The rows after them are zero on the first
+    ncols columns and a nonzero multiple of the Gauss-Jordan rows elsewhere,
+    integers where the input is rational.
+
+    Fraction-free (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 1968): each row is
+    scaled to integers, then each pivot p replaces every other row by
+    (p * row - row[c] * pivot_row) / p_prev for the pivot p_prev before it, a
+    division Sylvester's identity makes exact; every pivot row then leads
+    with the last pivot, and is divided by it once at the end.  The one exact
+    solver: the search fits, null spaces and the reduction tables all
+    eliminate through it."""
+    for i, row in enumerate(aug):
+        den = math.lcm(*(x.denominator for x in row if isinstance(x, (int, Fraction))))
+        aug[i] = [
+            x.numerator * (den // x.denominator) if isinstance(x, (int, Fraction)) else x * den
+            for x in row
+        ]
     pivots = []
-    r = 0
+    last = 1
     for c in range(ncols):
+        r = len(pivots)
         piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        prow = aug[r]
+        p = prow[c]
+        for i, row in enumerate(aug):
+            if i != r:
+                a = row[c]
+                aug[i] = [_exact_quotient(p * x - a * y, last) for x, y in zip(row, prow)]
         pivots.append(c)
-        r += 1
+        last = p
+    for r in range(len(pivots)):
+        aug[r] = [Fraction(x, last) if type(x) is int else x / last for x in aug[r]]
     return pivots
+
+
+def _exact_quotient(x, d: int):
+    """x / d for a d that divides x: an int for an int x."""
+    return x // d if type(x) is int else x / d

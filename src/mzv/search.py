@@ -21,25 +21,31 @@ only when a candidate is emitted; a relation is in the span iff every check
 row is orthogonal to it.
 
 The exact algebra is precomputed where it does not depend on the candidate,
-so the per-candidate work is integer dot products.
+and runs on ints, so the per-candidate work is integer dot products.
 Anchor tables: per anchor weight w = 4..7 and j-parity, `_anchor_table` holds
 the integer vanishing rows (one per non-zeta(w) monomial of the reductions of
 zeta(j, w-j)) and the integer target row, over one denominator.  Weights x_j
 pass the vanishing conditions iff every row dots to 0 with x, and then
 f(w) = target . x / den.  A candidate's weights come as integers over one
-denominator (`_scaled_weights`, from running powers of its bases that the
-candidate keeps across weights), so its fit is dot products with these rows.
+denominator (`_scaled_weights`, `_affine_weights`, from running powers of its
+bases kept across weights), so its fit is dot products with these rows.
+Integer pool: the power and affine stages hold the height-H rationals as
+integer pairs (p, q), which key their dicts and the running powers
+(`_base_powers`); a candidate's Fraction parameters are built only when it
+is yielded, and its relation rows take f(s) from its f coefficients scaled
+to integers once.
 Condition vectors: at a pool value x = p/q the rows give the integer vector
 V_i = sum_j row_i[j] p^j q^(w-1-j), a positive multiple of the rows evaluated
 at x; one search run builds them once per anchor key (`_ConditionVectors`)
 for the power and affine stages.
-Fit plans: the f(s) fit over F_SPAN eliminates each basis-subset matrix once
-per tuple of anchor s-values, keeping the solution rows and the integer
-left-null rows.  Keyed affine pairing: b^j + c^s d^j can only pass the
-vanishing conditions when, at every anchor weight, the condition vectors of b
-and d are both zero or both nonzero and parallel; keying each pool value by
-the primitive integer directions of its vectors, d runs only over b's key
-group instead of the whole pool.
+Fit plans: the f(s) fit over F_SPAN eliminates each basis-subset matrix of
+integer span values once per tuple of anchor s-values (fraction-free, through
+`exact._rref`), keeping the solution rows and the integer left-null rows.
+Keyed affine pairing: b^j + c^s d^j can only pass the vanishing conditions
+when, at every anchor weight, the condition vectors of b and d are both zero
+or both nonzero and parallel; keying each pool value by the primitive integer
+directions of its vectors, d runs only over b's key group instead of the
+whole pool.
 Symmetric-even f(s): for the weight d^j + d^(s-j), f(s) = P_s(d) with P_s a
 polynomial whose coefficients are fixed once per s (`_symmetric_even_poly`).
 """
@@ -63,19 +69,19 @@ from .symexpr import ConstExpr, zeta_sym
 F_SPAN = ("1", "s", "s^2", "2^s", "4^s", "s*4^s")
 
 
-def _span_value(name: str, s: int) -> Fraction:
+def _span_value(name: str, s: int) -> int:
     if name == "1":
-        return Fraction(1)
+        return 1
     if name == "s":
-        return Fraction(s)
+        return s
     if name == "s^2":
-        return Fraction(s * s)
+        return s * s
     if name == "2^s":
-        return Fraction(2**s)
+        return 2**s
     if name == "4^s":
-        return Fraction(4**s)
+        return 4**s
     if name == "s*4^s":
-        return Fraction(s * 4**s)
+        return s * 4**s
     raise KeyError(name)
 
 
@@ -224,25 +230,26 @@ def fit_span_minimal(points):
 
 @functools.lru_cache(maxsize=64)
 def _fit_plan(svals: tuple):
-    """Per F_SPAN subset, in fit order, the elimination of [A | I] with A the
-    subset's span values at svals: E A = [I; 0] for an invertible E.  The
-    system A x = v is then consistent iff the lower rows of E annihilate v,
-    and x is the upper rows of E times v.  Subsets that are not determined at
-    svals are dropped.  Entries are (subset, solve, checks): solve rows as
-    (integer row, denominator), checks as primitive integer rows."""
+    """Per F_SPAN subset, in fit order, the elimination of the integer matrix
+    [A | I] with A the subset's span values at svals: E A = [I; 0] for an
+    invertible E.  The system A x = v is then consistent iff the lower rows of
+    E annihilate v, and x is the upper rows of E times v.  Subsets that are
+    not determined at svals are dropped.  Entries are (subset, solve,
+    checks): solve rows as (integer row, denominator), checks as primitive
+    integer rows (the lower rows, integer multiples of E's, as `_rref` leaves
+    them)."""
     n = len(svals)
     plan = []
     for size in range(0, min(len(F_SPAN), n) + 1):
         for subset in itertools.combinations(range(len(F_SPAN)), size):
             aug = [
-                [_span_value(F_SPAN[i], s) for i in subset]
-                + [Fraction(int(k == r)) for k in range(n)]
+                [_span_value(F_SPAN[i], s) for i in subset] + [int(k == r) for k in range(n)]
                 for r, s in enumerate(svals)
             ]
             if len(_rref(aug, size)) != size:
                 continue
             solve = tuple(_integer_scale(row[size:]) for row in aug[:size])
-            checks = tuple(_primitive(row[size:]) for row in aug[size:])
+            checks = tuple(_primitive_ints(row[size:]) for row in aug[size:])
             plan.append((subset, solve, checks))
     return tuple(plan)
 
@@ -294,14 +301,37 @@ def _primitive_ints(ints):
     return [x // g for x in ints] if g else ints
 
 
-def _int_powers(x, n: int):
-    """([p^0 .. p^n], [q^0 .. q^n]) for a rational x = p/q, by running products."""
-    p, q = x.numerator, x.denominator
-    num, den = [1], [1]
-    for _ in range(n):
+def _pair(x) -> tuple:
+    """The integer pair (p, q) of a rational x = p/q in lowest terms, q > 0."""
+    return x.numerator, x.denominator
+
+
+_ONE, _ZERO = (1, 1), (0, 1)
+
+
+def _base_powers(memo: dict, x, n: int):
+    """([p^0 .. p^n ...], [q^0 .. q^n ...]) for x = (p, q): running powers
+    kept in memo under the pair, extended in place when n grows."""
+    num, den = memo.get(x) or memo.setdefault(x, ([1], [1]))
+    p, q = x
+    while len(num) <= n:
         num.append(num[-1] * p)
         den.append(den[-1] * q)
     return num, den
+
+
+def _affine_weights(a, b, c, d, s: int, js, powers: dict):
+    """(ints, den) with a b^j + c^s d^j == ints[i] / den for the increasing,
+    nonempty js, over the common denominator a_q c_q^s b_q^top d_q^top
+    (top = js[-1]); a..d are integer pairs, powered through the memo powers."""
+    top = js[-1]
+    bn, bq = _base_powers(powers, b, top)
+    dn, dq = _base_powers(powers, d, top)
+    cn, cq = _base_powers(powers, c, s)
+    left = a[0] * cq[s] * dq[top]
+    right = cn[s] * a[1] * bq[top]
+    ints = [left * bn[j] * bq[top - j] + right * dn[j] * dq[top - j] for j in js]
+    return ints, a[1] * cq[s] * bq[top] * dq[top]
 
 
 def _canonical_scale(vec):
@@ -341,6 +371,7 @@ class CandidateIdentity:
     status: str = "exact<=7"
     _relations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _f_ints: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def weight(self, s: int, j: int) -> Fraction:
         fam = self.family
@@ -385,11 +416,15 @@ class CandidateIdentity:
             js = [j for j in range(lo, w - off + 1) if _parity_ok(j, self.j_parity)]
             cols = [j - 2 for j in js]
         ints, den = self._scaled_weights(s, js)
-        f = f_eval(self.f_coeffs, s)
+        if self._f_ints is None:  # f's coefficients over one denominator
+            fints, fden = _integer_scale(list(self.f_coeffs.values()))
+            self._f_ints = tuple(zip(self.f_coeffs, fints)), fden
+        fterms, fden = self._f_ints
+        fnum = sum(c * _span_value(name, s) for name, c in fterms)  # f(s) = fnum / fden
         row = [0] * (w - 1)
         for col, x in zip(cols, ints):
-            row[col] = x * f.denominator
-        row[-1] = -f.numerator * den
+            row[col] = x * fden
+        row[-1] = -fnum * den
         return tuple(_primitive_ints(row))
 
     def _scaled_weights(self, s: int, js):
@@ -399,31 +434,14 @@ class CandidateIdentity:
         p = self.params
         if not js:
             return [], 1
-        top = js[-1]
         if fam == "symmetric-even":
-            num, den = self._base_powers(p["d"], s)
+            num, den = _base_powers(self._powers, _pair(p["d"]), s)
             return [num[j] * den[s - j] + num[s - j] * den[j] for j in js], den[s]
-        if fam in ("power", "affine"):
-            # a b^j + c^s d^j over the common denominator a.den c.den^s bq^top dq^top
-            a, b, c, d = (1, p["a"], 0, 0) if fam == "power" else (p["a"], p["b"], p["c"], p["d"])
-            bn, bq = self._base_powers(b, top)
-            dn, dq = self._base_powers(d, top)
-            cn, cq = self._base_powers(c, s)
-            left = a.numerator * cq[s] * dq[top]
-            right = cn[s] * a.denominator * bq[top]
-            ints = [left * bn[j] * bq[top - j] + right * dn[j] * dq[top - j] for j in js]
-            return ints, a.denominator * cq[s] * bq[top] * dq[top]
+        if fam == "power":
+            return _affine_weights(_ONE, _pair(p["a"]), _ZERO, _ZERO, s, js, self._powers)
+        if fam == "affine":
+            return _affine_weights(*(_pair(p[k]) for k in "abcd"), s, js, self._powers)
         return _integer_scale([self.weight(s, j) for j in js])
-
-    def _base_powers(self, x, n: int):
-        """([p^0 .. p^n ...], [q^0 .. q^n ...]) for a rational x = p/q: the
-        candidate's running powers of x, extended in place when n grows."""
-        num, den = self._powers.setdefault(x, ([1], [1]))
-        p, q = x.numerator, x.denominator
-        while len(num) <= n:
-            num.append(num[-1] * p)
-            den.append(den[-1] * q)
-        return num, den
 
     def describe(self) -> str:
         ps = {k: str(v) for k, v in self.params.items()}
@@ -453,7 +471,7 @@ def _span_checks(rows: tuple, n: int):
     the rational span of the rows iff every check row is orthogonal to it.
     Keyed by the emitted relations at one weight, so the checks are rebuilt
     only when that set changes."""
-    basis = _nullspace([[Fraction(x) for x in row] for row in rows], n)
+    basis = _nullspace(list(rows), n)
     return tuple(tuple(_primitive(vec)) for vec in basis)
 
 
@@ -512,11 +530,12 @@ def _anchor_table(w: int, j_parity: str):
     return js, rows, tuple(target), den
 
 
-def _condition_vector(w: int, j_parity: str, x: Fraction):
-    """V_i = sum_j rows[i][j] p^j q^(w-1-j) at x = p/q: the vanishing rows of
-    the anchor table evaluated at the weights x^j, times q^(w-1) > 0."""
+def _condition_vector(w: int, j_parity: str, x):
+    """V_i = sum_j rows[i][j] p^j q^(w-1-j) at x = (p, q), an integer pair
+    with q > 0: the vanishing rows of the anchor table evaluated at the
+    weights (p/q)^j, times q^(w-1)."""
     js, rows, _, _ = _anchor_table(w, j_parity)
-    num, den = _int_powers(x, w - 1)
+    num, den = _base_powers({}, x, w - 1)
     terms = [num[j] * den[w - 1 - j] for j in js]
     return tuple(sum(map(mul, row, terms)) for row in rows)
 
@@ -529,14 +548,15 @@ def _conditioned(anchors, j_parity: str):
 class _ConditionVectors:
     """The condition vectors of the height-H pool per anchor key (w, j-parity),
     each key built on first use; one search run shares them between its
-    power and affine stages."""
+    power and affine stages.  The pool holds the height-H rationals in
+    increasing order as integer pairs (p, q)."""
 
     def __init__(self, H: int):
-        self.pool = height_rationals(H)
+        self.pool = [_pair(x) for x in _height_pool(H, False)]
         self._at: dict = {}
 
     def at(self, w: int, j_parity: str) -> dict:
-        """{x: condition vector at (w, j_parity)} over the pool."""
+        """{(p, q): condition vector at (w, j_parity)} over the pool."""
         vecs = self._at.get((w, j_parity))
         if vecs is None:
             vecs = self._at[w, j_parity] = {
@@ -554,13 +574,14 @@ def _anchor_f(w: int, j_parity: str, ints, den: int):
     return Fraction(sum(map(mul, target, ints)), tden * den)
 
 
-def _anchor_fit(cand: CandidateIdentity, anchors):
-    """The F_SPAN fit of the candidate's f from its weights at the anchors, or
-    None when they fail a vanishing condition at one of them."""
+def _anchor_fit(anchors, j_parity: str, weights):
+    """The F_SPAN fit of f from the weights at the anchors, or None when they
+    fail a vanishing condition at one of them; weights(w, js) gives the
+    weights at w over the anchor table's js as (ints, den)."""
     points = []
     for w in anchors:
-        js = _anchor_table(w, cand.j_parity)[0]
-        f = _anchor_f(w, cand.j_parity, *cand._scaled_weights(w, js))
+        js = _anchor_table(w, j_parity)[0]
+        f = _anchor_f(w, j_parity, *weights(w, js))
         if f is None:
             return None
         points.append((w, f))
@@ -574,7 +595,7 @@ def solve_power_base(w: int, H: int = 16, j_parity: str = "any"):
         raise DomainError("power-base solving uses weights 5..7")
     return [
         a for a in height_rationals(H, include_zero=True)
-        if not any(_condition_vector(w, j_parity, a))
+        if not any(_condition_vector(w, j_parity, _pair(a)))
     ]
 
 
@@ -654,10 +675,11 @@ def _power_candidates(config: SearchConfig, conds: _ConditionVectors | None = No
             for a in conds.pool:
                 if any(v for vw in vecs for v in vw[a]):
                     continue
-                cand = CandidateIdentity("power", {"a": a}, j_par, s_par, "plain", (2, 1))
-                cand.f_coeffs = _anchor_fit(cand, anchors)
-                if cand.f_coeffs is not None:
-                    yield cand
+                weights = functools.partial(_affine_weights, _ONE, a, _ZERO, _ZERO, powers={})
+                coeffs = _anchor_fit(anchors, j_par, weights)
+                if coeffs is not None:
+                    params = {"a": Fraction(*a)}
+                    yield CandidateIdentity("power", params, j_par, s_par, "plain", (2, 1), coeffs)
 
 
 def _fraction_sqrt(x: Fraction):
@@ -685,18 +707,19 @@ def _affine_candidates(config: SearchConfig, conds: _ConditionVectors | None = N
             vecs = [conds.at(w, j_par) for w in ws]
 
             def candidate(b, c, d):
-                cand = CandidateIdentity(
-                    "affine", {"a": Fraction(1), "b": b, "c": c, "d": d},
-                    j_par, s_par, "plain", (2, 1),
-                )
-                cand.f_coeffs = _anchor_fit(cand, anchors)
-                return cand
+                """The fitted candidate for integer pairs b, c, d, or None."""
+                weights = functools.partial(_affine_weights, _ONE, b, c, d, powers={})
+                coeffs = _anchor_fit(anchors, j_par, weights)
+                if coeffs is None:
+                    return None
+                params = {"a": Fraction(1), "b": Fraction(*b), "c": Fraction(*c), "d": Fraction(*d)}
+                return CandidateIdentity("affine", params, j_par, s_par, "plain", (2, 1), coeffs)
 
             # degenerate c = 0: pure powers inside the affine shape
             for b in pool:
                 if not any(v for vw in vecs for v in vw[b]):
-                    cand = candidate(b, Fraction(0), Fraction(0))
-                    if cand.f_coeffs is not None:
+                    cand = candidate(b, _ZERO, _ZERO)
+                    if cand is not None:
                         yield cand
             if len(ws) < 2:
                 continue
@@ -734,24 +757,24 @@ def _affine_candidates(config: SearchConfig, conds: _ConditionVectors | None = N
                     for c in croots:
                         if c == 0 or any(c**w != g for w, g in gammas.items()):
                             continue
-                        cand = candidate(b, c, d)
-                        if cand.f_coeffs is not None:
+                        cand = candidate(b, _pair(c), d)
+                        if cand is not None:
                             yield cand
 
 
-def _gamma(w: int, b: Fraction, vb, d: Fraction, vd):
+def _gamma(w: int, b, vb, d, vd):
     """The gamma for which the weights b^j + gamma d^j pass the vanishing
     conditions at w, from the condition vectors vb and vd (parallel, vd
-    nonzero): the rows at b and d are vb / q_b^(w-1) and vd / q_d^(w-1), up to
-    one positive factor."""
+    nonzero) at the pairs b = (p_b, q_b) and d = (p_d, q_d): the rows at b and
+    d are vb / q_b^(w-1) and vd / q_d^(w-1), up to one positive factor."""
     i = next(i for i, x in enumerate(vd) if x)
-    return Fraction(-vb[i] * d.denominator ** (w - 1), vd[i] * b.denominator ** (w - 1))
+    return Fraction(-vb[i] * d[1] ** (w - 1), vd[i] * b[1] ** (w - 1))
 
 
 def _direction(vec):
-    """Pairing key of a vanishing-condition vector: its primitive integer
+    """Pairing key of an integer vanishing-condition vector: its primitive
     direction, or None when it is zero."""
-    return tuple(_primitive(vec)) if any(vec) else None
+    return tuple(_primitive_ints(vec)) if any(vec) else None
 
 
 def _symmetric_even_candidates(config: SearchConfig):
@@ -785,7 +808,7 @@ def _poly_plain_candidates(config: SearchConfig):
         if not params:
             continue
         cand = CandidateIdentity("poly", params, "any", "any", "plain", (2, 1))
-        cand.f_coeffs = _anchor_fit(cand, anchors)
+        cand.f_coeffs = _anchor_fit(anchors, "any", cand._scaled_weights)
         if cand.f_coeffs is not None:
             yield cand
 

@@ -110,6 +110,14 @@ def test_eval_harmonic_sum_domain_names_the_call(capsys):
     assert code == 2 and err.startswith("error: hsum_half(0)")
 
 
+def test_search_height_16_output_is_pinned(capsys):
+    """`mzv search --height 16` writes the committed bytes: the four survivors
+    with their DSL entries, in order."""
+    code, out, _ = run(capsys, "search", "--height", "16")
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "data" / "search_h16.txt").read_bytes()
+
+
 def test_corpus_list(capsys):
     code, out, _ = run(capsys, "corpus", "list")
     assert code == 0

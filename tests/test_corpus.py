@@ -168,6 +168,26 @@ def test_corpus_scope_errors(entry, error, message):
     assert str(info.value) == f"{message} (line 1)"
 
 
+@pytest.mark.parametrize("clauses, message, col", [
+    ("s>=2, s>=5", "second lower bound for 's'", 27),
+    ("s>=2, t>=1, t<=s, t<=3", "second upper bound for 't'", 39),
+    ("s>=2, s<=1", "upper bound s<=1 lies below the lower bound s>=2", 27),
+    ("s<=1, s>=2", "upper bound s<=1 lies below the lower bound s>=2", 27),
+])
+def test_corpus_rejects_repeated_and_crossed_bounds(clauses, message, col):
+    """A repeated bound or an integer <= below the >= stops the parse at the
+    clause that makes it, instead of enumerating from one bound or nothing."""
+    with pytest.raises(ParseError) as info:
+        parse_corpus(f"\nidentity S : forall {clauses} : zeta(s) == zeta(s)")
+    assert str(info.value) == f"{message} (line 2, col {col})"
+    assert (info.value.line, info.value.col) == (2, col)
+
+
+def test_corpus_accepts_a_single_point_domain():
+    (ident,) = parse_corpus("identity S : forall s>=3, s<=3 : zeta(s) == zeta(s)")
+    assert ident.params == ["s"] and ident.lower_bound("s") == 3
+
+
 def test_corpus_scope_accepts_bound_indices():
     text = "identity S : forall s>=2 : sum(j=1..s, sum(j=1..j, j) + sum(k=j..s, dz(s, k))) == 1"
     (ident,) = parse_corpus(text)

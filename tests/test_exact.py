@@ -1,12 +1,15 @@
 """Exact integer/rational layer: Bernoulli, Euler, binomials, the inverse
-binomial sums and the rational hypergeometric special value."""
+binomial sums, the rational hypergeometric special value and the
+fraction-free linear solver."""
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mzv.exact import (
+    _rref,
     alternating_binom_sum,
     bernoulli,
     binomial,
@@ -16,6 +19,7 @@ from mzv.exact import (
     hyp2f1_special,
     inv_binomial_sum,
 )
+from mzv.symexpr import ConstExpr, zeta_sym
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -169,3 +173,106 @@ def test_rational_normal_form():
     v = inv_binomial_sum(6, 3)
     assert v.denominator > 0
     assert math.gcd(v.numerator, v.denominator) == 1
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free solver against Fraction Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+
+def _rref_reference(aug, ncols):
+    """Fraction Gauss-Jordan in place over the first ncols columns, the
+    elimination `_rref` replaced (the pivot inverse taken as a Fraction, so
+    integer input works too): returns the pivot columns, whose rows come
+    first with a leading 1."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / Fraction(aug[r][c])
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+_entry = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+    st.just(0),
+)
+
+
+def _constexpr(draw):
+    """A small rational combination of 1, zeta(2), zeta(3) and zeta(3)^2."""
+    basis = (ConstExpr.rational(1), zeta_sym(2), zeta_sym(3), zeta_sym(3) * zeta_sym(3))
+    coeffs = draw(st.lists(st.fractions(-4, 4, max_denominator=5), min_size=4, max_size=4))
+    return sum((b * c for b, c in zip(basis, coeffs)), ConstExpr.zero)
+
+
+@st.composite
+def _systems(draw):
+    """(aug, ncols): up to 6 rows over up to 5 eliminated columns and up to 3
+    columns riding along, rational or (one column) ConstExpr.  Some rows are
+    zero and some are rational combinations of earlier rows, so rank
+    deficiency is common."""
+    ncols = draw(st.integers(0, 5))
+    ntail = draw(st.integers(0, 3))
+    constexpr = ntail and draw(st.booleans())
+    aug = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "zero", "combination"] if aug else ["random", "zero"]))
+        if kind == "zero":
+            row = [0] * (ncols + ntail)
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(aug)), draw(st.sampled_from(aug))
+            la, lb = draw(_entry), draw(_entry)
+            row = [x * la + y * lb for x, y in zip(a, b)]
+        else:
+            row = [draw(_entry) for _ in range(ncols + ntail)]
+        if constexpr and kind != "combination":
+            row[-1] = _constexpr(draw) if kind == "random" else ConstExpr.zero
+        aug.append(row)
+    return aug, ncols
+
+
+def _ratio(got, want):
+    """got / want for a nonzero want, got a rational or ConstExpr multiple of it."""
+    if isinstance(want, ConstExpr):
+        mono, c = next(iter(want.terms.items()))
+        return got.coefficient(mono) / c
+    return Fraction(got) / want
+
+
+@given(_systems())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_fraction_gauss_jordan(system):
+    aug, ncols = system
+    got, want = [row[:] for row in aug], [row[:] for row in aug]
+    pivots = _rref(got, ncols)
+    assert pivots == _rref_reference(want, ncols)
+    rank = len(pivots)
+    assert got[:rank] == want[:rank]  # the reduced rows, exactly
+    for g, w in zip(got[rank:], want[rank:]):
+        # the rows past the pivots: zero on the eliminated columns, nonzero
+        # multiples of the Gauss-Jordan rows after them
+        assert not any(g[:ncols])
+        k = next((_ratio(x, y) for x, y in zip(g, w) if y), None)
+        assert k != 0
+        assert g == [y * k for y in w] if k is not None else not any(g)
+
+
+def test_rref_integer_rows_stay_integers():
+    aug = [[2, 4, 1, 0], [3, 7, 0, 1], [5, 11, 0, 0]]
+    assert _rref(aug, 2) == [0, 1]
+    assert aug[:2] == [[1, 0, Fraction(7, 2), -2], [0, 1, Fraction(-3, 2), 1]]
+    # the last pivot, det [[2, 4], [3, 7]] = 2, times the Gauss-Jordan row [0, 0, -1, -1]
+    assert aug[2] == [0, 0, -2, -2]
+    assert all(type(x) is int for x in aug[2])

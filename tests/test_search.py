@@ -31,6 +31,7 @@ from mzv.search import (
     _is_new,
     _mono_deg,
     _nullspace,
+    _pair,
     _parity_ok,
     _poly_mono,
     _power_candidates,
@@ -53,6 +54,7 @@ from mzv.search import (
 )
 from mzv.symexpr import pi_power, zeta_sym
 from mzv.verify import verify_numeric
+from test_exact import _rref_reference
 
 
 def test_reduce_weighted_sum_instances():
@@ -184,12 +186,21 @@ def test_search_empty_config():
 # ---------------------------------------------------------------------------
 
 
-def _fit_reference(points):
+def _solve_reference(rows, vals, ncols):
+    """`_solve_consistent` through Fraction Gauss-Jordan."""
+    aug = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(rows, vals)]
+    pivots = _rref_reference(aug, ncols)
+    if len(pivots) != ncols or any(row[ncols] for row in aug[ncols:]):
+        return None
+    return [row[ncols] for row in aug[:ncols]]
+
+
+def _fit_reference(points, solve=_solve_reference):
     """The fit by definition: one exact solve per F_SPAN subset, in order."""
     for size in range(0, min(len(F_SPAN), len(points)) + 1):
         for subset in itertools.combinations(range(len(F_SPAN)), size):
             rows = [[_span_value(F_SPAN[i], s) for i in subset] for s, _ in points]
-            sol = _solve_consistent(rows, [f for _, f in points], size)
+            sol = solve(rows, [f for _, f in points], size)
             if sol is not None:
                 return {F_SPAN[i]: c for i, c in zip(subset, sol) if c}
     return None
@@ -216,6 +227,29 @@ def _span_points(draw):
 def test_fit_span_minimal_matches_subset_scan(points):
     want = _fit_reference(points) if points else None
     assert fit_span_minimal(points) == want
+    assert (_fit_reference(points, _solve_consistent) if points else None) == want
+
+
+@pytest.mark.parametrize("svals", [(4, 5, 6, 7), (4, 6), (5, 7), (2, 3, 4, 5, 6, 7)])
+def test_fit_plans_match_fraction_gauss_jordan(svals):
+    """The plans of the s-tuples a search fits at (the plain anchors of each
+    s-parity and the symmetric-even anchors) against [A | I] eliminated in
+    Fractions."""
+    n = len(svals)
+    want = []
+    for size in range(min(len(F_SPAN), n) + 1):
+        for subset in itertools.combinations(range(len(F_SPAN)), size):
+            aug = [
+                [Fraction(_span_value(F_SPAN[i], s)) for i in subset]
+                + [Fraction(int(k == r)) for k in range(n)]
+                for r, s in enumerate(svals)
+            ]
+            if len(_rref_reference(aug, size)) == size:
+                solve = tuple(_integer_scale(row[size:]) for row in aug[:size])
+                checks = tuple(_primitive(row[size:]) for row in aug[size:])
+                want.append((subset, solve, checks))
+    assert search._fit_plan(svals) == tuple(want)
+    assert len(want) == {2: 22, 4: 57, 6: 64}[n]
 
 
 def _poly_at(poly: dict, x: Fraction) -> Fraction:
@@ -600,19 +634,23 @@ def test_condition_vectors_match_fraction_polynomials(w, j_par):
     polys = list(_vanishing_polys(w, j_par)[0].values())
     pool = height_rationals(5)
     ref = {x: [_poly_at(p, x) for p in polys] for x in pool}
-    got = {x: _condition_vector(w, j_par, x) for x in pool}
+    got = {x: _condition_vector(w, j_par, _pair(x)) for x in pool}
+
+    def ref_direction(vec):
+        return tuple(_primitive(vec)) if any(vec) else None
+
     for x in pool:
         assert [v == 0 for v in got[x]] == [v == 0 for v in ref[x]], x
-        assert _direction(got[x]) == _direction(ref[x]), x
+        assert _direction(got[x]) == ref_direction(ref[x]), x
     pairs = 0
     for b, d in itertools.product(pool, pool):
-        key = _direction(ref[d])
-        if key is None or _direction(ref[b]) != key:
+        key = ref_direction(ref[d])
+        if key is None or ref_direction(ref[b]) != key:
             continue
         i = next(i for i, v in enumerate(ref[d]) if v)
-        assert _gamma(w, b, got[b], d, got[d]) == -ref[b][i] / ref[d][i], (b, d)
+        assert _gamma(w, _pair(b), got[b], _pair(d), got[d]) == -ref[b][i] / ref[d][i], (b, d)
         pairs += 1
-    assert pairs or not polys or all(_direction(v) is None for v in ref.values())
+    assert pairs or not polys or all(ref_direction(v) is None for v in ref.values())
 
 
 @pytest.mark.parametrize("H", [1, 3, 5])
