@@ -56,8 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
 
     p = sub.add_parser("verify", help="run corpus verification")
-    p.add_argument("--all", action="store_true", help="verify the whole corpus (default)")
-    p.add_argument("--ids", help="comma-separated identity ids")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true", help="verify the whole corpus (default)")
+    which.add_argument("--ids", help="comma-separated identity ids")
     p.add_argument("--max-param", type=int, default=10,
                    help="largest parameter value to try (default 10, must be >= 0); "
                         "each parameter still runs at least at its lower bound")

@@ -778,15 +778,12 @@ def _direction(vec):
 
 
 def _symmetric_even_candidates(config: SearchConfig):
-    anchor_s = (2, 3, 4, 5, 6, 7)
+    # s = 2..7 determine all six F_SPAN coefficients, so the point s = 8 is
+    # the test that the fit extends beyond them
     for d in height_rationals(config.H):
-        coeffs = fit_span_minimal([(s, _symmetric_even_f(s, d)) for s in anchor_s])
-        if coeffs is None:
-            continue
-        # the fit must extend exactly beyond the fitting anchors
-        if _symmetric_even_f(8, d) != f_eval(coeffs, 8):
-            continue
-        yield CandidateIdentity("symmetric-even", {"d": d}, "any", "any", "even", (1, 1), coeffs)
+        coeffs = fit_span_minimal([(s, _symmetric_even_f(s, d)) for s in range(2, 9)])
+        if coeffs is not None:
+            yield CandidateIdentity("symmetric-even", {"d": d}, "any", "any", "even", (1, 1), coeffs)
 
 
 def _poly_plain_candidates(config: SearchConfig):

@@ -4,22 +4,21 @@ reduction) plus the verification drivers and report writers.
 One call table (`_CALLS`: per DSL call its argument labels, domain test and
 message, exact entry or numeric and symbolic entries) and one compiler
 (`_compile`) serve every evaluation.  A side compiles once into a plan of
-nested closures; a run object supplies the algebra the plan calls on: the
-numeric `_Run` (`eval_ast`, `verify_numeric`), the symbolic `_SymRun`
-(`reduce_ast`, `verify_symbolic`) and, inside every sum, the exact
-`_BoundRun` for its bounds, which are compiled with the sum.  A domain test
-runs in every mode.  `verify_numeric` and `verify_symbolic` keep each side's
-plan with its identity; a one-shot `eval_ast` or `reduce_ast` compiles and
-drops its own.
+nested closures.  The plan computes exact values (ints while integral, else
+Fractions) itself, the same in every mode; a run object supplies the algebra
+of the other values: the numeric `_Run` (`eval_ast`, `verify_numeric`) gives
+mpf values with rigorous error bounds, the symbolic `_SymRun` (`reduce_ast`,
+`verify_symbolic`) ConstExprs.  `verify_numeric` and `verify_symbolic` keep
+each side's plan with its identity; a one-shot `eval_ast` or `reduce_ast`
+compiles and drops its own.
 
-Numeric evaluation keeps exact-rational subtrees exact (ints while integral,
-else Fractions): an identity built only from B, E, Hrat, binom, fact,
-hyp2f1sp and arithmetic is compared with zero tolerance, never through
-floats.  Mixed subtrees promote to multiprecision floats at the context's
-working precision, with every call node contributing its own rigorous error
-bound to the total.  Symbolic reduction likewise stays rational until a
-constant or a transcendental call brings in a ConstExpr, so call arguments,
-exponents and sum bounds never go through ConstExpr arithmetic.
+One exactness rule (`_integral`) and every domain test hold in every mode: a
+call argument, an exponent and a sum bound must be an exact integer.  A value
+built from a constant or from a call without an exact value is never exact,
+even when it is rational (pi-pi), so eval and reduce accept and reject the
+same inputs with the same text.  An identity built only from B, E, Hrat,
+binom, fact, hyp2f1sp and arithmetic is compared with zero tolerance, never
+through floats.
 """
 from __future__ import annotations
 
@@ -38,7 +37,8 @@ from mpmath import mp, mpf
 from mpmath.libmp import fzero, mpf_add, round_nearest
 
 from . import exact, numerics, reductions
-from .corpus import BinOp, Call, Gen, Identity, Lit, Neg, Param, Sum, _free_params, parse_corpus
+from .corpus import (BinOp, Call, Gen, Identity, Lit, Neg, Param, Sum, _free_params, parse_corpus,
+                     render_expr)
 from .errors import DomainError, NotReducible, ParseError, PrecisionError
 from .numerics import EvalContext
 from .symexpr import ConstExpr, L_sym, zeta_sym
@@ -66,21 +66,22 @@ def load_corpus(path: str | None = None):
 
 
 # ---------------------------------------------------------------------------
-# evaluation: one call table, one plan per side, three runs
+# evaluation: one call table, one plan per side, two runs
 # ---------------------------------------------------------------------------
 # _compile turns a side, once, into a plan of nested closures fn(env, run):
-# the plan knows the shape of the side and the run knows the algebra.  A run
-# provides gen(name), apply(spec, args) for a call without an exact entry,
-# arg(v, label) for a call argument that is not an int, power(a, b) and
-# divide(a, b); + - * and sums run the same code in every run (_arith).  The
-# numeric _Run gives values with rigorous bounds, _SymRun exact ConstExprs and
-# _BoundRun the exact value of a sum bound.  Plans go left to right and check
-# a call's arguments one at a time, so the first error met is the one
-# reported.
+# the plan knows the shape of the side and computes with exact values, the run
+# knows the algebra of the others.  A run provides gen(name), apply(spec,
+# args) for a call without an exact entry, and power(a, k) and divide(a, b)
+# for an operand that is not exact; + - * and sums run the same code in every
+# run (_arith).  The numeric _Run gives mpf values with rigorous bounds and
+# _SymRun exact ConstExprs.  Plans go left to right and check a call's
+# arguments one at a time, so the first error met is the one reported.
 
 
 def _div(a, b):
-    """a / b (b != 0); an int when a and b are ints and b divides a."""
+    """a / b; an int when a and b are ints and b divides a; DomainError when b is zero."""
+    if not b:
+        raise DomainError("division by zero")
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
@@ -111,19 +112,16 @@ def _to_mpf(v):
 
 
 def _integral(v, what: str) -> int:
-    """The int value of an exact v; DomainError naming `what` when v is not integral."""
-    if type(v) is not int and v.denominator != 1:
+    """The exactness rule of a call argument, an exponent and a sum bound, in
+    every mode: the int value of an integral int or Fraction, else a
+    DomainError naming `what`."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        raise DomainError(f"{what} must be exact")
+    if v.denominator != 1:
         raise DomainError(f"{what} must be an integer, got {v}")
-    return int(v)
-
-
-def _rational(v):
-    """The rational value of a symbolic value; NotReducible when it has an irrational term."""
-    return v.rational_value() if type(v) is ConstExpr else v
-
-
-def _rational_or_none(v):
-    return None if type(v) is ConstExpr and not v.is_rational() else _rational(v)
+    return v.numerator
 
 
 # -- the call table ----------------------------------------------------------
@@ -158,8 +156,8 @@ _ZETA_0 = Fraction(-1, 2)
 
 
 def _abs(v):
-    """|v| for a numeric value, or for a symbolic one that is rational."""
-    return abs(_rational(v))
+    """|v|; a symbolic v must be rational and stays a ConstExpr."""
+    return ConstExpr.rational(abs(v.rational_value())) if type(v) is ConstExpr else abs(v)
 
 
 def _cs_sym(p, q, s, t):
@@ -234,8 +232,9 @@ def _mpf_operand(v):
 
 
 def _arith(opf, a, b):
-    """a + b, a - b or a * b (opf): exact for exact a and b, in mpf when one
-    is an mpf (the other as _mpf_operand gives it), else in ConstExpr."""
+    """a + b, a - b, a * b or _div(a, b) (opf): exact for exact a and b, in
+    mpf when one is an mpf (the other as _mpf_operand gives it), else in
+    ConstExpr."""
     if type(a) in _EXACT:
         if type(b) is mpf:
             a = _mpf_operand(a)
@@ -270,37 +269,15 @@ class _Run:
             self.bound = mpf_add(self.bound, b._mpf_, self.prec, round_nearest)
         return v
 
-    def arg(self, v, label):
-        if label is None:
-            return v
-        if type(v) is not Fraction:
-            raise DomainError(f"{label} must be exact")
-        return _integral(v, label)
-
-    def power(self, a, b):
-        if type(b) is not int:
-            if type(b) is not Fraction:
-                raise DomainError("exponent must be exact")
-            b = _integral(b, "exponent")
-        return _pow(a, b)
+    power = staticmethod(_pow)
 
     def divide(self, a, b):
-        if type(a) in _EXACT:
-            if type(b) in _EXACT:
-                if b == 0:
-                    raise DomainError("exact division by zero")
-                return _div(a, b)
-            a = _mpf_operand(a)
-        elif type(b) in _EXACT:
-            b = _mpf_operand(b)
-        if b == 0:
-            raise DomainError("division by zero")
-        return a / b
+        return _arith(_div, a, b)
 
 
 class _SymRun:
-    """The symbolic run: rational values until a constant or a transcendental
-    call, ConstExpr from there on."""
+    """The symbolic run: exact values until a constant or a call without an
+    exact entry, ConstExpr from there on, even where it is rational."""
 
     nodes = 0  # sum closures count their node visits here too; nothing reads them
 
@@ -310,60 +287,26 @@ class _SymRun:
     def apply(self, spec, xs):
         return spec.sym(*xs)
 
-    def arg(self, v, label):
-        return v if label is None else _integral(_rational(v), label)
-
-    def power(self, a, b):
-        k = _rational(b)
-        if type(k) is not int:
-            if k.denominator != 1:
-                raise NotReducible("non-integer exponent")
-            k = k.numerator
-        r = _rational_or_none(a)
-        if r is not None:
-            return _pow(r, k)
-        return a**k if k >= 0 else ConstExpr.rational(1).divide_exact(a**-k)
+    def power(self, a, k):
+        if k >= 0:
+            return a**k
+        if not a:
+            raise DomainError("0 raised to a negative power")
+        return ConstExpr.rational(1).divide_exact(a**-k)
 
     def divide(self, a, b):
-        r = _rational_or_none(b)
-        if r is None:
-            return (a if type(a) is ConstExpr else ConstExpr.rational(a)).divide_exact(b)
-        if r == 0:
-            raise DomainError("division by zero")
-        return _div(a, r)
-
-
-class _BoundRun:
-    """The run of a sum bound, whose plan has only literals, parameters,
-    negation and + - * / ^: exact values."""
-
-    __slots__ = ()
-
-    def power(self, a, b):
-        if type(b) is Fraction:
-            if b.denominator != 1:
-                raise DomainError("non-integer exponent in bound expression")
-            b = b.numerator
-        return _pow(a, b)
-
-    def divide(self, a, b):
-        if b == 0:
-            raise DomainError("division by zero in bound expression")
-        return _div(a, b)
-
-
-_BOUND_RUN = _BoundRun()
+        return _div(a if type(a) is ConstExpr else ConstExpr.rational(a), b)
 
 
 # -- plans -------------------------------------------------------------------
 # Literals are normalised in advance, and a subtree of literals, negations and
-# operators is folded into its exact value, computed in the bound run (which
-# gives every run's value on exact operands), unless that raises.  One call
-# closure serves every _CALLS entry: it takes the node's character ids, then
-# its arguments left to right, runs the domain test and returns exact(...) or
-# run.apply(...).  A sum compiles its bounds with the bound table, in which
-# any other node raises when it is reached.  A side's node count is its
-# static count plus its sum bodies' counts once per iteration.
+# operators is folded into its exact value, computed with no run, unless that
+# raises.  One call closure serves every _CALLS entry: it takes the node's
+# character ids, then its arguments left to right, runs the domain test and
+# returns exact(...) or run.apply(...).  A sum compiles its bounds with the
+# bound table, in which any other node raises when it is reached, and runs
+# them with no run.  A side's node count is its static count plus its sum
+# bodies' counts once per iteration.
 
 _DYN = object()  # the `const` of a compiled node whose value is not known in advance
 
@@ -412,9 +355,15 @@ def _c_binop(node, table):
     fb, nb, cb = _compile(node.right, table)
     n, op, opf = na + nb + 1, node.op, _OPS.get(node.op)
     if op == "^":
-        fn = lambda env, run: run.power(fa(env, run), fb(env, run))
+        def fn(env, run):
+            a, k = fa(env, run), fb(env, run)
+            if type(k) is not int:
+                k = _integral(k, "exponent")
+            return _pow(a, k) if type(a) in _EXACT else run.power(a, k)
     elif op == "/":
-        fn = lambda env, run: run.divide(fa(env, run), fb(env, run))
+        def fn(env, run):
+            a, b = fa(env, run), fb(env, run)
+            return _div(a, b) if type(a) in _EXACT and type(b) in _EXACT else run.divide(a, b)
     # a small int operand meets an exact value exactly and an mpf through
     # mpmath's int path; a parameter next to it is read in the same closure
     elif _small(cb):
@@ -432,18 +381,15 @@ def _c_binop(node, table):
     else:
         fn = lambda env, run: _arith(opf, fa(env, run), fb(env, run))
     if ca is not _DYN and cb is not _DYN:
-        try:  # exact operands give the same value in every run
-            return _const(fn(None, _BOUND_RUN), n)
+        try:  # exact operands need no run
+            return _const(fn(None, None), n)
         except DomainError:
             pass  # raised at run time, after whatever comes before it
     return fn, n, _DYN
 
 
 def _int_bound(fn, env) -> int:
-    v = fn(env, _BOUND_RUN)
-    if type(v) is not int and v.denominator != 1:
-        raise DomainError(f"sum bound is not an integer: {v}")
-    return int(v)
+    return _integral(fn(env, None), "sum bound")
 
 
 def _c_sum(node, table):
@@ -475,7 +421,7 @@ def _c_call(node, table):
         xs = list(chars)  # the ids of L and cs go first, as _CALLS states them
         for fa, label in fns:
             x = fa(env, run)
-            xs.append(x if type(x) is int else run.arg(x, label))
+            xs.append(x if type(x) is int or label is None else _integral(x, label))
         if ok is not None and not ok(*xs):
             raise DomainError(fmt(*xs))
         # an exact entry gives the same value in every run
@@ -486,7 +432,7 @@ def _c_call(node, table):
 
 def _c_refused(node, table):
     def refused(env, run):
-        raise DomainError(f"node not allowed in an integer bound: {node!r}")
+        raise DomainError(f"{render_expr(node)} is not allowed in a sum bound")
 
     return refused, 1, _DYN
 

@@ -211,6 +211,34 @@ def test_unbound_parameter_is_usage_error(capsys, cmd, expr, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("2^(1/2)", "exponent must be an integer, got 1/2"),
+    ("2^pi", "exponent must be exact"),
+    ("zeta(pi)", "zeta argument must be exact"),
+    ("binom(3,zeta(2))", "binom k must be exact"),
+    ("dz(3,pi)", "dz argument must be exact"),
+    ("1/0", "division by zero"),
+    ("sum(j=1..4^(1/2), j)", "exponent must be an integer, got 1/2"),
+    ("sum(j=1..pi, j)", "pi is not allowed in a sum bound"),
+    ("sum(j=1..B(2), j)", "B(2) is not allowed in a sum bound"),
+])
+def test_eval_and_reduce_reject_an_inexact_integer_alike(capsys, expr, message):
+    # a call argument, an exponent and a sum bound must be an exact integer in
+    # every mode, with the same usage-error text
+    for cmd in ("eval", "reduce"):
+        assert run(capsys, cmd, expr) == (2, "", f"error: {message}\n"), cmd
+
+
+def test_verify_all_and_ids_are_a_usage_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli, "run_suite", lambda config: calls.append(config))
+    code, out, err = run(capsys, "verify", "--all", "--ids", "C01")
+    assert code == 2 and out == ""
+    assert "argument --ids: not allowed with argument --all" in err
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--prec", "5", "search", "--height", "2"), "precision must be at least 10 digits"),
     (("search", "--height", "0"), "search height must be at least 1, got 0"),
