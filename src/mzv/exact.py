@@ -21,6 +21,11 @@ Rational = Fraction
 
 _bern_cache: list[Fraction] = [Fraction(1)]
 
+# T_0 = 0, T_1 = 1, T_2 = 2, T_3 = 16, ... and the recurrence's column of the
+# last cached T (tangent_number); the two are reset together
+_tangent_cache: list[int] = [0, 1]
+_tangent_col: list[int] = [0, 1]
+
 _euler_cache: list[int] = [1]  # even-index Euler numbers E_0, E_2, E_4, ...
 
 
@@ -45,16 +50,33 @@ def bernoulli(n: int) -> Fraction:
     return _bern_cache[n]
 
 
+def tangent_number(n: int) -> int:
+    """Tangent number T_n, tan x = sum_{n>=1} T_n x^(2n-1) / (2n-1)! (T_0 = 0).
+
+    The all-integer O(n^2) recurrence of Brent and Harvey ("Fast computation
+    of Bernoulli, Tangent and Secant numbers", 2011, algorithm
+    TangentNumbers), one column at a time: entry m starts at (m-1)! and pass
+    k = 2..m sets it to (m-k) times entry m-1 after pass k plus (m-k+2)
+    times itself, leaving T_m.  _tangent_col holds the last entry after each
+    pass, so each new T_m costs O(m) small-integer products.
+    """
+    if n < 0:
+        raise DomainError(f"tangent number T_{n}: the index must be >= 0")
+    col = _tangent_col
+    while len(_tangent_cache) <= n:
+        m = len(_tangent_cache)
+        new = [0, (m - 1) * col[1]]
+        for k in range(2, m):
+            new.append((m - k) * col[k] + (m - k + 2) * new[-1])
+        new.append(2 * new[-1])  # pass m: (m-m) times entry m-1 drops out
+        col[:] = new
+        _tangent_cache.append(new[m])
+    return _tangent_cache[n]
+
+
 def _bernoulli_table(K: int) -> list[Fraction]:
-    """[B_0, ..., B_(2K+1)] from the tangent numbers T_1..T_K, by the all-integer
-    O(K^2) recurrence of Brent and Harvey ("Fast computation of Bernoulli,
-    Tangent and Secant numbers", 2011, algorithm TangentNumbers)."""
-    T = [0, 1] + [0] * (K - 1)  # T[k] = T_k
-    for k in range(2, K + 1):
-        T[k] = (k - 1) * T[k - 1]
-    for k in range(2, K + 1):
-        for j in range(k, K + 1):
-            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    """[B_0, ..., B_(2K+1)] from the tangent numbers T_1..T_K."""
+    T = [tangent_number(k) for k in range(K + 1)]
     table = [Fraction(1), Fraction(-1, 2)]
     for k in range(1, K + 1):
         b = Fraction(2 * k * T[k], 4**k * (4**k - 1))

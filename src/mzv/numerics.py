@@ -100,7 +100,8 @@ from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, from_man_exp, round_ceiling, round_nearest
 
 from .errors import DomainError, PrecisionError
-from .exact import bernoulli
+# bernoulli is not called here, but perfbench/tracer.py wraps numerics.bernoulli
+from .exact import bernoulli, tangent_number  # noqa: F401
 
 MPReal = mp.mpf
 
@@ -387,10 +388,15 @@ def _em_step(u: int, j: int, y: int):
     """(num, den) of the EM step ratio q_j = num / den = (beta_j / beta_(j-1))
     (u+2j-3)(u+2j-2) / y^2, j >= 2, with which t_j = t_(j-1) q_j at exponent u
     from y; None where |q_j| > 1: the terms turn upward.  beta_j / beta_(j-1) =
-    16 B_2j / (B_(2j-2) (2j)(2j-1)) is read from _em_ratios, grown on demand."""
+    16 B_2j / (B_(2j-2) (2j)(2j-1)) is read from _em_ratios, grown on demand
+    from the tangent numbers (B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))):
+    -2 T_k (4^(k-1) - 1) / ((k-1) T_(k-1) (4^k - 1)(2k - 1))."""
     while len(_em_ratios) <= j:
         k = len(_em_ratios)
-        q = 16 * bernoulli(2 * k) / (bernoulli(2 * k - 2) * (2 * k) * (2 * k - 1))
+        q = Fraction(
+            -2 * tangent_number(k) * (4 ** (k - 1) - 1),
+            (k - 1) * tangent_number(k - 1) * (4**k - 1) * (2 * k - 1),
+        )
         _em_ratios.append((q.numerator, q.denominator))
     rn, rd = _em_ratios[j]
     num, den = rn * (u + 2 * j - 3) * (u + 2 * j - 2), rd * y * y

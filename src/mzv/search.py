@@ -45,7 +45,11 @@ Keyed affine pairing: b^j + c^s d^j can only pass the vanishing conditions
 when, at every anchor weight, the condition vectors of b and d are both zero
 or both nonzero and parallel; keying each pool value by the primitive integer
 directions of its vectors, d runs only over b's key group instead of the
-whole pool.
+whole pool.  A pairing whose weights vanish on its whole (j, s) class
+(d = -b, c = +-1) states 0 = 0 and is dropped before its fit.
+Full-span gate: a fit first checks the plan's largest independent subset
+(all of F_SPAN at six or more distinct s), whose span holds every subset
+fit; a failure there ends the fit without the subset scan.
 Symmetric-even f(s): for the weight d^j + d^(s-j), f(s) = P_s(d) with P_s a
 polynomial whose coefficients are fixed once per s (`_symmetric_even_poly`).
 """
@@ -215,13 +219,25 @@ def fit_span_minimal(points):
     every point exactly and determine every coefficient.  None if nothing fits.
     The subset matrices depend only on the s-values, so they are eliminated
     once per s-tuple (`_fit_plan`) and each fit is integer dot products.
+    Full-span gate: the plan's last subset is a largest independent one, so
+    its span values at the points span those of all of F_SPAN (it is F_SPAN
+    itself once six distinct s determine every coefficient).  Any subset fit
+    lies in that span, so when the last subset's check rows fail nothing
+    fits, and the scan is skipped.
     """
     points = list(points)
     if not points:
         return None
     ints, den = _integer_scale([f for _, f in points])
-    for subset, solve, checks in _fit_plan(tuple(s for s, _ in points)):
-        if any(sum(map(mul, row, ints)) for row in checks):
+    plan = _fit_plan(tuple(s for s, _ in points))
+
+    def fails(checks):
+        return any(sum(map(mul, row, ints)) for row in checks)
+
+    if fails(plan[-1][2]):
+        return None
+    for subset, solve, checks in plan:
+        if fails(checks):
             continue
         sol = (Fraction(sum(map(mul, row, ints)), rden * den) for row, rden in solve)
         return {F_SPAN[i]: c for i, c in zip(subset, sol) if c}
@@ -452,8 +468,9 @@ class CandidateIdentity:
 
 
 def _is_new(cand: CandidateIdentity, emitted, weights=range(4, 13)) -> bool:
-    """True iff, at the first weight where it can, the candidate's relation
-    leaves the rational span of the emitted relations at that weight."""
+    """True iff, at any applicable weight, the candidate's relation leaves
+    the rational span of the emitted relations at that weight; the weights
+    are tried in order, and the first one where it leaves decides."""
     for w in weights:
         if not cand.applicable(w):
             continue
@@ -695,7 +712,10 @@ def _fraction_sqrt(x: Fraction):
 def _affine_candidates(config: SearchConfig, conds: _ConditionVectors | None = None):
     """a * b^j + c^s * d^j with a = 1: (b, d) enumerated at height H, the
     per-weight scaling gamma_w = c^w forced by the vanishing conditions, and c
-    recovered from consecutive (or parity-spaced) anchors."""
+    recovered from consecutive (or parity-spaced) anchors.  A pairing whose
+    weights vanish on its whole (j, s) class (`_vanishing_pairing`) is
+    dropped before its fit: its relation row is zero at every weight, so it
+    is never new."""
     conds = conds or _ConditionVectors(config.H)
     pool = conds.pool
     for s_par in _PARITIES:
@@ -705,6 +725,7 @@ def _affine_candidates(config: SearchConfig, conds: _ConditionVectors | None = N
             if not ws:
                 continue
             vecs = [conds.at(w, j_par) for w in ws]
+            js = [j for j in range(2, 6) if _parity_ok(j, j_par)][:2]
 
             def candidate(b, c, d):
                 """The fitted candidate for integer pairs b, c, d, or None."""
@@ -757,9 +778,25 @@ def _affine_candidates(config: SearchConfig, conds: _ConditionVectors | None = N
                     for c in croots:
                         if c == 0 or any(c**w != g for w, g in gammas.items()):
                             continue
+                        if _vanishing_pairing(b, _pair(c), d, js, anchors[:2]):
+                            continue
                         cand = candidate(b, _pair(c), d)
                         if cand is not None:
                             yield cand
+
+
+def _vanishing_pairing(b, c, d, js, ss) -> bool:
+    """True iff b^j + c^s d^j = 0 at every j >= 2 of a j-class and every s of
+    an s-class, for nonzero integer pairs b, c, d (q > 0) and the two smallest
+    j (js) and s (ss) of the classes.  With k the class step (1 or 2),
+    b^j = -c^s d^j at two j of a class forces (b/d)^k = 1 and at two s
+    forces c^k = 1, so (d/b)^j and c^s are constant on the classes and these
+    four values decide it."""
+    return not any(
+        b[0] ** j * c[1] ** s * d[1] ** j + c[0] ** s * d[0] ** j * b[1] ** j
+        for j in js
+        for s in ss
+    )
 
 
 def _gamma(w: int, b, vb, d, vd):

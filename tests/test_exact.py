@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mzv.errors import DomainError
 from mzv.exact import (
     _rref,
     alternating_binom_sum,
@@ -18,6 +19,7 @@ from mzv.exact import (
     harmonic_power,
     hyp2f1_special,
     inv_binomial_sum,
+    tangent_number,
 )
 from mzv.symexpr import ConstExpr, zeta_sym
 
@@ -74,6 +76,24 @@ def test_tangent_fill_equals_defining_convolution(monkeypatch):
         monkeypatch.setattr(exact, "_bern_cache", [Fraction(1)])
         got = {n: bernoulli(n) for n in order}
         assert [got[n] for n in range(401)] == ref
+
+
+def test_tangent_numbers_against_tan_series(monkeypatch):
+    # T_n (2n-1)! is the x^(2n-1) coefficient of tan x; the table is grown
+    # one column at a time, so fill it in increasing and decreasing order
+    import mzv.exact as exact
+
+    with mpmath.workdps(120):
+        coefs = mpmath.taylor(mpmath.tan, 0, 41)
+        want = [0] + [int(mpmath.nint(coefs[2 * n - 1] * mpmath.factorial(2 * n - 1))) for n in range(1, 21)]
+    assert want[:5] == [0, 1, 2, 16, 272]
+    for order in (range(21), range(20, -1, -1)):
+        monkeypatch.setattr(exact, "_tangent_cache", [0, 1])
+        monkeypatch.setattr(exact, "_tangent_col", [0, 1])
+        got = {n: tangent_number(n) for n in order}
+        assert [got[n] for n in range(21)] == want
+    with pytest.raises(DomainError):
+        tangent_number(-1)
 
 
 def test_euler_numbers():

@@ -694,6 +694,27 @@ def test_em_bracket_within_its_floor_units():
         assert abs(x - exact * 2**V) <= units, (u, m0, logw)
 
 
+def test_em_ratios_match_the_bernoulli_quotients():
+    # the step ratios from the tangent numbers against their definition
+    # 16 B_2j / (B_(2j-2) (2j)(2j-1)), each in lowest terms
+    numerics.clear_caches()
+    numerics._em_step(2, 199, 10**9)
+    for j in range(2, 200):
+        q = 16 * bernoulli(2 * j) / (bernoulli(2 * j - 2) * (2 * j) * (2 * j - 1))
+        assert numerics._em_ratios[j] == (q.numerator, q.denominator), j
+
+
+def test_cold_deep_eval_builds_no_bernoulli_table(monkeypatch):
+    import mzv.exact as exact
+
+    numerics.clear_caches()
+    table = [Fraction(1)]
+    monkeypatch.setattr(exact, "_bern_cache", table)
+    dzeta_num(3, 2, EvalContext(300))
+    assert exact._bern_cache is table and table == [Fraction(1)]
+    assert len(numerics._em_ratios) > 100
+
+
 def test_fixed_point_tail_restarts(monkeypatch):
     # from a third of the usual start the plain and log-weighted (r, u) = (4, 30)
     # tails and the regularized u = 1 tail of class 2 turn and restart farther

@@ -222,12 +222,52 @@ def _span_points(draw):
     return points
 
 
-@given(_span_points())
+@st.composite
+def _full_span_points(draw):
+    """6-8 points at distinct s of a random F_SPAN combination, so that they
+    determine every coefficient; about one in five perturbed."""
+    coeffs = draw(st.dictionaries(st.sampled_from(F_SPAN), _small_fractions, max_size=4))
+    svals = draw(st.lists(st.integers(2, 14), min_size=6, max_size=8, unique=True))
+    points = [(s, f_eval(coeffs, s)) for s in svals]
+    if draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(points) - 1))
+        s, f = points[i]
+        points[i] = (s, f + draw(_small_fractions.filter(bool)))
+    return points
+
+
+@given(st.one_of(_span_points(), _full_span_points()))
 @settings(max_examples=100, deadline=None)
 def test_fit_span_minimal_matches_subset_scan(points):
     want = _fit_reference(points) if points else None
     assert fit_span_minimal(points) == want
     assert (_fit_reference(points, _solve_consistent) if points else None) == want
+
+
+@pytest.mark.parametrize("coeffs", [
+    {"1": Fraction(4, 3), "4^s": Fraction(1, 6)},
+    {"s": Fraction(-2), "s*4^s": Fraction(5, 7)},
+    {"s^2": Fraction(1), "2^s": Fraction(-3, 2)},
+])
+def test_fit_span_minimal_full_span_gate(coeffs):
+    """Seven distinct s determine all of F_SPAN: a 2-term combination passes
+    the full-span gate and fits on its own support; one perturbed point
+    fails the gate.  With three distinct s and one repeated, the gate's
+    subset has three columns and checks that the repeat agrees."""
+    points = [(s, f_eval(coeffs, s)) for s in range(2, 9)]
+    assert len(search._fit_plan(tuple(range(2, 9)))[-1][0]) == len(F_SPAN)
+    assert fit_span_minimal(points) == _fit_reference(points) == coeffs
+    for i in (0, 3, 6):
+        bad = list(points)
+        bad[i] = (bad[i][0], bad[i][1] + Fraction(1, 5))
+        assert fit_span_minimal(bad) is None
+        assert _fit_reference(bad) is None
+    few = [(s, f_eval(coeffs, s)) for s in (2, 3, 5, 3)]
+    assert len(search._fit_plan((2, 3, 5, 3))[-1][0]) == 3
+    assert fit_span_minimal(few) == _fit_reference(few) is not None
+    few[-1] = (3, few[-1][1] + 1)
+    assert fit_span_minimal(few) is None
+    assert _fit_reference(few) is None
 
 
 @pytest.mark.parametrize("svals", [(4, 5, 6, 7), (4, 6), (5, 7), (2, 3, 4, 5, 6, 7)])
@@ -307,9 +347,22 @@ def _poly_plain_reference(config):
             yield cand
 
 
+def _vanishes_on_classes(b, c, d, j_par, s_par):
+    """b^j + c^w d^j == 0 at every (w, j) of the classes, w = 4..12: the
+    pairing's relation row is then zero at every weight a search checks."""
+    return all(
+        b**j + c**w * d**j == 0
+        for w in range(4, 13)
+        if _parity_ok(w, s_par)
+        for j in range(2, w)
+        if _parity_ok(j, j_par)
+    )
+
+
 def _affine_reference(config, conds=None):
     """All ordered (b, d) pairs of the pool, each weight's gamma solved from
-    vals[b][w] + gamma vals[d][w] = 0 directly."""
+    vals[b][w] + gamma vals[d][w] = 0 directly; pairings that vanish on
+    their classes are left out."""
     pool = height_rationals(config.H)
     for s_par in search._PARITIES:
         anchors = _anchor_weights(s_par)
@@ -354,6 +407,8 @@ def _affine_reference(config, conds=None):
                     continue
                 for c in croots:
                     if c == 0 or any(c**w != g for w, g in gammas.items()):
+                        continue
+                    if _vanishes_on_classes(b, c, d, j_par, s_par):
                         continue
                     coeffs = _fit_candidate_f(
                         lambda _w, j, b=b, c=c, d=d: b**j + c**_w * d**j, anchors, j_par
@@ -678,36 +733,73 @@ def test_height_rationals_returns_a_fresh_list():
     assert height_rationals(3, include_zero=True) == sorted(height_rationals(3) + [Fraction(0)])
 
 
+_FIVE = ("power", "alternating", "affine", "symmetric-even", "poly")
+
+
+def _stream(monkeypatch, config, prune=True):
+    """The candidates passed to _is_new, in order, each with its answer, and
+    the survivors; prune=False keeps the vanishing affine pairings."""
+    seen = []
+    is_new = search._is_new
+
+    def recording(cand, emitted):
+        new = is_new(cand, emitted)
+        seen.append((cand, new))
+        return new
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "_is_new", recording)
+        if not prune:
+            m.setattr(search, "_vanishing_pairing", lambda *args: False)
+        out = search_general(config)
+    return seen, [c.describe() for c in out]
+
+
 def test_search_stream_matches_constexpr_fits(monkeypatch):
     """The H = 8 candidate stream and survivors of every family, with the
     power, affine and plain polynomial stages replaced by the Fraction
     polynomial scans and ConstExpr fits."""
     import mzv.search as search
 
-    config = SearchConfig(
-        families=("power", "alternating", "affine", "symmetric-even", "poly"), H=8
-    )
+    config = SearchConfig(families=_FIVE, H=8)
 
     def run():
-        seen = []
-        is_new = search._is_new
-
-        def recording(cand, emitted):
-            new = is_new(cand, emitted)
-            seen.append((cand.describe(), new))
-            return new
-
-        with monkeypatch.context() as m:
-            m.setattr(search, "_is_new", recording)
-            out = search_general(config)
-        return seen, [c.describe() for c in out]
+        seen, out = _stream(monkeypatch, config)
+        return [(c.describe(), new) for c, new in seen], out
 
     got = run()
     monkeypatch.setattr(search, "_power_candidates", _power_reference)
     monkeypatch.setattr(search, "_affine_candidates", _affine_reference)
     monkeypatch.setattr(search, "_poly_plain_candidates", _poly_plain_reference)
     assert run() == got
-    assert len(got[0]) > 100 and got[1]
+    assert len(got[0]) == 37 and got[1]
+
+
+@pytest.mark.parametrize(
+    "H, families",
+    [(H, fams) for H in range(1, 9) for fams in (SearchConfig.families, _FIVE)]
+    + [(16, SearchConfig.families)],
+)
+def test_vanishing_pairings_are_exactly_the_zero_relations(monkeypatch, H, families):
+    """Dropping the vanishing pairings removes from the _is_new stream exactly
+    the candidates whose relation row is zero at every applicable weight,
+    and leaves the survivors unchanged."""
+    config = SearchConfig(families=families, H=H)
+    pruned, kept = _stream(monkeypatch, config)
+    full, kept_full = _stream(monkeypatch, config, prune=False)
+    assert kept == kept_full
+
+    def zero(cand):
+        return not any(any(cand.relation(w)) for w in range(4, 13) if cand.applicable(w))
+
+    want = [c.describe() for c, _ in full if not zero(c)]
+    assert [c.describe() for c, _ in pruned] == want
+    assert len(pruned) < len(full)
+
+
+def test_search_h16_work_counters(monkeypatch):
+    seen, kept = _stream(monkeypatch, SearchConfig(H=16))
+    assert len(seen) == 26 and len(kept) == 4
 
 
 def test_importing_mzv_leaves_search_unloaded():
