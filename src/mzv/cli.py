@@ -97,11 +97,7 @@ def _usage_error(message: str) -> int:
 
 def cmd_eval(args) -> int:
     ctx = EvalContext(args.prec)
-    try:
-        ast = parse_expr(args.expr)
-        value, bound, nodes = eval_ast_detailed(ast, {}, ctx)
-    except (ParseError, DomainError, PrecisionError) as exc:
-        return _usage_error(str(exc))
+    value, bound, nodes = eval_ast_detailed(parse_expr(args.expr), {}, ctx)
     with mp.workdps(ctx.work_digits):
         if isinstance(value, Fraction):
             print(f"{value}  (exact rational)")
@@ -115,10 +111,7 @@ def cmd_eval(args) -> int:
 
 def cmd_reduce(args) -> int:
     try:
-        ast = parse_expr(args.expr)
-        expr = reduce_ast(ast, {})
-    except (ParseError, DomainError) as exc:
-        return _usage_error(str(exc))
+        expr = reduce_ast(parse_expr(args.expr), {})
     except NotReducible as exc:
         print(f"not reducible: {exc}", file=sys.stderr)
         return EXIT_NOT_REDUCIBLE
@@ -141,10 +134,7 @@ def cmd_verify(args) -> int:
         mode=args.mode,
         corpus_path=args.corpus,
     )
-    try:
-        reports, summary = run_suite(config)
-    except (ParseError, DomainError) as exc:
-        return _usage_error(str(exc))
+    reports, summary = run_suite(config)
     json_text = reports_json(reports, summary, timestamp=not args.no_timestamp)
     tsv_text = reports_tsv(reports)
     for path, text in ((args.json_out, json_text + "\n"), (args.tsv_out, tsv_text)):

@@ -107,16 +107,14 @@ def euler_number(n: int) -> int:
 
 def harmonic(n: int) -> Fraction:
     """H_n = sum_{k<=n} 1/k as an exact rational (H_0 = 0)."""
-    if n < 0:
-        raise DomainError(f"harmonic number H_{n}: the index must be >= 0")
-    acc = Fraction(0)
-    for k in range(1, n + 1):
-        acc += Fraction(1, k)
-    return acc
+    return harmonic_power(n, 1)
 
 
 def harmonic_power(n: int, b: int) -> Fraction:
-    """Generalized harmonic number H_n^(b) = sum_{k<=n} k^-b."""
+    """Generalized harmonic number H_n^(b) = sum_{k<=n} k^-b (H_0^(b) = 0)."""
+    if n < 0:
+        order = "" if b == 1 else f"^({b})"
+        raise DomainError(f"harmonic number H_{n}{order}: the index must be >= 0")
     acc = Fraction(0)
     for k in range(1, n + 1):
         acc += Fraction(1, k**b)
@@ -129,7 +127,7 @@ def inv_binomial_sum(n: int, m: int) -> Fraction:
     For m = n the sum is 0 for odd n and 2(n+1)/(n+2) for even n.
     """
     if not 0 <= m <= n:
-        raise ValueError("need 0 <= m <= n")
+        raise DomainError(f"inv_binomial_sum({n}, {m}) needs 0 <= m <= n")
     acc = Fraction(0)
     for k in range(m + 1):
         term = Fraction(1, math.comb(n, k))
@@ -154,7 +152,7 @@ def hyp2f1_special(n: int) -> Fraction:
     never by summing the series at -1 (which is only Abel-convergent).
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DomainError(f"hyp2f1_special({n}) needs n >= 1")
     rhs = Fraction(1, 2 ** (n + 1)) - alternating_binom_sum(n)
     sign = 1 if (n + 1) % 2 == 0 else -1
     return sign * rhs / math.comb(2 * n + 1, n)

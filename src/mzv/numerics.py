@@ -161,11 +161,15 @@ def _tolerance(prec: int, digits: int):
         return mpf(10) ** (-prec)
 
 
-def _check(bound, ctx: EvalContext, what: str):
+def _check(pair, ctx: EvalContext, what: str):
+    """The value of a (value, bound) pair; PrecisionError naming `what` when
+    the bound exceeds 10^-prec."""
+    value, bound = pair
     if bound > ctx.tolerance():
         raise PrecisionError(
             f"{what}: accumulated error bound {mp.nstr(bound, 3)} exceeds 10^-{ctx.prec}"
         )
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -175,15 +179,14 @@ def _check(bound, ctx: EvalContext, what: str):
 # One memo rule (_memo): a layer stores its result under its argument tuple,
 # led by the layer's tag where layers share a dict.  _value_cache holds the
 # rounded (value, bound) pairs ("L", "cs", "W", "H"), _fixed_cache the integer
-# layers ("L", "head", "pow", "fold", "C", "pairs", and _tail_row's growing
-# ("tail", r, D) rows); the others are class_tail's kernel, _inner_array,
-# _inner_ct and _gen_pow.  Callers must not change a returned list.
+# layers ("L", "head", "pow", "ct", "fold", "C", "pairs", and _tail_row's
+# growing ("tail", r, D) rows) and the generator powers ("gpow"); the other
+# two are class_tail's kernel and _inner_array.  Callers must not change a
+# returned list.
 _value_cache: dict = {}
 _fixed_cache: dict = {}
 _kernel_cache: dict = {}
 _array_cache: dict = {}
-_inner_ct_cache: dict = {}
-_gen_pow_cache: dict = {}
 
 
 def _memo(cache: dict, tag=None):
@@ -313,9 +316,7 @@ def zeta_num(s: int, ctx: EvalContext):
     """zeta(s) for integer s >= 2, within 10^-prec."""
     if s < 2:
         raise DomainError("zeta_num needs s >= 2")
-    v, b = _zeta_internal(s, ctx.work_digits)
-    _check(b, ctx, f"zeta({s})")
-    return v
+    return _check(_zeta_internal(s, ctx.work_digits), ctx, f"zeta({s})")
 
 
 def L_num(p: str, s: int, ctx: EvalContext):
@@ -324,9 +325,7 @@ def L_num(p: str, s: int, ctx: EvalContext):
         raise DomainError(f"unknown character {p!r}")
     if s < 2 and not (s == 1 and is_mean_zero(p)):
         raise DomainError(f"L_{p}({s}) diverges")
-    v, b = _L_internal(p, s, ctx.work_digits)
-    _check(b, ctx, f"L_{p}({s})")
-    return v
+    return _check(_L_internal(p, s, ctx.work_digits), ctx, f"L_{p}({s})")
 
 
 def periodic_tail_num(p: str, s: int, N: int, ctx: EvalContext):
@@ -568,7 +567,7 @@ def _tail_row(r: int, lo: int, hi: int, D: int):
     return row
 
 
-@_memo(_inner_ct_cache)
+@_memo(_fixed_cache, "ct")
 def _inner_ct(t: int, N: int, D: int):
     """EM expansion of sum_{k>=0} (y+4k)^-t in powers y^-e, valid for y >= N, in
     integers at scale 2^V, V = _fixed_bits(D) + _INNER_GUARD.
@@ -792,9 +791,7 @@ def char_dzeta_num(p: str, q: str, s: int, t: int, ctx: EvalContext):
     s = 1 is accepted for mean-zero outer characters (2b, m4); s = t = 1 also
     needs a mean-zero inner character (the divergent-inner corner raises).
     """
-    v, b = _char_em(p, q, s, t, ctx.work_digits)
-    _check(b, ctx, f"[{p},{q}]({s},{t})")
-    return v
+    return _check(_char_em(p, q, s, t, ctx.work_digits), ctx, f"[{p},{q}]({s},{t})")
 
 
 def _dzeta_internal(a: int, b: int, D: int):
@@ -805,9 +802,7 @@ def dzeta_num(a: int, b: int, ctx: EvalContext):
     """zeta(a, b) = sum_{n>m>=1} n^-a m^-b for a >= 2, b >= 1, within 10^-prec."""
     if a < 2 or b < 1:
         raise DomainError("dzeta_num needs a >= 2, b >= 1")
-    v, bd = _dzeta_internal(a, b, ctx.work_digits)
-    _check(bd, ctx, f"zeta({a},{b})")
-    return v
+    return _check(_dzeta_internal(a, b, ctx.work_digits), ctx, f"zeta({a},{b})")
 
 
 # --------------------------------------------------------------------------
@@ -862,9 +857,7 @@ def _witten_internal(r: int, s: int, t: int, D: int):
 def witten_num(r: int, s: int, t: int, ctx: EvalContext):
     """W(r,s,t) = sum_{n,m>=1} n^-r m^-s (n+m)^-t, evaluated through the exact
     recursion down to zeta / double-zeta boundary values."""
-    v, b = _witten_internal(r, s, t, ctx.work_digits)
-    _check(b, ctx, f"W({r},{s},{t})")
-    return v
+    return _check(_witten_internal(r, s, t, ctx.work_digits), ctx, f"W({r},{s},{t})")
 
 
 def harmonic_domain(kind: str, s: int):
@@ -907,9 +900,7 @@ def harmonic_sum_num(kind: str, s: int, ctx: EvalContext):
     'half_index' is sum_{n>=1} H_{2n}/n^{2s} (s >= 1), both evaluated as
     character double sums (_harmonic_internal).  Domain errors name the
     corpus DSL calls hsum_odd(s) and hsum_half(s)."""
-    v, b = _harmonic_internal(kind, s, ctx.work_digits)
-    _check(b, ctx, f"harmonic_sum({kind},{s})")
-    return v
+    return _check(_harmonic_internal(kind, s, ctx.work_digits), ctx, f"harmonic_sum({kind},{s})")
 
 
 # --------------------------------------------------------------------------
@@ -942,12 +933,10 @@ def _generator_internal(g, D: int):
 
 def generator_num(g, ctx: EvalContext):
     """Numeric value of a constant generator: 'pi', 'log2', 'li4h' or ('z', k)."""
-    v, b = _generator_internal(g, ctx.work_digits)
-    _check(b, ctx, f"generator {g!r}")
-    return v
+    return _check(_generator_internal(g, ctx.work_digits), ctx, f"generator {g!r}")
 
 
-@_memo(_gen_pow_cache)
+@_memo(_fixed_cache, "gpow")
 def _gen_pow(g, e: int, D: int):
     """(g^e, e |g|^(e-1) b) at D + 10 digits for the generator g with bound b:
     a factor of _expr_internal and its error's first-order coefficient."""
@@ -1113,6 +1102,6 @@ def _oracle_harmonic(kind, s, N):
 
 def clear_caches():
     """Drop all numeric caches (mainly for tests)."""
-    for cache in (_kernel_cache, _array_cache, _fixed_cache, _inner_ct_cache, _gen_pow_cache, _value_cache):
+    for cache in (_kernel_cache, _array_cache, _fixed_cache, _value_cache):
         cache.clear()
     del _em_ratios[2:]

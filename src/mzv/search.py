@@ -680,23 +680,30 @@ def numeric_screen(cand: CandidateIdentity, prec: int = 40, tol_exp: int = SCREE
     return True
 
 
-def _power_candidates(config: SearchConfig, conds: _ConditionVectors | None = None):
-    conds = conds or _ConditionVectors(config.H)
+def _anchor_classes(conds: _ConditionVectors):
+    """(s_par, j_par, anchors, ws, vecs) per parity class, s-parity outer:
+    the anchor weights of s_par, those of them with a vanishing condition
+    (ws) and the pool's condition vectors at each.  A class with no
+    vanishing condition is left out, since every family is vacuous there."""
     for s_par in _PARITIES:
         anchors = _anchor_weights(s_par)
         for j_par in _PARITIES:
             ws = _conditioned(anchors, j_par)
-            if not ws:
-                continue  # a family with no vanishing condition is vacuous here
-            vecs = [conds.at(w, j_par) for w in ws]
-            for a in conds.pool:
-                if any(v for vw in vecs for v in vw[a]):
-                    continue
-                weights = functools.partial(_affine_weights, _ONE, a, _ZERO, _ZERO, powers={})
-                coeffs = _anchor_fit(anchors, j_par, weights)
-                if coeffs is not None:
-                    params = {"a": Fraction(*a)}
-                    yield CandidateIdentity("power", params, j_par, s_par, "plain", (2, 1), coeffs)
+            if ws:
+                yield s_par, j_par, anchors, ws, [conds.at(w, j_par) for w in ws]
+
+
+def _power_candidates(config: SearchConfig, conds: _ConditionVectors | None = None):
+    conds = conds or _ConditionVectors(config.H)
+    for s_par, j_par, anchors, _, vecs in _anchor_classes(conds):
+        for a in conds.pool:
+            if any(v for vw in vecs for v in vw[a]):
+                continue
+            weights = functools.partial(_affine_weights, _ONE, a, _ZERO, _ZERO, powers={})
+            coeffs = _anchor_fit(anchors, j_par, weights)
+            if coeffs is not None:
+                params = {"a": Fraction(*a)}
+                yield CandidateIdentity("power", params, j_par, s_par, "plain", (2, 1), coeffs)
 
 
 def _fraction_sqrt(x: Fraction):
@@ -718,71 +725,65 @@ def _affine_candidates(config: SearchConfig, conds: _ConditionVectors | None = N
     is never new."""
     conds = conds or _ConditionVectors(config.H)
     pool = conds.pool
-    for s_par in _PARITIES:
-        anchors = _anchor_weights(s_par)
-        for j_par in _PARITIES:
-            ws = _conditioned(anchors, j_par)
-            if not ws:
-                continue
-            vecs = [conds.at(w, j_par) for w in ws]
-            js = [j for j in range(2, 6) if _parity_ok(j, j_par)][:2]
+    for s_par, j_par, anchors, ws, vecs in _anchor_classes(conds):
+        js = [j for j in range(2, 6) if _parity_ok(j, j_par)][:2]
 
-            def candidate(b, c, d):
-                """The fitted candidate for integer pairs b, c, d, or None."""
-                weights = functools.partial(_affine_weights, _ONE, b, c, d, powers={})
-                coeffs = _anchor_fit(anchors, j_par, weights)
-                if coeffs is None:
-                    return None
-                params = {"a": Fraction(1), "b": Fraction(*b), "c": Fraction(*c), "d": Fraction(*d)}
-                return CandidateIdentity("affine", params, j_par, s_par, "plain", (2, 1), coeffs)
+        def candidate(b, c, d):
+            """The fitted candidate for integer pairs b, c, d, or None."""
+            weights = functools.partial(_affine_weights, _ONE, b, c, d, powers={})
+            coeffs = _anchor_fit(anchors, j_par, weights)
+            if coeffs is None:
+                return None
+            params = {"a": Fraction(1), "b": Fraction(*b), "c": Fraction(*c), "d": Fraction(*d)}
+            return CandidateIdentity("affine", params, j_par, s_par, "plain", (2, 1), coeffs)
 
-            # degenerate c = 0: pure powers inside the affine shape
-            for b in pool:
-                if not any(v for vw in vecs for v in vw[b]):
-                    cand = candidate(b, _ZERO, _ZERO)
+        # degenerate c = 0: pure powers inside the affine shape
+        for b in pool:
+            if not any(v for vw in vecs for v in vw[b]):
+                cand = candidate(b, _ZERO, _ZERO)
+                if cand is not None:
+                    yield cand
+        if len(ws) < 2:
+            continue
+        # b^j + gamma_w d^j passes the vanishing conditions at w iff
+        # V_b = -gamma_w (q_b / q_d)^(w-1) V_d for the condition vectors
+        # V at b = p_b/q_b and d = p_d/q_d; with gamma_w != 0 that means
+        # both vectors are zero or both have the same primitive direction.
+        # A pair needs two nonzero gammas, so only d sharing b's key tuple
+        # (with at least two directions) can pass.
+        keys = {x: tuple(_direction(vw[x]) for vw in vecs) for x in pool}
+        groups: dict = {}
+        for x in pool:
+            if sum(k is not None for k in keys[x]) >= 2:
+                groups.setdefault(keys[x], []).append(x)
+        for b in pool:
+            for d in groups.get(keys[b], ()):
+                if d == b:
+                    continue
+                gammas = {
+                    w: _gamma(w, b, vw[b], d, vw[d])
+                    for w, vw, key in zip(ws, vecs, keys[b])
+                    if key is not None
+                }
+                w1, w2 = sorted(gammas)[:2]
+                ratio = gammas[w2] / gammas[w1]
+                if w2 - w1 == 1:
+                    croots = {ratio}
+                elif w2 - w1 == 2:
+                    c = _fraction_sqrt(ratio)
+                    if c is None:
+                        continue
+                    croots = {c, -c}
+                else:
+                    continue
+                for c in croots:
+                    if c == 0 or any(c**w != g for w, g in gammas.items()):
+                        continue
+                    if _vanishing_pairing(b, _pair(c), d, js, anchors[:2]):
+                        continue
+                    cand = candidate(b, _pair(c), d)
                     if cand is not None:
                         yield cand
-            if len(ws) < 2:
-                continue
-            # b^j + gamma_w d^j passes the vanishing conditions at w iff
-            # V_b = -gamma_w (q_b / q_d)^(w-1) V_d for the condition vectors
-            # V at b = p_b/q_b and d = p_d/q_d; with gamma_w != 0 that means
-            # both vectors are zero or both have the same primitive direction.
-            # A pair needs two nonzero gammas, so only d sharing b's key tuple
-            # (with at least two directions) can pass.
-            keys = {x: tuple(_direction(vw[x]) for vw in vecs) for x in pool}
-            groups: dict = {}
-            for x in pool:
-                if sum(k is not None for k in keys[x]) >= 2:
-                    groups.setdefault(keys[x], []).append(x)
-            for b in pool:
-                for d in groups.get(keys[b], ()):
-                    if d == b:
-                        continue
-                    gammas = {
-                        w: _gamma(w, b, vw[b], d, vw[d])
-                        for w, vw, key in zip(ws, vecs, keys[b])
-                        if key is not None
-                    }
-                    w1, w2 = sorted(gammas)[:2]
-                    ratio = gammas[w2] / gammas[w1]
-                    if w2 - w1 == 1:
-                        croots = {ratio}
-                    elif w2 - w1 == 2:
-                        c = _fraction_sqrt(ratio)
-                        if c is None:
-                            continue
-                        croots = {c, -c}
-                    else:
-                        continue
-                    for c in croots:
-                        if c == 0 or any(c**w != g for w, g in gammas.items()):
-                            continue
-                        if _vanishing_pairing(b, _pair(c), d, js, anchors[:2]):
-                            continue
-                        cand = candidate(b, _pair(c), d)
-                        if cand is not None:
-                            yield cand
 
 
 def _vanishing_pairing(b, c, d, js, ss) -> bool:

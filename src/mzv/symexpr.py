@@ -283,10 +283,3 @@ def L_sym(p: str, s: int) -> ConstExpr:
     if p == "m4":
         return beta_sym(s)
     raise ValueError(f"unknown character id {p!r}")
-
-
-def expr_num(e: ConstExpr, ctx):
-    """Numeric value of a ConstExpr under the given evaluation context."""
-    from . import numerics
-
-    return numerics.expr_num(e, ctx)

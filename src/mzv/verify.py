@@ -133,7 +133,10 @@ class _CallSpec(NamedTuple):
     labels name the arguments in error messages, one each, so their number is
     the arity; None marks an argument taken as any value instead of an
     integer.  ok(chars..., args...) is the domain test of both modes and msg
-    its DomainError text, formatted with the same values.  exact(chars...,
+    its DomainError text, formatted with the same values; they are left out
+    where the numeric and symbolic entries both raise the DSL's own
+    DomainError text already (W through numerics.witten_terms, hsum_odd and
+    hsum_half through numerics.harmonic_domain).  exact(chars...,
     args...) is an exact value in both modes; otherwise num(D, chars...,
     args...) gives (value, bound), the bound None for an exact value, and
     sym(chars..., args...) a ConstExpr.  Entry points are looked up on their
@@ -200,15 +203,13 @@ _CALLS = {
     "cs": _CallSpec(_labels("cs", 2), lambda p, q, s, t: numerics._char_convergent(p, q, s, t),
                     "[{},{}]({},{}) diverges",
                     num=lambda D, p, q, s, t: numerics._char_em(p, q, s, t, D), sym=_cs_sym),
-    "W": _CallSpec(_labels("W", 3), lambda r, s, t: numerics.witten_convergent(r, s, t),
-                   "W({},{},{}) diverges",
-                   num=lambda D, r, s, t: numerics._witten_internal(r, s, t, D),
+    "W": _CallSpec(_labels("W", 3), num=lambda D, r, s, t: numerics._witten_internal(r, s, t, D),
                    sym=lambda r, s, t: _closed(reductions.witten_reduction(r, s, t),
                                                "Witten value leaves irreducible double zetas")),
-    "hsum_odd": _CallSpec(_labels("hsum_odd"), lambda s: s >= 2, "hsum_odd({}) needs s >= 2",
+    "hsum_odd": _CallSpec(_labels("hsum_odd"),
                           num=lambda D, s: numerics._harmonic_internal("odd_denom", s, D),
                           sym=lambda s: _closed(reductions.harmonic_reduction("odd_denom", s))),
-    "hsum_half": _CallSpec(_labels("hsum_half"), lambda s: s >= 1, "hsum_half({}) needs s >= 1",
+    "hsum_half": _CallSpec(_labels("hsum_half"),
                            num=lambda D, s: numerics._harmonic_internal("half_index", s, D),
                            sym=lambda s: _closed(reductions.harmonic_reduction("half_index", s))),
 }

@@ -26,6 +26,7 @@ from mzv.numerics import (
     char_dzeta_num,
     char_product,
     dzeta_num,
+    expr_num,
     harmonic_sum_num,
     witten_num,
     zeta_num,
@@ -38,7 +39,7 @@ from mzv.search import (
     search_poly_weights,
     solve_power_base,
 )
-from mzv.symexpr import expr_num, pi_power, zeta_sym
+from mzv.symexpr import pi_power, zeta_sym
 from mzv.verify import SuiteConfig, eval_ast, run_suite, verify_numeric, load_corpus
 
 

@@ -125,6 +125,15 @@ def test_harmonic():
     assert harmonic(0) == 0
     assert harmonic(4) == Fraction(25, 12)
     assert harmonic_power(3, 2) == 1 + Fraction(1, 4) + Fraction(1, 9)
+    assert harmonic_power(0, 3) == 0
+
+
+def test_harmonic_power_negative_index_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"^harmonic number H_-1\^\(2\): the index must be >= 0$"):
+        harmonic_power(-1, 2)
+    # harmonic is the b = 1 case and keeps its own text
+    with pytest.raises(DomainError, match=r"^harmonic number H_-2: the index must be >= 0$"):
+        harmonic(-2)
 
 
 def test_inv_binomial_sum_values():
@@ -144,9 +153,21 @@ def test_inv_binomial_closed_form(n):
         assert inv_binomial_sum(n, m) == want
 
 
+@pytest.mark.parametrize("n, m", [(3, 4), (3, -1), (-1, 0)])
+def test_inv_binomial_sum_out_of_range_is_a_domain_error(n, m):
+    with pytest.raises(DomainError, match=rf"^inv_binomial_sum\({n}, {m}\) needs 0 <= m <= n$"):
+        inv_binomial_sum(n, m)
+
+
 def test_hyp2f1_special_small():
     assert hyp2f1_special(1) == Fraction(5, 12)
     assert hyp2f1_special(3) == Fraction(209, 560)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_hyp2f1_special_below_one_is_a_domain_error(n):
+    with pytest.raises(DomainError, match=rf"^hyp2f1_special\({n}\) needs n >= 1$"):
+        hyp2f1_special(n)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -912,7 +912,7 @@ _MEMO_LAYERS = [
     ("_L_internal", ("2b", 1, _D), "_value_cache", ("L", "2b", 1, _D)),
     ("_head_units", (_D,), "_fixed_cache", ("head", _D)),
     ("_pow_row", (2, _D), "_fixed_cache", ("pow", 2, _D)),
-    ("_inner_ct", (2, _N, _D), "_inner_ct_cache", (2, _N, _D)),
+    ("_inner_ct", (2, _N, _D), "_fixed_cache", ("ct", 2, _N, _D)),
     ("_inner_array", (2, 1, _D), "_array_cache", (2, 1, _D)),
     ("_folded_inner", ("2a", 2, 1, _D), "_fixed_cache", ("fold", "2a", 2, 1, _D)),
     ("_inner_const", ("1", 1, _D), "_fixed_cache", ("C", "1", _D)),
@@ -920,7 +920,7 @@ _MEMO_LAYERS = [
     ("_char_em", ("2b", "m4", 1, 2, _D), "_value_cache", ("cs", "2b", "m4", 1, 2, _D)),
     ("_witten_internal", (1, 1, 2, _D), "_value_cache", ("W", 1, 1, 2, _D)),
     ("_harmonic_internal", ("half_index", 1, _D), "_value_cache", ("H", "half_index", 1, _D)),
-    ("_gen_pow", ("pi", 3, _D), "_gen_pow_cache", ("pi", 3, _D)),
+    ("_gen_pow", ("pi", 3, _D), "_fixed_cache", ("gpow", "pi", 3, _D)),
 ]
 
 

@@ -21,7 +21,8 @@ from mzv.reductions import (
     witten_reduction,
     zeta_s1_reduce,
 )
-from mzv.symexpr import ConstExpr, expr_num, pi_power, zeta_sym
+from mzv.numerics import expr_num
+from mzv.symexpr import ConstExpr, pi_power, zeta_sym
 from mzv.verify import reduce_ast
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mpf
+from mpmath import mp, mpf
 
 import mzv
 from mzv import numerics, search
@@ -53,7 +53,7 @@ from mzv.search import (
     weighted_sum_f,
 )
 from mzv.symexpr import pi_power, zeta_sym
-from mzv.verify import verify_numeric
+from mzv.verify import eval_ast, verify_numeric
 from test_exact import _rref_reference
 
 
@@ -156,6 +156,48 @@ def test_emitted_candidates_verify_through_corpus_machinery(ctx30):
             binding = {p: max(v, 4) for p, v in binding.items()}
             r = verify_numeric(ident, binding, ctx30)
             assert r.status == "pass", (cand.describe(), binding, r.error)
+
+
+_DSL_PARAMS = {
+    "power": {"a": Fraction(-3, 2)},
+    "affine c = 0": {"a": Fraction(1), "b": Fraction(2), "c": Fraction(0), "d": Fraction(0)},
+    "affine c != 0": {"a": Fraction(1), "b": Fraction(-2, 3), "c": Fraction(-1, 2), "d": Fraction(3)},
+}
+_DSL_F = {"1": Fraction(3), "s": Fraction(-1, 2), "s^2": Fraction(1, 5), "2^s": Fraction(1, 4),
+          "s*4^s": Fraction(-1, 3)}
+
+
+@pytest.mark.parametrize("s_par", search._PARITIES)
+@pytest.mark.parametrize("j_par", search._PARITIES)
+@pytest.mark.parametrize("kind", list(_DSL_PARAMS))
+def test_candidate_dsl_states_the_candidate_in_every_parity_class(kind, j_par, s_par, ctx40):
+    """The emitted entry, parsed back, has the sides
+    sum_j weight(S, j) zeta(j, S-j) over the j-class and f(S) zeta(S), for
+    S = s, 2s or 2s+1 by the s-class; a j-class needs an s-class to emit."""
+    family = kind.split()[0]
+    cand = CandidateIdentity(family, _DSL_PARAMS[kind], j_par, s_par, "plain", (2, 1), _DSL_F)
+    if s_par == "any" and j_par != "any":
+        with pytest.raises(DomainError, match="j-parity emission needs an s-parity class"):
+            candidate_dsl(cand)
+        return
+    (ident,) = parse_corpus(candidate_dsl(cand))
+    assert ident.params == ["s"]
+    ((lhs, rhs),) = ident.parts
+    lo = ident.lower_bound("s")
+    for s in (lo, lo + 1, lo + 2):
+        S = {"any": s, "even": 2 * s, "odd": 2 * s + 1}[s_par]
+        with mp.workdps(50):
+            want_lhs = sum(
+                _mpf(cand.weight(S, j)) * numerics.dzeta_num(j, S - j, ctx40)
+                for j in range(2, S) if _parity_ok(j, j_par)
+            )
+            want_rhs = _mpf(f_eval(_DSL_F, S)) * numerics.zeta_num(S, ctx40)
+            assert abs(eval_ast(lhs, {"s": s}, ctx40) - want_lhs) < mpf(10) ** -25, (kind, S)
+            assert abs(eval_ast(rhs, {"s": s}, ctx40) - want_rhs) < mpf(10) ** -25, (kind, S)
+
+
+def _mpf(x: Fraction):
+    return mpf(x.numerator) / x.denominator
 
 
 def test_scale_invariance():
