@@ -102,6 +102,7 @@ from mpmath.libmp import dps_to_prec, from_man_exp, round_ceiling, round_nearest
 from .errors import DomainError, PrecisionError
 # bernoulli is not called here, but perfbench/tracer.py wraps numerics.bernoulli
 from .exact import bernoulli, tangent_number  # noqa: F401
+from .symexpr import ConstExpr
 
 MPReal = mp.mpf
 
@@ -116,17 +117,23 @@ CHI = {
 }
 
 
+def _known(*chars):
+    """DomainError naming the first of chars that is not a character id."""
+    for p in chars:
+        if p not in CHI:
+            raise DomainError(f"unknown character {p!r}")
+
+
 def chi(p: str, n: int) -> int:
+    _known(p)
     return CHI[p][(n - 1) % 4]
 
 
 def char_product(p: str, q: str) -> str:
     """The pointwise product character chi_p * chi_q, itself one of the four."""
+    _known(p, q)
     prod = tuple(a * b for a, b in zip(CHI[p], CHI[q]))
-    for name, vals in CHI.items():
-        if vals == prod:
-            return name
-    raise ValueError(f"product of {p} and {q} is not in the table")
+    return next(name for name, vals in CHI.items() if vals == prod)
 
 
 def is_mean_zero(p: str) -> bool:
@@ -321,8 +328,7 @@ def zeta_num(s: int, ctx: EvalContext):
 
 def L_num(p: str, s: int, ctx: EvalContext):
     """L_p(s) = sum chi_p(n)/n^s; s >= 2, or s >= 1 for the mean-zero 2b, m4."""
-    if p not in CHAR_IDS:
-        raise DomainError(f"unknown character {p!r}")
+    _known(p)
     if s < 2 and not (s == 1 and is_mean_zero(p)):
         raise DomainError(f"L_{p}({s}) diverges")
     return _check(_L_internal(p, s, ctx.work_digits), ctx, f"L_{p}({s})")
@@ -330,8 +336,7 @@ def L_num(p: str, s: int, ctx: EvalContext):
 
 def periodic_tail_num(p: str, s: int, N: int, ctx: EvalContext):
     """sum_{n > N} chi_p(n)/n^s within 10^-(prec+2), per residue class mod 4."""
-    if p not in CHAR_IDS:
-        raise DomainError(f"unknown character {p!r}")
+    _known(p)
     if s < 2 and not (s == 1 and is_mean_zero(p)):
         raise DomainError("periodic tail needs s >= 2 (s = 1 only for mean-zero characters)")
     if N < 0:
@@ -965,6 +970,8 @@ def _expr_internal(expr, D: int):
 
 def expr_num(expr, ctx: EvalContext):
     """Numeric value of a ConstExpr within 10^-prec * (1 + number of monomials)."""
+    if not isinstance(expr, ConstExpr):
+        raise DomainError(f"expr_num needs a ConstExpr, got {type(expr).__name__}")
     v, b = _expr_internal(expr, ctx.work_digits)
     with mp.workdps(ctx.work_digits):
         if b > ctx.tolerance() * (1 + len(expr.terms)):

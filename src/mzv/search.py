@@ -390,20 +390,15 @@ class CandidateIdentity:
     _f_ints: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def weight(self, s: int, j: int) -> Fraction:
-        fam = self.family
-        p = self.params
-        if fam == "power":
-            return Fraction(p["a"]) ** j
-        if fam == "affine":
-            c = Fraction(p["c"])
-            second = c**s * Fraction(p["d"]) ** j if c else Fraction(0)
-            return Fraction(p["a"]) * Fraction(p["b"]) ** j + second
-        if fam == "symmetric-even":
-            d = Fraction(p["d"])
-            return d**j + d ** (s - j)
-        if fam in ("poly", "poly-even"):
-            return sum((c * _poly_mono(m, s, j) for m, c in p.items() if c), Fraction(0))
-        raise DomainError(f"unknown family {fam!r}")
+        """The weight of zeta(j, s-j) (or zeta(2j, 2s-2j)) at s, for 0 <= j <= s."""
+        (x,), den = self._scaled_weights(s, [j])
+        return Fraction(x, den)
+
+    def js(self, s: int) -> list:
+        """The j of the sum at s (s = w, or w/2 for even arguments): lo..s - off
+        in the j-parity class."""
+        lo, off = self.jrange
+        return [j for j in range(lo, s - off + 1) if _parity_ok(j, self.j_parity)]
 
     def applicable(self, w: int) -> bool:
         lo, off = self.jrange
@@ -422,15 +417,9 @@ class CandidateIdentity:
         return rel
 
     def _relation(self, w: int):
-        lo, off = self.jrange
-        if self.arg_style == "even":
-            s = w // 2
-            js = range(lo, s - off + 1)
-            cols = [2 * j - 2 for j in js]
-        else:
-            s = w
-            js = [j for j in range(lo, w - off + 1) if _parity_ok(j, self.j_parity)]
-            cols = [j - 2 for j in js]
+        k = 2 if self.arg_style == "even" else 1  # the argument scale
+        s = w // k
+        js = self.js(s)
         ints, den = self._scaled_weights(s, js)
         if self._f_ints is None:  # f's coefficients over one denominator
             fints, fden = _integer_scale(list(self.f_coeffs.values()))
@@ -438,14 +427,15 @@ class CandidateIdentity:
         fterms, fden = self._f_ints
         fnum = sum(c * _span_value(name, s) for name, c in fterms)  # f(s) = fnum / fden
         row = [0] * (w - 1)
-        for col, x in zip(cols, ints):
-            row[col] = x * fden
+        for j, x in zip(js, ints):
+            row[k * j - 2] = x * fden
         row[-1] = -fnum * den
         return tuple(_primitive_ints(row))
 
     def _scaled_weights(self, s: int, js):
         """(ints, den) with weight(s, j) == ints[i] / den for the increasing
-        js; the power-type families use running integer powers of the bases."""
+        js in 0..s: the one statement of each family's weights.  The
+        power-type families use running integer powers of the bases."""
         fam = self.family
         p = self.params
         if not js:
@@ -457,7 +447,9 @@ class CandidateIdentity:
             return _affine_weights(_ONE, _pair(p["a"]), _ZERO, _ZERO, s, js, self._powers)
         if fam == "affine":
             return _affine_weights(*(_pair(p[k]) for k in "abcd"), s, js, self._powers)
-        return _integer_scale([self.weight(s, j) for j in js])
+        if fam in ("poly", "poly-even"):
+            return _integer_scale([sum(c * _poly_mono(m, s, j) for m, c in p.items()) for j in js])
+        raise DomainError(f"unknown family {fam!r}")
 
     def describe(self) -> str:
         ps = {k: str(v) for k, v in self.params.items()}
@@ -653,16 +645,17 @@ def numeric_screen(cand: CandidateIdentity, prec: int = 40, tol_exp: int = SCREE
     lie below the tolerance, since the check could then reject a true
     identity."""
     D = max(prec, tol_exp) + 10
+    k = 2 if cand.arg_style == "even" else 1  # the argument scale
     with mp.workdps(D + 10):
         tol = mpf(10) ** (-tol_exp)
         for sp in _screen_params(cand):
             total = bound = mp.zero
-            lo, off = cand.jrange
-            k = 2 if cand.arg_style == "even" else 1  # the argument scale
-            for j in range(lo, sp - off + 1):
-                c = cand.weight(sp, j) if k == 2 or _parity_ok(j, cand.j_parity) else 0
-                if c:
+            js = cand.js(sp)
+            ints, den = cand._scaled_weights(sp, js)
+            for j, x in zip(js, ints):
+                if x:
                     v, b = numerics._dzeta_internal(k * j, k * (sp - j), D)
+                    c = Fraction(x, den)
                     c = mpf(c.numerator) / c.denominator
                     total += c * v
                     bound += abs(c) * b

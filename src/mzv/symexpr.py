@@ -47,6 +47,9 @@ def _mono_key(mono):
 class ConstExpr:
     """Finite map monomial -> rational, in normal form (zero coefficients removed).
 
+    Division and negative integer powers are exact division (`divide_exact`)
+    and abs takes rational values only; otherwise they raise NotReducible.
+
     Immutable by convention: every operation returns a new expression and no
     code changes ``terms`` after construction, so one instance may be shared
     (``ConstExpr.zero``, the memoized ``zeta_sym`` and ``zeta_s1_reduce``)."""
@@ -122,9 +125,12 @@ class ConstExpr:
             return _raw({m: c / other for m, c in self.terms.items()})
         return self.divide_exact(_coerce(other))
 
+    def __rtruediv__(self, other):
+        return _coerce(other).divide_exact(self)
+
     def __pow__(self, k: int) -> "ConstExpr":
         if k < 0:
-            raise ValueError("negative powers of ConstExpr are not closed")
+            return ConstExpr.rational(1).divide_exact(self**-k)
         out = ConstExpr.rational(1)
         base = self
         while k:
@@ -163,6 +169,9 @@ class ConstExpr:
 
     def __bool__(self):
         return bool(self.terms)
+
+    def __abs__(self) -> "ConstExpr":
+        return ConstExpr.rational(abs(self.rational_value()))
 
     def is_rational(self) -> bool:
         return all(m == () for m in self.terms)
@@ -282,4 +291,4 @@ def L_sym(p: str, s: int) -> ConstExpr:
         return zeta_sym(s) * (1 - Fraction(1, 2 ** (s - 1)))
     if p == "m4":
         return beta_sym(s)
-    raise ValueError(f"unknown character id {p!r}")
+    raise DomainError(f"unknown character {p!r}")

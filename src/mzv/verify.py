@@ -4,11 +4,12 @@ reduction) plus the verification drivers and report writers.
 One call table (`_CALLS`: per DSL call its argument labels, domain test and
 message, exact entry or numeric and symbolic entries) and one compiler
 (`_compile`) serve every evaluation.  A side compiles once into a plan of
-nested closures.  The plan computes exact values (ints while integral, else
-Fractions) itself, the same in every mode; a run object supplies the algebra
-of the other values: the numeric `_Run` (`eval_ast`, `verify_numeric`) gives
-mpf values with rigorous error bounds, the symbolic `_SymRun` (`reduce_ast`,
-`verify_symbolic`) ConstExprs.  `verify_numeric` and `verify_symbolic` keep
+nested closures.  The plan applies each operator through one function in
+every mode, to exact values (ints while integral, else Fractions) and to the
+others alike; a run object supplies the constants and the calls without an
+exact value: the numeric `_Run` (`eval_ast`, `verify_numeric`) as mpf values
+with rigorous error bounds, the symbolic `_SymRun` (`reduce_ast`,
+`verify_symbolic`) as ConstExprs.  `verify_numeric` and `verify_symbolic` keep
 each side's plan with its identity; a one-shot `eval_ast` or `reduce_ast`
 compiles and drops its own.
 
@@ -70,12 +71,12 @@ def load_corpus(path: str | None = None):
 # ---------------------------------------------------------------------------
 # _compile turns a side, once, into a plan of nested closures fn(env, run):
 # the plan knows the shape of the side and computes with exact values, the run
-# knows the algebra of the others.  A run provides gen(name), apply(spec,
-# args) for a call without an exact entry, and power(a, k) and divide(a, b)
-# for an operand that is not exact; + - * and sums run the same code in every
-# run (_arith).  The numeric _Run gives mpf values with rigorous bounds and
-# _SymRun exact ConstExprs.  Plans go left to right and check a call's
-# arguments one at a time, so the first error met is the one reported.
+# supplies gen(name) for a constant and apply(spec, args) for a call without
+# an exact entry.  Each operator is one function in every run, on ints and
+# Fractions, mpf values or ConstExprs alike: + - * / through _arith (/ is
+# _div) and ^ through _pow.  The numeric _Run gives mpf values with rigorous
+# bounds and _SymRun exact ConstExprs.  Plans go left to right and check a
+# call's arguments one at a time, so the first error met is the one reported.
 
 
 def _div(a, b):
@@ -89,8 +90,8 @@ def _div(a, b):
 
 
 def _pow(a, k: int):
-    """a^k (an int a to a negative k gives a Fraction); DomainError for 0 to a
-    negative power."""
+    """a^k (an int a to a negative k gives a Fraction, a ConstExpr one its
+    exact division); DomainError for 0 to a negative power."""
     if k >= 0:
         return a**k
     if not a:
@@ -99,7 +100,7 @@ def _pow(a, k: int):
 
 
 _EXACT = (int, Fraction)
-_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div}
 
 
 def _to_mpf(v):
@@ -158,11 +159,6 @@ def _labels(name: str, n: int = 1):
 _ZETA_0 = Fraction(-1, 2)
 
 
-def _abs(v):
-    """|v|; a symbolic v must be rational and stays a ConstExpr."""
-    return ConstExpr.rational(abs(v.rational_value())) if type(v) is ConstExpr else abs(v)
-
-
 def _cs_sym(p, q, s, t):
     if (p, q) == ("1", "1"):
         return reductions.dzeta_reduce(s, t)
@@ -191,7 +187,7 @@ _CALLS = {
     "hyp2f1sp": _CallSpec(_labels("hyp2f1sp"), lambda n: n >= 1, "hyp2f1sp({}) needs n >= 1",
                           exact=lambda n: exact.hyp2f1_special(n)),
     "binom": _CallSpec(("binom n", "binom k"), exact=lambda n, k: exact.binomial(n, k)),
-    "abs": _CallSpec((None,), exact=_abs),
+    "abs": _CallSpec((None,), exact=abs),  # of a ConstExpr: rational only
     "zeta": _CallSpec(_labels("zeta"), lambda s: s == 0 or s >= 2, "zeta({}) diverges or is unsupported",
                       num=lambda D, s: numerics._zeta_internal(s, D) if s else (_ZETA_0, None),
                       sym=lambda s: zeta_sym(s) if s else _ZETA_0),
@@ -227,26 +223,22 @@ def _small(v) -> bool:
     return type(v) is int and -_SMALL < v < _SMALL
 
 
-def _mpf_operand(v):
-    """An exact v as the operand of an mpf operation: a small int as is, else _to_mpf(v)."""
-    return v if type(v) is int and -_SMALL < v < _SMALL else _to_mpf(v)
-
-
 def _arith(opf, a, b):
     """a + b, a - b, a * b or _div(a, b) (opf): exact for exact a and b, in
-    mpf when one is an mpf (the other as _mpf_operand gives it), else in
-    ConstExpr."""
+    mpf when one is an mpf (the other, exact, as is when small, else through
+    _to_mpf), else in ConstExpr."""
     if type(a) in _EXACT:
-        if type(b) is mpf:
-            a = _mpf_operand(a)
-    elif type(b) in _EXACT and type(a) is mpf:
-        b = _mpf_operand(b)
+        if type(b) is mpf and not _small(a):
+            a = _to_mpf(a)
+    elif type(b) in _EXACT and type(a) is mpf and not _small(b):
+        b = _to_mpf(b)
     return opf(a, b)
 
 
 class _Run:
     """The numeric run: exact values (ints while integral, else Fractions)
-    until a call with an error bound, mpf from there on.  D, the working
+    until a constant or a call with an error bound, mpf from there on; gen
+    and apply give those values and add their bounds.  D, the working
     digits; bound, the summed call bounds as a raw mpf at the precision prec
     of the run, so that each addition rounds as an mpf addition does; nodes,
     the node visits of sum bodies."""
@@ -270,15 +262,11 @@ class _Run:
             self.bound = mpf_add(self.bound, b._mpf_, self.prec, round_nearest)
         return v
 
-    power = staticmethod(_pow)
-
-    def divide(self, a, b):
-        return _arith(_div, a, b)
-
 
 class _SymRun:
     """The symbolic run: exact values until a constant or a call without an
-    exact entry, ConstExpr from there on, even where it is rational."""
+    exact entry, whose ConstExpr gen or apply gives, ConstExpr from there on,
+    even where it is rational."""
 
     nodes = 0  # sum closures count their node visits here too; nothing reads them
 
@@ -287,16 +275,6 @@ class _SymRun:
 
     def apply(self, spec, xs):
         return spec.sym(*xs)
-
-    def power(self, a, k):
-        if k >= 0:
-            return a**k
-        if not a:
-            raise DomainError("0 raised to a negative power")
-        return ConstExpr.rational(1).divide_exact(a**-k)
-
-    def divide(self, a, b):
-        return _div(a if type(a) is ConstExpr else ConstExpr.rational(a), b)
 
 
 # -- plans -------------------------------------------------------------------
@@ -356,15 +334,7 @@ def _c_binop(node, table):
     fb, nb, cb = _compile(node.right, table)
     n, op, opf = na + nb + 1, node.op, _OPS.get(node.op)
     if op == "^":
-        def fn(env, run):
-            a, k = fa(env, run), fb(env, run)
-            if type(k) is not int:
-                k = _integral(k, "exponent")
-            return _pow(a, k) if type(a) in _EXACT else run.power(a, k)
-    elif op == "/":
-        def fn(env, run):
-            a, b = fa(env, run), fb(env, run)
-            return _div(a, b) if type(a) in _EXACT and type(b) in _EXACT else run.divide(a, b)
+        fn = lambda env, run: _pow(fa(env, run), _integral(fb(env, run), "exponent"))
     # a small int operand meets an exact value exactly and an mpf through
     # mpmath's int path; a parameter next to it is read in the same closure
     elif _small(cb):

@@ -20,6 +20,7 @@ from mzv.numerics import (
     brute_force_oracle,
     char_dzeta_num,
     char_product,
+    chi,
     dzeta_num,
     generator_num,
     harmonic_sum_num,
@@ -66,6 +67,20 @@ def test_L_values(ctx40):
         assert abs(L_num("2b", 2, ctx40) - mp.pi**2 / 12) < tol(ctx40)
     with pytest.raises(DomainError):
         L_num("2a", 1, ctx40)
+
+
+def test_chi_unknown_character_is_a_domain_error():
+    assert chi("m4", 3) == -1
+    with pytest.raises(DomainError, match="unknown character 'x'"):
+        chi("x", 3)
+
+
+def test_char_product_unknown_character_is_a_domain_error():
+    assert char_product("2b", "m4") == "m4"
+    with pytest.raises(DomainError, match="unknown character 'x'"):
+        char_product("x", "1")
+    with pytest.raises(DomainError, match="unknown character 'y'"):
+        char_product("1", "y")
 
 
 @pytest.mark.parametrize("prec", [40, 100, 300])

@@ -640,6 +640,64 @@ def test_relation_rows_are_primitive_multiples(family, params, j_par, s_par):
             assert list(cand.relation(w)) == _primitive(_relation_reference(cand, w)), w
 
 
+def _weight_reference(cand, s, j) -> Fraction:
+    """The weight of each family by its Fraction formula."""
+    p = {k: Fraction(v) for k, v in cand.params.items()}
+    if cand.family == "power":
+        return p["a"] ** j
+    if cand.family == "affine":
+        return p["a"] * p["b"] ** j + (p["c"] ** s * p["d"] ** j if p["c"] else 0)
+    if cand.family == "symmetric-even":
+        return p["d"] ** j + p["d"] ** (s - j)
+    monos = {"1": 1, "j": j, "s": s, "j^2": j * j, "j*s": j * s, "s^2": s * s,
+             "j*(s-j)": j * (s - j)}
+    return sum(c * monos[m] for m, c in p.items())
+
+
+_WEIGHT_CASES = [
+    ("power", {"a": Fraction(-2, 3)}),
+    ("power", {"a": Fraction(0)}),
+    ("affine", {"a": Fraction(3, 2), "b": Fraction(1, 3), "c": Fraction(-5, 2),
+                "d": Fraction(4, 3)}),
+    ("affine", {"a": Fraction(1), "b": Fraction(-3, 2), "c": Fraction(0), "d": Fraction(0)}),
+    ("affine", {"a": Fraction(-1), "b": Fraction(0), "c": Fraction(1, 2), "d": Fraction(-7, 5)}),
+    ("poly", {"1": Fraction(1, 2), "j": Fraction(-2), "s": Fraction(3), "j^2": Fraction(1, 3),
+              "j*s": Fraction(-1), "s^2": Fraction(2, 7)}),
+    ("symmetric-even", {"d": Fraction(-3, 2)}),
+    ("symmetric-even", {"d": Fraction(0)}),
+    ("poly-even", {"1": Fraction(1), "s": Fraction(-1, 2), "s^2": Fraction(1, 3),
+                   "j*(s-j)": Fraction(2)}),
+]
+
+
+@pytest.mark.parametrize("family, params", _WEIGHT_CASES)
+def test_weights_js_and_scaled_weights_match_the_fraction_formulas(family, params):
+    """weight, js and _scaled_weights state the terms of the sum at s as the
+    family formulas do, in every (j, s) parity class of the family's shape
+    (even-argument candidates come in the class (any, any) only)."""
+    if family in ("symmetric-even", "poly-even"):
+        style, jrange = "even", (1, 1) if family == "symmetric-even" else (2, 2)
+        classes = [("any", "any")]
+    else:
+        style, jrange, classes = "plain", (2, 1), _PARITY_PAIRS
+    for j_par, s_par in classes:
+        cand = CandidateIdentity(family, params, j_par, s_par, style, jrange)
+        lo, off = jrange
+        for s in range(2, 13):
+            js = [j for j in range(lo, s - off + 1) if _parity_ok(j, j_par)]
+            assert cand.js(s) == js, (j_par, s)
+            for j in range(s + 1):
+                assert cand.weight(s, j) == _weight_reference(cand, s, j), (j_par, s, j)
+            ints, den = cand._scaled_weights(s, js)
+            assert den > 0 and len(ints) == len(js)
+            assert [Fraction(x, den) for x in ints] == [_weight_reference(cand, s, j) for j in js]
+
+
+def test_weight_of_an_unknown_family_is_a_domain_error():
+    with pytest.raises(DomainError, match="unknown family 'cubic'"):
+        CandidateIdentity("cubic", {}).weight(4, 2)
+
+
 def test_is_new_zero_rows():
     zero = CandidateIdentity("poly", {}, f_coeffs={})
     assert not _is_new(zero, [])

@@ -47,6 +47,11 @@ def test_L_sym():
         L_sym("2b", 1)
 
 
+def test_L_sym_unknown_character_is_a_domain_error():
+    with pytest.raises(DomainError, match="unknown character 'x'"):
+        L_sym("x", 3)
+
+
 def test_product_of_even_zetas_is_single_monomial():
     e = zeta_sym(4) * zeta_sym(6)
     assert e == pi_power(10, Fraction(1, 90 * 945))
@@ -68,6 +73,25 @@ def test_divide_exact():
         e.divide_exact(pi_power(7))
     with pytest.raises(NotReducible):
         e.divide_exact(e)
+
+
+def test_division_negative_powers_and_abs_are_exact_or_not_reducible():
+    """Negative powers and a rational divided by an expression go through
+    divide_exact; abs takes rational values only."""
+    assert ConstExpr.rational(Fraction(-2, 3)) ** -3 == ConstExpr.rational(Fraction(-27, 8))
+    assert ConstExpr.rational(4) ** -2 == ConstExpr.rational(Fraction(1, 16))
+    assert Fraction(1, 2) / ConstExpr.rational(4) == ConstExpr.rational(Fraction(1, 8))
+    assert 0 / zeta_sym(3) == ConstExpr.zero
+    assert abs(ConstExpr.rational(Fraction(-5, 7))) == ConstExpr.rational(Fraction(5, 7))
+    assert abs(ConstExpr.zero) == ConstExpr.zero
+    with pytest.raises(NotReducible, match="monomial not divisible"):
+        zeta_sym(2) ** -1
+    with pytest.raises(NotReducible, match="monomial not divisible"):
+        2 / zeta_sym(3)
+    with pytest.raises(NotReducible, match="division only by single-term expressions"):
+        1 / (zeta_sym(3) + 1)
+    with pytest.raises(NotReducible, match="expression is not rational"):
+        abs(ConstExpr.generator(PI))
 
 
 _small = st.integers(min_value=-4, max_value=4)
@@ -107,6 +131,11 @@ def test_expr_num_matches_numerics(ctx40):
     with mp.workdps(60):
         assert abs(expr_num(e, ctx40) - dzeta_num(2, 2, ctx40)) < mp.mpf(10) ** -39
     assert expr_num(ConstExpr.zero, ctx40) == 0
+
+
+def test_expr_num_of_a_non_expression_is_a_domain_error(ctx40):
+    with pytest.raises(DomainError, match="expr_num needs a ConstExpr, got int"):
+        expr_num(3, ctx40)
 
 
 def test_expr_num_alternating_value(ctx40):
