@@ -2,9 +2,10 @@
 corpus list.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse or domain error
-(bad input, e.g. `eval` or `reduce` of a divergent call such as zeta(1), or a
-corpus or report path that can not be read or written), 3 not reducible (a
-valid expression outside the closed-form scope).
+(bad input, e.g. `eval` or `reduce` of a divergent call such as zeta(1), an
+exact result too long to print, or a corpus or report path that can not be
+read or written), 3 not reducible (a valid expression outside the closed-form
+scope).
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from . import exact
 from .corpus import parse_expr
 from .errors import DomainError, NotReducible, ParseError, PrecisionError
 from .numerics import EvalContext
-from .search import SearchConfig, candidate_dsl, search_general
+from .search import FAMILIES, SearchConfig, candidate_dsl, search_general
 from .verify import (
     SuiteConfig,
     eval_ast_detailed,
@@ -73,8 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         action="append",
-        choices=("power", "alternating", "affine", "symmetric-even", "poly"),
-        help="family to search (repeatable; default: power, affine, symmetric-even)",
+        choices=FAMILIES,
+        help=f"family to search (repeatable; default: {', '.join(SearchConfig.families)})",
     )
     p.add_argument("--height", type=int, default=16, help="rational height bound H")
     p.add_argument("--deg", type=int, default=2, help="max polynomial degree for --family poly")
@@ -95,11 +96,19 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
+def _check_printable(values) -> None:
+    """DomainError unless str() prints every rational in values."""
+    if not all(map(exact.printable, values)):
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"the exact result is too long to print (over {limit} digits)")
+
+
 def cmd_eval(args) -> int:
     ctx = EvalContext(args.prec)
     value, bound, nodes = eval_ast_detailed(parse_expr(args.expr), {}, ctx)
     with mp.workdps(ctx.work_digits):
         if isinstance(value, Fraction):
+            _check_printable([value])
             print(f"{value}  (exact rational)")
         else:
             budget = nodes * ctx.tolerance()
@@ -115,6 +124,7 @@ def cmd_reduce(args) -> int:
     except NotReducible as exc:
         print(f"not reducible: {exc}", file=sys.stderr)
         return EXIT_NOT_REDUCIBLE
+    _check_printable(expr.terms.values())
     print(expr.render())
     return EXIT_OK
 
@@ -164,7 +174,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    families = tuple(args.family) if args.family else ("power", "affine", "symmetric-even")
+    families = tuple(args.family) if args.family else SearchConfig.families
     config = SearchConfig(families=families, H=args.height, prec=args.prec, deg=args.deg)
     candidates = search_general(config)
     for i, cand in enumerate(candidates, start=1):
@@ -199,11 +209,11 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "search":
             return cmd_search(args)
-        if args.command == "bernoulli":
-            print(exact.bernoulli(args.n))
-            return EXIT_OK
-        if args.command == "euler":
-            print(exact.euler_number(args.n))
+        if args.command in ("bernoulli", "euler"):
+            number = exact.bernoulli if args.command == "bernoulli" else exact.euler_number
+            value = number(args.n)
+            _check_printable([value])
+            print(value)
             return EXIT_OK
         if args.command == "corpus":
             return cmd_corpus(args)

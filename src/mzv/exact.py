@@ -13,6 +13,7 @@ Parallel callers should use processes.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .errors import DomainError
@@ -156,6 +157,13 @@ def hyp2f1_special(n: int) -> Fraction:
     rhs = Fraction(1, 2 ** (n + 1)) - alternating_binom_sum(n)
     sign = 1 if (n + 1) % 2 == 0 else -1
     return sign * rhs / math.comb(2 * n + 1, n)
+
+
+def printable(x) -> bool:
+    """Whether str() prints the rational x: Python refuses integers of more
+    than sys.get_int_max_str_digits() digits (0 or absent: no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return not limit or max(abs(x.numerator), x.denominator) < 10**limit
 
 
 def _rref(aug, ncols):

@@ -5,7 +5,9 @@ variant zeta(2j, 2s-2j)) are solved exactly against the weight <= 7 reduction
 tables, assuming the basis constants are algebraically independent over Q, and
 surviving candidates are screened numerically at two higher weights.  The
 numeric stage can only reject, never accept: acceptance is exact arithmetic
-throughout.
+throughout.  Each fact of a family is one table entry: its shape (argument
+scale and j range, `_SHAPES`), the f(s) basis (`F_BASIS`), the polynomial
+monomials (`_MONOS`) and the anchor weights (`ANCHORS`).
 
 Even-argument symmetric families (weights invariant under j -> s-j) certify
 exactly at *every* weight, because the reflection formula turns the sum into
@@ -70,27 +72,23 @@ from .exact import _rref
 from .reductions import dzeta_reduce
 from .symexpr import ConstExpr, zeta_sym
 
-F_SPAN = ("1", "s", "s^2", "2^s", "4^s", "s*4^s")
+# The f(s) basis: name -> its integer value at s.
+F_BASIS = {
+    "1": lambda s: 1,
+    "s": lambda s: s,
+    "s^2": lambda s: s * s,
+    "2^s": lambda s: 2**s,
+    "4^s": lambda s: 4**s,
+    "s*4^s": lambda s: s * 4**s,
+}
+F_SPAN = tuple(F_BASIS)
 
-
-def _span_value(name: str, s: int) -> int:
-    if name == "1":
-        return 1
-    if name == "s":
-        return s
-    if name == "s^2":
-        return s * s
-    if name == "2^s":
-        return 2**s
-    if name == "4^s":
-        return 4**s
-    if name == "s*4^s":
-        return s * 4**s
-    raise KeyError(name)
+# The weights w whose double zeta values reduce exactly: the search's anchors.
+ANCHORS = (4, 5, 6, 7)
 
 
 def f_eval(coeffs: dict, s: int) -> Fraction:
-    return sum((c * _span_value(k, s) for k, c in coeffs.items()), Fraction(0))
+    return sum((c * F_BASIS[k](s) for k, c in coeffs.items()), Fraction(0))
 
 
 def render_f(coeffs: dict, var: str = "s") -> str:
@@ -103,16 +101,9 @@ def render_f(coeffs: dict, var: str = "s") -> str:
             continue
         body = name.replace("s", var) if name != "1" else ""
         mag = abs(c)
-        if body:
-            text = body if mag == 1 else f"{_frac_text(mag)}*{body}"
-        else:
-            text = _frac_text(mag)
+        text = (body if mag == 1 else f"{mag}*{body}") if body else str(mag)
         parts.append((("- " if c < 0 else "+ ") + text) if parts else (("-" if c < 0 else "") + text))
     return " ".join(parts)
-
-
-def _frac_text(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +118,7 @@ def _parity_ok(x: int, parity: str) -> bool:
 def reduce_weighted_sum(weight_fn, w: int, parity: str = "any") -> ConstExpr:
     """Exact ConstExpr of sum_j weight_fn(w, j) * zeta(j, w-j) over 2 <= j <= w-1
     restricted to the given j-parity; weights must be rational."""
-    if w not in (4, 5, 6, 7):
+    if w not in ANCHORS:
         raise DomainError("weighted sums reduce exactly only for weights 4..7")
     total = ConstExpr.zero
     for j in range(2, w):
@@ -141,19 +132,12 @@ def reduce_weighted_sum(weight_fn, w: int, parity: str = "any") -> ConstExpr:
     return total
 
 
-def _target_fit(expr: ConstExpr, w: int):
-    """If expr == f * zeta(w) for a rational f, return f, else None."""
-    zw = zeta_sym(w)
-    zmono, zcoef = tuple(zw.terms.items())[0]
-    f = expr.coefficient(zmono) / zcoef
-    if expr - zw * f == ConstExpr.zero:
-        return f
-    return None
-
-
 def weighted_sum_f(weight_fn, w: int, j_parity: str = "any"):
     """Rational f with sum_j weight_fn(w,j) zeta(j,w-j) = f zeta(w), or None."""
-    return _target_fit(reduce_weighted_sum(weight_fn, w, j_parity), w)
+    expr, zw = reduce_weighted_sum(weight_fn, w, j_parity), zeta_sym(w)
+    ((zmono, zcoef),) = zw.terms.items()
+    f = expr.coefficient(zmono) / zcoef
+    return f if expr - zw * f == ConstExpr.zero else None
 
 
 @functools.cache
@@ -259,7 +243,7 @@ def _fit_plan(svals: tuple):
     for size in range(0, min(len(F_SPAN), n) + 1):
         for subset in itertools.combinations(range(len(F_SPAN)), size):
             aug = [
-                [_span_value(F_SPAN[i], s) for i in subset] + [int(k == r) for k in range(n)]
+                [F_BASIS[F_SPAN[i]](s) for i in subset] + [int(k == r) for k in range(n)]
                 for r, s in enumerate(svals)
             ]
             if len(_rref(aug, size)) != size:
@@ -359,20 +343,33 @@ def _canonical_scale(vec):
 # candidates
 # ---------------------------------------------------------------------------
 
-def _poly_mono(mono: str, s: int, j: int) -> Fraction:
-    return {
-        "1": Fraction(1),
-        "j": Fraction(j),
-        "s": Fraction(s),
-        "j^2": Fraction(j * j),
-        "j*s": Fraction(j * s),
-        "s^2": Fraction(s * s),
-        "j*(s-j)": Fraction(j * (s - j)),
-    }[mono]
+# The shape of each family's sum: at s it runs over zeta(kj, k(s-j)), a sum of
+# weight w = ks, for j = lo..s - off in the j-parity class.
+_SHAPES = {  # family: (k, lo, off)
+    "power": (1, 2, 1),
+    "affine": (1, 2, 1),
+    "poly": (1, 2, 1),
+    "symmetric-even": (2, 1, 1),
+    "poly-even": (2, 2, 2),
+}
+
+# The poly monomials: name (also its DSL text) -> (degree, value at (s, j),
+# families).  "poly" spans the polynomials in j and s, "poly-even" those
+# symmetric under j -> s-j.
+_MONOS = {
+    "1": (0, lambda s, j: 1, ("poly", "poly-even")),
+    "j": (1, lambda s, j: j, ("poly",)),
+    "s": (1, lambda s, j: s, ("poly", "poly-even")),
+    "j^2": (2, lambda s, j: j * j, ("poly",)),
+    "j*s": (2, lambda s, j: j * s, ("poly",)),
+    "s^2": (2, lambda s, j: s * s, ("poly", "poly-even")),
+    "j*(s-j)": (2, lambda s, j: j * (s - j), ("poly-even",)),
+}
 
 
-def _mono_deg(m: str) -> int:
-    return {"1": 0, "j": 1, "s": 1, "j^2": 2, "j*s": 2, "s^2": 2, "j*(s-j)": 2}[m]
+def _monos(family: str, deg: int) -> list:
+    """The monomials of a poly family up to degree deg, in table order."""
+    return [m for m, (d, _, fams) in _MONOS.items() if d <= deg and family in fams]
 
 
 @dataclass
@@ -381,30 +378,35 @@ class CandidateIdentity:
     params: dict
     j_parity: str = "any"
     s_parity: str = "any"
-    arg_style: str = "plain"  # plain | even
-    jrange: tuple = (2, 1)  # j runs lo .. s - hi_off
     f_coeffs: dict = field(default_factory=dict)
     status: str = "exact<=7"
     _relations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _f_ints: tuple = field(default=None, init=False, repr=False, compare=False)
 
+    @property
+    def shape(self) -> tuple:
+        """The family's (k, lo, off) from `_SHAPES`."""
+        if self.family not in _SHAPES:
+            raise DomainError(f"unknown family {self.family!r}")
+        return _SHAPES[self.family]
+
     def weight(self, s: int, j: int) -> Fraction:
-        """The weight of zeta(j, s-j) (or zeta(2j, 2s-2j)) at s, for 0 <= j <= s."""
+        """The weight of zeta(kj, k(s-j)) at s, for 0 <= j <= s."""
         (x,), den = self._scaled_weights(s, [j])
         return Fraction(x, den)
 
     def js(self, s: int) -> list:
-        """The j of the sum at s (s = w, or w/2 for even arguments): lo..s - off
-        in the j-parity class."""
-        lo, off = self.jrange
+        """The j of the sum at s: lo..s - off in the j-parity class."""
+        _, lo, off = self.shape
         return [j for j in range(lo, s - off + 1) if _parity_ok(j, self.j_parity)]
 
     def applicable(self, w: int) -> bool:
-        lo, off = self.jrange
-        if self.arg_style == "even":
-            return w % 2 == 0 and w // 2 - off >= lo
-        return w >= lo + off + 1 and _parity_ok(w, self.s_parity)
+        """Whether the sum has a term at weight w: w = ks with s in the
+        s-parity class and lo <= s - off."""
+        k, lo, off = self.shape
+        s = w // k
+        return w % k == 0 and s - off >= lo and _parity_ok(s, self.s_parity)
 
     def relation(self, w: int):
         """The primitive integer row of (weights over zeta(j, w-j) for
@@ -417,7 +419,7 @@ class CandidateIdentity:
         return rel
 
     def _relation(self, w: int):
-        k = 2 if self.arg_style == "even" else 1  # the argument scale
+        k = self.shape[0]
         s = w // k
         js = self.js(s)
         ints, den = self._scaled_weights(s, js)
@@ -425,7 +427,7 @@ class CandidateIdentity:
             fints, fden = _integer_scale(list(self.f_coeffs.values()))
             self._f_ints = tuple(zip(self.f_coeffs, fints)), fden
         fterms, fden = self._f_ints
-        fnum = sum(c * _span_value(name, s) for name, c in fterms)  # f(s) = fnum / fden
+        fnum = sum(c * F_BASIS[name](s) for name, c in fterms)  # f(s) = fnum / fden
         row = [0] * (w - 1)
         for j, x in zip(js, ints):
             row[k * j - 2] = x * fden
@@ -436,8 +438,7 @@ class CandidateIdentity:
         """(ints, den) with weight(s, j) == ints[i] / den for the increasing
         js in 0..s: the one statement of each family's weights.  The
         power-type families use running integer powers of the bases."""
-        fam = self.family
-        p = self.params
+        fam, p = self.family, self.params
         if not js:
             return [], 1
         if fam == "symmetric-even":
@@ -448,7 +449,7 @@ class CandidateIdentity:
         if fam == "affine":
             return _affine_weights(*(_pair(p[k]) for k in "abcd"), s, js, self._powers)
         if fam in ("poly", "poly-even"):
-            return _integer_scale([sum(c * _poly_mono(m, s, j) for m, c in p.items()) for j in js])
+            return _integer_scale([sum(c * _MONOS[m][1](s, j) for m, c in p.items()) for j in js])
         raise DomainError(f"unknown family {fam!r}")
 
     def describe(self) -> str:
@@ -549,11 +550,6 @@ def _condition_vector(w: int, j_parity: str, x):
     return tuple(sum(map(mul, row, terms)) for row in rows)
 
 
-def _conditioned(anchors, j_parity: str):
-    """The anchor weights with at least one vanishing row."""
-    return [w for w in anchors if _anchor_table(w, j_parity)[1]]
-
-
 class _ConditionVectors:
     """The condition vectors of the height-H pool per anchor key (w, j-parity),
     each key built on first use; one search run shares them between its
@@ -614,6 +610,7 @@ def solve_power_base(w: int, H: int = 16, j_parity: str = "any"):
 
 _PARITIES = ("any", "even", "odd")
 SCREEN_TOL_EXP = 25  # the numeric screen's tolerance is 10^-SCREEN_TOL_EXP
+FAMILIES = ("power", "alternating", "affine", "symmetric-even", "poly")  # in search order
 
 
 @dataclass
@@ -625,30 +622,22 @@ class SearchConfig:
 
 
 def _anchor_weights(s_parity: str):
-    return [w for w in (4, 5, 6, 7) if _parity_ok(w, s_parity)]
-
-
-def _screen_params(cand: CandidateIdentity):
-    if cand.arg_style == "even":
-        return (9, 11)
-    if cand.s_parity == "even":
-        return (10, 12)
-    return (9, 11)
+    return [w for w in ANCHORS if _parity_ok(w, s_parity)]
 
 
 def numeric_screen(cand: CandidateIdentity, prec: int = 40, tol_exp: int = SCREEN_TOL_EXP) -> bool:
     """Reject-only numeric check of a candidate at two parameters beyond the
-    exact range (tolerance 10^-tol_exp).  Terms are evaluated at
-    max(prec, tol_exp) + 10 digits, so the tolerance, not only the precision,
-    sets the working digits.  The error bounds of the evaluated terms are
-    added up, weighted like the terms; PrecisionError when their sum does not
-    lie below the tolerance, since the check could then reject a true
-    identity."""
+    exact range, s = 9 and 11 (10 and 12 in the s-even class), with tolerance
+    10^-tol_exp.  Terms are evaluated at max(prec, tol_exp) + 10 digits, so
+    the tolerance, not only the precision, sets the working digits.  The
+    error bounds of the evaluated terms are added up, weighted like the
+    terms; PrecisionError when their sum does not lie below the tolerance,
+    since the check could then reject a true identity."""
     D = max(prec, tol_exp) + 10
-    k = 2 if cand.arg_style == "even" else 1  # the argument scale
+    k = cand.shape[0]
     with mp.workdps(D + 10):
         tol = mpf(10) ** (-tol_exp)
-        for sp in _screen_params(cand):
+        for sp in (10, 12) if cand.s_parity == "even" else (9, 11):
             total = bound = mp.zero
             js = cand.js(sp)
             ints, den = cand._scaled_weights(sp, js)
@@ -681,7 +670,7 @@ def _anchor_classes(conds: _ConditionVectors):
     for s_par in _PARITIES:
         anchors = _anchor_weights(s_par)
         for j_par in _PARITIES:
-            ws = _conditioned(anchors, j_par)
+            ws = [w for w in anchors if _anchor_table(w, j_par)[1]]
             if ws:
                 yield s_par, j_par, anchors, ws, [conds.at(w, j_par) for w in ws]
 
@@ -696,7 +685,7 @@ def _power_candidates(config: SearchConfig, conds: _ConditionVectors | None = No
             coeffs = _anchor_fit(anchors, j_par, weights)
             if coeffs is not None:
                 params = {"a": Fraction(*a)}
-                yield CandidateIdentity("power", params, j_par, s_par, "plain", (2, 1), coeffs)
+                yield CandidateIdentity("power", params, j_par, s_par, coeffs)
 
 
 def _fraction_sqrt(x: Fraction):
@@ -728,7 +717,7 @@ def _affine_candidates(config: SearchConfig, conds: _ConditionVectors | None = N
             if coeffs is None:
                 return None
             params = {"a": Fraction(1), "b": Fraction(*b), "c": Fraction(*c), "d": Fraction(*d)}
-            return CandidateIdentity("affine", params, j_par, s_par, "plain", (2, 1), coeffs)
+            return CandidateIdentity("affine", params, j_par, s_par, coeffs)
 
         # degenerate c = 0: pure powers inside the affine shape
         for b in pool:
@@ -814,44 +803,39 @@ def _symmetric_even_candidates(config: SearchConfig):
     for d in height_rationals(config.H):
         coeffs = fit_span_minimal([(s, _symmetric_even_f(s, d)) for s in range(2, 9)])
         if coeffs is not None:
-            yield CandidateIdentity("symmetric-even", {"d": d}, "any", "any", "even", (1, 1), coeffs)
+            yield CandidateIdentity("symmetric-even", {"d": d}, f_coeffs=coeffs)
 
 
 def _poly_plain_candidates(config: SearchConfig):
-    monos = [m for m in ("1", "j", "s", "j^2", "j*s", "s^2") if _mono_deg(m) <= config.deg]
-    anchors = (4, 5, 6, 7)
+    monos = _monos("poly", config.deg)
     rows = []
-    for w in anchors:
+    for w in ANCHORS:
         js, vanishing, _, _ = _anchor_table(w, "any")
-        for row in vanishing:
-            rows.append(
-                [
-                    sum((c * _poly_mono(m, w, j) for j, c in zip(js, row) if c), Fraction(0))
-                    for m in monos
-                ]
-            )
+        rows += [
+            [sum((c * _MONOS[m][1](w, j) for j, c in zip(js, row) if c), Fraction(0)) for m in monos]
+            for row in vanishing
+        ]
     for vec in _nullspace(rows, len(monos)):
         vec = _canonical_scale(vec)
         params = {m: c for m, c in zip(monos, vec) if c}
         if not params:
             continue
-        cand = CandidateIdentity("poly", params, "any", "any", "plain", (2, 1))
-        cand.f_coeffs = _anchor_fit(anchors, "any", cand._scaled_weights)
+        cand = CandidateIdentity("poly", params)
+        cand.f_coeffs = _anchor_fit(ANCHORS, "any", cand._scaled_weights)
         if cand.f_coeffs is not None:
             yield cand
 
 
 def _poly_even_candidates(config: SearchConfig):
     """Symmetric polynomial weights on zeta(2j, 2s-2j) over 2 <= j <= s-2."""
-    monos = [m for m in ("1", "s", "s^2", "j*(s-j)") if _mono_deg(m) <= config.deg]
-    anchor_s = list(range(4, 15))
+    monos = _monos("poly-even", config.deg)
+    _, lo, off = _SHAPES["poly-even"]
     ncols = len(monos) + len(F_SPAN)
-    rows = []
-    for s in anchor_s:
-        row = [
-            even_arg_sum_f(lambda ss, j, m=m: _poly_mono(m, ss, j), s, 2, 2) for m in monos
-        ] + [-_span_value(bn, s) for bn in F_SPAN]
-        rows.append(row)
+    rows = [
+        [even_arg_sum_f(lambda ss, j, m=m: _MONOS[m][1](ss, j), s, lo, off) for m in monos]
+        + [-F_BASIS[bn](s) for bn in F_SPAN]
+        for s in range(4, 15)
+    ]
     for vec in _nullspace(rows, ncols):
         alpha = vec[: len(monos)]
         if not any(alpha):
@@ -860,10 +844,7 @@ def _poly_even_candidates(config: SearchConfig):
         scale = next(a / b for a, b in zip(scaled, alpha) if b)
         params = {m: c for m, c in zip(monos, scaled) if c}
         fc = {bn: c * scale for bn, c in zip(F_SPAN, vec[len(monos):]) if c}
-        yield CandidateIdentity("poly-even", params, "any", "any", "even", (2, 2), fc)
-
-
-_FAMILY_ORDER = ("power", "alternating", "affine", "symmetric-even", "poly")
+        yield CandidateIdentity("poly-even", params, f_coeffs=fc)
 
 
 def search_general(config: SearchConfig | None = None):
@@ -871,10 +852,10 @@ def search_general(config: SearchConfig | None = None):
     exact per-weight span membership, numerically screen, and return the
     surviving candidates."""
     config = config or SearchConfig()
-    unknown = [f for f in config.families if f not in _FAMILY_ORDER]
+    unknown = [f for f in config.families if f not in FAMILIES]
     if unknown:
         raise DomainError(
-            f"unknown search family {unknown[0]!r}; choose from {', '.join(_FAMILY_ORDER)}"
+            f"unknown search family {unknown[0]!r}; choose from {', '.join(FAMILIES)}"
         )
     numerics.EvalContext(config.prec)  # the same precision floor as evaluation
     if config.H < 1:
@@ -883,7 +864,7 @@ def search_general(config: SearchConfig | None = None):
         raise DomainError(f"polynomial degree must be 0, 1 or 2, got {config.deg}")
     conds = _ConditionVectors(config.H)
     emitted: list[CandidateIdentity] = []
-    for family in sorted(config.families, key=_FAMILY_ORDER.index):
+    for family in sorted(config.families, key=FAMILIES.index):
         if family == "power":
             gen = _power_candidates(config, conds)
         elif family == "alternating":
@@ -895,9 +876,7 @@ def search_general(config: SearchConfig | None = None):
             if family == "symmetric-even":
                 gen = _symmetric_even_candidates(config)
             else:  # poly
-                gen = itertools.chain(
-                    _poly_plain_candidates(config), _poly_even_candidates(config)
-                )
+                gen = itertools.chain(_poly_plain_candidates(config), _poly_even_candidates(config))
         for cand in gen:
             if not _is_new(cand, emitted):
                 continue
@@ -920,27 +899,15 @@ def search_poly_weights(config: SearchConfig | None = None):
 
 
 def _frac_dsl(x: Fraction) -> str:
-    if x.denominator == 1 and x >= 0:
-        return str(x.numerator)
-    if x.denominator == 1:
-        return f"({x.numerator})"
-    return f"({x.numerator}/{x.denominator})"
+    return str(x) if x.denominator == 1 and x >= 0 else f"({x})"
 
 
 def _poly_dsl(params: dict, svar: str = "s") -> str:
+    """A poly weight as DSL text, with svar (s or a parenthesized s-text) for s."""
     parts = []
     for m, c in params.items():
-        body = {
-            "1": "",
-            "j": "j",
-            "s": svar,
-            "j^2": "j^2",
-            "j*s": f"j*{svar}",
-            "s^2": f"({svar})^2" if svar != "s" else "s^2",
-            "j*(s-j)": f"j*({svar}-j)",
-        }[m]
-        txt = _frac_dsl(c) if not body else (body if c == 1 else f"{_frac_dsl(c)}*{body}")
-        parts.append(txt)
+        body = m.replace("s", svar) if m != "1" else ""
+        parts.append(_frac_dsl(c) if not body else (body if c == 1 else f"{_frac_dsl(c)}*{body}"))
     return " + ".join(parts)
 
 
@@ -948,8 +915,8 @@ def candidate_dsl(cand: CandidateIdentity, ident: str = "S01") -> str:
     """Render a candidate as a corpus DSL identity entry, ready to feed back
     into the verifier.  Parity classes are reparametrized (s -> 2s or 2s+1,
     j -> 2i or 2i+1) so that all sum bounds stay integral."""
-    lo, off = cand.jrange
-    if cand.arg_style == "even":
+    k, lo, off = cand.shape
+    if k == 2:
         f = render_f(cand.f_coeffs)
         if cand.family == "symmetric-even":
             d = _frac_dsl(cand.params["d"])
@@ -959,6 +926,7 @@ def candidate_dsl(cand: CandidateIdentity, ident: str = "S01") -> str:
         body = f"sum(j={lo}..s-{off}, {wtxt}*dz(2*j,2*s-2*j))"
         return f"identity {ident} : forall s>={lo + off + 1} : {body} == ({f})*zeta(2*s)"
     stxt = {"any": "s", "even": "2*s", "odd": "2*s+1"}[cand.s_parity]
+    svar = f"({stxt})" if cand.s_parity != "any" else "s"
     if cand.family == "power":
         wtxt = f"{_frac_dsl(cand.params['a'])}^{{J}}"
     elif cand.family == "affine":
@@ -970,24 +938,18 @@ def candidate_dsl(cand: CandidateIdentity, ident: str = "S01") -> str:
         else:
             wtxt = f"{b}^{{J}}"
     else:
-        wtxt = f"({_poly_dsl(cand.params, stxt)})".replace("j", "{J}")
+        wtxt = f"({_poly_dsl(cand.params, svar)})".replace("j", "{J}")
     if cand.j_parity == "any":
-        jexpr, idx = "j", f"j=2..{stxt}-1"
-    elif cand.j_parity == "even":
-        jexpr, idx = "(2*i)", f"i=1..{_half_hi(cand.s_parity, 'even')}"
-    else:
-        jexpr, idx = "(2*i+1)", f"i=1..{_half_hi(cand.s_parity, 'odd')}"
-    wtxt = wtxt.replace("{J}", jexpr if jexpr != "j" else "j")
+        jexpr, idx = "j", f"j={lo}..{stxt}-{off}"
+    elif cand.s_parity == "any":
+        raise DomainError("j-parity emission needs an s-parity class")
+    else:  # the largest i with 2i (or 2i+1) <= S-1 for S = 2s or 2s+1
+        jexpr = "(2*i)" if cand.j_parity == "even" else "(2*i+1)"
+        hi = "s" if (cand.s_parity, cand.j_parity) == ("odd", "even") else "s-1"
+        idx = f"i=1..{hi}"
+    wtxt = wtxt.replace("{J}", jexpr)
     term = f"{wtxt}*dz({jexpr},{stxt}-{jexpr})"
-    f = render_f(cand.f_coeffs, var=f"({stxt})" if cand.s_parity != "any" else "s")
+    f = render_f(cand.f_coeffs, var=svar)
     lo_dom = 3 if cand.s_parity == "any" else 2
     return f"identity {ident} : forall s>={lo_dom} : sum({idx}, {term}) == ({f})*zeta({stxt})"
 
-
-def _half_hi(s_parity: str, j_parity: str) -> str:
-    """Largest i with 2i (or 2i+1) <= S-1 for S = 2s or 2s+1, as a DSL bound."""
-    if s_parity == "even":
-        return "s-1"
-    if s_parity == "odd":
-        return "s" if j_parity == "even" else "s-1"
-    raise DomainError("j-parity emission needs an s-parity class")

@@ -22,7 +22,7 @@ LI4H = "li4h"
 
 def zeta_gen(k: int):
     if k < 3 or k % 2 == 0:
-        raise ValueError("zeta generators are odd with index >= 3")
+        raise DomainError(f"zeta generators are odd with index >= 3, got {k}")
     return ("z", k)
 
 
@@ -48,7 +48,8 @@ class ConstExpr:
     """Finite map monomial -> rational, in normal form (zero coefficients removed).
 
     Division and negative integer powers are exact division (`divide_exact`)
-    and abs takes rational values only; otherwise they raise NotReducible.
+    and abs takes rational values only; otherwise they raise NotReducible,
+    and ZeroDivisionError for a zero divisor.
 
     Immutable by convention: every operation returns a new expression and no
     code changes ``terms`` after construction, so one instance may be shared
@@ -119,9 +120,7 @@ class ConstExpr:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division of ConstExpr by zero")
+        if isinstance(other, (int, Fraction)) and other:
             return _raw({m: c / other for m, c in self.terms.items()})
         return self.divide_exact(_coerce(other))
 
@@ -142,7 +141,10 @@ class ConstExpr:
 
     def divide_exact(self, other: "ConstExpr") -> "ConstExpr":
         """Exact division, defined only when the divisor is a single term and
-        every numerator monomial is divisible by it."""
+        every numerator monomial is divisible by it; ZeroDivisionError for a
+        zero divisor."""
+        if not other.terms:
+            raise ZeroDivisionError("division of ConstExpr by zero")
         if len(other.terms) != 1:
             raise NotReducible("division only by single-term expressions")
         (dmono, dcoef), = other.terms.items()
@@ -188,8 +190,9 @@ class ConstExpr:
         return sorted(self.terms, key=_mono_key)
 
     # -- rendering ----------------------------------------------------------
-    def render(self) -> str:
-        """Canonical text form, e.g. '1/2*pi^2*z3 - 11/2*z5'."""
+    def render(self, num=str) -> str:
+        """Canonical text form, e.g. '1/2*pi^2*z3 - 11/2*z5'; num writes each
+        coefficient's magnitude."""
         if not self.terms:
             return "0"
         parts = []
@@ -200,10 +203,10 @@ class ConstExpr:
             )
             mag = abs(c)
             if body:
-                coef = "" if mag == 1 else f"{mag}*"
+                coef = "" if mag == 1 else f"{num(mag)}*"
                 text = coef + body
             else:
-                text = f"{mag}"
+                text = num(mag)
             if not parts:
                 parts.append(("-" if c < 0 else "") + text)
             else:

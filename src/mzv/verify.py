@@ -112,6 +112,11 @@ def _to_mpf(v):
     return v
 
 
+def _exact_text(x) -> str:
+    """str of a rational, or its mp.nstr when str() cannot print it."""
+    return str(x) if exact.printable(x) else mp.nstr(_to_mpf(x), 6, strip_zeros=False)
+
+
 def _integral(v, what: str) -> int:
     """The exactness rule of a call argument, an exponent and a sum bound, in
     every mode: the int value of an integral int or Fraction, else a
@@ -535,7 +540,7 @@ def verify_numeric(ident: Identity, params: dict, ctx: EvalContext) -> VerifyRep
                 if isinstance(lv, _EXACT) and isinstance(rv, _EXACT):
                     if lv != rv:
                         return _report(ident, params, "numeric", "fail", t0,
-                                       residual=str(lv - rv), tol="0", exact=False)
+                                       residual=_exact_text(lv - rv), tol="0", exact=False)
                     continue
                 all_exact = False
                 worst = max(worst, abs(_to_mpf(lv) - _to_mpf(rv)))
@@ -559,7 +564,7 @@ def verify_symbolic(ident: Identity, params: dict) -> VerifyReport:
             re_ = _reduce(_side_plan(ident, rhs), params)
             if le != re_:
                 return _report(ident, params, "symbolic", "fail", t0,
-                               residual=(le - re_).render(), exact=False)
+                               residual=(le - re_).render(_exact_text), exact=False)
         return _report(ident, params, "symbolic", "pass", t0, exact=True)
     except NotReducible as exc:
         return _report(ident, params, "symbolic", "numeric-only", t0, error=str(exc))

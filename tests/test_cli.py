@@ -110,12 +110,20 @@ def test_eval_harmonic_sum_domain_names_the_call(capsys):
     assert code == 2 and err.startswith("error: hsum_half(0)")
 
 
-def test_search_height_16_output_is_pinned(capsys):
-    """`mzv search --height 16` writes the committed bytes: the four survivors
-    with their DSL entries, in order."""
-    code, out, _ = run(capsys, "search", "--height", "16")
+_FIVE = [arg for fam in search.FAMILIES for arg in ("--family", fam)]
+
+
+@pytest.mark.parametrize("argv, golden", [
+    pytest.param(["--height", "16"], "search_h16.txt", id="h16"),
+    pytest.param(["--family", "poly", "--deg", "2"], "search_poly_deg2.txt", id="poly-deg2"),
+    pytest.param([*_FIVE, "--height", "8"], "search_five_families_h8.txt", id="five-families-h8"),
+])
+def test_search_output_is_pinned(capsys, argv, golden):
+    """`mzv search` writes the committed bytes: the survivors with their DSL
+    entries, in order."""
+    code, out, _ = run(capsys, "search", *argv)
     assert code == 0
-    assert out.encode() == (Path(__file__).parent / "data" / "search_h16.txt").read_bytes()
+    assert out.encode() == (Path(__file__).parent / "data" / golden).read_bytes()
 
 
 def test_corpus_list(capsys):
@@ -166,6 +174,49 @@ def test_verify_failure_exit_code(capsys, tmp_path, monkeypatch):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.fixture
+def str_limit():
+    """Python's default limit on integer-to-text conversion, 4300 digits."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("Python converts integers of any length to text")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("cmd, expr", [
+    ("reduce", "10^4300"), ("eval", "10^5000"), ("eval", "fact(2000)"),
+    ("reduce", "10^4300*zeta(3)"), ("eval", "1/10^4300"),
+])
+def test_an_exact_result_too_long_to_print_is_usage_error(capsys, str_limit, cmd, expr):
+    code, out, err = run(capsys, cmd, expr)
+    assert (code, out) == (2, "")
+    assert err == "error: the exact result is too long to print (over 4300 digits)\n"
+    code, out, _ = run(capsys, cmd, "10^4299")
+    assert code == 0 and out.startswith(f"{10**4299}")
+
+
+@pytest.mark.parametrize("cmd", ["bernoulli", "euler"])
+def test_a_number_too_long_to_print_is_usage_error(capsys, str_limit, cmd):
+    sys.set_int_max_str_digits(640)  # the smallest limit Python allows
+    code, out, err = run(capsys, cmd, "600")
+    assert (code, out) == (2, "")
+    assert err == "error: the exact result is too long to print (over 640 digits)\n"
+    code, out, _ = run(capsys, cmd, "100")
+    assert code == 0 and len(out) > 50
+
+
+def test_verify_reports_an_exact_residual_too_long_to_print(capsys, str_limit, tmp_path,
+                                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    big = tmp_path / "big.txt"
+    big.write_text("identity X1 : 10^5000 == 0\n")
+    code, out, _ = run(capsys, "--corpus", str(big), "verify", "--mode", "both")
+    assert code == 1
+    assert out.count("FAIL         X1 [] residual=1.00000e+5000 expect=must-pass") == 2
 
 
 def test_verify_unknown_id(capsys, tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from mzv import numerics, search
 from mzv.corpus import parse_corpus
 from mzv.errors import DomainError, PrecisionError
 from mzv.search import (
+    F_BASIS,
     F_SPAN,
     CandidateIdentity,
     SearchConfig,
@@ -29,15 +30,14 @@ from mzv.search import (
     _gamma,
     _integer_scale,
     _is_new,
-    _mono_deg,
     _nullspace,
     _pair,
     _parity_ok,
-    _poly_mono,
+    _MONOS,
+    _monos,
     _power_candidates,
     _primitive,
     _solve_consistent,
-    _span_value,
     _symmetric_even_f,
     _vanishing_polys,
     candidate_dsl,
@@ -162,6 +162,7 @@ _DSL_PARAMS = {
     "power": {"a": Fraction(-3, 2)},
     "affine c = 0": {"a": Fraction(1), "b": Fraction(2), "c": Fraction(0), "d": Fraction(0)},
     "affine c != 0": {"a": Fraction(1), "b": Fraction(-2, 3), "c": Fraction(-1, 2), "d": Fraction(3)},
+    "poly": {"j": Fraction(-1, 2), "s": Fraction(3), "j*s": Fraction(1), "s^2": Fraction(-1, 4)},
 }
 _DSL_F = {"1": Fraction(3), "s": Fraction(-1, 2), "s^2": Fraction(1, 5), "2^s": Fraction(1, 4),
           "s*4^s": Fraction(-1, 3)}
@@ -175,7 +176,7 @@ def test_candidate_dsl_states_the_candidate_in_every_parity_class(kind, j_par, s
     sum_j weight(S, j) zeta(j, S-j) over the j-class and f(S) zeta(S), for
     S = s, 2s or 2s+1 by the s-class; a j-class needs an s-class to emit."""
     family = kind.split()[0]
-    cand = CandidateIdentity(family, _DSL_PARAMS[kind], j_par, s_par, "plain", (2, 1), _DSL_F)
+    cand = CandidateIdentity(family, _DSL_PARAMS[kind], j_par, s_par, _DSL_F)
     if s_par == "any" and j_par != "any":
         with pytest.raises(DomainError, match="j-parity emission needs an s-parity class"):
             candidate_dsl(cand)
@@ -212,10 +213,8 @@ def test_scale_invariance():
 
 
 def test_screen_rejects_wrong_f():
-    cand = CandidateIdentity(
-        "power", {"a": Fraction(1)}, "any", "any", "plain", (2, 1),
-        {"1": Fraction(1), "s": Fraction(1, 10**6)},
-    )
+    f = {"1": Fraction(1), "s": Fraction(1, 10**6)}
+    cand = CandidateIdentity("power", {"a": Fraction(1)}, f_coeffs=f)
     assert not numeric_screen(cand, prec=40, tol_exp=25)
 
 
@@ -241,7 +240,7 @@ def _fit_reference(points, solve=_solve_reference):
     """The fit by definition: one exact solve per F_SPAN subset, in order."""
     for size in range(0, min(len(F_SPAN), len(points)) + 1):
         for subset in itertools.combinations(range(len(F_SPAN)), size):
-            rows = [[_span_value(F_SPAN[i], s) for i in subset] for s, _ in points]
+            rows = [[F_BASIS[F_SPAN[i]](s) for i in subset] for s, _ in points]
             sol = solve(rows, [f for _, f in points], size)
             if sol is not None:
                 return {F_SPAN[i]: c for i, c in zip(subset, sol) if c}
@@ -322,7 +321,7 @@ def test_fit_plans_match_fraction_gauss_jordan(svals):
     for size in range(min(len(F_SPAN), n) + 1):
         for subset in itertools.combinations(range(len(F_SPAN)), size):
             aug = [
-                [Fraction(_span_value(F_SPAN[i], s)) for i in subset]
+                [Fraction(F_BASIS[F_SPAN[i]](s)) for i in subset]
                 + [Fraction(int(k == r)) for k in range(n)]
                 for r, s in enumerate(svals)
             ]
@@ -371,10 +370,10 @@ def _power_reference(config, conds=None):
 def _poly_plain_reference(config):
     """The plain polynomial family from the Fraction polynomials and the
     ConstExpr fit."""
-    monos = [m for m in ("1", "j", "s", "j^2", "j*s", "s^2") if _mono_deg(m) <= config.deg]
+    monos = _monos("poly", config.deg)
     anchors = (4, 5, 6, 7)
     rows = [
-        [sum((c * _poly_mono(m, w, j) for j, c in poly.items()), Fraction(0)) for m in monos]
+        [sum((c * _MONOS[m][1](w, j) for j, c in poly.items()), Fraction(0)) for m in monos]
         for w in anchors
         for poly in _vanishing_polys(w, "any")[0].values()
     ]
@@ -490,21 +489,21 @@ def test_is_new_rejects_repeats_and_rational_multiples():
 # ---------------------------------------------------------------------------
 
 
+def _shape_reference(family):
+    """(k, lo, off): the family's sum at s runs over zeta(kj, k(s-j)) for
+    j = lo..s - off."""
+    return {"symmetric-even": (2, 1, 1), "poly-even": (2, 2, 2)}.get(family, (1, 2, 1))
+
+
 def _relation_reference(cand, w):
     """The relation vector over Q, entry by entry from weight() and f."""
     vec = [Fraction(0)] * (w - 2)
-    lo, off = cand.jrange
-    if cand.arg_style == "even":
-        s = w // 2
-        for j in range(lo, s - off + 1):
-            vec[2 * j - 2] = cand.weight(s, j)
-        f = f_eval(cand.f_coeffs, s)
-    else:
-        for j in range(lo, w - off + 1):
-            if _parity_ok(j, cand.j_parity):
-                vec[j - 2] = cand.weight(w, j)
-        f = f_eval(cand.f_coeffs, w)
-    return vec + [-f]
+    k, lo, off = _shape_reference(cand.family)
+    s = w // k
+    for j in range(lo, s - off + 1):
+        if _parity_ok(j, cand.j_parity):
+            vec[k * j - 2] = cand.weight(s, j)
+    return vec + [-f_eval(cand.f_coeffs, s)]
 
 
 def _in_span_reference(vec, basis) -> bool:
@@ -549,21 +548,18 @@ def _random_candidate(draw):
     """A candidate of any family with small rational parameters and f."""
     fam = draw(st.sampled_from(["power", "affine", "symmetric-even", "poly", "poly-even"]))
     f_coeffs = draw(st.dictionaries(st.sampled_from(F_SPAN), _tiny, max_size=2))
-    if fam in ("symmetric-even", "poly-even"):
-        jrange = (1, 1) if fam == "symmetric-even" else (2, 2)
-        if fam == "symmetric-even":
-            params = {"d": draw(_tiny)}
-        else:
-            params = draw(st.dictionaries(st.sampled_from(["1", "s", "s^2", "j*(s-j)"]), _tiny))
-        return CandidateIdentity(fam, params, "any", "any", "even", jrange, f_coeffs)
-    if fam == "power":
+    if fam == "symmetric-even":
+        params = {"d": draw(_tiny)}
+    elif fam == "power":
         params = {"a": draw(_tiny)}
     elif fam == "affine":
         params = {k: draw(_tiny) for k in "abcd"}
     else:
-        params = draw(st.dictionaries(st.sampled_from(["1", "j", "s", "j^2", "j*s", "s^2"]), _tiny))
+        params = draw(st.dictionaries(st.sampled_from(_monos(fam, 2)), _tiny))
+    if fam in ("symmetric-even", "poly-even"):
+        return CandidateIdentity(fam, params, f_coeffs=f_coeffs)
     j_par, s_par = draw(st.sampled_from(_PARITY_PAIRS))
-    return CandidateIdentity(fam, params, j_par, s_par, "plain", (2, 1), f_coeffs)
+    return CandidateIdentity(fam, params, j_par, s_par, f_coeffs)
 
 
 def _scaled(cand, lam):
@@ -576,9 +572,7 @@ def _scaled(cand, lam):
         params = {m: lam * c for m, c in cand.params.items()}
         fam = cand.family
     f = {k: lam * c for k, c in cand.f_coeffs.items()}
-    return CandidateIdentity(
-        fam, params, cand.j_parity, cand.s_parity, cand.arg_style, cand.jrange, f
-    )
+    return CandidateIdentity(fam, params, cand.j_parity, cand.s_parity, f)
 
 
 def _combined(c1, c2, l1, l2):
@@ -587,8 +581,7 @@ def _combined(c1, c2, l1, l2):
               for m in {**c1.params, **c2.params}}
     f = {k: l1 * c1.f_coeffs.get(k, 0) + l2 * c2.f_coeffs.get(k, 0)
          for k in {**c1.f_coeffs, **c2.f_coeffs}}
-    return CandidateIdentity(c1.family, params, c1.j_parity, c1.s_parity,
-                             c1.arg_style, c1.jrange, f)
+    return CandidateIdentity(c1.family, params, c1.j_parity, c1.s_parity, f)
 
 
 @st.composite
@@ -632,9 +625,8 @@ def test_is_new_matches_fraction_elimination(case):
     ("poly", {"j": Fraction(1, 2), "s^2": Fraction(-2, 3)}, "any", "any"),
 ])
 def test_relation_rows_are_primitive_multiples(family, params, j_par, s_par):
-    style, jrange = ("even", (1, 1)) if family == "symmetric-even" else ("plain", (2, 1))
     f = {"1": Fraction(2, 7), "4^s": Fraction(-1, 5)}
-    cand = CandidateIdentity(family, params, j_par, s_par, style, jrange, f)
+    cand = CandidateIdentity(family, params, j_par, s_par, f)
     for w in range(4, 13):
         if cand.applicable(w):
             assert list(cand.relation(w)) == _primitive(_relation_reference(cand, w)), w
@@ -675,14 +667,10 @@ def test_weights_js_and_scaled_weights_match_the_fraction_formulas(family, param
     """weight, js and _scaled_weights state the terms of the sum at s as the
     family formulas do, in every (j, s) parity class of the family's shape
     (even-argument candidates come in the class (any, any) only)."""
-    if family in ("symmetric-even", "poly-even"):
-        style, jrange = "even", (1, 1) if family == "symmetric-even" else (2, 2)
-        classes = [("any", "any")]
-    else:
-        style, jrange, classes = "plain", (2, 1), _PARITY_PAIRS
-    for j_par, s_par in classes:
-        cand = CandidateIdentity(family, params, j_par, s_par, style, jrange)
-        lo, off = jrange
+    k, lo, off = _shape_reference(family)
+    for j_par, s_par in _PARITY_PAIRS if k == 1 else [("any", "any")]:
+        cand = CandidateIdentity(family, params, j_par, s_par)
+        assert cand.shape == (k, lo, off)
         for s in range(2, 13):
             js = [j for j in range(lo, s - off + 1) if _parity_ok(j, j_par)]
             assert cand.js(s) == js, (j_par, s)
@@ -696,6 +684,9 @@ def test_weights_js_and_scaled_weights_match_the_fraction_formulas(family, param
 def test_weight_of_an_unknown_family_is_a_domain_error():
     with pytest.raises(DomainError, match="unknown family 'cubic'"):
         CandidateIdentity("cubic", {}).weight(4, 2)
+    for probe in (lambda c: c.js(4), lambda c: c.applicable(4), lambda c: c.relation(4)):
+        with pytest.raises(DomainError, match="unknown family 'cubic'"):
+            probe(CandidateIdentity("cubic", {}))
 
 
 def test_is_new_zero_rows():
@@ -930,10 +921,8 @@ def test_search_settings_are_checked_up_front(settings_, match):
 
 
 def test_screen_raises_when_its_bound_cannot_resolve_the_tolerance(monkeypatch):
-    cand = CandidateIdentity(
-        "power", {"a": Fraction(2)}, "any", "any", "plain", (2, 1),
-        {"1": Fraction(1), "s": Fraction(1)},
-    )
+    f = {"1": Fraction(1), "s": Fraction(1)}
+    cand = CandidateIdentity("power", {"a": Fraction(2)}, f_coeffs=f)
     assert numeric_screen(cand, prec=40, tol_exp=25)
     # the working digits follow the tolerance when it asks for more than prec
     assert numeric_screen(cand, prec=10, tol_exp=25)

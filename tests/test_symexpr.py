@@ -7,7 +7,9 @@ from mpmath import mp
 
 from mzv.errors import DomainError, NotReducible
 from mzv.numerics import dzeta_num, char_dzeta_num, expr_num
-from mzv.symexpr import PI, LOG2, LI4H, ConstExpr, L_sym, beta_sym, pi_power, zeta_sym
+from mzv.symexpr import (
+    PI, LOG2, LI4H, ConstExpr, L_sym, beta_sym, pi_power, zeta_gen, zeta_sym,
+)
 
 
 def test_zeta_sym_even():
@@ -92,6 +94,26 @@ def test_division_negative_powers_and_abs_are_exact_or_not_reducible():
         1 / (zeta_sym(3) + 1)
     with pytest.raises(NotReducible, match="expression is not rational"):
         abs(ConstExpr.generator(PI))
+
+
+@pytest.mark.parametrize("divide", [
+    lambda: zeta_sym(3) / ConstExpr.zero,
+    lambda: 1 / ConstExpr.zero,
+    lambda: ConstExpr.zero ** -1,
+    lambda: zeta_sym(3) / 0,
+    lambda: Fraction(1, 2) / ConstExpr.zero,
+], ids=["expr/zero", "int/zero", "zero**-1", "expr/0", "fraction/zero"])
+def test_division_by_zero_is_zero_division_error(divide):
+    """Every division by a zero ConstExpr raises what x / 0 raises, not
+    NotReducible (which verify_symbolic reports as numeric-only)."""
+    with pytest.raises(ZeroDivisionError, match="division of ConstExpr by zero"):
+        divide()
+
+
+@pytest.mark.parametrize("k", [2, 1, 0, -3])
+def test_zeta_generator_index_is_a_domain_error(k):
+    with pytest.raises(DomainError, match=f"odd with index >= 3, got {k}"):
+        zeta_gen(k)
 
 
 _small = st.integers(min_value=-4, max_value=4)

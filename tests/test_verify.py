@@ -1,6 +1,7 @@
 """AST evaluation/reduction and the verification drivers."""
 import inspect
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,24 @@ def test_verify_numeric_reports_a_side_over_its_bound_budget(ctx40, monkeypatch)
     assert r.status == "error" and r.error.startswith("equation 1, right side:")
     with pytest.raises(PrecisionError):
         eval_ast(parse_expr("zeta(3)"), {}, ctx40)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="Python converts integers of any length to text")
+@pytest.mark.parametrize("zeta3", ["", "*zeta(3)"])
+def test_an_exact_residual_too_long_to_print_fails_with_its_nstr(ctx40, zeta3):
+    """An exact residual with more digits than str() converts is reported as a
+    failure with mp.nstr text, in both modes, and the run goes on."""
+    limit = sys.get_int_max_str_digits()
+    (ident,) = parse_corpus(f"identity X1 : 10^{limit + 700}{zeta3} == 0{zeta3} ; 2 == 2")
+    r = verify_symbolic(ident, {})
+    assert (r.status, r.residual) == ("fail", f"1.00000e+{limit + 700}" + zeta3.replace("zeta(3)", "z3"))
+    if not zeta3:
+        r = verify_numeric(ident, {}, ctx40)
+        assert (r.status, r.residual, r.tol) == ("fail", f"1.00000e+{limit + 700}", "0")
+    (ident,) = parse_corpus(f"identity X1 : 10^{limit - 1} == 0")
+    assert verify_numeric(ident, {}, ctx40).residual == str(10 ** (limit - 1))
+    assert verify_symbolic(ident, {}).residual == str(10 ** (limit - 1))
 
 
 @pytest.mark.parametrize("side", ["(pi-pi)^(0-s)", "0^(0-s)", "sum(j=1..(0^(0-s)), j)"])
