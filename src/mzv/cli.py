@@ -124,7 +124,7 @@ def cmd_reduce(args) -> int:
     except NotReducible as exc:
         print(f"not reducible: {exc}", file=sys.stderr)
         return EXIT_NOT_REDUCIBLE
-    _check_printable(expr.terms.values())
+    _check_printable(c for _, c in expr.items())
     print(expr.render())
     return EXIT_OK
 

@@ -2,8 +2,8 @@
 
 Rational results are ``fractions.Fraction``: always in lowest terms with a
 positive denominator, arithmetic closed and exact.  The linear solver
-``_rref`` eliminates on ints and makes Fractions only of its reduced rows.
-The Bernoulli numbers use the convention B_1 = -1/2 (so
+``_rref`` eliminates rational rows on ints and makes Fractions only of its
+reduced rows.  The Bernoulli numbers use the convention B_1 = -1/2 (so
 2*(2n)! * zeta(2n) = (-1)^(n+1) * (2*pi)^(2n) * B_2n), the Euler numbers the
 secant convention (E_0 = 1, E_2 = -1, E_4 = 5).
 
@@ -167,14 +167,13 @@ def printable(x) -> bool:
 
 
 def _rref(aug, ncols):
-    """Gauss-Jordan elimination in place over the first ncols columns, which
-    must be rational; the columns after them ride along and may hold
-    rationals or values closed under -, * by an int and exact / by an int
-    (ConstExpr right-hand sides).  Returns the pivot columns.  Their rows
-    come first, each with a leading 1 and zeros above and below it: the rows
-    Fraction Gauss-Jordan gives.  The rows after them are zero on the first
-    ncols columns and a nonzero multiple of the Gauss-Jordan rows elsewhere,
-    integers where the input is rational.
+    """Gauss-Jordan elimination in place of rational rows over their first
+    ncols columns; the columns after them ride along.  Returns the pivot
+    columns.  Their rows come first, each with a leading 1 and zeros above
+    and below it: the rows Fraction Gauss-Jordan gives.  The rows after them
+    are zero on the first ncols columns and integer nonzero multiples of the
+    Gauss-Jordan rows elsewhere.  A caller with other right-hand sides
+    eliminates [A | I] and applies the rows of the transform to them.
 
     Fraction-free (Bareiss, "Sylvester's identity and multistep
     integer-preserving Gaussian elimination", Math. Comp. 1968): each row is
@@ -185,11 +184,8 @@ def _rref(aug, ncols):
     solver: the search fits, null spaces and the reduction tables all
     eliminate through it."""
     for i, row in enumerate(aug):
-        den = math.lcm(*(x.denominator for x in row if isinstance(x, (int, Fraction))))
-        aug[i] = [
-            x.numerator * (den // x.denominator) if isinstance(x, (int, Fraction)) else x * den
-            for x in row
-        ]
+        den = math.lcm(*(x.denominator for x in row))
+        aug[i] = [x.numerator * (den // x.denominator) for x in row]
     pivots = []
     last = 1
     for c in range(ncols):
@@ -203,14 +199,9 @@ def _rref(aug, ncols):
         for i, row in enumerate(aug):
             if i != r:
                 a = row[c]
-                aug[i] = [_exact_quotient(p * x - a * y, last) for x, y in zip(row, prow)]
+                aug[i] = [(p * x - a * y) // last for x, y in zip(row, prow)]
         pivots.append(c)
         last = p
     for r in range(len(pivots)):
-        aug[r] = [Fraction(x, last) if type(x) is int else x / last for x in aug[r]]
+        aug[r] = [Fraction(x, last) for x in aug[r]]
     return pivots
-
-
-def _exact_quotient(x, d: int):
-    """x / d for a d that divides x: an int for an int x."""
-    return x // d if type(x) is int else x / d

@@ -950,13 +950,19 @@ def _gen_pow(g, e: int, D: int):
         return gv**e, e * abs(gv) ** (e - 1) * gb
 
 
+def rational_mpf(x):
+    """The rational x (int or Fraction) at the working precision: its
+    numerator over its denominator."""
+    return mpf(x.numerator) / x.denominator
+
+
 def _expr_internal(expr, D: int):
     with mp.workdps(D + 10):
         total = mp.zero
         bound = mp.zero
         rel = _tolerance(D + 6, D + 10)
-        for mono, coef in expr.terms.items():
-            val = mpf(coef.numerator) / coef.denominator
+        for mono, coef in expr.items():
+            val = rational_mpf(coef)
             err = mp.zero  # absolute error of the accumulated product
             for g, e in mono:
                 pv, dp = _gen_pow(g, e, D)
@@ -974,7 +980,7 @@ def expr_num(expr, ctx: EvalContext):
         raise DomainError(f"expr_num needs a ConstExpr, got {type(expr).__name__}")
     v, b = _expr_internal(expr, ctx.work_digits)
     with mp.workdps(ctx.work_digits):
-        if b > ctx.tolerance() * (1 + len(expr.terms)):
+        if b > ctx.tolerance() * (1 + len(expr.monomials())):
             raise PrecisionError("ConstExpr evaluation exceeded its error budget")
     return v
 

@@ -48,17 +48,20 @@ def zeta_s1_reduce(s: int) -> ConstExpr:
 
 
 def _solve_exact(rows, nunknowns: int):
-    """Exact solve over Q with ConstExpr right-hand sides, through the shared
-    Gauss-Jordan routine.  The system must determine every unknown, and every
-    leftover row must reduce to 0 == 0 exactly."""
-    aug = [[Fraction(c) for c in coeffs] + [rhs] for coeffs, rhs in rows]
+    """Exact solve over Q with ConstExpr right-hand sides b.  The shared
+    Gauss-Jordan routine eliminates the rational rows [A | I] to [R | E];
+    the rows of E then combine b.  The system must determine every unknown,
+    and every leftover row of E must send b to 0 exactly."""
+    aug = [list(coeffs) + [int(k == i) for k in range(len(rows))] for i, (coeffs, _) in enumerate(rows)]
     pivots = _rref(aug, nunknowns)
     if len(pivots) != nunknowns:
         col = next(c for c in range(nunknowns) if c not in pivots)
         raise ReductionError(f"rank-deficient system: no pivot for column {col}")
-    if any(row[nunknowns] for row in aug[nunknowns:]):
+    rhs = [b for _, b in rows]
+    sol = [sum((b * t for t, b in zip(row[nunknowns:], rhs) if t), ConstExpr.zero) for row in aug]
+    if any(sol[nunknowns:]):
         raise ReductionError("overdetermined system is inconsistent")
-    return [row[nunknowns] for row in aug[:nunknowns]]
+    return sol[:nunknowns]
 
 
 def _weight_rows(w: int):

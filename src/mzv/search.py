@@ -70,7 +70,7 @@ from . import numerics
 from .errors import DomainError, PrecisionError
 from .exact import _rref
 from .reductions import dzeta_reduce
-from .symexpr import ConstExpr, zeta_sym
+from .symexpr import ConstExpr, zeta_even_coef, zeta_sym
 
 # The f(s) basis: name -> its integer value at s.
 F_BASIS = {
@@ -135,19 +135,14 @@ def reduce_weighted_sum(weight_fn, w: int, parity: str = "any") -> ConstExpr:
 def weighted_sum_f(weight_fn, w: int, j_parity: str = "any"):
     """Rational f with sum_j weight_fn(w,j) zeta(j,w-j) = f zeta(w), or None."""
     expr, zw = reduce_weighted_sum(weight_fn, w, j_parity), zeta_sym(w)
-    ((zmono, zcoef),) = zw.terms.items()
+    ((zmono, zcoef),) = zw.items()
     f = expr.coefficient(zmono) / zcoef
     return f if expr - zw * f == ConstExpr.zero else None
 
 
-@functools.cache
-def _zeta_even_coef(k: int) -> Fraction:
-    return zeta_sym(2 * k).terms[(("pi", 2 * k),)]
-
-
 def _zeta_even_ratio(j: int, s: int) -> Fraction:
     """zeta(2j) zeta(2s-2j) / zeta(2s) as an exact rational."""
-    return _zeta_even_coef(j) * _zeta_even_coef(s - j) / _zeta_even_coef(s)
+    return zeta_even_coef(j) * zeta_even_coef(s - j) / zeta_even_coef(s)
 
 
 def even_arg_sum_f(weight_fn, s: int, lo: int, hi_off: int) -> Fraction:
@@ -508,13 +503,13 @@ def _vanishing_polys(w: int, j_parity: str = "any"):
     """Per non-target monomial m: {j: coefficient of m in zeta(j, w-j)}, so the
     vanishing condition for weights x^j is sum_j coef * x^j = 0; and
     {j: coefficient of zeta(w)'s monomial in zeta(j, w-j)}."""
-    zmono = tuple(zeta_sym(w).terms)[0]
+    ((zmono, _),) = zeta_sym(w).items()
     polys: dict = {}
     targets: dict = {}
     for j in range(2, w):
         if not _parity_ok(j, j_parity):
             continue
-        for mono, c in dzeta_reduce(j, w - j).terms.items():
+        for mono, c in dzeta_reduce(j, w - j).items():
             if mono == zmono:
                 targets[j] = c
             else:
@@ -535,7 +530,7 @@ def _anchor_table(w: int, j_parity: str):
     js = tuple(j for j in range(2, w) if _parity_ok(j, j_parity))
     flat, _ = _integer_scale([poly.get(j, 0) for poly in polys.values() for j in js])
     rows = tuple(tuple(flat[k : k + len(js)]) for k in range(0, len(flat), len(js)))
-    (zcoef,) = zeta_sym(w).terms.values()
+    ((_, zcoef),) = zeta_sym(w).items()
     target, den = _integer_scale([targets.get(j, 0) / zcoef for j in js])
     return js, rows, tuple(target), den
 
@@ -644,13 +639,11 @@ def numeric_screen(cand: CandidateIdentity, prec: int = 40, tol_exp: int = SCREE
             for j, x in zip(js, ints):
                 if x:
                     v, b = numerics._dzeta_internal(k * j, k * (sp - j), D)
-                    c = Fraction(x, den)
-                    c = mpf(c.numerator) / c.denominator
+                    c = numerics.rational_mpf(Fraction(x, den))
                     total += c * v
                     bound += abs(c) * b
             zv, zb = numerics._zeta_internal(k * sp, D)
-            f = f_eval(cand.f_coeffs, sp)
-            f = mpf(f.numerator) / f.denominator
+            f = numerics.rational_mpf(f_eval(cand.f_coeffs, sp))
             bound += abs(f) * zb
             if bound >= tol:
                 raise PrecisionError(
@@ -917,6 +910,8 @@ def candidate_dsl(cand: CandidateIdentity, ident: str = "S01") -> str:
     j -> 2i or 2i+1) so that all sum bounds stay integral."""
     k, lo, off = cand.shape
     if k == 2:
+        if (cand.s_parity, cand.j_parity) != ("any", "any"):
+            raise DomainError("even-argument emission needs the parity class (any, any)")
         f = render_f(cand.f_coeffs)
         if cand.family == "symmetric-even":
             d = _frac_dsl(cand.params["d"])

@@ -9,6 +9,7 @@ never appear as generators.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .errors import DomainError, NotReducible
@@ -57,18 +58,9 @@ class ConstExpr:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, coef in (terms.items() if isinstance(terms, dict) else terms):
-                c = Fraction(coef)
-                if c:
-                    cur = self.terms.get(mono)
-                    new = c if cur is None else cur + c
-                    if new:
-                        self.terms[mono] = new
-                    elif cur is not None:
-                        del self.terms[mono]
+    def __init__(self, terms):
+        """From a map monomial -> rational; zero coefficients are dropped."""
+        self.terms = {mono: Fraction(c) for mono, c in terms.items() if c}
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -186,6 +178,11 @@ class ConstExpr:
     def coefficient(self, mono) -> Fraction:
         return self.terms.get(mono, Fraction(0))
 
+    def items(self):
+        """The (monomial, Fraction coefficient) pairs in the order the terms
+        were formed, which fixes the order a numeric sum adds them in."""
+        return self.terms.items()
+
     def monomials(self):
         return sorted(self.terms, key=_mono_key)
 
@@ -250,19 +247,19 @@ def pi_power(k: int, coef=1) -> ConstExpr:
 
 
 @functools.cache
-def zeta_sym(s: int) -> ConstExpr:
-    """zeta(s) as a ConstExpr: rational*pi^s for even s, the z_s generator for odd s.
+def zeta_even_coef(n: int) -> Fraction:
+    """zeta(2n) / pi^(2n), from 2*(2n)! zeta(2n) = (-1)^(n+1) (2 pi)^(2n) B_2n."""
+    return (-1) ** (n + 1) * 4**n * bernoulli(2 * n) / (2 * math.factorial(2 * n))
 
-    Even case from 2*(2n)! zeta(2n) = (-1)^(n+1) (2 pi)^(2n) B_2n.
-    """
+
+@functools.cache
+def zeta_sym(s: int) -> ConstExpr:
+    """zeta(s) as a ConstExpr: zeta_even_coef(s/2)*pi^s for even s, the z_s
+    generator for odd s."""
     if s < 2:
         raise DomainError(f"zeta_sym({s}) needs s >= 2")
     if s % 2 == 0:
-        n = s // 2
-        coef = Fraction((-1) ** (n + 1) * 2 ** (2 * n), 2) * bernoulli(2 * n)
-        for i in range(2, 2 * n + 1):
-            coef /= i
-        return pi_power(s, coef)
+        return pi_power(s, zeta_even_coef(s // 2))
     return ConstExpr.generator(zeta_gen(s))
 
 

@@ -108,7 +108,7 @@ def _to_mpf(v):
     if t is int:
         return mpf(v)
     if t is Fraction:
-        return mpf(v.numerator) / v.denominator
+        return numerics.rational_mpf(v)
     return v
 
 

@@ -21,7 +21,6 @@ from mzv.exact import (
     inv_binomial_sum,
     tangent_number,
 )
-from mzv.symexpr import ConstExpr, zeta_sym
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -251,22 +250,13 @@ _entry = st.one_of(
 )
 
 
-def _constexpr(draw):
-    """A small rational combination of 1, zeta(2), zeta(3) and zeta(3)^2."""
-    basis = (ConstExpr.rational(1), zeta_sym(2), zeta_sym(3), zeta_sym(3) * zeta_sym(3))
-    coeffs = draw(st.lists(st.fractions(-4, 4, max_denominator=5), min_size=4, max_size=4))
-    return sum((b * c for b, c in zip(basis, coeffs)), ConstExpr.zero)
-
-
 @st.composite
 def _systems(draw):
-    """(aug, ncols): up to 6 rows over up to 5 eliminated columns and up to 3
-    columns riding along, rational or (one column) ConstExpr.  Some rows are
-    zero and some are rational combinations of earlier rows, so rank
-    deficiency is common."""
+    """(aug, ncols): up to 6 rational rows over up to 5 eliminated columns
+    and up to 3 columns riding along.  Some rows are zero and some are
+    rational combinations of earlier rows, so rank deficiency is common."""
     ncols = draw(st.integers(0, 5))
     ntail = draw(st.integers(0, 3))
-    constexpr = ntail and draw(st.booleans())
     aug = []
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["random", "zero", "combination"] if aug else ["random", "zero"]))
@@ -278,18 +268,8 @@ def _systems(draw):
             row = [x * la + y * lb for x, y in zip(a, b)]
         else:
             row = [draw(_entry) for _ in range(ncols + ntail)]
-        if constexpr and kind != "combination":
-            row[-1] = _constexpr(draw) if kind == "random" else ConstExpr.zero
         aug.append(row)
     return aug, ncols
-
-
-def _ratio(got, want):
-    """got / want for a nonzero want, got a rational or ConstExpr multiple of it."""
-    if isinstance(want, ConstExpr):
-        mono, c = next(iter(want.terms.items()))
-        return got.coefficient(mono) / c
-    return Fraction(got) / want
 
 
 @given(_systems())
@@ -302,10 +282,10 @@ def test_rref_matches_fraction_gauss_jordan(system):
     rank = len(pivots)
     assert got[:rank] == want[:rank]  # the reduced rows, exactly
     for g, w in zip(got[rank:], want[rank:]):
-        # the rows past the pivots: zero on the eliminated columns, nonzero
-        # multiples of the Gauss-Jordan rows after them
-        assert not any(g[:ncols])
-        k = next((_ratio(x, y) for x, y in zip(g, w) if y), None)
+        # the rows past the pivots: zero on the eliminated columns, integer
+        # nonzero multiples of the Gauss-Jordan rows after them
+        assert not any(g[:ncols]) and all(type(x) is int for x in g)
+        k = next((Fraction(x) / y for x, y in zip(g, w) if y), None)
         assert k != 0
         assert g == [y * k for y in w] if k is not None else not any(g)
 

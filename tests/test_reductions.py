@@ -5,6 +5,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
 
 import mzv.numerics as numerics
@@ -24,6 +25,7 @@ from mzv.reductions import (
 from mzv.numerics import expr_num
 from mzv.symexpr import ConstExpr, pi_power, zeta_sym
 from mzv.verify import reduce_ast
+from test_exact import _entry, _rref_reference
 
 
 def test_zeta_s1_small():
@@ -250,7 +252,8 @@ def _solve_exact_reference(rows, nunknowns: int):
     solution: list = [None] * nunknowns
     for col in range(nunknowns):
         pivot = None
-        for i, (coeffs, _) in enumerate(rows):
+        # the col pivot rows so far sit at the end and are not searched again
+        for i, (coeffs, _) in enumerate(rows[: len(rows) - col]):
             if coeffs[col]:
                 pivot = i
                 break
@@ -294,6 +297,71 @@ def _solve_exact_reference(rows, nunknowns: int):
 def test_solve_exact_matches_reference(w):
     rows, js = _weight_rows(w)
     assert _solve_exact(rows, len(js)) == _solve_exact_reference(rows, len(js))
+
+
+@st.composite
+def _constexpr(draw):
+    """A small rational combination of 1, zeta(2), zeta(3) and zeta(3)^2."""
+    basis = (ConstExpr.rational(1), zeta_sym(2), zeta_sym(3), zeta_sym(3) * zeta_sym(3))
+    coeffs = draw(st.lists(st.fractions(-4, 4, max_denominator=5), min_size=4, max_size=4))
+    return sum((b * c for b, c in zip(basis, coeffs)), ConstExpr.zero)
+
+
+_SOLVE_KINDS = ("determined", "overdetermined", "inconsistent", "rank-deficient")
+
+
+@st.composite
+def _rhs_systems(draw, kind):
+    """(rows, n, x): rational rows over n <= 4 unknowns with ConstExpr sides
+    A x.  "determined" is square, "overdetermined" adds rational combinations
+    of earlier rows, "inconsistent" adds such a row with a side off by a
+    nonzero ConstExpr, and "rank-deficient" repeats a multiple of one column
+    in another."""
+    n = draw(st.integers(1, 4))
+    x = [draw(_constexpr()) for _ in range(n)]
+    A = [[draw(_entry) for _ in range(n)] for _ in range(n)]
+    if kind == "rank-deficient":
+        a, b = draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
+        lam = draw(_entry)
+        for row in A:
+            row[b] = row[a] * lam if a != b else 0
+    else:
+        assume(len(_rref_reference([r[:] for r in A], n)) == n)
+    rows = [(r, sum((xi * c for c, xi in zip(r, x)), ConstExpr.zero)) for r in A]
+    if kind in ("overdetermined", "inconsistent"):
+        for _ in range(draw(st.integers(1, 2))):
+            (ra, ba), (rb, bb) = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            la, lb = draw(_entry), draw(_entry)
+            rows.append(([u * la + v * lb for u, v in zip(ra, rb)], ba * la + bb * lb))
+        if kind == "inconsistent":
+            off = draw(_constexpr())
+            assume(off)
+            coeffs, rhs = rows[-1]
+            rows[-1] = (coeffs, rhs + off)
+        rows = draw(st.permutations(rows))
+    return rows, n, x
+
+
+def _solve_outcome(solver, rows, n):
+    try:
+        return solver(rows, n)
+    except ReductionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", _SOLVE_KINDS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_solve_exact_matches_reference_on_random_systems(kind, data):
+    rows, n, x = data.draw(_rhs_systems(kind))
+    got = _solve_outcome(_solve_exact, rows, n)
+    assert got == _solve_outcome(_solve_exact_reference, rows, n)
+    if kind in ("determined", "overdetermined"):
+        assert got == x
+    elif kind == "inconsistent":
+        assert got == "overdetermined system is inconsistent"
+    else:
+        assert got.startswith("rank-deficient system: no pivot for column ")
 
 
 @pytest.mark.parametrize("solver", [_solve_exact, _solve_exact_reference])

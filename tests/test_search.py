@@ -197,6 +197,24 @@ def test_candidate_dsl_states_the_candidate_in_every_parity_class(kind, j_par, s
             assert abs(eval_ast(rhs, {"s": s}, ctx40) - want_rhs) < mpf(10) ** -25, (kind, S)
 
 
+@pytest.mark.parametrize("s_par", search._PARITIES)
+@pytest.mark.parametrize("j_par", search._PARITIES)
+@pytest.mark.parametrize("family, params", [
+    ("symmetric-even", {"d": Fraction(4)}),
+    ("poly-even", {"1": Fraction(1), "j*(s-j)": Fraction(2)}),
+])
+def test_candidate_dsl_states_an_even_argument_family_only_in_the_class_any_any(
+        family, params, j_par, s_par):
+    """The even-argument entry sums over every j at every s, so another
+    parity class is a DomainError rather than an entry for a different sum."""
+    cand = CandidateIdentity(family, params, j_par, s_par, {"1": Fraction(1)})
+    if (s_par, j_par) == ("any", "any"):
+        assert "*dz(2*j,2*s-2*j)) == (1)*zeta(2*s)" in candidate_dsl(cand)
+        return
+    with pytest.raises(DomainError, match=r"even-argument emission needs the parity class \(any, any\)"):
+        candidate_dsl(cand)
+
+
 def _mpf(x: Fraction):
     return mpf(x.numerator) / x.denominator
 

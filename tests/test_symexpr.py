@@ -1,14 +1,16 @@
 """Symbolic constant expressions: normal form, ring laws, closed forms."""
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+import mzv
 from mzv.errors import DomainError, NotReducible
 from mzv.numerics import dzeta_num, char_dzeta_num, expr_num
 from mzv.symexpr import (
-    PI, LOG2, LI4H, ConstExpr, L_sym, beta_sym, pi_power, zeta_gen, zeta_sym,
+    PI, LOG2, LI4H, ConstExpr, L_sym, beta_sym, pi_power, zeta_even_coef, zeta_gen, zeta_sym,
 )
 
 
@@ -17,6 +19,36 @@ def test_zeta_sym_even():
     assert zeta_sym(4) == pi_power(4, Fraction(1, 90))
     assert zeta_sym(6) == pi_power(6, Fraction(1, 945))
     assert zeta_sym(12) == pi_power(12, Fraction(691, 638512875))
+
+
+def test_zeta_even_coef_is_the_pi_power_coefficient_of_zeta_sym():
+    assert zeta_even_coef(1) == Fraction(1, 6)
+    for n in range(1, 31):
+        assert zeta_even_coef(n) == zeta_sym(2 * n).coefficient(((PI, 2 * n),))
+    with mp.workdps(60):
+        for n in (1, 7, 30):
+            c = zeta_even_coef(n)
+            want = mp.zeta(2 * n) / mp.pi ** (2 * n)
+            assert abs(mp.mpf(c.numerator) / c.denominator - want) < mp.mpf(10) ** -50 * want
+
+
+def test_items_keep_the_formation_order_and_give_fractions():
+    z2z3, z5 = ((PI, 2), (("z", 3), 1)), ((("z", 5), 1),)
+    e = ConstExpr({z5: 3, (): 0, z2z3: Fraction(-1, 2)})
+    assert list(e.items()) == [(z5, Fraction(3)), (z2z3, Fraction(-1, 2))]
+    assert all(type(c) is Fraction for _, c in e.items())
+    e = zeta_sym(2) * zeta_sym(3) + zeta_sym(5) * 7
+    assert [m for m, _ in e.items()] == [z2z3, z5]
+    assert [m for m, _ in (zeta_sym(5) * 7 + zeta_sym(2) * zeta_sym(3)).items()] == [z5, z2z3]
+    assert all(type(c) is Fraction for _, c in e.items())
+
+
+def test_only_symexpr_reads_the_coefficient_map():
+    """Other modules go through ConstExpr's methods, so its storage can change
+    inside symexpr alone."""
+    readers = [p.name for p in sorted(Path(mzv.__file__).parent.glob("*.py"))
+               if ".terms" in p.read_text() and p.name != "symexpr.py"]
+    assert readers == []
 
 
 def test_zeta_sym_odd_is_generator():
