@@ -112,13 +112,13 @@ def harmonic(n: int) -> Fraction:
 
 
 def harmonic_power(n: int, b: int) -> Fraction:
-    """Generalized harmonic number H_n^(b) = sum_{k<=n} k^-b (H_0^(b) = 0)."""
+    """Generalized harmonic number H_n^(b) = sum_{k<=n} k^-b (H_0^(b) = 0), any integer b."""
     if n < 0:
         order = "" if b == 1 else f"^({b})"
         raise DomainError(f"harmonic number H_{n}{order}: the index must be >= 0")
     acc = Fraction(0)
     for k in range(1, n + 1):
-        acc += Fraction(1, k**b)
+        acc += Fraction(1, k**b) if b >= 0 else k**-b
     return acc
 
 

@@ -18,11 +18,12 @@ per-class power/log tails of shifted exponent.
 The single series L_p(s) and that combination, with the direct head n <= N,
 are summed in exact fixed-point integers at scale 2^W, W = _fixed_bits(D),
 about 60 bits below the working precision.  L_p(s) is its head
-sum chi_p(n) floor(2^W/n^s) plus the class tails, for s >= 2 from the class
-rows G_s below (at the mean-zero s = 1, the regularized class tails).  In a
-double sum the inner constant (L_q(t), or the class constants of a divergent
-inner sum) is read once in that form, and the cross term C T(r,s) is one
-product C_fix G_s.  For each outer class the inner classes are folded first:
+sum chi_p(n) floor(2^W/n^s) plus the class tails from the class rows G_s
+below, at every s: at the mean-zero s = 1 the rows hold the regularized
+tails, whose log parts cancel in the signed sum.  In a double sum the inner
+constant (L_q(t), or the class constants of a divergent inner sum) is read
+once in that form, and the cross term C T(r,s) is one product C_fix G_s per
+class, at s = 1 too.  For each outer class the inner classes are folded first:
 their expansion coefficients are added, with their character signs, into one
 vector of A_e = floor(c_e N^-e 2^W), and the log coefficients cancel exactly
 for a mean-zero inner character.  The tail is then one integer dot product
@@ -140,6 +141,11 @@ def is_mean_zero(p: str) -> bool:
     return sum(CHI[p]) == 0
 
 
+def _L_convergent(p: str, s: int) -> bool:
+    """Whether L_p(s) converges: s >= 2, or s = 1 for a mean-zero p (conditionally)."""
+    return s >= 2 or (s == 1 and is_mean_zero(p))
+
+
 @dataclass(frozen=True)
 class EvalContext:
     """Target precision contract: results are within 10^-prec absolutely.
@@ -245,7 +251,9 @@ def class_tail(r: int, u: int, N: int, D: int, logw: bool = False):
     sum minus (1/4) log X.  Only meaningful inside combinations whose
     coefficients over the four classes sum to zero, where the log X parts
     cancel; callers are responsible for that cancellation.  The integer kernel
-    _tail_fixed computes it.
+    _tail_fixed computes it.  L_p(s) and the double sums read the plain tails
+    at N = N(D), u = 1 included, from the rows (_tail_row), which hold the same
+    pairs; class_tail serves the log-weighted ones and _class_tails_fixed.
     """
     if u < 1 or (u == 1 and logw):
         raise DomainError("class_tail needs u >= 2, or u == 1 without log weight")
@@ -267,9 +275,9 @@ def _from_fixed(x: int, units: int, bits: int, D: int):
 def _class_tails_fixed(p: str, u: int, N: int, D: int):
     """(X, units): the sums over the classes r with chi_p(r) != 0 of
     chi_p(r) X_r and of units_r for the class_tail(r, u, N, D) pairs, so that
-    |sum_r chi_p(r) T_r Nu 2^W - X| <= units at class_tail's scale.  At u = 1
-    the T_r are the regularized tails (at N = 0 the class constants C_r, which
-    sum to gamma over r), so the sum is the tail of L_p(1) when p is mean-zero."""
+    |sum_r chi_p(r) T_r Nu 2^W - X| <= units at class_tail's scale: the tail
+    of periodic_tail_num at any N, and at u = 1, N = 0 (_class_consts) the
+    class constants C_r of the regularized tails, which sum to gamma over r."""
     X = units = 0
     for r, c in zip((1, 2, 3, 4), CHI[p]):
         if c:
@@ -289,25 +297,21 @@ def _L_fixed(p: str, s: int, D: int):
     """(X, units) with |L_p(s) 2^W - X| <= units, W = _fixed_bits(D).
 
     The head n <= N is sum chi_p(n) floor(2^W/n^s) from _pow_row, N floor units.
-    The tail, at scale N^s 2^W, is sum_r chi_p(r) G_r[s] from the integer rows
-    for s >= 2, within sum_r B_r[s] units, and _class_tails_fixed(p, 1, N, D)
-    at the mean-zero s = 1."""
-    if s == 1 and not is_mean_zero(p):
-        raise DomainError(f"L_{p}(1) diverges")
+    The tail, at scale N^s 2^W, is sum_r chi_p(r) G_r[s] from the integer rows,
+    within sum_r B_r[s] units; at the mean-zero s = 1 the rows hold the
+    regularized tails, whose log parts cancel in that sum."""
+    if not _L_convergent(p, s):
+        raise DomainError(f"L_{p}({s}) diverges")
     N = _outer_cutoff(D)
     Ns = N**s
     row = _pow_row(s, D)
-    head = sum(c * sum(row[r::4]) for r, c in zip((1, 2, 3, 4), CHI[p]) if c)
-    if s == 1:
-        X, units = _class_tails_fixed(p, 1, N, D)
-    else:
-        X = units = 0
-        for r, c in zip((1, 2, 3, 4), CHI[p]):
-            if c:
-                G, B = _tail_row(r, s, s + 1, D)
-                X += c * G[s]
-                units += B[s]
-    return (head * Ns + X) // Ns, -(-(units + N * Ns) // Ns) + 1
+    X = units = 0
+    for r, c in zip((1, 2, 3, 4), CHI[p]):
+        if c:
+            G, B = _tail_row(r, s, s + 1, D)
+            X += c * (sum(row[r::4]) * Ns + G[s])
+            units += B[s]
+    return X // Ns, -(-(units + N * Ns) // Ns) + 1
 
 
 @_memo(_value_cache, "L")
@@ -322,14 +326,14 @@ def _zeta_internal(s: int, D: int):
 def zeta_num(s: int, ctx: EvalContext):
     """zeta(s) for integer s >= 2, within 10^-prec."""
     if s < 2:
-        raise DomainError("zeta_num needs s >= 2")
+        raise DomainError(f"zeta_num({s}) needs s >= 2")
     return _check(_zeta_internal(s, ctx.work_digits), ctx, f"zeta({s})")
 
 
 def L_num(p: str, s: int, ctx: EvalContext):
     """L_p(s) = sum chi_p(n)/n^s; s >= 2, or s >= 1 for the mean-zero 2b, m4."""
     _known(p)
-    if s < 2 and not (s == 1 and is_mean_zero(p)):
+    if not _L_convergent(p, s):
         raise DomainError(f"L_{p}({s}) diverges")
     return _check(_L_internal(p, s, ctx.work_digits), ctx, f"L_{p}({s})")
 
@@ -337,10 +341,10 @@ def L_num(p: str, s: int, ctx: EvalContext):
 def periodic_tail_num(p: str, s: int, N: int, ctx: EvalContext):
     """sum_{n > N} chi_p(n)/n^s within 10^-(prec+2), per residue class mod 4."""
     _known(p)
-    if s < 2 and not (s == 1 and is_mean_zero(p)):
-        raise DomainError("periodic tail needs s >= 2 (s = 1 only for mean-zero characters)")
+    if not _L_convergent(p, s):
+        raise DomainError(f"periodic_tail_num({p!r}, {s}, {N}) needs s >= 2, or s = 1 for a mean-zero p")
     if N < 0:
-        raise DomainError("N must be >= 0")
+        raise DomainError(f"periodic_tail_num({p!r}, {s}, {N}) needs N >= 0")
     D = ctx.work_digits
     X, units = _class_tails_fixed(p, s, N, D)
     Ns = max(N, 1) ** s
@@ -695,7 +699,7 @@ def _inner_const(q: str, t: int, D: int):
     """(X, units) with |C 2^W - X| <= units, W = _fixed_bits(D), for the constant C
     of the inner prefix sum_{m<n} chi_q(m) m^-t: L_q(t), or for a divergent inner
     sum (t = 1, q not mean-zero) sum_r chi_q(r) C_r over the class constants."""
-    if t > 1 or is_mean_zero(q):
+    if _L_convergent(q, t):
         return _L_fixed(q, t, D)
     return _class_consts(q, D)
 
@@ -711,20 +715,16 @@ def _class_consts(q: str, D: int):
 
 
 def _char_convergent(p, q, s, t):
-    if p not in CHAR_IDS or q not in CHAR_IDS:
-        return False
-    if t < 1:
-        return False
-    if s >= 2:
-        return True
-    # s == 1 needs a mean-zero outer character (conditional convergence)
-    return s == 1 and is_mean_zero(p)
+    """Whether [p,q](s,t) converges: t >= 1 and, as the outer sum, L_p(s)."""
+    return p in CHAR_IDS and q in CHAR_IDS and t >= 1 and _L_convergent(p, s)
 
 
 @_memo(_fixed_cache, "pairs")
 def _class_pairs(q: str, s: int, t: int, D: int):
     """(acc_r, units_r) for r = 1..4 at scale 2^-2W N^-s: the head, fold, cross and
-    log terms of [p,q](s,t)'s outer class r, which _char_em signs with chi_p(r)."""
+    log terms of [p,q](s,t)'s outer class r, which _char_em signs with chi_p(r).
+    The cross term C T_r is C G_r[s] at every s; at s = 1 the signed sum over
+    the mean-zero p's classes cancels the log parts of the regularized G_r[1]."""
     N, W = _outer_cutoff(D), _fixed_bits(D)
     Ns = N**s
     # head n <= N: floor(2^W/n^s) * sum_{m<n} chi_q(m) floor(2^W/m^t), whose
@@ -738,7 +738,7 @@ def _class_pairs(q: str, s: int, t: int, D: int):
         emin, F, k, log4, rems, rnd = _folded_inner(q, t, r, D)
         lo = s + emin
         hi = lo + len(F)
-        G, B = _tail_row(r, s if s > 1 else lo, hi, D)
+        G, B = _tail_row(r, s, hi, D)
         Gs, Bs = G[lo:hi], B[lo:hi]
         acc -= sum(map(mul, F, Gs))
         # the folded floors, and the coefficients' rounding: rnd 2^-W at each n > N
@@ -746,10 +746,10 @@ def _class_pairs(q: str, s: int, t: int, D: int):
         units = sum(map(mul, map(abs, F), Bs)) + k * (sum(Bs) + sum(Gs)) + rnd * (Gs[0] + Bs[0])
         # sum_{n > N} rem n^(-s-erem) <= rem N^(1-s-erem) / (s+erem-1)
         units += sum(-(-rem // (s + erem - 1)) for rem, erem in rems)
-        if s > 1:
-            # C T_r: C 2^W within Cu units, T_r N^s 2^W within B[s]
-            acc += C * G[s]
-            units += abs(C) * B[s] + Cu * (G[s] + B[s])
+        # C T_r: C 2^W within Cu units, T_r N^s 2^W within B[s] (the
+        # regularized T_r at s = 1 may be negative)
+        acc += C * G[s]
+        units += abs(C) * B[s] + Cu * (abs(G[s]) + B[s])
         if log4:
             # the log-weighted tail at scale 2^W N^s, times log4 / 4
             X, Xu = class_tail(r, s, N, D, logw=True)
@@ -762,24 +762,18 @@ def _class_pairs(q: str, s: int, t: int, D: int):
 def _char_fixed(p: str, q: str, s: int, t: int, D: int):
     """(x, units) with |[p,q](s,t) 2^(2W) - x| <= units, W = _fixed_bits(D): the
     combine of the cached _class_pairs with chi_p's signs, itself not cached."""
+    _known(p, q)
     if not _char_convergent(p, q, s, t):
         raise DomainError(f"[{p},{q}]({s},{t}) is outside the convergence region")
-    if t == 1 and s == 1 and not is_mean_zero(q):
+    if s == 1 and not _L_convergent(q, t):
         # needs a regularized combination of the log-weighted u = 1 class tails
         raise DomainError(f"[{p},{q}](1,1): the divergent-inner s = 1 case is not supported yet")
-    N = _outer_cutoff(D)
-    Ns = N**s
+    Ns = _outer_cutoff(D) ** s
     acc, units = 0, _head_units(D) * Ns
     for cp, (a, u) in zip(CHI[p], _class_pairs(q, s, t, D)):
         if cp:
             acc += cp * a
             units += u
-    if s == 1:
-        # C times the regularized tail sum_r chi_p(r) T_r(1) of the mean-zero L_p(1)
-        C, Cu = _inner_const(q, t, D)
-        R, Ru = _class_tails_fixed(p, 1, N, D)
-        acc += C * R
-        units += abs(C) * Ru + Cu * (abs(R) + Ru)
     return acc // Ns, -(-units // Ns) + 1
 
 
@@ -806,7 +800,7 @@ def _dzeta_internal(a: int, b: int, D: int):
 def dzeta_num(a: int, b: int, ctx: EvalContext):
     """zeta(a, b) = sum_{n>m>=1} n^-a m^-b for a >= 2, b >= 1, within 10^-prec."""
     if a < 2 or b < 1:
-        raise DomainError("dzeta_num needs a >= 2, b >= 1")
+        raise DomainError(f"dzeta_num({a}, {b}) needs a >= 2, b >= 1")
     return _check(_dzeta_internal(a, b, ctx.work_digits), ctx, f"zeta({a},{b})")
 
 
@@ -931,13 +925,16 @@ def _generator_internal(g, D: int):
             return mp.log(2), ulp
         if g == "li4h":
             return _li4_half_internal(D)
-        if isinstance(g, tuple) and g[0] == "z":
-            return _zeta_internal(g[1], D)
+        if isinstance(g, tuple) and len(g) == 2 and g[0] == "z":
+            k = g[1]
+            if isinstance(k, int) and k >= 3 and k % 2:  # symexpr.zeta_gen's odd k >= 3
+                return _zeta_internal(k, D)
     raise DomainError(f"unknown constant generator {g!r}")
 
 
 def generator_num(g, ctx: EvalContext):
-    """Numeric value of a constant generator: 'pi', 'log2', 'li4h' or ('z', k)."""
+    """Numeric value of a constant generator: 'pi', 'log2', 'li4h' or ('z', k)
+    for odd k >= 3."""
     return _check(_generator_internal(g, ctx.work_digits), ctx, f"generator {g!r}")
 
 

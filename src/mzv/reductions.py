@@ -40,7 +40,7 @@ def zeta_s1_reduce(s: int) -> ConstExpr:
         zeta(s-1, 1) = (s-1)/2 zeta(s) - 1/2 sum_{j=2}^{s-2} zeta(j) zeta(s-j).
     """
     if s < 3:
-        raise DomainError("zeta_s1_reduce needs s >= 3")
+        raise DomainError(f"zeta_s1_reduce({s}) needs s >= 3")
     out = zeta_sym(s) * Fraction(s - 1, 2)
     for j in range(2, s - 1):
         out = out - zeta_sym(j) * zeta_sym(s - j) * Fraction(1, 2)
@@ -206,7 +206,7 @@ def dzeta_reduce(a: int, b: int) -> ConstExpr:
     conjecturally-irreducible case), except b = 1 which closes at any weight.
     """
     if a < 2 or b < 1:
-        raise DomainError("dzeta_reduce needs a >= 2, b >= 1")
+        raise DomainError(f"dzeta_reduce({a}, {b}) needs a >= 2, b >= 1")
     if b == 1:
         return zeta_s1_reduce(a + 1)
     if a == b:

@@ -196,8 +196,8 @@ _CALLS = {
     "zeta": _CallSpec(_labels("zeta"), lambda s: s == 0 or s >= 2, "zeta({}) diverges or is unsupported",
                       num=lambda D, s: numerics._zeta_internal(s, D) if s else (_ZETA_0, None),
                       sym=lambda s: zeta_sym(s) if s else _ZETA_0),
-    "L": _CallSpec(_labels("L"), lambda p, s: s >= 2 or (s == 1 and numerics.is_mean_zero(p)),
-                   "L_{}({}) diverges", num=lambda D, p, s: numerics._L_internal(p, s, D), sym=L_sym),
+    "L": _CallSpec(_labels("L"), numerics._L_convergent, "L_{}({}) diverges",
+                   num=lambda D, p, s: numerics._L_internal(p, s, D), sym=L_sym),
     "dz": _CallSpec(_labels("dz", 2), lambda a, b: a >= 2 and b >= 1, "zeta({},{}) diverges",
                     num=lambda D, a, b: numerics._dzeta_internal(a, b, D),
                     sym=lambda a, b: reductions.dzeta_reduce(a, b)),

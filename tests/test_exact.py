@@ -127,6 +127,14 @@ def test_harmonic():
     assert harmonic_power(0, 3) == 0
 
 
+@pytest.mark.parametrize("b", [-2, -1, 0])
+def test_harmonic_power_at_non_positive_orders(b):
+    # H_n^(b) = sum_{k<=n} k^-b is a finite sum of integers for b <= 0
+    for n in range(6):
+        value = harmonic_power(n, b)
+        assert value == sum(k ** -b for k in range(1, n + 1)) and value.denominator == 1, (n, b)
+
+
 def test_harmonic_power_negative_index_is_a_domain_error():
     with pytest.raises(DomainError, match=r"^harmonic number H_-1\^\(2\): the index must be >= 0$"):
         harmonic_power(-1, 2)

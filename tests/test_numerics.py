@@ -11,7 +11,7 @@ from mpmath import mp, mpf
 
 from mzv.errors import DomainError, PrecisionError
 from mzv.exact import bernoulli
-from mzv import numerics
+from mzv import numerics, reductions
 from mzv.numerics import (
     CHAR_IDS,
     CHI,
@@ -57,6 +57,28 @@ def test_zeta3_brute_force(ctx40):
 def test_zeta_domain(ctx40):
     with pytest.raises(DomainError):
         zeta_num(1, ctx40)
+
+
+_PUBLIC_DOMAIN_ERRORS = [
+    (lambda ctx: zeta_num(1, ctx), "zeta_num(1) needs s >= 2"),
+    (lambda ctx: dzeta_num(1, 2, ctx), "dzeta_num(1, 2) needs a >= 2, b >= 1"),
+    (lambda ctx: reductions.dzeta_reduce(3, 0), "dzeta_reduce(3, 0) needs a >= 2, b >= 1"),
+    (lambda ctx: reductions.zeta_s1_reduce(2), "zeta_s1_reduce(2) needs s >= 3"),
+    (
+        lambda ctx: periodic_tail_num("1", 1, 5, ctx),
+        "periodic_tail_num('1', 1, 5) needs s >= 2, or s = 1 for a mean-zero p",
+    ),
+    (lambda ctx: periodic_tail_num("2b", 2, -1, ctx), "periodic_tail_num('2b', 2, -1) needs N >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, text", _PUBLIC_DOMAIN_ERRORS, ids=[t.split("(")[0] for _, t in _PUBLIC_DOMAIN_ERRORS]
+)
+def test_public_domain_errors_name_their_arguments(ctx40, call, text):
+    # as zeta_sym(1) needs s >= 2 does: the call and its arguments, then the domain
+    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+        call(ctx40)
 
 
 def test_L_values(ctx40):
@@ -219,6 +241,14 @@ def test_char_dzeta_domain(ctx40):
         char_dzeta_num("2a", "1", 1, 2, ctx40)
 
 
+def test_char_dzeta_unknown_character_is_a_domain_error(ctx40):
+    # named as L_num, chi and char_product name it, before the convergence test
+    with pytest.raises(DomainError, match="^unknown character 'x'$"):
+        char_dzeta_num("x", "1", 2, 1, ctx40)
+    with pytest.raises(DomainError, match="^unknown character 'y'$"):
+        char_dzeta_num("2b", "y", 1, 2, ctx40)
+
+
 def test_reflection_formula_sweep(ctx40):
     # [p,q](s,t) + [q,p](t,s) = L_p(s) L_q(t) - L_pq(s+t), all 16 pairs, 2<=s,t<=5
     with mp.workdps(60):
@@ -275,22 +305,17 @@ def _char_em_per_character(p, q, s, t, D):
         emin, F, k, log4, rems, rnd = numerics._folded_inner(q, t, r, D)
         lo = s + emin
         hi = lo + len(F)
-        G, B = numerics._tail_row(r, s if s > 1 else lo, hi, D)
+        G, B = numerics._tail_row(r, s, hi, D)
         Gs, Bs = G[lo:hi], B[lo:hi]
         acc -= cp * sum(map(mul, F, Gs))
         units += sum(map(mul, map(abs, F), Bs)) + k * (sum(Bs) + sum(Gs)) + rnd * (Gs[0] + Bs[0])
         units += sum(-(-rem // (s + erem - 1)) for rem, erem in rems)
-        if s > 1:
-            acc += cp * C * G[s]
-            units += abs(C) * B[s] + Cu * (G[s] + B[s])
+        acc += cp * C * G[s]
+        units += abs(C) * B[s] + Cu * (abs(G[s]) + B[s])
         if log4:
             X, Xu = numerics.class_tail(r, s, N, D, logw=True)
             acc -= cp * log4 * X << (W - 2)
             units += abs(log4) * Xu << (W - 2)
-    if s == 1:
-        R, Ru = numerics._class_tails_fixed(p, 1, N, D)
-        acc += C * R
-        units += abs(C) * Ru + Cu * (abs(R) + Ru)
     return numerics._from_fixed(acc // Ns, -(-units // Ns) + 1, 2 * W, D)
 
 
@@ -573,6 +598,16 @@ def test_generators(ctx40):
         assert abs(generator_num("li4h", ctx40) - acc) < geom_bound + tol(ctx40)
         assert abs(generator_num("pi", ctx40) - mp.sqrt(6 * zeta_num(2, ctx40))) < tol(ctx40, 2)
         assert abs(generator_num("log2", ctx40) - L_num("2b", 1, ctx40)) < tol(ctx40, 2)
+        assert generator_num(("z", 5), ctx40) == zeta_num(5, ctx40)
+
+
+@pytest.mark.parametrize(
+    "g", [("z", 2), ("z", 0), ("z", 1), ("z", -3), ("z", 4), ("z", 3.0), ("y", 3), "e"], ids=repr
+)
+def test_generator_num_refuses_what_is_not_a_generator(ctx40, g):
+    # the zeta generators are those of symexpr.zeta_gen, odd k >= 3
+    with pytest.raises(DomainError, match=f"^unknown constant generator {re.escape(repr(g))}$"):
+        generator_num(g, ctx40)
 
 
 def test_determinism(ctx40):
@@ -588,7 +623,8 @@ def test_determinism(ctx40):
 
 def test_fixed_point_tail_rows_bracket_the_kernel():
     # every row entry is class_tail's pair, the one-exponent case of the row
-    # kernel, and sampled entries bracket a Hurwitz-zeta reference with no
+    # kernel (at u = 1 the regularized tail, which L_p(1) and the C T_r(1)
+    # term of [p,q](1,t) read from the row), and sampled entries bracket a Hurwitz-zeta reference with no
     # allowance.  Each row runs past the exponents _char_em asks for (about 72
     # at D = 20, 111 at D = 50 and 368 at D = 310).  At D = 20 the start passes
     # N from u = 132 on, so the start m0 changes every few exponents there and
@@ -602,8 +638,8 @@ def test_fixed_point_tail_rows_bracket_the_kernel():
     for D, (hi, us) in rows.items():
         N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
         for r in (1, 2, 3, 4):
-            G, B = numerics._tail_row(r, 2, hi, D)
-            for u in range(2, hi):
+            G, B = numerics._tail_row(r, 1, hi, D)
+            for u in range(1, hi):
                 assert numerics.class_tail(r, u, N, D) == (G[u], B[u]), (D, r, u)
             n0 = N + 1 + (r - 1 - N) % 4
             for u in us:
@@ -952,6 +988,7 @@ def test_memo_hit_returns_the_stored_object_and_grows_no_cache(name, args, cache
 
 _REFUSED = [
     ("_L_fixed", ("1", 1, _D)),
+    ("_L_fixed", ("1", 0, _D)),
     ("_char_em", ("2b", "1", 1, 1, _D)),
     ("_harmonic_internal", ("odd_denom", 1, _D)),
     ("class_tail", (1, 1, _N, _D, True)),
