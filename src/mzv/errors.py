@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the boundary rule for
+integer arguments."""
 
 
 class DomainError(ValueError):
@@ -33,3 +34,11 @@ class ArityError(ParseError):
 
 class UnboundSymbol(ParseError):
     """A symbol used in a DSL expression is not bound by its identity."""
+
+
+def require_ints(call: str, **args) -> None:
+    """DomainError naming `call` and the first of its arguments (name=value)
+    that is not an int.  A bool is refused too: True would pass as 1."""
+    for name, value in args.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DomainError(f"{call} needs an integer {name}, got {value!r}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DomainError
 
@@ -27,7 +28,10 @@ _bern_cache: list[Fraction] = [Fraction(1)]
 _tangent_cache: list[int] = [0, 1]
 _tangent_col: list[int] = [0, 1]
 
-_euler_cache: list[int] = [1]  # even-index Euler numbers E_0, E_2, E_4, ...
+# even-index Euler numbers E_0, E_2, E_4, ... and the last row of their
+# Seidel triangle (euler_number); the two are reset together
+_euler_cache: list[int] = [1]
+_seidel_row: list[int] = [1]
 
 
 def binomial(n: int, k: int) -> int:
@@ -88,22 +92,21 @@ def _bernoulli_table(K: int) -> list[Fraction]:
 def euler_number(n: int) -> int:
     """Exact Euler number E_n; odd indices vanish.
 
-    Even indices satisfy sum_{k=0}^{m} C(2m, 2k) E_2k = 0 for m >= 1.
+    |E_2k| is the zigzag number A_2k, the last entry of row 2k of Seidel's
+    boustrophedon triangle: row m is 0 followed by the running sums of row
+    m-1 read backwards.  _seidel_row holds the last row built, so each new
+    row costs m additions; E_2k = (-1)^k A_2k.
     """
     if n < 0:
         raise DomainError(f"Euler number E_{n}: the index must be >= 0")
     if n % 2 == 1:
         return 0
-    m = n // 2
-    if m < len(_euler_cache):
-        return _euler_cache[m]
-    while len(_euler_cache) <= m:
-        j = len(_euler_cache)
-        acc = 0
-        for k in range(j):
-            acc += math.comb(2 * j, 2 * k) * _euler_cache[k]
-        _euler_cache.append(-acc)
-    return _euler_cache[m]
+    row = _seidel_row
+    while len(_euler_cache) <= n // 2:
+        for _ in range(2):
+            row[:] = accumulate(reversed(row), initial=0)
+        _euler_cache.append(-row[-1] if len(_euler_cache) % 2 else row[-1])
+    return _euler_cache[n // 2]
 
 
 def harmonic(n: int) -> Fraction:

@@ -23,15 +23,16 @@ below, at every s: at the mean-zero s = 1 the rows hold the regularized
 tails, whose log parts cancel in the signed sum.  In a double sum the inner
 constant (L_q(t), or the class constants of a divergent inner sum) is read
 once in that form, and the cross term C T(r,s) is one product C_fix G_s per
-class, at s = 1 too.  For each outer class the inner classes are folded first:
-their expansion coefficients are added, with their character signs, into one
-vector of A_e = floor(c_e N^-e 2^W), and the log coefficients cancel exactly
-for a mean-zero inner character.  The tail is then one integer dot product
-with the class's row G_u ~ T(r,u) N^u 2^W, and the head a sum of
-floor(2^W/m^t) floor(2^W/n^s) products.  Every unit dropped by a floor goes
-into the reported bound: with B_u >= |T(r,u) N^u 2^W - G_u| and k folded
-classes, a term contributes at most |F_e| B_u + k (B_u + G_u) units of
-2^-2W N^-s; the inner remainders are integer units too.
+class, at s = 1 too.  For each outer class r the inner tail is expanded folded:
+its coefficients, with chi_q's signs already in them, are one vector of
+F_e = floor(c_e N^-e 2^W) over the exponents whose c_e is not an exact zero
+(_inner_array), and its log coefficient is 0 for a mean-zero inner character.
+The tail is then one integer dot product with the class's row
+G_u ~ T(r,u) N^u 2^W, and the head a sum of floor(2^W/m^t) floor(2^W/n^s)
+products.  Every unit dropped by a floor goes into the reported bound: with
+B_u >= |T(r,u) N^u 2^W - G_u|, an entry contributes at most
+|F_e| B_u + B_u + G_u units of 2^-2W N^-s; the inner remainder is integer
+units too.
 
 The per-class terms do not depend on the outer character p: _class_pairs sums
 them into one pair per class and (q, s, t, D), which all p share and only sign.
@@ -65,12 +66,18 @@ that turns before its target restarts from a start 1.6 times farther out, at
 most five times, with a list of its own.
 class_tail returns its pair at the rows' scale N^u 2^W (2^W at N = 0).
 
-The inner expansions are integer floor chains too, at scale 2^(W+32): the
-EM coefficients of _inner_ct come from the same step chain, and each
-(n+delta)^-e term, and log(1 + delta/n) for t = 1, is re-expanded in powers of
-1/n by _shift_chain, one floor division per term with a counted error unit,
-until the geometric rest of the chain is a few units.  The summed units,
-shifted to 2^-W, are the arrays' rnd.
+The inner expansions come straight from Euler-Maclaurin with Bernoulli
+polynomials: seen from outer class r, chi_q's tail at n is a sum over the
+shifts d = 0..3 with weights chi_q(r+d), whose i-th term is
+sum_d chi_q(r+d) B_i(d/4) times a power of 1/n.  At the four quarter points
+B_i is a rational multiple of B_i or, for odd i, of the Euler number
+E_(i-1), so the folded coefficient of each even i is the spacing-4 EM
+coefficient of the class tails times a dyadic rational of the weights, and
+that of each odd i >= 3 an Euler-number chain that only m4 seen from an even
+class has; every other odd one is an exact zero.  Both are integer floor
+chains at scale 2^(W+32) by exact step ratios (_inner_chain), shared by the
+16 (q, r) arrays of one (t, D); their summed units, shifted to 2^-W, are the
+arrays' rnd.
 
 The one rounding of an L, [p,q](s,t), periodic tail or Li_4(1/2) value is its
 final conversion to the working precision, counted in its bound
@@ -100,9 +107,9 @@ from operator import mul
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, from_man_exp, round_ceiling, round_nearest
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, require_ints
 # bernoulli is not called here, but perfbench/tracer.py wraps numerics.bernoulli
-from .exact import bernoulli, tangent_number  # noqa: F401
+from .exact import bernoulli, euler_number, tangent_number  # noqa: F401
 from .symexpr import ConstExpr
 
 MPReal = mp.mpf
@@ -232,6 +239,8 @@ _EM_SAFETY = 4
 # beta_j / beta_(j-1) as (num, den) at index j >= 2: the step ratios of _em_step,
 # appended as the chains first reach each j
 _em_ratios: list = [None, None]
+# E_2j / (E_(2j-2) (2j)(2j-1)) likewise, the ratios of _inner_array's odd terms
+_euler_ratios: list = [None, None]
 
 
 def _outer_cutoff(D: int) -> int:
@@ -325,6 +334,7 @@ def _zeta_internal(s: int, D: int):
 
 def zeta_num(s: int, ctx: EvalContext):
     """zeta(s) for integer s >= 2, within 10^-prec."""
+    require_ints("zeta_num", s=s)
     if s < 2:
         raise DomainError(f"zeta_num({s}) needs s >= 2")
     return _check(_zeta_internal(s, ctx.work_digits), ctx, f"zeta({s})")
@@ -333,6 +343,7 @@ def zeta_num(s: int, ctx: EvalContext):
 def L_num(p: str, s: int, ctx: EvalContext):
     """L_p(s) = sum chi_p(n)/n^s; s >= 2, or s >= 1 for the mean-zero 2b, m4."""
     _known(p)
+    require_ints("L_num", s=s)
     if not _L_convergent(p, s):
         raise DomainError(f"L_{p}({s}) diverges")
     return _check(_L_internal(p, s, ctx.work_digits), ctx, f"L_{p}({s})")
@@ -341,6 +352,7 @@ def L_num(p: str, s: int, ctx: EvalContext):
 def periodic_tail_num(p: str, s: int, N: int, ctx: EvalContext):
     """sum_{n > N} chi_p(n)/n^s within 10^-(prec+2), per residue class mod 4."""
     _known(p)
+    require_ints("periodic_tail_num", s=s, N=N)
     if not _L_convergent(p, s):
         raise DomainError(f"periodic_tail_num({p!r}, {s}, {N}) needs s >= 2, or s = 1 for a mean-zero p")
     if N < 0:
@@ -361,8 +373,6 @@ def periodic_tail_num(p: str, s: int, N: int, ctx: EvalContext):
 
 # guard bits of the inner expansions, summed at scale 2^(W + _INNER_GUARD)
 _INNER_GUARD = 32
-# a _shift_chain stops once the terms it leaves out sum to at most this many units
-_CHAIN_REST = 4
 
 
 def _fixed_bits(D: int) -> int:
@@ -392,22 +402,28 @@ def _log_fixed(n: int, bits: int) -> int:
         return int(mp.floor(mp.ldexp(mp.log(n), bits)))
 
 
-def _em_step(u: int, j: int, y: int):
+def _em_step(u: int, j: int, y: int, odd: bool = False):
     """(num, den) of the EM step ratio q_j = num / den = (beta_j / beta_(j-1))
     (u+2j-3)(u+2j-2) / y^2, j >= 2, with which t_j = t_(j-1) q_j at exponent u
     from y; None where |q_j| > 1: the terms turn upward.  beta_j / beta_(j-1) =
     16 B_2j / (B_(2j-2) (2j)(2j-1)) is read from _em_ratios, grown on demand
     from the tangent numbers (B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))):
-    -2 T_k (4^(k-1) - 1) / ((k-1) T_(k-1) (4^k - 1)(2k - 1))."""
-    while len(_em_ratios) <= j:
-        k = len(_em_ratios)
-        q = Fraction(
-            -2 * tangent_number(k) * (4 ** (k - 1) - 1),
-            (k - 1) * tangent_number(k - 1) * (4**k - 1) * (2 * k - 1),
-        )
-        _em_ratios.append((q.numerator, q.denominator))
-    rn, rd = _em_ratios[j]
-    num, den = rn * (u + 2 * j - 3) * (u + 2 * j - 2), rd * y * y
+    -2 T_k (4^(k-1) - 1) / ((k-1) T_(k-1) (4^k - 1)(2k - 1)).  odd: the
+    ratio of _inner_array's odd terms, E_2j (u+2j-2)(u+2j-1) / (E_(2j-2)
+    (2j)(2j-1) y^2), from _euler_ratios."""
+    table = _euler_ratios if odd else _em_ratios
+    while len(table) <= j:
+        k = len(table)
+        if odd:
+            q = Fraction(euler_number(2 * k), euler_number(2 * k - 2) * (2 * k) * (2 * k - 1))
+        else:
+            q = Fraction(
+                -2 * tangent_number(k) * (4 ** (k - 1) - 1),
+                (k - 1) * tangent_number(k - 1) * (4**k - 1) * (2 * k - 1),
+            )
+        table.append((q.numerator, q.denominator))
+    rn, rd = table[j]
+    num, den = rn * (u + 2 * j - 3 + odd) * (u + 2 * j - 2 + odd), rd * y * y
     return None if abs(num) > den else (num, den)
 
 
@@ -576,123 +592,89 @@ def _tail_row(r: int, lo: int, hi: int, D: int):
     return row
 
 
-@_memo(_fixed_cache, "ct")
-def _inner_ct(t: int, N: int, D: int):
-    """EM expansion of sum_{k>=0} (y+4k)^-t in powers y^-e, valid for y >= N, in
-    integers at scale 2^V, V = _fixed_bits(D) + _INNER_GUARD.
-
-    Returns (terms, (crem, erem)): terms lists (e, a, err) with
-    |c_e N^-e 2^V - a| <= err for the coefficient c_e of y^-e, and the remainder
-    is at most crem 2^-V (N/y)^erem.  For t == 1 the leading part is -log(y)/4
-    (the regularized class-harmonic tail), which is not listed.
-    a_(t-1) = 2^V / (4(t-1) N^(t-1)), a_t = 2^V / (2 N^t) and
-    a_(t+1) = t 2^V / (3 N^(t+1)) are floors; each later term is one floor
-    division of the one before by the exact step ratio times
-    (t+2j-3)(t+2j-2) / N^2, of magnitude at most 1, so the j-th is within j
-    units.  The series stops at the kernel's target _EM_SAFETY |c_e| N^-e <
-    10^-(D+6) N^-t, or once _EM_SAFETY |a| is below a unit of 2^-W, which the
-    floors can not resolve (the case for large t); the remainder is
-    _EM_SAFETY (|a| + j) for the first term left out.  The shifts of one
-    inner array share it.
-    """
-    V = _fixed_bits(D) + _INNER_GUARD
+@_memo(_fixed_cache, "chain")
+def _inner_chain(t: int, D: int, odd: bool):
+    """The EM chains of _inner_array at scale N^-e 2^V, V = _fixed_bits(D) +
+    _INNER_GUARD, N = N(D), each entry j = 1, 2, ... within j units:
+    a_j = beta_j (t)_(2j-1) N^-e 2^V at e = t+2j-1, beta_j = B_2j 4^(2j-1) / (2j)!,
+    from a_1 = floor(t 2^V / (3 N^(t+1))) (beta_1 = 1/3) by one floor division
+    per step by _em_step's exact ratio, of magnitude at most 1, through the
+    first J with _EM_SAFETY |a_J| < lim: the kernel's target 10^-(D+6) N^-t,
+    or a unit of 2^-W, which the floors can not resolve (the case for large t).
+    odd: b_j = E_2j (t)_2j N^-e 2^V / (2 (2j)!) at e = t+2j for the same j,
+    from b_1 = floor(-t (t+1) 2^V / (4 N^(t+2))) (E_2 = -1) by
+    _em_step(odd=True)."""
+    N, V = _outer_cutoff(D), _fixed_bits(D) + _INNER_GUARD
     Nt = N**t
-    terms = [(t - 1, (N << V) // (4 * (t - 1) * Nt), 1)] if t > 1 else []
-    terms.append((t, (1 << V) // (2 * Nt), 1))
     lim = max((1 << V) // (10 ** (D + 6) * Nt), 1 << _INNER_GUARD)
-    a = (t << V) // (3 * Nt * N)  # beta_1 = 1/3
-    for j in range(1, 500):
-        if j > 1:
-            step = _em_step(t, j, N)
-            if step is None:
-                raise PrecisionError(f"inner EM series turned at j={j} before target (t={t}, N={N})")
-            a = a * step[0] // step[1]
-        if _EM_SAFETY * abs(a) < lim:
-            return terms, (_EM_SAFETY * (abs(a) + j), t + 2 * j - 1)
-        terms.append((t + 2 * j - 1, a, j))
-    raise PrecisionError(f"inner EM loop exhausted (t={t}, N={N})")
-
-
-def _shift_chain(comp: dict, e: int, i: int, b: int, err: int, delta: int, N: int, V: int) -> int:
-    """Add the series of b N^e (n+delta)^-e (i = 0, the binomial series), or of
-    -b (N/delta) log(1 + delta/n) (e = 0, i = 1), in powers (N/n)^(e+k) to
-    comp[e + k]: its k-th coefficient is (-1)^k b_k, with b_i = b and
-    b_(k+1) = floor(b_k (e+k) delta / ((k+1) N)).
-
-    b is within err units; returns the units by which comp may be off: each
-    b_k is within err_k units, err_(k+1) = ceil(err_k (e+k) delta / ((k+1) N)) + 1,
-    honest also while that ratio is above 1, plus the geometric rest of the terms
-    left out.  The chain stops once the ratio is below 1 and that rest is at most
-    _CHAIN_REST units; it gives up after V + 2e terms.
-    """
-    units = 0
-    for k in range(i, i + V + 2 * e):
-        comp[e + k] = comp.get(e + k, 0) + (-b if k & 1 else b)
-        units += err
-        num, den = (e + k) * delta, (k + 1) * N
-        # every later ratio is at most q: (e+m)/(m+1) falls to 1 for e >= 1, rises to it for e = 0
-        qn, qd = (num, den) if e else (delta, N)
-        if qn < qd and (abs(b) + err) * qn <= _CHAIN_REST * (qd - qn):
-            return units + _CHAIN_REST
-        b = b * num // den
-        err = -(-err * num // den) + 1
-    raise PrecisionError(f"shift re-expansion did not converge (u={e}, delta={delta}, N={N})")
+    if odd:
+        chain = [-(t * (t + 1) << V) // (4 * Nt * N * N)]
+        J = len(_inner_chain(t, D, False))
+    else:
+        chain = [(t << V) // (3 * Nt * N)]
+        J = 499
+    while len(chain) < J and (odd or _EM_SAFETY * abs(chain[-1]) >= lim):
+        step = _em_step(t, len(chain) + 1, N, odd)
+        if step is None:
+            raise PrecisionError(f"inner EM series turned at j={len(chain) + 1} before target (t={t}, N={N})")
+        chain.append(chain[-1] * step[0] // step[1])
+    if not odd and _EM_SAFETY * abs(chain[-1]) >= lim:
+        raise PrecisionError(f"inner EM loop exhausted (t={t}, N={N})")
+    return chain
 
 
 @_memo(_array_cache)
-def _inner_array(t: int, delta: int, D: int):
-    """Fixed-point coefficients of the class inner tail at shift delta.
+def _inner_array(q: str, t: int, r: int, D: int):
+    """The folded expansion of chi_q's inner tail seen from outer class r.
 
-    The tail of sum_{m >= n+delta, step 4} m^-t equals
-    logcoef*log n + sum_e c_e n^-e + R,  |R| <= crem n^-erem  for n > N(D).
-    Returns (emin, A, logcoef, (rem, erem), rnd) with A[e - emin] =
-    floor(x_e / 2^G), 0 for an absent exponent, G = _INNER_GUARD and
-    W = _fixed_bits(D): x_e sums the _shift_chain re-expansions of _inner_ct's
-    terms at n + delta (and of -log(1 + delta/n)/4 for t = 1) at scale
-    N^-e 2^(W+G), and sum_e |c_e N^-e 2^(W+G) - x_e| is at most the chains' units,
-    so sum_e |c_e N^-e 2^W - A[e - emin]| <= rnd + len(A) with
-    rnd = ceil(units / 2^G) + 1.  Every coefficient is an exact rational and
-    every step an integer floor.  rem = crem N^(1-erem) 2^2W in integer units,
-    from _inner_ct's remainder at y = n + delta > N.
+    With the weights w_d = chi_q(r+d), d = 0..3, the tail at n == r (mod 4) is
+    sum_{m>=n} chi_q(m) m^-t = sum_d w_d sum_{k>=0} (n+d+4k)^-t, which
+    Euler-Maclaurin with Bernoulli polynomials (DLMF 24.17.1, 2.10) expands as
+      (sum w) n^(1-t) / (4(t-1))   (-(sum w) log(n) / 4 at t = 1, regularized)
+      + sum_{i=1}^{p} (-1)^i g_i (t)_(i-1) n^-(t+i-1) + R_p,
+    g_i = sum_d w_d B_i(d/4) 4^(i-1) / i!, and from B_i(1/2) = (2^(1-i) - 1) B_i
+    and B_i(1/4) = -i E_(i-1) / 4^i - (1 - 2^(1-i)) B_i / 2^i:
+      g_1 = -w_0/2 - (w_1 - w_3)/4;
+      g_2j = beta_j m_2j, m_i = (w_0 - w_2) + w_2 2^(1-i) - (w_1 + w_3)(2^-i - 2^(1-2i));
+      g_(2j+1) = -(w_1 - w_3) E_2j / (4 (2j)!), an exact zero unless q = m4
+        and r is even.
+    So the term of e = t+2j-1 is a_j m_2j and that of e = t+2j is
+    (w_1 - w_3)/2 b_j at scale N^-e 2^V, with _inner_chain's a_j and b_j.
+    a_j m_2j is one floor of a_j M_j / 2^(4j-1), M_j = m_2j 2^(4j-1) an integer,
+    within j |M_j| / 2^(4j-1) + 1 units; the first two terms are floors.
+
+    The sum runs through p = 2J+1, J = len(a): |R_p| is at most sum |w| 2 zeta(p)
+    (2 pi)^-p 4^(p-1) (t)_(p-1) n^(1-t-p) (periodic Bernoulli functions are at
+    most 2 zeta(p) p! / (2 pi)^p), which is sum |w| |a_J| 2^-V (N/n)^erem
+    (zeta(p) / zeta(p-1)) 2 (t+2J-1) / (pi N), erem = t+2J, and 2/pi < 2/3.
+
+    Returns (E, F, (rem, erem), rnd): E lists the exponents e of the nonzero
+    coefficients c_e in increasing order, F[i] = floor(x / 2^G) for the
+    integer x of e = E[i], G = _INNER_GUARD, so that
+    |c_e N^-e 2^W - F[i]| <= 1 + u_e / 2^G for x's units u_e, whose sum over
+    e is at most rnd 2^G; |R| <= rem 2^-2W N^(erem-1) n^-erem for n > N.
     """
     N, W = _outer_cutoff(D), _fixed_bits(D)
     V = W + _INNER_GUARD
-    terms, (crem, erem) = _inner_ct(t, N, D)
-    comp: dict = {}
-    units = 0
-    if t == 1 and delta:
-        # log(n+delta) = log n + sum_{i >= 1} (-1)^(i-1) delta^i / (i n^i), times -1/4
-        units += _shift_chain(comp, 0, 1, (delta << V) // (4 * N), 1, delta, N, V)
-    for e, a, err in terms:
-        units += _shift_chain(comp, e, 0, a, err, delta, N, V)
-    emin = min(comp)
-    A = [0] * (max(comp) - emin + 1)
-    for e, x in comp.items():
-        A[e - emin] = x >> _INNER_GUARD
-    logc = Fraction(-1, 4) if t == 1 else 0
-    return emin, A, logc, (crem * N << (W - _INNER_GUARD), erem), (units >> _INNER_GUARD) + 2
-
-
-@_memo(_fixed_cache, "fold")
-def _folded_inner(q: str, t: int, r: int, D: int):
-    """The inner arrays of q's classes seen from outer class r, summed with
-    their character signs.
-
-    Returns (emin, F, k, log4, rems, rnd): F[e - emin] is the folded
-    fixed-point coefficient, within k units (k = number of classes folded) of
-    the fold of the arrays' coefficients; log4 is 4 times the folded log
-    coefficient (0 for a mean-zero q, else -sum chi_q), rems the per-class
-    remainder (rem, erem) pairs and rnd the summed rounding units.
-    """
-    parts = [(c, _inner_array(t, (rp - r) % 4, D)) for rp, c in zip((1, 2, 3, 4), CHI[q]) if c]
-    emin = min(arr[0] for _, arr in parts)
-    F = [0] * (max(arr[0] + len(arr[1]) for _, arr in parts) - emin)
-    for c, (e0, A, _, _, _) in parts:
-        for i, a in enumerate(A, e0 - emin):
-            F[i] += c * a
-    log4 = sum(c * int(4 * arr[2]) for c, arr in parts)
-    rems = [arr[3] for _, arr in parts]
-    return emin, F, len(parts), log4, rems, sum(arr[4] for _, arr in parts)
+    w0, w1, w2, w3 = w = (CHI[q] * 2)[r - 1 : r + 3]
+    Nt = N**t
+    terms = []  # (e, x, units of x)
+    if t > 1 and sum(w):
+        terms.append((t - 1, (sum(w) * N << V) // (4 * (t - 1) * Nt), 1))
+    if 2 * w0 + w1 - w3:
+        terms.append((t, ((2 * w0 + w1 - w3) << V) // (4 * Nt), 1))
+    chain = _inner_chain(t, D, False)
+    odd = _inner_chain(t, D, True) if w1 != w3 else None
+    for j, a in enumerate(chain, 1):
+        M = (w0 - w2 << 4 * j - 1) + (w2 << 2 * j) - (w1 + w3) * ((1 << 2 * j - 1) - 1)
+        if M:
+            terms.append((t + 2 * j - 1, a * M >> 4 * j - 1, (j * abs(M) >> 4 * j - 1) + 2))
+        if odd:
+            terms.append((t + 2 * j, (w1 - w3) // 2 * odd[j - 1], j))
+    E, X, units = zip(*terms)
+    rem = -(-sum(map(abs, w)) * (abs(a) + j) * 2 * (t + 2 * j - 1) // 3)
+    F = [x >> _INNER_GUARD for x in X]
+    return E, F, (rem << W - _INNER_GUARD, t + 2 * j), -(-sum(units) >> _INNER_GUARD)
 
 
 def _inner_const(q: str, t: int, D: int):
@@ -732,20 +714,19 @@ def _class_pairs(q: str, s: int, t: int, D: int):
     prefix = list(accumulate(map(mul, cycle(CHI[q][3:] + CHI[q][:3]), _pow_row(t, D))))
     outer = _pow_row(s, D)
     C, Cu = _inner_const(q, t, D)
+    log4 = -sum(CHI[q]) if t == 1 else 0  # 4 times the tail's log coefficient
     pairs = []
     for r in (1, 2, 3, 4):
         acc = sum(map(mul, outer[r::4], prefix[r - 1 : N : 4])) * Ns
-        emin, F, k, log4, rems, rnd = _folded_inner(q, t, r, D)
-        lo = s + emin
-        hi = lo + len(F)
-        G, B = _tail_row(r, s, hi, D)
-        Gs, Bs = G[lo:hi], B[lo:hi]
+        E, F, (rem, erem), rnd = _inner_array(q, t, r, D)
+        G, B = _tail_row(r, s, s + E[-1] + 1, D)
+        Gs, Bs = [G[s + e] for e in E], [B[s + e] for e in E]
         acc -= sum(map(mul, F, Gs))
-        # the folded floors, and the coefficients' rounding: rnd 2^-W at each n > N
-        # against the row's first entry, the largest T(r,u) N^u of the slice
-        units = sum(map(mul, map(abs, F), Bs)) + k * (sum(Bs) + sum(Gs)) + rnd * (Gs[0] + Bs[0])
+        # the floors of F, one unit each, and x's units: rnd 2^-W at each n > N
+        # against the first entry, the largest T(r,u) N^u of the row
+        units = sum(map(mul, map(abs, F), Bs)) + sum(Gs) + sum(Bs) + rnd * (Gs[0] + Bs[0])
         # sum_{n > N} rem n^(-s-erem) <= rem N^(1-s-erem) / (s+erem-1)
-        units += sum(-(-rem // (s + erem - 1)) for rem, erem in rems)
+        units += -(-rem // (s + erem - 1))
         # C T_r: C 2^W within Cu units, T_r N^s 2^W within B[s] (the
         # regularized T_r at s = 1 may be negative)
         acc += C * G[s]
@@ -790,6 +771,7 @@ def char_dzeta_num(p: str, q: str, s: int, t: int, ctx: EvalContext):
     s = 1 is accepted for mean-zero outer characters (2b, m4); s = t = 1 also
     needs a mean-zero inner character (the divergent-inner corner raises).
     """
+    require_ints("char_dzeta_num", s=s, t=t)
     return _check(_char_em(p, q, s, t, ctx.work_digits), ctx, f"[{p},{q}]({s},{t})")
 
 
@@ -799,6 +781,7 @@ def _dzeta_internal(a: int, b: int, D: int):
 
 def dzeta_num(a: int, b: int, ctx: EvalContext):
     """zeta(a, b) = sum_{n>m>=1} n^-a m^-b for a >= 2, b >= 1, within 10^-prec."""
+    require_ints("dzeta_num", a=a, b=b)
     if a < 2 or b < 1:
         raise DomainError(f"dzeta_num({a}, {b}) needs a >= 2, b >= 1")
     return _check(_dzeta_internal(a, b, ctx.work_digits), ctx, f"zeta({a},{b})")
@@ -856,6 +839,7 @@ def _witten_internal(r: int, s: int, t: int, D: int):
 def witten_num(r: int, s: int, t: int, ctx: EvalContext):
     """W(r,s,t) = sum_{n,m>=1} n^-r m^-s (n+m)^-t, evaluated through the exact
     recursion down to zeta / double-zeta boundary values."""
+    require_ints("witten_num", r=r, s=s, t=t)
     return _check(_witten_internal(r, s, t, ctx.work_digits), ctx, f"W({r},{s},{t})")
 
 
@@ -1114,4 +1098,4 @@ def clear_caches():
     """Drop all numeric caches (mainly for tests)."""
     for cache in (_kernel_cache, _array_cache, _fixed_cache, _value_cache):
         cache.clear()
-    del _em_ratios[2:]
+    del _em_ratios[2:], _euler_ratios[2:]

@@ -104,6 +104,22 @@ def test_euler_numbers():
     assert euler_number(10) == -50521
 
 
+def test_euler_numbers_match_the_binomial_recurrence(monkeypatch):
+    # the Seidel triangle against sum_{k<=m} C(2m, 2k) E_2k = 0 (m >= 1) for
+    # n <= 200, filled from empty tables in increasing and decreasing order
+    import mzv.exact as exact
+
+    ref = [1]
+    for m in range(1, 101):
+        ref.append(-sum(math.comb(2 * m, 2 * k) * ref[k] for k in range(m)))
+    for order in (range(201), range(200, -1, -1)):
+        monkeypatch.setattr(exact, "_euler_cache", [1])
+        monkeypatch.setattr(exact, "_seidel_row", [1])
+        got = {n: euler_number(n) for n in order}
+        assert [got[n] for n in range(0, 201, 2)] == ref
+        assert not any(got[n] for n in range(1, 201, 2))
+
+
 def test_euler_against_secant_series():
     with mpmath.workdps(80):
         coefs = mpmath.taylor(mpmath.sec, 0, 17)

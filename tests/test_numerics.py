@@ -81,6 +81,39 @@ def test_public_domain_errors_name_their_arguments(ctx40, call, text):
         call(ctx40)
 
 
+# the six numeric entries with their integer arguments, each from a valid call
+_INT_ENTRIES = {
+    "zeta_num": (zeta_num, ("s",)),
+    "L_num": (lambda s, ctx: L_num("2b", s, ctx), ("s",)),
+    "dzeta_num": (dzeta_num, ("a", "b")),
+    "char_dzeta_num": (lambda s, t, ctx: char_dzeta_num("m4", "2b", s, t, ctx), ("s", "t")),
+    "periodic_tail_num": (lambda s, N, ctx: periodic_tail_num("1", s, N, ctx), ("s", "N")),
+    "witten_num": (witten_num, ("r", "s", "t")),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_INT_ENTRIES))
+def test_numeric_entries_take_integer_arguments_only(entry):
+    # each argument in turn takes ints (a large negative one in every slot, a
+    # large N, whose tail is cheap), floats, strings, None and bools, the
+    # others staying at 3: every call returns a value or raises DomainError,
+    # which for a non-int (a bool included) names the call and the argument
+    ctx = EvalContext(10)
+    fn, names = _INT_ENTRIES[entry]
+    for i, name in enumerate(names):
+        big = [10**40] if name == "N" else []
+        for value in [3, 1, 0, -(10**40), *big, 2.5, 3.0, "3", None, True, False]:
+            args = [3] * len(names)
+            args[i] = value
+            try:
+                fn(*args, ctx)
+            except DomainError as exc:
+                if not isinstance(value, int) or isinstance(value, bool):
+                    assert str(exc) == f"{entry} needs an integer {name}, got {value!r}"
+            else:
+                assert isinstance(value, int) and not isinstance(value, bool), (entry, name, value)
+
+
 def test_L_values(ctx40):
     with mp.workdps(60):
         assert abs(L_num("2a", 4, ctx40) - (1 - mpf(2) ** -4) * zeta_num(4, ctx40)) < tol(ctx40, 2)
@@ -298,18 +331,17 @@ def _char_em_per_character(p, q, s, t, D):
     acc = direct * Ns
     units = numerics._head_units(D) * Ns
     C, Cu = numerics._inner_const(q, t, D)
+    log4 = -sum(CHI[q]) if t == 1 else 0
     for r in (1, 2, 3, 4):
         cp = CHI[p][r - 1]
         if not cp:
             continue
-        emin, F, k, log4, rems, rnd = numerics._folded_inner(q, t, r, D)
-        lo = s + emin
-        hi = lo + len(F)
-        G, B = numerics._tail_row(r, s, hi, D)
-        Gs, Bs = G[lo:hi], B[lo:hi]
+        E, F, (rem, erem), rnd = numerics._inner_array(q, t, r, D)
+        G, B = numerics._tail_row(r, s, s + E[-1] + 1, D)
+        Gs, Bs = [G[s + e] for e in E], [B[s + e] for e in E]
         acc -= cp * sum(map(mul, F, Gs))
-        units += sum(map(mul, map(abs, F), Bs)) + k * (sum(Bs) + sum(Gs)) + rnd * (Gs[0] + Bs[0])
-        units += sum(-(-rem // (s + erem - 1)) for rem, erem in rems)
+        units += sum(map(mul, map(abs, F), Bs)) + sum(Bs) + sum(Gs) + rnd * (Gs[0] + Bs[0])
+        units += -(-rem // (s + erem - 1))
         acc += cp * C * G[s]
         units += abs(C) * B[s] + Cu * (abs(G[s]) + B[s])
         if log4:
@@ -794,102 +826,94 @@ def test_fixed_point_tail_restarts(monkeypatch):
             numerics._tail_fixed(r, u, N, D, logw)
 
 
-def _inner_em_coefficients(t, J):
-    """{e: c_e}, exact, of the EM expansion of sum_{k>=0} (y+4k)^-t through its
-    j = J correction: 1/(4(t-1)) y^(1-t) (t > 1), y^-t / 2 and
-    beta_j (t)_(2j-1) y^-(t+2j-1), beta_j = B_2j 4^(2j-1) / (2j)!."""
-    from fractions import Fraction
+def _inner_coefficients(q, t, r, p):
+    """{e: c_e}, exact, of the inner tail sum_{m>=n} chi_q(m) m^-t at
+    n == r (mod 4) through the Bernoulli-polynomial term i = p:
+    sum w / (4(t-1)) at e = t-1 and (-1)^i g_i (t)_(i-1) at e = t+i-1, with
+    w_d = chi_q(r+d) and g_i = sum_d w_d B_i(d/4) 4^(i-1) / i!; B_i(x) at
+    x = 0, 1/4, 1/2, 3/4 from the Bernoulli and Euler numbers."""
+    from mzv.exact import euler_number
 
-    c = {t - 1: Fraction(1, 4 * (t - 1))} if t > 1 else {}
-    c[t] = Fraction(1, 2)
-    rise = 1
-    for j in range(1, J + 1):
-        rise = t if j == 1 else rise * (t + 2 * j - 3) * (t + 2 * j - 2)
-        c[t + 2 * j - 1] = bernoulli(2 * j) * 4 ** (2 * j - 1) / math.factorial(2 * j) * rise
+    w = [CHI[q][(r + d - 1) % 4] for d in range(4)]
+    c = {t - 1: Fraction(sum(w), 4 * (t - 1))} if t > 1 else {}
+    rise = 1  # (t)_(i-1)
+    for i in range(1, p + 1):
+        b = bernoulli(i)
+        quarter = -i * euler_number(i - 1) / Fraction(4**i) - (1 - Fraction(2) ** (1 - i)) * b / 2**i
+        at = (b, quarter, (Fraction(2) ** (1 - i) - 1) * b, (-1) ** i * quarter)
+        g = sum(wd * x for wd, x in zip(w, at)) * Fraction(4 ** (i - 1), math.factorial(i))
+        c[t + i - 1] = (-1) ** i * g * rise
+        rise *= t + i - 1
     return c
 
 
-def test_inner_ct_within_its_units_of_exact_coefficients():
-    # each integer a_e against c_e N^-e 2^V with the exact c_e, within its
-    # stated units; the remainder names the first term left out.  At D = 310,
-    # t = 12 stops at a unit of 2^-W before the kernel's target
-    from fractions import Fraction
+@pytest.mark.parametrize("D", [20, 50, 110])
+def test_inner_array_within_its_units_of_exact_coefficients(D):
+    # every (q, r), against the exact rationals through p = 2J + 1: the
+    # exponents are exactly those of the nonzero coefficients, and each entry
+    # is within one unit of c_e N^-e 2^W plus its share of rnd
+    N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
+    for t in (1, 2, 5, 12):
+        J = len(numerics._inner_chain(t, D, False))
+        for q in CHAR_IDS:
+            for r in (1, 2, 3, 4):
+                E, F, (rem, erem), rnd = numerics._inner_array(q, t, r, D)
+                c = _inner_coefficients(q, t, r, 2 * J + 1)
+                assert list(E) == sorted(e for e, v in c.items() if v), (q, t, r, D)
+                assert erem == t + 2 * J
+                off = [abs(c[e] * Fraction(2**W, N**e) - f) for e, f in zip(E, F)]
+                assert sum(max(x - 1, 0) for x in off) <= rnd, (q, t, r, D)
 
-    for D in (50, 310):
-        N = numerics._outer_cutoff(D)
-        V = numerics._fixed_bits(D) + numerics._INNER_GUARD
-        for t in (1, 2, 5, 12):
-            terms, (crem, erem) = numerics._inner_ct(t, N, D)
-            assert len(terms) > 10
-            J = len(terms) - (2 if t > 1 else 1)
-            c = _inner_em_coefficients(t, J + 1)
-            assert [e for e, _, _ in terms] == sorted(c)[:-1]
-            for e, a, err in terms:
-                assert abs(c[e] * Fraction(2**V, N**e) - a) <= err, (D, t, e)
-            assert erem == t + 2 * J + 1
-            assert abs(c[erem]) * Fraction(2**V, N**erem) * numerics._EM_SAFETY <= crem
+
+def test_inner_array_zero_pattern():
+    # odd Bernoulli-polynomial terms (i >= 3, at e = t + 2j) only for m4 seen
+    # from an even class, which has no even ones (e = t + 2j - 1)
+    D, t = 50, 3
+    J = len(numerics._inner_chain(t, D, False))
+    for q in CHAR_IDS:
+        for r in (1, 2, 3, 4):
+            E = numerics._inner_array(q, t, r, D)[0]
+            odd = [e for e in E if e > t and (e - t) % 2 == 0]
+            even = [e for e in E if e > t and (e - t) % 2]
+            if q == "m4" and r % 2 == 0:
+                assert not even and odd == list(range(t + 2, t + 2 * J + 1, 2)), r
+            else:
+                assert not odd and even == list(range(t + 1, t + 2 * J, 2)), (q, r)
 
 
 @pytest.mark.parametrize("D", [20, 50, 110])
-def test_inner_array_within_its_units_of_exact_expansion(D):
-    # the same EM truncation, every term (and -log(1 + delta/n)/4 for t = 1)
-    # re-expanded at n + delta in exact rationals through 120 exponents past the
-    # array: sum_e |c_e N^-e 2^W - A_e| <= rnd + len(A), with no allowance; at
-    # D = 20 the binomial ratios start above 1 for the late terms
-    from fractions import Fraction
-
+def test_inner_array_bounds_a_hurwitz_reference(D):
+    # the expansion at the first two n > N of class r against the tail from
+    # mpmath's Hurwitz zeta (digamma for the regularized t = 1 classes) at
+    # D + 40 digits: off by at most the remainder rem 2^-2W N^(erem-1) n^-erem
+    # and the entries' units
     N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
-    for t in (1, 2, 5):
-        terms, _ = numerics._inner_ct(t, N, D)
-        base = _inner_em_coefficients(t, len(terms) - (2 if t > 1 else 1))
-        for delta in range(4):
-            emin, A, logc, _, rnd = numerics._inner_array(t, delta, D)
-            assert logc == (Fraction(-1, 4) if t == 1 else 0)
-            emax = emin + len(A) + 120
-            c = dict.fromkeys(range(1, emax), Fraction(0))
-            if t == 1 and delta:
-                for i in range(1, emax):
-                    c[i] += Fraction((-1) ** i * delta**i, 4 * i)
-            for e, v in base.items():
-                for i in range(emax - e if delta else 1):
-                    c[e + i] += v * (-delta) ** i * math.comb(e + i - 1, i)
-            off = sum(
-                abs(v * Fraction(2**W, N**e) - (A[e - emin] if 0 <= e - emin < len(A) else 0))
-                for e, v in c.items()
-            )
-            assert off <= rnd + len(A), (D, t, delta)
-
-
-def test_shift_chain_counts_its_units():
-    # each chain from an exact start X, b = floor(X) within 1 unit (0 for an
-    # integer X), against the exact series X prod (e+m) delta / ((m+1) N) taken
-    # 300 terms past its stop: ratios that start at 9 (e = 60, N = 20), an exact
-    # start that stops at its first term, so its units are only the rest, a
-    # negative start, and the log chain
-    from fractions import Fraction
-
-    cases = [
-        (60, 0, Fraction(7 << 80, 3), 3, 20),
-        (1, 0, Fraction(3), 1, 100),
-        (7, 0, Fraction(-(5 << 90), 7), 2, 40),
-        (0, 1, Fraction(3 << 100, 4 * 50), 3, 50),
-    ]
-    for e, i, X, delta, N in cases:
-        comp: dict = {}
-        b = math.floor(X)
-        units = numerics._shift_chain(comp, e, i, b, int(b != X), delta, N, 100)
-        stop = max(comp) - e
-        off = 0
-        for k in range(i, stop + 300):
-            off += abs((-1) ** k * X - comp.get(e + k, 0))
-            X = X * (e + k) * delta / ((k + 1) * N)
-        assert off <= units, (e, delta, N)
+    for t in (1, 2, 5, 12):
+        for q in CHAR_IDS:
+            for r in (1, 2, 3, 4):
+                E, F, (rem, erem), rnd = numerics._inner_array(q, t, r, D)
+                n0 = N + 1 + (r - N - 1) % 4
+                for n in (n0, n0 + 4):
+                    with mp.workdps(D + 40):
+                        w = [CHI[q][(r + d - 1) % 4] for d in range(4)]
+                        ref = sum(wd * _class_tail_reference(t, False, n + d) for d, wd in enumerate(w) if wd)
+                        got = sum(f * (mpf(N) / n) ** e for e, f in zip(E, F)) / mpf(2) ** W
+                        if t == 1:
+                            got -= sum(w) * mp.log(n) / 4
+                        scale = [(mpf(N) / n) ** e / mpf(2) ** W for e in E]
+                        allow = rem * mpf(2) ** (-2 * W) * mpf(N) ** (erem - 1) / mpf(n) ** erem
+                        allow += sum(scale) + rnd * scale[0]
+                        assert abs(got - ref) <= allow, (q, t, r, D, n)
 
 
 def test_inner_array_length_at_deep_precision():
-    # chains stop at an absolute unit: at D = 310 the t = 2, delta = 3 array
-    # (about 365 entries while its chains stopped at 10^-(D+6) of each term)
-    assert len(numerics._inner_array(2, 3, 310)[1]) <= 240
+    # the folded arrays stop with the EM chain: at D = 310 the t = 2 arrays
+    # hold at most 109 entries up to e = 214 (the per-class arrays re-expanded
+    # at n + delta ran to about e = 230, and their fold to 228 entries)
+    for q in CHAR_IDS:
+        for r in (1, 2, 3, 4):
+            E = numerics._inner_array(q, 2, r, 310)[0]
+            assert len(E) <= 109 and E[-1] <= 214, (q, r)
 
 
 @pytest.mark.parametrize("prec", [40, 100, 300])
@@ -910,10 +934,14 @@ def test_class_tails_within_bound_of_hurwitz_reference(prec):
                 assert abs(X - ref * mpf(max(N, 1)) ** u * mpf(2) ** W) <= units, (r, u, logw, N, prec)
 
 
-def test_precision_errors_name_their_term():
-    # the shift ratio (2+k) 10^6 / (k+1) never falls below 1
-    with pytest.raises(PrecisionError, match=r"u=2, delta=1000000, N=1"):
-        numerics._shift_chain({}, 2, 0, 1 << 64, 0, 10**6, 1, 64)
+def test_precision_errors_name_their_term(monkeypatch):
+    # from N = 4 the inner EM step ratio passes 1 at j = 4, far above target
+    numerics.clear_caches()
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "_outer_cutoff", lambda D: 4)
+        with pytest.raises(PrecisionError, match=r"inner EM series turned at j=4 before target \(t=2, N=4\)"):
+            numerics._inner_chain(2, 50, False)
+    numerics.clear_caches()
     # from m0 = 10^6 + 1 the EM terms fall for far more than 499 steps, and
     # still lie above the target of D = 5000 digits after them
     for logw in (False, True):
@@ -963,9 +991,8 @@ _MEMO_LAYERS = [
     ("_L_internal", ("2b", 1, _D), "_value_cache", ("L", "2b", 1, _D)),
     ("_head_units", (_D,), "_fixed_cache", ("head", _D)),
     ("_pow_row", (2, _D), "_fixed_cache", ("pow", 2, _D)),
-    ("_inner_ct", (2, _N, _D), "_fixed_cache", ("ct", 2, _N, _D)),
-    ("_inner_array", (2, 1, _D), "_array_cache", (2, 1, _D)),
-    ("_folded_inner", ("2a", 2, 1, _D), "_fixed_cache", ("fold", "2a", 2, 1, _D)),
+    ("_inner_chain", (2, _D, True), "_fixed_cache", ("chain", 2, _D, True)),
+    ("_inner_array", ("m4", 2, 2, _D), "_array_cache", ("m4", 2, 2, _D)),
     ("_inner_const", ("1", 1, _D), "_fixed_cache", ("C", "1", _D)),
     ("_class_pairs", ("1", 2, 1, _D), "_fixed_cache", ("pairs", "1", 2, 1, _D)),
     ("_char_em", ("2b", "m4", 1, 2, _D), "_value_cache", ("cs", "2b", "m4", 1, 2, _D)),
