@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import DomainError
+from .errors import DomainError, require_ints
 
 Rational = Fraction
 
@@ -36,6 +36,7 @@ _seidel_row: list[int] = [1]
 
 def binomial(n: int, k: int) -> int:
     """C(n, k), with the out-of-range convention C(n, k) = 0 for k < 0 or k > n."""
+    require_ints("binomial", n=n, k=k)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -47,6 +48,7 @@ def bernoulli(n: int) -> Fraction:
     B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers T_k; a
     request past the table refills it to at least twice its length.
     """
+    require_ints("bernoulli", n=n)
     if n < 0:
         raise DomainError(f"Bernoulli number B_{n}: the index must be >= 0")
     global _bern_cache
@@ -97,6 +99,7 @@ def euler_number(n: int) -> int:
     m-1 read backwards.  _seidel_row holds the last row built, so each new
     row costs m additions; E_2k = (-1)^k A_2k.
     """
+    require_ints("euler_number", n=n)
     if n < 0:
         raise DomainError(f"Euler number E_{n}: the index must be >= 0")
     if n % 2 == 1:
@@ -111,11 +114,13 @@ def euler_number(n: int) -> int:
 
 def harmonic(n: int) -> Fraction:
     """H_n = sum_{k<=n} 1/k as an exact rational (H_0 = 0)."""
+    require_ints("harmonic", n=n)
     return harmonic_power(n, 1)
 
 
 def harmonic_power(n: int, b: int) -> Fraction:
     """Generalized harmonic number H_n^(b) = sum_{k<=n} k^-b (H_0^(b) = 0), any integer b."""
+    require_ints("harmonic_power", n=n, b=b)
     if n < 0:
         order = "" if b == 1 else f"^({b})"
         raise DomainError(f"harmonic number H_{n}{order}: the index must be >= 0")
@@ -130,6 +135,7 @@ def inv_binomial_sum(n: int, m: int) -> Fraction:
 
     For m = n the sum is 0 for odd n and 2(n+1)/(n+2) for even n.
     """
+    require_ints("inv_binomial_sum", n=n, m=m)
     if not 0 <= m <= n:
         raise DomainError(f"inv_binomial_sum({n}, {m}) needs 0 <= m <= n")
     acc = Fraction(0)
@@ -155,6 +161,7 @@ def hyp2f1_special(n: int) -> Fraction:
     (-1)^(n+1) C(2n+1, n) F = 2^(-n-1) - sum_{k=0}^{n} (-1)^k C(n+k, k),
     never by summing the series at -1 (which is only Abel-convergent).
     """
+    require_ints("hyp2f1_special", n=n)
     if n < 1:
         raise DomainError(f"hyp2f1_special({n}) needs n >= 1")
     rhs = Fraction(1, 2 ** (n + 1)) - alternating_binom_sum(n)

@@ -28,8 +28,10 @@ its coefficients, with chi_q's signs already in them, are one vector of
 F_e = floor(c_e N^-e 2^W) over the exponents whose c_e is not an exact zero
 (_inner_array), and its log coefficient is 0 for a mean-zero inner character.
 The tail is then one integer dot product with the class's row
-G_u ~ T(r,u) N^u 2^W, and the head a sum of floor(2^W/m^t) floor(2^W/n^s)
-products.  Every unit dropped by a floor goes into the reported bound: with
+G_u ~ T(r,u) N^u 2^W, and the head a sum of floor(P / n^s) at 2^-W, one
+division of the inner prefix P = sum_(m<n) chi_q(m) floor(2^W/m^t) by the
+integer n^s per term, shifted to 2^-2W once per class (_class_heads).
+Every unit dropped by a floor goes into the reported bound: with
 B_u >= |T(r,u) N^u 2^W - G_u|, an entry contributes at most
 |F_e| B_u + B_u + G_u units of 2^-2W N^-s; the inner remainder is integer
 units too.
@@ -102,7 +104,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count, cycle
-from operator import mul
+from operator import floordiv, mul
 
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec, from_man_exp, round_ceiling, round_nearest
@@ -126,14 +128,16 @@ CHI = {
 
 
 def _known(*chars):
-    """DomainError naming the first of chars that is not a character id."""
+    """DomainError naming the first of chars that is not a character id (a str
+    of CHI: a list or dict is not looked up, so it can not leak a TypeError)."""
     for p in chars:
-        if p not in CHI:
+        if not isinstance(p, str) or p not in CHI:
             raise DomainError(f"unknown character {p!r}")
 
 
 def chi(p: str, n: int) -> int:
     _known(p)
+    require_ints("chi", n=n)
     return CHI[p][(n - 1) % 4]
 
 
@@ -163,6 +167,7 @@ class EvalContext:
     prec: int = 40
 
     def __post_init__(self):
+        require_ints("EvalContext", prec=self.prec)
         if self.prec < 10:
             raise DomainError("precision must be at least 10 digits")
 
@@ -199,7 +204,7 @@ def _check(pair, ctx: EvalContext, what: str):
 # One memo rule (_memo): a layer stores its result under its argument tuple,
 # led by the layer's tag where layers share a dict.  _value_cache holds the
 # rounded (value, bound) pairs ("L", "cs", "W", "H"), _fixed_cache the integer
-# layers ("L", "head", "pow", "ct", "fold", "C", "pairs", and _tail_row's
+# layers ("L", "head", "ipow", "pow", "chain", "C", "pairs", and _tail_row's
 # growing ("tail", r, D) rows) and the generator powers ("gpow"); the other
 # two are class_tail's kernel and _inner_array.  Callers must not change a
 # returned list.
@@ -382,17 +387,28 @@ def _fixed_bits(D: int) -> int:
 
 @_memo(_fixed_cache, "head")
 def _head_units(D: int) -> int:
-    """At least N (3 + log N) 2^W + 1, N = N(D), W = W(D): _char_em's head rounding
-    in units of 2^-2W (log N from _log_fixed, within 2 units)."""
+    """N (3 + log N) 2^W + 1 (log N from _log_fixed, within 2 units), N = N(D),
+    W = W(D): the units of 2^-2W that _char_fixed counts for the head of
+    _class_heads, which needs 2N 2^W of them.  Its prefix P[n-1] sums n-1
+    floors, so it is within n-1 units of 2^-W; divided by n^s that is below
+    one unit, and the floor adds less than one more, so each of the N terms
+    is within 2 units of 2^-W.  The count is not tightened to that need,
+    which would lower every reported bound."""
     N, W = _outer_cutoff(D), _fixed_bits(D)
     return N * ((3 << W) + _log_fixed(N, W) + 2) + 1
+
+
+@_memo(_fixed_cache, "ipow")
+def _int_pow_row(u: int, D: int):
+    """[n^u for n = 0..N(D)]: the divisors of _pow_row and of _class_heads."""
+    return [n**u for n in range(_outer_cutoff(D) + 1)]
 
 
 @_memo(_fixed_cache, "pow")
 def _pow_row(u: int, D: int):
     """[floor(2^W / n^u) for n = 0..N(D)], with 0 at n = 0."""
     one = 1 << _fixed_bits(D)
-    return [0] + [one // n**u for n in range(1, _outer_cutoff(D) + 1)]
+    return [0] + [one // x for x in _int_pow_row(u, D)[1:]]
 
 
 def _log_fixed(n: int, bits: int) -> int:
@@ -451,9 +467,15 @@ class _EMTerms:
         return self.t
 
 
+@functools.cache
+def _em_scales(D: int):
+    """(10^(D+30), _EM_SAFETY 10^(D+6)): the divisors of _em_bracket's stop test."""
+    return 10 ** (D + 30), _EM_SAFETY * 10 ** (D + 6)
+
+
 def _em_bracket(
     u: int, m0: int, m0u: int, V: int, D: int, L: int | None = None, logw: bool = False,
-    what: str = "", terms: _EMTerms | None = None,
+    terms: _EMTerms | None = None,
 ):
     """The Euler-Maclaurin bracket of class_tail's tail from m0 at scale 2^V:
     the tail from m0 on is m0^-u times
@@ -472,7 +494,7 @@ def _em_bracket(
     (x, floors, rem, j): x within `floors` units of the partial sum through j
     terms times 2^V, and rem = _EM_SAFETY (|last term| + its units), which
     bounds the rest; or None if the terms turn upward first.  A sum that does
-    not stop in 499 terms raises PrecisionError naming `what`.
+    not stop in 499 terms raises PrecisionError, which _tail_fixed names.
     """
     c = 4 * (u - 1)
     if u == 1:  # L's 2 units move m0 L / 4 by m0 / 2, and the floor adds one
@@ -482,8 +504,8 @@ def _em_bracket(
     x = lead + (1 << (V - 1))
     if logw:
         lead = (L * lead >> V) + (m0 << V) // (c * (u - 1))
-    scale = abs(lead) + (L if logw else 1 << V) + (m0u << V) // 10 ** (D + 30)
-    lim = scale // (_EM_SAFETY * 10 ** (D + 6))
+    cut, stop = _em_scales(D)
+    lim = (abs(lead) + (L if logw else 1 << V) + (m0u << V) // cut) // stop
     if not logw:
         if terms is None:
             terms = _EMTerms()
@@ -491,7 +513,7 @@ def _em_bracket(
         j = next(compress(count(1), map(lim.__gt__, map(abs, t))), 0)  # the first |t_j| < lim
         while not j:
             if len(t) == 499:
-                raise PrecisionError(f"EM correction loop exhausted for {what}")
+                raise PrecisionError("EM correction loop exhausted")
             step = _em_step(u, len(t) + 1, m0)
             if step is None:
                 return None
@@ -517,7 +539,7 @@ def _em_bracket(
         if abs(term) < lim:
             break
     else:
-        raise PrecisionError(f"EM correction loop exhausted for {what}")
+        raise PrecisionError("EM correction loop exhausted")
     # with log(m0) 2^V within 2 units of L, L x is within 2 |x| + (L + 2) floors
     # units of 2^-2V of its exact product; the shift and m0/(4(u-1)^2) are one
     # floor each, t_i is within i units and h_i within i (i+1) / 2
@@ -543,28 +565,36 @@ def _tail_fixed(r: int, u: int, N: int, D: int, logw: bool = False, terms: _EMTe
     V = _fixed_bits(D) + 64
     Nu = max(N, 1) ** u
     start_min = _kernel_start(u, D)
-    what = f"class {r}, exponent {u}, log weight {logw}, N={N}, D={D}"
     for _ in range(5):
         m0 = max(N, start_min) + 1
         m0 += (r - m0) % 4
         m0u = m0**u
         L = _log_fixed(m0, V) if logw or u == 1 else None
-        em = _em_bracket(u, m0, m0u, V, D, L, logw, what, terms)
+        try:
+            em = _em_bracket(u, m0, m0u, V, D, L, logw, terms)
+        except PrecisionError as exc:
+            raise PrecisionError(f"{exc} for {_tail_name(r, u, N, D, logw)}") from None
         if em is None:
             start_min = int(start_min * 1.6) + 8  # the series turned: restart farther out
             terms = None
             continue
         x, floors, rem, _ = em
         head = range(N + 1 + (r - N - 1) % 4, m0, 4)
-        if logw:
-            # Nu <= n^u: each term within 2 units of its log and 1 of its floor
-            s, err = sum(Nu * _log_fixed(n, V) // n**u for n in head), 3 * len(head)
-        else:
-            s, err = sum((Nu << V) // n**u for n in head), len(head)
+        s = err = 0
+        if head:  # empty when the start is the first n > N of class r
+            if logw:
+                # Nu <= n^u: each term within 2 units of its log and 1 of its floor
+                s, err = sum(Nu * _log_fixed(n, V) // n**u for n in head), 3 * len(head)
+            else:
+                s, err = sum((Nu << V) // n**u for n in head), len(head)
         s += x * Nu // m0u
         err += 1 - (-(floors + rem) * Nu // m0u)  # units of 2^-V, then of 2^-W after the shift
         return s >> 64, ((err - 1) >> 64) + 2
-    raise PrecisionError(f"EM tail did not converge for {what}")
+    raise PrecisionError(f"EM tail did not converge for {_tail_name(r, u, N, D, logw)}")
+
+
+def _tail_name(r: int, u: int, N: int, D: int, logw: bool) -> str:
+    return f"class {r}, exponent {u}, log weight {logw}, N={N}, D={D}"
 
 
 # class_tail's memoized kernel, keyed (r, u, N, D, logw)
@@ -701,23 +731,32 @@ def _char_convergent(p, q, s, t):
     return p in CHAR_IDS and q in CHAR_IDS and t >= 1 and _L_convergent(p, s)
 
 
+def _class_heads(q: str, s: int, t: int, D: int):
+    """[H_r for r = 1..4]: the head n <= N of [p,q](s,t)'s outer class r at
+    scale 2^-W, H_r = sum_{n == r (mod 4)} floor(P[n-1] / n^s) with the prefix
+    P[k] = sum_{m<=k} chi_q(m) floor(2^W/m^t); each term is within 2 units
+    (_head_units).  One division of P by the small n^s per term, where the
+    product floor(2^W/n^s) P at 2^-2W would multiply two W-bit integers."""
+    N = _outer_cutoff(D)
+    prefix = list(accumulate(map(mul, cycle(CHI[q][3:] + CHI[q][:3]), _pow_row(t, D))))
+    npow = _int_pow_row(s, D)
+    return [sum(map(floordiv, prefix[r - 1 : N : 4], npow[r::4])) for r in (1, 2, 3, 4)]
+
+
 @_memo(_fixed_cache, "pairs")
 def _class_pairs(q: str, s: int, t: int, D: int):
     """(acc_r, units_r) for r = 1..4 at scale 2^-2W N^-s: the head, fold, cross and
     log terms of [p,q](s,t)'s outer class r, which _char_em signs with chi_p(r).
-    The cross term C T_r is C G_r[s] at every s; at s = 1 the signed sum over
-    the mean-zero p's classes cancels the log parts of the regularized G_r[1]."""
+    The head's units are _char_fixed's (_head_units).  The cross term C T_r is
+    C G_r[s] at every s; at s = 1 the signed sum over the mean-zero p's classes
+    cancels the log parts of the regularized G_r[1]."""
     N, W = _outer_cutoff(D), _fixed_bits(D)
     Ns = N**s
-    # head n <= N: floor(2^W/n^s) * sum_{m<n} chi_q(m) floor(2^W/m^t), whose
-    # floors drop < N (3 + log N) 2^W units in all (_head_units)
-    prefix = list(accumulate(map(mul, cycle(CHI[q][3:] + CHI[q][:3]), _pow_row(t, D))))
-    outer = _pow_row(s, D)
     C, Cu = _inner_const(q, t, D)
     log4 = -sum(CHI[q]) if t == 1 else 0  # 4 times the tail's log coefficient
     pairs = []
-    for r in (1, 2, 3, 4):
-        acc = sum(map(mul, outer[r::4], prefix[r - 1 : N : 4])) * Ns
+    for r, head in zip((1, 2, 3, 4), _class_heads(q, s, t, D)):
+        acc = (head << W) * Ns
         E, F, (rem, erem), rnd = _inner_array(q, t, r, D)
         G, B = _tail_row(r, s, s + E[-1] + 1, D)
         Gs, Bs = [G[s + e] for e in E], [B[s + e] for e in E]
@@ -743,7 +782,6 @@ def _class_pairs(q: str, s: int, t: int, D: int):
 def _char_fixed(p: str, q: str, s: int, t: int, D: int):
     """(x, units) with |[p,q](s,t) 2^(2W) - x| <= units, W = _fixed_bits(D): the
     combine of the cached _class_pairs with chi_p's signs, itself not cached."""
-    _known(p, q)
     if not _char_convergent(p, q, s, t):
         raise DomainError(f"[{p},{q}]({s},{t}) is outside the convergence region")
     if s == 1 and not _L_convergent(q, t):
@@ -771,6 +809,7 @@ def char_dzeta_num(p: str, q: str, s: int, t: int, ctx: EvalContext):
     s = 1 is accepted for mean-zero outer characters (2b, m4); s = t = 1 also
     needs a mean-zero inner character (the divergent-inner corner raises).
     """
+    _known(p, q)
     require_ints("char_dzeta_num", s=s, t=t)
     return _check(_char_em(p, q, s, t, ctx.work_digits), ctx, f"[{p},{q}]({s},{t})")
 
@@ -883,6 +922,7 @@ def harmonic_sum_num(kind: str, s: int, ctx: EvalContext):
     'half_index' is sum_{n>=1} H_{2n}/n^{2s} (s >= 1), both evaluated as
     character double sums (_harmonic_internal).  Domain errors name the
     corpus DSL calls hsum_odd(s) and hsum_half(s)."""
+    require_ints("harmonic_sum_num", s=s)
     return _check(_harmonic_internal(kind, s, ctx.work_digits), ctx, f"harmonic_sum({kind},{s})")
 
 
@@ -981,17 +1021,23 @@ def brute_force_oracle(series: str, params, N: int):
     integral-comparison tails (alternating-block bound for mean-zero twisted
     outer sums) plus an explicit float64 round-off allowance folded in.
     """
+    require_ints("brute_force_oracle", N=N)
     if series == "dzeta":
         a, b = params
+        require_ints("brute_force_oracle", a=a, b=b)
         value, bound = _oracle_char("1", "1", a, b, N)
     elif series == "char_dzeta":
         p, q, s, t = params
+        _known(p, q)
+        require_ints("brute_force_oracle", s=s, t=t)
         value, bound = _oracle_char(p, q, s, t, N)
     elif series == "witten":
         r, s, t = params
+        require_ints("brute_force_oracle", r=r, s=s, t=t)
         value, bound = _oracle_witten(r, s, t, N)
     elif series == "harmonic":
         kind, s = params
+        require_ints("brute_force_oracle", s=s)
         value, bound = _oracle_harmonic(kind, s, N)
     else:
         raise DomainError(f"unknown oracle series {series!r}")

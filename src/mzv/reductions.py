@@ -25,7 +25,7 @@ from math import comb
 from mpmath import mp, mpf
 
 from . import numerics
-from .errors import DomainError, NotReducible, ReductionError
+from .errors import DomainError, NotReducible, ReductionError, require_ints
 from .exact import _rref
 from .symexpr import LI4H, LOG2, PI, ConstExpr, zeta_sym
 
@@ -33,12 +33,13 @@ _VERIFY_PREC = 40
 _VERIFY_TOL_EXP = 35  # residual <= 10^-(P-5) at P = 40
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 3.0 and True miss, and are refused
 def zeta_s1_reduce(s: int) -> ConstExpr:
     """Closed form of zeta(s-1, 1) for s >= 3, valid at every weight:
 
         zeta(s-1, 1) = (s-1)/2 zeta(s) - 1/2 sum_{j=2}^{s-2} zeta(j) zeta(s-j).
     """
+    require_ints("zeta_s1_reduce", s=s)
     if s < 3:
         raise DomainError(f"zeta_s1_reduce({s}) needs s >= 3")
     out = zeta_sym(s) * Fraction(s - 1, 2)
@@ -205,6 +206,7 @@ def dzeta_reduce(a: int, b: int) -> ConstExpr:
     Weight 8 and beyond raises NotReducible (zeta(5,3) is the canonical
     conjecturally-irreducible case), except b = 1 which closes at any weight.
     """
+    require_ints("dzeta_reduce", a=a, b=b)
     if a < 2 or b < 1:
         raise DomainError(f"dzeta_reduce({a}, {b}) needs a >= 2, b >= 1")
     if b == 1:
@@ -228,6 +230,7 @@ def witten_reduce(r: int, s: int, t: int):
     the boundary values.  Returns a ConstExpr when every double zeta closes
     (always at total weight <= 7), otherwise the WittenReduction with its
     leftovers."""
+    require_ints("witten_reduce", r=r, s=s, t=t)
     red = _TABLE.witten(r, s, t)
     if red.is_closed():
         return red.const_part

@@ -12,7 +12,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .errors import DomainError, NotReducible
+from .errors import DomainError, NotReducible, require_ints
 from .exact import bernoulli, euler_number
 
 # A generator is 'pi', 'log2', 'li4h' or ('z', k) with odd k >= 3.
@@ -252,10 +252,11 @@ def zeta_even_coef(n: int) -> Fraction:
     return (-1) ** (n + 1) * 4**n * bernoulli(2 * n) / (2 * math.factorial(2 * n))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 2.0 and True miss, and are refused
 def zeta_sym(s: int) -> ConstExpr:
     """zeta(s) as a ConstExpr: zeta_even_coef(s/2)*pi^s for even s, the z_s
     generator for odd s."""
+    require_ints("zeta_sym", s=s)
     if s < 2:
         raise DomainError(f"zeta_sym({s}) needs s >= 2")
     if s % 2 == 0:
@@ -265,6 +266,7 @@ def zeta_sym(s: int) -> ConstExpr:
 
 def beta_sym(s: int) -> ConstExpr:
     """beta(s) for odd s as rational*pi^s, via 2*(2n)! beta(2n+1) = (-1)^n (pi/2)^(2n+1) E_2n."""
+    require_ints("beta_sym", s=s)
     if s < 1 or s % 2 == 0:
         raise NotReducible("beta has a closed form only at odd arguments here")
     n = (s - 1) // 2
@@ -277,6 +279,7 @@ def beta_sym(s: int) -> ConstExpr:
 def L_sym(p: str, s: int) -> ConstExpr:
     """Closed form of L_p(s) where available: zeta for p=1, scaled zeta for 2a/2b,
     beta at odd s for m4."""
+    require_ints("L_sym", s=s)
     if p == "1":
         if s < 2:
             raise NotReducible("zeta-type series at s < 2")

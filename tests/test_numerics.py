@@ -11,6 +11,7 @@ from mpmath import mp, mpf
 
 from mzv.errors import DomainError, PrecisionError
 from mzv.exact import bernoulli
+import mzv
 from mzv import numerics, reductions
 from mzv.numerics import (
     CHAR_IDS,
@@ -112,6 +113,63 @@ def test_numeric_entries_take_integer_arguments_only(entry):
                     assert str(exc) == f"{entry} needs an integer {name}, got {value!r}"
             else:
                 assert isinstance(value, int) and not isinstance(value, bool), (entry, name, value)
+
+
+# the other public entries with their integer arguments and a valid call
+_OTHER_INT_ENTRIES = {
+    "chi": (lambda n: chi("1", n), {"n": 3}),
+    "bernoulli": (mzv.bernoulli, {"n": 3}),
+    "euler_number": (mzv.euler_number, {"n": 3}),
+    "harmonic": (mzv.harmonic, {"n": 3}),
+    "harmonic_power": (mzv.harmonic_power, {"n": 3, "b": 2}),
+    "hyp2f1_special": (mzv.hyp2f1_special, {"n": 3}),
+    "binomial": (mzv.binomial, {"n": -3, "k": 1}),
+    "inv_binomial_sum": (mzv.inv_binomial_sum, {"n": 3, "m": 1}),
+    "zeta_sym": (mzv.zeta_sym, {"s": 3}),
+    "beta_sym": (mzv.beta_sym, {"s": 3}),
+    "L_sym": (lambda s: mzv.L_sym("1", s), {"s": 3}),
+    "EvalContext": (EvalContext, {"prec": 40}),
+    "harmonic_sum_num": (lambda s: harmonic_sum_num("odd_denom", s, EvalContext(10)), {"s": 2}),
+    "brute_force_oracle": (
+        lambda a, b, N: brute_force_oracle("dzeta", (a, b), N), {"a": 3, "b": 2, "N": 50}
+    ),
+    "dzeta_reduce": (reductions.dzeta_reduce, {"a": 3, "b": 2}),
+    "zeta_s1_reduce": (reductions.zeta_s1_reduce, {"s": 3}),
+    "witten_reduce": (reductions.witten_reduce, {"r": 1, "s": 1, "t": 2}),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, "3", None, True], ids=repr)
+@pytest.mark.parametrize("entry", sorted(_OTHER_INT_ENTRIES))
+def test_other_public_entries_take_integer_arguments_only(entry, value):
+    # each argument in turn, the others as in the valid call: a bool is refused
+    # too, so bernoulli(True) is no longer B_1; zeta_sym's cache keeps the
+    # valid 3 apart from 3.0, and zeta_s1_reduce's likewise
+    fn, valid = _OTHER_INT_ENTRIES[entry]
+    fn(**valid)
+    for name in valid:
+        text = f"{entry} needs an integer {name}, got {value!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            fn(**{**valid, name: value})
+    with pytest.raises(DomainError):
+        fn(**{name: float(v) for name, v in valid.items()})
+
+
+@pytest.mark.parametrize("bad", [["1"], {"1": 1}, None], ids=repr)
+def test_character_ids_that_are_not_str_are_domain_errors(ctx40, bad):
+    # a list or dict id is not looked up in CHI, where it would leak a TypeError
+    msg = f"^{re.escape(f'unknown character {bad!r}')}$"
+    for call in (
+        lambda: chi(bad, 2),
+        lambda: char_product(bad, "1"),
+        lambda: char_product("1", bad),
+        lambda: L_num(bad, 3, ctx40),
+        lambda: periodic_tail_num(bad, 2, 5, ctx40),
+        lambda: char_dzeta_num(bad, "1", 2, 1, ctx40),
+        lambda: char_dzeta_num("2b", bad, 2, 1, ctx40),
+    ):
+        with pytest.raises(DomainError, match=msg):
+            call()
 
 
 def test_L_values(ctx40):
@@ -317,7 +375,10 @@ def test_char_dzeta_divergent_inner_s1_corner_names_the_sum(ctx40, p, q):
 
 def _char_em_per_character(p, q, s, t, D):
     """[p,q](s,t) with its per-class terms computed for this p alone: the
-    per-character combine loop that _class_pairs replaced, kept as a reference."""
+    per-character combine loop that _class_pairs replaced, kept as a reference.
+    Its head is on purpose the one _class_heads replaced, the products
+    floor(2^W/n^s) P[n-1] at 2^-2W, so that equal bits show that the two head
+    formulas round to the same value and bound."""
     from itertools import accumulate, cycle
     from operator import mul
 
@@ -352,8 +413,10 @@ def _char_em_per_character(p, q, s, t, D):
 
 
 def test_shared_class_pairs_bit_identical_to_per_character_loop():
-    # every supported [p,q](s,t), s <= 4, t <= 3, at three depths, requested in a
-    # shuffled order from empty caches so that pairs one p fills are read by another
+    # every supported [p,q](s,t), s <= 4, t <= 3, at three depths, and s, t <= 2
+    # at D = 310, requested in a shuffled order from empty caches so that pairs
+    # one p fills are read by another; the reference's product head gives the
+    # same bits as the divided one
     import random
 
     requests = [
@@ -362,8 +425,9 @@ def test_shared_class_pairs_bit_identical_to_per_character_loop():
         for q in CHAR_IDS
         for s in range(1, 5)
         for t in range(1, 4)
-        for D in (20, 50, 110)
+        for D in (20, 50, 110, 310)
         if numerics._char_convergent(p, q, s, t) and not (s == t == 1 and not numerics.is_mean_zero(q))
+        and (D < 310 or max(s, t) <= 2)
     ]
     random.Random(20261018).shuffle(requests)
     numerics.clear_caches()
@@ -379,6 +443,29 @@ def test_shared_class_pairs_bit_identical_to_per_character_loop():
     with pytest.raises(DomainError):
         numerics._char_em("2b", "1", 1, 1, 50)
     assert ("pairs", "1", 1, 1, 50) not in numerics._fixed_cache
+
+
+def test_class_heads_within_two_units_a_term_of_the_exact_head():
+    # the divided head against the exact rational head sum_{n <= N} n^-s
+    # sum_{m < n} chi_q(m) m^-t of each outer class, in units of 2^-W: the
+    # prefix's n-1 floors move a term by at most (n-1)/n^s either way and its
+    # own floor lowers it by less than 1, so each term is within 2 units, and
+    # the head within the 2N 2^W units of 2^-2W that _head_units counts
+    D = 20
+    N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
+    assert numerics._head_units(D) >= 2 * N << W
+    for q in CHAR_IDS:
+        for t in range(1, 5):
+            prefix = [Fraction(0)]
+            for m in range(1, N):
+                prefix.append(prefix[-1] + Fraction(chi(q, m), m**t))
+            for s in range(1, 5):
+                heads = numerics._class_heads(q, s, t, D)
+                for r, H in zip((1, 2, 3, 4), heads):
+                    ns = range(r, N + 1, 4)
+                    err = H - sum(prefix[n - 1] / n**s for n in ns) * 2**W
+                    drift = sum(Fraction(n - 1, n**s) for n in ns)
+                    assert -len(ns) - drift < err <= drift, (q, s, t, r)
 
 
 def test_reflection_s_t_le_2_within_reported_bounds(ctx40):
