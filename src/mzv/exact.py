@@ -7,8 +7,9 @@ reduced rows.  The Bernoulli numbers use the convention B_1 = -1/2 (so
 2*(2n)! * zeta(2n) = (-1)^(n+1) * (2*pi)^(2n) * B_2n), the Euler numbers the
 secant convention (E_0 = 1, E_2 = -1, E_4 = 5).
 
-Exact is single-threaded: the Bernoulli and Euler tables grow without locks.
-Parallel callers should use processes.
+Exact is single-threaded: the Bernoulli table and the zigzag table of the
+tangent and Euler numbers grow without locks.  Parallel callers should use
+processes.
 """
 from __future__ import annotations
 
@@ -23,14 +24,9 @@ Rational = Fraction
 
 _bern_cache: list[Fraction] = [Fraction(1)]
 
-# T_0 = 0, T_1 = 1, T_2 = 2, T_3 = 16, ... and the recurrence's column of the
-# last cached T (tangent_number); the two are reset together
-_tangent_cache: list[int] = [0, 1]
-_tangent_col: list[int] = [0, 1]
-
-# even-index Euler numbers E_0, E_2, E_4, ... and the last row of their
-# Seidel triangle (euler_number); the two are reset together
-_euler_cache: list[int] = [1]
+# the zigzag numbers A_0, A_1, A_2, ... = 1, 1, 1, 2, 5, 16, 61, ... and the
+# last row of their Seidel triangle (_zigzag_to); the two are reset together
+_zigzag: list[int] = [1]
 _seidel_row: list[int] = [1]
 
 
@@ -57,28 +53,26 @@ def bernoulli(n: int) -> Fraction:
     return _bern_cache[n]
 
 
-def tangent_number(n: int) -> int:
-    """Tangent number T_n, tan x = sum_{n>=1} T_n x^(2n-1) / (2n-1)! (T_0 = 0).
+def _zigzag_to(m: int) -> list[int]:
+    """The zigzag table through A_m, the number of alternating permutations
+    of m letters.  A_m is the last entry of row m of Seidel's boustrophedon
+    triangle, whose row m is 0 followed by the running sums of row m-1 read
+    backwards (Millar, Sloane and Young, "A new operation on sequences: the
+    Boustrophedon transform", JCTA 1996).  _seidel_row holds the last row
+    built, so each new A_m costs m additions."""
+    row = _seidel_row
+    while len(_zigzag) <= m:
+        row[:] = accumulate(reversed(row), initial=0)
+        _zigzag.append(row[-1])
+    return _zigzag
 
-    The all-integer O(n^2) recurrence of Brent and Harvey ("Fast computation
-    of Bernoulli, Tangent and Secant numbers", 2011, algorithm
-    TangentNumbers), one column at a time: entry m starts at (m-1)! and pass
-    k = 2..m sets it to (m-k) times entry m-1 after pass k plus (m-k+2)
-    times itself, leaving T_m.  _tangent_col holds the last entry after each
-    pass, so each new T_m costs O(m) small-integer products.
-    """
+
+def tangent_number(n: int) -> int:
+    """Tangent number T_n, tan x = sum_{n>=1} T_n x^(2n-1) / (2n-1)! (T_0 = 0):
+    the odd zigzag number A_(2n-1)."""
     if n < 0:
         raise DomainError(f"tangent number T_{n}: the index must be >= 0")
-    col = _tangent_col
-    while len(_tangent_cache) <= n:
-        m = len(_tangent_cache)
-        new = [0, (m - 1) * col[1]]
-        for k in range(2, m):
-            new.append((m - k) * col[k] + (m - k + 2) * new[-1])
-        new.append(2 * new[-1])  # pass m: (m-m) times entry m-1 drops out
-        col[:] = new
-        _tangent_cache.append(new[m])
-    return _tangent_cache[n]
+    return _zigzag_to(2 * n - 1)[2 * n - 1] if n else 0
 
 
 def _bernoulli_table(K: int) -> list[Fraction]:
@@ -92,24 +86,15 @@ def _bernoulli_table(K: int) -> list[Fraction]:
 
 
 def euler_number(n: int) -> int:
-    """Exact Euler number E_n; odd indices vanish.
-
-    |E_2k| is the zigzag number A_2k, the last entry of row 2k of Seidel's
-    boustrophedon triangle: row m is 0 followed by the running sums of row
-    m-1 read backwards.  _seidel_row holds the last row built, so each new
-    row costs m additions; E_2k = (-1)^k A_2k.
-    """
+    """Exact Euler number E_n; odd indices vanish.  E_2k = (-1)^k A_2k, the
+    even zigzag number (sec x = sum_k A_2k x^(2k) / (2k)!)."""
     require_ints("euler_number", n=n)
     if n < 0:
         raise DomainError(f"Euler number E_{n}: the index must be >= 0")
     if n % 2 == 1:
         return 0
-    row = _seidel_row
-    while len(_euler_cache) <= n // 2:
-        for _ in range(2):
-            row[:] = accumulate(reversed(row), initial=0)
-        _euler_cache.append(-row[-1] if len(_euler_cache) % 2 else row[-1])
-    return _euler_cache[n // 2]
+    a = _zigzag_to(n)[n]
+    return -a if n % 4 else a
 
 
 def harmonic(n: int) -> Fraction:

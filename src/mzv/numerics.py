@@ -837,20 +837,30 @@ def witten_convergent(r: int, s: int, t: int) -> bool:
 
 @functools.cache
 def witten_terms(r: int, s: int, t: int) -> dict:
-    """W(r,s,t) as {boundary term: integer coefficient}, through the
-    partial-fraction recursion W(r,s,t) = W(r-1,s,t+1) + W(r,s-1,t+1): the term
-    ("zz", a, b) is W(a,b,0) = zeta(a) zeta(b), ("dz", a, 0) is
-    W(0,0,a) = zeta(a-1) - zeta(a) and ("dz", a, b) is zeta(a, b).  Memoized and
-    shared, so callers do not change it."""
+    """W(r,s,t) as {boundary term: integer coefficient}: the term ("zz", a, b)
+    is W(a,b,0) = zeta(a) zeta(b), ("dz", a, 0) is W(0,0,a) = zeta(a-1) - zeta(a)
+    and ("dz", a, b) is zeta(a, b).  For r, s, t >= 1 it is the partial-fraction
+    closed form (Huard, Williams and Zhang, "On Tornheim's double series",
+    Acta Arith. 1996), with w = r + s + t,
+
+        W(r,s,t) = sum_{j=1..s} C(r+s-j-1, r-1) zeta(w-j, j)
+                 + sum_{i=1..r} C(r+s-i-1, s-1) zeta(w-i, i),
+
+    which counts the paths of W(r,s,t) = W(r-1,s,t+1) + W(r,s-1,t+1) down to
+    W(0,j,w-j) and W(i,0,w-i).  The terms come in the order that recursion,
+    r first, meets them: j = s down to 1, then i = 1 up to r, a repeated key
+    added to its first.  Memoized and shared, so callers do not change it."""
     if not witten_convergent(r, s, t):
         raise DomainError(f"W({r},{s},{t}) diverges")
     if t == 0:  # r, s >= 2 by convergence
         return {("zz", r, s): 1}
     if r == 0 or s == 0:
         return {("dz", t, r + s): 1}
-    out = dict(witten_terms(r - 1, s, t + 1))
-    for k, c in witten_terms(r, s - 1, t + 1).items():
-        out[k] = out.get(k, 0) + c
+    w = r + s + t
+    out = {("dz", w - j, j): math.comb(r + s - j - 1, r - 1) for j in range(s, 0, -1)}
+    for i in range(1, r + 1):
+        key = ("dz", w - i, i)
+        out[key] = out.get(key, 0) + math.comb(r + s - i - 1, s - 1)
     return out
 
 
@@ -876,8 +886,8 @@ def _witten_internal(r: int, s: int, t: int, D: int):
 
 
 def witten_num(r: int, s: int, t: int, ctx: EvalContext):
-    """W(r,s,t) = sum_{n,m>=1} n^-r m^-s (n+m)^-t, evaluated through the exact
-    recursion down to zeta / double-zeta boundary values."""
+    """W(r,s,t) = sum_{n,m>=1} n^-r m^-s (n+m)^-t, evaluated through its exact
+    closed form in zeta / double-zeta boundary values (witten_terms)."""
     require_ints("witten_num", r=r, s=s, t=t)
     return _check(_witten_internal(r, s, t, ctx.work_digits), ctx, f"W({r},{s},{t})")
 
@@ -923,6 +933,7 @@ def harmonic_sum_num(kind: str, s: int, ctx: EvalContext):
     character double sums (_harmonic_internal).  Domain errors name the
     corpus DSL calls hsum_odd(s) and hsum_half(s)."""
     require_ints("harmonic_sum_num", s=s)
+    harmonic_domain(kind, s)  # before the memo key hashes kind
     return _check(_harmonic_internal(kind, s, ctx.work_digits), ctx, f"harmonic_sum({kind},{s})")
 
 
@@ -1022,6 +1033,11 @@ def brute_force_oracle(series: str, params, N: int):
     outer sums) plus an explicit float64 round-off allowance folded in.
     """
     require_ints("brute_force_oracle", N=N)
+    arity = {"dzeta": 2, "char_dzeta": 4, "witten": 3, "harmonic": 2}
+    if not isinstance(series, str) or series not in arity:
+        raise DomainError(f"unknown oracle series {series!r}")
+    if not isinstance(params, (tuple, list)) or len(params) != arity[series]:
+        raise DomainError(f"brute_force_oracle({series!r}) needs {arity[series]} parameters, got {params!r}")
     if series == "dzeta":
         a, b = params
         require_ints("brute_force_oracle", a=a, b=b)
@@ -1035,12 +1051,10 @@ def brute_force_oracle(series: str, params, N: int):
         r, s, t = params
         require_ints("brute_force_oracle", r=r, s=s, t=t)
         value, bound = _oracle_witten(r, s, t, N)
-    elif series == "harmonic":
+    else:
         kind, s = params
         require_ints("brute_force_oracle", s=s)
         value, bound = _oracle_harmonic(kind, s, N)
-    else:
-        raise DomainError(f"unknown oracle series {series!r}")
     return mpf(value), mpf(bound)
 
 

@@ -2,11 +2,12 @@
 zeta(a,a), all double zeta values of weight <= 7, and the small tabulated
 alternating values.
 
-Witten double sums (through their recursion, numerics.witten_terms) and the
-two harmonic-number sums reduce to one descriptor, a WittenReduction: an exact
-ConstExpr part plus the double zetas that dzeta_reduce does not close, with
-rational coefficients.  The symbolic walk reads it; numerics evaluates every
-sum without it, so a numeric verify checks these closed forms.
+Witten double sums (through their partial-fraction closed form,
+numerics.witten_terms) and the two harmonic-number sums reduce to one
+descriptor, a WittenReduction: an exact ConstExpr part plus the double zetas
+that dzeta_reduce does not close, with rational coefficients.  The symbolic
+walk reads it; numerics evaluates every sum without it, so a numeric verify
+checks these closed forms.
 
 The weight-w table is the unique solution of an exact linear system over
 ConstExpr built from double shuffle alone: the stuffle and shuffle products
@@ -221,13 +222,18 @@ def dzeta_reduce(a: int, b: int) -> ConstExpr:
 
 def alt_value_lookup(key) -> ConstExpr:
     """The tabulated alternating double zeta closed forms, keyed by
-    (p, q, s, t) character tuples; everything else raises NotReducible."""
-    return _TABLE.alt_value(tuple(key))
+    (p, q, s, t) character tuples; any other such tuple raises NotReducible."""
+    if not isinstance(key, (tuple, list)) or len(key) != 4:
+        raise DomainError(f"alt_value_lookup needs a (p, q, s, t) key, got {key!r}")
+    p, q, s, t = key
+    numerics._known(p, q)
+    require_ints("alt_value_lookup", s=s, t=t)
+    return _TABLE.alt_value((p, q, s, t))
 
 
 def witten_reduce(r: int, s: int, t: int):
-    """Expand W(r,s,t) through W(r,s,t) = W(r-1,s,t+1) + W(r,s-1,t+1) down to
-    the boundary values.  Returns a ConstExpr when every double zeta closes
+    """Expand W(r,s,t) into its boundary values, the closed form of
+    numerics.witten_terms.  Returns a ConstExpr when every double zeta closes
     (always at total weight <= 7), otherwise the WittenReduction with its
     leftovers."""
     require_ints("witten_reduce", r=r, s=s, t=t)

@@ -681,20 +681,11 @@ def _power_candidates(config: SearchConfig, conds: _ConditionVectors | None = No
                 yield CandidateIdentity("power", params, j_par, s_par, coeffs)
 
 
-def _fraction_sqrt(x: Fraction):
-    if x < 0:
-        return None
-    pn = math.isqrt(x.numerator)
-    pd = math.isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
 def _affine_candidates(config: SearchConfig, conds: _ConditionVectors | None = None):
     """a * b^j + c^s * d^j with a = 1: (b, d) enumerated at height H, the
     per-weight scaling gamma_w = c^w forced by the vanishing conditions, and c
-    recovered from consecutive (or parity-spaced) anchors.  A pairing whose
+    recovered from the two smallest weights with a gamma: consecutive ones,
+    or 5 and 7, whose odd 5 fixes the sign of c.  A pairing whose
     weights vanish on its whole (j, s) class (`_vanishing_pairing`) is
     dropped before its fit: its relation row is zero at every weight, so it
     is never new."""
@@ -740,25 +731,19 @@ def _affine_candidates(config: SearchConfig, conds: _ConditionVectors | None = N
                     for w, vw, key in zip(ws, vecs, keys[b])
                     if key is not None
                 }
+                # vanishing rows sit at w = 5, 6, 7 only, so the two smallest
+                # weights are consecutive, c = c^w2 / c^w1, or 5 and 7,
+                # c = c^15 / c^14
                 w1, w2 = sorted(gammas)[:2]
-                ratio = gammas[w2] / gammas[w1]
-                if w2 - w1 == 1:
-                    croots = {ratio}
-                elif w2 - w1 == 2:
-                    c = _fraction_sqrt(ratio)
-                    if c is None:
-                        continue
-                    croots = {c, -c}
-                else:
+                g1, g2 = gammas[w1], gammas[w2]
+                c = g2 / g1 if w2 - w1 == 1 else g1**3 / g2**2
+                if any(c**w != g for w, g in gammas.items()):
                     continue
-                for c in croots:
-                    if c == 0 or any(c**w != g for w, g in gammas.items()):
-                        continue
-                    if _vanishing_pairing(b, _pair(c), d, js, anchors[:2]):
-                        continue
-                    cand = candidate(b, _pair(c), d)
-                    if cand is not None:
-                        yield cand
+                if _vanishing_pairing(b, _pair(c), d, js, anchors[:2]):
+                    continue
+                cand = candidate(b, _pair(c), d)
+                if cand is not None:
+                    yield cand
 
 
 def _vanishing_pairing(b, c, d, js, ss) -> bool:

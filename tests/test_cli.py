@@ -68,6 +68,12 @@ def test_reduce_witten_names_its_first_leftover(capsys):
     assert code == 3 and "Witten value leaves irreducible double zetas: zeta(6,2) has weight 8 > 7" in err
 
 
+def test_reduce_witten_at_large_r_names_its_first_leftover(capsys):
+    # r above the interpreter's recursion limit: the closed form needs no recursion
+    code, out, err = run(capsys, "reduce", "W(600,3,3)")
+    assert (code, out) == (3, "") and "zeta(603,3) has weight 606 > 7" in err
+
+
 @pytest.mark.parametrize("expr, call", [
     ("zeta(1)", "zeta(1)"), ("hsum_odd(1)", "hsum_odd(1)"), ("hsum_half(0)", "hsum_half(0)"),
     ("dz(1,2)", "zeta(1,2)"), ("W(0,0,1)", "W(0,0,1)"),

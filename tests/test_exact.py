@@ -78,8 +78,8 @@ def test_tangent_fill_equals_defining_convolution(monkeypatch):
 
 
 def test_tangent_numbers_against_tan_series(monkeypatch):
-    # T_n (2n-1)! is the x^(2n-1) coefficient of tan x; the table is grown
-    # one column at a time, so fill it in increasing and decreasing order
+    # T_n (2n-1)! is the x^(2n-1) coefficient of tan x; the zigzag table is
+    # grown one Seidel row at a time, so fill it in increasing and decreasing order
     import mzv.exact as exact
 
     with mpmath.workdps(120):
@@ -87,8 +87,8 @@ def test_tangent_numbers_against_tan_series(monkeypatch):
         want = [0] + [int(mpmath.nint(coefs[2 * n - 1] * mpmath.factorial(2 * n - 1))) for n in range(1, 21)]
     assert want[:5] == [0, 1, 2, 16, 272]
     for order in (range(21), range(20, -1, -1)):
-        monkeypatch.setattr(exact, "_tangent_cache", [0, 1])
-        monkeypatch.setattr(exact, "_tangent_col", [0, 1])
+        monkeypatch.setattr(exact, "_zigzag", [1])
+        monkeypatch.setattr(exact, "_seidel_row", [1])
         got = {n: tangent_number(n) for n in order}
         assert [got[n] for n in range(21)] == want
     with pytest.raises(DomainError):
@@ -105,7 +105,7 @@ def test_euler_numbers():
 
 
 def test_euler_numbers_match_the_binomial_recurrence(monkeypatch):
-    # the Seidel triangle against sum_{k<=m} C(2m, 2k) E_2k = 0 (m >= 1) for
+    # the zigzag table against sum_{k<=m} C(2m, 2k) E_2k = 0 (m >= 1) for
     # n <= 200, filled from empty tables in increasing and decreasing order
     import mzv.exact as exact
 
@@ -113,11 +113,39 @@ def test_euler_numbers_match_the_binomial_recurrence(monkeypatch):
     for m in range(1, 101):
         ref.append(-sum(math.comb(2 * m, 2 * k) * ref[k] for k in range(m)))
     for order in (range(201), range(200, -1, -1)):
-        monkeypatch.setattr(exact, "_euler_cache", [1])
+        monkeypatch.setattr(exact, "_zigzag", [1])
         monkeypatch.setattr(exact, "_seidel_row", [1])
         got = {n: euler_number(n) for n in order}
         assert [got[n] for n in range(0, 201, 2)] == ref
         assert not any(got[n] for n in range(1, 201, 2))
+
+
+def test_one_zigzag_table_serves_tangent_euler_and_bernoulli(monkeypatch):
+    # tangent_number, euler_number and bernoulli share the zigzag table: filled
+    # from empty tables by a shuffled mix of the three up to n = 320, every
+    # value equals mpmath's
+    import random
+
+    import mzv.exact as exact
+
+    monkeypatch.setattr(exact, "_zigzag", [1])
+    monkeypatch.setattr(exact, "_seidel_row", [1])
+    monkeypatch.setattr(exact, "_bern_cache", [Fraction(1)])
+    calls = [(f, n) for f in (tangent_number, euler_number, bernoulli) for n in range(321)]
+    random.Random(34).shuffle(calls)
+    got = {(f, n): f(n) for f, n in calls}
+    # mpmath fills its Euler cache up to the first n it is asked for: ask 320 first
+    euler = {n: int(mpmath.eulernum(n, exact=True)) for n in range(320, -1, -1)}
+    for n in range(321):
+        p, q = mpmath.bernfrac(n)
+        assert got[bernoulli, n] == Fraction(int(p), int(q)), n
+        assert got[euler_number, n] == euler[n], n
+    for k in range(1, 161):
+        # B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
+        t = got[tangent_number, k]
+        assert got[bernoulli, 2 * k] == Fraction((-1) ** (k - 1) * 2 * k * t, 4**k * (4**k - 1)), k
+    assert got[tangent_number, 0] == 0
+    assert exact._zigzag[:8] == [1, 1, 1, 2, 5, 16, 61, 272]
 
 
 def test_euler_against_secant_series():

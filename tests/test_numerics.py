@@ -70,6 +70,13 @@ _PUBLIC_DOMAIN_ERRORS = [
         "periodic_tail_num('1', 1, 5) needs s >= 2, or s = 1 for a mean-zero p",
     ),
     (lambda ctx: periodic_tail_num("2b", 2, -1, ctx), "periodic_tail_num('2b', 2, -1) needs N >= 0"),
+    # a tuple or str argument of the wrong shape or type, checked before it is
+    # unpacked or hashed
+    (lambda ctx: brute_force_oracle("dzeta", (3,), 50), "brute_force_oracle('dzeta') needs 2 parameters, got (3,)"),
+    (lambda ctx: brute_force_oracle("witten", 3, 50), "brute_force_oracle('witten') needs 3 parameters, got 3"),
+    (lambda ctx: harmonic_sum_num(["odd_denom"], 2, ctx), "unknown harmonic sum kind ['odd_denom']"),
+    (lambda ctx: reductions.alt_value_lookup(5), "alt_value_lookup needs a (p, q, s, t) key, got 5"),
+    (lambda ctx: reductions.alt_value_lookup(("2b", "1", "2", 1)), "alt_value_lookup needs an integer s, got '2'"),
 ]
 
 
@@ -167,6 +174,7 @@ def test_character_ids_that_are_not_str_are_domain_errors(ctx40, bad):
         lambda: periodic_tail_num(bad, 2, 5, ctx40),
         lambda: char_dzeta_num(bad, "1", 2, 1, ctx40),
         lambda: char_dzeta_num("2b", bad, 2, 1, ctx40),
+        lambda: reductions.alt_value_lookup((bad, "1", 2, 1)),
     ):
         with pytest.raises(DomainError, match=msg):
             call()
@@ -559,6 +567,42 @@ def test_witten_domain(ctx40):
         witten_num(1, 2, 0, ctx40)
     with pytest.raises(DomainError):
         witten_num(0, 0, 2, ctx40)
+
+
+def _witten_terms_by_recursion(r, s, t, memo):
+    """W(r,s,t) through W(r,s,t) = W(r-1,s,t+1) + W(r,s-1,t+1) down to its
+    boundary terms, r first: the reference for witten_terms' closed form."""
+    if (r, s, t) not in memo:
+        if t == 0:
+            memo[r, s, t] = {("zz", r, s): 1}
+        elif r == 0 or s == 0:
+            memo[r, s, t] = {("dz", t, r + s): 1}
+        else:
+            out = dict(_witten_terms_by_recursion(r - 1, s, t + 1, memo))
+            for k, c in _witten_terms_by_recursion(r, s - 1, t + 1, memo).items():
+                out[k] = out.get(k, 0) + c
+            memo[r, s, t] = out
+    return memo[r, s, t]
+
+
+def test_witten_terms_closed_form_matches_the_recursion():
+    # coefficients and key order, so the symbolic walk's first leftover stays
+    memo = {}
+    triples = [(r, s, t) for r in range(25) for s in range(25) for t in range(12)
+               if numerics.witten_convergent(r, s, t)]
+    assert len(triples) == 7354
+    for r, s, t in triples:
+        want = _witten_terms_by_recursion(r, s, t, memo)
+        got = numerics.witten_terms(r, s, t)
+        assert got == want and list(got.items()) == list(want.items()), (r, s, t)
+
+
+def test_witten_terms_at_large_r_need_no_recursion():
+    # r above the interpreter's recursion limit: the closed form needs no recursion
+    terms = numerics.witten_terms(2000, 3, 3)
+    assert len(terms) == 2000
+    assert terms["dz", 2003, 3] == 1 + math.comb(1999, 2)  # j = 3 and i = 3 merged
+    assert terms["dz", 6, 2000] == 1
 
 
 def test_witten_t0_terms_are_zeta_products():

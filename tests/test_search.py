@@ -1,5 +1,6 @@
 """Ansatz search: exact anchors, base solving, family reproduction, soundness."""
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -26,7 +27,6 @@ from mzv.search import (
     _canonical_scale,
     _condition_vector,
     _direction,
-    _fraction_sqrt,
     _gamma,
     _integer_scale,
     _is_new,
@@ -418,6 +418,15 @@ def _vanishes_on_classes(b, c, d, j_par, s_par):
     )
 
 
+def _fraction_sqrt(x: Fraction):
+    """The rational square root of x, or None: the reference's route to c
+    from two parity-spaced gammas."""
+    if x < 0:
+        return None
+    pn, pd = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    return Fraction(pn, pd) if pn * pn == x.numerator and pd * pd == x.denominator else None
+
+
 def _affine_reference(config, conds=None):
     """All ordered (b, d) pairs of the pool, each weight's gamma solved from
     vals[b][w] + gamma vals[d][w] = 0 directly; pairings that vanish on
@@ -483,6 +492,13 @@ def test_affine_keyed_pairing_matches_all_pairs(H):
     got = list(_affine_candidates(config))
     assert [c.describe() for c in got] == [c.describe() for c in _affine_reference(config)]
     assert any(c.params["c"] for c in got)  # the pair stage is exercised
+
+
+def test_vanishing_rows_sit_at_weights_5_to_7_only():
+    # _affine_candidates finds c from the two smallest weights with a gamma,
+    # which are then consecutive or 5 and 7: weight 4 closes in every parity
+    for j_par in search._PARITIES:
+        assert [w for w in search.ANCHORS if _anchor_table(w, j_par)[1]] == [5, 6, 7], j_par
 
 
 def test_is_new_rejects_repeats_and_rational_multiples():
