@@ -70,6 +70,7 @@ def _zigzag_to(m: int) -> list[int]:
 def tangent_number(n: int) -> int:
     """Tangent number T_n, tan x = sum_{n>=1} T_n x^(2n-1) / (2n-1)! (T_0 = 0):
     the odd zigzag number A_(2n-1)."""
+    require_ints("tangent_number", n=n)
     if n < 0:
         raise DomainError(f"tangent number T_{n}: the index must be >= 0")
     return _zigzag_to(2 * n - 1)[2 * n - 1] if n else 0

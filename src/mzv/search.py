@@ -31,15 +31,13 @@ pass the vanishing conditions iff every row dots to 0 with x, and then
 f(w) = target . x / den.  A candidate's weights come as integers over one
 denominator (`_scaled_weights`, `_affine_weights`, from running powers of its
 bases kept across weights), so its fit is dot products with these rows.
-Integer pool: the power and affine stages hold the height-H rationals as
-integer pairs (p, q), which key their dicts and the running powers
-(`_base_powers`); a candidate's Fraction parameters are built only when it
-is yielded, and its relation rows take f(s) from its f coefficients scaled
-to integers once.
-Condition vectors: at a pool value x = p/q the rows give the integer vector
-V_i = sum_j row_i[j] p^j q^(w-1-j), a positive multiple of the rows evaluated
-at x; one search run builds them once per anchor key (`_ConditionVectors`)
-for the power and affine stages.
+Vanishing bases: the weights x^j pass an anchor's vanishing conditions iff
+x is a root of each row's polynomial sum_j row[j] x^j, so the power stages
+take the rational roots of one row within height H (`_rational_roots`) and
+keep those at which the condition vector V_i = sum_j row_i[j] p^j q^(w-1-j)
+of x = p/q (a positive multiple of the rows at x) vanishes at every anchor
+(`_vanishing_bases`).  Bases stay integer pairs (p, q) until a candidate is
+yielded.
 Fit plans: the f(s) fit over F_SPAN eliminates each basis-subset matrix of
 integer span values once per tuple of anchor s-values (fraction-free, through
 `exact._rref`), keeping the solution rows and the integer left-null rows.
@@ -53,7 +51,9 @@ Full-span gate: a fit first checks the plan's largest independent subset
 (all of F_SPAN at six or more distinct s), whose span holds every subset
 fit; a failure there ends the fit without the subset scan.
 Symmetric-even f(s): for the weight d^j + d^(s-j), f(s) = P_s(d) with P_s a
-polynomial whose coefficients are fixed once per s (`_symmetric_even_poly`).
+polynomial whose coefficients are fixed once per s (`_symmetric_even_poly`);
+the fit at s = 2..8 has one check row n, so d runs over the rational roots
+of sum_s n_s P_s(d).
 """
 from __future__ import annotations
 
@@ -67,7 +67,7 @@ from operator import mul
 from mpmath import mp, mpf
 
 from . import numerics
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, require_ints
 from .exact import _rref
 from .reductions import dzeta_reduce
 from .symexpr import ConstExpr, zeta_even_coef, zeta_sym
@@ -545,24 +545,32 @@ def _condition_vector(w: int, j_parity: str, x):
     return tuple(sum(map(mul, row, terms)) for row in rows)
 
 
-class _ConditionVectors:
-    """The condition vectors of the height-H pool per anchor key (w, j-parity),
-    each key built on first use; one search run shares them between its
-    power and affine stages.  The pool holds the height-H rationals in
-    increasing order as integer pairs (p, q)."""
+def _rational_roots(poly, H: int):
+    """The nonzero roots p/q, |p|, q <= H, of the integer polynomial
+    sum_k poly[k] x^k as integer pairs (p, q) in increasing order, the
+    pool's order.  By the rational root theorem p divides the lowest nonzero
+    coefficient and q the leading one (every k divides a zero polynomial's)."""
+    low = next((c for c in poly if c), 0)
+    lead = next((c for c in reversed(poly) if c), 0)
+    ps, qs = ([k for k in range(1, H + 1) if c % k == 0] for c in (low, lead))
+    roots = [
+        (p, q) for q in qs for a in ps for p in (-a, a) if math.gcd(a, q) == 1
+        and not sum(c * p**k * q ** (len(poly) - 1 - k) for k, c in enumerate(poly))
+    ]
+    return sorted(roots, key=lambda x: Fraction(*x))
 
-    def __init__(self, H: int):
-        self.pool = [_pair(x) for x in _height_pool(H, False)]
-        self._at: dict = {}
 
-    def at(self, w: int, j_parity: str) -> dict:
-        """{(p, q): condition vector at (w, j_parity)} over the pool."""
-        vecs = self._at.get((w, j_parity))
-        if vecs is None:
-            vecs = self._at[w, j_parity] = {
-                x: _condition_vector(w, j_parity, x) for x in self.pool
-            }
-        return vecs
+def _vanishing_bases(ws, j_parity: str, H: int):
+    """The nonzero x = (p, q) of height <= H, in increasing order, whose
+    weights x^j pass the vanishing conditions at every anchor weight in ws
+    (the first of which has a row): the roots of that row's polynomial at
+    which every condition vector at ws is zero."""
+    js, rows, _, _ = _anchor_table(ws[0], j_parity)
+    poly = [dict(zip(js, rows[0])).get(j, 0) for j in range(js[-1] + 1)]
+    return [
+        x for x in _rational_roots(poly, H)
+        if not any(v for w in ws for v in _condition_vector(w, j_parity, x))
+    ]
 
 
 def _anchor_f(w: int, j_parity: str, ints, den: int):
@@ -589,14 +597,15 @@ def _anchor_fit(anchors, j_parity: str, weights):
 
 
 def solve_power_base(w: int, H: int = 16, j_parity: str = "any"):
-    """All height-H rationals a (0 included as the empty solution) for which
-    every non-zeta(w) coefficient of sum_j a^j zeta(j, w-j) vanishes."""
+    """All rationals a of height <= H for which every non-zeta(w) coefficient
+    of sum_j a^j zeta(j, w-j) (j in the j-parity class) vanishes, in
+    increasing order: 0, the empty solution, and the vanishing bases at w."""
+    require_ints("solve_power_base", w=w, H=H)
     if w not in (5, 6, 7):
         raise DomainError("power-base solving uses weights 5..7")
-    return [
-        a for a in height_rationals(H, include_zero=True)
-        if not any(_condition_vector(w, j_parity, _pair(a)))
-    ]
+    if j_parity not in _PARITIES:
+        raise DomainError(f"unknown j-parity {j_parity!r}; choose from {', '.join(_PARITIES)}")
+    return sorted([Fraction(0), *(Fraction(*x) for x in _vanishing_bases([w], j_parity, H))])
 
 
 # ---------------------------------------------------------------------------
@@ -655,25 +664,22 @@ def numeric_screen(cand: CandidateIdentity, prec: int = 40, tol_exp: int = SCREE
     return True
 
 
-def _anchor_classes(conds: _ConditionVectors):
-    """(s_par, j_par, anchors, ws, vecs) per parity class, s-parity outer:
-    the anchor weights of s_par, those of them with a vanishing condition
-    (ws) and the pool's condition vectors at each.  A class with no
-    vanishing condition is left out, since every family is vacuous there."""
+def _anchor_classes():
+    """(s_par, j_par, anchors, ws) per parity class, s-parity outer: the
+    anchor weights of s_par and those of them with a vanishing condition
+    (ws).  A class with no vanishing condition is left out, since every
+    family is vacuous there."""
     for s_par in _PARITIES:
         anchors = _anchor_weights(s_par)
         for j_par in _PARITIES:
             ws = [w for w in anchors if _anchor_table(w, j_par)[1]]
             if ws:
-                yield s_par, j_par, anchors, ws, [conds.at(w, j_par) for w in ws]
+                yield s_par, j_par, anchors, ws
 
 
-def _power_candidates(config: SearchConfig, conds: _ConditionVectors | None = None):
-    conds = conds or _ConditionVectors(config.H)
-    for s_par, j_par, anchors, _, vecs in _anchor_classes(conds):
-        for a in conds.pool:
-            if any(v for vw in vecs for v in vw[a]):
-                continue
+def _power_candidates(config: SearchConfig):
+    for s_par, j_par, anchors, ws in _anchor_classes():
+        for a in _vanishing_bases(ws, j_par, config.H):
             weights = functools.partial(_affine_weights, _ONE, a, _ZERO, _ZERO, powers={})
             coeffs = _anchor_fit(anchors, j_par, weights)
             if coeffs is not None:
@@ -681,7 +687,7 @@ def _power_candidates(config: SearchConfig, conds: _ConditionVectors | None = No
                 yield CandidateIdentity("power", params, j_par, s_par, coeffs)
 
 
-def _affine_candidates(config: SearchConfig, conds: _ConditionVectors | None = None):
+def _affine_candidates(config: SearchConfig):
     """a * b^j + c^s * d^j with a = 1: (b, d) enumerated at height H, the
     per-weight scaling gamma_w = c^w forced by the vanishing conditions, and c
     recovered from the two smallest weights with a gamma: consecutive ones,
@@ -689,9 +695,9 @@ def _affine_candidates(config: SearchConfig, conds: _ConditionVectors | None = N
     weights vanish on its whole (j, s) class (`_vanishing_pairing`) is
     dropped before its fit: its relation row is zero at every weight, so it
     is never new."""
-    conds = conds or _ConditionVectors(config.H)
-    pool = conds.pool
-    for s_par, j_par, anchors, ws, vecs in _anchor_classes(conds):
+    pool = [_pair(x) for x in _height_pool(config.H, False)]
+    vectors = functools.cache(lambda w, j_par: {x: _condition_vector(w, j_par, x) for x in pool})
+    for s_par, j_par, anchors, ws in _anchor_classes():
         js = [j for j in range(2, 6) if _parity_ok(j, j_par)][:2]
 
         def candidate(b, c, d):
@@ -704,13 +710,13 @@ def _affine_candidates(config: SearchConfig, conds: _ConditionVectors | None = N
             return CandidateIdentity("affine", params, j_par, s_par, coeffs)
 
         # degenerate c = 0: pure powers inside the affine shape
-        for b in pool:
-            if not any(v for vw in vecs for v in vw[b]):
-                cand = candidate(b, _ZERO, _ZERO)
-                if cand is not None:
-                    yield cand
+        for b in _vanishing_bases(ws, j_par, config.H):
+            cand = candidate(b, _ZERO, _ZERO)
+            if cand is not None:
+                yield cand
         if len(ws) < 2:
             continue
+        vecs = [vectors(w, j_par) for w in ws]
         # b^j + gamma_w d^j passes the vanishing conditions at w iff
         # V_b = -gamma_w (q_b / q_d)^(w-1) V_d for the condition vectors
         # V at b = p_b/q_b and d = p_d/q_d; with gamma_w != 0 that means
@@ -777,11 +783,17 @@ def _direction(vec):
 
 def _symmetric_even_candidates(config: SearchConfig):
     # s = 2..7 determine all six F_SPAN coefficients, so the point s = 8 is
-    # the test that the fit extends beyond them
-    for d in height_rationals(config.H):
-        coeffs = fit_span_minimal([(s, _symmetric_even_f(s, d)) for s in range(2, 9)])
-        if coeffs is not None:
-            yield CandidateIdentity("symmetric-even", {"d": d}, f_coeffs=coeffs)
+    # the test that the fit extends beyond them: its one check row n passes,
+    # and so a fit exists, iff d is a root of sum_s n_s P_s(d) / d, whose
+    # d^k coefficient is sum_s n_s ints_s[k] / den_s
+    svals = tuple(range(2, 9))
+    (n,) = _fit_plan(svals)[-1][2]
+    polys = [_symmetric_even_poly(s) for s in svals]
+    gate = [sum(Fraction(ns * ints[k], den) for ns, (ints, den) in zip(n, polys) if k < len(ints))
+            for k in range(len(svals))]
+    for d in (Fraction(*x) for x in _rational_roots(_integer_scale(gate)[0], config.H)):
+        coeffs = fit_span_minimal([(s, _symmetric_even_f(s, d)) for s in svals])
+        yield CandidateIdentity("symmetric-even", {"d": d}, f_coeffs=coeffs)
 
 
 def _poly_plain_candidates(config: SearchConfig):
@@ -836,25 +848,23 @@ def search_general(config: SearchConfig | None = None):
             f"unknown search family {unknown[0]!r}; choose from {', '.join(FAMILIES)}"
         )
     numerics.EvalContext(config.prec)  # the same precision floor as evaluation
+    require_ints("SearchConfig", H=config.H, deg=config.deg)
     if config.H < 1:
         raise DomainError(f"search height must be at least 1, got {config.H}")
     if not 0 <= config.deg <= 2:
         raise DomainError(f"polynomial degree must be 0, 1 or 2, got {config.deg}")
-    conds = _ConditionVectors(config.H)
     emitted: list[CandidateIdentity] = []
     for family in sorted(config.families, key=FAMILIES.index):
         if family == "power":
-            gen = _power_candidates(config, conds)
+            gen = _power_candidates(config)
         elif family == "alternating":
-            gen = (c for c in _power_candidates(config, conds) if c.s_parity == "even")
+            gen = (c for c in _power_candidates(config) if c.s_parity == "even")
         elif family == "affine":
-            gen = _affine_candidates(config, conds)
-        else:
-            conds = None  # the remaining stages do not read the condition vectors
-            if family == "symmetric-even":
-                gen = _symmetric_even_candidates(config)
-            else:  # poly
-                gen = itertools.chain(_poly_plain_candidates(config), _poly_even_candidates(config))
+            gen = _affine_candidates(config)
+        elif family == "symmetric-even":
+            gen = _symmetric_even_candidates(config)
+        else:  # poly
+            gen = itertools.chain(_poly_plain_candidates(config), _poly_even_candidates(config))
         for cand in gen:
             if not _is_new(cand, emitted):
                 continue

@@ -10,7 +10,7 @@ import pytest
 from mpmath import mp, mpf
 
 from mzv.errors import DomainError, PrecisionError
-from mzv.exact import bernoulli
+from mzv.exact import bernoulli, tangent_number
 import mzv
 from mzv import numerics, reductions
 from mzv.numerics import (
@@ -127,6 +127,7 @@ _OTHER_INT_ENTRIES = {
     "chi": (lambda n: chi("1", n), {"n": 3}),
     "bernoulli": (mzv.bernoulli, {"n": 3}),
     "euler_number": (mzv.euler_number, {"n": 3}),
+    "tangent_number": (tangent_number, {"n": 3}),
     "harmonic": (mzv.harmonic, {"n": 3}),
     "harmonic_power": (mzv.harmonic_power, {"n": 3, "b": 2}),
     "hyp2f1_special": (mzv.hyp2f1_special, {"n": 3}),

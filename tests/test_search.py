@@ -2,13 +2,14 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 import mzv
@@ -37,8 +38,11 @@ from mzv.search import (
     _monos,
     _power_candidates,
     _primitive,
+    _rational_roots,
     _solve_consistent,
+    _symmetric_even_candidates,
     _symmetric_even_f,
+    _vanishing_bases,
     _vanishing_polys,
     candidate_dsl,
     even_arg_sum_f,
@@ -81,6 +85,14 @@ def test_solve_power_base():
     assert nonzero == [1]
     with pytest.raises(DomainError):
         solve_power_base(4)
+    for args, text in [
+        ((5.0, 4), "solve_power_base needs an integer w, got 5.0"),
+        ((5, 2.5), "solve_power_base needs an integer H, got 2.5"),
+        ((5, True), "solve_power_base needs an integer H, got True"),
+        ((5, 4, "bogus"), "unknown j-parity 'bogus'; choose from any, even, odd"),
+    ]:
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            solve_power_base(*args)
 
 
 def test_even_arg_sum_exactness():
@@ -367,7 +379,7 @@ def _fit_candidate_f(weight_fn, anchors, j_parity):
     return fit_span_minimal(points)
 
 
-def _power_reference(config, conds=None):
+def _power_reference(config):
     """Every pool value whose polynomials vanish at every anchor, each fitted
     through the ConstExpr reductions."""
     pool = height_rationals(config.H)
@@ -383,6 +395,14 @@ def _power_reference(config, conds=None):
                 coeffs = _fit_candidate_f(lambda _w, j, a=a: a**j, anchors, j_par)
                 if coeffs is not None:
                     yield CandidateIdentity("power", {"a": a}, j_par, s_par, f_coeffs=coeffs)
+
+
+def _symmetric_even_reference(config):
+    """Every pool value d whose f(s) at s = 2..8 fits over F_SPAN."""
+    for d in height_rationals(config.H):
+        coeffs = fit_span_minimal([(s, _symmetric_even_f(s, d)) for s in range(2, 9)])
+        if coeffs is not None:
+            yield CandidateIdentity("symmetric-even", {"d": d}, f_coeffs=coeffs)
 
 
 def _poly_plain_reference(config):
@@ -427,7 +447,7 @@ def _fraction_sqrt(x: Fraction):
     return Fraction(pn, pd) if pn * pn == x.numerator and pd * pd == x.denominator else None
 
 
-def _affine_reference(config, conds=None):
+def _affine_reference(config):
     """All ordered (b, d) pairs of the pool, each weight's gamma solved from
     vals[b][w] + gamma vals[d][w] = 0 directly; pairings that vanish on
     their classes are left out."""
@@ -851,6 +871,53 @@ def test_solve_power_base_matches_fraction_polynomials():
         assert solve_power_base(w, 5, j_par) == want
 
 
+@st.composite
+def _root_polys(draw):
+    """An integer polynomial of degree <= 7 as its coefficient list: a
+    product of linear factors q x - p at small rationals (repeats and 0
+    among them) and a random cofactor, with either sign."""
+    roots = draw(st.lists(st.fractions(-9, 9, max_denominator=9), max_size=5))
+    poly = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=8 - len(roots)))
+    for r in roots:  # times (q x - p)
+        poly = [r.denominator * a - r.numerator * b for a, b in zip([0] + poly, poly + [0])]
+    return poly
+
+
+@given(_root_polys(), st.integers(1, 12))
+@example([0, 0, 0], 3)  # every pool value is a root of the zero polynomial
+@example([0, 0, 5], 3)  # a root at 0 only
+@example([-4, 4, -1], 4)  # -(x - 2)^2
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_rational_roots_match_the_pool_scan(poly, H):
+    want = [x for x in height_rationals(H) if not sum(c * x**k for k, c in enumerate(poly))]
+    assert _rational_roots(poly, H) == [_pair(x) for x in want]
+
+
+def test_vanishing_bases_match_the_pool_scan():
+    """The H = 48 pool values at which every vanishing polynomial at the
+    given weights is zero, for every j-parity and every ordered set of the
+    weights 5..7 with a vanishing row: each parity class's anchors, and
+    orders in which a later weight drops a root of the first one's row."""
+    pool = height_rationals(48)
+    dropped = 0
+    for j_par in search._PARITIES:
+        polys = {w: list(_vanishing_polys(w, j_par)[0].values()) for w in (5, 6, 7)}
+        zero = {w: {x for x in pool if not any(_poly_at(p, x) for p in ps)} for w, ps in polys.items()}
+        for n in (1, 2, 3):
+            for ws in itertools.permutations((5, 6, 7), n):
+                want = [_pair(x) for x in pool if all(x in zero[w] for w in ws)]
+                assert _vanishing_bases(list(ws), j_par, 48) == want, (j_par, ws)
+                dropped += want != [_pair(x) for x in pool if x in zero[ws[0]]]
+    assert dropped
+
+
+def test_symmetric_even_roots_match_the_pool_fits():
+    config = SearchConfig(H=24)
+    got = [c.describe() for c in _symmetric_even_candidates(config)]
+    assert got == [c.describe() for c in _symmetric_even_reference(config)]
+    assert [c.split("'d': '")[1][0] for c in got] == ["1", "4"]
+
+
 def test_height_rationals_returns_a_fresh_list():
     pool = height_rationals(3)
     pool.append(Fraction(99))
@@ -882,8 +949,8 @@ def _stream(monkeypatch, config, prune=True):
 
 def test_search_stream_matches_constexpr_fits(monkeypatch):
     """The H = 8 candidate stream and survivors of every family, with the
-    power, affine and plain polynomial stages replaced by the Fraction
-    polynomial scans and ConstExpr fits."""
+    power, affine, symmetric-even and plain polynomial stages replaced by
+    the pool scans, Fraction polynomials and ConstExpr fits."""
     import mzv.search as search
 
     config = SearchConfig(families=_FIVE, H=8)
@@ -895,6 +962,7 @@ def test_search_stream_matches_constexpr_fits(monkeypatch):
     got = run()
     monkeypatch.setattr(search, "_power_candidates", _power_reference)
     monkeypatch.setattr(search, "_affine_candidates", _affine_reference)
+    monkeypatch.setattr(search, "_symmetric_even_candidates", _symmetric_even_reference)
     monkeypatch.setattr(search, "_poly_plain_candidates", _poly_plain_reference)
     assert run() == got
     assert len(got[0]) == 37 and got[1]
@@ -948,6 +1016,9 @@ def test_importing_mzv_leaves_search_unloaded():
     ({"H": -3}, "search height must be at least 1, got -3"),
     ({"deg": -1}, "polynomial degree must be 0, 1 or 2, got -1"),
     ({"deg": 5}, "polynomial degree must be 0, 1 or 2, got 5"),
+    ({"H": 2.5}, "SearchConfig needs an integer H, got 2.5"),
+    ({"H": True}, "SearchConfig needs an integer H, got True"),
+    ({"deg": 1.5}, "SearchConfig needs an integer deg, got 1.5"),
 ])
 def test_search_settings_are_checked_up_front(settings_, match):
     with pytest.raises(DomainError, match=match):
