@@ -15,7 +15,7 @@ class NotReducible(ValueError):
 
 
 class ReductionError(RuntimeError):
-    """An exact linear system turned out rank-deficient or inconsistent."""
+    """A closed-form table entry failed its numeric check at insertion."""
 
 
 class ParseError(ValueError):

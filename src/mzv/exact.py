@@ -1,7 +1,7 @@
 """Exact integer/rational arithmetic and the classical number sequences.
 
 Rational results are ``fractions.Fraction``: always in lowest terms with a
-positive denominator, arithmetic closed and exact.  The linear solver
+positive denominator, arithmetic closed and exact.  The search's linear solver
 ``_rref`` eliminates rational rows on ints and makes Fractions only of its
 reduced rows.  The Bernoulli numbers use the convention B_1 = -1/2 (so
 2*(2n)! * zeta(2n) = (-1)^(n+1) * (2*pi)^(2n) * B_2n), the Euler numbers the
@@ -177,8 +177,7 @@ def _rref(aug, ncols):
     (p * row - row[c] * pivot_row) / p_prev for the pivot p_prev before it, a
     division Sylvester's identity makes exact; every pivot row then leads
     with the last pivot, and is divided by it once at the end.  The one exact
-    solver: the search fits, null spaces and the reduction tables all
-    eliminate through it."""
+    solver: the search fits and null spaces eliminate through it."""
     for i, row in enumerate(aug):
         den = math.lcm(*(x.denominator for x in row))
         aug[i] = [x.numerator * (den // x.denominator) for x in row]

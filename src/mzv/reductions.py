@@ -9,12 +9,11 @@ that dzeta_reduce does not close, with rational coefficients.  The symbolic
 walk reads it; numerics evaluates every sum without it, so a numeric verify
 checks these closed forms.
 
-The weight-w table is the unique solution of an exact linear system over
-ConstExpr built from double shuffle alone: the stuffle and shuffle products
-zeta(a) zeta(b), a + b = w, and Euler's zeta(w-1, 1).  None of the weighted
-sum formulas the corpus states is assumed.  A redundant row (one at each even
-weight) is kept and checked for exact consistency; any rank deficiency is a
-hard error, never silently patched.
+The weight 5 to 7 tables are classical closed forms, checked numerically at
+insertion: Euler's zeta(w-1, 1), the odd-weight theorem (Borwein-Borwein-
+Girgensohn; Flajolet-Salvy) and, at w = 6, the diagonal with one stuffle and
+one shuffle product.  None of the sum formulas the corpus states is assumed;
+the tests check each table against the solved double shuffle system.
 """
 from __future__ import annotations
 
@@ -27,7 +26,6 @@ from mpmath import mp, mpf
 
 from . import numerics
 from .errors import DomainError, NotReducible, ReductionError, require_ints
-from .exact import _rref
 from .symexpr import LI4H, LOG2, PI, ConstExpr, zeta_sym
 
 _VERIFY_PREC = 40
@@ -49,38 +47,37 @@ def zeta_s1_reduce(s: int) -> ConstExpr:
     return out
 
 
-def _solve_exact(rows, nunknowns: int):
-    """Exact solve over Q with ConstExpr right-hand sides b.  The shared
-    Gauss-Jordan routine eliminates the rational rows [A | I] to [R | E];
-    the rows of E then combine b.  The system must determine every unknown,
-    and every leftover row of E must send b to 0 exactly."""
-    aug = [list(coeffs) + [int(k == i) for k in range(len(rows))] for i, (coeffs, _) in enumerate(rows)]
-    pivots = _rref(aug, nunknowns)
-    if len(pivots) != nunknowns:
-        col = next(c for c in range(nunknowns) if c not in pivots)
-        raise ReductionError(f"rank-deficient system: no pivot for column {col}")
-    rhs = [b for _, b in rows]
-    sol = [sum((b * t for t, b in zip(row[nunknowns:], rhs) if t), ConstExpr.zero) for row in aug]
-    if any(sol[nunknowns:]):
-        raise ReductionError("overdetermined system is inconsistent")
-    return sol[:nunknowns]
+def _odd_weight_dz(a: int, b: int) -> ConstExpr:
+    """zeta(a, b) for a, b >= 2 at odd weight w = a + b, by the theorem of
+    Borwein-Borwein-Girgensohn ("Explicit evaluation of Euler sums", 1995)
+    and Flajolet-Salvy (Exp. Math. 1998), with zeta(0) = -1/2:
+
+        zeta(a,b) = (-1)^b sum_{j=0}^{(w-3)/2} [C(w-2j-1, a-1) + C(w-2j-1, b-1)] zeta(2j) zeta(w-2j)
+                    + [b odd] zeta(a) zeta(b) - zeta(w)/2
+    """
+    w = a + b
+    out = zeta_sym(a) * zeta_sym(b) if b % 2 else ConstExpr.zero
+    out = out - zeta_sym(w) * Fraction(1, 2)
+    for j in range((w - 1) // 2):
+        coef = (-1) ** b * (comb(w - 2 * j - 1, a - 1) + comb(w - 2 * j - 1, b - 1))
+        z2j = zeta_sym(2 * j) if j else ConstExpr.rational(Fraction(-1, 2))
+        out = out + z2j * zeta_sym(w - 2 * j) * coef
+    return out
 
 
-def _weight_rows(w: int):
-    """Double shuffle rows of the weight-w system over the unknowns
-    zeta(j, w-j), j = 2..w-1: for each 2 <= a <= b = w - a the stuffle row
-    zeta(a) zeta(b) = zeta(a,b) + zeta(b,a) + zeta(w) and the shuffle row
-    zeta(a) zeta(b) = sum_j [C(j-1,a-1) + C(j-1,b-1)] zeta(j, w-j), then
-    Euler's zeta(w-1, 1)."""
-    js = list(range(2, w))
-    rows = []
-    for a in range(2, w // 2 + 1):
-        b = w - a
-        zz = zeta_sym(a) * zeta_sym(b)
-        rows.append(([(j == a) + (j == b) for j in js], zz - zeta_sym(w)))
-        rows.append(([comb(j - 1, a - 1) + comb(j - 1, b - 1) for j in js], zz))
-    rows.append(([int(j == w - 1) for j in js], zeta_s1_reduce(w)))
-    return rows, js
+def _closed_form_table(w: int) -> dict:
+    """zeta(j, w-j) for j = 2..w-1 at odd w, and at w = 6: zeta(w-1, 1) by
+    Euler, the rest of an odd weight by the odd-weight theorem.  At w = 6,
+    zeta(3,3) is the diagonal, zeta(4,2) the shuffle of zeta(2) zeta(4) minus
+    its stuffle, 3 zeta(4,2) = zeta(6) - 2 zeta(3,3) - 8 zeta(5,1), and
+    zeta(2,4) = zeta(2) zeta(4) - zeta(6) - zeta(4,2) by the stuffle."""
+    if w == 6:
+        z33, z51 = dzeta_reduce(3, 3), zeta_s1_reduce(6)
+        z42 = (zeta_sym(6) - z33 * 2 - z51 * 8) * Fraction(1, 3)
+        return {2: zeta_sym(2) * zeta_sym(4) - zeta_sym(6) - z42, 3: z33, 4: z42, 5: z51}
+    table = {a: _odd_weight_dz(a, w - a) for a in range(2, w - 1)}
+    table[w - 1] = zeta_s1_reduce(w)
+    return table
 
 
 @dataclass
@@ -129,9 +126,7 @@ class ReductionTable:
     def dz_table(self, w: int) -> dict:
         if w in self._dz_tables:
             return self._dz_tables[w]
-        rows, js = _weight_rows(w)
-        sol = _solve_exact(rows, len(js))
-        table = {j: sol[i] for i, j in enumerate(js)}
+        table = _closed_form_table(w)
         for j, expr in table.items():
             _verify_against_em(expr, ("1", "1", j, w - j))
         self._dz_tables[w] = table
@@ -205,8 +200,8 @@ def dzeta_reduce(a: int, b: int) -> ConstExpr:
     """Exact closed form of zeta(a, b) for a >= 2, b >= 1, a+b <= 7.
 
     Weight 8 and beyond raises NotReducible (zeta(5,3) is the canonical
-    conjecturally-irreducible case), except b = 1 which closes at any weight.
-    """
+    conjecturally-irreducible case), except b = 1 and a = b, which close at
+    any weight; the rest of weights 5 to 7 is read from the closed forms."""
     require_ints("dzeta_reduce", a=a, b=b)
     if a < 2 or b < 1:
         raise DomainError(f"dzeta_reduce({a}, {b}) needs a >= 2, b >= 1")

@@ -601,6 +601,8 @@ def solve_power_base(w: int, H: int = 16, j_parity: str = "any"):
     of sum_j a^j zeta(j, w-j) (j in the j-parity class) vanishes, in
     increasing order: 0, the empty solution, and the vanishing bases at w."""
     require_ints("solve_power_base", w=w, H=H)
+    if H < 1:
+        raise DomainError(f"search height must be at least 1, got {H}")
     if w not in (5, 6, 7):
         raise DomainError("power-base solving uses weights 5..7")
     if j_parity not in _PARITIES:

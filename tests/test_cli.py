@@ -59,8 +59,9 @@ def test_reduce(capsys):
 
 
 def test_reduce_not_reducible_exit_3(capsys):
-    code, _, err = run(capsys, "reduce", "dz(5,3)")
-    assert code == 3 and "not reducible" in err
+    for a, b in ((5, 3), (6, 2)):
+        code, out, err = run(capsys, "reduce", f"dz({a},{b})")
+        assert (code, out, err) == (3, "", f"not reducible: zeta({a},{b}) has weight 8 > 7\n")
 
 
 def test_reduce_witten_names_its_first_leftover(capsys):

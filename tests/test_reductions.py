@@ -3,9 +3,10 @@ expansion and the tabulated alternating values, all cross-checked against the
 independent multiprecision evaluator."""
 import itertools
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
 
 import mzv.numerics as numerics
@@ -13,8 +14,7 @@ from mzv.corpus import parse_expr
 from mzv.errors import DomainError, NotReducible, ReductionError
 from mzv.reductions import (
     WittenReduction,
-    _solve_exact,
-    _weight_rows,
+    _closed_form_table,
     alt_value_lookup,
     dzeta_reduce,
     harmonic_reduction,
@@ -25,7 +25,6 @@ from mzv.reductions import (
 from mzv.numerics import expr_num
 from mzv.symexpr import ConstExpr, pi_power, zeta_sym
 from mzv.verify import reduce_ast
-from test_exact import _entry, _rref_reference
 
 
 def test_zeta_s1_small():
@@ -177,13 +176,31 @@ def test_alt_values(ctx40):
 
 
 def test_weight7_column():
-    # the odd-weight-7 system is uniquely solvable; spot check against numerics
+    # a weight-7 entry of the odd-weight theorem, spot-checked against numerics
     D = 50
     with mp.workdps(D + 10):
         expr = dzeta_reduce(5, 2)
         got, _ = numerics._char_em("1", "1", 5, 2, D)
         want, _ = numerics._expr_internal(expr, D)
         assert abs(got - want) < mpf(10) ** -35
+
+
+def _weight_rows(w: int):
+    """Double shuffle rows of the weight-w system over the unknowns
+    zeta(j, w-j), j = 2..w-1: for each 2 <= a <= b = w - a the stuffle row
+    zeta(a) zeta(b) = zeta(a,b) + zeta(b,a) + zeta(w) and the shuffle row
+    zeta(a) zeta(b) = sum_j [C(j-1,a-1) + C(j-1,b-1)] zeta(j, w-j), then
+    Euler's zeta(w-1, 1).  At odd weight, and at w <= 6, it determines every
+    unknown; its solution is the reference the closed forms must equal."""
+    js = list(range(2, w))
+    rows = []
+    for a in range(2, w // 2 + 1):
+        b = w - a
+        zz = zeta_sym(a) * zeta_sym(b)
+        rows.append(([(j == a) + (j == b) for j in js], zz - zeta_sym(w)))
+        rows.append(([comb(j - 1, a - 1) + comb(j - 1, b - 1) for j in js], zz))
+    rows.append(([int(j == w - 1) for j in js], zeta_s1_reduce(w)))
+    return rows, js
 
 
 @pytest.mark.parametrize("w", range(3, 13))
@@ -242,12 +259,13 @@ def test_double_shuffle_tables_match_the_sum_formulas(w, nrows):
     assert len(rows) == nrows
     ref_rows, ref_js = _sum_formula_rows(w)
     assert js == ref_js
-    assert _solve_exact(rows, len(js)) == _solve_exact(ref_rows, len(js))
+    assert _solve_exact_reference(rows, len(js)) == _solve_exact_reference(ref_rows, len(js))
 
 
 def _solve_exact_reference(rows, nunknowns: int):
-    """The forward-elimination-then-back-substitution solver the tables were
-    first built with, kept to check the shared Gauss-Jordan routine."""
+    """A forward-elimination-then-back-substitution solve over Q with
+    ConstExpr right-hand sides: the double shuffle reference that the closed
+    forms of the weight tables must equal."""
     rows = [([Fraction(c) for c in coeffs], rhs) for coeffs, rhs in rows]
     solution: list = [None] * nunknowns
     for col in range(nunknowns):
@@ -293,81 +311,32 @@ def _solve_exact_reference(rows, nunknowns: int):
     return solution
 
 
-@pytest.mark.parametrize("w", [3, 4, 5, 6, 7])
-def test_solve_exact_matches_reference(w):
-    rows, js = _weight_rows(w)
-    assert _solve_exact(rows, len(js)) == _solve_exact_reference(rows, len(js))
-
-
-@st.composite
-def _constexpr(draw):
-    """A small rational combination of 1, zeta(2), zeta(3) and zeta(3)^2."""
-    basis = (ConstExpr.rational(1), zeta_sym(2), zeta_sym(3), zeta_sym(3) * zeta_sym(3))
-    coeffs = draw(st.lists(st.fractions(-4, 4, max_denominator=5), min_size=4, max_size=4))
-    return sum((b * c for b, c in zip(basis, coeffs)), ConstExpr.zero)
-
-
-_SOLVE_KINDS = ("determined", "overdetermined", "inconsistent", "rank-deficient")
-
-
-@st.composite
-def _rhs_systems(draw, kind):
-    """(rows, n, x): rational rows over n <= 4 unknowns with ConstExpr sides
-    A x.  "determined" is square, "overdetermined" adds rational combinations
-    of earlier rows, "inconsistent" adds such a row with a side off by a
-    nonzero ConstExpr, and "rank-deficient" repeats a multiple of one column
-    in another."""
-    n = draw(st.integers(1, 4))
-    x = [draw(_constexpr()) for _ in range(n)]
-    A = [[draw(_entry) for _ in range(n)] for _ in range(n)]
-    if kind == "rank-deficient":
-        a, b = draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
-        lam = draw(_entry)
-        for row in A:
-            row[b] = row[a] * lam if a != b else 0
-    else:
-        assume(len(_rref_reference([r[:] for r in A], n)) == n)
-    rows = [(r, sum((xi * c for c, xi in zip(r, x)), ConstExpr.zero)) for r in A]
-    if kind in ("overdetermined", "inconsistent"):
-        for _ in range(draw(st.integers(1, 2))):
-            (ra, ba), (rb, bb) = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            la, lb = draw(_entry), draw(_entry)
-            rows.append(([u * la + v * lb for u, v in zip(ra, rb)], ba * la + bb * lb))
-        if kind == "inconsistent":
-            off = draw(_constexpr())
-            assume(off)
-            coeffs, rhs = rows[-1]
-            rows[-1] = (coeffs, rhs + off)
-        rows = draw(st.permutations(rows))
-    return rows, n, x
-
-
-def _solve_outcome(solver, rows, n):
-    try:
-        return solver(rows, n)
-    except ReductionError as exc:
-        return str(exc)
-
-
-@pytest.mark.parametrize("kind", _SOLVE_KINDS)
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_solve_exact_matches_reference_on_random_systems(kind, data):
-    rows, n, x = data.draw(_rhs_systems(kind))
-    got = _solve_outcome(_solve_exact, rows, n)
-    assert got == _solve_outcome(_solve_exact_reference, rows, n)
-    if kind in ("determined", "overdetermined"):
-        assert got == x
-    elif kind == "inconsistent":
-        assert got == "overdetermined system is inconsistent"
-    else:
-        assert got.startswith("rank-deficient system: no pivot for column ")
-
-
-@pytest.mark.parametrize("solver", [_solve_exact, _solve_exact_reference])
-def test_solve_exact_error_paths(solver):
+def test_solve_exact_reference_error_paths():
     z3 = zeta_sym(3)
     with pytest.raises(ReductionError, match="rank-deficient"):
-        solver([([1, 0], z3), ([2, 0], z3 * 2)], 2)
+        _solve_exact_reference([([1, 0], z3), ([2, 0], z3 * 2)], 2)
     with pytest.raises(ReductionError, match="inconsistent"):
-        solver([([1, 0], z3), ([0, 1], z3), ([1, 1], z3 * 3)], 2)
+        _solve_exact_reference([([1, 0], z3), ([0, 1], z3), ([1, 1], z3 * 3)], 2)
+
+
+@pytest.mark.parametrize("w", [6, *range(5, 24, 2)])
+def test_closed_forms_match_the_double_shuffle_solve(w):
+    """The odd-weight theorem at every odd w <= 23, and the w = 6 shuffle
+    minus stuffle, equal the solved double shuffle system entry by entry;
+    through weight 7 so does dzeta_reduce."""
+    rows, js = _weight_rows(w)
+    want = dict(zip(js, _solve_exact_reference(rows, len(js))))
+    assert _closed_form_table(w) == want
+    if w <= 7:
+        assert {a: dzeta_reduce(a, w - a) for a in js} == want
+
+
+def test_dzeta_reduce_renders_are_pinned():
+    """Every zeta(a, b), a >= 2, b >= 1, a + b <= 7, renders the committed text."""
+    golden = (Path(__file__).parent / "data" / "dzeta_reduce_w7.txt").read_text()
+    got = "".join(
+        f"dz({a},{w - a}) = {dzeta_reduce(a, w - a).render()}\n"
+        for w in range(3, 8)
+        for a in range(w - 1, 1, -1)
+    )
+    assert got == golden

@@ -90,6 +90,8 @@ def test_solve_power_base():
         ((5, 2.5), "solve_power_base needs an integer H, got 2.5"),
         ((5, True), "solve_power_base needs an integer H, got True"),
         ((5, 4, "bogus"), "unknown j-parity 'bogus'; choose from any, even, odd"),
+        ((5, 0), "search height must be at least 1, got 0"),
+        ((5, -3), "search height must be at least 1, got -3"),
     ]:
         with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
             solve_power_base(*args)
