@@ -112,7 +112,12 @@ def cmd_eval(args) -> int:
             print(f"{value}  (exact rational)")
         else:
             budget = nodes * ctx.tolerance()
-            print(mp.nstr(value, args.prec, strip_zeros=False))
+            # prec digits after the point once |value| >= 1, so that printing
+            # rounds by at most 10^-prec / 2 (0 has no integer digits)
+            digits = args.prec
+            if abs(value) >= 1:
+                digits += int(mp.floor(mp.log10(abs(value)))) + 1
+            print(mp.nstr(value, digits, strip_zeros=False))
             print(f"error bound <= {mp.nstr(max(bound, mp.mpf(0)), 3)} "
                   f"(contract: <= {mp.nstr(budget, 3)})")
     return EXIT_OK

@@ -9,41 +9,40 @@ truncation/method error at the working precision; public operations check the
 accumulated bound against the context tolerance and raise PrecisionError
 instead of returning a value that might violate the contract.
 
-Evaluation scheme for double sums: the outer sum is truncated at N ~ O(P)
-and the inner prefix limit is expanded by Euler-Maclaurin in powers of 1/n
-(with 4-periodic coefficients and, for divergent inner prefixes, log n and
-gamma terms), converting the whole tail into a linear combination of
-per-class power/log tails of shifted exponent.
+Evaluation scheme for double sums: [p,q](s,t) is summed over its smaller
+index m outside, as sum_m chi_q(m) m^-t R_p(s; m) with the strict tail
+R_p(s; m) = sum_(n>m) chi_p(n) n^-s, which converges wherever L_p(s) does,
+at s = 1 for a mean-zero p too.  The sum over m is truncated at N ~ O(P),
+and for m > N the tail R_p is expanded by Euler-Maclaurin in powers of 1/m
+with 4-periodic coefficients, which turns the rest into a linear combination
+of per-class power tails of shifted exponent, each at least 2.
 
-The single series L_p(s) and that combination, with the direct head n <= N,
+The single series L_p(s) and that combination, with the direct head m <= N,
 are summed in exact fixed-point integers at scale 2^W, W = _fixed_bits(D),
 about 60 bits below the working precision.  L_p(s) is its head
 sum chi_p(n) floor(2^W/n^s) plus the class tails from the class rows G_s
 below, at every s: at the mean-zero s = 1 the rows hold the regularized
-tails, whose log parts cancel in the signed sum.  In a double sum the inner
-constant (L_q(t), or the class constants of a divergent inner sum) is read
-once in that form, and the cross term C T(r,s) is one product C_fix G_s per
-class, at s = 1 too.  For each outer class r the inner tail is expanded folded:
-its coefficients, with chi_q's signs already in them, are one vector of
-F_e = floor(c_e N^-e 2^W) over the exponents whose c_e is not an exact zero
-(_inner_array), and its log coefficient is 0 for a mean-zero inner character.
-The tail is then one integer dot product with the class's row
-G_u ~ T(r,u) N^u 2^W, and the head a sum of floor(P / n^s) at 2^-W, one
-division of the inner prefix P = sum_(m<n) chi_q(m) floor(2^W/m^t) by the
-integer n^s per term, shifted to 2^-2W once per class (_class_heads).
-Every unit dropped by a floor goes into the reported bound: with
-B_u >= |T(r,u) N^u 2^W - G_u|, an entry contributes at most
-|F_e| B_u + B_u + G_u units of 2^-2W N^-s; the inner remainder is integer
-units too.
+tails, whose log parts cancel in the signed sum.  In a double sum the head
+of class r of m is a sum of floor((X - P[m]) / m^t) at 2^-W, where X is
+L_p(s) 2^W and P[m] = sum_(n<=m) chi_p(n) floor(2^W/n^s), so that X - P[m]
+is R_p(s; m) 2^W, with one division by the integer m^t per term
+(_class_heads).  For m > N, R_p is expanded folded: its coefficients, with
+chi_p's signs already in them, are one vector of F_e = floor(c_e N^-e 2^W)
+over the exponents whose c_e is not an exact zero (_inner_array).  The tail
+is then one integer dot product with the class's row G_u ~ T(r,u) N^u 2^W
+at u = t + e.  Every unit dropped by a floor goes into the reported bound:
+with B_u >= |T(r,u) N^u 2^W - G_u|, an entry contributes at most
+|F_e| B_u + B_u + G_u units of 2^-2W N^-t; the expansion's remainder is
+integer units too.
 
-The per-class terms do not depend on the outer character p: _class_pairs sums
-them into one pair per class and (q, s, t, D), which all p share and only sign.
+The per-class terms do not depend on the inner character q: _class_pairs sums
+them into one pair per class and (p, s, t, D), which all q share and only sign.
 
-Every class tail, plain, log-weighted or regularized, comes from one
-Euler-Maclaurin kernel run in exact integers (class_tail, _tail_fixed): from a
-start m0 > N in class r, far enough out that the terms fall below the target
-before they turn upward, the direct terms N < n < m0 are floors and the rest
-is m0^-u times a bracket summed at scale 2^V, V = W + 64.  The plain bracket
+Every class tail, plain or regularized, comes from one Euler-Maclaurin
+kernel run in exact integers (class_tail, _tail_fixed): from a start m0 > N
+in class r, far enough out that the terms fall below the target before they
+turn upward, the direct terms N < n < m0 are floors and the rest is m0^-u
+times a bracket summed at scale 2^V, V = W + 64.  The plain bracket
 is m0/(4(u-1)) + 1/2 + sum_j t_j, t_j(u) = beta_j (u)_(2j-1) / m0^(2j-1) with
 beta_j = B_2j 4^(2j-1) / (2j)!.  The exponents of one row (_tail_row) are
 built from the highest down, and all those with the same start share one list
@@ -55,30 +54,26 @@ step ratio (beta_j / beta_(j-1), from one list grown on demand, times
 (u+2j-3)(u+2j-2)/m0^2), whose magnitude is at most 1 (_em_step), which adds
 one unit more; so after d descents t_j is within j + d units.  A new start
 begins a new list, and a lone class_tail is the one-exponent case with d = 0.
-The log-weighted tail is minus the u-derivative of the plain one: its bracket
-is L (the plain bracket) + m0/(4(u-1)^2) - sum_j t_j h_(2j-1), with
-L = log m0 and h_k = sum_(i<k) 1/(u+i); it runs a chain of its own by the
-step ratios, where the products t_j h_(2j-1) are a second floor chain next to
-t_j.  The regularized u = 1 tail replaces the integral term m0/(4(u-1)) by
--m0 L/4 and sums a list of its own.  L enters only there and in the
-log-weighted direct terms, as floor(log n 2^V) from mpmath, within 2 units
-that the bound counts.  The bound also counts _EM_SAFETY times the last term
-with its units, every other floor and the shift from 2^V to 2^W.  A series
-that turns before its target restarts from a start 1.6 times farther out, at
-most five times, with a list of its own.
+The regularized u = 1 tail, which L_p(1) and periodic_tail_num read,
+replaces the integral term m0/(4(u-1)) by -m0 L/4, L = log m0 as
+floor(log m0 2^V) from mpmath, within 2 units that the bound counts.  The
+bound also counts _EM_SAFETY times the last term with its units, every other
+floor and the shift from 2^V to 2^W.  A series that turns before its target
+restarts from a start 1.6 times farther out, at most five times, with a list
+of its own.
 class_tail returns its pair at the rows' scale N^u 2^W (2^W at N = 0).
 
-The inner expansions come straight from Euler-Maclaurin with Bernoulli
-polynomials: seen from outer class r, chi_q's tail at n is a sum over the
-shifts d = 0..3 with weights chi_q(r+d), whose i-th term is
-sum_d chi_q(r+d) B_i(d/4) times a power of 1/n.  At the four quarter points
+The tail expansions come straight from Euler-Maclaurin with Bernoulli
+polynomials: at m in class r, chi_p's tail is a sum over the shifts
+d = 0..3 with weights chi_p(r+d), whose i-th term is
+sum_d chi_p(r+d) B_i(d/4) times a power of 1/m.  At the four quarter points
 B_i is a rational multiple of B_i or, for odd i, of the Euler number
 E_(i-1), so the folded coefficient of each even i is the spacing-4 EM
 coefficient of the class tails times a dyadic rational of the weights, and
 that of each odd i >= 3 an Euler-number chain that only m4 seen from an even
 class has; every other odd one is an exact zero.  Both are integer floor
 chains at scale 2^(W+32) by exact step ratios (_inner_chain), shared by the
-16 (q, r) arrays of one (t, D); their summed units, shifted to 2^-W, are the
+16 (p, r) arrays of one (s, D); their summed units, shifted to 2^-W, are the
 arrays' rnd.
 
 The one rounding of an L, [p,q](s,t), periodic tail or Li_4(1/2) value is its
@@ -204,7 +199,7 @@ def _check(pair, ctx: EvalContext, what: str):
 # One memo rule (_memo): a layer stores its result under its argument tuple,
 # led by the layer's tag where layers share a dict.  _value_cache holds the
 # rounded (value, bound) pairs ("L", "cs", "W", "H"), _fixed_cache the integer
-# layers ("L", "head", "ipow", "pow", "chain", "C", "pairs", and _tail_row's
+# layers ("L", "ipow", "pow", "chain", "pairs", and _tail_row's
 # growing ("tail", r, D) rows) and the generator powers ("gpow"); the other
 # two are class_tail's kernel and _inner_array.  Callers must not change a
 # returned list.
@@ -256,22 +251,22 @@ def _kernel_start(u: int, D: int) -> int:
     return int(0.75 * 2.303 * D + 0.9 * u) + 16
 
 
-def class_tail(r: int, u: int, N: int, D: int, logw: bool = False):
+def class_tail(r: int, u: int, N: int, D: int):
     """(X, units) with |T Nu 2^W - X| <= units for the class tail
-    T = sum_{n > N, n == r (mod 4)} n^-u (times log n if logw), at the scale of
-    the tail rows: Nu = N^u (1 at N = 0) and W = _fixed_bits(D).
+    T = sum_{n > N, n == r (mod 4)} n^-u, at the scale of the tail rows:
+    Nu = N^u (1 at N = 0) and W = _fixed_bits(D).
 
-    For u == 1, logw False, the *regularized* tail: the limit of the partial
-    sum minus (1/4) log X.  Only meaningful inside combinations whose
-    coefficients over the four classes sum to zero, where the log X parts
-    cancel; callers are responsible for that cancellation.  The integer kernel
-    _tail_fixed computes it.  L_p(s) and the double sums read the plain tails
-    at N = N(D), u = 1 included, from the rows (_tail_row), which hold the same
-    pairs; class_tail serves the log-weighted ones and _class_tails_fixed.
+    For u == 1 the *regularized* tail: the limit of the partial sum minus
+    (1/4) log X.  Only meaningful inside combinations whose coefficients over
+    the four classes sum to zero, where the log X parts cancel; callers are
+    responsible for that cancellation.  The integer kernel _tail_fixed
+    computes it.  L_p(s) and the double sums read the tails at N = N(D) from
+    the rows (_tail_row), which hold the same pairs; class_tail serves
+    periodic_tail_num, at any N.
     """
-    if u < 1 or (u == 1 and logw):
-        raise DomainError("class_tail needs u >= 2, or u == 1 without log weight")
-    return _class_tail(r, u, N, D, logw)
+    if u < 1:
+        raise DomainError("class_tail needs u >= 1")
+    return _class_tail(r, u, N, D)
 
 
 def _from_fixed(x: int, units: int, bits: int, D: int):
@@ -284,21 +279,6 @@ def _from_fixed(x: int, units: int, bits: int, D: int):
         mp.make_mpf(from_man_exp(x, -bits, prec, round_nearest)),
         mp.make_mpf(from_man_exp(units, -bits, prec, round_ceiling)),
     )
-
-
-def _class_tails_fixed(p: str, u: int, N: int, D: int):
-    """(X, units): the sums over the classes r with chi_p(r) != 0 of
-    chi_p(r) X_r and of units_r for the class_tail(r, u, N, D) pairs, so that
-    |sum_r chi_p(r) T_r Nu 2^W - X| <= units at class_tail's scale: the tail
-    of periodic_tail_num at any N, and at u = 1, N = 0 (_class_consts) the
-    class constants C_r of the regularized tails, which sum to gamma over r."""
-    X = units = 0
-    for r, c in zip((1, 2, 3, 4), CHI[p]):
-        if c:
-            x, b = class_tail(r, u, N, D)
-            X += c * x
-            units += b
-    return X, units
 
 
 # --------------------------------------------------------------------------
@@ -363,7 +343,12 @@ def periodic_tail_num(p: str, s: int, N: int, ctx: EvalContext):
     if N < 0:
         raise DomainError(f"periodic_tail_num({p!r}, {s}, {N}) needs N >= 0")
     D = ctx.work_digits
-    X, units = _class_tails_fixed(p, s, N, D)
+    X = units = 0  # sum_r chi_p(r) T_r at class_tail's scale, within units
+    for r, c in zip((1, 2, 3, 4), CHI[p]):
+        if c:
+            x, b = class_tail(r, s, N, D)
+            X += c * x
+            units += b
     Ns = max(N, 1) ** s
     with mp.workdps(D + 10):
         v, b = _from_fixed(X // Ns, -(-units // Ns) + 1, _fixed_bits(D), D)
@@ -373,7 +358,7 @@ def periodic_tail_num(p: str, s: int, N: int, ctx: EvalContext):
 
 
 # --------------------------------------------------------------------------
-# inner prefix expansions for double sums
+# strict tail expansions for double sums
 # --------------------------------------------------------------------------
 
 # guard bits of the inner expansions, summed at scale 2^(W + _INNER_GUARD)
@@ -383,19 +368,6 @@ _INNER_GUARD = 32
 def _fixed_bits(D: int) -> int:
     """W: the fixed-point scale 2^W of the double-sum combine, ~60 bits below 10^-(D+10)."""
     return int(3.33 * (D + 10)) + 60
-
-
-@_memo(_fixed_cache, "head")
-def _head_units(D: int) -> int:
-    """N (3 + log N) 2^W + 1 (log N from _log_fixed, within 2 units), N = N(D),
-    W = W(D): the units of 2^-2W that _char_fixed counts for the head of
-    _class_heads, which needs 2N 2^W of them.  Its prefix P[n-1] sums n-1
-    floors, so it is within n-1 units of 2^-W; divided by n^s that is below
-    one unit, and the floor adds less than one more, so each of the N terms
-    is within 2 units of 2^-W.  The count is not tightened to that need,
-    which would lower every reported bound."""
-    N, W = _outer_cutoff(D), _fixed_bits(D)
-    return N * ((3 << W) + _log_fixed(N, W) + 2) + 1
 
 
 @_memo(_fixed_cache, "ipow")
@@ -473,21 +445,15 @@ def _em_scales(D: int):
     return 10 ** (D + 30), _EM_SAFETY * 10 ** (D + 6)
 
 
-def _em_bracket(
-    u: int, m0: int, m0u: int, V: int, D: int, L: int | None = None, logw: bool = False,
-    terms: _EMTerms | None = None,
-):
+def _em_bracket(u: int, m0: int, m0u: int, V: int, D: int, L: int | None = None, terms: _EMTerms | None = None):
     """The Euler-Maclaurin bracket of class_tail's tail from m0 at scale 2^V:
     the tail from m0 on is m0^-u times
       m0/(4(u-1)) + 1/2 + sum_j t_j           (plain, u >= 2),
       -m0 log(m0)/4 + 1/2 + sum_j t_j         (regularized, u = 1),
-      log(m0) (plain) + m0/(4(u-1)^2) - sum_j h_j   (logw, u >= 2),
-    with t_j = beta_j (u)_(2j-1) / m0^(2j-1) and h_j = t_j (1/u + ... +
-    1/(u+2j-2)); the log-weighted bracket is minus the u-derivative of the
-    plain one.  L = floor(log(m0) 2^V), within 2 units, for u = 1 or logw;
-    m0u = m0^u.  The plain and regularized brackets sum the terms of `terms`,
-    the _EMTerms a row shares (a new one if None), where the j-th is within
-    j + d units after d descents; the log-weighted one runs its own chain.
+    with t_j = beta_j (u)_(2j-1) / m0^(2j-1).  L = floor(log(m0) 2^V), within
+    2 units, for u = 1; m0u = m0^u.  The terms are those of `terms`, the
+    _EMTerms a row shares (a new one if None), where the j-th is within
+    j + d units after d descents.
 
     The sum stops once the last term is below 10^-(D+6) / _EM_SAFETY times the
     scale |integral term| + f(m0) m0^u + 10^-(D+30) m0^u.  Returns
@@ -496,71 +462,41 @@ def _em_bracket(
     bounds the rest; or None if the terms turn upward first.  A sum that does
     not stop in 499 terms raises PrecisionError, which _tail_fixed names.
     """
-    c = 4 * (u - 1)
     if u == 1:  # L's 2 units move m0 L / 4 by m0 / 2, and the floor adds one
         lead, floors = -(m0 * L) // 4, m0 // 2 + 2
     else:
-        lead, floors = (m0 << V) // c, 1
-    x = lead + (1 << (V - 1))
-    if logw:
-        lead = (L * lead >> V) + (m0 << V) // (c * (u - 1))
+        lead, floors = (m0 << V) // (4 * (u - 1)), 1
     cut, stop = _em_scales(D)
-    lim = (abs(lead) + (L if logw else 1 << V) + (m0u << V) // cut) // stop
-    if not logw:
-        if terms is None:
-            terms = _EMTerms()
-        t = terms.at(u, m0, V)
-        j = next(compress(count(1), map(lim.__gt__, map(abs, t))), 0)  # the first |t_j| < lim
-        while not j:
-            if len(t) == 499:
-                raise PrecisionError("EM correction loop exhausted")
-            step = _em_step(u, len(t) + 1, m0)
-            if step is None:
-                return None
-            t.append(t[-1] * step[0] // step[1])
-            if abs(t[-1]) < lim:
-                j = len(t)
-        del t[j:]
-        d = terms.d
-        return x + sum(t), floors + j * (j + 1) // 2 + j * d, _EM_SAFETY * (abs(t[-1]) + j + d), j
-    # h_j = q_j (h_(j-1) + t_(j-1) (1/(u+2j-3) + 1/(u+2j-2))) from h_1 = t_1 / u
-    t, h, hsum = (u << V) // (3 * m0), (1 << V) // (3 * m0), 0
-    for j in range(1, 500):
-        if j > 1:
-            step = _em_step(u, j, m0)
-            if step is None:
-                return None
-            num, den = step
-            h = (h * num + _em_ratios[j][0] * (2 * u + 4 * j - 5) * t) // den
-            t = t * num // den
-        x += t
-        hsum += h
-        term = (L * t >> V) - h
-        if abs(term) < lim:
-            break
-    else:
-        raise PrecisionError("EM correction loop exhausted")
-    # with log(m0) 2^V within 2 units of L, L x is within 2 |x| + (L + 2) floors
-    # units of 2^-2V of its exact product; the shift and m0/(4(u-1)^2) are one
-    # floor each, t_i is within i units and h_i within i (i+1) / 2
-    floors += j * (j + 1) // 2
-    term_units = ((2 * abs(t) + (L + 2) * j) >> V) + 2 + j * (j + 1) // 2
-    floors = ((2 * abs(x) + (L + 2) * floors) >> V) + 3 + j * (j + 1) * (j + 2) // 6
-    x = (L * x >> V) + (m0 << V) // (c * (u - 1)) - hsum
-    return x, floors, _EM_SAFETY * (abs(term) + term_units), j
+    lim = (abs(lead) + (1 << V) + (m0u << V) // cut) // stop
+    if terms is None:
+        terms = _EMTerms()
+    t = terms.at(u, m0, V)
+    j = next(compress(count(1), map(lim.__gt__, map(abs, t))), 0)  # the first |t_j| < lim
+    while not j:
+        if len(t) == 499:
+            raise PrecisionError("EM correction loop exhausted")
+        step = _em_step(u, len(t) + 1, m0)
+        if step is None:
+            return None
+        t.append(t[-1] * step[0] // step[1])
+        if abs(t[-1]) < lim:
+            j = len(t)
+    del t[j:]
+    d = terms.d
+    x = lead + (1 << (V - 1)) + sum(t)
+    return x, floors + j * (j + 1) // 2 + j * d, _EM_SAFETY * (abs(t[-1]) + j + d), j
 
 
-def _tail_fixed(r: int, u: int, N: int, D: int, logw: bool = False, terms: _EMTerms | None = None):
+def _tail_fixed(r: int, u: int, N: int, D: int, terms: _EMTerms | None = None):
     """(G, B) with |T Nu 2^W - G| <= B for class_tail's tail T, Nu = N^u (1 at
     N = 0), W = _fixed_bits(D).
 
-    Euler-Maclaurin for f(x) = (4x + m0)^-u (times log(4x + m0) if logw) in
-    exact integers at scale 2^V, V = W + 64, from the kernel's start m0: the
-    direct terms N < n < m0 are floors (with log n from _log_fixed if logw) and
-    the rest is m0^-u times _em_bracket.  B counts every floor unit, the
-    bracket's units and remainder and the shift from 2^V to 2^W.  `terms` is
-    the _EMTerms a row shares for its plain brackets from the kernel's start; a
-    restart farther out sums a list of its own.
+    Euler-Maclaurin for f(x) = (4x + m0)^-u in exact integers at scale 2^V,
+    V = W + 64, from the kernel's start m0: the direct terms N < n < m0 are
+    floors and the rest is m0^-u times _em_bracket.  B counts every floor
+    unit, the bracket's units and remainder and the shift from 2^V to 2^W.
+    `terms` is the _EMTerms a row shares for its brackets from the kernel's
+    start; a restart farther out sums a list of its own.
     """
     V = _fixed_bits(D) + 64
     Nu = max(N, 1) ** u
@@ -569,35 +505,28 @@ def _tail_fixed(r: int, u: int, N: int, D: int, logw: bool = False, terms: _EMTe
         m0 = max(N, start_min) + 1
         m0 += (r - m0) % 4
         m0u = m0**u
-        L = _log_fixed(m0, V) if logw or u == 1 else None
+        L = _log_fixed(m0, V) if u == 1 else None
         try:
-            em = _em_bracket(u, m0, m0u, V, D, L, logw, terms)
+            em = _em_bracket(u, m0, m0u, V, D, L, terms)
         except PrecisionError as exc:
-            raise PrecisionError(f"{exc} for {_tail_name(r, u, N, D, logw)}") from None
+            raise PrecisionError(f"{exc} for {_tail_name(r, u, N, D)}") from None
         if em is None:
             start_min = int(start_min * 1.6) + 8  # the series turned: restart farther out
             terms = None
             continue
         x, floors, rem, _ = em
-        head = range(N + 1 + (r - N - 1) % 4, m0, 4)
-        s = err = 0
-        if head:  # empty when the start is the first n > N of class r
-            if logw:
-                # Nu <= n^u: each term within 2 units of its log and 1 of its floor
-                s, err = sum(Nu * _log_fixed(n, V) // n**u for n in head), 3 * len(head)
-            else:
-                s, err = sum((Nu << V) // n**u for n in head), len(head)
-        s += x * Nu // m0u
-        err += 1 - (-(floors + rem) * Nu // m0u)  # units of 2^-V, then of 2^-W after the shift
+        head = range(N + 1 + (r - N - 1) % 4, m0, 4)  # empty when m0 is the first n > N of class r
+        s = sum((Nu << V) // n**u for n in head) + x * Nu // m0u
+        err = len(head) + 1 - (-(floors + rem) * Nu // m0u)  # units of 2^-V, then of 2^-W after the shift
         return s >> 64, ((err - 1) >> 64) + 2
-    raise PrecisionError(f"EM tail did not converge for {_tail_name(r, u, N, D, logw)}")
+    raise PrecisionError(f"EM tail did not converge for {_tail_name(r, u, N, D)}")
 
 
-def _tail_name(r: int, u: int, N: int, D: int, logw: bool) -> str:
-    return f"class {r}, exponent {u}, log weight {logw}, N={N}, D={D}"
+def _tail_name(r: int, u: int, N: int, D: int) -> str:
+    return f"class {r}, exponent {u}, N={N}, D={D}"
 
 
-# class_tail's memoized kernel, keyed (r, u, N, D, logw)
+# class_tail's memoized kernel, keyed (r, u, N, D)
 _class_tail = _memo(_kernel_cache)(_tail_fixed)
 
 
@@ -623,102 +552,91 @@ def _tail_row(r: int, lo: int, hi: int, D: int):
 
 
 @_memo(_fixed_cache, "chain")
-def _inner_chain(t: int, D: int, odd: bool):
+def _inner_chain(s: int, D: int, odd: bool):
     """The EM chains of _inner_array at scale N^-e 2^V, V = _fixed_bits(D) +
     _INNER_GUARD, N = N(D), each entry j = 1, 2, ... within j units:
-    a_j = beta_j (t)_(2j-1) N^-e 2^V at e = t+2j-1, beta_j = B_2j 4^(2j-1) / (2j)!,
-    from a_1 = floor(t 2^V / (3 N^(t+1))) (beta_1 = 1/3) by one floor division
+    a_j = beta_j (s)_(2j-1) N^-e 2^V at e = s+2j-1, beta_j = B_2j 4^(2j-1) / (2j)!,
+    from a_1 = floor(s 2^V / (3 N^(s+1))) (beta_1 = 1/3) by one floor division
     per step by _em_step's exact ratio, of magnitude at most 1, through the
-    first J with _EM_SAFETY |a_J| < lim: the kernel's target 10^-(D+6) N^-t,
-    or a unit of 2^-W, which the floors can not resolve (the case for large t).
-    odd: b_j = E_2j (t)_2j N^-e 2^V / (2 (2j)!) at e = t+2j for the same j,
-    from b_1 = floor(-t (t+1) 2^V / (4 N^(t+2))) (E_2 = -1) by
+    first J with _EM_SAFETY |a_J| < lim: the kernel's target 10^-(D+6) N^-s,
+    or a unit of 2^-W, which the floors can not resolve (the case for large s).
+    odd: b_j = E_2j (s)_2j N^-e 2^V / (2 (2j)!) at e = s+2j for the same j,
+    from b_1 = floor(-s (s+1) 2^V / (4 N^(s+2))) (E_2 = -1) by
     _em_step(odd=True)."""
     N, V = _outer_cutoff(D), _fixed_bits(D) + _INNER_GUARD
-    Nt = N**t
-    lim = max((1 << V) // (10 ** (D + 6) * Nt), 1 << _INNER_GUARD)
+    Ns = N**s
+    lim = max((1 << V) // (10 ** (D + 6) * Ns), 1 << _INNER_GUARD)
     if odd:
-        chain = [-(t * (t + 1) << V) // (4 * Nt * N * N)]
-        J = len(_inner_chain(t, D, False))
+        chain = [-(s * (s + 1) << V) // (4 * Ns * N * N)]
+        J = len(_inner_chain(s, D, False))
     else:
-        chain = [(t << V) // (3 * Nt * N)]
+        chain = [(s << V) // (3 * Ns * N)]
         J = 499
     while len(chain) < J and (odd or _EM_SAFETY * abs(chain[-1]) >= lim):
-        step = _em_step(t, len(chain) + 1, N, odd)
+        step = _em_step(s, len(chain) + 1, N, odd)
         if step is None:
-            raise PrecisionError(f"inner EM series turned at j={len(chain) + 1} before target (t={t}, N={N})")
+            raise PrecisionError(f"inner EM series turned at j={len(chain) + 1} before target (s={s}, N={N})")
         chain.append(chain[-1] * step[0] // step[1])
     if not odd and _EM_SAFETY * abs(chain[-1]) >= lim:
-        raise PrecisionError(f"inner EM loop exhausted (t={t}, N={N})")
+        raise PrecisionError(f"inner EM loop exhausted (s={s}, N={N})")
     return chain
 
 
 @_memo(_array_cache)
-def _inner_array(q: str, t: int, r: int, D: int):
-    """The folded expansion of chi_q's inner tail seen from outer class r.
+def _inner_array(p: str, s: int, r: int, D: int):
+    """The folded expansion of chi_p's strict tail R_p(s; m) = sum_{n>m}
+    chi_p(n) n^-s at m == r (mod 4), the inner factor of [p,q](s,t)'s class r.
 
-    With the weights w_d = chi_q(r+d), d = 0..3, the tail at n == r (mod 4) is
-    sum_{m>=n} chi_q(m) m^-t = sum_d w_d sum_{k>=0} (n+d+4k)^-t, which
+    With the weights w_d = chi_p(r+d), d = 0..3, the tail from n = m on is
+    sum_{n>=m} chi_p(n) n^-s = sum_d w_d sum_{k>=0} (m+d+4k)^-s, which
     Euler-Maclaurin with Bernoulli polynomials (DLMF 24.17.1, 2.10) expands as
-      (sum w) n^(1-t) / (4(t-1))   (-(sum w) log(n) / 4 at t = 1, regularized)
-      + sum_{i=1}^{p} (-1)^i g_i (t)_(i-1) n^-(t+i-1) + R_p,
+      (sum w) m^(1-s) / (4(s-1)) + sum_{i=1}^{k} (-1)^i g_i (s)_(i-1) m^-(s+i-1) + R_k,
     g_i = sum_d w_d B_i(d/4) 4^(i-1) / i!, and from B_i(1/2) = (2^(1-i) - 1) B_i
     and B_i(1/4) = -i E_(i-1) / 4^i - (1 - 2^(1-i)) B_i / 2^i:
       g_1 = -w_0/2 - (w_1 - w_3)/4;
       g_2j = beta_j m_2j, m_i = (w_0 - w_2) + w_2 2^(1-i) - (w_1 + w_3)(2^-i - 2^(1-2i));
-      g_(2j+1) = -(w_1 - w_3) E_2j / (4 (2j)!), an exact zero unless q = m4
+      g_(2j+1) = -(w_1 - w_3) E_2j / (4 (2j)!), an exact zero unless p = m4
         and r is even.
-    So the term of e = t+2j-1 is a_j m_2j and that of e = t+2j is
-    (w_1 - w_3)/2 b_j at scale N^-e 2^V, with _inner_chain's a_j and b_j.
-    a_j m_2j is one floor of a_j M_j / 2^(4j-1), M_j = m_2j 2^(4j-1) an integer,
-    within j |M_j| / 2^(4j-1) + 1 units; the first two terms are floors.
+    The strict tail leaves out n = m, w_0 m^-s, so its m^-s coefficient is
+    -g_1 - w_0 = (w_1 - w_3 - 2 w_0)/4.  At s = 1 p is mean-zero: sum w = 0,
+    and there is no m^(1-s) term.  The term of e = s+2j-1 is a_j m_2j and that
+    of e = s+2j is (w_1 - w_3)/2 b_j at scale N^-e 2^V, with _inner_chain's
+    a_j and b_j.  a_j m_2j is one floor of a_j M_j / 2^(4j-1), M_j = m_2j
+    2^(4j-1) an integer, within j |M_j| / 2^(4j-1) + 1 units; the first two
+    terms are floors.
 
-    The sum runs through p = 2J+1, J = len(a): |R_p| is at most sum |w| 2 zeta(p)
-    (2 pi)^-p 4^(p-1) (t)_(p-1) n^(1-t-p) (periodic Bernoulli functions are at
-    most 2 zeta(p) p! / (2 pi)^p), which is sum |w| |a_J| 2^-V (N/n)^erem
-    (zeta(p) / zeta(p-1)) 2 (t+2J-1) / (pi N), erem = t+2J, and 2/pi < 2/3.
+    The sum runs through k = 2J+1, J = len(a): |R_k| is at most sum |w| 2 zeta(k)
+    (2 pi)^-k 4^(k-1) (s)_(k-1) m^(1-s-k) (periodic Bernoulli functions are at
+    most 2 zeta(k) k! / (2 pi)^k), which is sum |w| |a_J| 2^-V (N/m)^erem
+    (zeta(k) / zeta(k-1)) 2 (s+2J-1) / (pi N), erem = s+2J, and 2/pi < 2/3.
 
     Returns (E, F, (rem, erem), rnd): E lists the exponents e of the nonzero
     coefficients c_e in increasing order, F[i] = floor(x / 2^G) for the
     integer x of e = E[i], G = _INNER_GUARD, so that
     |c_e N^-e 2^W - F[i]| <= 1 + u_e / 2^G for x's units u_e, whose sum over
-    e is at most rnd 2^G; |R| <= rem 2^-2W N^(erem-1) n^-erem for n > N.
+    e is at most rnd 2^G; |R| <= rem 2^-2W N^(erem-1) m^-erem for m > N.
     """
     N, W = _outer_cutoff(D), _fixed_bits(D)
     V = W + _INNER_GUARD
-    w0, w1, w2, w3 = w = (CHI[q] * 2)[r - 1 : r + 3]
-    Nt = N**t
+    w0, w1, w2, w3 = w = (CHI[p] * 2)[r - 1 : r + 3]
+    Ns = N**s
     terms = []  # (e, x, units of x)
-    if t > 1 and sum(w):
-        terms.append((t - 1, (sum(w) * N << V) // (4 * (t - 1) * Nt), 1))
-    if 2 * w0 + w1 - w3:
-        terms.append((t, ((2 * w0 + w1 - w3) << V) // (4 * Nt), 1))
-    chain = _inner_chain(t, D, False)
-    odd = _inner_chain(t, D, True) if w1 != w3 else None
+    if sum(w):
+        terms.append((s - 1, (sum(w) * N << V) // (4 * (s - 1) * Ns), 1))
+    if w1 - w3 - 2 * w0:
+        terms.append((s, ((w1 - w3 - 2 * w0) << V) // (4 * Ns), 1))
+    chain = _inner_chain(s, D, False)
+    odd = _inner_chain(s, D, True) if w1 != w3 else None
     for j, a in enumerate(chain, 1):
         M = (w0 - w2 << 4 * j - 1) + (w2 << 2 * j) - (w1 + w3) * ((1 << 2 * j - 1) - 1)
         if M:
-            terms.append((t + 2 * j - 1, a * M >> 4 * j - 1, (j * abs(M) >> 4 * j - 1) + 2))
+            terms.append((s + 2 * j - 1, a * M >> 4 * j - 1, (j * abs(M) >> 4 * j - 1) + 2))
         if odd:
-            terms.append((t + 2 * j, (w1 - w3) // 2 * odd[j - 1], j))
+            terms.append((s + 2 * j, (w1 - w3) // 2 * odd[j - 1], j))
     E, X, units = zip(*terms)
-    rem = -(-sum(map(abs, w)) * (abs(a) + j) * 2 * (t + 2 * j - 1) // 3)
+    rem = -(-sum(map(abs, w)) * (abs(a) + j) * 2 * (s + 2 * j - 1) // 3)
     F = [x >> _INNER_GUARD for x in X]
-    return E, F, (rem << W - _INNER_GUARD, t + 2 * j), -(-sum(units) >> _INNER_GUARD)
-
-
-def _inner_const(q: str, t: int, D: int):
-    """(X, units) with |C 2^W - X| <= units, W = _fixed_bits(D), for the constant C
-    of the inner prefix sum_{m<n} chi_q(m) m^-t: L_q(t), or for a divergent inner
-    sum (t = 1, q not mean-zero) sum_r chi_q(r) C_r over the class constants."""
-    if _L_convergent(q, t):
-        return _L_fixed(q, t, D)
-    return _class_consts(q, D)
-
-
-@_memo(_fixed_cache, "C")
-def _class_consts(q: str, D: int):
-    return _class_tails_fixed(q, 1, 0, D)
+    return E, F, (rem << W - _INNER_GUARD, s + 2 * j), -(-sum(units) >> _INNER_GUARD)
 
 
 # --------------------------------------------------------------------------
@@ -731,69 +649,58 @@ def _char_convergent(p, q, s, t):
     return p in CHAR_IDS and q in CHAR_IDS and t >= 1 and _L_convergent(p, s)
 
 
-def _class_heads(q: str, s: int, t: int, D: int):
-    """[H_r for r = 1..4]: the head n <= N of [p,q](s,t)'s outer class r at
-    scale 2^-W, H_r = sum_{n == r (mod 4)} floor(P[n-1] / n^s) with the prefix
-    P[k] = sum_{m<=k} chi_q(m) floor(2^W/m^t); each term is within 2 units
-    (_head_units).  One division of P by the small n^s per term, where the
-    product floor(2^W/n^s) P at 2^-2W would multiply two W-bit integers."""
+def _class_heads(p: str, s: int, t: int, D: int):
+    """[(H_r, units_r) for r = 1..4]: the head m <= N of [p,q](s,t)'s class r
+    of m at scale 2^-W, H_r = sum_{m == r (mod 4)} floor((X - P[m]) / m^t)
+    with (X, U) = _L_fixed(p, s, D) and the prefix
+    P[m] = sum_{n<=m} chi_p(n) floor(2^W/n^s), so that X - P[m] is the strict
+    tail R_p(s; m) 2^W within U + m units.  Divided by m^t and floored, a term
+    is within U / m^t + 2 units; sum m^-t is below 2 for t >= 2 and below
+    log2(N) + 1 at t = 1, so units_r = U (2, or N's bit length) + 2 a term."""
     N = _outer_cutoff(D)
-    prefix = list(accumulate(map(mul, cycle(CHI[q][3:] + CHI[q][:3]), _pow_row(t, D))))
-    npow = _int_pow_row(s, D)
-    return [sum(map(floordiv, prefix[r - 1 : N : 4], npow[r::4])) for r in (1, 2, 3, 4)]
+    X, U = _L_fixed(p, s, D)
+    rest = [X - P for P in accumulate(map(mul, cycle(CHI[p][3:] + CHI[p][:3]), _pow_row(s, D)))]
+    mt = _int_pow_row(t, D)
+    spread = U * (2 if t > 1 else N.bit_length())
+    return [(sum(map(floordiv, rest[r::4], mt[r::4])), spread + 2 * len(mt[r::4])) for r in (1, 2, 3, 4)]
 
 
 @_memo(_fixed_cache, "pairs")
-def _class_pairs(q: str, s: int, t: int, D: int):
-    """(acc_r, units_r) for r = 1..4 at scale 2^-2W N^-s: the head, fold, cross and
-    log terms of [p,q](s,t)'s outer class r, which _char_em signs with chi_p(r).
-    The head's units are _char_fixed's (_head_units).  The cross term C T_r is
-    C G_r[s] at every s; at s = 1 the signed sum over the mean-zero p's classes
-    cancels the log parts of the regularized G_r[1]."""
+def _class_pairs(p: str, s: int, t: int, D: int):
+    """(acc_r, units_r) for r = 1..4 at scale 2^-2W N^-t: the sum over
+    m == r (mod 4) of m^-t R_p(s; m), R_p(s; m) = sum_{n>m} chi_p(n) n^-s,
+    which _char_fixed signs with chi_q(r).  The head m <= N is _class_heads's,
+    the tail m > N the dot product sum_e F_e G_r[t+e] of _inner_array(p, s, r)
+    with the class row; every exponent t+e is at least 2."""
     N, W = _outer_cutoff(D), _fixed_bits(D)
-    Ns = N**s
-    C, Cu = _inner_const(q, t, D)
-    log4 = -sum(CHI[q]) if t == 1 else 0  # 4 times the tail's log coefficient
+    Nt = N**t
     pairs = []
-    for r, head in zip((1, 2, 3, 4), _class_heads(q, s, t, D)):
-        acc = (head << W) * Ns
-        E, F, (rem, erem), rnd = _inner_array(q, t, r, D)
-        G, B = _tail_row(r, s, s + E[-1] + 1, D)
-        Gs, Bs = [G[s + e] for e in E], [B[s + e] for e in E]
-        acc -= sum(map(mul, F, Gs))
-        # the floors of F, one unit each, and x's units: rnd 2^-W at each n > N
+    for r, (head, head_units) in zip((1, 2, 3, 4), _class_heads(p, s, t, D)):
+        E, F, (rem, erem), rnd = _inner_array(p, s, r, D)
+        G, B = _tail_row(r, t + E[0], t + E[-1] + 1, D)
+        Gt, Bt = [G[t + e] for e in E], [B[t + e] for e in E]
+        acc = (head << W) * Nt + sum(map(mul, F, Gt))
+        # the floors of F, one unit each, and x's units: rnd 2^-W at each m > N
         # against the first entry, the largest T(r,u) N^u of the row
-        units = sum(map(mul, map(abs, F), Bs)) + sum(Gs) + sum(Bs) + rnd * (Gs[0] + Bs[0])
-        # sum_{n > N} rem n^(-s-erem) <= rem N^(1-s-erem) / (s+erem-1)
-        units += -(-rem // (s + erem - 1))
-        # C T_r: C 2^W within Cu units, T_r N^s 2^W within B[s] (the
-        # regularized T_r at s = 1 may be negative)
-        acc += C * G[s]
-        units += abs(C) * B[s] + Cu * (abs(G[s]) + B[s])
-        if log4:
-            # the log-weighted tail at scale 2^W N^s, times log4 / 4
-            X, Xu = class_tail(r, s, N, D, logw=True)
-            acc -= log4 * X << (W - 2)
-            units += abs(log4) * Xu << (W - 2)
+        units = (head_units << W) * Nt + sum(map(mul, map(abs, F), Bt)) + sum(Gt) + sum(Bt) + rnd * (Gt[0] + Bt[0])
+        # sum_{m > N} rem m^(-t-erem) <= rem N^(1-t-erem) / (t+erem-1)
+        units += -(-rem // (t + erem - 1))
         pairs.append((acc, units))
     return tuple(pairs)
 
 
 def _char_fixed(p: str, q: str, s: int, t: int, D: int):
     """(x, units) with |[p,q](s,t) 2^(2W) - x| <= units, W = _fixed_bits(D): the
-    combine of the cached _class_pairs with chi_p's signs, itself not cached."""
+    combine of the cached _class_pairs with chi_q's signs, itself not cached."""
     if not _char_convergent(p, q, s, t):
         raise DomainError(f"[{p},{q}]({s},{t}) is outside the convergence region")
-    if s == 1 and not _L_convergent(q, t):
-        # needs a regularized combination of the log-weighted u = 1 class tails
-        raise DomainError(f"[{p},{q}](1,1): the divergent-inner s = 1 case is not supported yet")
-    Ns = _outer_cutoff(D) ** s
-    acc, units = 0, _head_units(D) * Ns
-    for cp, (a, u) in zip(CHI[p], _class_pairs(q, s, t, D)):
-        if cp:
-            acc += cp * a
+    Nt = _outer_cutoff(D) ** t
+    acc = units = 0
+    for cq, (a, u) in zip(CHI[q], _class_pairs(p, s, t, D)):
+        if cq:
+            acc += cq * a
             units += u
-    return acc // Ns, -(-units // Ns) + 1
+    return acc // Nt, -(-units // Nt) + 1
 
 
 @_memo(_value_cache, "cs")
@@ -806,8 +713,9 @@ def char_dzeta_num(p: str, q: str, s: int, t: int, ctx: EvalContext):
     """[p,q](s,t) = sum_{n>m>=1} chi_p(n) chi_q(m) / (n^s m^t), within 10^-prec.
 
     [1,1] is the plain double zeta value; a 2b slot is the alternating bar.
-    s = 1 is accepted for mean-zero outer characters (2b, m4); s = t = 1 also
-    needs a mean-zero inner character (the divergent-inner corner raises).
+    t >= 1, and s >= 2, or s = 1 for the mean-zero outer characters 2b and m4
+    with any inner character: summed over m outside, the tail over n
+    converges wherever L_p(s) does.
     """
     _known(p, q)
     require_ints("char_dzeta_num", s=s, t=t)

@@ -33,6 +33,18 @@ def test_eval_char_and_witten(capsys):
     assert code == 0 and out.startswith("2.4041138063191885")
 
 
+def test_eval_prints_prec_digits_after_the_point(capsys):
+    # 7 zeta(5) = 7.25849428600358948431955840519923917639956..., so prec
+    # significant digits would print ...1764 (4.3e-40 off, over the 4.0e-40
+    # contract); a value below 1 keeps prec significant digits
+    code, out, _ = run(capsys, "--prec", "40", "eval", "7*zeta(5)")
+    assert code == 0 and out.splitlines()[0] == "7.2584942860035894843195584051992391763996"
+    code, out, _ = run(capsys, "--prec", "20", "eval", "1000*zeta(3)")
+    assert code == 0 and out.splitlines()[0] == "1202.05690315959428539974"
+    code, out, _ = run(capsys, "--prec", "20", "eval", "zeta(3)-zeta(3)")
+    assert code == 0 and out.splitlines()[0] == "0.0"
+
+
 def test_eval_exact_expression(capsys):
     code, out, _ = run(capsys, "eval", "B(12)")
     assert code == 0 and "-691/2730" in out and "exact" in out

@@ -375,57 +375,61 @@ def test_char_dzeta_mean_zero_s1_t1_corners(prec):
         assert abs(pair - (pi / 4 * ln2 - mp.catalan)) < tol(ctx)
 
 
-@pytest.mark.parametrize("p,q", [("2b", "1"), ("2b", "2a"), ("m4", "1")])
-def test_char_dzeta_divergent_inner_s1_corner_names_the_sum(ctx40, p, q):
-    msg = re.escape(f"[{p},{q}](1,1)") + r".*divergent-inner s = 1 case is not supported yet"
-    with pytest.raises(DomainError, match=msg):
-        char_dzeta_num(p, q, 1, 1, ctx40)
+@pytest.mark.parametrize("prec", [40, 100, 300])
+def test_char_dzeta_s1_t1_corners_with_a_divergent_inner_prefix(prec):
+    # s = t = 1 with an inner character of nonzero mean: summed over m outside,
+    # the tail over n of the mean-zero p converges, so these corners evaluate
+    # like any other sum.  [2b,1](1,1) = -log(2)^2/2 is the alternating
+    # zeta(1bar, 1); the other three closed forms are numerical identifications
+    # (checked to 1e-300 here), not proofs
+    ctx = EvalContext(prec)
+    with mp.workdps(prec + 20):
+        ln2, pi, catalan = mp.log(2), +mp.pi, +mp.catalan
+        corners = {
+            ("2b", "1"): -ln2**2 / 2,
+            ("2b", "2a"): -pi**2 / 24,
+            ("m4", "1"): -pi * ln2 / 8,
+            ("m4", "2a"): pi * ln2 / 8 - catalan / 2,
+        }
+        for (p, q), want in corners.items():
+            assert abs(char_dzeta_num(p, q, 1, 1, ctx) - want) < tol(ctx), (p, q, prec)
 
 
 def _char_em_per_character(p, q, s, t, D):
-    """[p,q](s,t) with its per-class terms computed for this p alone: the
-    per-character combine loop that _class_pairs replaced, kept as a reference.
-    Its head is on purpose the one _class_heads replaced, the products
-    floor(2^W/n^s) P[n-1] at 2^-2W, so that equal bits show that the two head
-    formulas round to the same value and bound."""
-    from itertools import accumulate, cycle
+    """[p,q](s,t) summed over m outside for this q alone: a plain loop over
+    the head m <= N and the tails of q's classes, the per-character combine
+    that _class_pairs shares between inner characters, kept as a reference."""
     from operator import mul
 
     N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
-    Ns = N**s
-    prefix = list(accumulate(map(mul, cycle(CHI[q][3:] + CHI[q][:3]), numerics._pow_row(t, D))))
+    Nt = N**t
+    X, U = numerics._L_fixed(p, s, D)
     outer = numerics._pow_row(s, D)
-    direct = sum(
-        c * sum(map(mul, outer[r::4], prefix[r - 1 : N : 4])) for r, c in zip((1, 2, 3, 4), CHI[p]) if c
-    )
-    acc = direct * Ns
-    units = numerics._head_units(D) * Ns
-    C, Cu = numerics._inner_const(q, t, D)
-    log4 = -sum(CHI[q]) if t == 1 else 0
+    head = prefix = units = 0
+    for m in range(1, N + 1):
+        prefix += CHI[p][(m - 1) % 4] * outer[m]
+        head += CHI[q][(m - 1) % 4] * ((X - prefix) // m**t)
+    acc = (head << W) * Nt
     for r in (1, 2, 3, 4):
-        cp = CHI[p][r - 1]
-        if not cp:
+        cq = CHI[q][r - 1]
+        if not cq:
             continue
-        E, F, (rem, erem), rnd = numerics._inner_array(q, t, r, D)
-        G, B = numerics._tail_row(r, s, s + E[-1] + 1, D)
-        Gs, Bs = [G[s + e] for e in E], [B[s + e] for e in E]
-        acc -= cp * sum(map(mul, F, Gs))
-        units += sum(map(mul, map(abs, F), Bs)) + sum(Bs) + sum(Gs) + rnd * (Gs[0] + Bs[0])
-        units += -(-rem // (s + erem - 1))
-        acc += cp * C * G[s]
-        units += abs(C) * B[s] + Cu * (abs(G[s]) + B[s])
-        if log4:
-            X, Xu = numerics.class_tail(r, s, N, D, logw=True)
-            acc -= cp * log4 * X << (W - 2)
-            units += abs(log4) * Xu << (W - 2)
-    return numerics._from_fixed(acc // Ns, -(-units // Ns) + 1, 2 * W, D)
+        head_units = U * (2 if t > 1 else N.bit_length()) + 2 * len(range(r, N + 1, 4))
+        E, F, (rem, erem), rnd = numerics._inner_array(p, s, r, D)
+        G, B = numerics._tail_row(r, t + E[0], t + E[-1] + 1, D)
+        Gt, Bt = [G[t + e] for e in E], [B[t + e] for e in E]
+        acc += cq * sum(map(mul, F, Gt))
+        units += (head_units << W) * Nt
+        units += sum(map(mul, map(abs, F), Bt)) + sum(Bt) + sum(Gt) + rnd * (Gt[0] + Bt[0])
+        units += -(-rem // (t + erem - 1))
+    return numerics._from_fixed(acc // Nt, -(-units // Nt) + 1, 2 * W, D)
 
 
 def test_shared_class_pairs_bit_identical_to_per_character_loop():
-    # every supported [p,q](s,t), s <= 4, t <= 3, at three depths, and s, t <= 2
-    # at D = 310, requested in a shuffled order from empty caches so that pairs
-    # one p fills are read by another; the reference's product head gives the
-    # same bits as the divided one
+    # every [p,q](s,t), s <= 4, t <= 3, at three depths, and s, t <= 2 at
+    # D = 310, the four s = t = 1 corners with an inner character of nonzero
+    # mean included, requested in a shuffled order from empty caches so that
+    # pairs one q fills are read by another
     import random
 
     requests = [
@@ -435,46 +439,70 @@ def test_shared_class_pairs_bit_identical_to_per_character_loop():
         for s in range(1, 5)
         for t in range(1, 4)
         for D in (20, 50, 110, 310)
-        if numerics._char_convergent(p, q, s, t) and not (s == t == 1 and not numerics.is_mean_zero(q))
-        and (D < 310 or max(s, t) <= 2)
+        if numerics._char_convergent(p, q, s, t) and (D < 310 or max(s, t) <= 2)
     ]
     random.Random(20261018).shuffle(requests)
     numerics.clear_caches()
     shared = [numerics._char_em(*req) for req in requests]
-    # one pair tuple per distinct (q, s, t, D), whichever p asked first
+    # one pair tuple per distinct (p, s, t, D), whichever q asked first
     assert {key for key in numerics._fixed_cache if key[0] == "pairs"} == {
-        ("pairs",) + req[1:] for req in requests
+        ("pairs", p, s, t, D) for p, q, s, t, D in requests
     }
     for req, (v, b) in zip(requests, shared):
         ref_v, ref_b = _char_em_per_character(*req)
         assert (v._mpf_, b._mpf_) == (ref_v._mpf_, ref_b._mpf_), req
-    # the unsupported corner is refused before any pair is built
+    # a divergent outer sum is refused before any pair is built
     with pytest.raises(DomainError):
-        numerics._char_em("2b", "1", 1, 1, 50)
-    assert ("pairs", "1", 1, 1, 50) not in numerics._fixed_cache
+        numerics._char_em("1", "2b", 1, 2, 50)
+    assert ("pairs", "1", 1, 2, 50) not in numerics._fixed_cache
 
 
-def test_class_heads_within_two_units_a_term_of_the_exact_head():
-    # the divided head against the exact rational head sum_{n <= N} n^-s
-    # sum_{m < n} chi_q(m) m^-t of each outer class, in units of 2^-W: the
-    # prefix's n-1 floors move a term by at most (n-1)/n^s either way and its
-    # own floor lowers it by less than 1, so each term is within 2 units, and
-    # the head within the 2N 2^W units of 2^-2W that _head_units counts
+@pytest.mark.parametrize("D, top", [(20, 4), (50, 4), (110, 4), (310, 2)])
+def test_char_bounds_honest_at_every_small_exponent(D, top):
+    # every [p,q](s,t), s, t <= top, against the same sum at D + 40 digits
+    # with no allowance, and every bound at most 10^-(D+3)
+    for p in CHAR_IDS:
+        for q in CHAR_IDS:
+            for s in range(1, top + 1):
+                for t in range(1, top + 1):
+                    if not numerics._char_convergent(p, q, s, t):
+                        continue
+                    value, bound = numerics._char_em(p, q, s, t, D)
+                    ref, _ = numerics._char_em(p, q, s, t, D + 40)
+                    with mp.workdps(D + 60):
+                        assert abs(value - ref) <= bound <= mpf(10) ** -(D + 3), (p, q, s, t, D)
+
+
+def test_class_heads_within_their_units_of_the_exact_head(monkeypatch):
+    # the head sum_{m <= N} m^-t R_p(s; m) of each class r of m, in units of
+    # 2^-W, against the exact rational head with L_p(s) from a D + 40 digit
+    # evaluation: with _L_fixed's own pair, and with pairs (X, U) whose X is
+    # off by K = 0 and +-2^20 units of L_p(s) 2^W, so that the head's count
+    # U sum m^-t is what covers the shift
     D = 20
     N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
-    assert numerics._head_units(D) >= 2 * N << W
-    for q in CHAR_IDS:
-        for t in range(1, 5):
-            prefix = [Fraction(0)]
-            for m in range(1, N):
-                prefix.append(prefix[-1] + Fraction(chi(q, m), m**t))
-            for s in range(1, 5):
-                heads = numerics._class_heads(q, s, t, D)
-                for r, H in zip((1, 2, 3, 4), heads):
-                    ns = range(r, N + 1, 4)
-                    err = H - sum(prefix[n - 1] / n**s for n in ns) * 2**W
-                    drift = sum(Fraction(n - 1, n**s) for n in ns)
-                    assert -len(ns) - drift < err <= drift, (q, s, t, r)
+    K = 1 << 20
+    for p in CHAR_IDS:
+        for s in range(1, 5):
+            if not numerics._L_convergent(p, s):
+                continue
+            X, U = numerics._L_fixed(p, s, D + 40)
+            Wd = numerics._fixed_bits(D + 40)
+            assert U < 1 << (Wd - W - 8)
+            L = Fraction(X, 2**Wd)  # within 2^-8 units of 2^-W
+            rest = [L]
+            for n in range(1, N + 1):
+                rest.append(rest[-1] - Fraction(chi(p, n), n**s))
+            Lx = round(L * 2**W)
+            pairs = [numerics._L_fixed(p, s, D)] + [(Lx + k, abs(k) + 1) for k in (0, K, -K)]
+            for t in range(1, 5):
+                exact = [sum(rest[m] / m**t for m in range(r, N + 1, 4)) * 2**W for r in (1, 2, 3, 4)]
+                for pair in pairs:
+                    monkeypatch.setattr(numerics, "_L_fixed", lambda p, s, D, pair=pair: pair)
+                    heads = numerics._class_heads(p, s, t, D)
+                    monkeypatch.undo()
+                    for r, (H, units), want in zip((1, 2, 3, 4), heads, exact):
+                        assert abs(H - want) <= units, (p, s, t, r, pair[1])
 
 
 def test_reflection_s_t_le_2_within_reported_bounds(ctx40):
@@ -787,8 +815,8 @@ def test_determinism(ctx40):
 
 def test_fixed_point_tail_rows_bracket_the_kernel():
     # every row entry is class_tail's pair, the one-exponent case of the row
-    # kernel (at u = 1 the regularized tail, which L_p(1) and the C T_r(1)
-    # term of [p,q](1,t) read from the row), and sampled entries bracket a Hurwitz-zeta reference with no
+    # kernel (at u = 1 the regularized tail, which L_p(1) reads from the row),
+    # and sampled entries bracket a Hurwitz-zeta reference with no
     # allowance.  Each row runs past the exponents _char_em asks for (about 72
     # at D = 20, 111 at D = 50 and 368 at D = 310).  At D = 20 the start passes
     # N from u = 132 on, so the start m0 changes every few exponents there and
@@ -865,48 +893,41 @@ def _exact(x):
     return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
 
 
-def _class_tail_reference(u, logw, n0):
+def _class_tail_reference(u, n0):
     """The class tail from n0 on at the current precision, a = n0/4:
-    sum n^-u = 4^-u zeta(u, a), sum n^-u log n = 4^-u (log 4 zeta(u, a) -
-    zeta'(u, a)), and the regularized u = 1 tail is -digamma(a)/4 - log(4)/4."""
+    sum n^-u = 4^-u zeta(u, a), and the regularized u = 1 tail is
+    -digamma(a)/4 - log(4)/4."""
     a = mpf(n0) / 4
     if u == 1:
         return -mp.digamma(a) / 4 - mp.log(4) / 4
-    if logw:
-        return mpf(4) ** -u * (mp.log(4) * mp.zeta(u, a) - mp.zeta(u, a, 1))
     return mpf(4) ** -u * mp.zeta(u, a)
 
 
 def test_em_bracket_within_its_floor_units():
     # the integer bracket against the exact rational partial sum of the same
-    # terms, the three kinds: plain, regularized u = 1 and log-weighted, where
-    # log m0 is taken from a D + 60 digit reference.  The chain's floors drift
+    # terms, both kinds: plain and regularized u = 1, where log m0 is taken
+    # from a D + 60 digit reference.  The chain's floors drift
     # by 15-30 units here, so each is counted; L is passed a unit below its
     # floor, within the 2 units the bracket allows, and at m0 = 10^6 that unit
     # moves the sum by about m0 / 4 units, far above the floors.
     from fractions import Fraction
 
     V, D = 400, 84
-    for u, m0, logw in (
-        (2, 321, False), (7, 323, False), (40, 1637, False), (368, 1640, False),
-        (1, 321, False), (1, 10**6, False), (2, 321, True), (40, 1637, True), (2, 10**6, True),
-    ):
+    for u, m0 in ((2, 321), (7, 323), (40, 1637), (368, 1640), (1, 321), (1, 10**6)):
         with mp.workprec(V + 200):
             log_m0 = _exact(mp.log(m0))
         L = numerics._log_fixed(m0, V)
         assert abs(L - log_m0 * 2**V) < 1
-        x, units, _, j = numerics._em_bracket(u, m0, m0**u, V, D, L - 1, logw)
+        x, units, _, j = numerics._em_bracket(u, m0, m0**u, V, D, L - 1)
         plain = Fraction(m0, 4 * (u - 1)) if u > 1 else -m0 * log_m0 / 4
         plain += Fraction(1, 2)
-        hsum = rise = 0
+        rise = 0
         for i in range(1, j + 1):
             rise = u if i == 1 else rise * (u + 2 * i - 3) * (u + 2 * i - 2)
             beta = bernoulli(2 * i) * 4 ** (2 * i - 1) / math.factorial(2 * i)
             t = beta * rise / Fraction(m0) ** (2 * i - 1)
             plain += t
-            hsum += t * sum(Fraction(1, u + k) for k in range(2 * i - 1))
-        exact = log_m0 * plain + Fraction(m0, 4 * (u - 1) ** 2) - hsum if logw else plain
-        assert abs(x - exact * 2**V) <= units, (u, m0, logw)
+        assert abs(x - plain * 2**V) <= units, (u, m0)
 
 
 def test_em_ratios_match_the_bernoulli_quotients():
@@ -931,70 +952,76 @@ def test_cold_deep_eval_builds_no_bernoulli_table(monkeypatch):
 
 
 def test_fixed_point_tail_restarts(monkeypatch):
-    # from a third of the usual start the plain and log-weighted (r, u) = (4, 30)
-    # tails and the regularized u = 1 tail of class 2 turn and restart farther
+    # from a third of the usual start the (r, u) = (4, 30) tail and the
+    # regularized u = 1 tail of class 2 turn and restart farther
     # out, and still bracket the reference; every start lies above N = 10, so
     # the head n = 12, 16, ... (n = 14, 18, ...) below m0 is summed directly
     D, N = 310, 10
     W = numerics._fixed_bits(D)
     real_start = numerics._kernel_start
     real_bracket = numerics._em_bracket
-    for r, u, logw, restarts in ((4, 30, False, 3), (4, 30, True, 3), (2, 1, False, 2)):
+    for r, u, restarts in ((4, 30, 3), (2, 1, 2)):
         start = real_start(u, D) // 3
         monkeypatch.setattr(numerics, "_kernel_start", lambda u, D: start)
         starts = []
         monkeypatch.setattr(numerics, "_em_bracket", lambda *a: starts.append(a[1]) or real_bracket(*a))
-        G, B = numerics._tail_fixed(r, u, N, D, logw)
-        assert len(set(starts)) == len(starts) == restarts + 1, (u, logw)
+        G, B = numerics._tail_fixed(r, u, N, D)
+        assert len(set(starts)) == len(starts) == restarts + 1, u
         n0 = N + 1 + (r - 1 - N) % 4
         with mp.workdps(D + 80):
-            ref = _class_tail_reference(u, logw, n0)
-            assert abs(G - ref * mpf(N) ** u * mpf(2) ** W) <= B, (u, logw)
+            ref = _class_tail_reference(u, n0)
+            assert abs(G - ref * mpf(N) ** u * mpf(2) ** W) <= B, u
     # a start that never lets the series fall below target runs out of restarts
     monkeypatch.setattr(numerics, "_kernel_start", lambda u, D: 1)
-    for r, u, logw, N in ((3, 40, False, 1), (3, 40, True, 1), (2, 1, False, 0)):
-        msg = rf"did not converge for class {r}, exponent {u}, log weight {logw}, N={N}, D=310"
+    for r, u, N in ((3, 40, 1), (2, 1, 0)):
+        msg = rf"did not converge for class {r}, exponent {u}, N={N}, D=310"
         with pytest.raises(PrecisionError, match=msg):
-            numerics._tail_fixed(r, u, N, D, logw)
+            numerics._tail_fixed(r, u, N, D)
 
 
-def _inner_coefficients(q, t, r, p):
-    """{e: c_e}, exact, of the inner tail sum_{m>=n} chi_q(m) m^-t at
-    n == r (mod 4) through the Bernoulli-polynomial term i = p:
-    sum w / (4(t-1)) at e = t-1 and (-1)^i g_i (t)_(i-1) at e = t+i-1, with
-    w_d = chi_q(r+d) and g_i = sum_d w_d B_i(d/4) 4^(i-1) / i!; B_i(x) at
-    x = 0, 1/4, 1/2, 3/4 from the Bernoulli and Euler numbers."""
+def _inner_coefficients(p, s, r, k):
+    """{e: c_e}, exact, of the strict tail sum_{n>m} chi_p(n) n^-s at
+    m == r (mod 4) through the Bernoulli-polynomial term i = k:
+    sum w / (4(s-1)) at e = s-1 and (-1)^i g_i (s)_(i-1) at e = s+i-1, less
+    the term n = m, w_0 at e = s, with w_d = chi_p(r+d) and
+    g_i = sum_d w_d B_i(d/4) 4^(i-1) / i!; B_i(x) at x = 0, 1/4, 1/2, 3/4
+    from the Bernoulli and Euler numbers."""
     from mzv.exact import euler_number
 
-    w = [CHI[q][(r + d - 1) % 4] for d in range(4)]
-    c = {t - 1: Fraction(sum(w), 4 * (t - 1))} if t > 1 else {}
-    rise = 1  # (t)_(i-1)
-    for i in range(1, p + 1):
+    w = [CHI[p][(r + d - 1) % 4] for d in range(4)]
+    c = {s - 1: Fraction(sum(w), 4 * (s - 1))} if sum(w) else {}
+    rise = 1  # (s)_(i-1)
+    for i in range(1, k + 1):
         b = bernoulli(i)
         quarter = -i * euler_number(i - 1) / Fraction(4**i) - (1 - Fraction(2) ** (1 - i)) * b / 2**i
         at = (b, quarter, (Fraction(2) ** (1 - i) - 1) * b, (-1) ** i * quarter)
         g = sum(wd * x for wd, x in zip(w, at)) * Fraction(4 ** (i - 1), math.factorial(i))
-        c[t + i - 1] = (-1) ** i * g * rise
-        rise *= t + i - 1
+        c[s + i - 1] = (-1) ** i * g * rise
+        rise *= s + i - 1
+    c[s] -= w[0]
     return c
+
+
+def _tail_cases():
+    """(p, s) for s = 1, 2, 5 and 12: at s = 1 the mean-zero p only."""
+    return [(p, s) for s in (1, 2, 5, 12) for p in CHAR_IDS if numerics._L_convergent(p, s)]
 
 
 @pytest.mark.parametrize("D", [20, 50, 110])
 def test_inner_array_within_its_units_of_exact_coefficients(D):
-    # every (q, r), against the exact rationals through p = 2J + 1: the
+    # every (p, r), against the exact rationals through k = 2J + 1: the
     # exponents are exactly those of the nonzero coefficients, and each entry
     # is within one unit of c_e N^-e 2^W plus its share of rnd
     N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
-    for t in (1, 2, 5, 12):
-        J = len(numerics._inner_chain(t, D, False))
-        for q in CHAR_IDS:
-            for r in (1, 2, 3, 4):
-                E, F, (rem, erem), rnd = numerics._inner_array(q, t, r, D)
-                c = _inner_coefficients(q, t, r, 2 * J + 1)
-                assert list(E) == sorted(e for e, v in c.items() if v), (q, t, r, D)
-                assert erem == t + 2 * J
-                off = [abs(c[e] * Fraction(2**W, N**e) - f) for e, f in zip(E, F)]
-                assert sum(max(x - 1, 0) for x in off) <= rnd, (q, t, r, D)
+    for p, s in _tail_cases():
+        J = len(numerics._inner_chain(s, D, False))
+        for r in (1, 2, 3, 4):
+            E, F, (rem, erem), rnd = numerics._inner_array(p, s, r, D)
+            c = _inner_coefficients(p, s, r, 2 * J + 1)
+            assert list(E) == sorted(e for e, v in c.items() if v), (p, s, r, D)
+            assert erem == s + 2 * J
+            off = [abs(c[e] * Fraction(2**W, N**e) - f) for e, f in zip(E, F)]
+            assert sum(max(x - 1, 0) for x in off) <= rnd, (p, s, r, D)
 
 
 def test_inner_array_zero_pattern():
@@ -1015,27 +1042,24 @@ def test_inner_array_zero_pattern():
 
 @pytest.mark.parametrize("D", [20, 50, 110])
 def test_inner_array_bounds_a_hurwitz_reference(D):
-    # the expansion at the first two n > N of class r against the tail from
-    # mpmath's Hurwitz zeta (digamma for the regularized t = 1 classes) at
-    # D + 40 digits: off by at most the remainder rem 2^-2W N^(erem-1) n^-erem
-    # and the entries' units
+    # the expansion at the first two m > N of class r against the strict tail
+    # from n = m + 1 on, from mpmath's Hurwitz zeta (digamma for the
+    # regularized s = 1 classes, whose log parts cancel in the mean-zero p)
+    # at D + 40 digits: off by at most the remainder
+    # rem 2^-2W N^(erem-1) m^-erem and the entries' units
     N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
-    for t in (1, 2, 5, 12):
-        for q in CHAR_IDS:
-            for r in (1, 2, 3, 4):
-                E, F, (rem, erem), rnd = numerics._inner_array(q, t, r, D)
-                n0 = N + 1 + (r - N - 1) % 4
-                for n in (n0, n0 + 4):
-                    with mp.workdps(D + 40):
-                        w = [CHI[q][(r + d - 1) % 4] for d in range(4)]
-                        ref = sum(wd * _class_tail_reference(t, False, n + d) for d, wd in enumerate(w) if wd)
-                        got = sum(f * (mpf(N) / n) ** e for e, f in zip(E, F)) / mpf(2) ** W
-                        if t == 1:
-                            got -= sum(w) * mp.log(n) / 4
-                        scale = [(mpf(N) / n) ** e / mpf(2) ** W for e in E]
-                        allow = rem * mpf(2) ** (-2 * W) * mpf(N) ** (erem - 1) / mpf(n) ** erem
-                        allow += sum(scale) + rnd * scale[0]
-                        assert abs(got - ref) <= allow, (q, t, r, D, n)
+    for p, s in _tail_cases():
+        for r in (1, 2, 3, 4):
+            E, F, (rem, erem), rnd = numerics._inner_array(p, s, r, D)
+            m0 = N + 1 + (r - N - 1) % 4
+            for m in (m0, m0 + 4):
+                with mp.workdps(D + 40):
+                    ref = sum(chi(p, m + d) * _class_tail_reference(s, m + d) for d in (1, 2, 3, 4))
+                    got = sum(f * (mpf(N) / m) ** e for e, f in zip(E, F)) / mpf(2) ** W
+                    scale = [(mpf(N) / m) ** e / mpf(2) ** W for e in E]
+                    allow = rem * mpf(2) ** (-2 * W) * mpf(N) ** (erem - 1) / mpf(m) ** erem
+                    allow += sum(scale) + rnd * scale[0]
+                    assert abs(got - ref) <= allow, (p, s, r, D, m)
 
 
 def test_inner_array_length_at_deep_precision():
@@ -1056,14 +1080,14 @@ def test_class_tails_within_bound_of_hurwitz_reference(prec):
     # below a unit
     D = EvalContext(prec).work_digits
     Nc, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
-    sample = [(1, False, 0), (2, True, 0), (1, False, Nc), (2, False, Nc), (40, True, Nc), (120, False, Nc)]
+    sample = [(1, 0), (2, 0), (1, Nc), (2, Nc), (40, Nc), (120, Nc)]
     for r in (1, 2, 3, 4):
-        for u, logw, N in sample:
-            X, units = numerics.class_tail(r, u, N, D, logw)
+        for u, N in sample:
+            X, units = numerics.class_tail(r, u, N, D)
             n0 = N + 1 + (r - 1 - N) % 4
             with mp.workdps(D + 40 + math.ceil(u * math.log10(n0))):
-                ref = _class_tail_reference(u, logw, n0)
-                assert abs(X - ref * mpf(max(N, 1)) ** u * mpf(2) ** W) <= units, (r, u, logw, N, prec)
+                ref = _class_tail_reference(u, n0)
+                assert abs(X - ref * mpf(max(N, 1)) ** u * mpf(2) ** W) <= units, (r, u, N, prec)
 
 
 def test_precision_errors_name_their_term(monkeypatch):
@@ -1071,15 +1095,13 @@ def test_precision_errors_name_their_term(monkeypatch):
     numerics.clear_caches()
     with monkeypatch.context() as m:
         m.setattr(numerics, "_outer_cutoff", lambda D: 4)
-        with pytest.raises(PrecisionError, match=r"inner EM series turned at j=4 before target \(t=2, N=4\)"):
+        with pytest.raises(PrecisionError, match=r"inner EM series turned at j=4 before target \(s=2, N=4\)"):
             numerics._inner_chain(2, 50, False)
     numerics.clear_caches()
     # from m0 = 10^6 + 1 the EM terms fall for far more than 499 steps, and
     # still lie above the target of D = 5000 digits after them
-    for logw in (False, True):
-        msg = rf"loop exhausted for class 1, exponent 2, log weight {logw}, N=1000000, D=5000"
-        with pytest.raises(PrecisionError, match=msg):
-            numerics._tail_fixed(1, 2, 10**6, 5000, logw)
+    with pytest.raises(PrecisionError, match=r"loop exhausted for class 1, exponent 2, N=1000000, D=5000"):
+        numerics._tail_fixed(1, 2, 10**6, 5000)
 
 
 def test_clear_caches_empties_every_cache(ctx40):
@@ -1089,12 +1111,14 @@ def test_clear_caches_empties_every_cache(ctx40):
     expr = zeta_sym(3) * zeta_sym(5) + ConstExpr.generator("li4h") * ConstExpr.generator("log2", 2)
 
     def cold_values():
-        return (
+        pairs = (
             numerics._char_em("2b", "m4", 1, 2, D),
             numerics._char_em("1", "2a", 3, 1, D),
             numerics._L_internal("m4", 3, D),
             numerics._expr_internal(expr, D),
         )
+        # class_tail's one caller
+        return [x._mpf_ for pair in pairs for x in pair] + [periodic_tail_num("m4", 3, 10, ctx40)._mpf_]
 
     numerics.clear_caches()
     first = cold_values()
@@ -1106,7 +1130,7 @@ def test_clear_caches_empties_every_cache(ctx40):
     assert not any(caches)
     assert not any(key[0] == "pairs" for key in numerics._fixed_cache)
     # identical (value, bound) bits, computed again from empty caches
-    assert [(v._mpf_, b._mpf_) for v, b in cold_values()] == [(v._mpf_, b._mpf_) for v, b in first]
+    assert cold_values() == first
 
 
 def _cache_sizes():
@@ -1117,15 +1141,12 @@ _D = 20
 _N = numerics._outer_cutoff(_D)
 # (layer, arguments, its cache, the key it stores under)
 _MEMO_LAYERS = [
-    ("class_tail", (1, 3, _N, _D), "_kernel_cache", (1, 3, _N, _D, False)),
-    ("class_tail", (2, 3, _N, _D, True), "_kernel_cache", (2, 3, _N, _D, True)),
+    ("class_tail", (1, 3, _N, _D), "_kernel_cache", (1, 3, _N, _D)),
     ("_L_fixed", ("m4", 3, _D), "_fixed_cache", ("L", "m4", 3, _D)),
     ("_L_internal", ("2b", 1, _D), "_value_cache", ("L", "2b", 1, _D)),
-    ("_head_units", (_D,), "_fixed_cache", ("head", _D)),
     ("_pow_row", (2, _D), "_fixed_cache", ("pow", 2, _D)),
     ("_inner_chain", (2, _D, True), "_fixed_cache", ("chain", 2, _D, True)),
     ("_inner_array", ("m4", 2, 2, _D), "_array_cache", ("m4", 2, 2, _D)),
-    ("_inner_const", ("1", 1, _D), "_fixed_cache", ("C", "1", _D)),
     ("_class_pairs", ("1", 2, 1, _D), "_fixed_cache", ("pairs", "1", 2, 1, _D)),
     ("_char_em", ("2b", "m4", 1, 2, _D), "_value_cache", ("cs", "2b", "m4", 1, 2, _D)),
     ("_witten_internal", (1, 1, 2, _D), "_value_cache", ("W", 1, 1, 2, _D)),
@@ -1148,9 +1169,9 @@ def test_memo_hit_returns_the_stored_object_and_grows_no_cache(name, args, cache
 _REFUSED = [
     ("_L_fixed", ("1", 1, _D)),
     ("_L_fixed", ("1", 0, _D)),
-    ("_char_em", ("2b", "1", 1, 1, _D)),
+    ("_char_em", ("1", "2b", 1, 2, _D)),
     ("_harmonic_internal", ("odd_denom", 1, _D)),
-    ("class_tail", (1, 1, _N, _D, True)),
+    ("class_tail", (1, 0, _N, _D)),
 ]
 
 

@@ -4,7 +4,7 @@ Witten table."""
 from pathlib import Path
 
 from mzv.corpus import parse_expr
-from mzv.numerics import EvalContext, expr_num
+from mzv.numerics import EvalContext, expr_num, periodic_tail_num
 from mzv.verify import eval_ast, reduce_ast
 
 
@@ -18,6 +18,8 @@ def test_tracer_sees_the_witten_and_harmonic_layers(monkeypatch):
         eval_ast(parse_expr("W(1,2,3) + hsum_odd(3) + hsum_half(2) + L(2b,3) + cs(2b,m4;1,2)"), {}, EvalContext(17))
         # the numeric walk reads no reduction; the symbolic walk reaches them
         expr_num(reduce_ast(parse_expr("W(1,2,3)"), {}), EvalContext(17))
+        # the double sums read the class tails from their rows; the periodic tail calls class_tail
+        periodic_tail_num("m4", 3, 10, EvalContext(17))
     finally:
         tracer.uninstall()
     for layer in (

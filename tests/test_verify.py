@@ -464,16 +464,14 @@ def test_folded_operands_match_the_reference_walk(ctx30, text, s):
 
 def test_eval_and_reduce_reject_the_same_inputs_alike(ctx30):
     """Where the numeric walk raises a DomainError on an odd or folded input,
-    the symbolic walk raises one with the same text.  cs(2b,1;1,1) is the one
-    exception: numerics does not support its divergent inner sum yet, and
-    the symbolic walk has no tabulated value for it."""
+    the symbolic walk raises one with the same text."""
     differ = []
     for text in _ODD_INPUTS + _FOLDED_INPUTS + _FOLDED_POWERS:
         ast = parse_expr(text)
         num = _outcome(lambda: eval_ast_detailed(ast, {"s": 3}, ctx30))
         if num[0] == "DomainError" and _outcome(lambda: reduce_ast(ast, {"s": 3})) != num:
             differ.append(text)
-    assert differ == ["cs(2b,1;1,1)"]
+    assert differ == []
 
 
 # ---------------------------------------------------------------------------
