@@ -27,9 +27,9 @@ of class r of m is a sum of floor((X - P[m]) / m^t) at 2^-W, where X is
 L_p(s) 2^W and P[m] = sum_(n<=m) chi_p(n) floor(2^W/n^s), so that X - P[m]
 is R_p(s; m) 2^W, with one division by the integer m^t per term
 (_class_heads).  For m > N, R_p is expanded folded: its coefficients, with
-chi_p's signs already in them, are one vector of F_e = floor(c_e N^-e 2^W)
-over the exponents whose c_e is not an exact zero (_inner_array).  The tail
-is then one integer dot product with the class's row G_u ~ T(r,u) N^u 2^W
+chi_p's signs in them, are one vector of F_e, c_e N^-e 2^W truncated toward
+zero, over the exponents whose c_e is not an exact zero (_inner_array).  The
+tail is one integer dot product with the class's row G_u ~ T(r,u) N^u 2^W
 at u = t + e.  Every unit dropped by a floor goes into the reported bound:
 with B_u >= |T(r,u) N^u 2^W - G_u|, an entry contributes at most
 |F_e| B_u + B_u + G_u units of 2^-2W N^-t; the expansion's remainder is
@@ -38,30 +38,23 @@ integer units too.
 The per-class terms do not depend on the inner character q: _class_pairs sums
 them into one pair per class and (p, s, t, D), which all q share and only sign.
 
-Every class tail, plain or regularized, comes from one Euler-Maclaurin
-kernel run in exact integers (class_tail, _tail_fixed): from a start m0 > N
-in class r, far enough out that the terms fall below the target before they
-turn upward, the direct terms N < n < m0 are floors and the rest is m0^-u
-times a bracket summed at scale 2^V, V = W + 64.  The plain bracket
-is m0/(4(u-1)) + 1/2 + sum_j t_j, t_j(u) = beta_j (u)_(2j-1) / m0^(2j-1) with
-beta_j = B_2j 4^(2j-1) / (2j)!.  The exponents of one row (_tail_row) are
-built from the highest down, and all those with the same start share one list
-of t_j (_EMTerms): since t_j(u) = t_j(u+1) u / (u+2j-1), the list steps down
-one exponent by one multiplication and one floor division by small integers
-per term.  The ratio is below 1, so each descent adds at most one unit to a
-term.  Past the list's end, t_j is one floor division of t_(j-1) by the exact
-step ratio (beta_j / beta_(j-1), from one list grown on demand, times
-(u+2j-3)(u+2j-2)/m0^2), whose magnitude is at most 1 (_em_step), which adds
-one unit more; so after d descents t_j is within j + d units.  A new start
-begins a new list, and a lone class_tail is the one-exponent case with d = 0.
-The regularized u = 1 tail, which L_p(1) and periodic_tail_num read,
-replaces the integral term m0/(4(u-1)) by -m0 L/4, L = log m0 as
-floor(log m0 2^V) from mpmath, within 2 units that the bound counts.  The
-bound also counts _EM_SAFETY times the last term with its units, every other
-floor and the shift from 2^V to 2^W.  A series that turns before its target
-restarts from a start 1.6 times farther out, at most five times, with a list
-of its own.
-class_tail returns its pair at the rows' scale N^u 2^W (2^W at N = 0).
+Every class tail comes from one Euler-Maclaurin kernel in exact integers
+(_tail_fixed): from a start m0 > N in class r, far enough out that the terms
+fall below the stop before they turn upward, the direct terms N < n < m0 are
+floors and the rest is m0^-u times the bracket m0/(4(u-1)) + 1/2 + sum_j t_j
+at scale 2^V, t_j(u) = beta_j (u)_(2j-1) / m0^(2j-1), beta_j = B_2j
+4^(2j-1) / (2j)!, cut after its first term below _EM_STOP units; the
+regularized u = 1 tail has -m0 log(m0)/4 for m0/(4(u-1)).  class_tail, a
+row's u = 1 entry too, is summed at V = W + _ROW_GUARD.  A row (_tail_row)
+is built upward from u = 2, entry u at a scale 2^V_u that falls with u to
+what its readers resolve (_row_scales), since the F_e its units meet has shed
+about (u-1) log2 N bits.  While the start stays, the row's terms are one list
+stepped up by one multiplication and one floor division by small integers a
+term (_EMTerms); past what any reader resolves an entry is 0 within a closed
+form bound, and no kernel runs.  The bound counts _EM_SAFETY times the last
+term with its units, every floor and the rescaling to 2^W; a series that
+turns before its stop restarts 1.6 times farther out, at most five times,
+with a list of its own.
 
 The tail expansions come straight from Euler-Maclaurin with Bernoulli
 polynomials: at m in class r, chi_p's tail is a sum over the shifts
@@ -98,7 +91,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, count, cycle
+from itertools import accumulate, count, cycle, repeat
 from operator import floordiv, mul
 
 from mpmath import mp, mpf
@@ -199,7 +192,7 @@ def _check(pair, ctx: EvalContext, what: str):
 # One memo rule (_memo): a layer stores its result under its argument tuple,
 # led by the layer's tag where layers share a dict.  _value_cache holds the
 # rounded (value, bound) pairs ("L", "cs", "W", "H"), _fixed_cache the integer
-# layers ("L", "ipow", "pow", "chain", "pairs", and _tail_row's
+# layers ("L", "ipow", "pow", "chain", "pairs", "scales", and _tail_row's
 # growing ("tail", r, D) rows) and the generator powers ("gpow"); the other
 # two are class_tail's kernel and _inner_array.  Callers must not change a
 # returned list.
@@ -235,6 +228,9 @@ def _memo(cache: dict, tag=None):
 # EM safety factor: the remainder after the B_{2j} correction is bounded by the
 # first omitted term for completely monotone integrands; 4 is a safe margin.
 _EM_SAFETY = 4
+# a row entry's units, read through an inner coefficient, stay below
+# 2^-_ROW_GUARD units of 2^-W; an EM sum stops at a term below _EM_STOP units
+_ROW_GUARD, _EM_STOP = 32, 16
 
 # beta_j / beta_(j-1) as (num, den) at index j >= 2: the step ratios of _em_step,
 # appended as the chains first reach each j
@@ -254,15 +250,11 @@ def _kernel_start(u: int, D: int) -> int:
 def class_tail(r: int, u: int, N: int, D: int):
     """(X, units) with |T Nu 2^W - X| <= units for the class tail
     T = sum_{n > N, n == r (mod 4)} n^-u, at the scale of the tail rows:
-    Nu = N^u (1 at N = 0) and W = _fixed_bits(D).
-
-    For u == 1 the *regularized* tail: the limit of the partial sum minus
-    (1/4) log X.  Only meaningful inside combinations whose coefficients over
-    the four classes sum to zero, where the log X parts cancel; callers are
-    responsible for that cancellation.  The integer kernel _tail_fixed
-    computes it.  L_p(s) and the double sums read the tails at N = N(D) from
-    the rows (_tail_row), which hold the same pairs; class_tail serves
-    periodic_tail_num, at any N.
+    Nu = N^u (1 at N = 0) and W = _fixed_bits(D).  For u == 1 the
+    *regularized* tail, the limit of the partial sum minus (1/4) log X, only
+    meaningful where the log X parts cancel over the four classes.  It is the
+    row kernel's one-exponent case at the full scale 2^(W + _ROW_GUARD), for
+    periodic_tail_num at any N; the rows at N(D) taper their entries.
     """
     if u < 1:
         raise DomainError("class_tail needs u >= 1")
@@ -416,139 +408,144 @@ def _em_step(u: int, j: int, y: int, odd: bool = False):
 
 
 class _EMTerms:
-    """The plain EM terms t[j-1] = t_j(u) = beta_j (u)_(2j-1) / m0^(2j-1) of
-    one start m0 at scale 2^V, each within j + d units after d descents.  at()
-    steps them down to exponent u, t_j(k) = floor(t_j(k+1) k / (k+2j-1)) for
-    each k, a ratio below 1 that adds at most one unit per step, or starts
-    anew from t_1(u) = floor(u 2^V / (3 m0)) (beta_1 = 1/3) at a new m0 or a
-    higher u.  _em_bracket extends the list by _em_step and cuts it at its stop.
-    """
+    """The plain EM terms t[j-1] = t_j(u) of one start m0 at scale 2^V, each
+    within e units.  at() steps them up from k = u-1 to u and from 2^V to
+    2^V', V' <= V: t_j(u) = floor(t_j(k) (k+2j-1) / (k 2^(V-V'))), which
+    takes e to ceil(e (k+2J-1) / (k 2^(V-V'))) + 1 for J terms; or, at a new
+    m0, any other u or a rising scale, starts anew from t_1(u) =
+    floor(u 2^V / (3 m0)) (beta_1 = 1/3), within one unit.  _em_bracket cuts
+    the list at its stop or extends it by _em_step, one unit more a term."""
 
-    __slots__ = ("m0", "u", "d", "t")
+    __slots__ = ("m0", "u", "V", "e", "t")
 
     def __init__(self):
         self.m0 = None
 
     def at(self, u: int, m0: int, V: int) -> list:
-        if m0 != self.m0 or u > self.u:
-            self.m0, self.u, self.d, self.t = m0, u, 0, [(u << V) // (3 * m0)]
-        for k in range(self.u - 1, u - 1, -1):
-            self.t = [x * k // (k + 2 * j - 1) for j, x in enumerate(self.t, 1)]
-        self.d += self.u - u
-        self.u = u
+        if m0 != self.m0 or u != self.u + 1 or V > self.V:
+            self.t, self.e = [(u << V) // (3 * m0)], 1
+        else:
+            k, div, J = u - 1, u - 1 << self.V - V, len(self.t)
+            self.t = list(map(floordiv, map(mul, self.t, range(k + 1, k + 2 * J, 2)), repeat(div)))
+            self.e = -(-self.e * (k + 2 * J - 1) // div) + 1
+        self.m0, self.u, self.V = m0, u, V
         return self.t
 
 
-@functools.cache
-def _em_scales(D: int):
-    """(10^(D+30), _EM_SAFETY 10^(D+6)): the divisors of _em_bracket's stop test."""
-    return 10 ** (D + 30), _EM_SAFETY * 10 ** (D + 6)
-
-
-def _em_bracket(u: int, m0: int, m0u: int, V: int, D: int, L: int | None = None, terms: _EMTerms | None = None):
-    """The Euler-Maclaurin bracket of class_tail's tail from m0 at scale 2^V:
-    the tail from m0 on is m0^-u times
-      m0/(4(u-1)) + 1/2 + sum_j t_j           (plain, u >= 2),
-      -m0 log(m0)/4 + 1/2 + sum_j t_j         (regularized, u = 1),
-    with t_j = beta_j (u)_(2j-1) / m0^(2j-1).  L = floor(log(m0) 2^V), within
-    2 units, for u = 1; m0u = m0^u.  The terms are those of `terms`, the
-    _EMTerms a row shares (a new one if None), where the j-th is within
-    j + d units after d descents.
-
-    The sum stops once the last term is below 10^-(D+6) / _EM_SAFETY times the
-    scale |integral term| + f(m0) m0^u + 10^-(D+30) m0^u.  Returns
-    (x, floors, rem, j): x within `floors` units of the partial sum through j
-    terms times 2^V, and rem = _EM_SAFETY (|last term| + its units), which
-    bounds the rest; or None if the terms turn upward first.  A sum that does
-    not stop in 499 terms raises PrecisionError, which _tail_fixed names.
-    """
+def _em_bracket(u: int, m0: int, V: int, L: int | None = None, terms: _EMTerms | None = None):
+    """The Euler-Maclaurin bracket of a class tail from m0 at scale 2^V,
+    m0/(4(u-1)) + 1/2 + sum_j t_j, or -m0 log(m0)/4 + 1/2 + sum_j t_j at the
+    regularized u = 1, with L = floor(log(m0) 2^V) within 2 units.  The terms
+    are those of `terms`, a row's _EMTerms (a new one if None); they fall
+    until they turn, and the sum stops at the first below _EM_STOP units.
+    Returns (x, floors, rem): x within `floors` units of the partial sum
+    times 2^V, and rem = _EM_SAFETY (|last term| + e), which bounds the rest;
+    or None if the terms turn upward first.  A sum that does not stop in 499
+    terms raises PrecisionError, which _tail_fixed names."""
     if u == 1:  # L's 2 units move m0 L / 4 by m0 / 2, and the floor adds one
         lead, floors = -(m0 * L) // 4, m0 // 2 + 2
     else:
         lead, floors = (m0 << V) // (4 * (u - 1)), 1
-    cut, stop = _em_scales(D)
-    lim = (abs(lead) + (1 << V) + (m0u << V) // cut) // stop
-    if terms is None:
-        terms = _EMTerms()
+    terms = terms or _EMTerms()
     t = terms.at(u, m0, V)
-    j = next(compress(count(1), map(lim.__gt__, map(abs, t))), 0)  # the first |t_j| < lim
-    while not j:
+    while len(t) > 1 and abs(t[-2]) < _EM_STOP:  # the terms fall: cut after the first below the stop
+        t.pop()
+    while abs(t[-1]) >= _EM_STOP:
         if len(t) == 499:
             raise PrecisionError("EM correction loop exhausted")
         step = _em_step(u, len(t) + 1, m0)
         if step is None:
             return None
         t.append(t[-1] * step[0] // step[1])
-        if abs(t[-1]) < lim:
-            j = len(t)
-    del t[j:]
-    d = terms.d
-    x = lead + (1 << (V - 1)) + sum(t)
-    return x, floors + j * (j + 1) // 2 + j * d, _EM_SAFETY * (abs(t[-1]) + j + d), j
+        terms.e += 1
+    return lead + (1 << V - 1) + sum(t), floors + len(t) * terms.e, _EM_SAFETY * (abs(t[-1]) + terms.e)
 
 
-def _tail_fixed(r: int, u: int, N: int, D: int, terms: _EMTerms | None = None):
+def _tail_fixed(r: int, u: int, N: int, D: int, V: int | None = None, terms: _EMTerms | None = None):
     """(G, B) with |T Nu 2^W - G| <= B for class_tail's tail T, Nu = N^u (1 at
-    N = 0), W = _fixed_bits(D).
-
-    Euler-Maclaurin for f(x) = (4x + m0)^-u in exact integers at scale 2^V,
-    V = W + 64, from the kernel's start m0: the direct terms N < n < m0 are
-    floors and the rest is m0^-u times _em_bracket.  B counts every floor
-    unit, the bracket's units and remainder and the shift from 2^V to 2^W.
-    `terms` is the _EMTerms a row shares for its brackets from the kernel's
-    start; a restart farther out sums a list of its own.
-    """
-    V = _fixed_bits(D) + 64
+    N = 0), W = _fixed_bits(D), summed at scale 2^V (W + _ROW_GUARD if None):
+    the direct terms N < n < m0 are floors and the rest is m0^-u times
+    _em_bracket.  B counts every floor unit, the bracket's units and
+    remainder and the rescaling to 2^W.  `terms` is the _EMTerms of a row;
+    a restart farther out sums a list of its own."""
+    W = _fixed_bits(D)
+    V = W + _ROW_GUARD if V is None else V
     Nu = max(N, 1) ** u
     start_min = _kernel_start(u, D)
-    for _ in range(5):
-        m0 = max(N, start_min) + 1
-        m0 += (r - m0) % 4
-        m0u = m0**u
-        L = _log_fixed(m0, V) if u == 1 else None
-        try:
-            em = _em_bracket(u, m0, m0u, V, D, L, terms)
-        except PrecisionError as exc:
-            raise PrecisionError(f"{exc} for {_tail_name(r, u, N, D)}") from None
-        if em is None:
-            start_min = int(start_min * 1.6) + 8  # the series turned: restart farther out
-            terms = None
-            continue
-        x, floors, rem, _ = em
-        head = range(N + 1 + (r - N - 1) % 4, m0, 4)  # empty when m0 is the first n > N of class r
-        s = sum((Nu << V) // n**u for n in head) + x * Nu // m0u
-        err = len(head) + 1 - (-(floors + rem) * Nu // m0u)  # units of 2^-V, then of 2^-W after the shift
-        return s >> 64, ((err - 1) >> 64) + 2
-    raise PrecisionError(f"EM tail did not converge for {_tail_name(r, u, N, D)}")
-
-
-def _tail_name(r: int, u: int, N: int, D: int) -> str:
-    return f"class {r}, exponent {u}, N={N}, D={D}"
+    try:
+        for _ in range(5):
+            m0 = max(N, start_min) + 1
+            m0 += (r - m0) % 4
+            em = _em_bracket(u, m0, V, _log_fixed(m0, V) if u == 1 else None, terms)
+            if em is None:  # the series turned: restart farther out
+                start_min, terms = int(start_min * 1.6) + 8, None
+                continue
+            x, floors, rem = em
+            m0u = m0**u
+            head = range(N + 1 + (r - N - 1) % 4, m0, 4)  # empty when m0 is the first n > N of class r
+            s = sum((Nu << V) // n**u for n in head) + x * Nu // m0u
+            err = len(head) + 1 - (-(floors + rem) * Nu // m0u)  # units of 2^-V
+            if V < W:
+                return s << W - V, err << W - V
+            return s >> V - W, ((err - 1) >> V - W) + 2
+        raise PrecisionError("EM tail did not converge")
+    except PrecisionError as exc:
+        raise PrecisionError(f"{exc} for class {r}, exponent {u}, N={N}, D={D}") from None
 
 
 # class_tail's memoized kernel, keyed (r, u, N, D)
 _class_tail = _memo(_kernel_cache)(_tail_fixed)
 
 
+@_memo(_fixed_cache, "scales")
+def _row_scales(D: int) -> list:
+    """[V_u for u = 2, 3, ...]: the scales of the row entries, through the
+    last u whose allowance A_u is below Ghat_u = (4u + N) 2^W / (4(u-1)), a
+    bound on T N^u 2^W from the first n1 <= N + 4 of the class.  Every inner
+    coefficient of exponent e is at most c*_e = 20 (2/3)^e (e-1)!, and F_e = 0
+    where c*_e N^-e 2^(W+1) < 1: past reach, since that is log-convex in e and
+    above 2N + 2 the EM step ratio, at least (e-2)(e-1) / (4 N^2), has turned
+    (a first term there has s > 2N).  So A_u = 2^-g N^u / c*_e at
+    e = max(4, min(u-1, reach)), g = _ROW_GUARD (c*_4 is above c*_1..c*_3),
+    keeps F_e B_u / N^t near 2^-g units of 2^-W for B_u <= A_u.  It grows
+    with u; V_u = W + 16 - log2 A_u leaves 2^15 for an entry's units."""
+    N, W = _outer_cutoff(D), _fixed_bits(D)
+    e, fact, pw = 1, 1, 3 * N  # fact = (e-1)!, pw = (3N)^e; reach = e - 1 at the end
+    while e <= 2 * N + 2 and 20 * fact << W + 1 + e >= pw:  # c*_e 2^(W+1) >= N^e
+        fact, e, pw = fact * e, e + 1, pw * 3 * N
+    scales, Nu, cn, cd = [], N, 640, 27  # N^(u-1) and c*_e = cn / cd, from c*_4 = 640/27
+    for u in count(2):
+        Nu *= N
+        if 4 < u - 1 < e:  # c*_e = c*_(e-1) 2 (e-1) / 3
+            cn, cd = cn * 2 * (u - 2), cd * 3
+        if Nu * cd * 4 * (u - 1) >= (cn << _ROW_GUARD) * (4 * u + N) << W:
+            return scales
+        scales.append(max(1, W + 16 + (cn << _ROW_GUARD).bit_length() - (Nu * cd).bit_length()))
+
+
 def _tail_row(r: int, lo: int, hi: int, D: int):
     """Lists (G, B) indexed by exponent u, filled at least for lo <= u < hi:
-    G[u] = floor(T N^u 2^W) up to B[u] >= |T N^u 2^W - G[u]| units for the class
-    tail T of class_tail(r, u, N, D), N = _outer_cutoff(D).  The missing
-    entries are filled from the highest u down and share one _EMTerms: at the
-    same start m0, t_j(u) = floor(t_j(u+1) u / (u+2j-1)), one multiplication
-    and one division by small integers per term, which adds one unit to it;
-    the exact step ratio runs only past the list's end.  Start, stop test and
-    restarts are class_tail's, which is the one-exponent case.
-    """
-    G, B = row = _fixed_cache.setdefault(("tail", r, D), ([], []))
-    if len(G) < hi:
-        G.extend([None] * (hi - len(G)))
-        B.extend([None] * (hi - len(B)))
-    terms = _EMTerms()
-    for u in range(hi - 1, lo - 1, -1):
+    G[u] within B[u] units of T N^u 2^W for class_tail(r, u, N, D)'s tail T,
+    N = _outer_cutoff(D).  u = 1 is class_tail's case; from u = 2 the entries
+    are built in order at the scales of _row_scales, stepping one _EMTerms
+    up, so each depends on (r, u, D) alone.  Past those scales G[u] = 0 with
+    B[u] = ceil(Ghat_u), and no kernel runs."""
+    N, W = _outer_cutoff(D), _fixed_bits(D)
+    G, B, terms = _fixed_cache.setdefault(("tail", r, D), ([None, None], [None, None], _EMTerms()))
+    scales = _row_scales(D)
+    G += [None] * (hi - len(G))
+    B += [None] * (hi - len(B))
+    if lo < 2 and G[1] is None:
+        G[1], B[1] = _tail_fixed(r, 1, N, D)
+    top = len(scales) + 2
+    end = min(hi, top)
+    if end > 2 and G[end - 1] is None:  # the entries from the first missing one to end
+        for u in range(G.index(None, 2), end):
+            G[u], B[u] = _tail_fixed(r, u, N, D, scales[u - 2], terms)
+    for u in range(max(lo, top), hi):
         if G[u] is None:
-            G[u], B[u] = _tail_fixed(r, u, _outer_cutoff(D), D, terms=terms)
-    return row
+            G[u], B[u] = 0, -(-((4 * u + N) << W) // (4 * (u - 1)))
+    return G, B
 
 
 @_memo(_fixed_cache, "chain")
@@ -558,7 +555,7 @@ def _inner_chain(s: int, D: int, odd: bool):
     a_j = beta_j (s)_(2j-1) N^-e 2^V at e = s+2j-1, beta_j = B_2j 4^(2j-1) / (2j)!,
     from a_1 = floor(s 2^V / (3 N^(s+1))) (beta_1 = 1/3) by one floor division
     per step by _em_step's exact ratio, of magnitude at most 1, through the
-    first J with _EM_SAFETY |a_J| < lim: the kernel's target 10^-(D+6) N^-s,
+    first J with _EM_SAFETY |a_J| < lim: the target 10^-(D+6) N^-s,
     or a unit of 2^-W, which the floors can not resolve (the case for large s).
     odd: b_j = E_2j (s)_2j N^-e 2^V / (2 (2j)!) at e = s+2j for the same j,
     from b_1 = floor(-s (s+1) 2^V / (4 N^(s+2))) (E_2 = -1) by
@@ -611,8 +608,8 @@ def _inner_array(p: str, s: int, r: int, D: int):
     (zeta(k) / zeta(k-1)) 2 (s+2J-1) / (pi N), erem = s+2J, and 2/pi < 2/3.
 
     Returns (E, F, (rem, erem), rnd): E lists the exponents e of the nonzero
-    coefficients c_e in increasing order, F[i] = floor(x / 2^G) for the
-    integer x of e = E[i], G = _INNER_GUARD, so that
+    coefficients c_e in increasing order, F[i] = x / 2^G truncated toward
+    zero for the integer x of e = E[i], G = _INNER_GUARD, so that
     |c_e N^-e 2^W - F[i]| <= 1 + u_e / 2^G for x's units u_e, whose sum over
     e is at most rnd 2^G; |R| <= rem 2^-2W N^(erem-1) m^-erem for m > N.
     """
@@ -635,7 +632,7 @@ def _inner_array(p: str, s: int, r: int, D: int):
             terms.append((s + 2 * j, (w1 - w3) // 2 * odd[j - 1], j))
     E, X, units = zip(*terms)
     rem = -(-sum(map(abs, w)) * (abs(a) + j) * 2 * (s + 2 * j - 1) // 3)
-    F = [x >> _INNER_GUARD for x in X]
+    F = [x >> _INNER_GUARD if x >= 0 else -(-x >> _INNER_GUARD) for x in X]  # toward zero
     return E, F, (rem << W - _INNER_GUARD, s + 2 * j), -(-sum(units) >> _INNER_GUARD)
 
 

@@ -205,14 +205,20 @@ def dzeta_reduce(a: int, b: int) -> ConstExpr:
     require_ints("dzeta_reduce", a=a, b=b)
     if a < 2 or b < 1:
         raise DomainError(f"dzeta_reduce({a}, {b}) needs a >= 2, b >= 1")
+    if not dz_closes(a, b):
+        raise NotReducible(f"zeta({a},{b}) has weight {a+b} > 7")
     if b == 1:
         return zeta_s1_reduce(a + 1)
     if a == b:
         # the diagonal closes at every weight by reflection alone
         return (zeta_sym(a) * zeta_sym(a) - zeta_sym(2 * a)) * Fraction(1, 2)
-    if a + b > 7:
-        raise NotReducible(f"zeta({a},{b}) has weight {a+b} > 7")
     return _TABLE.dz_table(a + b)[a]
+
+
+def dz_closes(a: int, b: int) -> bool:
+    """Whether dzeta_reduce closes zeta(a, b), a >= 2, b >= 1: b = 1 and
+    a = b at any weight, every other one through weight 7."""
+    return b == 1 or a == b or a + b <= 7
 
 
 def alt_value_lookup(key) -> ConstExpr:

@@ -183,6 +183,17 @@ def _closed(red, msg=None):
     raise NotReducible(msg)
 
 
+def _witten_sym(r, s, t):
+    """W(r,s,t)'s exact value.  The first double zeta of witten_terms that
+    dzeta_reduce does not close raises before any term is folded: the terms'
+    coefficients are positive, so it is the descriptor's first leftover."""
+    msg = "Witten value leaves irreducible double zetas"
+    for kind, a, b in numerics.witten_terms(r, s, t):
+        if kind == "dz" and b and not reductions.dz_closes(a, b):
+            return _closed(reductions.WittenReduction(dz_terms={(a, b): 1}), msg)
+    return _closed(reductions.witten_reduction(r, s, t), msg)
+
+
 _CALLS = {
     "Hrat": _CallSpec(_labels("Hrat"), exact=lambda n: exact.harmonic(n)),
     "B": _CallSpec(_labels("B"), exact=lambda n: exact.bernoulli(n)),
@@ -205,8 +216,7 @@ _CALLS = {
                     "[{},{}]({},{}) diverges",
                     num=lambda D, p, q, s, t: numerics._char_em(p, q, s, t, D), sym=_cs_sym),
     "W": _CallSpec(_labels("W", 3), num=lambda D, r, s, t: numerics._witten_internal(r, s, t, D),
-                   sym=lambda r, s, t: _closed(reductions.witten_reduction(r, s, t),
-                                               "Witten value leaves irreducible double zetas")),
+                   sym=_witten_sym),
     "hsum_odd": _CallSpec(_labels("hsum_odd"),
                           num=lambda D, s: numerics._harmonic_internal("odd_denom", s, D),
                           sym=lambda s: _closed(reductions.harmonic_reduction("odd_denom", s))),

@@ -87,6 +87,25 @@ def test_reduce_witten_at_large_r_names_its_first_leftover(capsys):
     assert (code, out) == (3, "") and "zeta(603,3) has weight 606 > 7" in err
 
 
+def test_reduce_witten_stops_at_its_first_leftover(capsys, monkeypatch):
+    # zeta(4003,3) comes first in witten_terms' order, so the entry raises
+    # before it folds zeta(4005,1), whose closed form holds about 2,000 zeta
+    # products
+    from mzv import reductions
+
+    monkeypatch.setattr(reductions, "zeta_s1_reduce", None)
+    code, out, err = run(capsys, "reduce", "W(4000,3,3)")
+    assert (code, out) == (3, "")
+    assert err == "not reducible: Witten value leaves irreducible double zetas: zeta(4003,3) has weight 4006 > 7\n"
+
+
+def test_eval_tiny_positive_double_zeta_prints_no_negative_value(capsys):
+    # zeta(400,2) is about 3.9e-121, far below a unit of 2^-W at P = 20: no
+    # coefficient of the inner expansion may floor below zero
+    code, out, _ = run(capsys, "--prec", "20", "eval", "dz(400,2)")
+    assert code == 0 and float(out.splitlines()[0]) >= 0
+
+
 @pytest.mark.parametrize("expr, call", [
     ("zeta(1)", "zeta(1)"), ("hsum_odd(1)", "hsum_odd(1)"), ("hsum_half(0)", "hsum_half(0)"),
     ("dz(1,2)", "zeta(1,2)"), ("W(0,0,1)", "W(0,0,1)"),

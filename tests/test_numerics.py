@@ -457,14 +457,15 @@ def test_shared_class_pairs_bit_identical_to_per_character_loop():
     assert ("pairs", "1", 1, 2, 50) not in numerics._fixed_cache
 
 
-@pytest.mark.parametrize("D, top", [(20, 4), (50, 4), (110, 4), (310, 2)])
-def test_char_bounds_honest_at_every_small_exponent(D, top):
-    # every [p,q](s,t), s, t <= top, against the same sum at D + 40 digits
-    # with no allowance, and every bound at most 10^-(D+3)
+@pytest.mark.parametrize("D, top, t_top", [(20, 8, 8), (50, 8, 20), (110, 8, 8), (310, 4, 4)])
+def test_char_bounds_honest_at_every_small_exponent(D, top, t_top):
+    # every [p,q](s,t), s <= top, t <= t_top, against the same sum at D + 40
+    # digits with no allowance, and every bound at most 10^-(D+3); t = 20
+    # reads the rows up to u = 20 + E[-1]
     for p in CHAR_IDS:
         for q in CHAR_IDS:
             for s in range(1, top + 1):
-                for t in range(1, top + 1):
+                for t in range(1, t_top + 1):
                     if not numerics._char_convergent(p, q, s, t):
                         continue
                     value, bound = numerics._char_em(p, q, s, t, D)
@@ -813,32 +814,78 @@ def test_determinism(ctx40):
     assert a == c  # bit-identical after recomputation
 
 
+def _cap(e):
+    """c*_e = 20 (2/3)^e (e-1)!, the bound on every inner coefficient of exponent e."""
+    return 20 * Fraction(2, 3) ** e * math.factorial(e - 1)
+
+
+def _reach(D):
+    """The largest e <= 2N + 2 with c*_f N^-f 2^(W+1) >= 1 for every f <= e:
+    the highest exponent of a nonzero inner coefficient."""
+    N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
+    e = 1
+    while e <= 2 * N + 2 and _cap(e) * 2 ** (W + 1) >= N**e:
+        e += 1
+    return e - 1
+
+
 def test_fixed_point_tail_rows_bracket_the_kernel():
-    # every row entry is class_tail's pair, the one-exponent case of the row
-    # kernel (at u = 1 the regularized tail, which L_p(1) reads from the row),
-    # and sampled entries bracket a Hurwitz-zeta reference with no
-    # allowance.  Each row runs past the exponents _char_em asks for (about 72
-    # at D = 20, 111 at D = 50 and 368 at D = 310).  At D = 20 the start passes
-    # N from u = 132 on, so the start m0 changes every few exponents there and
-    # u = 150 and 250 also take direct terms.
+    # every row entry's units stay within its allowance
+    # A_u = 2^-g N^u / c*_e at e = max(4, min(u-1, reach)), plus the two units
+    # of the rows' integer scale 2^W; from the first u where A_u covers
+    # Ghat_u = (4u + N) 2^W / (4(u-1)) the entry is 0 within ceil(Ghat_u).
+    # Sampled entries bracket a Hurwitz-zeta reference with no allowance, as
+    # class_tail's full-scale pair does at u = 1.  Each row runs past the
+    # exponents _char_em asks for (about 72 at D = 20, 111 at D = 50 and 368
+    # at D = 310); at D = 20 the start passes N from u = 132 on, where the
+    # entries are already 0.
     rows = {  # D -> (row end, exponents checked against the reference)
-        20: (251, (2, 3, 5, 17, 40, 72, 131, 132, 150, 250)),
-        50: (112, (2, 3, 7, 30, 64, 111)),
-        110: (160, (2, 9, 50, 159)),
-        310: (369, (2, 17, 90, 220, 368)),
+        20: (251, (1, 2, 3, 5, 17, 40, 43, 44, 72, 131, 132, 150, 250)),
+        50: (112, (1, 2, 3, 7, 30, 62, 63, 64, 111)),
+        110: (160, (1, 2, 9, 50, 101, 102, 159)),
+        310: (369, (1, 2, 17, 90, 220, 240, 241, 368)),
     }
     for D, (hi, us) in rows.items():
         N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
+        reach = _reach(D)
+        A = {u: Fraction(N**u, 2**numerics._ROW_GUARD) / _cap(max(4, min(u - 1, reach))) for u in range(2, hi)}
+        top = len(numerics._row_scales(D)) + 2
+        assert A[top] * 4 * (top - 1) >= (4 * top + N) * 2**W > A[top - 1] * 4 * (top - 2), D
         for r in (1, 2, 3, 4):
             G, B = numerics._tail_row(r, 1, hi, D)
-            for u in range(1, hi):
-                assert numerics.class_tail(r, u, N, D) == (G[u], B[u]), (D, r, u)
+            assert (G[1], B[1]) == numerics.class_tail(r, 1, N, D), (D, r)
+            for u in range(2, hi):
+                assert B[u] <= A[u] + 2, (D, r, u)
+                assert (u >= top) == (G[u] == 0), (D, r, u)
             n0 = N + 1 + (r - 1 - N) % 4
             for u in us:
                 m0 = max(N, numerics._kernel_start(u, D)) + 1
                 with mp.workdps(D + 40 + math.ceil(u * math.log10(m0))):
-                    ref = mpf(4) ** -u * mp.zeta(u, mpf(n0) / 4) * mpf(N) ** u * mpf(2) ** W
+                    ref = _class_tail_reference(u, n0) * mpf(N) ** u * mpf(2) ** W
                     assert abs(G[u] - ref) <= B[u], (D, r, u)
+
+
+def test_coefficient_cap_bounds_the_inner_coefficients():
+    # c*_e is at least every exact inner coefficient, each character and
+    # class, s <= 12, through k = 40 Bernoulli terms; the arrays' nonzero
+    # entries lie at e <= reach, and past reach c*_e N^-e 2^(W+1) stays below
+    # 1 through 2N + 3, checked at both ends (log-convex in e)
+    for p in CHAR_IDS:
+        for s in range(1, 13):
+            if not numerics._L_convergent(p, s):
+                continue
+            for r in (1, 2, 3, 4):
+                for e, c in _inner_coefficients(p, s, r, 40).items():
+                    assert abs(c) <= _cap(e), (p, s, r, e)
+    for D in (20, 50, 110, 310):
+        N, W = numerics._outer_cutoff(D), numerics._fixed_bits(D)
+        reach = _reach(D)
+        for e in (reach + 1, 2 * N + 3):
+            assert _cap(e) * 2 ** (W + 1) < N**e, (D, e)
+        for p, s in _tail_cases():
+            for r in (1, 2, 3, 4):
+                E, F = numerics._inner_array(p, s, r, D)[:2]
+                assert max(e for e, f in zip(E, F) if f) <= reach, (p, s, r, D)
 
 
 def test_tail_row_entries_do_not_depend_on_fill_order():
@@ -857,21 +904,21 @@ def test_tail_row_entries_do_not_depend_on_fill_order():
 
 
 def test_tail_row_restart_in_the_middle_of_a_row(monkeypatch):
-    # with N = 10 and a start of 600 for u <= 90 (1200 above), the exponents
-    # from u = 58 (59 in class 3) to 90 turn from the start they share and
-    # restart farther out: below them are exponents with a start of their own,
-    # above them ones that read the shared list after those restarts.  Every
-    # entry brackets the reference with no allowance
+    # with N = 10 and a start of 585 for u <= 90 (1200 above), the exponents
+    # from u = 47 (42 in class 3) to 90 turn from the start they share and
+    # restart farther out: below them are exponents that stepped the shared
+    # list up, above them ones with a start of their own.  Every entry
+    # brackets the reference with no allowance
     D, N = 310, 10
     W = numerics._fixed_bits(D)
     monkeypatch.setattr(numerics, "_outer_cutoff", lambda D: N)
-    monkeypatch.setattr(numerics, "_kernel_start", lambda u, D: 600 if u <= 90 else 1200)
+    monkeypatch.setattr(numerics, "_kernel_start", lambda u, D: 585 if u <= 90 else 1200)
     real_bracket = numerics._em_bracket
     starts = []
     monkeypatch.setattr(numerics, "_em_bracket", lambda *a: starts.append(a[:2]) or real_bracket(*a))
     numerics.clear_caches()
     try:
-        for r, first in ((1, 58), (3, 59)):
+        for r, first in ((1, 47), (3, 42)):
             starts.clear()
             G, B = numerics._tail_row(r, 2, 121, D)
             tries = Counter(u for u, _ in starts)
@@ -903,31 +950,47 @@ def _class_tail_reference(u, n0):
     return mpf(4) ** -u * mp.zeta(u, a)
 
 
+def _em_term(u, j, m0):
+    """t_j(u) = beta_j (u)_(2j-1) / m0^(2j-1), beta_j = B_2j 4^(2j-1) / (2j)!, exact."""
+    beta = bernoulli(2 * j) * 4 ** (2 * j - 1) / math.factorial(2 * j)
+    return beta * Fraction(math.prod(range(u, u + 2 * j - 1)), m0 ** (2 * j - 1))
+
+
 def test_em_bracket_within_its_floor_units():
     # the integer bracket against the exact rational partial sum of the same
     # terms, both kinds: plain and regularized u = 1, where log m0 is taken
-    # from a D + 60 digit reference.  The chain's floors drift
-    # by 15-30 units here, so each is counted; L is passed a unit below its
+    # from a V + 200 bit reference.  The chain's floors drift
+    # by 20-40 units here, so each is counted; L is passed a unit below its
     # floor, within the 2 units the bracket allows, and at m0 = 10^6 that unit
     # moves the sum by about m0 / 4 units, far above the floors.
-    from fractions import Fraction
-
-    V, D = 400, 84
+    V = 400
     for u, m0 in ((2, 321), (7, 323), (40, 1637), (368, 1640), (1, 321), (1, 10**6)):
         with mp.workprec(V + 200):
             log_m0 = _exact(mp.log(m0))
         L = numerics._log_fixed(m0, V)
         assert abs(L - log_m0 * 2**V) < 1
-        x, units, _, j = numerics._em_bracket(u, m0, m0**u, V, D, L - 1)
+        terms = numerics._EMTerms()
+        x, units, _ = numerics._em_bracket(u, m0, V, L - 1, terms)
         plain = Fraction(m0, 4 * (u - 1)) if u > 1 else -m0 * log_m0 / 4
-        plain += Fraction(1, 2)
-        rise = 0
-        for i in range(1, j + 1):
-            rise = u if i == 1 else rise * (u + 2 * i - 3) * (u + 2 * i - 2)
-            beta = bernoulli(2 * i) * 4 ** (2 * i - 1) / math.factorial(2 * i)
-            t = beta * rise / Fraction(m0) ** (2 * i - 1)
-            plain += t
+        plain += Fraction(1, 2) + sum(_em_term(u, j, m0) for j in range(1, len(terms.t) + 1))
         assert abs(x - plain * 2**V) <= units, (u, m0)
+
+
+def test_em_terms_step_up_within_their_units():
+    # the list _em_bracket leaves at u = 2, then stepped up one exponent at a
+    # time at scales falling by 0, 1, 5 or 12 bits: every term stays within
+    # the list's e units of the exact t_j(u) 2^V.  At a constant scale a step
+    # multiplies a term's error by up to (u+2J-1)/u, which e must follow
+    m0, V = 1641, 1200
+    terms = numerics._EMTerms()
+    numerics._em_bracket(2, m0, V, None, terms)
+    J = len(terms.t)
+    for u, dV in zip(range(2, 31), (0, 0, 0, 1, 5, 12, 12) * 5):
+        V -= dV
+        t = terms.at(u, m0, V) if u > 2 else terms.t
+        assert len(t) == J > 30, u
+        for j, x in enumerate(t, 1):
+            assert abs(x - _em_term(u, j, m0) * 2**V) <= terms.e, (u, j)
 
 
 def test_em_ratios_match_the_bernoulli_quotients():
@@ -960,7 +1023,7 @@ def test_fixed_point_tail_restarts(monkeypatch):
     W = numerics._fixed_bits(D)
     real_start = numerics._kernel_start
     real_bracket = numerics._em_bracket
-    for r, u, restarts in ((4, 30, 3), (2, 1, 2)):
+    for r, u, restarts in ((4, 30, 3), (2, 1, 3)):
         start = real_start(u, D) // 3
         monkeypatch.setattr(numerics, "_kernel_start", lambda u, D: start)
         starts = []
@@ -1022,6 +1085,15 @@ def test_inner_array_within_its_units_of_exact_coefficients(D):
             assert erem == s + 2 * J
             off = [abs(c[e] * Fraction(2**W, N**e) - f) for e, f in zip(E, F)]
             assert sum(max(x - 1, 0) for x in off) <= rnd, (p, s, r, D)
+
+
+def test_inner_array_truncates_sub_unit_coefficients_to_zero():
+    # at s = 400 every coefficient of zeta's strict tail is far below a unit
+    # of 2^-W at N^-e: each entry is 0, where a floor made the negative m^-s
+    # one -1 (and zeta(400,2) printed below zero)
+    for r in (1, 2, 3, 4):
+        E, F = numerics._inner_array("1", 400, r, 30)[:2]
+        assert 400 in E and not any(F), r
 
 
 def test_inner_array_zero_pattern():
@@ -1146,6 +1218,7 @@ _MEMO_LAYERS = [
     ("_L_internal", ("2b", 1, _D), "_value_cache", ("L", "2b", 1, _D)),
     ("_pow_row", (2, _D), "_fixed_cache", ("pow", 2, _D)),
     ("_inner_chain", (2, _D, True), "_fixed_cache", ("chain", 2, _D, True)),
+    ("_row_scales", (_D,), "_fixed_cache", ("scales", _D)),
     ("_inner_array", ("m4", 2, 2, _D), "_array_cache", ("m4", 2, 2, _D)),
     ("_class_pairs", ("1", 2, 1, _D), "_fixed_cache", ("pairs", "1", 2, 1, _D)),
     ("_char_em", ("2b", "m4", 1, 2, _D), "_value_cache", ("cs", "2b", "m4", 1, 2, _D)),
